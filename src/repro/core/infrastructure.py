@@ -196,8 +196,12 @@ class CyberInfrastructure:
 
         Returns the number of events the agent delivered to the broker.
         The storage consumer is pumped inside the same loop so a bounded
-        topic drains as fast as it fills; its offsets commit only after
-        the collection inserts succeed (at-least-once into storage).
+        topic drains as fast as it fills.  Every hop moves a batch: the
+        agent produces each transaction as one column append, the group
+        polls a :class:`~repro.streaming.RecordBatch`, and its value
+        column goes to one all-or-nothing ``insert_many``; offsets commit
+        only after that insert lands (at-least-once into storage — an
+        insert that raises leaves them where they were).
         """
         agent = FlumeAgent(
             FunctionSource(records),
@@ -209,12 +213,11 @@ class CyberInfrastructure:
             for _ in range(max_cycles):
                 agent.pump_source(agent.batch_size)
                 agent.pump_sink()
-                batch = storage.poll(4 * agent.batch_size)
+                batch = storage.poll_batch(4 * agent.batch_size)
                 if batch:
-                    for record in batch:
-                        coll.insert(dict(record.value))
+                    coll.insert_many(batch.values)
                     storage.commit()
-                if (agent.metrics.source_exhausted
+                if (agent.source_exhausted
                         and len(agent.channel) == 0 and not batch):
                     break
         finally:

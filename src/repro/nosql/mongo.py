@@ -167,21 +167,41 @@ class Collection:
 
     # -- writes -------------------------------------------------------------------
     def insert(self, document: Dict) -> int:
-        if not isinstance(document, dict):
-            raise MongoError(f"documents must be dicts, got {type(document).__name__}")
-        doc_id = document.get("_id")
-        if doc_id is None:
-            doc_id = next(self._counter)
-        elif doc_id in self._documents:
-            raise MongoError(f"duplicate _id: {doc_id}")
-        stored = dict(document)
-        stored["_id"] = doc_id
-        self._documents[doc_id] = stored
-        self._index_insert(doc_id, stored)
-        return doc_id
+        return self.insert_many((document,))[0]
 
     def insert_many(self, documents: Iterable[Dict]) -> List[int]:
-        return [self.insert(doc) for doc in documents]
+        """Store a copy of every document, or none of them.
+
+        The whole batch is validated before the first write, so a
+        non-dict or a duplicate ``_id`` (against the collection or within
+        the batch) raises with the collection unchanged and no id drawn.
+        """
+        documents = list(documents)
+        stored_documents = self._documents
+        ids: List[Any] = []
+        given: set = set()
+        for document in documents:
+            if not isinstance(document, dict):
+                raise MongoError(
+                    f"documents must be dicts, got {type(document).__name__}")
+            doc_id = document.get("_id")
+            if doc_id is not None:
+                if doc_id in stored_documents or doc_id in given:
+                    raise MongoError(f"duplicate _id: {doc_id}")
+                given.add(doc_id)
+            ids.append(doc_id)
+        indexed = bool(self._hash_indexes or self._geo_indexes)
+        counter = self._counter
+        for position, document in enumerate(documents):
+            stored = dict(document)
+            doc_id = ids[position]
+            if doc_id is None:
+                doc_id = ids[position] = next(counter)
+            stored["_id"] = doc_id
+            stored_documents[doc_id] = stored
+            if indexed:
+                self._index_insert(doc_id, stored)
+        return ids
 
     def update(self, query: Dict, update: Dict) -> int:
         """Apply ``{"$set": {...}}`` to matching docs; returns count."""
@@ -210,13 +230,17 @@ class Collection:
              limit: Optional[int] = None,
              sort: Optional[str] = None,
              descending: bool = False) -> List[Dict]:
-        query = query or {}
-        candidate_ids = self._plan(query)
-        results = []
-        for doc_id in candidate_ids:
-            document = self._documents.get(doc_id)
-            if document is not None and self._matches(document, query):
-                results.append(dict(document))
+        if not query:
+            # The empty query matches everything: no plan, no predicate.
+            self.last_query_used_index = False
+            results = [dict(document)
+                       for document in self._documents.values()]
+        else:
+            results = []
+            for doc_id in self._plan(query):
+                document = self._documents.get(doc_id)
+                if document is not None and self._matches(document, query):
+                    results.append(dict(document))
         if sort is not None:
             results.sort(key=lambda d: (_get_path(d, sort) is None,
                                         _get_path(d, sort)),

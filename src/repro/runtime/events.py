@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.runtime.ring import Ring
+
+#: events a log retains; older ones are dropped first
+EVENT_RING_CAPACITY = 65_536
+
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -31,23 +36,34 @@ class EventRecord:
 
 
 class EventLog:
-    """Append-only log of :class:`EventRecord`."""
+    """Append-only ring of the last :data:`EVENT_RING_CAPACITY` events.
+
+    Reads cover the retained window; :attr:`recorded_total` keeps
+    counting past evictions.
+    """
 
     def __init__(self, clock: Callable[[], Tuple[float, str]]):
         self._clock = clock
-        self._records: List[EventRecord] = []
+        self._records: Ring[EventRecord] = Ring(EVENT_RING_CAPACITY)
 
     def emit(self, kind: str, **data) -> EventRecord:
         now, clock_kind = self._clock()
-        record = EventRecord(kind=kind, time=now, clock=clock_kind,
-                             data=data)
-        self._records.append(record)
-        return record
+        return self.record(EventRecord(kind=kind, time=now, clock=clock_kind,
+                                       data=data))
 
     def record(self, record: EventRecord) -> EventRecord:
         """Append a pre-built record (parallel-worker delta merge)."""
         self._records.append(record)
         return record
+
+    @property
+    def recorded_total(self) -> int:
+        """Events recorded since the last reset, evicted ones included."""
+        return self._records.total
+
+    def records_since(self, mark: int) -> List[EventRecord]:
+        """Retained events recorded after ``recorded_total`` read ``mark``."""
+        return self._records.since(mark)
 
     def records(self, kind: Optional[str] = None) -> List[EventRecord]:
         if kind is None:

@@ -208,7 +208,12 @@ def _registry_snapshot(registry) -> Dict[str, Dict]:
 def _capture_delta(runtime: Runtime, registry_before: Dict[str, Dict],
                    span_base: int, event_base: int,
                    span_id_base: int = 0) -> Dict:
-    """Everything emitted into ``runtime`` since the snapshot was taken."""
+    """Everything emitted into ``runtime`` since the snapshot was taken.
+
+    ``span_base`` / ``event_base`` are the tracer's and the event log's
+    ``recorded_total`` at snapshot time: both stores are rings, so a
+    worker forked with a full one sees no growth in length.
+    """
     delta: Dict[str, List] = {
         "counters": [], "gauges": [], "histograms": [],
         "spans": [], "events": [],
@@ -248,14 +253,14 @@ def _capture_delta(runtime: Runtime, registry_before: Dict[str, Dict],
             delta[metric.kind + "s"].append((name, metric.help, series))
     delta["spans"] = [(s.name, dict(s.labels), s.start, s.clock, s.end,
                        s.span_id, s.parent_id)
-                      for s in runtime.tracer.spans()[span_base:]]
+                      for s in runtime.tracer.spans_since(span_base)]
     # Worker-local span-id accounting: ids in [span_id_base, base+consumed)
     # were drawn by this task; the merge shifts them onto the parent's
     # counter so numbering matches what a serial run would have assigned.
     delta["span_id_base"] = span_id_base
     delta["span_ids_consumed"] = runtime.tracer.next_span_id - span_id_base
     delta["events"] = [(r.kind, r.time, r.clock, dict(r.data))
-                       for r in runtime.events.records()[event_base:]]
+                       for r in runtime.events.records_since(event_base)]
     return delta
 
 
@@ -331,9 +336,9 @@ def _worker_run(task: Tuple[int, Any]) -> bytes:
     label: str = state["label"]
 
     registry_before = _registry_snapshot(runtime.registry)
-    span_base = len(runtime.tracer.spans())
+    span_base = runtime.tracer.recorded_total
     span_id_base = runtime.tracer.next_span_id
-    event_base = len(runtime.events.records())
+    event_base = runtime.events.recorded_total
     attached: List[shared_memory.SharedMemory] = []
     started = runtime.now()
     try:

@@ -36,6 +36,12 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.runtime.ring import Ring
+
+#: finished spans a tracer retains; older ones are dropped first, so a
+#: long-lived process holds a fixed window instead of its whole history
+SPAN_RING_CAPACITY = 65_536
+
 
 @dataclass
 class Span:
@@ -123,11 +129,17 @@ class SpanSampler:
 
 
 class Tracer:
-    """Records finished spans in completion order, linked into a tree."""
+    """Records finished spans in completion order, linked into a tree.
+
+    The store is a ring of :data:`SPAN_RING_CAPACITY` spans: recording
+    into a full ring evicts the oldest span, and every read (``spans``,
+    ``span_tree``, ``total_duration``, ``dump``) covers the retained
+    window.  :attr:`recorded_total` keeps counting past evictions.
+    """
 
     def __init__(self, clock: Callable[[], Tuple[float, str]]):
         self._clock = clock
-        self._spans: List[Span] = []
+        self._spans: Ring[Span] = Ring(SPAN_RING_CAPACITY)
         self._next_id = 0
         self._open_stack: List[Span] = []
 
@@ -177,7 +189,7 @@ class Tracer:
                 self._open_stack.remove(record)
             except ValueError:  # pragma: no cover - double-close guard
                 pass
-            self._spans.append(record)
+            self.record(record)
 
     def sampler(self, name: str, every: int = 1) -> SpanSampler:
         """A :class:`SpanSampler` recording every ``every``-th span.
@@ -200,6 +212,20 @@ class Tracer:
         self._spans.append(span)
         return span
 
+    @property
+    def recorded_total(self) -> int:
+        """Spans recorded since the last reset, evicted ones included."""
+        return self._spans.total
+
+    def spans_since(self, mark: int) -> List[Span]:
+        """Retained spans recorded after ``recorded_total`` read ``mark``.
+
+        A length-based slice stops working once the ring is full (its
+        length no longer grows); the monotone total is what a delta
+        capture can rely on.
+        """
+        return self._spans.since(mark)
+
     def spans(self, name: Optional[str] = None) -> List[Span]:
         if name is None:
             return list(self._spans)
@@ -215,8 +241,8 @@ class Tracer:
         """Finished spans as a nested forest (roots in completion order).
 
         Each node is the span's :meth:`~Span.to_dict` plus a ``children``
-        list; spans whose parent is still open (or was never recorded)
-        surface as roots.
+        list; spans whose parent is still open, was never recorded or
+        has been evicted from the ring surface as roots.
         """
         nodes = {s.span_id: dict(s.to_dict(), children=[])
                  for s in self._spans}

@@ -449,11 +449,12 @@ class _TopicTelemetry:
 class _GroupTelemetry:
     """Fetch-side bound metric handles, resolved once per (group, topic)."""
 
-    __slots__ = ("consumed", "e2e")
+    __slots__ = ("consumed", "e2e", "lag")
 
     def __init__(self, broker: "Broker", group: str, topic: str):
         self.consumed = broker._consumed.bind(group=group, topic=topic)
         self.e2e = broker._e2e_latency.bind(group=group, topic=topic)
+        self.lag = broker._lag.bind(group=group, topic=topic)
 
 
 class Broker:
@@ -715,10 +716,10 @@ class Broker:
         telemetry = self._topic_telemetry(topic)
         n = len(values)
         parts = t.partitions
+        width = len(parts)
         if key_fn is None:
             keys: List[Optional[str]] = [None] * n
             cursor = t._round_robin
-            width = len(parts)
             plan = [(cursor + index) % width for index in range(n)]
         else:
             keys = [key_fn(value) for value in values]
@@ -728,15 +729,11 @@ class Broker:
         now = self.runtime.now() if sim else 0.0
         share = t.config.share_ndarrays
         ends = [part.end_offset for part in parts]
-        appenders = [(part.offsets.append, part.keys.append,
-                      part.values.append, part.timestamps.append)
-                     for part in parts]
         out_offsets: List[int] = []
-        take_offset = out_offsets.append
-        if keep is None and not share:
-            # Fast path: every record admitted, payloads stored verbatim —
-            # the returned batch reuses the plan/key/value columns and the
-            # loop body is offset assignment plus four bulk appends.
+        fast = keep is None and not share
+        if fast:
+            # Every record admitted, payloads stored verbatim: the returned
+            # batch reuses the plan/key/value columns.
             out_partitions, out_keys, out_values = plan, keys, values
             if sim:
                 out_timestamps = [now] * n
@@ -745,51 +742,74 @@ class Broker:
                 out_timestamps = [float(tick)
                                   for tick in range(ticks, ticks + n)]
                 self._ticks = ticks + n
-            for index in range(n):
-                partition = plan[index]
-                offset = ends[partition]
-                ends[partition] = offset + 1
-                take_offset(offset)
-                add_offset, add_key, add_value, add_stamp = \
-                    appenders[partition]
-                add_offset(offset)
-                add_key(keys[index])
-                add_value(values[index])
-                add_stamp(out_timestamps[index])
+        if fast and key_fn is None:
+            # Round-robin lays rows lane, lane + width, ... on one
+            # partition in input order, so each partition takes one
+            # strided slice per column and one run of consecutive offsets.
+            out_offsets = [0] * n
+            for lane in range(min(width, n)):
+                partition = plan[lane]
+                part = parts[partition]
+                lane_values = values[lane::width]
+                end = ends[partition]
+                ends[partition] = end + len(lane_values)
+                lane_offsets = range(end, ends[partition])
+                out_offsets[lane::width] = lane_offsets
+                part.offsets.extend(lane_offsets)
+                part.keys.extend(keys[lane::width])
+                part.values.extend(lane_values)
+                part.timestamps.extend(out_timestamps[lane::width])
         else:
-            out_partitions = []
-            out_keys = []
-            out_values = []
-            out_timestamps = []
-            ticks = self._ticks
-            for index in range(n):
-                if keep is not None and not keep[index]:
-                    continue
-                partition = plan[index]
-                offset = ends[partition]
-                ends[partition] = offset + 1
-                value = values[index]
-                if share:
-                    value = self._store_value(t, parts[partition], offset,
-                                              value)
-                if sim:
-                    stamp = now
-                else:
-                    stamp = float(ticks)
-                    ticks += 1
-                key = keys[index]
-                add_offset, add_key, add_value, add_stamp = \
-                    appenders[partition]
-                add_offset(offset)
-                add_key(key)
-                add_value(value)
-                add_stamp(stamp)
-                out_partitions.append(partition)
-                take_offset(offset)
-                out_keys.append(key)
-                out_values.append(value)
-                out_timestamps.append(stamp)
-            self._ticks = ticks
+            appenders = [(part.offsets.append, part.keys.append,
+                          part.values.append, part.timestamps.append)
+                         for part in parts]
+            take_offset = out_offsets.append
+            if fast:
+                for index in range(n):
+                    partition = plan[index]
+                    offset = ends[partition]
+                    ends[partition] = offset + 1
+                    take_offset(offset)
+                    add_offset, add_key, add_value, add_stamp = \
+                        appenders[partition]
+                    add_offset(offset)
+                    add_key(keys[index])
+                    add_value(values[index])
+                    add_stamp(out_timestamps[index])
+            else:
+                out_partitions = []
+                out_keys = []
+                out_values = []
+                out_timestamps = []
+                ticks = self._ticks
+                for index in range(n):
+                    if keep is not None and not keep[index]:
+                        continue
+                    partition = plan[index]
+                    offset = ends[partition]
+                    ends[partition] = offset + 1
+                    value = values[index]
+                    if share:
+                        value = self._store_value(t, parts[partition], offset,
+                                                  value)
+                    if sim:
+                        stamp = now
+                    else:
+                        stamp = float(ticks)
+                        ticks += 1
+                    key = keys[index]
+                    add_offset, add_key, add_value, add_stamp = \
+                        appenders[partition]
+                    add_offset(offset)
+                    add_key(key)
+                    add_value(value)
+                    add_stamp(stamp)
+                    out_partitions.append(partition)
+                    take_offset(offset)
+                    out_keys.append(key)
+                    out_values.append(value)
+                    out_timestamps.append(stamp)
+                self._ticks = ticks
         for partition, part in enumerate(parts):
             part.end_offset = ends[partition]
         if key_fn is None:
@@ -1157,13 +1177,8 @@ class Broker:
         return RecordBatch(topic, out_partitions, out_offsets, out_keys,
                            out_values, out_timestamps)
 
-    def _fetch(self, consumer: "Consumer", topic: str,
-               max_records: int) -> List[Record]:
-        """Per-record view of :meth:`_fetch_batch` (the legacy poll path)."""
-        return self._fetch_batch(consumer, topic, max_records).records()
-
     def _update_lag(self, group: str, topic: str) -> None:
-        self._lag.set(self.lag(group, topic), group=group, topic=topic)
+        self._group_telemetry(group, topic).lag.set(self.lag(group, topic))
 
     def _commit(self, consumer: "Consumer",
                 positions: Optional[Dict[Tuple[str, int], int]] = None
@@ -1282,30 +1297,15 @@ class Consumer:
 
     # -- consumption ----------------------------------------------------------
     def poll(self, max_records: int = 100) -> List[Record]:
-        """Fetch up to ``max_records`` from this member's partitions."""
-        self._ensure_open()
-        if max_records < 1:
-            raise BrokerError(f"max_records must be >= 1: {max_records}")
-        self._sync()
-        broker = self.broker
-        started = broker.runtime.now()
-        out: List[Record] = []
-        for topic in self.topics:
-            if len(out) >= max_records:
-                break
-            out.extend(broker._fetch(self, topic, max_records - len(out)))
-        if self.auto_commit and out:
-            broker._commit(self)
-        if broker._sample("fetch"):
-            self._fetch_latency.observe(broker.runtime.now() - started)
-        return out
+        """:meth:`poll_batch` with every row materialized as a Record."""
+        return self.poll_batch(max_records).records()
 
     def poll_batch(self, max_records: int = 100) -> RecordBatch:
         """Columnar fetch: up to ``max_records`` as one :class:`RecordBatch`.
 
-        Offsets, positions, auto-commit, fairness and rebalance semantics
-        are identical to :meth:`poll` — the two paths differ only in what
-        they materialize.  The batch spans this member's topics in
+        The one fetch path: offsets, positions, auto-commit, fairness and
+        rebalance semantics live here, and :meth:`poll` is a row view of
+        the result.  The batch spans this member's topics in
         subscription order; ``batch.groups()`` yields per-key sub-batches
         (a camera's frames together, ready to stack for the gateway).
         """

@@ -21,9 +21,11 @@ Two broker integrations close the loop with :mod:`repro.streaming.broker`:
 
 from __future__ import annotations
 
+import sys
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence
 
 from repro.runtime import get_runtime
 from repro.streaming.broker import BackpressureStall, Consumer, RebalanceError
@@ -47,14 +49,16 @@ class FunctionSource:
             self._iterator = iter(events)
         self.emitted = 0
 
+    def next_events(self, max_events: int) -> List[Any]:
+        """Up to ``max_events`` events; fewer means the source ran dry."""
+        events = list(islice(self._iterator, max_events))
+        self.emitted += len(events)
+        return events
+
     def next_event(self) -> Optional[Any]:
         """The next event, or None when exhausted."""
-        try:
-            event = next(self._iterator)
-        except StopIteration:
-            return None
-        self.emitted += 1
-        return event
+        events = self.next_events(1)
+        return events[0] if events else None
 
 
 class Channel:
@@ -70,22 +74,30 @@ class Channel:
         return len(self._queue)
 
     @property
+    def room(self) -> int:
+        """Events the channel can still accept."""
+        return self.capacity - len(self._queue)
+
+    @property
     def full(self) -> bool:
-        return len(self._queue) >= self.capacity
+        return self.room <= 0
 
     def put(self, event: Any) -> None:
-        if self.full:
+        self.put_many((event,))
+
+    def put_many(self, events: Sequence[Any]) -> None:
+        """Append ``events`` in order, all or none of them."""
+        if len(events) > self.room:
             raise ChannelFullError(
                 f"channel at capacity ({self.capacity})")
-        self._queue.append(event)
+        self._queue.extend(events)
 
     def take_batch(self, max_events: int) -> "Transaction":
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1: {max_events}")
-        events = []
-        while self._queue and len(events) < max_events:
-            events.append(self._queue.popleft())
-        return Transaction(self, events)
+        take = self._queue.popleft
+        return Transaction(
+            self, [take() for _ in range(min(max_events, len(self._queue)))])
 
 
 class Transaction:
@@ -105,8 +117,7 @@ class Transaction:
         """Return the batch to the head of the channel, preserving order."""
         if self._closed:
             raise RuntimeError("transaction already closed")
-        for event in reversed(self.events):
-            self._channel._queue.appendleft(event)
+        self._channel._queue.extendleft(reversed(self.events))
         self._closed = True
 
 
@@ -168,10 +179,17 @@ class ConsumerChannel:
                    for topic in self.consumer.topics)
 
     @property
+    def room(self) -> int:
+        return sys.maxsize
+
+    @property
     def full(self) -> bool:
         return False
 
     def put(self, event: Any) -> None:
+        self.put_many((event,))
+
+    def put_many(self, events: Sequence[Any]) -> None:
         raise ChannelFullError(
             "ConsumerChannel is fed by the broker; produce to the topic "
             "instead of putting into the channel")
@@ -208,7 +226,7 @@ class FlumeAgent:
     Parameters
     ----------
     source:
-        A :class:`FunctionSource` (or anything with ``next_event``).
+        A :class:`FunctionSource` (or anything with ``next_events``).
     sink:
         Callable taking a list of events; raise :class:`SinkError` to signal
         a transient failure (the batch is rolled back and retried on the
@@ -236,13 +254,19 @@ class FlumeAgent:
         self.runtime = runtime or get_runtime()
         self.name = name or self.runtime.gensym("flume-agent")
         self._source_exhausted = False
+        # Bound handles: this agent's label set is resolved once, and every
+        # write lands in the series the labeled call would have hit.
         registry = self.runtime.registry
-        self._received = registry.counter("streaming.flume.events_received")
-        self._delivered = registry.counter("streaming.flume.events_delivered")
-        self._committed = registry.counter("streaming.flume.batches_committed")
+        self._received = registry.counter(
+            "streaming.flume.events_received").bind(agent=self.name)
+        self._delivered = registry.counter(
+            "streaming.flume.events_delivered").bind(agent=self.name)
+        self._committed = registry.counter(
+            "streaming.flume.batches_committed").bind(agent=self.name)
         self._rolled_back = registry.counter(
-            "streaming.flume.batches_rolled_back")
-        self._depth = registry.gauge("streaming.flume.channel_depth")
+            "streaming.flume.batches_rolled_back").bind(agent=self.name)
+        self._depth = registry.gauge(
+            "streaming.flume.channel_depth").bind(agent=self.name)
 
     @classmethod
     def from_consumer(cls, consumer: Consumer,
@@ -262,28 +286,38 @@ class FlumeAgent:
                    name=name, runtime=runtime)
 
     @property
+    def source_exhausted(self) -> bool:
+        """Whether the source has run dry (the channel may still hold events)."""
+        return self._source_exhausted
+
+    @property
     def metrics(self) -> AgentMetrics:
         """This agent's counters, read back from the registry."""
         return AgentMetrics(
-            events_received=int(self._received.value(agent=self.name)),
-            events_delivered=int(self._delivered.value(agent=self.name)),
-            batches_committed=int(self._committed.value(agent=self.name)),
-            batches_rolled_back=int(self._rolled_back.value(agent=self.name)),
+            events_received=int(self._received.value()),
+            events_delivered=int(self._delivered.value()),
+            batches_committed=int(self._committed.value()),
+            batches_rolled_back=int(self._rolled_back.value()),
             source_exhausted=self._source_exhausted)
 
     def pump_source(self, max_events: int) -> int:
-        """Move up to ``max_events`` from the source into the channel."""
+        """Move up to ``max_events`` from the source into the channel.
+
+        One bulk read against the room the channel has right now; a
+        short read is how the source reports it ran dry.
+        """
+        channel = self.channel
+        wanted = min(max_events, channel.room)
         moved = 0
-        while moved < max_events and not self.channel.full:
-            event = self.source.next_event()
-            if event is None:
+        if wanted > 0:
+            events = self.source.next_events(wanted)
+            moved = len(events)
+            if moved < wanted:
                 self._source_exhausted = True
-                break
-            self.channel.put(event)
-            moved += 1
-        if moved:
-            self._received.inc(moved, agent=self.name)
-        self._depth.set(len(self.channel), agent=self.name)
+            if moved:
+                channel.put_many(events)
+                self._received.inc(moved)
+        self._depth.set(len(channel))
         return moved
 
     def pump_sink(self) -> int:
@@ -293,24 +327,26 @@ class FlumeAgent:
         channel); a failed batch is rolled back for retry.
         """
         transaction = self.channel.take_batch(self.batch_size)
-        if not transaction.events:
+        events = transaction.events
+        if not events:
             transaction.commit()
             return 0
-        with self.runtime.tracer.span("streaming.flume.deliver", agent=self.name) as span:
+        with self.runtime.tracer.span("streaming.flume.deliver",
+                                      agent=self.name) as span:
             try:
-                self.sink(list(transaction.events))
+                self.sink(list(events))
             except SinkError:
                 transaction.rollback()
-                self._rolled_back.inc(agent=self.name)
+                self._rolled_back.inc()
                 span.annotate(outcome="rolled_back")
-                self._depth.set(len(self.channel), agent=self.name)
+                self._depth.set(len(self.channel))
                 return 0
             transaction.commit()
             span.annotate(outcome="committed")
-        self._committed.inc(agent=self.name)
-        self._delivered.inc(len(transaction.events), agent=self.name)
-        self._depth.set(len(self.channel), agent=self.name)
-        return len(transaction.events)
+        self._committed.inc()
+        self._delivered.inc(len(events))
+        self._depth.set(len(self.channel))
+        return len(events)
 
     def run(self, max_cycles: int = 10_000) -> AgentMetrics:
         """Pump until the source is exhausted and the channel is drained.
@@ -321,7 +357,7 @@ class FlumeAgent:
         for _ in range(max_cycles):
             self.pump_source(self.batch_size)
             delivered = self.pump_sink()
-            if (self._source_exhausted and len(self.channel) == 0
+            if (self.source_exhausted and len(self.channel) == 0
                     and delivered == 0):
                 break
         return self.metrics
@@ -344,17 +380,12 @@ def dfs_sink(dfs, path_prefix: str,
 
 
 def collection_sink(collection) -> Callable[[List[Any]], None]:
-    """Sink inserting dict events into a document-store collection."""
-
-    def sink(events: List[Any]) -> None:
-        for event in events:
-            collection.insert(dict(event))
-
-    return sink
+    """Sink inserting each batch of dict events, all of it or none."""
+    return collection.insert_many
 
 
 def broker_sink(broker, topic: str,
-                key_fn: Callable[[Any], Optional[str]] = lambda e: None
+                key_fn: Optional[Callable[[Any], Optional[str]]] = None
                 ) -> Callable[[List[Any]], None]:
     """Sink producing each batch atomically onto a broker topic.
 

@@ -107,11 +107,11 @@ class SqoopImporter:
         grouped: Dict[str, List[dict]] = {}
         try:
             while True:
-                batch = consumer.poll(500)
+                batch = consumer.poll_batch(500)
                 if not batch:
                     break
-                for record in batch:
-                    grouped.setdefault(record.key, []).append(record.value)
+                for key, rows in batch.groups():
+                    grouped.setdefault(key, []).extend(rows.values)
                 consumer.commit()
         finally:
             consumer.close()
@@ -141,7 +141,7 @@ class SqoopImporter:
 
     def import_to_collection(self, table_name: str, collection,
                              num_mappers: int = 4) -> ImportReport:
-        """Table -> document-store collection (one insert per row)."""
+        """Table -> document-store collection (one bulk insert per poll)."""
         table = self.database.table(table_name)
         with self.runtime.tracer.span("streaming.sqoop.import", table=table_name,
                                       target="collection"):
@@ -151,12 +151,11 @@ class SqoopImporter:
             rows = 0
             try:
                 while True:
-                    batch = consumer.poll(500)
+                    batch = consumer.poll_batch(500)
                     if not batch:
                         break
-                    for record in batch:
-                        collection.insert(dict(record.value))
-                        rows += 1
+                    collection.insert_many(batch.values)
+                    rows += len(batch)
                     consumer.commit()
             finally:
                 consumer.close()

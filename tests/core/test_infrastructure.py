@@ -11,6 +11,7 @@ from repro.data import OpenCityData, TweetGenerator, WazeGenerator
 from repro.fog import TwoTierDeployment
 from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn.models.earlyexit import EarlyExitNetwork
+from repro.nosql import Collection, MongoError
 
 
 def small_infra():
@@ -125,6 +126,83 @@ class TestCollectionPipeline:
         infra.run_collection_pipeline()
         report = infra.run_collection_pipeline()
         assert report.total_ingested > 0  # second pass re-collects
+
+
+class TestBatchIngest:
+    """The Fig. 4 ingest loop moves batches and keeps its safety properties."""
+
+    RECORDS = [{"record_id": i, "district": i % 6} for i in range(203)]
+
+    def infra(self, records=RECORDS, **config):
+        infra = CyberInfrastructure(InfraConfig(
+            edges_per_fog=2, fogs_per_server=2, servers=1,
+            datanodes=3, dfs_replication=2, **config))
+        infra.register_source("feed", lambda: records)
+        return infra
+
+    def committed(self, infra):
+        return [infra.bus.committed_offset("storage", "feed", partition)
+                for partition in range(infra.bus.partition_count("feed"))]
+
+    def test_bounded_topic_stores_every_record_exactly_once(self):
+        infra = self.infra(bus_partition_capacity=8)
+        report = infra.run_collection_pipeline()
+        assert report.records_ingested["feed"] == len(self.RECORDS)
+        assert report.records_stored["feed"] == len(self.RECORDS)
+        stored = infra.collection("feed").find({})
+        assert sorted(doc["record_id"] for doc in stored) \
+            == list(range(len(self.RECORDS)))
+        assert max(infra.bus.partition_sizes("feed")) <= 8
+        assert infra.bus.lag("storage", "feed") == 0
+        # Backpressure was real: the log never held the whole feed.
+        assert infra.bus.topic_size("feed") < len(self.RECORDS)
+
+    def test_unkeyed_feed_rides_the_round_robin_branch(self):
+        infra = self.infra()
+        infra.run_collection_pipeline()
+        sizes = infra.bus.partition_sizes("feed")
+        assert sum(sizes) == len(self.RECORDS)
+        assert max(sizes) - min(sizes) <= 1
+        replay = infra.bus.consumer("audit", ["feed"]).drain()
+        assert all(record.key is None for record in replay)
+
+    def test_failed_insert_leaves_offsets_uncommitted(self, monkeypatch):
+        infra = self.infra()
+        stored_insert_many = Collection.insert_many
+        calls = []
+
+        def failing(collection, documents):
+            calls.append(len(documents))
+            if len(calls) == 3:
+                raise MongoError("disk full")
+            return stored_insert_many(collection, documents)
+
+        monkeypatch.setattr(Collection, "insert_many", failing)
+        with pytest.raises(MongoError, match="disk full"):
+            infra.run_collection_pipeline()
+        monkeypatch.undo()
+        # Two batches landed and were committed; the third did neither.
+        assert len(infra.collection("feed")) == sum(calls[:2])
+        assert sum(self.committed(infra)) == sum(calls[:2])
+        assert infra.bus.group_members("storage") == []
+        # The uncommitted batch is redelivered to the next group member.
+        member = infra.bus.consumer("storage", ["feed"], auto_commit=False)
+        redelivered = member.poll_batch(100)
+        assert len(redelivered) == calls[2]
+        infra.collection("feed").insert_many(redelivered.values)
+        assert sorted(doc["record_id"]
+                      for doc in infra.collection("feed").find({})) \
+            == list(range(sum(calls)))
+
+    def test_rejected_batch_is_not_half_stored(self):
+        poisoned = list(self.RECORDS[:30])
+        poisoned[12] = dict(poisoned[12], _id="taken")
+        infra = self.infra(poisoned)
+        infra.collection("feed").insert({"_id": "taken"})
+        with pytest.raises(MongoError, match="duplicate _id"):
+            infra.run_collection_pipeline()
+        assert len(infra.collection("feed")) == 1
+        assert sum(self.committed(infra)) == 0
 
 
 def camera_network(seed):

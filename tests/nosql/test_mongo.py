@@ -50,6 +50,53 @@ class TestInsert:
         assert coll.find_one({})["a"] == 1
 
 
+class TestInsertMany:
+    def test_returns_ids_in_order(self):
+        coll = Collection("c")
+        ids = coll.insert_many([{"a": 1}, {"_id": 40, "a": 2}, {"a": 3}])
+        assert ids == [1, 40, 2]
+        assert [coll.find_one({"_id": i})["a"] for i in ids] == [1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [
+        [{"a": 1}, ["not", "a", "doc"]],          # non-dict after a good one
+        [{"a": 1}, {"_id": 7, "a": 2}],           # collides with a stored id
+        [{"_id": 8}, {"a": 1}, {"_id": 8}],       # collides within the batch
+    ])
+    def test_rejected_batch_stores_nothing(self, bad):
+        coll = Collection("c")
+        coll.create_index("a")
+        coll.insert({"_id": 7, "a": 0})
+        with pytest.raises(MongoError):
+            coll.insert_many(bad)
+        assert len(coll) == 1
+        assert coll.count({"a": 1}) == 0          # the index saw nothing
+        assert coll.insert({"a": 5}) == 1         # and no id was drawn
+
+    def test_copies_each_document_once(self):
+        coll = Collection("c")
+        documents = [{"a": 1, "nested": {"b": 2}}]
+        coll.insert_many(documents)
+        documents[0]["a"] = 999
+        assert documents[0].get("_id") is None    # input left untouched
+        assert coll.find_one({})["a"] == 1
+
+    def test_accepts_a_generator(self):
+        coll = Collection("c")
+        assert coll.insert_many({"a": i} for i in range(3)) == [1, 2, 3]
+
+    def test_indexes_maintained(self):
+        coll = Collection("c")
+        coll.create_index("district")
+        coll.create_geo_index("location", cell_size=0.1)
+        coll.insert_many([{"district": 4, "location": [0.3, 0.4]},
+                          {"district": 2, "location": [0.7, 0.8]}])
+        assert coll.count({"district": 4}) == 1
+        assert coll.last_query_used_index
+        near = coll.find({"location": {"$near": [0.3, 0.4],
+                                       "$maxDistance": 0.05}})
+        assert [doc["district"] for doc in near] == [4]
+
+
 class TestQueries:
     def test_equality(self):
         coll = crimes_collection()
@@ -57,6 +104,18 @@ class TestQueries:
 
     def test_empty_query_returns_all(self):
         assert crimes_collection().count({}) == 4
+
+    def test_empty_query_is_a_scan_of_copies(self):
+        coll = crimes_collection()
+        coll.create_index("type")
+        coll.find({"type": "robbery"})
+        assert coll.last_query_used_index
+        for query in ({}, None):
+            found = coll.find(query, sort="severity", limit=2)
+            assert [doc["severity"] for doc in found] == [5, 6]
+            assert not coll.last_query_used_index
+            found[0]["severity"] = 0
+        assert coll.count({"severity": 0}) == 0
 
     def test_comparison_operators(self):
         coll = crimes_collection()

@@ -1,6 +1,6 @@
 """Seeded chaos properties for the streaming broker.
 
-Three guarantees, each asserted under hypothesis-drawn schedules:
+Four guarantees, each asserted under hypothesis-drawn schedules:
 
 - *exactly-once committed output under rebalance churn*: members join,
   leave, poll, and commit in arbitrary interleavings; fenced commits are
@@ -12,7 +12,10 @@ Three guarantees, each asserted under hypothesis-drawn schedules:
   with membership) is dropped;
 - *chaos-fed fog serving*: records polled from the broker and fed
   through a failure-injected fog stream are all accounted exactly once,
-  and their offsets commit only after the batch survives.
+  and their offsets commit only after the batch survives;
+- *``poll`` is a row view of ``poll_batch``*: the same schedule of polls,
+  commits and membership changes driven through either call leaves
+  identical rows, fetch positions and committed offsets.
 
 ``REPRO_CHAOS_SEED`` (set by the CI chaos sweep, default 0) shifts the
 drawn schedules while keeping any single invocation deterministic.
@@ -162,6 +165,71 @@ def test_dump_invariant_across_group_sizes(group_sizes, num_records, batch):
 
     dumps = {size: run(size) for size in group_sizes}
     assert len(set(dumps.values())) == 1
+
+
+VIEW_TOPICS = (("crime", 3), ("tweets", 2))
+
+view_actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("poll"), st.integers(0, 2), st.integers(1, 6)),
+        st.tuples(st.just("commit"), st.integers(0, 2), st.just(0)),
+        st.tuples(st.just("join"), st.just(0), st.just(0)),
+        st.tuples(st.just("leave"), st.integers(0, 2), st.just(0)),
+    ),
+    min_size=3, max_size=30)
+
+
+def run_view_schedule(schedule, num_records, auto_commit, columnar):
+    """Drive one schedule; returns (rows per poll, offsets after each step)."""
+    runtime = Runtime(seed=BASE_SEED)
+    broker = Broker(runtime=runtime)
+    for topic, partitions in VIEW_TOPICS:
+        broker.create_topic(topic, partitions=partitions)
+        broker.produce_batch(
+            topic, [f"{topic}-{i}" for i in range(num_records)],
+            key_fn=lambda value: value if value.endswith(("3", "7")) else None)
+    topics = [topic for topic, _ in VIEW_TOPICS]
+
+    def join():
+        return broker.consumer("g", topics, auto_commit=auto_commit)
+
+    def offsets():
+        return [(broker.position("g", topic, partition),
+                 broker.committed_offset("g", topic, partition))
+                for topic, partitions in VIEW_TOPICS
+                for partition in range(partitions)]
+
+    members = [join()]
+    rows, trail = [], []
+    for action, index, size in schedule:
+        member = members[index % len(members)]
+        if action == "poll":
+            polled = (member.poll_batch(size).records() if columnar
+                      else member.poll(size))
+            rows.append([(r.topic, r.partition, r.offset, r.key, r.value,
+                          r.timestamp) for r in polled])
+        elif action == "commit":
+            try:
+                member.commit()
+            except RebalanceError:
+                rows.append("fenced")
+        elif action == "join" and len(members) < 3:
+            members.append(join())      # a rebalance mid-stream
+        elif action == "leave" and len(members) > 1:
+            members.pop(index % len(members)).close()
+        trail.append(offsets())
+    return rows, trail
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedule=view_actions, num_records=st.integers(1, 25),
+       auto_commit=st.booleans())
+def test_poll_is_a_row_view_of_poll_batch(schedule, num_records, auto_commit):
+    per_record = run_view_schedule(schedule, num_records, auto_commit,
+                                   columnar=False)
+    columnar = run_view_schedule(schedule, num_records, auto_commit,
+                                 columnar=True)
+    assert per_record == columnar
 
 
 failure_specs = st.builds(

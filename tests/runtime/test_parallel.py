@@ -11,8 +11,10 @@ from repro.runtime import (
     ParallelExecutor,
     Runtime,
     deterministic_dump,
+    events,
     fork_available,
     get_runtime,
+    tracing,
     using_runtime,
 )
 from repro.runtime.parallel import (
@@ -209,6 +211,29 @@ class TestTelemetryMerge:
         with using_runtime(Runtime()):
             with pytest.raises(ParallelError, match="bounded histogram"):
                 fresh_executor(2).map_ordered(observe_bounded, range(4))
+
+    @needs_fork
+    def test_worker_forked_with_full_rings_still_merges(self, monkeypatch):
+        """Delta capture counts recordings, not the (saturated) length."""
+        monkeypatch.setattr(tracing, "SPAN_RING_CAPACITY", 16)
+        monkeypatch.setattr(events, "EVENT_RING_CAPACITY", 16)
+        dumps = {}
+        for workers in (1, 2, 4):
+            with using_runtime(Runtime(seed=9)) as rt:
+                for _ in range(16):
+                    with rt.tracer.span("test.parallel.prefill"):
+                        pass
+                    rt.events.emit("test.parallel.prefill")
+                fresh_executor(workers).map_ordered(
+                    emitting_task, range(4), label="ring")
+                assert len(rt.tracer.spans()) == 16
+                assert len(rt.tracer.spans("test.parallel.inner")) == 4
+                assert len(rt.tracer.spans(TASK_SPAN)) == 4
+                assert rt.events.count("test.parallel.done") == 4
+                assert rt.tracer.recorded_total == 16 + 9
+                dumps[workers] = json.dumps(deterministic_dump(rt),
+                                            sort_keys=True)
+        assert dumps[1] == dumps[2] == dumps[4]
 
     def test_serial_path_emits_engine_telemetry(self):
         # workers=1 must produce the same span/counter structure as the

@@ -8,7 +8,7 @@ bound and wall-clock timestamps otherwise.
 import pytest
 
 from repro.cluster.sim import Environment
-from repro.runtime import Runtime
+from repro.runtime import Runtime, events, tracing
 
 
 class TestSpans:
@@ -212,6 +212,87 @@ class TestEvents:
         (payload,) = runtime.events.dump()
         assert payload["kind"] == "e"
         assert list(payload["data"]) == ["a", "b"]
+
+
+class TestRings:
+    """Span and event stores keep a fixed window, oldest dropped first."""
+
+    @pytest.fixture
+    def runtime(self, monkeypatch):
+        monkeypatch.setattr(tracing, "SPAN_RING_CAPACITY", 4)
+        monkeypatch.setattr(events, "EVENT_RING_CAPACITY", 3)
+        return Runtime()
+
+    def test_oldest_spans_evicted_first(self, runtime):
+        for index in range(6):
+            with runtime.tracer.span("op", index=index):
+                pass
+        kept = runtime.tracer.spans()
+        assert [span.labels["index"] for span in kept] == ["2", "3", "4", "5"]
+        assert [span.span_id for span in kept] == [2, 3, 4, 5]
+        assert runtime.tracer.recorded_total == 6
+        assert len(runtime.tracer.dump()) == 4
+
+    def test_reads_cover_the_retained_window(self, runtime):
+        for index in range(6):
+            with runtime.tracer.span("op", index=index):
+                pass
+        kept = runtime.tracer.spans("op")
+        assert runtime.tracer.total_duration("op") == pytest.approx(
+            sum(span.duration for span in kept))
+        assert runtime.tracer.total_duration("op", index=0) == 0.0
+
+    def test_spans_since_counts_past_evictions(self, runtime):
+        for _ in range(4):
+            with runtime.tracer.span("old"):
+                pass
+        mark = runtime.tracer.recorded_total
+        assert runtime.tracer.spans_since(mark) == []
+        for _ in range(2):
+            with runtime.tracer.span("new"):
+                pass
+        assert [span.name for span in runtime.tracer.spans_since(mark)] \
+            == ["new", "new"]
+        # More recorded than the ring holds: the retained suffix.
+        assert len(runtime.tracer.spans_since(0)) == 4
+
+    def test_child_of_evicted_parent_surfaces_as_root(self, runtime):
+        def finished(name, span_id, parent_id):
+            return tracing.Span(name=name, labels={}, start=0.0, clock="wall",
+                                end=1.0, span_id=span_id, parent_id=parent_id)
+
+        # A parent that closes before its child (interleaved DES
+        # processes, merged worker deltas) is also evicted before it.
+        runtime.tracer.record(finished("parent", 0, None))
+        runtime.tracer.record(finished("kid", 1, 0))
+        (root,) = runtime.tracer.span_tree()
+        assert root["name"] == "parent"
+        assert [node["name"] for node in root["children"]] == ["kid"]
+        for span_id in (2, 3, 4):
+            runtime.tracer.record(finished("filler", span_id, None))
+        forest = runtime.tracer.span_tree()
+        assert [node["name"] for node in forest] == ["kid", "filler",
+                                                     "filler", "filler"]
+        assert forest[0]["parent_id"] == 0
+
+    def test_reset_restarts_the_total(self, runtime):
+        with runtime.tracer.span("op"):
+            pass
+        runtime.events.emit("e")
+        runtime.reset()
+        assert runtime.tracer.recorded_total == 0
+        assert runtime.events.recorded_total == 0
+
+    def test_oldest_events_evicted_first(self, runtime):
+        for index in range(5):
+            runtime.events.emit("tick", index=index)
+        assert [record.data["index"] for record in runtime.events.records()] \
+            == [2, 3, 4]
+        assert runtime.events.count("tick") == 3
+        assert runtime.events.recorded_total == 5
+        assert [record.data["index"]
+                for record in runtime.events.records_since(3)] == [3, 4]
+        assert len(runtime.events.dump()) == 3
 
 
 class TestSpanSampler:

@@ -43,6 +43,19 @@ class TestCommitReplay:
         consumer.commit()
         assert broker.committed_offset("g", "events", 0) == 3
 
+    def test_lag_gauge_tracks_fetch_and_commit(self):
+        with using_runtime(Runtime()) as runtime:
+            broker = make_broker(partitions=2)
+            broker.produce_batch("events", list(range(10)))
+            consumer = broker.consumer("g", ["events"], auto_commit=False)
+            gauge = runtime.registry.gauge("streaming.broker.lag")
+            assert gauge.series() == {}           # binding creates no series
+            consumer.poll_batch(4)
+            assert gauge.series() == {"group=g,topic=events": 10.0}
+            consumer.commit()
+            assert gauge.value(group="g", topic="events") == 6.0 \
+                == broker.lag("g", "events")
+
     def test_uncommitted_poll_is_redelivered_after_seek(self):
         broker = make_broker(partitions=1)
         for i in range(5):

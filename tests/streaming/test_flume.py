@@ -4,6 +4,7 @@ import pytest
 
 from repro.dfs import DistributedFileSystem
 from repro.nosql import Collection
+from repro.runtime import Runtime
 from repro.streaming import (
     Channel,
     ChannelFullError,
@@ -27,6 +28,13 @@ class TestFunctionSource:
         source = FunctionSource(lambda: iter("ab"))
         assert source.next_event() == "a"
 
+    def test_bulk_read_is_short_only_when_dry(self):
+        source = FunctionSource(range(5))
+        assert source.next_events(3) == [0, 1, 2]
+        assert source.next_events(3) == [3, 4]
+        assert source.next_events(3) == []
+        assert source.emitted == 5
+
 
 class TestChannel:
     def test_put_take_fifo(self):
@@ -45,6 +53,17 @@ class TestChannel:
         assert channel.full
         with pytest.raises(ChannelFullError):
             channel.put(3)
+
+    def test_put_many_is_all_or_nothing(self):
+        channel = Channel(capacity=4)
+        channel.put_many([1, 2, 3])
+        assert channel.room == 1 and not channel.full
+        with pytest.raises(ChannelFullError):
+            channel.put_many([4, 5])
+        assert len(channel) == 3
+        channel.put_many([4])
+        assert channel.full and channel.room == 0
+        assert channel.take_batch(10).events == [1, 2, 3, 4]
 
     def test_rollback_restores_order(self):
         channel = Channel()
@@ -126,6 +145,40 @@ class TestFlumeAgent:
     def test_validates_batch_size(self):
         with pytest.raises(ValueError):
             FlumeAgent(FunctionSource([]), lambda e: None, batch_size=0)
+
+    def test_pump_source_reads_against_channel_room(self):
+        source = FunctionSource(range(10))
+        agent = FlumeAgent(source, lambda events: None,
+                           channel=Channel(capacity=6), batch_size=4)
+        assert agent.pump_source(4) == 4
+        assert agent.pump_source(4) == 2          # room, not batch size
+        assert agent.pump_source(4) == 0          # full: source untouched
+        assert source.emitted == 6 and not agent.source_exhausted
+        agent.pump_sink()
+        assert agent.pump_source(4) == 4          # exactly what was left
+        assert not agent.source_exhausted         # no short read yet
+        agent.pump_sink()
+        assert agent.pump_source(4) == 0
+        assert agent.source_exhausted
+
+    def test_bound_handles_write_the_labeled_series(self):
+        runtime = Runtime()
+        agent = FlumeAgent(FunctionSource(range(7)), lambda events: None,
+                           batch_size=3, name="probe", runtime=runtime)
+        idle = FlumeAgent(FunctionSource([]), lambda events: None,
+                          name="idle", runtime=runtime)
+        agent.run()
+        counters = runtime.registry.dump()["counters"]
+        assert counters["streaming.flume.events_received"] \
+            == {"agent=probe": 7.0}
+        assert counters["streaming.flume.events_delivered"] \
+            == {"agent=probe": 7.0}
+        assert counters["streaming.flume.batches_committed"] \
+            == {"agent=probe": 3.0}
+        assert counters["streaming.flume.batches_rolled_back"] == {}
+        assert runtime.registry.dump()["gauges"][
+            "streaming.flume.channel_depth"] == {"agent=probe": 0.0}
+        assert idle.metrics.events_delivered == 0
 
 
 class TestSinks:

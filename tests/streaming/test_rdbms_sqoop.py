@@ -131,6 +131,31 @@ class TestSqoopImport:
         assert report.rows == 6
         assert collection.count({"offense": "robbery"}) == 3
 
+    def test_import_spanning_several_polls_keeps_mapper_order(self):
+        db = crime_db(1300)                       # > 2 polls of 500
+        dfs = DistributedFileSystem.with_datanodes(3, replication=2)
+        report = SqoopImporter(db, dfs).import_table(
+            "incidents", "/imports/big", num_mappers=3)
+        assert report.rows == 1300
+        recovered = []
+        for path in report.files:
+            ids = [int(r["report_id"]) for r in csv_to_rows(dfs.read(path))]
+            assert ids == sorted(ids)
+            recovered.extend(ids)
+        assert sorted(recovered) == list(range(1300))
+
+    def test_import_to_collection_commits_what_it_stored(self):
+        db = crime_db(1300)
+        collection = Collection("incidents")
+        importer = SqoopImporter(db)
+        report = importer.import_to_collection("incidents", collection,
+                                               num_mappers=3)
+        assert report.rows == len(collection) == 1300
+        (topic,) = importer.broker.topic_names()
+        assert importer.broker.lag("sqoop-writer-incidents", topic) == 0
+        # The table rows themselves were not handed to the store.
+        assert "_id" not in db.table("incidents").get(0)
+
     def test_import_without_dfs_rejected(self):
         with pytest.raises(ValueError):
             SqoopImporter(crime_db()).import_table("incidents", "/x")

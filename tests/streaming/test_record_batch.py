@@ -265,6 +265,85 @@ class TestSingleProduceParity:
         assert singles == list(planned)
 
 
+def log_state(broker, partitions):
+    """Everything a produce leaves behind, per partition, plus the cursor."""
+    consumer = broker.consumer("probe", ["events"])
+    rows = sorted((r.partition, r.offset, r.key, r.value, r.timestamp)
+                  for r in consumer.drain())
+    consumer.close()
+    ends = [broker.end_offset("events", p) for p in range(partitions)]
+    # The drain committed, so a bounded topic has room for the probe.
+    cursor = broker.produce("events", "cursor-probe").partition
+    return rows, ends, cursor
+
+
+class TestStridedRoundRobin:
+    """Unkeyed ``produce_batch`` appends one strided slice per partition;
+    the log it leaves is the log N single ``produce`` calls leave."""
+
+    WIDTH = 4
+
+    def pair(self, rotation=0, **topic_kwargs):
+        brokers = (make_broker(self.WIDTH, **topic_kwargs),
+                   make_broker(self.WIDTH, **topic_kwargs))
+        for broker in brokers:
+            for value in range(rotation):
+                broker.produce("events", f"warm-{value}")
+        return brokers
+
+    @pytest.mark.parametrize("rotation", [0, 3])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 11])
+    def test_matches_single_produces(self, n, rotation):
+        batched, single = self.pair(rotation)
+        values = [f"v{i}" for i in range(n)]
+        produced = batched.produce_batch("events", values)
+        records = [single.produce("events", value) for value in values]
+        assert produced.partitions == [r.partition for r in records]
+        assert produced.offsets == [r.offset for r in records]
+        assert produced.timestamps == [r.timestamp for r in records]
+        assert produced.keys == [None] * n and produced.values == values
+        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+
+    def test_consecutive_batches_continue_the_rotation(self):
+        batched, single = self.pair()
+        for size in (3, 6, 1, 9):
+            values = list(range(size))
+            batched.produce_batch("events", values)
+            for value in values:
+                single.produce("events", value)
+        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+
+    def test_bounded_drop_takes_the_per_row_branch(self):
+        batched, single = self.pair(max_partition_records=2,
+                                    backpressure="drop")
+        values = list(range(11))           # 8 fit, 3 overflow lanes 0..2
+        produced = batched.produce_batch("events", values)
+        records = [single.produce("events", value) for value in values]
+        kept = [r for r in records if r is not None]
+        assert produced.values == [r.value for r in kept] == list(range(8))
+        assert produced.offsets == [r.offset for r in kept]
+        assert produced.timestamps == [r.timestamp for r in kept]
+        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+
+    def test_bounded_block_appends_nothing_and_keeps_the_cursor(self):
+        broker = make_broker(self.WIDTH, max_partition_records=2)
+        broker.produce_batch("events", list(range(5)))   # cursor at lane 1
+        with pytest.raises(BackpressureStall):
+            broker.produce_batch("events", list(range(6)))
+        assert broker.partition_sizes("events") == [2, 1, 1, 1]
+        admitted = broker.produce_batch("events", ["a", "b", "c"])
+        assert admitted.partitions == [1, 2, 3]
+        assert admitted.offsets == [1, 1, 1]
+
+    def test_bounded_topic_with_room_still_strides(self):
+        batched, single = self.pair(max_partition_records=8)
+        values = list(range(10))
+        batched.produce_batch("events", values)
+        for value in values:
+            single.produce("events", value)
+        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+
+
 class TestPositionSnapshot:
     def test_commit_capped_at_snapshot(self):
         broker = make_broker(partitions=1)
