@@ -8,14 +8,12 @@ back → commit*, so the measurement covers the full produce→consume loop,
 offset bookkeeping included, while retention keeps the resident log small
 enough for CI hosts.
 
-The batch scenarios ride the columnar fast path end to end:
-``produce_batch`` plans partitions once per chunk and bulk-appends into
-the column stores, ``poll_batch`` hands back a
-:class:`~repro.streaming.broker.RecordBatch` whose value column is read
-directly — no per-record ``Record`` objects anywhere in the loop.  The
-**per-record** scenario runs the same unkeyed workload through single
-``produce()`` calls and record-materializing ``poll()``, anchoring the
-``batch_speedup`` ratios (and the ``--min-batch-speedup`` CI gate).
+Every scenario rides the columnar path end to end: ``produce_batch``
+plans partitions once per chunk and bulk-appends into the column stores,
+``poll_batch`` hands back a :class:`~repro.streaming.broker.RecordBatch`
+whose value column is read directly — no per-record ``Record`` objects
+anywhere in the loop.  (``produce()`` and ``poll()`` are one-record / row
+views of those two calls, so there is no second path to compare with.)
 
 Every record carries its produce wall-time; the consumer side turns that
 into per-record produce→consume latency, reported as p50/p99.
@@ -26,9 +24,7 @@ Scenarios:
   number: ``--min-events-per-s`` applies to this row);
 - **keyed** — md5 key partitioning over 64 keys (the camera-feed shape);
 - **two-members** — the same unkeyed workload split across two consumers
-  in one group, covering assignment and per-member offset bookkeeping;
-- **per-record** — the unkeyed workload on the legacy one-record-at-a-time
-  API, the denominator for ``batch_speedup``.
+  in one group, covering assignment and per-member offset bookkeeping.
 
 Usage::
 
@@ -37,9 +33,7 @@ Usage::
 
 The full configuration pushes >= 1M events through the gated scenario.
 ``--min-events-per-s R`` exits non-zero if the gated scenario's
-end-to-end throughput falls below ``R``; ``--min-batch-speedup S`` exits
-non-zero unless both the produce and consume throughput of the batch
-path beat the per-record path by at least ``S``x (the CI perf gates).
+end-to-end throughput falls below ``R`` (the CI perf gate).
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ from repro.streaming.broker import Broker
 
 OUTPUT = "BENCH_streaming.json"
 GATED_SCENARIO = "unkeyed"
-PER_RECORD_SCENARIO = "per-record"
 
 CHUNK = 1_000          # records per produce_batch / poll
 RETAIN = 8 * CHUNK     # resident log bound between retention sweeps
@@ -69,7 +62,7 @@ def percentile(samples: List[float], q: float) -> float:
 
 
 def run_scenario(name: str, events: int, partitions: int, members: int,
-                 keyed: bool, per_record: bool = False) -> Dict:
+                 keyed: bool) -> Dict:
     broker = Broker()
     broker.create_topic("bench", partitions=partitions,
                         retention_max_records=RETAIN)
@@ -85,30 +78,18 @@ def run_scenario(name: str, events: int, partitions: int, members: int,
         if produced < events:
             chunk = min(CHUNK, events - produced)
             t0 = time.perf_counter()
-            if per_record:
-                for _ in range(chunk):
-                    broker.produce("bench", time.perf_counter())
-            else:
-                broker.produce_batch(
-                    "bench", [time.perf_counter()] * chunk, key_fn=key_fn)
+            broker.produce_batch(
+                "bench", [time.perf_counter()] * chunk, key_fn=key_fn)
             produce_s += time.perf_counter() - t0
             produced += chunk
         t0 = time.perf_counter()
         for consumer in consumers:
-            if per_record:
-                records = consumer.poll(CHUNK)
-                if records:
-                    consumer.commit()
-                now = time.perf_counter()
-                latencies.extend(now - record.value for record in records)
-                consumed += len(records)
-            else:
-                batch = consumer.poll_batch(CHUNK)
-                if batch:
-                    consumer.commit()
-                now = time.perf_counter()
-                latencies.extend(now - value for value in batch.values)
-                consumed += len(batch)
+            batch = consumer.poll_batch(CHUNK)
+            if batch:
+                consumer.commit()
+            now = time.perf_counter()
+            latencies.extend(now - value for value in batch.values)
+            consumed += len(batch)
         consume_s += time.perf_counter() - t0
         broker.run_retention("bench")
     total_s = time.perf_counter() - start
@@ -122,7 +103,6 @@ def run_scenario(name: str, events: int, partitions: int, members: int,
         "partitions": partitions,
         "group_members": members,
         "keyed": keyed,
-        "per_record": per_record,
         "seconds": total_s,
         "events_per_s": events / total_s,
         "produce_events_per_s": events / produce_s,
@@ -145,8 +125,6 @@ def run(gated_events: int, side_events: int, partitions: int) -> Dict:
                      members=1, keyed=True),
         run_scenario("two-members", side_events, partitions,
                      members=2, keyed=False),
-        run_scenario(PER_RECORD_SCENARIO, side_events, partitions,
-                     members=1, keyed=False, per_record=True),
     ]
     return {
         "workload": {
@@ -156,7 +134,6 @@ def run(gated_events: int, side_events: int, partitions: int) -> Dict:
         },
         "cpu_count": os.cpu_count(),
         "rows": rows,
-        "batch_speedup": batch_speedup(rows),
     }
 
 
@@ -172,27 +149,6 @@ def gated_throughput(rows: List[Dict]) -> Optional[float]:
     return row["events_per_s"] if row else None
 
 
-def batch_speedup(rows: List[Dict]) -> Optional[Dict[str, float]]:
-    """Batch-path / per-record-path throughput ratios, per stage.
-
-    Both rows run the same unkeyed workload shape (same chunk size,
-    partitions and retention bound), so the ratios isolate the columnar
-    fast path itself: chunked partition planning and bulk appends on the
-    produce side, Record-free column slicing on the consume side.
-    """
-    batch = find_row(rows, GATED_SCENARIO)
-    legacy = find_row(rows, PER_RECORD_SCENARIO)
-    if batch is None or legacy is None:
-        return None
-    return {
-        "produce": batch["produce_events_per_s"]
-        / legacy["produce_events_per_s"],
-        "consume": batch["consume_events_per_s"]
-        / legacy["consume_events_per_s"],
-        "end_to_end": batch["events_per_s"] / legacy["events_per_s"],
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -205,10 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-events-per-s", type=float, default=None,
                         help=f"fail unless the {GATED_SCENARIO} scenario "
                              "sustains this end-to-end throughput")
-    parser.add_argument("--min-batch-speedup", type=float, default=None,
-                        help="fail unless batch produce AND consume beat "
-                             f"the {PER_RECORD_SCENARIO} scenario by this "
-                             "factor")
     parser.add_argument("--output", default=OUTPUT)
     args = parser.parse_args(argv)
 
@@ -224,33 +176,18 @@ def main(argv=None) -> int:
     payload = run(**config)
     rate = gated_throughput(payload["rows"])
     payload["gated_events_per_s"] = rate
-    speedup = payload["batch_speedup"]
 
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(f"\nwrote {args.output}")
     print(f"  {GATED_SCENARIO}: {rate:.0f} events/s end-to-end "
           f"(cpu_count={payload['cpu_count']})")
-    if speedup is not None:
-        print(f"  batch speedup vs {PER_RECORD_SCENARIO}: "
-              f"produce {speedup['produce']:.2f}x, "
-              f"consume {speedup['consume']:.2f}x, "
-              f"end-to-end {speedup['end_to_end']:.2f}x")
 
-    failed = False
     if args.min_events_per_s is not None and rate < args.min_events_per_s:
         print(f"FAIL: {rate:.0f} events/s below {args.min_events_per_s:.0f}",
               file=sys.stderr)
-        failed = True
-    if args.min_batch_speedup is not None:
-        worst = min(speedup["produce"], speedup["consume"])
-        if worst < args.min_batch_speedup:
-            print(f"FAIL: batch speedup {worst:.2f}x below "
-                  f"{args.min_batch_speedup:.2f}x "
-                  f"(produce {speedup['produce']:.2f}x, "
-                  f"consume {speedup['consume']:.2f}x)", file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -201,9 +201,9 @@ def test_fig3_unified_registry_dump(benchmark, tmp_path):
     from repro.nn.tensor import Tensor
     from repro.runtime import Runtime, using_runtime
     from repro.streaming import (
+        Broker,
         FlumeAgent,
         FunctionSource,
-        MessageBus,
         topic_sink,
     )
     from repro.viz import registry_to_json
@@ -211,7 +211,7 @@ def test_fig3_unified_registry_dump(benchmark, tmp_path):
     def run_experiment():
         with using_runtime(Runtime(seed=0)) as runtime:
             # ingestion: frames flow flume -> bus -> consumer
-            bus = MessageBus()
+            bus = Broker()
             bus.create_topic("frames", partitions=2)
             FlumeAgent(FunctionSource(range(32)),
                        topic_sink(bus, "frames"), batch_size=8).run()

@@ -197,12 +197,12 @@ def test_sec2_dstream_windowed_analytics(benchmark):
     # live Waze topic through the micro-batch engine.
     from repro.compute import StreamingContext
     from repro.data import WazeGenerator
-    from repro.streaming import MessageBus
+    from repro.streaming import Broker
 
     reports = WazeGenerator(seed=0).reports(600)
 
     def stream_pass():
-        bus = MessageBus()
+        bus = Broker()
         bus.create_topic("waze", partitions=4)
         for report in reports:
             bus.produce("waze", report)

@@ -18,7 +18,7 @@ from repro.apps.forecast.crime import seasonal_series
 from repro.compute import GridAggregator, StreamingContext, assign_districts
 from repro.data import OpenCityData, WazeGenerator
 from repro.data.city import DISTRICT_CENTERS
-from repro.streaming import MessageBus
+from repro.streaming import Broker
 from repro.viz import bar_chart_svg, heatmap_svg, timeseries_json
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     out_dir.mkdir(exist_ok=True)
 
     print("=== Streaming panel: live Waze feed (micro-batches) ===")
-    bus = MessageBus()
+    bus = Broker()
     bus.create_topic("waze", partitions=4)
     for report in WazeGenerator(seed=0).reports(500):
         bus.produce("waze", report)

@@ -30,10 +30,10 @@ from repro.dfs import DistributedFileSystem
 from repro.nosql import DocumentStore, HTable
 from repro.streaming import (
     BACKPRESSURE_POLICIES,
+    Broker,
     Channel,
     FlumeAgent,
     FunctionSource,
-    MessageBus,
     broker_sink,
 )
 from repro.viz.exporters import bar_chart_svg, timeseries_json
@@ -117,7 +117,7 @@ class CyberInfrastructure:
         self.documents = DocumentStore("smartcity")
         self._htables: Dict[str, HTable] = {}
         # Software layer: streaming + compute.
-        self.bus = MessageBus()
+        self.bus = Broker()
         self.spark = SparkContext(default_parallelism=4)
         self._sources: Dict[str, Callable[[], Iterable[Dict]]] = {}
 

@@ -15,14 +15,16 @@ and rendered in dumps as a deterministic ``"k1=v1,k2=v2"`` key, so two
 identical runs produce byte-identical dumps.  Metric names follow the
 ``<layer>.<component>.<metric>`` convention described in DESIGN.md.
 
-Hot paths use *bound handles*: ``counter.bind(topic="tweets")`` validates
-the labels and resolves the series key exactly once, returning a handle
-whose ``inc``/``set``/``observe`` is a single dict write against the same
-series storage the labeled call would hit.  Binding registers the label
-set but creates no series — the series appears on the first write, so a
-dump is byte-identical whether a value arrived through the labeled call
-or through a handle (the contract the parallel engine's snapshot-diff
-merge relies on).
+Every write goes through a *bound handle*: ``counter.bind(topic="tweets")``
+validates the labels and resolves the series key exactly once, returning
+a handle whose ``inc``/``set``/``observe`` is a single dict write, and
+the labeled call (``counter.inc(topic="tweets")``) is
+``bind(**labels)`` plus that same write.  Hot paths keep the handle;
+everyone else pays one throwaway handle per call.  Binding registers the
+label set but creates no series — the series appears on the first write,
+so a dump is byte-identical whether a value arrived through the labeled
+call or through a kept handle (the contract the parallel engine's
+snapshot-diff merge relies on).
 """
 
 from __future__ import annotations
@@ -167,13 +169,7 @@ class Counter(_LabeledInstrument):
         ``inc(0.0, ...)`` is a supported idiom for pre-creating a series
         so it shows up in dumps even when nothing happened.
         """
-        if amount < 0:
-            raise MetricsError(
-                f"counter {self.name} cannot decrease (amount={amount})")
-        key = self._key(labels)
-        value = self._series.get(key, 0.0) + amount
-        self._series[key] = value
-        return value
+        return self.bind(**labels).inc(amount)
 
     def bind(self, **labels) -> BoundCounter:
         """A handle onto one series: labels validated and keyed once.
@@ -204,11 +200,10 @@ class Gauge(_LabeledInstrument):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        self._series[self._key(labels)] = float(value)
+        self.bind(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        self.bind(**labels).inc(amount)
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         self.inc(-amount, **labels)
@@ -284,10 +279,11 @@ class _SeriesStats:
 class BoundHistogram:
     """One histogram series with its key pre-resolved.
 
-    ``observe`` replicates :meth:`Histogram.observe` exactly — same
-    streaming aggregates, same Algorithm R reservoir over the same LCG —
-    against lazily cached references to the series' stats and sample
-    list, so interleaving labeled and bound observations is
+    ``observe`` is the histogram's one write path — streaming aggregates
+    plus the Algorithm R reservoir over the series' LCG — working against
+    lazily cached references to the series' stats and sample list, which
+    every handle onto the series shares; :meth:`Histogram.observe`
+    delegates here, so interleaving labeled and bound observations is
     indistinguishable from using either alone.
     """
 
@@ -316,6 +312,8 @@ class BoundHistogram:
         if max_samples is None or len(samples) < max_samples:
             samples.append(value)
         else:
+            # Algorithm R: observation i replaces a reservoir slot with
+            # probability max_samples / i, keeping a uniform sample.
             slot = stats.next_random(stats.count)
             if slot < max_samples:
                 samples[slot] = value
@@ -357,19 +355,7 @@ class Histogram(_LabeledInstrument):
         return stats
 
     def observe(self, value: float, **labels) -> None:
-        key = self._key(labels)
-        value = float(value)
-        stats = self._stats_for(key)
-        stats.update(value)
-        samples = self._series.setdefault(key, [])
-        if self.max_samples is None or len(samples) < self.max_samples:
-            samples.append(value)
-        else:
-            # Algorithm R: observation i replaces a reservoir slot with
-            # probability max_samples / i, keeping a uniform sample.
-            slot = stats.next_random(stats.count)
-            if slot < self.max_samples:
-                samples[slot] = value
+        self.bind(**labels).observe(value)
 
     def bind(self, **labels) -> BoundHistogram:
         """A handle onto one series: labels validated and keyed once.

@@ -13,7 +13,10 @@ exposes what a dashboard needs while a gateway is serving:
   (:meth:`repro.runtime.tracing.Tracer.span_tree`).
 
 Responses close the connection (``Connection: close``); the stream route
-is length-less and close-delimited, so a plain ``curl`` tails it.
+is length-less and close-delimited, so a plain ``curl`` tails it.  The
+peer is not trusted: a request head that is too slow, too long or has too
+many header lines is answered 408 / 431 and closed, never left to pin a
+connection or raise out of the handler task.
 """
 
 from __future__ import annotations
@@ -27,11 +30,18 @@ from repro.runtime import get_runtime
 from repro.viz.exporters import registry_to_json
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed"}
+            405: "Method Not Allowed", 408: "Request Timeout",
+            431: "Request Header Fields Too Large"}
 
 #: bounds on the stream route, so a typo'd query cannot pin the server
 MAX_STREAM_FRAMES = 10_000
 MAX_STREAM_INTERVAL_S = 60.0
+
+#: bounds on what a peer may send: the whole request head has to arrive
+#: within READ_TIMEOUT_S (so no single read waits longer), in at most
+#: MAX_HEADER_COUNT header lines, each inside the StreamReader line limit
+READ_TIMEOUT_S = 5.0
+MAX_HEADER_COUNT = 100
 
 
 def _response(status: int, body: bytes,
@@ -46,6 +56,36 @@ def _response(status: int, body: bytes,
 def _json_response(status: int, payload) -> bytes:
     return _response(status,
                      json.dumps(payload, sort_keys=True).encode("utf-8"))
+
+
+class _RequestError(Exception):
+    """A request head this server refuses; carries the HTTP status."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_head(reader: "asyncio.StreamReader"
+                     ) -> Optional[Tuple[str, str]]:
+    """``(method, target)`` with the headers drained (none are needed).
+
+    ``None`` when the peer closed without sending anything.
+    """
+    try:
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) < 2:
+            raise _RequestError(400, "bad request")
+        for _ in range(MAX_HEADER_COUNT + 1):
+            if await reader.readline() in (b"\r\n", b"\n", b""):
+                return parts[0], parts[1]
+    except ValueError:               # a line over the StreamReader limit
+        raise _RequestError(
+            431, "request line or header line too long") from None
+    raise _RequestError(431, f"more than {MAX_HEADER_COUNT} header lines")
 
 
 class ObservabilityServer:
@@ -90,23 +130,31 @@ class ObservabilityServer:
     async def _handle(self, reader: "asyncio.StreamReader",
                       writer: "asyncio.StreamWriter") -> None:
         try:
-            request_line = await reader.readline()
-            if not request_line:
+            try:
+                head = await asyncio.wait_for(_read_head(reader),
+                                              READ_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                writer.write(_json_response(
+                    408, {"error": "request head timed out"}))
                 return
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                writer.write(_json_response(400, {"error": "bad request"}))
+            except _RequestError as error:
+                writer.write(_json_response(
+                    error.status, {"error": str(error)}))
                 return
-            method, target = parts[0], parts[1]
-            while True:                      # drain headers; none are needed
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
+            except ConnectionError:
+                return                       # peer reset mid-request
+            if head is None:
+                return
+            method, target = head
             if method != "GET":
                 writer.write(_json_response(
                     405, {"error": f"method {method} not allowed"}))
                 return
-            split = urllib.parse.urlsplit(target)
+            try:
+                split = urllib.parse.urlsplit(target)
+            except ValueError:               # e.g. an unbalanced "[" host
+                writer.write(_json_response(400, {"error": "bad target"}))
+                return
             query = urllib.parse.parse_qs(split.query)
             await self._route(split.path, query, writer)
         finally:

@@ -8,8 +8,7 @@
   transactional batches and at-least-once delivery (the Apache Flume role).
 - :mod:`repro.streaming.broker` — the Kafka-class pub/sub backbone:
   partitioned topics, consumer groups with committed offsets and
-  rebalancing, retention/compaction, backpressure, zero-copy handoff
-  (``repro.streaming.bus`` re-exports it for old imports).
+  rebalancing, retention/compaction, backpressure, zero-copy handoff.
 """
 
 from repro.streaming.rdbms import RelationalDatabase, Table, RDBMSError
@@ -19,9 +18,7 @@ from repro.streaming.broker import (
     BackpressureStall,
     Broker,
     BrokerError,
-    BusError,
     Consumer,
-    MessageBus,
     RebalanceError,
     Record,
     RecordBatch,
@@ -43,9 +40,9 @@ from repro.streaming.sqoop import SqoopImporter
 
 __all__ = [
     "RelationalDatabase", "Table", "RDBMSError",
-    "Broker", "MessageBus", "Consumer", "Record", "RecordBatch",
+    "Broker", "Consumer", "Record", "RecordBatch",
     "TopicConfig",
-    "BrokerError", "BusError", "BackpressureError", "BackpressureStall",
+    "BrokerError", "BackpressureError", "BackpressureStall",
     "RebalanceError", "BACKPRESSURE_POLICIES",
     "FlumeAgent", "FunctionSource", "Channel", "ChannelFullError",
     "ConsumerChannel", "SinkError",

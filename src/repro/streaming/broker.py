@@ -1,18 +1,17 @@
 """A Kafka-class broker: the durable pub/sub backbone of the Fig. 4 pipeline.
 
-This module grew out of the original ``repro.streaming.bus`` topic log
-(which re-exports everything here for compatibility).  What the smart-city
-deployment guidelines call for — and what every heavy-traffic layer above
-this one assumes — is a *broker*, not a list of lists:
+What the smart-city deployment guidelines call for — and what every
+heavy-traffic layer above this one assumes — is a *broker*, not a list of
+lists:
 
 - **Consumer groups with committed offsets.**  A :class:`Consumer` is a
   group *member*; ``poll()`` advances a fetch *position* while
   ``commit()`` durably advances the group's *committed* offset.  A member
   that dies (or is fenced by a rebalance) before committing loses only its
   position: the committed offset stands, and the records are redelivered —
-  at-least-once delivery instead of the old eager fetch that silently lost
-  records on a consumer crash.  ``auto_commit=True`` (the default, and the
-  old bus behaviour) commits atomically inside ``poll``.
+  at-least-once delivery instead of an eager fetch that silently loses
+  records on a consumer crash.  ``auto_commit=True`` (the default) commits
+  atomically inside ``poll``.
 - **Partition assignment and rebalancing.**  Partitions of each topic are
   distributed round-robin over the members subscribed to it.  Joins and
   leaves bump the group *generation*, recompute the assignment, and reset
@@ -40,11 +39,14 @@ this one assumes — is a *broker*, not a list of lists:
 - **Columnar record batches.**  Partitions store parallel
   offset/key/value/timestamp columns rather than ``Record`` objects, and
   the hot path moves :class:`RecordBatch` slices of those columns:
-  ``produce_batch`` bulk-appends columns and ``Consumer.poll_batch``
-  returns a batch whose per-key ``groups()`` feed the serving gateway
-  directly.  Individual :class:`Record` objects are materialized lazily,
-  only when a caller actually asks for row views (``poll()``, iteration,
-  indexing) — the payload objects themselves are never copied.
+  ``produce_batch`` is the one append path (plan partitions, admit, one
+  bulk column append per touched partition) and ``Consumer.poll_batch``
+  the one fetch path, returning a batch whose per-key ``groups()`` feed
+  the serving gateway directly.  ``produce()`` and ``poll()`` are
+  one-record / row views of those two.  Individual :class:`Record`
+  objects are materialized lazily, only when a caller actually asks for
+  row views (``produce()``, ``poll()``, iteration, indexing) — the
+  payload objects themselves are never copied.
 
 Telemetry lives under ``streaming.broker.*``: produce/fetch volume and
 latency, per-group lag gauges, rebalance and generation counters,
@@ -86,10 +88,6 @@ from repro.runtime.parallel import (
 
 class BrokerError(Exception):
     """Raised for unknown topics/partitions or bad consumer usage."""
-
-
-#: Backwards-compatible name: the old bus raised ``BusError``.
-BusError = BrokerError
 
 
 class BackpressureError(BrokerError):
@@ -357,6 +355,23 @@ class _Partition:
         self.timestamps = [self.timestamps[i] for i in rows]
 
 
+def _take(column: List[Any], rows: Union[slice, List[int]]) -> List[Any]:
+    """``column`` at one partition's rows: a strided slice or an index list."""
+    if isinstance(rows, slice):
+        return column[rows]
+    return [column[index] for index in rows]
+
+
+def _put(column: List[Any], rows: Union[slice, List[int]],
+         items: Iterable[Any]) -> None:
+    """Write ``items`` back to ``column`` at ``rows`` (inverse of ``_take``)."""
+    if isinstance(rows, slice):
+        column[rows] = items
+    else:
+        for index, item in zip(rows, items):
+            column[index] = item
+
+
 #: keyed-partition cache bound per topic; above this many distinct keys
 #: new ones are hashed on the fly instead of cached
 _KEY_CACHE_LIMIT = 8192
@@ -392,22 +407,20 @@ class _Topic:
         """Partition for each key *without* committing the cursor.
 
         Pure for keyed records (stable hash); unkeyed records take the
-        round-robin cursor positions they *would* get.  Call
-        :meth:`commit_plan` once the batch is actually appended, so a
+        round-robin cursor positions they *would* get; ``produce_batch``
+        advances the cursor only once the batch is admitted, so a
         backpressure-rejected batch does not disturb the rotation.
         """
+        width = len(self.partitions)
         cursor = self._round_robin
         plan = []
         for key in keys:
             if key is None:
-                plan.append(cursor % len(self.partitions))
+                plan.append(cursor % width)
                 cursor += 1
             else:
                 plan.append(self.partition_for_key(key))
         return plan
-
-    def commit_plan(self, keys: Sequence[Optional[str]]) -> None:
-        self._round_robin += sum(1 for key in keys if key is None)
 
 
 @dataclass
@@ -534,14 +547,6 @@ class Broker:
                                           _GroupTelemetry] = {}
 
     # -- clock ---------------------------------------------------------------
-    def _stamp(self) -> float:
-        """Record timestamp: sim time when bound, else a logical tick."""
-        if self.runtime.clock_kind == "sim":
-            return self.runtime.now()
-        stamp = float(self._ticks)
-        self._ticks += 1
-        return stamp
-
     def _age_now(self) -> float:
         """The retention clock's *current* reading (no tick consumed)."""
         if self.runtime.clock_kind == "sim":
@@ -632,63 +637,12 @@ class Broker:
                 key: Optional[str] = None) -> Optional[Record]:
         """Append one record; returns it, or None when dropped.
 
-        The dedicated single-record path: partition choice, admission and
-        the column append are inlined — no throwaway list, ``key_fn``
-        closure or batch plan per call.  Semantics match a one-record
-        :meth:`produce_batch` exactly, including the backpressure policy
-        and the round-robin rotation (which advances even for a dropped
-        unkeyed record, just as the batch planner's ``commit_plan``
-        would).
+        The one-record view of :meth:`produce_batch`: partition choice,
+        admission, staging and the column append all live there.
         """
-        t = self._topic(topic)
-        started = self.runtime.now()
-        telemetry = self._topic_telemetry(topic)
-        parts = t.partitions
-        if key is None:
-            partition = t._round_robin % len(parts)
-        else:
-            partition = t.partition_for_key(key)
-        part = parts[partition]
-        bound = t.config.max_partition_records
-        if bound is not None and len(part.offsets) >= bound:
-            self._evict_consumed_head(t, partition)
-            self._evict_aged(t, partition)
-            if len(part.offsets) >= bound:
-                policy = t.config.backpressure
-                if policy == "drop":
-                    telemetry.dropped.inc()
-                    if key is None:
-                        t._round_robin += 1
-                    self._apply_size_retention(t)
-                    if self._sample("produce"):
-                        telemetry.produce_latency.observe(
-                            self.runtime.now() - started)
-                    return None
-                telemetry.stalls.inc()
-                message = (f"topic {t.name} partitions [{partition}] are "
-                           f"full (bound {bound})")
-                if policy == "block":
-                    raise BackpressureStall(
-                        message + "; retry after consumers commit")
-                raise BackpressureError(message)
-        offset = part.end_offset
-        stored = self._store_value(t, part, offset, value) \
-            if t.config.share_ndarrays else value
-        stamp = self._stamp()
-        part.offsets.append(offset)
-        part.keys.append(key)
-        part.values.append(stored)
-        part.timestamps.append(stamp)
-        part.end_offset = offset + 1
-        if key is None:
-            t._round_robin += 1
-        self._apply_size_retention(t)
-        telemetry.produced.inc()
-        telemetry.depth.set(self.topic_size(topic))
-        if self._sample("produce"):
-            telemetry.produce_latency.observe(self.runtime.now() - started)
-        return Record(topic=topic, partition=partition, offset=offset,
-                      key=key, value=stored, timestamp=stamp)
+        batch = self.produce_batch(
+            topic, (value,), key_fn=None if key is None else lambda _: key)
+        return batch.record(0) if batch else None
 
     def produce_batch(self, topic: str, values: Sequence[Any],
                       key_fn: Optional[Callable[[Any], Optional[str]]] = None
@@ -704,9 +658,10 @@ class Broker:
 
         Returns the appended rows as a :class:`RecordBatch` in input
         order (``len()`` and indexing behave like the old record list;
-        ``Record`` objects materialize lazily).  The append itself is
-        columnar: one partition plan, one admission check, bulk column
-        appends, and one telemetry update for the whole batch.
+        ``Record`` objects materialize lazily).  This is the broker's one
+        append path: one partition plan, one admission check, one bulk
+        column append per touched partition, and one telemetry update
+        for the whole batch.
         """
         t = self._topic(topic)
         values = list(values)
@@ -714,120 +669,66 @@ class Broker:
             return RecordBatch.empty(topic)
         started = self.runtime.now()
         telemetry = self._topic_telemetry(topic)
-        n = len(values)
         parts = t.partitions
         width = len(parts)
-        if key_fn is None:
-            keys: List[Optional[str]] = [None] * n
-            cursor = t._round_robin
-            plan = [(cursor + index) % width for index in range(n)]
+        keys: List[Optional[str]] = (
+            [None] * len(values) if key_fn is None
+            else [key_fn(value) for value in values])
+        plan = t.plan_partitions(keys)
+        kept = self._admit(t, plan)
+        t._round_robin += keys.count(None)
+        if kept is not None:
+            plan = [plan[index] for index in kept]
+            keys = [keys[index] for index in kept]
+            values = [values[index] for index in kept]
+        n = len(values)
+        # Record timestamps: sim time when bound, else one logical tick
+        # per appended record.
+        if self.runtime.clock_kind == "sim":
+            stamps = [self.runtime.now()] * n
         else:
-            keys = [key_fn(value) for value in values]
-            plan = t.plan_partitions(keys)
-        keep = self._admit(t, plan)
-        sim = self.runtime.clock_kind == "sim"
-        now = self.runtime.now() if sim else 0.0
-        share = t.config.share_ndarrays
-        ends = [part.end_offset for part in parts]
-        out_offsets: List[int] = []
-        fast = keep is None and not share
-        if fast:
-            # Every record admitted, payloads stored verbatim: the returned
-            # batch reuses the plan/key/value columns.
-            out_partitions, out_keys, out_values = plan, keys, values
-            if sim:
-                out_timestamps = [now] * n
-            else:
-                ticks = self._ticks
-                out_timestamps = [float(tick)
-                                  for tick in range(ticks, ticks + n)]
-                self._ticks = ticks + n
-        if fast and key_fn is None:
+            stamps = [float(tick)
+                      for tick in range(self._ticks, self._ticks + n)]
+            self._ticks += n
+        if key_fn is None and kept is None:
             # Round-robin lays rows lane, lane + width, ... on one
-            # partition in input order, so each partition takes one
-            # strided slice per column and one run of consecutive offsets.
-            out_offsets = [0] * n
-            for lane in range(min(width, n)):
-                partition = plan[lane]
-                part = parts[partition]
-                lane_values = values[lane::width]
-                end = ends[partition]
-                ends[partition] = end + len(lane_values)
-                lane_offsets = range(end, ends[partition])
-                out_offsets[lane::width] = lane_offsets
-                part.offsets.extend(lane_offsets)
-                part.keys.extend(keys[lane::width])
-                part.values.extend(lane_values)
-                part.timestamps.extend(out_timestamps[lane::width])
+            # partition in input order: each partition's rows are one
+            # strided slice.
+            lanes = [(plan[lane], slice(lane, None, width))
+                     for lane in range(min(width, n))]
         else:
-            appenders = [(part.offsets.append, part.keys.append,
-                          part.values.append, part.timestamps.append)
-                         for part in parts]
-            take_offset = out_offsets.append
-            if fast:
-                for index in range(n):
-                    partition = plan[index]
-                    offset = ends[partition]
-                    ends[partition] = offset + 1
-                    take_offset(offset)
-                    add_offset, add_key, add_value, add_stamp = \
-                        appenders[partition]
-                    add_offset(offset)
-                    add_key(keys[index])
-                    add_value(values[index])
-                    add_stamp(out_timestamps[index])
-            else:
-                out_partitions = []
-                out_keys = []
-                out_values = []
-                out_timestamps = []
-                ticks = self._ticks
-                for index in range(n):
-                    if keep is not None and not keep[index]:
-                        continue
-                    partition = plan[index]
-                    offset = ends[partition]
-                    ends[partition] = offset + 1
-                    value = values[index]
-                    if share:
-                        value = self._store_value(t, parts[partition], offset,
-                                                  value)
-                    if sim:
-                        stamp = now
-                    else:
-                        stamp = float(ticks)
-                        ticks += 1
-                    key = keys[index]
-                    add_offset, add_key, add_value, add_stamp = \
-                        appenders[partition]
-                    add_offset(offset)
-                    add_key(key)
-                    add_value(value)
-                    add_stamp(stamp)
-                    out_partitions.append(partition)
-                    take_offset(offset)
-                    out_keys.append(key)
-                    out_values.append(value)
-                    out_timestamps.append(stamp)
-                self._ticks = ticks
-        for partition, part in enumerate(parts):
-            part.end_offset = ends[partition]
-        if key_fn is None:
-            t._round_robin += n
-        else:
-            t.commit_plan(keys)
+            rows_of: Dict[int, List[int]] = {}
+            for index, partition in enumerate(plan):
+                rows_of.setdefault(partition, []).append(index)
+            lanes = rows_of.items()
+        share = t.config.share_ndarrays
+        offsets = [0] * n
+        for partition, rows in lanes:
+            part = parts[partition]
+            lane_values = _take(values, rows)
+            lane_offsets = range(part.end_offset,
+                                 part.end_offset + len(lane_values))
+            if share:
+                lane_values = [self._store_value(t, part, offset, value)
+                               for offset, value
+                               in zip(lane_offsets, lane_values)]
+                _put(values, rows, lane_values)
+            _put(offsets, rows, lane_offsets)
+            part.offsets.extend(lane_offsets)
+            part.keys.extend(_take(keys, rows))
+            part.values.extend(lane_values)
+            part.timestamps.extend(_take(stamps, rows))
+            part.end_offset = lane_offsets.stop
         self._apply_size_retention(t)
-        if out_offsets:
-            telemetry.produced.inc(len(out_offsets))
+        if n:
+            telemetry.produced.inc(n)
             telemetry.depth.set(self.topic_size(topic))
         if self._sample("produce"):
             telemetry.produce_latency.observe(self.runtime.now() - started)
-        return RecordBatch(topic, out_partitions, out_offsets, out_keys,
-                           out_values, out_timestamps)
+        return RecordBatch(topic, plan, offsets, keys, values, stamps)
 
-    def _admit(self, t: _Topic,
-               plan: Sequence[int]) -> Optional[List[bool]]:
-        """Which planned records fit, after retention; applies the policy.
+    def _admit(self, t: _Topic, plan: Sequence[int]) -> Optional[List[int]]:
+        """Rows of ``plan`` that fit, after retention; applies the policy.
 
         ``None`` means every record is admitted — the common unbounded
         case stays allocation-free.
@@ -849,18 +750,13 @@ class Broker:
             return None
         policy = t.config.backpressure
         if policy == "drop":
-            keep = []
-            dropped = 0
-            for partition in plan:
-                admitted = free[partition] > 0
-                if admitted:
+            kept = []
+            for index, partition in enumerate(plan):
+                if free[partition] > 0:
                     free[partition] -= 1
-                else:
-                    dropped += 1
-                keep.append(admitted)
-            if dropped:
-                self._topic_telemetry(t.name).dropped.inc(dropped)
-            return keep
+                    kept.append(index)
+            self._topic_telemetry(t.name).dropped.inc(len(plan) - len(kept))
+            return kept
         self._topic_telemetry(t.name).stalls.inc()
         overfull = sorted(p for p, count in needed.items()
                           if count > free[p])
@@ -977,8 +873,6 @@ class Broker:
     # -- zero-copy payload transport -----------------------------------------------
     def _store_value(self, t: _Topic, part: _Partition, offset: int,
                      value: Any) -> Any:
-        if not t.config.share_ndarrays:
-            return value
         encoded, staged, segments = share_ndarrays(value, self.shm_min_bytes)
         if segments:
             part.shm[offset] = segments
@@ -1241,8 +1135,8 @@ class Consumer:
     """A consumer-group member reading its assigned partitions.
 
     With ``auto_commit=True`` (the default) every successful ``poll``
-    atomically commits the records it returned — the original bus
-    behaviour.  With ``auto_commit=False`` the caller owns the commit
+    atomically commits the records it returned.  With
+    ``auto_commit=False`` the caller owns the commit
     boundary: ``commit()`` after processing gives at-least-once delivery,
     ``seek_to_committed()`` rolls an uncommitted read back for
     redelivery.
@@ -1255,9 +1149,6 @@ class Consumer:
         for topic in topics:
             broker._topic(topic)  # validate
         self.broker = broker
-        #: kept under the old name so existing call sites (`consumer.bus`)
-        #: stay valid
-        self.bus = broker
         self.group = group
         self.topics = list(topics)
         self.auto_commit = auto_commit
@@ -1396,13 +1287,3 @@ class Consumer:
 
     def committed(self, topic: str, partition: int) -> int:
         return self.broker.committed_offset(self.group, topic, partition)
-
-
-class MessageBus(Broker):
-    """Backwards-compatible name for :class:`Broker`.
-
-    The original ``repro.streaming.bus.MessageBus`` grew into the broker;
-    every public method it had still exists with the same semantics
-    (``poll`` auto-commits by default), so existing call sites and
-    imports keep working unchanged.
-    """

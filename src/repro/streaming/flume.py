@@ -175,7 +175,7 @@ class ConsumerChannel:
         self.capacity = 0
 
     def __len__(self) -> int:
-        return sum(self.consumer.bus.lag(self.consumer.group, topic)
+        return sum(self.consumer.broker.lag(self.consumer.group, topic)
                    for topic in self.consumer.topics)
 
     @property

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.compute import StreamingContext
-from repro.streaming import MessageBus
+from repro.streaming import Broker
 
 
 def bus_with(topic, values, partitions=2):
-    bus = MessageBus()
+    bus = Broker()
     bus.create_topic(topic, partitions=partitions)
     for value in values:
         bus.produce(topic, value)
@@ -17,7 +17,7 @@ def bus_with(topic, values, partitions=2):
 class TestStreamingContext:
     def test_validates_batch_size(self):
         with pytest.raises(ValueError):
-            StreamingContext(MessageBus(), batch_max_records=0)
+            StreamingContext(Broker(), batch_max_records=0)
 
     def test_run_batch_consumes_up_to_limit(self):
         bus = bus_with("events", range(25))

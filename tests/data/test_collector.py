@@ -4,7 +4,7 @@ import pytest
 
 from repro.data import TweetCollector, TweetGenerator
 from repro.data.social import Tweet
-from repro.streaming import MessageBus
+from repro.streaming import Broker
 
 
 def tweet(text="hello world", location=(0.5, 0.5), user="u1", tid=1):
@@ -90,7 +90,7 @@ class TestCollection:
         assert collector.rejected == 1
 
     def test_publishes_to_bus(self):
-        bus = MessageBus()
+        bus = Broker()
         collector = TweetCollector(bus=bus, topic="watch")
         collector.add_keywords("guns", ["shots"])
         collector.collect([tweet("shots", user="u7")])

@@ -18,7 +18,7 @@ from repro.data import LawEnforcementFeed, OpenCityData, SecureStore, WazeGenera
 from repro.dfs import DistributedFileSystem
 from repro.nosql import Collection, HTable
 from repro.nn.tensor import Tensor
-from repro.streaming import MessageBus, RelationalDatabase, SqoopImporter
+from repro.streaming import Broker, RelationalDatabase, SqoopImporter
 from repro.viz import heatmap_svg
 
 
@@ -141,7 +141,7 @@ class TestStreamingDashboard:
     """Bus -> micro-batch engine -> grid aggregation -> SVG heatmap."""
 
     def test_waze_stream_to_heatmap(self):
-        bus = MessageBus()
+        bus = Broker()
         bus.create_topic("waze", partitions=4)
         reports = WazeGenerator(seed=0).reports(300)
         for report in reports:

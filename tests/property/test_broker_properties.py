@@ -1,6 +1,6 @@
 """Seeded chaos properties for the streaming broker.
 
-Four guarantees, each asserted under hypothesis-drawn schedules:
+Five guarantees, each asserted under hypothesis-drawn schedules:
 
 - *exactly-once committed output under rebalance churn*: members join,
   leave, poll, and commit in arbitrary interleavings; fenced commits are
@@ -15,7 +15,12 @@ Four guarantees, each asserted under hypothesis-drawn schedules:
   and their offsets commit only after the batch survives;
 - *``poll`` is a row view of ``poll_batch``*: the same schedule of polls,
   commits and membership changes driven through either call leaves
-  identical rows, fetch positions and committed offsets.
+  identical rows, fetch positions and committed offsets;
+- *the broker is the reference log*: a rule-based state machine drives
+  produce / produce_batch (keyed, unkeyed, mixed) / poll_batch / commit /
+  seek_to_committed / run_retention against the plain dict-of-lists
+  model in :mod:`tests.streaming.reference_log` — the independent
+  oracle for the one append path and the one fetch path.
 
 ``REPRO_CHAOS_SEED`` (set by the CI chaos sweep, default 0) shifts the
 drawn schedules while keeping any single invocation deterministic.
@@ -24,8 +29,15 @@ drawn schedules while keeping any single invocation deterministic.
 import json
 import os
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.cluster import NetworkTopology
 from repro.fog import (
@@ -41,8 +53,12 @@ from repro.streaming import Broker, FlumeAgent, FunctionSource, broker_sink
 from repro.streaming.broker import (
     VOLATILE_METRIC_PREFIXES,
     VOLATILE_SPAN_PREFIXES,
+    BackpressureError,
+    BackpressureStall,
     RebalanceError,
 )
+
+from tests.streaming.reference_log import ReferenceLog, Rejected, as_rows
 
 BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -367,3 +383,116 @@ def test_batch_and_record_paths_dump_identically(num_records, chunk,
         return normalized_dump(runtime)
 
     assert run(True) == run(False)
+
+
+KEY_FNS = {
+    "unkeyed": None,
+    "keyed": lambda value: f"k{value % 5}",
+    "mixed": lambda value: f"k{value % 5}" if value % 2 else None,
+}
+
+
+@seed(BASE_SEED)
+class BrokerAgainstReference(RuleBasedStateMachine):
+    """Every call's result and the state it leaves match the reference."""
+
+    @initialize(partitions=st.integers(1, 4),
+                bound=st.none() | st.integers(1, 6),
+                policy=st.sampled_from(["block", "drop", "error"]),
+                retention=st.none() | st.integers(1, 8),
+                max_age=st.none() | st.integers(0, 12),
+                auto_commit=st.booleans())
+    def create(self, partitions, bound, policy, retention, max_age,
+               auto_commit):
+        self.broker = Broker(runtime=Runtime(seed=BASE_SEED))
+        self.broker.create_topic(
+            "events", partitions=partitions, max_partition_records=bound,
+            backpressure=policy, retention_max_records=retention,
+            retention_max_age_s=max_age)
+        self.consumer = self.broker.consumer("g", ["events"],
+                                             auto_commit=auto_commit)
+        self.reference = ReferenceLog(partitions, bound, policy, retention,
+                                      max_age, auto_commit)
+        self.partitions = partitions
+        self.policy = policy
+        self.next_value = 0
+
+    def values(self, count):
+        start = self.next_value
+        self.next_value += count
+        return list(range(start, start + count))
+
+    def expect(self, rows, call):
+        """Run ``call``; it must append, or refuse, exactly as the model."""
+        try:
+            expected = self.reference.produce(rows)
+        except Rejected:
+            with pytest.raises(BackpressureError) as refused:
+                call()
+            assert isinstance(refused.value, BackpressureStall) \
+                == (self.policy == "block")
+            return None
+        return expected, call()
+
+    @rule(key=st.none() | st.sampled_from(["k0", "k1", "k2", "k3", "k4"]))
+    def produce(self, key):
+        value, = self.values(1)
+        outcome = self.expect(
+            [(key, value)],
+            lambda: self.broker.produce("events", value, key=key))
+        if outcome is not None:
+            expected, record = outcome
+            assert as_rows([record] if record is not None else []) == expected
+
+    @rule(count=st.integers(1, 12), keying=st.sampled_from(sorted(KEY_FNS)))
+    def produce_batch(self, count, keying):
+        values, key_fn = self.values(count), KEY_FNS[keying]
+        outcome = self.expect(
+            [(key_fn(value) if key_fn else None, value) for value in values],
+            lambda: self.broker.produce_batch("events", values,
+                                              key_fn=key_fn))
+        if outcome is not None:
+            expected, batch = outcome
+            assert as_rows(batch) == expected
+
+    @rule(budget=st.integers(1, 9))
+    def poll_batch(self, budget):
+        assert as_rows(self.consumer.poll_batch(budget)) \
+            == self.reference.poll(budget)
+
+    @rule()
+    def commit(self):
+        self.consumer.commit()
+        self.reference.commit()
+
+    @rule()
+    def seek_to_committed(self):
+        self.consumer.seek_to_committed()
+        self.reference.seek_to_committed()
+
+    @rule()
+    def run_retention(self):
+        assert self.broker.run_retention("events") \
+            == self.reference.run_retention()
+
+    @invariant()
+    def same_state(self):
+        broker, reference = self.broker, self.reference
+        every = range(self.partitions)
+        assert broker.partition_sizes("events") \
+            == [len(reference.logs[p]) for p in every]
+        assert [broker.end_offset("events", p) for p in every] \
+            == reference.ends
+        assert [broker.begin_offset("events", p) for p in every] \
+            == [reference.logs[p][0][1] if reference.logs[p]
+                else reference.ends[p] for p in every]
+        assert [self.consumer.position("events", p) for p in every] \
+            == [reference.position(p) for p in every]
+        assert [self.consumer.committed("events", p) for p in every] \
+            == [reference.committed.get(p, 0) for p in every]
+        assert broker.lag("g", "events") == reference.lag()
+
+
+BrokerAgainstReference.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None)
+TestBrokerAgainstReference = BrokerAgainstReference.TestCase

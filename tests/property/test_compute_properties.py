@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compute import Graph, SparkContext
-from repro.streaming import MessageBus
+from repro.streaming import Broker
 
 INTS = st.lists(st.integers(-50, 50), min_size=0, max_size=40)
 PAIRS = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-5, 5)),
@@ -70,7 +70,7 @@ def test_rdd_join_matches_python(left, right):
                 min_size=0, max_size=40),
        st.integers(1, 6))
 def test_bus_preserves_per_key_order(messages, partitions):
-    bus = MessageBus()
+    bus = Broker()
     bus.create_topic("t", partitions=partitions)
     for key, value in messages:
         bus.produce("t", value, key=key)
@@ -85,7 +85,7 @@ def test_bus_preserves_per_key_order(messages, partitions):
 @given(st.lists(st.integers(), min_size=0, max_size=40),
        st.integers(1, 4), st.integers(2, 4))
 def test_bus_every_group_sees_every_record(values, partitions, groups):
-    bus = MessageBus()
+    bus = Broker()
     bus.create_topic("t", partitions=partitions)
     for value in values:
         bus.produce("t", value)

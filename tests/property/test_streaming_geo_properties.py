@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.compute import GridAggregator, StreamingContext, assign_districts
 from repro.nn.distributed import ParameterServer
 from repro import nn
-from repro.streaming import MessageBus
+from repro.streaming import Broker
 
 UNIT_POINTS = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False),
@@ -20,7 +20,7 @@ UNIT_POINTS = st.lists(
 @given(st.lists(st.integers(), min_size=0, max_size=60),
        st.integers(1, 20), st.integers(1, 4))
 def test_dstream_conserves_records(values, batch_size, partitions):
-    bus = MessageBus()
+    bus = Broker()
     bus.create_topic("t", partitions=partitions)
     for value in values:
         bus.produce("t", value)
@@ -36,7 +36,7 @@ def test_dstream_conserves_records(values, batch_size, partitions):
 @given(st.lists(st.integers(-10, 10), min_size=0, max_size=50),
        st.integers(1, 15))
 def test_dstream_filter_partition_is_exact(values, batch_size):
-    bus = MessageBus()
+    bus = Broker()
     bus.create_topic("t", partitions=2)
     for value in values:
         bus.produce("t", value)

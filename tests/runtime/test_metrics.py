@@ -387,3 +387,30 @@ class TestBoundHandles:
              lambda v: hist.observe(v, op="x"))(float(i))
         assert hist.count(op="x") == 100
         assert len(hist.values(op="x")) == 8
+
+    @pytest.mark.parametrize("make, write", [
+        (lambda: Counter("m"),
+         lambda target, value, **labels: target.inc(value, **labels)),
+        (lambda: Gauge("m"),
+         lambda target, value, **labels: target.set(value, **labels)),
+        (lambda: Gauge("m"),
+         lambda target, value, **labels: target.inc(value, **labels)),
+        (lambda: Histogram("m", max_samples=8),
+         lambda target, value, **labels: target.observe(value, **labels)),
+    ], ids=["counter-inc", "gauge-set", "gauge-inc", "bounded-histogram"])
+    def test_interleaved_writes_dump_like_an_all_bound_run(self, make, write):
+        # labeled, bound, labeled, ... on one series — 100 writes, so the
+        # bounded histogram is far past max_samples — must leave the dump
+        # an all-bound run leaves: the contract the parallel engine's
+        # snapshot-diff merge relies on.
+        def run(interleave):
+            metric = make()
+            handle = metric.bind(op="x", tier="edge")
+            for i in range(100):
+                if interleave and i % 3 != 1:
+                    write(metric, float(i), op="x", tier="edge")
+                else:
+                    write(handle, float(i))
+            return metric.dump()
+
+        assert run(True) == run(False) != {}

@@ -16,13 +16,13 @@ from repro.compute import SparkContext
 from repro.fog import FogPipeline, model_split_from_early_exit, place_bottom_up
 from repro.nn.tensor import Tensor
 from repro.runtime import Runtime, using_runtime
-from repro.streaming import FlumeAgent, FunctionSource, MessageBus, topic_sink
+from repro.streaming import Broker, FlumeAgent, FunctionSource, topic_sink
 from repro.viz import registry_to_json
 
 
 def run_multilayer_experiment(runtime):
     # streaming: flume agent feeding a bus topic, then consumed
-    bus = MessageBus(runtime=runtime)
+    bus = Broker(runtime=runtime)
     bus.create_topic("frames", partitions=2)
     agent = FlumeAgent(FunctionSource(range(16)), topic_sink(bus, "frames"),
                        batch_size=4, runtime=runtime)

@@ -1,11 +1,14 @@
 """The live observability endpoint over a real loopback socket."""
 
 import asyncio
+import gc
 import json
 
 import numpy as np
+import pytest
 
 from repro.serving import GatewayConfig, ObservabilityServer, ServingGateway
+from repro.serving import observability
 
 from tests.serving.conftest import camera_frames
 
@@ -109,3 +112,93 @@ class TestRoutes:
             finally:
                 await server.close()
         asyncio.run(main())
+
+
+DEADLINE_S = 5.0
+
+
+async def exchange(host, port, payload, half_close=False, trickle=None):
+    """Send raw bytes; the status the server answered, or None when it
+    only closed.  ``trickle`` keeps sending that line until the server
+    hangs up."""
+    reader, writer = await asyncio.open_connection(host, port)
+    answer = asyncio.ensure_future(reader.read())
+    try:
+        writer.write(payload)
+        if half_close:
+            writer.write_eof()
+        while trickle is not None and not answer.done():
+            writer.write(trickle)
+            await asyncio.sleep(0.01)
+        raw = await answer
+    except ConnectionError:          # reset while we were still sending
+        return None
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except ConnectionError:
+            pass
+    return int(raw.split()[1]) if raw else None
+
+
+HOSTILE = {
+    "oversized-request-line":
+        (dict(payload=b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n"),
+         {431, None}),
+    "oversized-header-line":
+        (dict(payload=b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 200_000
+              + b"\r\n\r\n"), {431, None}),
+    "ten-thousand-headers":
+        (dict(payload=b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 10_000
+              + b"\r\n"), {431, None}),
+    "truncated-request-line":
+        (dict(payload=b"GET", half_close=True), {400}),
+    "truncated-headers":
+        (dict(payload=b"GET /healthz HTTP/1.1\r\nHost:", half_close=True),
+         {200}),
+    "non-utf8-method":
+        (dict(payload=b"\xff\xfe\x00 \x80\x81 HTTP/1.1\r\n\r\n"), {405}),
+    "non-utf8-target":
+        (dict(payload=b"GET /\xff\xfe?x=\x80 HTTP/1.1\r\n\r\n"), {404}),
+    "unbalanced-bracket-target":
+        (dict(payload=b"GET http://[::1 HTTP/1.1\r\n\r\n"), {400}),
+    "sends-nothing":
+        (dict(payload=b""), {408}),
+    "stalls-mid-headers":
+        (dict(payload=b"GET /healthz HTTP/1.1\r\nHost: t\r\n"), {408}),
+    "trickles-headers-forever":
+        (dict(payload=b"GET /healthz HTTP/1.1\r\n", trickle=b"X: y\r\n"),
+         {408, 431, None}),
+}
+
+
+class TestHostilePeers:
+    """Whatever a peer sends, it gets a response or a clean close within
+    a deadline, nothing reaches the loop's exception handler, and the
+    server keeps answering."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_answered_or_closed_within_deadline(self, rt, monkeypatch, case):
+        monkeypatch.setattr(observability, "READ_TIMEOUT_S", 0.2)
+        request, allowed = HOSTILE[case]
+        unhandled = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            async with ObservabilityServer(runtime=rt) as server:
+                status = await asyncio.wait_for(
+                    exchange(server.host, server.port, **request),
+                    DEADLINE_S)
+                after, _ = await fetch(server.host, server.port, "/healthz")
+            # a handler task that died with an exception reports it when
+            # it is collected
+            gc.collect()
+            await asyncio.sleep(0)
+            return status, after
+
+        status, after = asyncio.run(main())
+        assert status in allowed
+        assert after == 200
+        assert unhandled == []

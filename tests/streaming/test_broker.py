@@ -1,7 +1,7 @@
 """Broker semantics: committed offsets, rebalancing, retention, backpressure.
 
-The compat surface (produce/consume, round-robin, lag) is covered by
-``test_bus.py``; this file exercises what makes the broker a broker.
+The basic surface (topics, produce/consume, round-robin, lag) is covered
+by ``test_bus.py``; this file exercises what makes the broker a broker.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.streaming import (
     BackpressureStall,
     Broker,
     BrokerError,
-    MessageBus,
     RebalanceError,
 )
 
@@ -443,12 +442,3 @@ class TestTimestamps:
                         for i in range(6)]
 
         assert stamps() == stamps()
-
-
-class TestMessageBusCompat:
-    def test_message_bus_is_a_broker(self):
-        assert issubclass(MessageBus, Broker)
-
-    def test_old_import_path_still_works(self):
-        from repro.streaming.bus import MessageBus as OldBus
-        assert OldBus is MessageBus

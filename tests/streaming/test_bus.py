@@ -1,12 +1,12 @@
-"""Tests for the partitioned message bus."""
+"""The broker's basic surface: topics, produce, consume, round-robin."""
 
 import pytest
 
-from repro.streaming import BusError, MessageBus
+from repro.streaming import Broker, BrokerError
 
 
 def make_bus(partitions=4):
-    bus = MessageBus()
+    bus = Broker()
     bus.create_topic("tweets", partitions=partitions)
     return bus
 
@@ -20,16 +20,16 @@ class TestTopics:
 
     def test_duplicate_topic_rejected(self):
         bus = make_bus()
-        with pytest.raises(BusError):
+        with pytest.raises(BrokerError):
             bus.create_topic("tweets")
 
     def test_invalid_partitions(self):
-        bus = MessageBus()
-        with pytest.raises(BusError):
+        bus = Broker()
+        with pytest.raises(BrokerError):
             bus.create_topic("bad", partitions=0)
 
     def test_unknown_topic(self):
-        with pytest.raises(BusError):
+        with pytest.raises(BrokerError):
             make_bus().produce("ghost", {})
 
 
@@ -132,11 +132,11 @@ class TestConsume:
 
     def test_consumer_validates(self):
         bus = make_bus()
-        with pytest.raises(BusError):
+        with pytest.raises(BrokerError):
             bus.consumer("g", [])
-        with pytest.raises(BusError):
+        with pytest.raises(BrokerError):
             bus.consumer("g", ["ghost"])
-        with pytest.raises(BusError):
+        with pytest.raises(BrokerError):
             bus.consumer("g", ["tweets"]).poll(0)
 
     def test_records_carry_metadata(self):

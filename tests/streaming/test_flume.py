@@ -6,11 +6,11 @@ from repro.dfs import DistributedFileSystem
 from repro.nosql import Collection
 from repro.runtime import Runtime
 from repro.streaming import (
+    Broker,
     Channel,
     ChannelFullError,
     FlumeAgent,
     FunctionSource,
-    MessageBus,
     SinkError,
     collection_sink,
     dfs_sink,
@@ -191,6 +191,14 @@ class TestSinks:
         assert len(parts) == 3  # 4 + 4 + 2
         assert dfs.read(parts[0]) == b"0\n1\n2\n3"
 
+    def test_dfs_sink_custom_encoder(self):
+        dfs = DistributedFileSystem.with_datanodes(3, replication=2)
+        sink = dfs_sink(dfs, "/enc",
+                        encode=lambda e: f"<{e}>".encode())
+        agent = FlumeAgent(FunctionSource([1, 2]), sink, batch_size=2)
+        agent.run()
+        assert dfs.read("/enc/part-00000") == b"<1>\n<2>"
+
     def test_collection_sink_inserts(self):
         collection = Collection("tweets")
         events = [{"text": f"tweet {i}"} for i in range(7)]
@@ -200,7 +208,7 @@ class TestSinks:
         assert collection.count({}) == 7
 
     def test_topic_sink_produces_keyed(self):
-        bus = MessageBus()
+        bus = Broker()
         bus.create_topic("tweets", partitions=4)
         events = [{"user": f"u{i % 2}", "text": str(i)} for i in range(8)]
         agent = FlumeAgent(

@@ -1,11 +1,13 @@
 """Columnar record batches: the data-plane fast path stays semantics-free.
 
-``produce_batch`` → ``poll_batch`` must be an *optimization*, never a
-behaviour change: every column round-trips exactly what the per-record
-``produce()``/``poll()`` path delivers, the logical tick clock advances
-identically, backpressure and rotation follow the same rules, and the
-normalized registry dump is byte-identical whichever path carried the
-records — including when a :class:`RecordBatch` rides straight into
+``produce_batch`` → ``poll_batch`` is the one path; ``produce()`` and
+``poll()`` are views of it.  Every column round-trips exactly what the
+row views deliver, the logical tick clock, backpressure and rotation
+follow the rules of an independent reference model
+(:mod:`tests.streaming.reference_log` — the two calls are never checked
+against each other), and the normalized registry dump is byte-identical
+whichever call carried the records — including when a
+:class:`RecordBatch` rides straight into
 ``TwoTierDeployment.serve_streams`` across worker counts.
 """
 
@@ -36,6 +38,8 @@ from repro.streaming.broker import (
     VOLATILE_METRIC_PREFIXES,
     VOLATILE_SPAN_PREFIXES,
 )
+
+from tests.streaming.reference_log import ReferenceLog, as_rows
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="platform lacks fork")
@@ -216,30 +220,47 @@ class TestTimestampTicks:
         assert record.timestamp == 0.0
 
 
-class TestSingleProduceParity:
-    def test_rotation_matches_batch_planning(self):
-        def partitions(batched):
-            broker = make_broker(partitions=3)
-            if batched:
-                produced = broker.produce_batch("events", list(range(7)))
-                second = broker.produce_batch("events", [7, 8])
-                return list(produced.partitions) + list(second.partitions)
-            singles = [broker.produce("events", v) for v in range(9)]
-            return [r.partition for r in singles]
+def reference_for(partitions=4, **topic_kwargs):
+    """The independent model of ``make_broker(partitions, **topic_kwargs)``."""
+    return ReferenceLog(partitions,
+                        bound=topic_kwargs.get("max_partition_records"),
+                        policy=topic_kwargs.get("backpressure", "block"))
 
-        assert partitions(True) == partitions(False)
+
+class TestSingleProduceParity:
+    """``produce`` is the one-record view of ``produce_batch``; both are
+    held to the reference model, never to each other."""
+
+    def test_rotation_matches_batch_planning(self):
+        reference = reference_for(partitions=3)
+        expected = [row[0] for value in range(9)
+                    for row in reference.produce([(None, value)])]
+        batched = make_broker(partitions=3)
+        produced = batched.produce_batch("events", list(range(7)))
+        second = batched.produce_batch("events", [7, 8])
+        single = make_broker(partitions=3)
+        singles = [single.produce("events", v) for v in range(9)]
+        assert list(produced.partitions) + list(second.partitions) == expected
+        assert [r.partition for r in singles] == expected
 
     def test_drop_policy_advances_rotation(self):
-        # a dropped unkeyed record still consumes its round-robin slot,
-        # exactly as the batch planner does
+        # a dropped unkeyed record still consumes its round-robin slot
         broker = make_broker(partitions=2, max_partition_records=1,
                              backpressure="drop")
+        reference = reference_for(partitions=2, max_partition_records=1,
+                                  backpressure="drop")
+        for value in range(3):
+            reference.produce([(None, value)])
         assert broker.produce("events", 0).partition == 0
         assert broker.produce("events", 1).partition == 1
         assert broker.produce("events", 2) is None        # slot 0, dropped
+        assert reference.rows() == [(0, 0, None, 0, 0.0), (1, 0, None, 1, 1.0)]
         consumer = broker.consumer("g", ["events"])
         consumer.drain()                                  # frees both heads
+        reference.poll(10)
+        reference.commit()
         assert broker.produce("events", 3).partition == 1  # rotation moved
+        assert reference.produce([(None, 3)]) == [(1, 1, None, 3, 2.0)]
 
     def test_stall_and_error_policies_raise(self):
         broker = make_broker(partitions=1, max_partition_records=1)
@@ -256,20 +277,20 @@ class TestSingleProduceParity:
 
     def test_keyed_produce_matches_batch_partitioning(self):
         keys = [f"k{i}" for i in range(8)]
-        probe = make_broker()
-        planned = probe.produce_batch("events", list(range(8)),
-                                      key_fn=lambda v: keys[v]).partitions
-        broker = make_broker()
-        singles = [broker.produce("events", v, key=keys[v]).partition
+        expected = [reference_for().partition_of(key) for key in keys]
+        batched = make_broker()
+        planned = batched.produce_batch("events", list(range(8)),
+                                        key_fn=lambda v: keys[v]).partitions
+        single = make_broker()
+        singles = [single.produce("events", v, key=keys[v]).partition
                    for v in range(8)]
-        assert singles == list(planned)
+        assert list(planned) == singles == expected
 
 
 def log_state(broker, partitions):
     """Everything a produce leaves behind, per partition, plus the cursor."""
     consumer = broker.consumer("probe", ["events"])
-    rows = sorted((r.partition, r.offset, r.key, r.value, r.timestamp)
-                  for r in consumer.drain())
+    rows = sorted(as_rows(consumer.drain()))
     consumer.close()
     ends = [broker.end_offset("events", p) for p in range(partitions)]
     # The drain committed, so a bounded topic has room for the probe.
@@ -277,53 +298,59 @@ def log_state(broker, partitions):
     return rows, ends, cursor
 
 
+def reference_state(reference):
+    return (reference.rows(), reference.ends,
+            reference.cursor % len(reference.logs))
+
+
 class TestStridedRoundRobin:
     """Unkeyed ``produce_batch`` appends one strided slice per partition;
-    the log it leaves is the log N single ``produce`` calls leave."""
+    the log it leaves is the log the reference model builds one record at
+    a time."""
 
     WIDTH = 4
 
     def pair(self, rotation=0, **topic_kwargs):
-        brokers = (make_broker(self.WIDTH, **topic_kwargs),
-                   make_broker(self.WIDTH, **topic_kwargs))
-        for broker in brokers:
-            for value in range(rotation):
-                broker.produce("events", f"warm-{value}")
-        return brokers
+        broker = make_broker(self.WIDTH, **topic_kwargs)
+        reference = reference_for(self.WIDTH, **topic_kwargs)
+        for value in range(rotation):
+            broker.produce("events", f"warm-{value}")
+            reference.produce([(None, f"warm-{value}")])
+        return broker, reference
 
     @pytest.mark.parametrize("rotation", [0, 3])
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 11])
     def test_matches_single_produces(self, n, rotation):
-        batched, single = self.pair(rotation)
+        broker, reference = self.pair(rotation)
         values = [f"v{i}" for i in range(n)]
-        produced = batched.produce_batch("events", values)
-        records = [single.produce("events", value) for value in values]
-        assert produced.partitions == [r.partition for r in records]
-        assert produced.offsets == [r.offset for r in records]
-        assert produced.timestamps == [r.timestamp for r in records]
+        produced = broker.produce_batch("events", values)
+        expected = [row for value in values
+                    for row in reference.produce([(None, value)])]
+        assert as_rows(produced) == expected
         assert produced.keys == [None] * n and produced.values == values
-        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+        assert log_state(broker, self.WIDTH) == reference_state(reference)
 
     def test_consecutive_batches_continue_the_rotation(self):
-        batched, single = self.pair()
+        broker, reference = self.pair()
         for size in (3, 6, 1, 9):
             values = list(range(size))
-            batched.produce_batch("events", values)
+            broker.produce_batch("events", values)
             for value in values:
-                single.produce("events", value)
-        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+                reference.produce([(None, value)])
+        assert log_state(broker, self.WIDTH) == reference_state(reference)
 
     def test_bounded_drop_takes_the_per_row_branch(self):
-        batched, single = self.pair(max_partition_records=2,
-                                    backpressure="drop")
+        # after drops the surviving rows are no longer a stride: each
+        # partition takes an index list instead of a slice
+        broker, reference = self.pair(max_partition_records=2,
+                                      backpressure="drop")
         values = list(range(11))           # 8 fit, 3 overflow lanes 0..2
-        produced = batched.produce_batch("events", values)
-        records = [single.produce("events", value) for value in values]
-        kept = [r for r in records if r is not None]
-        assert produced.values == [r.value for r in kept] == list(range(8))
-        assert produced.offsets == [r.offset for r in kept]
-        assert produced.timestamps == [r.timestamp for r in kept]
-        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+        produced = broker.produce_batch("events", values)
+        kept = [row for value in values
+                for row in reference.produce([(None, value)])]
+        assert produced.values == list(range(8))
+        assert as_rows(produced) == kept
+        assert log_state(broker, self.WIDTH) == reference_state(reference)
 
     def test_bounded_block_appends_nothing_and_keeps_the_cursor(self):
         broker = make_broker(self.WIDTH, max_partition_records=2)
@@ -336,12 +363,12 @@ class TestStridedRoundRobin:
         assert admitted.offsets == [1, 1, 1]
 
     def test_bounded_topic_with_room_still_strides(self):
-        batched, single = self.pair(max_partition_records=8)
+        broker, reference = self.pair(max_partition_records=8)
         values = list(range(10))
-        batched.produce_batch("events", values)
+        broker.produce_batch("events", values)
         for value in values:
-            single.produce("events", value)
-        assert log_state(batched, self.WIDTH) == log_state(single, self.WIDTH)
+            reference.produce([(None, value)])
+        assert log_state(broker, self.WIDTH) == reference_state(reference)
 
 
 class TestPositionSnapshot:

@@ -7,8 +7,6 @@ from repro import nn
 from repro.cluster import Environment, SimulationError, Store
 from repro.nn import init
 from repro.nn.tensor import Tensor
-from repro.streaming import FlumeAgent, FunctionSource, dfs_sink
-from repro.dfs import DistributedFileSystem
 
 
 class TestInitializers:
@@ -147,16 +145,6 @@ class TestMiscLayers:
         emb = nn.Embedding(5, 3)
         out = emb(np.array([], dtype=int))
         assert out.shape == (0, 3)
-
-
-class TestFlumeSinkEncoding:
-    def test_dfs_sink_custom_encoder(self):
-        dfs = DistributedFileSystem.with_datanodes(3, replication=2)
-        sink = dfs_sink(dfs, "/enc",
-                        encode=lambda e: f"<{e}>".encode())
-        agent = FlumeAgent(FunctionSource([1, 2]), sink, batch_size=2)
-        agent.run()
-        assert dfs.read("/enc/part-00000") == b"<1>\n<2>"
 
 
 class TestTensorMatmulCorners:
