@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 from typing import Dict, List
 
 import numpy as np
 
+from benchmarks.perf import blas_threads
 from repro import nn
 from repro.fog.codec import AutoencoderCodec
 from repro.nn.fuse import fuse_for_inference
@@ -56,16 +58,25 @@ FAST = "fused-float32-nograd"
 PLANNED = "planned-float32"
 
 
-def _time(fn, repeats: int) -> float:
-    """Median seconds per call (one warmup call outside the clock)."""
+def _time(runners: Dict[str, callable], repeats: int) -> Dict[str, float]:
+    """Median seconds per call of each runner, timed round-robin.
+
+    One warmup call each outside the clock, then every repeat calls every
+    runner once: a slow stretch of a shared host lands on all variants
+    alike, so the *ratios* the gates read repeat to a few percent where
+    back-to-back timing windows moved them by 30 %.
+    """
     runtime = get_runtime()
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = runtime.now()
+    for fn in runners.values():
         fn()
-        samples.append(runtime.now() - start)
-    return statistics.median(samples)
+    samples = {variant: [] for variant in runners}
+    for _ in range(repeats):
+        for variant, fn in runners.items():
+            start = runtime.now()
+            fn()
+            samples[variant].append(runtime.now() - start)
+    return {variant: statistics.median(times)
+            for variant, times in samples.items()}
 
 
 def build_resnet(rng) -> SmallResNet:
@@ -184,8 +195,7 @@ def run(batch_sizes: List[int], image_size: int, repeats: int,
                 runners = resnet_runners(model, x)
             else:
                 runners = early_exit_runners(model, x, threshold=0.5, rng=rng)
-            for variant, fn in runners.items():
-                seconds = _time(fn, repeats)
+            for variant, seconds in _time(runners, repeats).items():
                 rows.append({
                     "model": model_name,
                     "variant": variant,
@@ -196,7 +206,9 @@ def run(batch_sizes: List[int], image_size: int, repeats: int,
                 print(f"{model_name:>12}  {variant:>22}  batch={batch:<4} "
                       f"{1000 * seconds:8.2f} ms  "
                       f"{batch / seconds:10.1f} items/s")
-    return {"image_size": image_size, "repeats": repeats, "rows": rows}
+    return {"image_size": image_size, "repeats": repeats,
+            "cpu_count": os.cpu_count(), "blas_threads": blas_threads(),
+            "rows": rows}
 
 
 def _largest_batch_rates(rows: List[Dict], model_name: str) -> Dict[str, float]:
@@ -246,11 +258,11 @@ def main(argv=None) -> int:
     if args.quick:
         batch_sizes = args.batch_sizes or [1, 16]
         image_size = args.image_size or 16
-        repeats = args.repeats or 3
+        repeats = args.repeats or 15
     else:
         batch_sizes = args.batch_sizes or [1, 8, 32, 64]
         image_size = args.image_size or 24
-        repeats = args.repeats or 5
+        repeats = args.repeats or 15
 
     payload = run(batch_sizes, image_size, repeats)
     payload["speedup_vs_baseline"] = speedups(payload["rows"])

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from benchmarks.perf import blas_threads
 from benchmarks.perf.bench_inference import build_early_exit
 from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn.fuse import fuse_for_inference
@@ -144,6 +145,7 @@ def run(streams: int, frames: int, image_size: int, batch_size: int,
             "link_ms": link_ms, "repeats": repeats,
         },
         "cpu_count": os.cpu_count(),
+        "blas_threads": blas_threads(),
         "fork_available": fork_available(),
         "rows": rows,
     }

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from benchmarks.perf import blas_threads
 from benchmarks.perf.bench_inference import build_early_exit
 from repro.data.video import SceneGenerator
 from repro.fog.deployment import TwoTierDeployment
@@ -223,6 +224,7 @@ def run(cameras: int, frames_per_camera: int, probe_requests: int,
             "threshold": THRESHOLD,
         },
         "cpu_count": os.cpu_count(),
+        "blas_threads": blas_threads(),
         "pipeline": pipeline,
         "capacity_rows_per_s": capacity,
         "sweep": sweep,

@@ -45,6 +45,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from benchmarks.perf import blas_threads
 from repro.streaming.broker import Broker
 
 OUTPUT = "BENCH_streaming.json"
@@ -133,6 +134,7 @@ def run(gated_events: int, side_events: int, partitions: int) -> Dict:
             "retention_max_records": RETAIN, "keys": KEYS,
         },
         "cpu_count": os.cpu_count(),
+        "blas_threads": blas_threads(),
         "rows": rows,
     }
 

@@ -146,6 +146,9 @@ _ALLOC_CONSTRUCTORS = {
     "numpy.full_like",
 }
 
+#: array methods that return a fresh copy
+_COPYING_METHODS = ("astype", "copy")
+
 #: hot-path method names whose bodies must not allocate
 _HOT_METHODS = ("run", "execute")
 
@@ -166,6 +169,14 @@ class PlanHotPathAllocationRule(Rule):
     Allocate at capture/bind time instead, and keep ``run`` allocation-
     free.  Capture-time probes that genuinely need a scratch array carry
     ``# repro: noqa[PERF403]``.
+
+    Array *temporaries* are the same churn with no constructor in sight,
+    so the rule also flags, in those bodies: a comparison used as an
+    operand (``np.multiply(x, x > 0, out=y)`` builds a full-size bool
+    mask per run — write it with ``np.greater(..., out=mask)`` into a
+    bound buffer, or use a ufunc that needs no mask), ``np.where(...)``
+    (no ``out=``; always a fresh array), and ``.astype(...)`` /
+    ``.copy(...)`` calls.
     """
 
     id = "PERF403"
@@ -201,16 +212,37 @@ class PlanHotPathAllocationRule(Rule):
     def visit_Call(self, node: ast.Call,
                    ctx: ModuleContext) -> Iterator[Finding]:
         resolved = ctx.resolve(node.func)
-        if resolved not in _ALLOC_CONSTRUCTORS:
+        if resolved in _ALLOC_CONSTRUCTORS or resolved == "numpy.where":
+            what = f"`{resolved.replace('numpy.', 'np.')}(...)`"
+        elif isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _COPYING_METHODS:
+            what = f"`.{node.func.attr}(...)`"
+        else:
             return
         hot_path = self._enclosing_hot_path(node, ctx)
         if hot_path is None:
             return
-        short = resolved.replace("numpy.", "np.")
         yield self.found(node, ctx,
-                         f"`{short}(...)` allocates inside `{hot_path}` — a "
+                         f"{what} allocates inside `{hot_path}` — a "
                          "plan-executor hot path; bind an arena buffer once "
                          "and reuse it (`out=`/in-place ops) instead")
+
+    def visit_Compare(self, node: ast.Compare,
+                      ctx: ModuleContext) -> Iterator[Finding]:
+        # A comparison that feeds a call or an arithmetic expression is an
+        # array mask; one that decides an `if`/`while`/`assert` is a scalar
+        # test and allocates nothing worth flagging.
+        if not isinstance(ctx.parent(node), (ast.Call, ast.keyword,
+                                             ast.BinOp)):
+            return
+        hot_path = self._enclosing_hot_path(node, ctx)
+        if hot_path is None:
+            return
+        yield self.found(node, ctx,
+                         "comparison used as an operand builds a full-size "
+                         f"bool mask on every `{hot_path}` — compare into a "
+                         "bound buffer (`np.greater(..., out=mask)`) or use "
+                         "a ufunc that needs no mask (`np.maximum`)")
 
 
 #: metric-write methods whose labeled form re-resolves the series key

@@ -4,6 +4,10 @@ Convolution uses im2col/col2im so the inner loop is a single matmul — the
 standard trick that keeps a NumPy CNN usable at the small image sizes this
 reproduction trains on.  All functions take and return
 :class:`repro.nn.tensor.Tensor` and participate in autograd.
+
+Under ``no_grad()`` :func:`conv2d` runs :func:`conv_k_major`, the kernel
+captured plans replay; the grad-recording forward keeps ``cols @ W.T``
+because backward reads ``cols``.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-#: scratch buffers reused by :func:`im2col` under ``no_grad()``, keyed on
-#: the full unfold geometry + dtype.  Bounded: a sweep over many input
-#: shapes clears the cache instead of hoarding one buffer pair per shape.
+#: scratch buffers reused by :func:`im2col` under ``no_grad()`` (pooling;
+#: conv has its own inference kernel), keyed on the full unfold geometry +
+#: dtype.  Bounded: a sweep over many input shapes clears the cache
+#: instead of hoarding one buffer pair per shape.
 _IM2COL_SCRATCH: dict = {}
 _IM2COL_SCRATCH_MAX = 32
 
@@ -114,6 +119,48 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kernel: int,
 # Convolution and pooling primitives
 # --------------------------------------------------------------------------
 
+def conv_k_major(x_t: np.ndarray, cols_t: np.ndarray, w_flat: np.ndarray,
+                 bias_col: Optional[np.ndarray], out: np.ndarray,
+                 stride: int) -> None:
+    """The inference conv kernel: K-major unfold, one GEMM, bias, into ``out``.
+
+    ``x_t`` is the padded input viewed (C, N, H, W); ``cols_t`` the
+    (C, K, K, N, H', W') view of a C-contiguous (C·K·K, N·H'·W') column
+    matrix, so each of the K·K strided copies lands in final position;
+    ``out`` is (F, N·H'·W'), C-contiguous.  No-grad :func:`conv2d` calls
+    this on fresh arrays and plan replay (``repro.nn.plan._ConvOp``) on
+    the contiguous head of its arena buffers — the same BLAS call with
+    the same shapes and leading dimensions, hence bit-identical results.
+    """
+    c, kernel, _, _, out_h, out_w = cols_t.shape
+    for ky in range(kernel):
+        y_end = ky + stride * out_h
+        for kx in range(kernel):
+            x_end = kx + stride * out_w
+            cols_t[:, ky, kx] = x_t[:, :, ky:y_end:stride, kx:x_end:stride]
+    np.matmul(w_flat, cols_t.reshape(c * kernel * kernel, -1), out=out)
+    if bias_col is not None:
+        np.add(out, bias_col, out=out)
+
+
+def _conv2d_inference(x: np.ndarray, weight: np.ndarray,
+                      bias: Optional[np.ndarray], stride: int,
+                      padding: int) -> np.ndarray:
+    """No-grad conv: the channel-major (F, N, H', W') result viewed as NCHW."""
+    n, c, h, w = x.shape
+    f, _, kernel, _ = weight.shape
+    out_h = _conv_output_size(h, kernel, stride, padding)
+    out_w = _conv_output_size(w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dtype = np.result_type(x.dtype, weight.dtype)
+    cols_t = np.empty((c, kernel, kernel, n, out_h, out_w), dtype=dtype)
+    out = np.empty((f, n * out_h * out_w), dtype=dtype)
+    conv_k_major(x.transpose(1, 0, 2, 3), cols_t, weight.reshape(f, -1),
+                 None if bias is None else bias.reshape(f, 1), out, stride)
+    return out.reshape(f, n, out_h, out_w).transpose(1, 0, 2, 3)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution: x (N,C,H,W) * weight (F,C,K,K) -> (N,F,H',W')."""
@@ -124,6 +171,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ValueError(f"channel mismatch: input {c}, weight {wc}")
     if kh != kw:
         raise ValueError("only square kernels are supported")
+    if not is_grad_enabled():
+        return Tensor(_conv2d_inference(
+            x.data, weight.data, bias.data if bias is not None else None,
+            stride, padding))
     cols, out_h, out_w = im2col(x.data, kh, stride, padding)
     w_flat = weight.data.reshape(f, -1)
     out = cols @ w_flat.T

@@ -21,10 +21,11 @@ GEMM output, and a bias sum on every forward.  A *plan* removes both:
   *padded* through the nearest larger plan instead of recapturing.
 
 Kernels mirror the eager ops expression-for-expression (same NumPy ufunc
-sequence, same dtypes), so on this machine a plan's output is
-bit-identical to the eager fast path — early-exit *decisions* therefore
-cannot differ between the two.  Capture validates this on the example
-batch and records the observed error.
+sequence, same dtypes; conv is the very function no-grad ``F.conv2d``
+calls), so a plan's output is bit-identical to the eager fast path at
+every row count — early-exit *decisions* therefore cannot differ between
+the two.  Capture validates this on the example batch and records the
+observed error.
 
 Plans are inference-only snapshots: they hold views of the module's
 parameter arrays at capture time.  Every ``run`` cheaply verifies those
@@ -47,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn import modules as M
-from repro.nn.functional import _conv_output_size
+from repro.nn.functional import _conv_output_size, conv_k_major
 from repro.nn.grad_mode import no_grad
 from repro.nn.tensor import Tensor
 from repro.runtime import get_runtime
@@ -187,38 +188,26 @@ class _CopyOp(_PlanOp):
 
 
 class _ConvOp(_PlanOp):
-    """Conv2d as im2col + GEMM, mirroring ``F.conv2d`` bit for bit.
+    """Conv2d: ``functional.conv_k_major`` over arena buffers.
 
     Slots: optional padded input (exclusive: the zero border is written
-    once at materialize time and never recycled), the *transposed* flat
-    column matrix, the GEMM output, and the (N, F, H', W') result.
+    once at materialize time and never recycled), flat storage for the
+    K-major column matrix (C·K·K · N·H'·W') and for the channel-major
+    GEMM result (F · N·H'·W'), and the (N, F, H', W') output.
 
-    The column matrix is stored K-major — shape (C·K·K, N·H'·W'),
-    C-contiguous — so the per-(ky, kx) unfold writes land directly in
-    their final positions and the eager path's second transpose-copy
-    pass disappears.  The full-batch GEMM is then *channel-major*:
-    W_flat @ flat_t produces (F, N·H'·W') with both operands C-order,
-    the bias adds along contiguous rows, and the NCHW result is a block
-    transpose (per-sample H'·W' planes move as contiguous runs) instead
-    of an element-strided gather — measurably cheaper on every
-    benchmarked geometry.  Each output element is still the same
-    dot-product-plus-bias as eager's cols @ W.T call; capture-time
-    validation checks the whole plan bit-for-bit against eager and
-    flips ``force_compact`` if this BLAS build ever disagrees.
-    Row-prefix runs (ragged tails, escalation subsets) *always* compact
-    the prefix into a C-order buffer first and run eager's own GEMM
-    orientation with the bias folded into the NCHW transpose: a
-    column-sliced operand hands BLAS a foreign leading dimension, which
-    is exactly the case where its micro-kernel choice (and the low bit)
-    can drift from eager.
+    An ``r``-row run views its column and result matrices over the
+    contiguous *head* of that storage — (C·K·K, r·H'·W') and
+    (F, r·H'·W'), C-contiguous, never column slices of the full-size
+    matrices — so BLAS gets exactly the operands no-grad ``F.conv2d``
+    hands it at ``r`` rows, and a plan captured at ``r`` rows would bind:
+    every prefix length is bit-identical to both by construction, at the
+    same cost.  The last pass writes the result back to NCHW (a block
+    transpose: per-sample H'·W' planes move as contiguous runs) and
+    applies a directly following ``ReLU`` on the way (``relu``, set by
+    :func:`_build_relu`): one slot and one sweep fewer.
     """
 
     label = "conv2d"
-
-    #: compute every GEMM from the C-order compacted operand (set by
-    #: capture-time validation when the F-order fast path is not
-    #: bit-identical to eager on this geometry/BLAS build)
-    force_compact = False
 
     def __init__(self, builder: _PlanBuilder, conv: M.Conv2d, in_slot: int):
         n, c, h, w = builder.slots[in_slot].shape
@@ -229,111 +218,65 @@ class _ConvOp(_PlanOp):
         weight = builder.watch_param(conv, "weight")
         dtype = np.result_type(builder.slots[in_slot].dtype, weight.dtype)
         self._w_flat = weight.reshape(f, -1)
-        self._w_flat_t = self._w_flat.T
-        self._bias_4d = None
         self._bias_col = None
         if conv.bias is not None:
-            bias = builder.watch_param(conv, "bias")
-            self._bias_4d = bias.reshape(1, f, 1, 1)
-            self._bias_col = bias.reshape(f, 1)
+            self._bias_col = builder.watch_param(conv, "bias").reshape(f, 1)
         self.kernel, self.stride, self.padding = k, stride, padding
         self.geometry = (n, c, h, w, f, out_h, out_w)
+        self.relu = False
 
         self._pad_slot = None
         if padding > 0:
             self._pad_slot = builder.new_slot(
                 (n, c, h + 2 * padding, w + 2 * padding), dtype, exclusive=True)
-        flat_t_slot = builder.new_slot((c * k * k, n * out_h * out_w), dtype)
-        flat_c_slot = builder.new_slot((n * out_h * out_w, c * k * k), dtype)
-        gemm_slot = builder.new_slot((n * out_h * out_w, f), dtype)
-        gemm_t_slot = builder.new_slot((f, n * out_h * out_w), dtype)
+        cols_slot = builder.new_slot((c * k * k * n * out_h * out_w,), dtype)
+        gemm_slot = builder.new_slot((f * n * out_h * out_w,), dtype)
         self.out_slot = builder.new_slot((n, f, out_h, out_w), dtype)
         self.reads = (in_slot,)
-        scratch = (flat_t_slot, flat_c_slot, gemm_slot, gemm_t_slot)
+        scratch = (cols_slot, gemm_slot)
         if self._pad_slot is not None:
             scratch = (self._pad_slot,) + scratch
         self.writes = scratch + (self.out_slot,)
-        self._slots = (in_slot, flat_t_slot, flat_c_slot, gemm_slot,
-                       gemm_t_slot, self.out_slot)
+        self._slots = (in_slot, cols_slot, gemm_slot, self.out_slot)
         builder.flops += 2.0 * n * f * out_h * out_w * c * k * k
 
     def bind(self, buffers):
-        (in_slot, flat_t_slot, flat_c_slot, gemm_slot, gemm_t_slot,
-         out_slot) = self._slots
-        n, c, _, _, f, out_h, out_w = self.geometry
-        k = self.kernel
+        in_slot, cols_slot, gemm_slot, out_slot = self._slots
         self._x_full = buffers[in_slot]
         self._pad_full = (buffers[self._pad_slot]
                           if self._pad_slot is not None else None)
-        self._flat_t_full = buffers[flat_t_slot]
-        self._flat_c_full = buffers[flat_c_slot]
-        # 6-D destination for the unfold: (C, K, K, N, H', W').  Batch is
-        # axis 3, so a row prefix is a (strided) slice there — the views
-        # below are rebuilt per rebind, the reshape happens once here.
-        self._flat_t_view_full = self._flat_t_full.reshape(
-            c, k, k, n, out_h, out_w)
-        self._gemm_full = buffers[gemm_slot]
-        self._gemm_t_full = buffers[gemm_t_slot]
-        # Channel-major GEMM result read back as NCHW: a transpose of the
-        # two leading axes, i.e. contiguous (H'·W')-plane moves.  Full-row
-        # runs only, so the full-batch view is built once here.
-        self._out_from_t = self._gemm_t_full.reshape(
-            f, n, out_h, out_w).transpose(1, 0, 2, 3)
+        self._cols_flat = buffers[cols_slot]
+        self._gemm_flat = buffers[gemm_slot]
         self._out_full = buffers[out_slot]
 
     def rebind(self, rows):
         _, c, _, _, f, out_h, out_w = self.geometry
         k = self.kernel
-        self._x = self._x_full[:rows]
-        self._x_t = self._x.transpose(1, 0, 2, 3)
-        # Batch-prefix views.  The flat column matrix is K-major, so the
-        # prefix is a *column* slice; BLAS reads its transpose through the
-        # untouched leading dimension, copy-free.
-        self._flat_t = self._flat_t_full[:, :rows * out_h * out_w]
-        self._flat = self._flat_t.T
-        self._flat_c = self._flat_c_full[:rows * out_h * out_w]
-        self._full_rows = rows == self.geometry[0]
-        self._flat_t_view = self._flat_t_view_full[:, :, :, :rows]
-        self._gemm = self._gemm_full[:rows * out_h * out_w]
-        self._gemm_view = self._gemm.reshape(rows, out_h, out_w, f)
+        positions = rows * out_h * out_w
+        self._cols_t = self._cols_flat[:c * k * k * positions].reshape(
+            c, k, k, rows, out_h, out_w)
+        self._gemm = self._gemm_flat[:f * positions].reshape(f, positions)
+        self._gemm_nchw = self._gemm.reshape(
+            f, rows, out_h, out_w).transpose(1, 0, 2, 3)
         self._out = self._out_full[:rows]
+        x = self._x_full[:rows]
         if self._pad_full is not None:
             p = self.padding
-            self._pad = self._pad_full[:rows]
-            self._pad_interior = self._pad[:, :, p:-p, p:-p]
-            self._pad_t = self._pad.transpose(1, 0, 2, 3)
-        else:
-            self._pad = None
+            padded = self._pad_full[:rows]
+            self._pad_src = x
+            self._pad_interior = padded[:, :, p:-p, p:-p]
+            x = padded
+        self._x_t = x.transpose(1, 0, 2, 3)
 
     def run(self):
-        k, stride = self.kernel, self.stride
-        _, _, _, _, _, out_h, out_w = self.geometry
-        if self._pad is not None:
-            self._pad_interior[...] = self._x
-            x_t = self._pad_t
+        if self._pad_full is not None:
+            self._pad_interior[...] = self._pad_src
+        conv_k_major(self._x_t, self._cols_t, self._w_flat, self._bias_col,
+                     self._gemm, self.stride)
+        if self.relu:
+            np.maximum(self._gemm_nchw, 0, out=self._out)
         else:
-            x_t = self._x_t
-        flat_t_view = self._flat_t_view
-        for ky in range(k):
-            y_end = ky + stride * out_h
-            for kx in range(k):
-                x_end = kx + stride * out_w
-                flat_t_view[:, ky, kx] = x_t[:, :, ky:y_end:stride,
-                                             kx:x_end:stride]
-        if self._full_rows and not self.force_compact:
-            np.matmul(self._w_flat, self._flat_t, out=self._gemm_t_full)
-            if self._bias_col is not None:
-                np.add(self._gemm_t_full, self._bias_col,
-                       out=self._gemm_t_full)
-            self._out[...] = self._out_from_t
-        else:
-            self._flat_c[...] = self._flat
-            np.matmul(self._flat_c, self._w_flat_t, out=self._gemm)
-            if self._bias_4d is not None:
-                np.add(self._gemm_view.transpose(0, 3, 1, 2), self._bias_4d,
-                       out=self._out)
-            else:
-                self._out[...] = self._gemm_view.transpose(0, 3, 1, 2)
+            self._out[...] = self._gemm_nchw
 
 
 class _LinearOp(_PlanOp):
@@ -356,14 +299,6 @@ class _LinearOp(_PlanOp):
         self.reads = (in_slot,)
         self.writes = (self.out_slot,)
         builder.flops += 2.0 * in_shape[0] * linear.in_features * linear.out_features
-
-    def bind(self, buffers):
-        self._x_full = buffers[self.reads[0]]
-        self._out_full = buffers[self.out_slot]
-
-    def rebind(self, rows):
-        self._x = self._x_full[:rows]
-        self._out = self._out_full[:rows]
 
     def run(self):
         np.matmul(self._x, self._w_t, out=self._out)
@@ -425,9 +360,8 @@ class _ReluOp(_PlanOp):
         builder.flops += float(numel)
 
     def run(self):
-        # Same expression as Tensor.relu (data * (data > 0)): preserves the
-        # eager path's signed-zero behaviour, unlike np.maximum.
-        np.multiply(self._x, self._x > 0, out=self._out)
+        # Tensor.relu's forward expression, written into the arena.
+        np.maximum(self._x, 0, out=self._out)
 
 
 class _LeakyReluOp(_PlanOp):
@@ -435,20 +369,33 @@ class _LeakyReluOp(_PlanOp):
 
     def __init__(self, builder: _PlanBuilder, slope: float, in_slot: int):
         shape = builder.slots[in_slot].shape
-        self._slope = slope
-        self._dtype = builder.slots[in_slot].dtype
-        self.out_slot = builder.new_slot(shape, self._dtype)
+        dtype = builder.slots[in_slot].dtype
+        # Tensor.leaky_relu multiplies by where(x > 0, 1, slope) cast to
+        # the input dtype; x * 1 is x, so scaling everything by the cast
+        # slope and copying the positive entries back is the same values
+        # without the per-run scale array.  The mask is a bound slot.
+        self._slope = np.asarray(slope, dtype=dtype)
+        self._mask_slot = builder.new_slot(shape, np.bool_)
+        self.out_slot = builder.new_slot(shape, dtype)
         self.reads = (in_slot,)
-        self.writes = (self.out_slot,)
+        self.writes = (self._mask_slot, self.out_slot)
         numel = 1
         for dim in shape:
             numel *= dim
         builder.flops += float(numel)
 
+    def bind(self, buffers):
+        super().bind(buffers)
+        self._mask_full = buffers[self._mask_slot]
+
+    def rebind(self, rows):
+        super().rebind(rows)
+        self._mask = self._mask_full[:rows]
+
     def run(self):
-        scale = np.where(self._x > 0, 1.0, self._slope).astype(
-            self._dtype, copy=False)
-        np.multiply(self._x, scale, out=self._out)
+        np.greater(self._x, 0, out=self._mask)
+        np.multiply(self._x, self._slope, out=self._out)
+        np.copyto(self._out, self._x, where=self._mask)
 
 
 class _TanhOp(_PlanOp):
@@ -611,7 +558,7 @@ class _AddReluOp(_PlanOp):
         out = self._out
         np.add(self._a, self._b, out=out)
         if self._relu:
-            np.multiply(out, out > 0, out=out)
+            np.maximum(out, 0, out=out)
 
 
 class _PadChannelsOp(_PlanOp):
@@ -631,10 +578,6 @@ class _PadChannelsOp(_PlanOp):
                                          exclusive=True)
         self.reads = (in_slot,)
         self.writes = (self.out_slot,)
-
-    def bind(self, buffers):
-        self._x_full = buffers[self.reads[0]]
-        self._out_full = buffers[self.out_slot]
 
     def rebind(self, rows):
         self._x = self._x_full[:rows]
@@ -771,6 +714,20 @@ def _build_batchnorm(builder, module, in_slot):
 
 @plan_builder(M.ReLU)
 def _build_relu(builder, module, in_slot):
+    """ReLU over ``in_slot``, folded into the conv that just wrote it.
+
+    When the last op emitted is the conv producing ``in_slot`` (fusion
+    leaves ``Identity`` where the BatchNorm was, so conv -> bn -> relu
+    arrives here this way), that conv's write-back pass applies the ReLU
+    and the slot keeps its id — so a builder must not hand over a slot
+    it also reads pre-activation.
+    """
+    last = builder.ops[-1] if builder.ops else None
+    if (isinstance(last, _ConvOp) and last.out_slot == in_slot
+            and not last.relu):
+        last.relu = True
+        builder.flops += float(np.prod(builder.slots[in_slot].shape))
+        return in_slot
     return _build_simple(builder, _ReluOp(builder, in_slot))
 
 
@@ -824,7 +781,7 @@ def _register_model_builders():
     def _build_resnet_block(builder, module, in_slot):
         main = _build(builder, module.conv1, in_slot)
         main = _build(builder, module.bn1, main)
-        main = _build_simple(builder, _ReluOp(builder, main))
+        main = _build_relu(builder, None, main)
         main = _build(builder, module.conv2, main)
         main = _build(builder, module.bn2, main)
         if module.shortcut_kind == "identity":
@@ -846,7 +803,7 @@ def _register_model_builders():
     def _build_small_resnet(builder, module, in_slot):
         slot = _build(builder, module.stem, in_slot)
         slot = _build(builder, module.stem_bn, slot)
-        slot = _build_simple(builder, _ReluOp(builder, slot))
+        slot = _build_relu(builder, None, slot)
         for block in module.blocks:
             slot = _build(builder, block, slot)
         slot = _build(builder, module.pool, slot)
@@ -1053,18 +1010,6 @@ def capture_plan(module: M.Module, example: np.ndarray, *,
             raise PlanError(
                 f"plan '{label}' disagrees with eager forward: "
                 f"{got.shape}/{got.dtype} vs {expected.shape}/{expected.dtype}")
-        if not np.array_equal(got, expected):
-            # The F-order full-batch GEMM is normally bit-identical to
-            # eager's C-order call, but that is a property of the BLAS
-            # build, not of IEEE arithmetic.  If this geometry drifts,
-            # fall back to compacted C-order operands — same buffers,
-            # one extra copy pass, guaranteed eager-equal — and check
-            # again.
-            convs = [op for op in plan._ops if isinstance(op, _ConvOp)]
-            if convs:
-                for op in convs:
-                    op.force_compact = True
-                got = plan.run(example)
         tolerance = 1e-5 if plan.dtype == np.float32 else 1e-10
         error = float(np.max(np.abs(got - expected))) if got.size else 0.0
         if not error <= tolerance:

@@ -296,12 +296,13 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
+        # Plans replay this expression with ``out=``; -0.0 and -inf give +0.0.
+        out_data = np.maximum(self.data, 0)
 
         def backward(grad):
-            self._accumulate(grad * mask)
+            self._accumulate(grad * (out_data > 0))
 
-        return Tensor._make(self.data * mask, (self,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     def leaky_relu(self, negative_slope: float = 0.1) -> "Tensor":
         mask = self.data > 0

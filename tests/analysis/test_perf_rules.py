@@ -255,6 +255,70 @@ class TestPlanHotPathAllocation:
         """)
         assert rule_ids(findings) == ["PERF403"]
 
+    def test_comparison_operand_flagged(self):
+        findings = check("""
+            import numpy as np
+
+            class ReluOp:
+                def run(self):
+                    np.multiply(self._x, self._x > 0, out=self._out)
+        """)
+        assert rule_ids(findings) == ["PERF403"]
+
+    def test_comparison_in_arithmetic_flagged(self):
+        findings = check("""
+            class ReluOp:
+                def run(self):
+                    self._out[...] = self._x * (self._x > 0)
+        """)
+        assert rule_ids(findings) == ["PERF403"]
+
+    def test_where_and_astype_flagged(self):
+        findings = check("""
+            import numpy as np
+
+            class LeakyReluOp:
+                def run(self):
+                    scale = np.where(self._mask, 1.0, self._slope).astype(
+                        self._dtype, copy=False)
+                    np.multiply(self._x, scale, out=self._out)
+        """)
+        assert rule_ids(findings) == ["PERF403", "PERF403"]
+
+    def test_copy_flagged(self):
+        findings = check("""
+            class StageOp:
+                def run(self):
+                    self._held = self._x.copy()
+        """)
+        assert rule_ids(findings) == ["PERF403"]
+
+    def test_scalar_test_and_bound_mask_clean(self):
+        findings = check("""
+            import numpy as np
+
+            class InferencePlan:
+                def run(self, data):
+                    if data.shape[0] != self._bound_rows:
+                        self._rebind(data.shape[0])
+                    assert data.ndim > 1
+                    np.greater(self._x, 0, out=self._mask)
+                    np.copyto(self._out, self._x, where=self._mask)
+                    np.maximum(self._x, 0, out=self._out)
+        """)
+        assert findings == []
+
+    def test_temporaries_outside_run_clean(self):
+        findings = check("""
+            import numpy as np
+
+            class ReluOp:
+                def bind(self, x):
+                    self._mask = (x > 0).astype(np.float32)
+                    self._scale = np.where(x > 0, 1.0, 0.1)
+        """)
+        assert findings == []
+
     def test_bind_time_allocation_clean(self):
         findings = check("""
             import numpy as np

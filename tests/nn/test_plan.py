@@ -8,6 +8,7 @@ while allocating nothing per call.
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,27 @@ class TestCaptureAndParity:
             assert out.shape[0] == rows
             assert np.array_equal(out, eager(model, x[:rows]))
 
+    def test_validation_rejects_divergence_and_records_exactness(self):
+        # Parity is by construction, but capture still checks it: a
+        # lowering that computes something else must not become a plan.
+        from repro.nn import plan as plan_mod
+
+        class Doubler(nn.Module):
+            def forward(self, x):
+                return x * 2.0
+
+        x = rng_for(1).normal(size=(4, 1, 12, 12)).astype(np.float32)
+        plan_mod.plan_builder(Doubler)(lambda builder, module, slot: slot)
+        try:
+            with pytest.raises(PlanError, match="numerically diverges"):
+                capture_plan(nn.Sequential(Doubler()), x)
+        finally:
+            del plan_mod._PLAN_BUILDERS[Doubler]
+        model = fuse_for_inference(conv_stack(rng_for()), dtype=np.float32)
+        plan = capture_plan(model, x)
+        assert plan.bit_exact is True and plan.max_validation_error == 0.0
+        assert capture_plan(model, x, validate=False).bit_exact is None
+
     def test_more_rows_than_captured_rejected(self):
         model = conv_stack(rng_for())
         x = rng_for(1).normal(size=(4, 1, 12, 12))
@@ -158,6 +180,71 @@ class TestArena:
         slot_sum = sum(int(np.prod(s.shape)) * s.dtype.itemsize
                        for s in plan.arena.slots if s.base is None)
         assert plan.arena.total_bytes < slot_sum
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes ``fn`` holds above what was live when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestReplayAllocation:
+    """Replay touches arena buffers only (what lint rule PERF403 is for).
+
+    The budget is far below the smallest array temporary a stage could
+    make at these sizes: one bool mask of the 256-row local stage output
+    is 512 KiB.
+    """
+
+    BUDGET = 64 * 1024
+
+    def fig5_stage_plans(self):
+        model = build_early_exit(rng_for(20))
+        # the served Fig. 5 remote stage has a second conv block
+        model.remote_stage = nn.Sequential(
+            *model.remote_stage.layers,
+            nn.Conv2d(16, 16, 3, padding=1, rng=rng_for(21)),
+            nn.BatchNorm2d(16), nn.ReLU())
+        model = fuse_for_inference(model, dtype=np.float32)
+        x = rng_for(22).normal(size=(256, 1, 16, 16)).astype(np.float32)
+        feats = eager(model.local_stage, x)
+        inputs = {"local_stage": x, "local_head": feats,
+                  "remote_stage": feats,
+                  "remote_head": eager(model.remote_stage, feats)}
+        return [(capture_plan(getattr(model, name), data), data)
+                for name, data in inputs.items()]
+
+    @pytest.mark.parametrize("rows", [256, 90])
+    def test_fig5_stage_replay_stays_under_budget(self, rows):
+        for plan, data in self.fig5_stage_plans():
+            assert plan.fallback_ops == 0
+            batch = np.ascontiguousarray(data[:rows])
+            plan.run(batch)  # bind the views for this row count
+            peak = traced_peak_bytes(lambda: plan.run(batch))
+            assert peak < self.BUDGET, (plan.label, rows, peak)
+
+    def test_rebinding_between_row_counts_stays_under_budget(self):
+        plan, data = self.fig5_stage_plans()[2]
+        plan.run(data[:90])
+        peak = traced_peak_bytes(lambda: plan.run(data))
+        assert peak < self.BUDGET
+
+    @pytest.mark.parametrize("slope", [0.1, 1.5, -0.3])
+    def test_leaky_relu_bit_identical_without_scale_array(self, slope):
+        model = fuse_for_inference(nn.Sequential(
+            nn.Conv2d(1, 8, 3, padding=1, rng=rng_for()),
+            nn.LeakyReLU(slope)), dtype=np.float32)
+        x = rng_for(1).normal(size=(64, 1, 16, 16)).astype(np.float32)
+        plan = capture_plan(model, x)
+        for rows in (5, 64):
+            assert np.array_equal(plan.run(x[:rows]), eager(model, x[:rows]))
+        assert traced_peak_bytes(lambda: plan.run(x)) < self.BUDGET
 
 
 class TestStaleness:
