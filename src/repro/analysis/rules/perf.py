@@ -139,18 +139,25 @@ class DirectPoolConstructionRule(Rule):
                              "results, merged telemetry, serial fallback)")
 
 
-#: numpy constructors that allocate a fresh array
-_ALLOC_CONSTRUCTORS = {
+#: numpy calls that allocate a fresh array: the constructors, ``where``
+#: (no ``out=``), and ``ascontiguousarray`` — which copies whenever the
+#: layout is not already the one asked for: in a hot path, a transposing
+#: copy nobody sees
+_ALLOC_CALLS = {
     "numpy.empty", "numpy.zeros", "numpy.ones", "numpy.full",
     "numpy.empty_like", "numpy.zeros_like", "numpy.ones_like",
-    "numpy.full_like",
+    "numpy.full_like", "numpy.where", "numpy.ascontiguousarray",
 }
+
+#: numpy functions that return a fresh array unless handed ``out=``
+_ALLOC_WITHOUT_OUT = {"numpy.take", "numpy.compress"}
 
 #: array methods that return a fresh copy
 _COPYING_METHODS = ("astype", "copy")
 
-#: hot-path method names whose bodies must not allocate
-_HOT_METHODS = ("run", "execute")
+#: hot-path method names whose bodies must not allocate (``set_input``
+#: binds a plan op to the caller's array before every run)
+_HOT_METHODS = ("run", "execute", "set_input")
 
 #: class-name suffixes marking plan-executor hot paths
 _HOT_CLASS_SUFFIXES = ("Op", "Plan")
@@ -167,24 +174,28 @@ class PlanHotPathAllocationRule(Rule):
     allocation churn the plan was built to remove — and it compounds,
     because plans execute per micro-batch on the serving fast path.
     Allocate at capture/bind time instead, and keep ``run`` allocation-
-    free.  Capture-time probes that genuinely need a scratch array carry
-    ``# repro: noqa[PERF403]``.
+    free — and ``set_input``, which the executor calls before every run
+    on the ops that read the caller's array in place.  Capture-time probes
+    that genuinely need a scratch array carry ``# repro: noqa[PERF403]``.
 
     Array *temporaries* are the same churn with no constructor in sight,
     so the rule also flags, in those bodies: a comparison used as an
     operand (``np.multiply(x, x > 0, out=y)`` builds a full-size bool
     mask per run — write it with ``np.greater(..., out=mask)`` into a
     bound buffer, or use a ufunc that needs no mask), ``np.where(...)``
-    (no ``out=``; always a fresh array), and ``.astype(...)`` /
-    ``.copy(...)`` calls.
+    (no ``out=``; always a fresh array), ``.astype(...)`` /
+    ``.copy(...)`` calls, ``np.take(...)`` / ``np.compress(...)`` without
+    ``out=``, and ``np.ascontiguousarray(...)`` — with feature maps stored
+    batch-innermost that one is a full transposing copy whenever a caller
+    hands over another layout.
     """
 
     id = "PERF403"
     name = "plan-hot-path-allocation"
     severity = Severity.ERROR
     description = ("fresh numpy array allocated inside a plan-executor "
-                   "run/execute method; allocate at bind time into the "
-                   "arena instead")
+                   "run/execute/set_input method; allocate at bind time "
+                   "into the arena instead")
 
     def _enclosing_hot_path(self, node: ast.AST,
                             ctx: ModuleContext) -> Optional[str]:
@@ -192,7 +203,7 @@ class PlanHotPathAllocationRule(Rule):
 
         Closures defined inside ``run`` count as the run body — they
         execute per run just the same — so any enclosing function named
-        ``run``/``execute`` under a matching class qualifies.
+        ``run``/``execute``/``set_input`` under a matching class qualifies.
         """
         methods = []
         current = ctx.parent(node)
@@ -212,7 +223,9 @@ class PlanHotPathAllocationRule(Rule):
     def visit_Call(self, node: ast.Call,
                    ctx: ModuleContext) -> Iterator[Finding]:
         resolved = ctx.resolve(node.func)
-        if resolved in _ALLOC_CONSTRUCTORS or resolved == "numpy.where":
+        if resolved in _ALLOC_CALLS or (
+                resolved in _ALLOC_WITHOUT_OUT and not any(
+                    keyword.arg == "out" for keyword in node.keywords)):
             what = f"`{resolved.replace('numpy.', 'np.')}(...)`"
         elif isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _COPYING_METHODS:

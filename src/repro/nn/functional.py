@@ -5,9 +5,16 @@ standard trick that keeps a NumPy CNN usable at the small image sizes this
 reproduction trains on.  All functions take and return
 :class:`repro.nn.tensor.Tensor` and participate in autograd.
 
-Under ``no_grad()`` :func:`conv2d` runs :func:`conv_k_major`, the kernel
-captured plans replay; the grad-recording forward keeps ``cols @ W.T``
-because backward reads ``cols``.
+Under ``no_grad()`` conv, pooling and global average pooling run the
+``*_k_major`` kernels below — the very functions captured plans replay
+(:mod:`repro.nn.plan`) — and follow one layout rule: a 4-D feature map is
+*stored* batch-innermost, ``(C, H, W, N)`` C-contiguous, and *handed
+around* as an NCHW-shaped view of that storage, so every shape contract
+and ``[n, c, y, x]`` index reads as before while the K·K copies of a conv
+unfold move ``W'·N``-element runs and the GEMM result already is the next
+op's input.  Elementwise ops need no rule (NumPy follows operand memory
+order); 2-D matrices stay row-major.  The grad-recording forward keeps
+``im2col`` + ``cols @ W.T`` because backward reads ``cols``.
 """
 
 from __future__ import annotations
@@ -34,10 +41,11 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-#: scratch buffers reused by :func:`im2col` under ``no_grad()`` (pooling;
-#: conv has its own inference kernel), keyed on the full unfold geometry +
-#: dtype.  Bounded: a sweep over many input shapes clears the cache
-#: instead of hoarding one buffer pair per shape.
+#: scratch buffers reused by :func:`im2col` under ``no_grad()``, keyed on
+#: the full unfold geometry + dtype.  Bounded: a sweep over many input
+#: shapes clears the cache instead of hoarding one buffer pair per shape.
+#: (Conv and pooling have their own inference kernels, so nothing in
+#: ``src/`` unfolds through ``im2col`` with autograd off any more.)
 _IM2COL_SCRATCH: dict = {}
 _IM2COL_SCRATCH_MAX = 32
 
@@ -119,46 +127,157 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kernel: int,
 # Convolution and pooling primitives
 # --------------------------------------------------------------------------
 
-def conv_k_major(x_t: np.ndarray, cols_t: np.ndarray, w_flat: np.ndarray,
-                 bias_col: Optional[np.ndarray], out: np.ndarray,
-                 stride: int) -> None:
-    """The inference conv kernel: K-major unfold, one GEMM, bias, into ``out``.
+def unfold_pairs(x_t: np.ndarray, cols_t: np.ndarray, stride: int) -> list:
+    """The K·K (destination, source) view pairs of a K-major unfold.
 
-    ``x_t`` is the padded input viewed (C, N, H, W); ``cols_t`` the
-    (C, K, K, N, H', W') view of a C-contiguous (C·K·K, N·H'·W') column
-    matrix, so each of the K·K strided copies lands in final position;
-    ``out`` is (F, N·H'·W'), C-contiguous.  No-grad :func:`conv2d` calls
-    this on fresh arrays and plan replay (``repro.nn.plan._ConvOp``) on
-    the contiguous head of its arena buffers — the same BLAS call with
-    the same shapes and leading dimensions, hence bit-identical results.
+    ``x_t`` is the padded input viewed (C, H, W, N); ``cols_t`` the
+    (C, K, K, H', W', N) view of a C-contiguous (C·K·K, H'·W'·N) column
+    matrix, so each strided copy lands in final position and, with ``x_t``
+    stored batch-innermost, moves W'·N-element runs (N at stride 2)
+    whatever C is.  Plans build the pairs once per row count.
     """
-    c, kernel, _, _, out_h, out_w = cols_t.shape
-    for ky in range(kernel):
-        y_end = ky + stride * out_h
-        for kx in range(kernel):
-            x_end = kx + stride * out_w
-            cols_t[:, ky, kx] = x_t[:, :, ky:y_end:stride, kx:x_end:stride]
-    np.matmul(w_flat, cols_t.reshape(c * kernel * kernel, -1), out=out)
+    _, kernel, _, out_h, out_w, _ = cols_t.shape
+    return [(cols_t[:, ky, kx],
+             x_t[:, ky:ky + stride * out_h:stride,
+                 kx:kx + stride * out_w:stride])
+            for ky in range(kernel) for kx in range(kernel)]
+
+
+def conv_k_major(pairs: list, cols: np.ndarray, w_flat: np.ndarray,
+                 bias_col: Optional[np.ndarray], out: np.ndarray,
+                 relu: bool = False) -> None:
+    """The inference conv kernel: K-major unfold, one GEMM, bias (+ ReLU).
+
+    ``pairs`` is :func:`unfold_pairs` into the (C·K·K, H'·W'·N) column
+    matrix ``cols``; ``out`` is (F, H'·W'·N), C-contiguous — the
+    batch-innermost storage of the (N, F, H', W') result, so bias and a
+    folded ReLU are applied in place and nothing is written back.  No-grad
+    :func:`conv2d` calls this on fresh arrays and plan replay
+    (``repro.nn.plan._ConvOp``) on the contiguous head of its arena
+    buffers — the same BLAS call with the same shapes and leading
+    dimensions, hence bit-identical results.
+    """
+    for dst, src in pairs:
+        np.copyto(dst, src)
+    np.matmul(w_flat, cols, out=out)
     if bias_col is not None:
         np.add(out, bias_col, out=out)
+    if relu:
+        np.maximum(out, 0, out=out)
 
 
 def _conv2d_inference(x: np.ndarray, weight: np.ndarray,
                       bias: Optional[np.ndarray], stride: int,
                       padding: int) -> np.ndarray:
-    """No-grad conv: the channel-major (F, N, H', W') result viewed as NCHW."""
+    """No-grad conv: the batch-innermost (F, H', W', N) result viewed NCHW."""
     n, c, h, w = x.shape
     f, _, kernel, _ = weight.shape
     out_h = _conv_output_size(h, kernel, stride, padding)
     out_w = _conv_output_size(w, kernel, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     dtype = np.result_type(x.dtype, weight.dtype)
-    cols_t = np.empty((c, kernel, kernel, n, out_h, out_w), dtype=dtype)
-    out = np.empty((f, n * out_h * out_w), dtype=dtype)
-    conv_k_major(x.transpose(1, 0, 2, 3), cols_t, weight.reshape(f, -1),
-                 None if bias is None else bias.reshape(f, 1), out, stride)
-    return out.reshape(f, n, out_h, out_w).transpose(1, 0, 2, 3)
+    x_t = x.transpose(1, 2, 3, 0)
+    if padding > 0:
+        # zero buffer + interior write: ~2 us where np.pad spends ~29 us
+        padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dtype)
+        padded[:, padding:-padding, padding:-padding] = x_t
+        x_t = padded
+    cols = np.empty((c * kernel * kernel, out_h * out_w * n), dtype=dtype)
+    out = np.empty((f, out_h * out_w * n), dtype=dtype)
+    pairs = unfold_pairs(
+        x_t, cols.reshape(c, kernel, kernel, out_h, out_w, n), stride)
+    conv_k_major(pairs, cols, weight.reshape(f, -1),
+                 None if bias is None else bias.reshape(f, 1), out)
+    return out.reshape(f, out_h, out_w, n).transpose(3, 0, 1, 2)
+
+
+def pool_windows(x: np.ndarray, out: np.ndarray, kernel: int,
+                 stride: int) -> list:
+    """The K·K shifted views of ``x`` (N, C, H, W) a pooling reduces.
+
+    Window element (ky, kx) of every position of ``out`` (N, C, H', W')
+    is one strided view of ``x``, listed in (ky, kx) order.  Plans build
+    the list once per row count.
+    """
+    out_h, out_w = out.shape[2:]
+    return [x[:, :, ky:ky + stride * out_h:stride,
+              kx:kx + stride * out_w:stride]
+            for ky in range(kernel) for kx in range(kernel)]
+
+
+def pool_k_major(windows: list, out: np.ndarray, kind: str) -> None:
+    """The inference pooling kernel: K·K shifted-view reductions into ``out``.
+
+    ``windows`` is :func:`pool_windows` over the input, in any memory
+    layout: the K·K views are folded into ``out`` in (ky, kx) order with
+    ``np.maximum`` (``kind="max"``) or ``np.add`` followed by one division
+    by K·K (``"avg"``).  Elementwise, so the values do not depend on the
+    layout, nothing is unfolded and nothing is allocated.  Shared by
+    no-grad :func:`max_pool2d` / :func:`avg_pool2d` and plan replay
+    (``repro.nn.plan._PoolOp``).
+    """
+    fold = np.maximum if kind == "max" else np.add
+    np.copyto(out, windows[0])
+    for window in windows[1:]:
+        fold(out, window, out=out)
+    if kind == "avg":
+        np.divide(out, len(windows), out=out)
+
+
+def _pool2d_inference(x: np.ndarray, kernel: int, stride: int,
+                      kind: str) -> np.ndarray:
+    """No-grad pooling into a fresh array stored like ``x`` is."""
+    n, c, h, w = x.shape
+    out_h = _conv_output_size(h, kernel, stride, 0)
+    out_w = _conv_output_size(w, kernel, stride, 0)
+    out = np.empty_like(x[:, :, :out_h, :out_w])
+    pool_k_major(pool_windows(x, out, kernel, stride), out, kind)
+    return out
+
+
+def spatial_rows(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> (C, H·W, N), C-contiguous: the GAP kernel's operand.
+
+    A view when ``x`` is stored batch-innermost (every no-grad conv and
+    pooling output and every plan slot is); a map stored any other way is
+    copied there, so the reduction order never depends on where ``x``
+    came from.
+    """
+    n, c, h, w = x.shape
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(c, h * w, n)
+
+
+def global_avg_pool_k_major(x_t: np.ndarray, ones: np.ndarray,
+                            sums: np.ndarray, out: np.ndarray,
+                            scale: np.ndarray) -> None:
+    """The inference global-average-pool kernel.
+
+    ``x_t`` is the feature map as :func:`spatial_rows` views it, ``ones``
+    a (1, H·W) row of ones, ``sums`` a (C, 1, N) scratch and ``out`` the
+    row-major (N, C) result.  One reduction over the middle axis, as C
+    BLAS vector-matrix products — ``np.sum(axis=1)`` walks the same
+    memory in N-element inner loops, 2x slower at 256 rows and 6x at 10 —
+    then the transposing write of the small result applies ``scale``
+    (1 / (H·W) in the map's dtype, ``Tensor.mean``'s rounding).  Summing
+    straight into ``out.T`` costs 3x as much.  Shared by no-grad
+    :func:`global_avg_pool2d` and ``repro.nn.plan._GlobalAvgPoolOp``.
+    """
+    np.matmul(ones, x_t, out=sums)
+    np.multiply(sums[:, 0].T, scale, out=out)
+
+
+def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Batch rows ``rows`` of ``x`` as a fresh array stored like ``x`` is.
+
+    A batch-innermost feature map is gathered along its last storage axis
+    (``feats[rows]`` on the NCHW view walks it element by element: 513 us
+    against 218 us for 90 of 256 rows of an 8x16x16 map); anything else is
+    a plain leading-axis gather.
+    """
+    if x.ndim == 4:
+        x_t = x.transpose(1, 2, 3, 0)
+        if x_t.flags["C_CONTIGUOUS"]:
+            return np.take(x_t, rows, axis=-1).transpose(3, 0, 1, 2)
+    return x[rows]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -198,6 +317,8 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     """Max pooling over (N, C, H, W) with square windows."""
     x = as_tensor(x)
     stride = kernel if stride is None else stride
+    if not is_grad_enabled():
+        return Tensor(_pool2d_inference(x.data, kernel, stride, "max"))
     n, c, h, w = x.data.shape
     reshaped = x.data.reshape(n * c, 1, h, w)
     cols, out_h, out_w = im2col(reshaped, kernel, stride, 0)
@@ -218,6 +339,8 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     """Average pooling over (N, C, H, W)."""
     x = as_tensor(x)
     stride = kernel if stride is None else stride
+    if not is_grad_enabled():
+        return Tensor(_pool2d_inference(x.data, kernel, stride, "avg"))
     n, c, h, w = x.data.shape
     reshaped = x.data.reshape(n * c, 1, h, w)
     cols, out_h, out_w = im2col(reshaped, kernel, stride, 0)
@@ -235,19 +358,24 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """(N, C, H, W) -> (N, C) by spatial averaging.
 
-    Conv outputs arrive as transposed views; NumPy's pairwise summation
-    order depends on memory layout, so reducing the view directly gives a
-    layout-dependent rounding.  Under ``no_grad()`` — the inference fast
-    path — the input is normalized to C-contiguous first, which makes
-    the reduction faster *and* bit-identical to the captured-plan
-    executor (:mod:`repro.nn.plan`), whose arena buffers are contiguous.
-    The training forward keeps the layout (and therefore the exact
-    rounding) it always had.
+    NumPy's summation order depends on memory layout, so under
+    ``no_grad()`` — the inference fast path — the reduction is
+    :func:`global_avg_pool_k_major` over :func:`spatial_rows` of the map:
+    the same call on the same layout as the captured-plan executor
+    (:mod:`repro.nn.plan`), hence the same bits.  The training forward
+    keeps the layout (and therefore the exact rounding) it always had.
     """
     x = as_tensor(x)
-    if not is_grad_enabled() and not x.data.flags["C_CONTIGUOUS"]:
-        x = Tensor(np.ascontiguousarray(x.data))
-    return x.mean(axis=(2, 3))
+    if is_grad_enabled():
+        return x.mean(axis=(2, 3))
+    n, c, h, w = x.data.shape
+    dtype = x.data.dtype
+    out = np.empty((n, c), dtype=dtype)
+    global_avg_pool_k_major(
+        spatial_rows(x.data), np.ones((1, h * w), dtype=dtype),
+        np.empty((c, 1, n), dtype=dtype), out,
+        np.asarray(1.0 / (h * w), dtype=dtype))
+    return Tensor(out)
 
 
 # --------------------------------------------------------------------------

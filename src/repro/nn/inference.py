@@ -38,13 +38,18 @@ def eval_mode(module: Module) -> Iterator[Module]:
     was deliberately frozen in eval) comes back exactly as it was — even
     when the block raises.
     """
+    # One walk; a flag is written only where it differs (a deployed model
+    # is already in eval mode, and ``Module.__setattr__`` is not free).
     previous = [(m, m.training) for m in module.modules()]
-    module.eval()
+    for submodule, training in previous:
+        if training:
+            submodule.training = False
     try:
         yield module
     finally:
         for submodule, training in previous:
-            submodule.training = training
+            if submodule.training != training:
+                submodule.training = training
 
 
 def iter_microbatches(data: np.ndarray,
@@ -136,8 +141,10 @@ def batched_forward(module: Module, x: Union[Tensor, np.ndarray],
             for chunk in iter_microbatches(data, batch_size):
                 if cache is not None:
                     # Plan output is a view into the plan's arena; the next
-                    # same-geometry chunk overwrites it, so detach now.
-                    outputs.append(cache.run(module, chunk).copy())
+                    # same-geometry chunk overwrites it, so detach now — in
+                    # memory order: a C-order copy would transpose a
+                    # batch-innermost feature map.
+                    outputs.append(cache.run(module, chunk).copy(order="K"))
                 else:
                     outputs.append(module(Tensor(chunk)).data)
     if len(outputs) == 1:

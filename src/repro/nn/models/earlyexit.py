@@ -230,8 +230,11 @@ class EarlyExitNetwork(nn.Module):
 
         With ``use_plans`` the four stages run through their captured
         plans: plan outputs are views into per-plan arenas, so anything
-        that outlives the next stage call is copied out (the logits) or
-        reduced to a fresh array by fancy indexing (the escalated rows).
+        that outlives the next call of the same stage is copied out (the
+        logits) or gathered into a fresh array (the escalated rows, in
+        the feature map's own batch-innermost layout).  A plan reads its
+        input in place, so handing one stage's arena view to the next
+        moves no bytes.
         """
         plans = self.use_plans if use_plans is None else use_plans
         codec = getattr(self, "activation_codec", None)
@@ -250,11 +253,11 @@ class EarlyExitNetwork(nn.Module):
         remote_rows = np.flatnonzero(needs_remote)
         remote_logits = None
         if remote_rows.size:
-            # An all-true mask selects every row in order: skip the fancy-
-            # index copy and hand the stage the features as-is (the plan
-            # path copies them into its own arena anyway, and the eager
-            # path never mutates its input).
-            remote_in = feats if needs_remote.all() else feats[needs_remote]
+            # An all-true mask selects every row in order: skip the gather
+            # and hand the stage the features as-is (neither path mutates
+            # its input).
+            remote_in = (feats if remote_rows.size == feats.shape[0]
+                         else F.take_rows(feats, remote_rows))
             if codec is not None:
                 remote_in = codec.transfer(remote_in)
             if plans:

@@ -360,7 +360,7 @@ class EarlyExitDetector(nn.Module):
         remote_rows = np.flatnonzero(needs_remote)
         remote_dets = {}
         if remote_rows.size:
-            remote_in = Tensor(features.data[needs_remote])
+            remote_in = Tensor(F.take_rows(features.data, remote_rows))
             remote_raw = self.remote_head(self.remote_branch(remote_in)).data
             decoded = decode_predictions(remote_raw, self.grid, self.num_classes,
                                          score_threshold=score_floor)

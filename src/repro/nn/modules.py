@@ -16,6 +16,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.dtypes import get_default_dtype
+from repro.nn.grad_mode import is_grad_enabled
 from repro.nn.tensor import Tensor, concatenate, stack
 from repro.runtime.rng import resolve_rng
 
@@ -273,8 +274,20 @@ class Sigmoid(Module):
 
 
 class Flatten(Module):
+    """(N, ...) -> (N, prod(...)), row-major.
+
+    A feature map stored batch-innermost (the no-grad layout, see
+    :mod:`repro.nn.functional`) reshapes to a *transposed* view of its
+    storage; under ``no_grad()`` that is copied back to row-major, so the
+    ``Linear`` that follows runs the same GEMM whatever produced the map
+    — and captured plans replay exactly this copy.
+    """
+
     def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
+        out = x.reshape(x.shape[0], -1)
+        if not is_grad_enabled() and not out.data.flags["C_CONTIGUOUS"]:
+            out = Tensor(np.ascontiguousarray(out.data))
+        return out
 
 
 class MaxPool2d(Module):

@@ -12,13 +12,24 @@ GEMM output, and a bias sum on every forward.  A *plan* removes both:
   with **zero** Tensor wrapping and **zero** fresh array allocation.
 - An :class:`Arena` owns every intermediate buffer.  Buffers are assigned
   by liveness (a slot whose last reader has run is recycled for the next
-  same-shape/dtype slot), generalizing the PR 5 im2col scratch cache into
-  a plan-owned pool that is reused across micro-batches.
+  slot of the same size and dtype), generalizing the PR 5 im2col scratch
+  cache into a plan-owned pool that is reused across micro-batches.  The
+  plan's *input* is not one of them: ops that read it are bound to the
+  caller's array on every ``run`` — nothing is staged.
+- One layout rule, shared with the eager no-grad forward
+  (:mod:`repro.nn.functional`): a 4-D feature map is stored
+  batch-innermost, ``(C, H, W, rows)`` C-contiguous, and handed between
+  ops as an NCHW-shaped view; 2-D matrices are row-major.  A conv's GEMM
+  result therefore *is* its output slot, nothing transposes between ops,
+  and ``Flatten`` is the one op that does.
 - :class:`PlanCache` keys plans on (rows, sample shape, dtype) with LRU
   eviction and ``nn.plan.*`` counters.  A batch with *fewer* rows than a
   captured plan (the ragged tail of ``iter_microbatches``, or the
   variable escalated-row count of an early-exit remote stage) runs
-  *padded* through the nearest larger plan instead of recapturing.
+  through the nearest larger plan instead of recapturing: every slot is
+  re-viewed over the contiguous *head* of its storage, so the run is the
+  same BLAS calls and the same memory walk as a plan captured at exactly
+  that row count.
 
 Kernels mirror the eager ops expression-for-expression (same NumPy ufunc
 sequence, same dtypes; conv is the very function no-grad ``F.conv2d``
@@ -48,7 +59,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn import modules as M
-from repro.nn.functional import _conv_output_size, conv_k_major
+from repro.nn.functional import (
+    _conv_output_size,
+    conv_k_major,
+    global_avg_pool_k_major,
+    pool_k_major,
+    pool_windows,
+    unfold_pairs,
+)
 from repro.nn.grad_mode import no_grad
 from repro.nn.tensor import Tensor
 from repro.runtime import get_runtime
@@ -66,16 +84,36 @@ class PlanError(RuntimeError):
 # Build-time slot bookkeeping
 # --------------------------------------------------------------------------
 
+#: slot id of the plan's input.  It has no arena storage: ops that read
+#: it are handed the caller's array on every run (``_PlanOp.set_input``).
+_INPUT = 0
+
+
 class _Slot:
-    """A logical buffer: shape + dtype, possibly aliasing another slot."""
+    """A logical buffer: batch-leading shape + dtype."""
 
-    __slots__ = ("shape", "dtype", "base", "exclusive")
+    __slots__ = ("shape", "dtype", "exclusive", "row_size", "size")
 
-    def __init__(self, shape, dtype, base=None, exclusive=False):
+    def __init__(self, shape, dtype, exclusive=False):
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
-        self.base = base          # root slot id when this is a reshape view
         self.exclusive = exclusive  # never recycled (holds persistent zeros)
+        self.row_size = int(np.prod(self.shape[1:], dtype=np.int64))
+        self.size = self.shape[0] * self.row_size
+
+    def head_view(self, flat: np.ndarray, rows: int) -> np.ndarray:
+        """The first ``rows`` batch rows, over the contiguous head of ``flat``.
+
+        A 4-D slot is a feature map: stored (C, H, W, rows), returned as
+        the NCHW-shaped view of that storage.  Anything else is row-major.
+        Never a ``[:rows]`` slice of the full-size array — a prefix run
+        walks exactly the memory a plan captured at ``rows`` rows would.
+        """
+        tail = self.shape[1:]
+        head = flat[:rows * self.row_size]
+        if len(tail) == 3:
+            return head.reshape(tail + (rows,)).transpose(3, 0, 1, 2)
+        return head.reshape((rows,) + tail)
 
 
 class _PlanBuilder:
@@ -88,21 +126,11 @@ class _PlanBuilder:
         self.flops = 0.0
         self.fallback_ops = 0
         self.watched: List[Tuple[object, str, np.ndarray]] = []
-        self.input_slot = self.new_slot((rows,) + tuple(sample_shape), dtype)
+        self.new_slot((rows,) + tuple(sample_shape), dtype)  # slot _INPUT
 
     def new_slot(self, shape, dtype, exclusive: bool = False) -> int:
         self.slots.append(_Slot(shape, dtype, exclusive=exclusive))
         return len(self.slots) - 1
-
-    def alias_slot(self, slot: int, shape) -> int:
-        """A reshape view over ``slot``'s storage (contiguous buffers only)."""
-        root = self.root(slot)
-        self.slots.append(_Slot(shape, self.slots[slot].dtype, base=root))
-        return len(self.slots) - 1
-
-    def root(self, slot: int) -> int:
-        base = self.slots[slot].base
-        return slot if base is None else base
 
     def add_op(self, op: "_PlanOp") -> None:
         self.ops.append(op)
@@ -131,80 +159,95 @@ class _PlanBuilder:
 
 
 class _PlanOp:
-    """One step of a plan.  Subclasses bind buffers once, then ``run``.
+    """One step of a plan.  Subclasses bind views, then ``run``.
 
-    ``reads``/``writes`` list slot ids for liveness analysis; ``bind``
-    receives the physical buffer per slot and stores direct references so
-    ``run`` does no indexing or allocation (lint rule PERF403 enforces the
-    no-allocation property on every ``run`` body in this module).
+    ``reads``/``writes`` list slot ids for liveness analysis.
 
-    ``rebind(rows)`` re-slices every working view to the first ``rows``
-    batch rows.  This is how a plan serves *smaller* batches (ragged
-    micro-batch tails, variable escalation counts) while staying
-    bit-identical to eager: each kernel executes on a C-contiguous row
-    prefix with exactly the shapes the eager path would see, so BLAS and
-    ufunc reduction orders match — zero-padding the batch instead would
-    let BLAS pick a different kernel for the larger M and drift by an ulp.
-    Rebinding creates views only, never buffers.
+    ``rebind(views)`` runs when the row count changes: ``views`` maps each
+    slot id to its :meth:`_Slot.head_view` at the new row count (and
+    ``_INPUT`` to the caller's array), and the op stores direct references
+    so ``run`` does no indexing, view building or allocation (lint rule
+    PERF403 enforces the no-allocation property on every ``run`` and
+    ``set_input`` body in this module).  This is how a plan serves
+    *smaller* batches (ragged micro-batch tails, variable escalation
+    counts) while staying bit-identical to eager: each kernel executes on
+    C-contiguous storage with exactly the shapes and strides the eager
+    path would see, so BLAS and ufunc reduction orders match —
+    zero-padding the batch instead would let BLAS pick a different kernel
+    for the larger M and drift by an ulp.  Rebinding creates views only,
+    never buffers; an op that reshapes one must get a view back (a silent
+    copy would detach it from the arena — ``tests/nn/test_plan.py`` checks
+    every held array).
+
+    ``set_input(x)`` is called before every run on the ops that read the
+    plan's input, with the caller's array: the input is read in place, so
+    this is the one place views are built per run (the array is new each
+    time: K·K sources of an unpadded conv or a pooling, 3-5 us).  A hot
+    path like ``run``: no copies, whatever layout the caller stored.  The
+    op holds ``x`` until the next run.
     """
 
     label = "op"
     reads: Tuple[int, ...] = ()
     writes: Tuple[int, ...] = ()
 
-    def bind(self, buffers: Dict[int, np.ndarray]) -> None:
-        # Default for single-input, single-output, batch-leading ops;
-        # multi-buffer ops (conv, pool, residual) override both methods.
-        self._x_full = buffers[self.reads[0]]
-        self._out_full = buffers[self.out_slot]
+    def rebind(self, views: Dict[int, np.ndarray]) -> None:
+        # Default for single-input, single-output ops.
+        self._out = views[self.out_slot]
+        self.set_input(views[self.reads[0]])
 
-    def rebind(self, rows: int) -> None:
-        self._x = self._x_full[:rows]
-        self._out = self._out_full[:rows]
+    def set_input(self, x: np.ndarray) -> None:
+        self._x = x
 
     def run(self) -> None:
         raise NotImplementedError
 
 
 class _CopyOp(_PlanOp):
-    """out[...] = in — materialize an alias or stage a sub-plan input."""
+    """out[...] = in — a pass-through plan's stable output, and ``Flatten``.
+
+    The output slot may have another shape of the same size (``Flatten``:
+    a row-major (N, C·H·W) matrix); it is then written through its view in
+    the input's shape — for a feature map the one transposing copy, which
+    is what eager ``reshape`` does to batch-innermost storage.
+    """
 
     label = "copy"
 
-    def __init__(self, src: int, dst: int):
-        self.reads = (src,)
-        self.writes = (dst,)
+    def __init__(self, builder: _PlanBuilder, in_slot: int, out_shape=None):
+        slot = builder.slots[in_slot]
+        self._in_tail = slot.shape[1:]
+        self.out_slot = builder.new_slot(out_shape or slot.shape, slot.dtype)
+        self.reads = (in_slot,)
+        self.writes = (self.out_slot,)
 
-    def bind(self, buffers):
-        self._src_full = buffers[self.reads[0]]
-        self._dst_full = buffers[self.writes[0]]
-
-    def rebind(self, rows):
-        self._src = self._src_full[:rows]
-        self._dst = self._dst_full[:rows]
+    def rebind(self, views):
+        out = views[self.out_slot]
+        self._out = out.reshape(out.shape[:1] + self._in_tail)
+        self.set_input(views[self.reads[0]])
 
     def run(self):
-        self._dst[...] = self._src
+        self._out[...] = self._x
 
 
 class _ConvOp(_PlanOp):
     """Conv2d: ``functional.conv_k_major`` over arena buffers.
 
-    Slots: optional padded input (exclusive: the zero border is written
-    once at materialize time and never recycled), flat storage for the
-    K-major column matrix (C·K·K · N·H'·W') and for the channel-major
-    GEMM result (F · N·H'·W'), and the (N, F, H', W') output.
+    Slots: optional padded input (exclusive, never recycled: only its
+    interior is written per run), the K-major column matrix
+    (C·K·K · H'·W'·N) and the (N, F, H', W') output — whose batch-innermost
+    storage is the (F, H'·W'·N) GEMM result itself, so bias and a directly
+    following ``ReLU`` (``relu``, set by :func:`_build_relu`) are applied
+    in place and nothing is written back.
 
-    An ``r``-row run views its column and result matrices over the
-    contiguous *head* of that storage — (C·K·K, r·H'·W') and
-    (F, r·H'·W'), C-contiguous, never column slices of the full-size
-    matrices — so BLAS gets exactly the operands no-grad ``F.conv2d``
-    hands it at ``r`` rows, and a plan captured at ``r`` rows would bind:
-    every prefix length is bit-identical to both by construction, at the
-    same cost.  The last pass writes the result back to NCHW (a block
-    transpose: per-sample H'·W' planes move as contiguous runs) and
-    applies a directly following ``ReLU`` on the way (``relu``, set by
-    :func:`_build_relu`): one slot and one sweep fewer.
+    An ``r``-row run views all three over the contiguous *head* of their
+    storage, so BLAS gets exactly the operands no-grad ``F.conv2d`` hands
+    it at ``r`` rows, and a plan captured at ``r`` rows would bind: every
+    prefix length is bit-identical to both by construction, at the same
+    cost.  Re-viewing moves the padded buffer's border, so ``rebind``
+    re-zeroes it (four thin slices, 6-30 us; a strided ``[..., :r]``
+    prefix would keep the zeros in place but doubles the interior copy
+    and costs the unfold 4x at 4 of 16 rows — on every run).
     """
 
     label = "conv2d"
@@ -229,54 +272,46 @@ class _ConvOp(_PlanOp):
         if padding > 0:
             self._pad_slot = builder.new_slot(
                 (n, c, h + 2 * padding, w + 2 * padding), dtype, exclusive=True)
-        cols_slot = builder.new_slot((c * k * k * n * out_h * out_w,), dtype)
-        gemm_slot = builder.new_slot((f * n * out_h * out_w,), dtype)
+        self._cols_slot = builder.new_slot((n, c * k * k * out_h * out_w), dtype)
         self.out_slot = builder.new_slot((n, f, out_h, out_w), dtype)
         self.reads = (in_slot,)
-        scratch = (cols_slot, gemm_slot)
+        self.writes = (self._cols_slot, self.out_slot)
         if self._pad_slot is not None:
-            scratch = (self._pad_slot,) + scratch
-        self.writes = scratch + (self.out_slot,)
-        self._slots = (in_slot, cols_slot, gemm_slot, self.out_slot)
+            self.writes = (self._pad_slot,) + self.writes
         builder.flops += 2.0 * n * f * out_h * out_w * c * k * k
 
-    def bind(self, buffers):
-        in_slot, cols_slot, gemm_slot, out_slot = self._slots
-        self._x_full = buffers[in_slot]
-        self._pad_full = (buffers[self._pad_slot]
-                          if self._pad_slot is not None else None)
-        self._cols_flat = buffers[cols_slot]
-        self._gemm_flat = buffers[gemm_slot]
-        self._out_full = buffers[out_slot]
-
-    def rebind(self, rows):
+    def rebind(self, views):
         _, c, _, _, f, out_h, out_w = self.geometry
-        k = self.kernel
-        positions = rows * out_h * out_w
-        self._cols_t = self._cols_flat[:c * k * k * positions].reshape(
-            c, k, k, rows, out_h, out_w)
-        self._gemm = self._gemm_flat[:f * positions].reshape(f, positions)
-        self._gemm_nchw = self._gemm.reshape(
-            f, rows, out_h, out_w).transpose(1, 0, 2, 3)
-        self._out = self._out_full[:rows]
-        x = self._x_full[:rows]
-        if self._pad_full is not None:
-            p = self.padding
-            padded = self._pad_full[:rows]
-            self._pad_src = x
+        k, p = self.kernel, self.padding
+        out = views[self.out_slot]
+        rows = out.shape[0]
+        self._gemm = out.transpose(1, 2, 3, 0).reshape(f, out_h * out_w * rows)
+        self._cols = views[self._cols_slot].reshape(
+            c * k * k, out_h * out_w * rows)
+        self._cols_t = self._cols.reshape(c, k, k, out_h, out_w, rows)
+        if self._pad_slot is not None:
+            padded = views[self._pad_slot]
             self._pad_interior = padded[:, :, p:-p, p:-p]
-            x = padded
-        self._x_t = x.transpose(1, 0, 2, 3)
+            x_t = padded.transpose(1, 2, 3, 0)
+            x_t[:, :p] = 0
+            x_t[:, -p:] = 0
+            x_t[:, :, :p] = 0
+            x_t[:, :, -p:] = 0
+            self._pairs = unfold_pairs(x_t, self._cols_t, self.stride)
+        self.set_input(views[self.reads[0]])
+
+    def set_input(self, x):
+        if self._pad_slot is not None:
+            self._pad_src = x
+        else:
+            self._pairs = unfold_pairs(
+                x.transpose(1, 2, 3, 0), self._cols_t, self.stride)
 
     def run(self):
-        if self._pad_full is not None:
+        if self._pad_slot is not None:
             self._pad_interior[...] = self._pad_src
-        conv_k_major(self._x_t, self._cols_t, self._w_flat, self._bias_col,
-                     self._gemm, self.stride)
-        if self.relu:
-            np.maximum(self._gemm_nchw, 0, out=self._out)
-        else:
-            self._out[...] = self._gemm_nchw
+        conv_k_major(self._pairs, self._cols, self._w_flat, self._bias_col,
+                     self._gemm, self.relu)
 
 
 class _LinearOp(_PlanOp):
@@ -333,10 +368,7 @@ class _BatchNormOp(_PlanOp):
         self.out_slot = builder.new_slot(in_shape, dtype)
         self.reads = (in_slot,)
         self.writes = (self.out_slot,)
-        numel = 1
-        for dim in in_shape:
-            numel *= dim
-        builder.flops += 4.0 * numel
+        builder.flops += 4.0 * builder.slots[in_slot].size
 
     def run(self):
         out = self._out
@@ -346,51 +378,42 @@ class _BatchNormOp(_PlanOp):
         out += self._beta
 
 
-class _ReluOp(_PlanOp):
-    label = "relu"
+class _ElementwiseOp(_PlanOp):
+    """A unary op whose output slot has the input's shape and dtype."""
 
     def __init__(self, builder: _PlanBuilder, in_slot: int):
-        shape = builder.slots[in_slot].shape
-        self.out_slot = builder.new_slot(shape, builder.slots[in_slot].dtype)
+        slot = builder.slots[in_slot]
+        self.out_slot = builder.new_slot(slot.shape, slot.dtype)
         self.reads = (in_slot,)
         self.writes = (self.out_slot,)
-        numel = 1
-        for dim in shape:
-            numel *= dim
-        builder.flops += float(numel)
+        builder.flops += slot.size
+
+
+class _ReluOp(_ElementwiseOp):
+    label = "relu"
 
     def run(self):
         # Tensor.relu's forward expression, written into the arena.
         np.maximum(self._x, 0, out=self._out)
 
 
-class _LeakyReluOp(_PlanOp):
+class _LeakyReluOp(_ElementwiseOp):
     label = "leaky_relu"
 
     def __init__(self, builder: _PlanBuilder, slope: float, in_slot: int):
-        shape = builder.slots[in_slot].shape
-        dtype = builder.slots[in_slot].dtype
+        super().__init__(builder, in_slot)
+        slot = builder.slots[in_slot]
         # Tensor.leaky_relu multiplies by where(x > 0, 1, slope) cast to
         # the input dtype; x * 1 is x, so scaling everything by the cast
         # slope and copying the positive entries back is the same values
         # without the per-run scale array.  The mask is a bound slot.
-        self._slope = np.asarray(slope, dtype=dtype)
-        self._mask_slot = builder.new_slot(shape, np.bool_)
-        self.out_slot = builder.new_slot(shape, dtype)
-        self.reads = (in_slot,)
+        self._slope = np.asarray(slope, dtype=slot.dtype)
+        self._mask_slot = builder.new_slot(slot.shape, np.bool_)
         self.writes = (self._mask_slot, self.out_slot)
-        numel = 1
-        for dim in shape:
-            numel *= dim
-        builder.flops += float(numel)
 
-    def bind(self, buffers):
-        super().bind(buffers)
-        self._mask_full = buffers[self._mask_slot]
-
-    def rebind(self, rows):
-        super().rebind(rows)
-        self._mask = self._mask_full[:rows]
+    def rebind(self, views):
+        super().rebind(views)
+        self._mask = views[self._mask_slot]
 
     def run(self):
         np.greater(self._x, 0, out=self._mask)
@@ -398,35 +421,15 @@ class _LeakyReluOp(_PlanOp):
         np.copyto(self._out, self._x, where=self._mask)
 
 
-class _TanhOp(_PlanOp):
+class _TanhOp(_ElementwiseOp):
     label = "tanh"
-
-    def __init__(self, builder: _PlanBuilder, in_slot: int):
-        shape = builder.slots[in_slot].shape
-        self.out_slot = builder.new_slot(shape, builder.slots[in_slot].dtype)
-        self.reads = (in_slot,)
-        self.writes = (self.out_slot,)
-        numel = 1
-        for dim in shape:
-            numel *= dim
-        builder.flops += float(numel)
 
     def run(self):
         np.tanh(self._x, out=self._out)
 
 
-class _SigmoidOp(_PlanOp):
+class _SigmoidOp(_ElementwiseOp):
     label = "sigmoid"
-
-    def __init__(self, builder: _PlanBuilder, in_slot: int):
-        shape = builder.slots[in_slot].shape
-        self.out_slot = builder.new_slot(shape, builder.slots[in_slot].dtype)
-        self.reads = (in_slot,)
-        self.writes = (self.out_slot,)
-        numel = 1
-        for dim in shape:
-            numel *= dim
-        builder.flops += float(numel)
 
     def run(self):
         # Mirrors Tensor.sigmoid: 1 / (1 + exp(-clip(x, -60, 60))).
@@ -439,7 +442,7 @@ class _SigmoidOp(_PlanOp):
 
 
 class _PoolOp(_PlanOp):
-    """Max/avg pooling via the same (N*C, 1, H, W) unfold as the eager op."""
+    """Max/avg pooling: ``functional.pool_k_major`` straight into the arena."""
 
     def __init__(self, builder: _PlanBuilder, kind: str, kernel: int,
                  stride: Optional[int], in_slot: int):
@@ -447,79 +450,68 @@ class _PoolOp(_PlanOp):
         stride = kernel if stride is None else stride
         out_h = _conv_output_size(h, kernel, stride, 0)
         out_w = _conv_output_size(w, kernel, stride, 0)
-        dtype = builder.slots[in_slot].dtype
         self.kind = kind
         self.label = f"{kind}_pool"
         self.kernel, self.stride = kernel, stride
-        self.geometry = (n, c, h, w, out_h, out_w)
-        rows = n * c * out_h * out_w
-        cols_slot = builder.new_slot((n * c, 1, kernel, kernel, out_h, out_w), dtype)
-        flat_slot = builder.new_slot((rows, kernel * kernel), dtype)
-        self.out_slot = builder.new_slot((n, c, out_h, out_w), dtype)
+        self.out_slot = builder.new_slot((n, c, out_h, out_w),
+                                         builder.slots[in_slot].dtype)
         self.reads = (in_slot,)
-        self.writes = (cols_slot, flat_slot, self.out_slot)
-        self._slots = (in_slot, cols_slot, flat_slot, self.out_slot)
-        self._arange = np.arange(rows) if kind == "max" else None
-        self._argmax = np.empty(rows, dtype=np.intp) if kind == "max" else None
+        self.writes = (self.out_slot,)
         builder.flops += float(c * out_h * out_w * kernel * kernel) * n
 
-    def bind(self, buffers):
-        in_slot, cols_slot, flat_slot, out_slot = self._slots
-        n, c, h, w, _, _ = self.geometry
-        self._x_full = buffers[in_slot].reshape(n * c, 1, h, w)
-        self._cols_full = buffers[cols_slot]
-        self._flat_full = buffers[flat_slot]
-        self._out_full = buffers[out_slot]
-
-    def rebind(self, rows):
-        _, c, _, _, out_h, out_w = self.geometry
-        k = self.kernel
-        self._x = self._x_full[:rows * c]
-        self._cols = self._cols_full[:rows * c]
-        flat_rows = rows * c * out_h * out_w
-        self._flat = self._flat_full[:flat_rows]
-        self._flat_view = self._flat.reshape(rows * c, out_h, out_w, 1, k, k)
-        self._out_flat = self._out_full[:rows].reshape(flat_rows)
-        if self.kind == "max":
-            self._arange_r = self._arange[:flat_rows]
-            self._argmax_r = self._argmax[:flat_rows]
+    def set_input(self, x):
+        self._windows = pool_windows(x, self._out, self.kernel, self.stride)
 
     def run(self):
-        _, _, _, _, out_h, out_w = self.geometry
-        k, stride = self.kernel, self.stride
-        cols = self._cols
-        x = self._x
-        for ky in range(k):
-            y_end = ky + stride * out_h
-            for kx in range(k):
-                x_end = kx + stride * out_w
-                cols[:, :, ky, kx, :, :] = x[:, :, ky:y_end:stride, kx:x_end:stride]
-        self._flat_view[...] = cols.transpose(0, 4, 5, 1, 2, 3)
-        if self.kind == "max":
-            np.argmax(self._flat, axis=1, out=self._argmax_r)
-            self._out_flat[...] = self._flat[self._arange_r, self._argmax_r]
-        else:
-            np.mean(self._flat, axis=1, out=self._out_flat)
+        pool_k_major(self._windows, self._out, self.kind)
 
 
 class _GlobalAvgPoolOp(_PlanOp):
+    """``functional.global_avg_pool_k_major`` into a bound (C, N) scratch.
+
+    The kernel reduces batch-innermost storage.  Every arena slot is, the
+    plan's input need not be: a pooling that reads it binds a staging slot
+    too, and ``run`` copies an input stored any other way there (eager
+    ``spatial_rows`` allocates for that) — what one stage hands the next
+    is read in place.
+    """
+
     label = "global_avg_pool"
 
     def __init__(self, builder: _PlanBuilder, in_slot: int):
         n, c, h, w = builder.slots[in_slot].shape
         dtype = builder.slots[in_slot].dtype
-        # Tensor.mean is sum * (1 / count) with the scalar cast to the
-        # tensor dtype; replicate exactly rather than calling np.mean,
-        # which divides by the count and can round differently.
         self._scale = np.asarray(1.0 / (h * w), dtype=dtype)
+        self._ones = np.ones((1, h * w), dtype=dtype)
+        self._sums_slot = builder.new_slot((n, c), dtype)
         self.out_slot = builder.new_slot((n, c), dtype)
         self.reads = (in_slot,)
-        self.writes = (self.out_slot,)
+        self.writes = (self._sums_slot, self.out_slot)
+        self._stage_slot = None
+        if in_slot == _INPUT:
+            self._stage_slot = builder.new_slot((n, c, h, w), dtype)
+            self.writes += (self._stage_slot,)
         builder.flops += float(n * c * h * w)
 
+    def rebind(self, views):
+        rows, c = views[self._sums_slot].shape
+        self._sums = views[self._sums_slot].reshape(c, 1, rows)
+        self._staged = views.get(self._stage_slot)
+        super().rebind(views)
+
+    def set_input(self, x):
+        x_t = x.transpose(1, 2, 3, 0)
+        self._stage_src = None
+        if not x_t.flags["C_CONTIGUOUS"]:
+            self._stage_src, x_t = x, self._staged.transpose(1, 2, 3, 0)
+        c, h, w, rows = x_t.shape
+        self._x_t = x_t.reshape(c, h * w, rows)
+
     def run(self):
-        np.sum(self._x, axis=(2, 3), out=self._out)
-        self._out *= self._scale
+        if self._stage_src is not None:
+            np.copyto(self._staged, self._stage_src)
+        global_avg_pool_k_major(self._x_t, self._ones, self._sums, self._out,
+                                self._scale)
 
 
 class _AddReluOp(_PlanOp):
@@ -539,20 +531,18 @@ class _AddReluOp(_PlanOp):
         self.out_slot = builder.new_slot(shape, dtype)
         self.reads = (a_slot, b_slot)
         self.writes = (self.out_slot,)
-        numel = 1
-        for dim in shape:
-            numel *= dim
-        builder.flops += float(numel) * (2.0 if relu else 1.0)
+        builder.flops += builder.slots[a_slot].size * (2.0 if relu else 1.0)
 
-    def bind(self, buffers):
-        self._a_full = buffers[self.reads[0]]
-        self._b_full = buffers[self.reads[1]]
-        self._out_full = buffers[self.out_slot]
+    def rebind(self, views):
+        self._a = views[self.reads[0]]
+        self._b = views[self.reads[1]]
+        self._out = views[self.out_slot]
 
-    def rebind(self, rows):
-        self._a = self._a_full[:rows]
-        self._b = self._b_full[:rows]
-        self._out = self._out_full[:rows]
+    def set_input(self, x):
+        if self.reads[0] == _INPUT:
+            self._a = x
+        if self.reads[1] == _INPUT:
+            self._b = x
 
     def run(self):
         out = self._out
@@ -564,8 +554,10 @@ class _AddReluOp(_PlanOp):
 class _PadChannelsOp(_PlanOp):
     """Zero-pad channels (the widened maxpool shortcut).
 
-    The output buffer is exclusive: the zero channels are written once at
-    materialize time, only the live channels are copied per run.
+    The output buffer is exclusive: only the live channels are copied per
+    run.  They are the head of its batch-innermost storage and the zero
+    channels the tail, which moves with the row count — ``rebind``
+    re-zeroes it.
     """
 
     label = "pad_channels"
@@ -579,12 +571,14 @@ class _PadChannelsOp(_PlanOp):
         self.reads = (in_slot,)
         self.writes = (self.out_slot,)
 
-    def rebind(self, rows):
-        self._x = self._x_full[:rows]
-        self._out_head = self._out_full[:rows, :self._in_channels]
+    def rebind(self, views):
+        out = views[self.out_slot]
+        out[:, self._in_channels:] = 0
+        self._out = out[:, :self._in_channels]
+        self.set_input(views[self.reads[0]])
 
     def run(self):
-        self._out_head[...] = self._x
+        self._out[...] = self._x
 
 
 class _EagerOp(_PlanOp):
@@ -600,17 +594,8 @@ class _EagerOp(_PlanOp):
 
     def __init__(self, builder: _PlanBuilder, module: M.Module, in_slot: int):
         self._module = module
-        in_shape = builder.slots[in_slot].shape
-        dtype = builder.slots[in_slot].dtype
-        probe = np.zeros(in_shape, dtype=dtype)  # repro: noqa[PERF403]
-        with no_grad():
-            was_training = [(m, m.training) for m in module.modules()]
-            module.eval()
-            try:
-                out = module(Tensor(probe))
-            finally:
-                for sub, training in was_training:
-                    sub.training = training
+        slot = builder.slots[in_slot]
+        out = self._forward(np.zeros(slot.shape, dtype=slot.dtype))
         if not isinstance(out, Tensor):
             raise PlanError(
                 f"cannot plan {type(module).__name__}: forward returned "
@@ -622,16 +607,20 @@ class _EagerOp(_PlanOp):
         self.writes = (self.out_slot,)
         builder.fallback_ops += 1
 
-    def run(self):
+    def _forward(self, data: np.ndarray):
+        """The module's eval-mode, grad-off forward; modes restored after."""
         module = self._module
         with no_grad():
             was_training = [(m, m.training) for m in module.modules()]
             module.eval()
             try:
-                self._out[...] = module(Tensor(self._x)).data
+                return module(Tensor(data))
             finally:
                 for sub, training in was_training:
                     sub.training = training
+
+    def run(self):
+        self._out[...] = self._forward(self._x).data
 
 
 # --------------------------------------------------------------------------
@@ -668,9 +657,7 @@ def _build(builder: _PlanBuilder, module: M.Module, in_slot: int) -> int:
     fn = _builder_for(module)
     if fn is not None:
         return fn(builder, module, in_slot)
-    op = _EagerOp(builder, module, in_slot)
-    builder.add_op(op)
-    return op.out_slot
+    return _build_simple(builder, _EagerOp(builder, module, in_slot))
 
 
 def _build_simple(builder, op):
@@ -678,13 +665,8 @@ def _build_simple(builder, op):
     return op.out_slot
 
 
-@plan_builder(M.Identity)
+@plan_builder(M.Identity, M.Dropout)
 def _build_identity(builder, module, in_slot):
-    return in_slot
-
-
-@plan_builder(M.Dropout)
-def _build_dropout(builder, module, in_slot):
     # Plans encode eval semantics; eval-mode dropout is the identity.
     return in_slot
 
@@ -718,15 +700,15 @@ def _build_relu(builder, module, in_slot):
 
     When the last op emitted is the conv producing ``in_slot`` (fusion
     leaves ``Identity`` where the BatchNorm was, so conv -> bn -> relu
-    arrives here this way), that conv's write-back pass applies the ReLU
-    and the slot keeps its id — so a builder must not hand over a slot
-    it also reads pre-activation.
+    arrives here this way), that conv applies the ReLU in place on its
+    result and the slot keeps its id — so a builder must not hand over a
+    slot it also reads pre-activation.
     """
     last = builder.ops[-1] if builder.ops else None
     if (isinstance(last, _ConvOp) and last.out_slot == in_slot
             and not last.relu):
         last.relu = True
-        builder.flops += float(np.prod(builder.slots[in_slot].shape))
+        builder.flops += builder.slots[in_slot].size
         return in_slot
     return _build_simple(builder, _ReluOp(builder, in_slot))
 
@@ -749,23 +731,18 @@ def _build_sigmoid(builder, module, in_slot):
 
 @plan_builder(M.Flatten)
 def _build_flatten(builder, module, in_slot):
-    shape = builder.slots[in_slot].shape
-    flattened = 1
-    for dim in shape[1:]:
-        flattened *= dim
-    return builder.alias_slot(in_slot, (shape[0], flattened))
+    slot = builder.slots[in_slot]
+    if len(slot.shape) == 2:
+        return in_slot
+    return _build_simple(builder, _CopyOp(
+        builder, in_slot, (slot.shape[0], slot.row_size)))
 
 
-@plan_builder(M.MaxPool2d)
-def _build_max_pool(builder, module, in_slot):
+@plan_builder(M.MaxPool2d, M.AvgPool2d)
+def _build_pool(builder, module, in_slot):
+    kind = "max" if isinstance(module, M.MaxPool2d) else "avg"
     return _build_simple(builder, _PoolOp(
-        builder, "max", module.kernel_size, module.stride, in_slot))
-
-
-@plan_builder(M.AvgPool2d)
-def _build_avg_pool(builder, module, in_slot):
-    return _build_simple(builder, _PoolOp(
-        builder, "avg", module.kernel_size, module.stride, in_slot))
+        builder, kind, module.kernel_size, module.stride, in_slot))
 
 
 @plan_builder(M.GlobalAvgPool2d)
@@ -820,69 +797,76 @@ _register_model_builders()
 class Arena:
     """Physical buffers for a plan, recycled by slot liveness.
 
-    Two logical slots share storage when the earlier one's last reader has
+    Every buffer is flat; ops see :meth:`_Slot.head_view` views of it.  Two
+    logical slots share storage when the earlier one's last reader has
     already run by the time the later one is written — the plan-level
     generalization of the PR 5 im2col scratch pair.  Exclusive slots
     (padded conv inputs, channel-padded shortcuts) opt out: their zero
-    regions are written once here and must survive every run.
+    regions are written at rebind and must survive every run.  The plan's
+    input slot gets no buffer at all (it is read in place).
     """
 
     def __init__(self, slots: List[_Slot], ops: List[_PlanOp],
-                 input_slot: int, output_slot: int):
-        root = {i: (s.base if s.base is not None else i)
-                for i, s in enumerate(slots)}
-        # first_def/last_use per root slot, in op index space; the input
-        # buffer is written before op 0 and the output is read after the
-        # last op, so neither ever re-enters the free pool mid-plan.
-        last_use: Dict[int, int] = {root[input_slot]: len(ops)}
-        first_def: Dict[int, int] = {root[input_slot]: -1}
+                 output_slot: int):
+        # first_def/last_use per stored slot, in op index space; the
+        # output is read after the last op, so it never re-enters the
+        # free pool.
+        last_use: Dict[int, int] = {}
+        first_def: Dict[int, int] = {}
         for index, op in enumerate(ops):
             for slot in op.reads + op.writes:
-                r = root[slot]
-                last_use[r] = index
-                first_def.setdefault(r, index)
-        last_use[root[output_slot]] = len(ops)
+                if slot != _INPUT:
+                    last_use[slot] = index
+                    first_def.setdefault(slot, index)
+        last_use[output_slot] = len(ops)
 
         defs_at: Dict[int, List[int]] = {}
-        for r, index in first_def.items():
-            defs_at.setdefault(index, []).append(r)
+        for slot, index in first_def.items():
+            defs_at.setdefault(index, []).append(slot)
         frees_at: Dict[int, List[int]] = {}
-        for r, index in last_use.items():
-            if not slots[r].exclusive and index < len(ops):
-                frees_at.setdefault(index, []).append(r)
-
-        physical: Dict[int, np.ndarray] = {}
-        free: Dict[Tuple[Tuple[int, ...], np.dtype], List[np.ndarray]] = {}
-        reused = 0
-        for index in range(-1, len(ops)):
-            for r in defs_at.get(index, ()):
-                slot = slots[r]
-                pool = free.get((slot.shape, slot.dtype))
-                if pool and not slot.exclusive:
-                    physical[r] = pool.pop()
-                    reused += 1
-                else:
-                    buf = np.empty(slot.shape, dtype=slot.dtype)
-                    if slot.exclusive:
-                        buf.fill(0)
-                    physical[r] = buf
-            # A slot last touched by op ``index`` is dead once that op has
-            # run: its storage is available to any slot defined later.
-            for r in frees_at.get(index, ()):
-                slot = slots[r]
-                free.setdefault((slot.shape, slot.dtype),
-                                []).append(physical[r])
+        for slot, index in last_use.items():
+            if not slots[slot].exclusive and index < len(ops):
+                frees_at.setdefault(index, []).append(slot)
 
         self.buffers: Dict[int, np.ndarray] = {}
-        for i, slot in enumerate(slots):
-            base = physical[root[i]]
-            self.buffers[i] = (base if slot.base is None
-                               else base.reshape(slot.shape))
+        free: Dict[Tuple[int, np.dtype], List[np.ndarray]] = {}
+        reused = 0
+        for index in range(len(ops)):
+            for slot_id in defs_at.get(index, ()):
+                slot = slots[slot_id]
+                pool = free.get((slot.size, slot.dtype))
+                if pool and not slot.exclusive:
+                    self.buffers[slot_id] = pool.pop()
+                    reused += 1
+                else:
+                    self.buffers[slot_id] = np.empty(slot.size, slot.dtype)
+            # A slot last touched by op ``index`` is dead once that op has
+            # run: its storage is available to any slot defined later.
+            for slot_id in frees_at.get(index, ()):
+                buf = self.buffers[slot_id]
+                free.setdefault((buf.size, buf.dtype), []).append(buf)
+
         self.slots = slots
         self.reused_slots = reused
-        unique = {id(b): b for b in physical.values()}
-        self.num_buffers = len(unique)
-        self.total_bytes = sum(b.nbytes for b in unique.values())
+        self._owned = {id(b): b for b in self.buffers.values()}
+        self.num_buffers = len(self._owned)
+        self.total_bytes = sum(b.nbytes for b in self._owned.values())
+
+    def views(self, rows: int) -> Dict[int, np.ndarray]:
+        """Every slot's first ``rows`` rows, over the head of its buffer."""
+        return {slot_id: self.slots[slot_id].head_view(buf, rows)
+                for slot_id, buf in self.buffers.items()}
+
+    def foreign(self, array: np.ndarray) -> np.ndarray:
+        """``array`` — or, if it views one of this arena's buffers, a copy.
+
+        The copy keeps the memory order (``order="K"``): C order would
+        transpose a batch-innermost feature map.
+        """
+        owner = array if array.base is None else array.base
+        if id(owner) in self._owned:
+            return array.copy(order="K")
+        return array
 
 
 # --------------------------------------------------------------------------
@@ -894,15 +878,16 @@ class InferencePlan:
 
     Created by :func:`capture_plan`; executed with :meth:`run`.  The
     returned array is a **view into the arena** — it is overwritten by the
-    next ``run``, so callers that keep it must copy (exactly the contract
-    of the im2col scratch cache).
+    next ``run``, so callers that keep it must copy (``order="K"``: a
+    feature map is stored batch-innermost, and a default C-order copy
+    would transpose it).
     """
 
     def __init__(self, module: M.Module, builder: _PlanBuilder,
                  output_slot: int, label: str):
         self.rows = builder.rows
-        self.sample_shape = builder.slots[builder.input_slot].shape[1:]
-        self.dtype = builder.slots[builder.input_slot].dtype
+        self.sample_shape = builder.slots[_INPUT].shape[1:]
+        self.dtype = builder.slots[_INPUT].dtype
         self.label = label
         self.flops = builder.flops
         self.fallback_ops = builder.fallback_ops
@@ -910,16 +895,13 @@ class InferencePlan:
         self.max_validation_error = 0.0
         self.bit_exact: Optional[bool] = None
         self._ops = builder.ops
+        self._input_ops = [op for op in builder.ops if _INPUT in op.reads]
         self._watched = builder.watched
-        self.arena = Arena(builder.slots, builder.ops,
-                           builder.input_slot, output_slot)
-        for op in self._ops:
-            op.bind(self.arena.buffers)
-            op.rebind(self.rows)
-        self._bound_rows = self.rows
-        self._input = self.arena.buffers[builder.input_slot]
-        self._output = self.arena.buffers[output_slot]
-        self.output_shape = self._output.shape
+        self.arena = Arena(builder.slots, builder.ops, output_slot)
+        self._output_slot = output_slot
+        self.output_shape = builder.slots[output_slot].shape
+        self._bound_rows: Optional[int] = None  # views are built on first run
+        self._output: Optional[np.ndarray] = None
 
     @property
     def flops_per_item(self) -> float:
@@ -933,15 +915,29 @@ class InferencePlan:
                     f"{attr} was replaced after capture (retraining, astype, "
                     "or load_state_dict); clear the plan cache and recapture")
 
+    def _rebind(self, data: np.ndarray) -> None:
+        rows = data.shape[0]
+        views = self.arena.views(rows)
+        self._output = views[self._output_slot]
+        views[_INPUT] = data
+        for op in self._ops:
+            op.rebind(views)
+        self._bound_rows = rows
+
     def run(self, data: np.ndarray) -> np.ndarray:
         """Execute the plan; returns a (rows, ...) view into the arena.
 
-        ``data`` may have *fewer* rows than the plan was captured with —
-        every op re-binds to a row-prefix slice of its buffers, so ragged
+        ``data`` is read in place — never copied into the arena — and may
+        have *fewer* rows than the plan was captured with: every op
+        re-binds to the contiguous head of its buffers, so ragged
         micro-batches and variable escalation counts reuse the plan's
-        arena while each kernel still sees exactly the eager shapes
-        (which keeps even padded runs bit-identical to eager; see
-        :class:`_PlanOp`).
+        arena while each kernel still sees exactly the eager shapes and
+        strides (which keeps prefix runs bit-identical to eager; see
+        :class:`_PlanOp`).  The one input a plan cannot read in place is
+        its own arena (``plan.run(plan.run(x))``: an op would overwrite
+        what a later op still reads), so that is detached first.  Like
+        the output, ``data`` stays referenced by the plan until the next
+        ``run`` replaces it.
         """
         rows = data.shape[0]
         if rows > self.rows:
@@ -953,17 +949,16 @@ class InferencePlan:
                 f"plan '{self.label}' expects {self.sample_shape} "
                 f"{self.dtype} samples, got {data.shape[1:]} {data.dtype}")
         self._check_weights()
+        data = self.arena.foreign(data)
         with no_grad():
             if rows != self._bound_rows:
-                for op in self._ops:
-                    op.rebind(rows)
-                self._bound_rows = rows
-            self._input[:rows] = data
+                self._rebind(data)
+            else:
+                for op in self._input_ops:
+                    op.set_input(data)
             for op in self._ops:
                 op.run()
-        if rows == self.rows:
-            return self._output
-        return self._output[:rows]
+        return self._output
 
     def __repr__(self):
         return (f"InferencePlan({self.label!r}, rows={self.rows}, "
@@ -993,13 +988,11 @@ def capture_plan(module: M.Module, example: np.ndarray, *,
         raise PlanError(f"plans cover float inputs, got {example.dtype}")
     label = label or type(module).__name__
     builder = _PlanBuilder(example.shape[0], example.shape[1:], example.dtype)
-    output_slot = _build(builder, module, builder.input_slot)
-    if output_slot == builder.input_slot:
-        # A pure pass-through (Identity chains): copy so run() returns a
-        # stable output buffer rather than the input staging buffer.
-        output_slot = builder.new_slot(builder.slots[builder.input_slot].shape,
-                                       builder.slots[builder.input_slot].dtype)
-        builder.add_op(_CopyOp(builder.input_slot, output_slot))
+    output_slot = _build(builder, module, _INPUT)
+    if output_slot == _INPUT:
+        # A pure pass-through (Identity chains): copy so run() returns an
+        # arena buffer rather than the caller's own array.
+        output_slot = _build_simple(builder, _CopyOp(builder, _INPUT))
     plan = InferencePlan(module, builder, output_slot, label)
     if validate:
         from repro.nn.inference import eval_mode

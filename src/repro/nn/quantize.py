@@ -168,13 +168,10 @@ class _FakeQuantOp(plan_mod._PlanOp):
         self.out_slot = builder.new_slot(shape, builder.slots[in_slot].dtype)
         self.reads = (in_slot,)
         self.writes = (self.out_slot,)
-        numel = 1
-        for dim in shape:
-            numel *= dim
-        builder.flops += 4.0 * numel
+        builder.flops += 4.0 * builder.slots[in_slot].size
 
     def run(self):
-        # bind/rebind: inherited single-input default (batch-leading).
+        # rebind/set_input: inherited single-input default.
         out = self._out
         np.divide(self._x, self._scale, out=out)
         np.round(out, out=out)

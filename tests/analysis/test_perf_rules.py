@@ -293,6 +293,53 @@ class TestPlanHotPathAllocation:
         """)
         assert rule_ids(findings) == ["PERF403"]
 
+    def test_ascontiguousarray_flagged(self):
+        findings = check("""
+            import numpy as np
+
+            class GlobalAvgPoolOp:
+                def run(self):
+                    np.sum(np.ascontiguousarray(self._x), axis=(2, 3),
+                           out=self._out)
+        """)
+        assert rule_ids(findings) == ["PERF403"]
+
+    def test_set_input_is_a_hot_path_too(self):
+        # Called before every run on the ops that read the plan's input.
+        findings = check("""
+            import numpy as np
+
+            class GlobalAvgPoolOp:
+                def set_input(self, x):
+                    self._x_t = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+                def rebind(self, views):
+                    self._mask = np.empty(views[1].shape, dtype=bool)
+        """)
+        assert rule_ids(findings) == ["PERF403"]
+
+    def test_take_and_compress_without_out_flagged(self):
+        findings = check("""
+            import numpy as np
+
+            class GatherOp:
+                def run(self):
+                    self._rows = np.take(self._x, self._index, axis=-1)
+                    self._kept = np.compress(self._mask, self._x, axis=0)
+        """)
+        assert rule_ids(findings) == ["PERF403", "PERF403"]
+
+    def test_take_into_bound_buffer_clean(self):
+        findings = check("""
+            import numpy as np
+
+            class GatherOp:
+                def run(self):
+                    np.take(self._x, self._index, axis=-1, out=self._rows)
+                    np.compress(self._mask, self._x, axis=0, out=self._kept)
+        """)
+        assert findings == []
+
     def test_scalar_test_and_bound_mask_clean(self):
         findings = check("""
             import numpy as np

@@ -277,6 +277,21 @@ class TestInferenceHelpers:
                 raise RuntimeError("boom")
         assert all(m.training for m in model.modules())
 
+    def test_eval_mode_undoes_mode_changes_made_inside_the_block(self):
+        # Flags are written only where they differ, on entry and on exit;
+        # "differ" is judged against the flag's value at exit, so a
+        # train() (or a child's eval()) inside the block is still undone.
+        rng = np.random.default_rng(14)
+        model = make_early_exit(rng)
+        model.eval()
+        model.local_head.train()
+        expected = [m.training for m in model.modules()]
+        with eval_mode(model):
+            assert all(not m.training for m in model.modules())
+            model.train()
+            model.remote_stage.eval()
+        assert [m.training for m in model.modules()] == expected
+
     def test_iter_microbatches_chunks(self):
         data = np.arange(10).reshape(10, 1)
         chunks = list(iter_microbatches(data, 4))

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import functional as F
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.inference import batched_forward
 from repro.nn.models.earlyexit import EarlyExitNetwork
-from repro.nn.models.resnet import SmallResNet
+from repro.nn.models.resnet import ResNetBlock, SmallResNet
 from repro.nn.plan import InferencePlan, PlanCache, PlanError, capture_plan
 from repro.nn.tensor import Tensor
 from repro.runtime import ParallelExecutor, Runtime, fork_available, using_runtime
@@ -178,8 +179,109 @@ class TestArena:
         x = rng_for(1).normal(size=(4, 1, 12, 12))
         plan = capture_plan(model, x)
         slot_sum = sum(int(np.prod(s.shape)) * s.dtype.itemsize
-                       for s in plan.arena.slots if s.base is None)
+                       for s in plan.arena.slots[1:])  # [0]: input, unstored
         assert plan.arena.total_bytes < slot_sum
+
+
+def held_arrays(value):
+    """Every ndarray reachable from an op attribute (views sit in lists too)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from held_arrays(item)
+
+
+class TestArenaContract:
+    """What the batch-innermost layout rests on (DESIGN.md §15).
+
+    A working view that does not share memory with the arena is a silent
+    copy — ``reshape`` of a view that cannot be reshaped in place returns
+    one — and the op then computes on detached storage: the right answer
+    on the capture batch, garbage afterwards.
+    """
+
+    #: row counts no capture-time constant (a batch-norm denominator, the
+    #: GAP ones row) has an axis of, so "not a parameter view and has an
+    #: axis of this length" picks out exactly the per-run working views
+    ROWS = (11, 7, 13, 9)
+
+    def models(self):
+        pooled = SmallResNet(1, num_classes=4, widths=(4, 8),
+                             shortcut="maxpool", rng=rng_for(30))
+        flat = nn.Sequential(
+            nn.Conv2d(1, 4, 3, padding=1, rng=rng_for(31)), nn.LeakyReLU(0.1),
+            nn.AvgPool2d(3, stride=2), nn.Conv2d(4, 6, 3, rng=rng_for(32)),
+            nn.Tanh(), nn.Flatten(), nn.Linear(6 * 25, 5, rng=rng_for(33)))
+        return [fuse_for_inference(pooled, dtype=np.float32),
+                fuse_for_inference(flat, dtype=np.float32),
+                fuse_for_inference(conv_stack(rng_for(34)), dtype=np.float32)]
+
+    def test_every_working_view_lives_in_the_arena(self):
+        x = rng_for(35).normal(size=(13, 1, 16, 16)).astype(np.float32)
+        for model in self.models():
+            plan = capture_plan(model, x)
+            assert plan.fallback_ops == 0
+            buffers = list(plan.arena.buffers.values())
+            params = [p.data for p in model.parameters()]
+            for rows in self.ROWS:
+                batch = x[:rows]
+                out = plan.run(batch)
+                assert np.array_equal(out, eager(model, batch))
+                held = [(type(op).__name__, name, array)
+                        for op in plan._ops
+                        for name, value in vars(op).items()
+                        for array in held_arrays(value)
+                        if rows in array.shape and not any(
+                            np.shares_memory(array, p) for p in params)]
+                assert len(held) >= 2 * len(plan._ops)
+                for op_name, name, array in held:
+                    assert (np.shares_memory(array, batch)
+                            or any(np.shares_memory(array, buf)
+                                   for buf in buffers)), (op_name, name, rows)
+
+    def test_feature_maps_are_contiguous_batch_innermost_heads(self):
+        x = rng_for(36).normal(size=(13, 1, 16, 16)).astype(np.float32)
+        for model in self.models():
+            plan = capture_plan(model, x)
+            for rows in self.ROWS:
+                out = plan.run(x[:rows])
+                views = list(plan.arena.views(rows).items()) + [(None, out)]
+                assert any(view.ndim == 4 for _, view in views)
+                for slot, view in views:
+                    assert view.shape[0] == rows
+                    stored = (view.transpose(1, 2, 3, 0) if view.ndim == 4
+                              else view)
+                    assert stored.flags["C_CONTIGUOUS"], (slot, rows)
+                    if slot is not None:
+                        # the head of the buffer, not a prefix slice of it
+                        buf = plan.arena.buffers[slot]
+                        assert stored.ctypes.data == buf.ctypes.data
+
+    def test_input_is_read_in_place(self):
+        model = fuse_for_inference(conv_stack(rng_for()), dtype=np.float32)
+        x = rng_for(1).normal(size=(8, 1, 12, 12)).astype(np.float32)
+        plan = capture_plan(model, x)
+        assert 0 not in plan.arena.buffers  # slot 0 is the input: unstored
+        assert not any(np.shares_memory(x, buf)
+                       for buf in plan.arena.buffers.values())
+        before = x.copy()
+        plan.run(x)
+        assert np.array_equal(x, before)
+
+    def test_own_output_as_input_is_not_overwritten_mid_run(self):
+        # The identity block reads its input twice (first conv, residual
+        # join) and its output slot recycles the first conv's buffer: read
+        # in place, the second run would clobber its input in between.
+        block = nn.Sequential(ResNetBlock(4, 4, shortcut="identity",
+                                          rng=rng_for(37)))
+        model = fuse_for_inference(block, dtype=np.float32)
+        x = rng_for(38).normal(size=(6, 4, 8, 8)).astype(np.float32)
+        plan = capture_plan(model, x)
+        once = eager(model, x)
+        assert np.array_equal(plan.run(plan.run(x)), eager(model, once))
+        assert np.array_equal(plan.run(plan.run(x)[:3]),
+                              eager(model, once[:3]))
 
 
 def traced_peak_bytes(fn):
@@ -222,6 +324,9 @@ class TestReplayAllocation:
 
     @pytest.mark.parametrize("rows", [256, 90])
     def test_fig5_stage_replay_stays_under_budget(self, rows):
+        # Row-major batches: the two head plans open with a global pooling,
+        # whose kernel wants the map batch-innermost — staged into a bound
+        # arena slot, not into a fresh array.
         for plan, data in self.fig5_stage_plans():
             assert plan.fallback_ops == 0
             batch = np.ascontiguousarray(data[:rows])
@@ -229,11 +334,54 @@ class TestReplayAllocation:
             peak = traced_peak_bytes(lambda: plan.run(batch))
             assert peak < self.BUDGET, (plan.label, rows, peak)
 
+    @pytest.mark.parametrize("rows", [256, 90])
+    def test_fig5_stage_replay_in_serving_layout_stays_under_budget(self, rows):
+        # What serving hands a stage: rows gathered batch-innermost.
+        for plan, data in self.fig5_stage_plans():
+            batch = F.take_rows(data, np.arange(rows))
+            plan.run(batch)
+            peak = traced_peak_bytes(lambda: plan.run(batch))
+            assert peak < self.BUDGET, (plan.label, rows, peak)
+
     def test_rebinding_between_row_counts_stays_under_budget(self):
-        plan, data = self.fig5_stage_plans()[2]
-        plan.run(data[:90])
-        peak = traced_peak_bytes(lambda: plan.run(data))
-        assert peak < self.BUDGET
+        for plan, data in self.fig5_stage_plans():
+            plan.run(data[:90])  # a strided prefix: a third layout
+            peak = traced_peak_bytes(lambda: plan.run(data))
+            assert peak < self.BUDGET, plan.label
+
+    def test_input_layout_changes_neither_bits_nor_budget(self):
+        # One plan, one row count, three storages of the same rows in turn
+        # (set_input re-decides per run whether the pooling stages).
+        for plan, data in self.fig5_stage_plans():
+            assert plan.bit_exact  # against eager, on the capture batch
+            expected = plan.run(F.take_rows(data, np.arange(90))).copy()
+            for batch in (np.ascontiguousarray(data[:90]), data[:90],
+                          F.take_rows(data, np.arange(90))):
+                before = batch.copy()
+                peak = traced_peak_bytes(lambda: plan.run(batch))
+                assert peak < self.BUDGET, plan.label
+                assert np.array_equal(plan.run(batch), expected), plan.label
+                assert np.array_equal(batch, before)
+
+    @pytest.mark.parametrize("rows", [64, 23])
+    def test_pooled_gap_residual_replay_stays_under_budget(self, rows):
+        # max-pool shortcut + channel padding + residual join + GAP: the
+        # ops no Fig. 5 stage has (one bool mask of the stem output at
+        # 64 rows is 128 KiB; the old pool op's gather was 259 KiB).
+        model = fuse_for_inference(
+            SmallResNet(1, num_classes=4, widths=(8, 16), shortcut="maxpool",
+                        rng=rng_for(23)), dtype=np.float32)
+        x = rng_for(24).normal(size=(64, 1, 16, 16)).astype(np.float32)
+        plan = capture_plan(model, x)
+        assert plan.fallback_ops == 0
+        labels = {op.label for op in plan._ops}
+        assert {"max_pool", "pad_channels", "add_relu",
+                "global_avg_pool"} <= labels
+        batch = x[:rows]
+        plan.run(x[:rows + 1])
+        rebind = traced_peak_bytes(lambda: plan.run(batch))
+        replay = traced_peak_bytes(lambda: plan.run(batch))
+        assert rebind < self.BUDGET and replay < self.BUDGET, (rebind, replay)
 
     @pytest.mark.parametrize("slope", [0.1, 1.5, -0.3])
     def test_leaky_relu_bit_identical_without_scale_array(self, slope):

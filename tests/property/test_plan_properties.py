@@ -11,10 +11,14 @@ indistinguishable from eager serving — at every worker count in
   byte-identical — ``nn.plan.*`` cache counters are per-worker execution
   detail and are excluded from the dump by construction.
 
-And because eager ``no_grad`` conv and plan replay are one kernel
-(DESIGN.md §15), a captured plan must equal the eager forward bit for bit
-at *every* row-prefix length, over generated conv geometries — not at a
-few hand-picked ones.
+And because eager ``no_grad`` conv, pooling and global average pooling
+are the kernels plan replay calls (DESIGN.md §15), a captured plan must
+equal the eager forward bit for bit at *every* row-prefix length and along
+any *sequence* of row counts through one plan, over generated stacks —
+not at a few hand-picked ones.  Every buffer of a plan is re-viewed over
+the contiguous head of its storage when the row count changes, so what
+was the interior of a padded input at 256 rows lies in its zero border at
+3: the sequences are what catch a border (or zero channel) left stale.
 
 ``REPRO_CHAOS_SEED`` (set by the CI chaos step, default 0) shifts the
 drawn workload space per CI seed; fork cost keeps example counts low.
@@ -30,8 +34,10 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
+from repro.nn import plan as plan_mod
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nn.models.resnet import ResNetBlock
+from repro.nn.quantize import quantize_for_inference
 from repro.runtime import (
     ParallelExecutor,
     Runtime,
@@ -194,3 +200,141 @@ def test_k36_f8_every_row_prefix_matches_eager():
     model = nn.fuse_for_inference(model, dtype=np.float32)
     x = rng.normal(0.0, 1.0, (256, 1, 12, 12)).astype(np.float32)
     assert_every_prefix_bitwise(model, x)
+
+
+# -- pooling, Flatten, shortcuts, fake-quant: prefixes and row sequences ------
+
+def assert_row_sequence_bitwise(model, x, sequence):
+    """One plan, row counts in any order: always the eager forward."""
+    plan = nn.capture_plan(model, x)
+    assert plan.fallback_ops == 0
+    for r in sequence:
+        assert np.array_equal(plan.run(x[:r]), eager(model, x[:r])), \
+            (r, sequence)
+
+
+def layout_stack(topology, c, f, pool, dtype, rng):
+    """A generated stack around one op the batch-innermost layout touches."""
+    stem = nn.Conv2d(c, f, 3, padding=1, rng=rng)
+    kind, k, stride = pool
+    pooling = (nn.MaxPool2d if kind == "max" else nn.AvgPool2d)(k, stride)
+    if topology == "pool":
+        layers = [stem, nn.ReLU(), pooling, nn.Conv2d(f, c, 3, padding=1,
+                                                      rng=rng)]
+    elif topology == "pool-gap":
+        layers = [stem, pooling, nn.GlobalAvgPool2d(), nn.Linear(f, 3, rng=rng)]
+    elif topology == "flatten":
+        layers = [stem, nn.ReLU(), pooling, nn.Flatten()]
+    elif topology == "identity":
+        layers = [stem, nn.BatchNorm2d(f), nn.ReLU(),
+                  ResNetBlock(f, f, shortcut="identity", rng=rng)]
+    elif topology == "conv-shortcut":
+        layers = [stem, ResNetBlock(f, f + 2, stride=2, shortcut="conv",
+                                    rng=rng)]
+    elif topology == "maxpool-shortcut":
+        # strided max-pool, then zero channels f .. f + 3
+        layers = [stem, ResNetBlock(f, f + 3, stride=2, shortcut="maxpool",
+                                    rng=rng), nn.GlobalAvgPool2d()]
+    else:
+        layers = [stem, nn.ReLU(), nn.Conv2d(f, c, 3, padding=1, rng=rng)]
+    model = nn.Sequential(*layers)
+    randomize(model, rng)
+    return nn.fuse_for_inference(model, dtype=dtype)
+
+
+TOPOLOGIES = ("pool", "pool-gap", "flatten", "identity", "conv-shortcut",
+              "maxpool-shortcut", "quantized")
+
+layout_cases = dict(
+    seed=seeds, c=st.integers(1, 6), f=st.integers(1, 8),
+    h=st.integers(5, 10), w=st.integers(5, 10),
+    pool=st.tuples(st.sampled_from(("max", "avg")), st.sampled_from((2, 3)),
+                   st.sampled_from((1, 2, None))),
+    dtype=st.sampled_from((np.float32, np.float64)),
+    topology=st.sampled_from(TOPOLOGIES))
+
+
+def build_layout_case(seed, c, f, h, w, pool, dtype, topology, rows):
+    rng = np.random.default_rng(seed)
+    model = layout_stack(topology, c, f, pool, dtype, rng)
+    if topology == "maxpool-shortcut":
+        # the strided pool matches the strided conv on even extents only
+        h, w = h + h % 2, w + w % 2
+    x = rng.normal(0.0, 1.0, (rows, c, h, w)).astype(dtype)
+    if topology == "flatten":
+        flat = eager(model, x[:1]).shape[1]
+        model = nn.Sequential(*model.layers, nn.Linear(flat, 3, rng=rng)
+                              .astype(dtype))
+    if topology == "quantized":
+        model = quantize_for_inference(model, x)
+    return model, x
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 9), **layout_cases)
+def test_layout_ops_match_eager_and_exact_plan_at_every_prefix(
+        seed, c, f, h, w, pool, dtype, topology, rows):
+    model, x = build_layout_case(seed, c, f, h, w, pool, dtype, topology, rows)
+    assert_every_prefix_bitwise(model, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sequence=st.lists(st.integers(1, 24), min_size=2, max_size=8),
+       **layout_cases)
+def test_layout_ops_match_eager_along_row_count_sequences(
+        seed, c, f, h, w, pool, dtype, topology, sequence):
+    model, x = build_layout_case(seed, c, f, h, w, pool, dtype, topology,
+                                 rows=24)
+    assert_row_sequence_bitwise(model, x, [24] + sequence + [24])
+
+
+def fig5_remote_stage(rng):
+    model = nn.Sequential(
+        nn.Conv2d(8, 16, 3, stride=2, padding=1, rng=rng), nn.BatchNorm2d(16),
+        nn.ReLU(), nn.Conv2d(16, 16, 3, padding=1, rng=rng),
+        nn.BatchNorm2d(16), nn.ReLU(), nn.GlobalAvgPool2d())
+    randomize(model, rng)
+    return nn.fuse_for_inference(model, dtype=np.float32)
+
+
+SERVING_SEQUENCE = (256, 3, 90, 256, 1, 128)
+
+
+def test_serving_sized_row_sequence_matches_eager():
+    # The escalated-row counts one remote-stage plan sees in serving.
+    rng = np.random.default_rng(BASE_SEED)
+    x = rng.normal(0.0, 1.0, (256, 8, 16, 16)).astype(np.float32)
+    assert_row_sequence_bitwise(fig5_remote_stage(rng), x, SERVING_SEQUENCE)
+
+
+@pytest.mark.parametrize("op_name", ["_ConvOp", "_PadChannelsOp"])
+def test_row_sequence_check_catches_a_skipped_rezero(op_name, monkeypatch):
+    """Mutation check: the sequences above fail if ``rebind`` stops zeroing.
+
+    Restoring the exclusive buffer's previous bytes after the real
+    ``rebind`` is exactly "skip the re-zero" — the interior / live
+    channels are rewritten by every run anyway.
+    """
+    op_class = getattr(plan_mod, op_name)
+    real = op_class.rebind
+    slot_attr = "_pad_slot" if op_name == "_ConvOp" else "out_slot"
+
+    def rebind_without_rezero(self, views):
+        slot = getattr(self, slot_attr)
+        before = None if slot is None else views[slot].copy()
+        real(self, views)
+        if before is not None:
+            views[slot][...] = before
+
+    rng = np.random.default_rng(BASE_SEED)
+    if op_name == "_ConvOp":
+        model = fig5_remote_stage(rng)
+        x = rng.normal(0.0, 1.0, (64, 8, 16, 16)).astype(np.float32)
+    else:
+        model = layout_stack("maxpool-shortcut", 2, 4, ("max", 2, 2),
+                             np.float32, rng)
+        x = rng.normal(0.0, 1.0, (64, 2, 8, 8)).astype(np.float32)
+    assert_row_sequence_bitwise(model, x, (64, 3, 40, 64, 1, 32))
+    monkeypatch.setattr(op_class, "rebind", rebind_without_rezero)
+    with pytest.raises((AssertionError, nn.PlanError)):
+        assert_row_sequence_bitwise(model, x, (64, 3, 40, 64, 1, 32))
