@@ -21,9 +21,9 @@ Three variants per model and batch size:
 
 A fourth table, ``serving_rows``, is the early-exit model the way the
 gateway drives it: ``infer_batch`` on batches of 1-256 rows of which
-about 35 % escalate, planned (through the ladder of plans
-``benchmarks/e2e`` captures, so the remote stage re-binds to a new
-escalated-row count on nearly every call) against fused eager.  Small
+about 35 % escalate, planned (one plan per stage, captured at the
+largest batch, so every stage re-binds whenever the row count changes —
+the remote stage on nearly every call) against fused eager.  Small
 batches are where a batch-innermost feature map is not free — a stride-2
 unfold moves C·K·K·H'·W' runs however few rows there are.
 
@@ -73,9 +73,6 @@ PLANNED = "planned-float32"
 #: batch sizes of the ``serving_rows`` table and the share that escalates
 SERVING_ROWS = (1, 4, 10, 20, 64, 256)
 ESCALATED_SHARE = 0.35
-#: the row counts a deployment captures plans for (``benchmarks/e2e``
-#: ``PLAN_LADDER``): a batch runs through the smallest plan that holds it
-PLAN_LADDER = (4, 8, 16, 32, 64, 128, 256)
 SERVING_POOL = 1024
 #: planned / fused at the largest batch of the *quick* config (16): eager
 #: runs the same kernels and neither path stages its input, so the two
@@ -199,11 +196,9 @@ def early_exit_runners(model: EarlyExitNetwork, x: np.ndarray,
         BASELINE: lambda: _per_sample_infer(model, x, threshold),
         "unfused-float64-nograd": lambda: model.infer_batch(x, threshold),
         FAST: lambda: fused.infer_batch(x32, threshold),
-        PLANNED: lambda: planned.infer_batch(x32, threshold, plan=True),
-        "planned-int8-edge": lambda: edge.infer_batch(x32, threshold,
-                                                      plan=True),
-        "offload-codec": lambda: offload.infer_batch(x32, threshold,
-                                                     plan=True),
+        PLANNED: lambda: planned.infer_batch(x32, threshold),
+        "planned-int8-edge": lambda: edge.infer_batch(x32, threshold),
+        "offload-codec": lambda: offload.infer_batch(x32, threshold),
     }
 
 
@@ -222,8 +217,8 @@ def serving_rows(model: EarlyExitNetwork, data_rng, image_size: int,
         0.0, 1.0, (SERVING_POOL, 1, image_size, image_size)).astype(np.float32)
     confidence = fused.infer_batch(pool, 0.0).confidence
     threshold = float(np.quantile(confidence, ESCALATED_SHARE))
-    for rows in PLAN_LADDER:  # every row escalates: all four stages capture
-        planned.infer_batch(pool[:rows], 2.0, plan=True)
+    # Every row escalates: each stage captures its one plan, at full size.
+    planned.infer_batch(pool[:max(SERVING_ROWS)], 2.0)
     table = []
     for rows in SERVING_ROWS:
         batches = [pool[start:start + rows]
@@ -232,12 +227,11 @@ def serving_rows(model: EarlyExitNetwork, data_rng, image_size: int,
             [(confidence[i * rows:(i + 1) * rows] < threshold).mean()
              for i in range(len(batches))]))
 
-        def runner(net, plan):
+        def runner(net):
             feed = itertools.cycle(batches)
-            return lambda: net.infer_batch(next(feed), threshold, plan=plan)
+            return lambda: net.infer_batch(next(feed), threshold)
 
-        seconds = _time({PLANNED: runner(planned, True),
-                         FAST: runner(fused, False)},
+        seconds = _time({PLANNED: runner(planned), FAST: runner(fused)},
                         repeats * (4 if rows <= 64 else 1))
         table.append({
             "rows": rows, "escalated_share": escalated,

@@ -68,8 +68,10 @@ class TwoTierDeployment:
     Three further serving knobs (all default off):
 
     - ``capture_plans`` — the served composite runs through captured
-      inference plans (:mod:`repro.nn.plan`): per-stage LRU plan caches,
-      arena-reused buffers, bit-identical decisions.
+      inference plans (:mod:`repro.nn.plan`): one plan per stage, sized
+      by the largest batch served so far, arena-reused buffers,
+      bit-identical decisions.  The only plan switch there is — it calls
+      ``EarlyExitNetwork.enable_plans()``.
     - ``quantize_edge`` — the *device-side* stage and head are int8
       weight-quantized with activation fake-quant calibrated on the
       ``calibration`` batch (required), shrinking the edge weight payload

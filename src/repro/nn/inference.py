@@ -99,35 +99,20 @@ def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
 def batched_forward(module: Module, x: Union[Tensor, np.ndarray],
                     batch_size: Optional[int] = None,
                     model: Optional[str] = None,
-                    runtime=None,
-                    plan=None) -> np.ndarray:
+                    runtime=None) -> np.ndarray:
     """Forward ``x`` through ``module`` on the fast path; returns an array.
 
     Eval mode, no autograd recording, micro-batched over the leading axis,
     and metered through ``nn.infer.*``.  The per-micro-batch outputs are
     concatenated, so callers see one array regardless of ``batch_size``.
-
-    ``plan`` switches chunks onto the graph-captured executor
-    (:mod:`repro.nn.plan`): ``True`` lazily attaches a
-    :class:`~repro.nn.plan.PlanCache` to the module (as
-    ``module._plan_cache``) and auto-captures per micro-batch geometry; a
-    ``PlanCache`` instance is used directly (callers share one across
-    modules of the same shape family at their own peril — keys include
-    only geometry and dtype).  Plan output is bit-identical to the eager
-    path, so the flag is purely a performance knob.
+    Always eager: captured plans (:mod:`repro.nn.plan`) are switched on in
+    one place, :meth:`EarlyExitNetwork.enable_plans
+    <repro.nn.models.earlyexit.EarlyExitNetwork.enable_plans>`; a caller
+    that wants them for a bare module runs a
+    :class:`~repro.nn.plan.PlanCache` itself.
     """
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
     label = model or type(module).__name__
-    cache = None
-    if plan is not None and plan is not False:
-        if plan is True:
-            cache = getattr(module, "_plan_cache", None)
-            if cache is None:
-                from repro.nn.plan import PlanCache
-                cache = PlanCache(label=label)
-                module._plan_cache = cache
-        else:
-            cache = plan
     outputs = []
     with observe_inference(label, int(data.shape[0]), runtime=runtime):
         with eval_mode(module), no_grad():
@@ -136,17 +121,10 @@ def batched_forward(module: Module, x: Union[Tensor, np.ndarray],
                 # ``np.concatenate([])`` raises; one forward of the empty
                 # batch lets the module itself report the output shape
                 # (a gateway draining an empty coalescing window hits
-                # this path).  Plans require >= 1 row, so this stays eager.
+                # this path).
                 return module(Tensor(data)).data
             for chunk in iter_microbatches(data, batch_size):
-                if cache is not None:
-                    # Plan output is a view into the plan's arena; the next
-                    # same-geometry chunk overwrites it, so detach now — in
-                    # memory order: a C-order copy would transpose a
-                    # batch-innermost feature map.
-                    outputs.append(cache.run(module, chunk).copy(order="K"))
-                else:
-                    outputs.append(module(Tensor(chunk)).data)
+                outputs.append(module(Tensor(chunk)).data)
     if len(outputs) == 1:
         return outputs[0]
     return np.concatenate(outputs, axis=0)

@@ -161,7 +161,6 @@ class EarlyExitNetwork(nn.Module):
         self.local_head = local_head
         self.remote_stage = remote_stage
         self.remote_head = remote_head
-        self.use_plans = False
         self._plan_caches = {}
         #: optional :class:`repro.fog.codec.ActivationCodec`: escalated
         #: feature maps round-trip through it before the remote stage,
@@ -172,19 +171,20 @@ class EarlyExitNetwork(nn.Module):
         self.activation_codec = None
 
     # -- captured plans -------------------------------------------------------
-    def enable_plans(self, max_plans: int = 8,
-                     validate: bool = True) -> "EarlyExitNetwork":
+    def enable_plans(self) -> "EarlyExitNetwork":
         """Run inference through captured plans (see :mod:`repro.nn.plan`).
 
-        Each of the four submodules gets an LRU :class:`PlanCache`; the
-        first batch of a given geometry captures, later batches (and
-        smaller ragged tails) reuse the cached plan's arena.
+        The one switch: each of the four submodules gets a
+        :class:`PlanCache`, and from then on :meth:`infer_batch` replays
+        plans instead of dispatching modules.  A stage captures on its
+        first batch and again only when a batch brings more rows than any
+        before it; every smaller batch (ragged tails, variable escalation
+        counts) is a prefix run of that one plan.  Decisions are
+        bit-identical to the eager fast path either way.
         """
         from repro.nn.plan import PlanCache
-        self.use_plans = True
         self._plan_caches = {
-            name: PlanCache(max_plans=max_plans, validate=validate,
-                            label=f"{type(self).__name__}.{name}")
+            name: PlanCache(label=f"{type(self).__name__}.{name}")
             for name in self.PLAN_STAGES}
         return self
 
@@ -193,14 +193,20 @@ class EarlyExitNetwork(nn.Module):
         return {name: cache.stats()
                 for name, cache in self._plan_caches.items()}
 
-    def _plan_run(self, name: str, data: np.ndarray) -> np.ndarray:
-        """Plan-execute a stage; the result is a view into that plan's arena."""
-        from repro.nn.plan import PlanCache
+    def _run_stage(self, name: str, data: np.ndarray,
+                   keep: bool = False) -> np.ndarray:
+        """One submodule's no-grad forward: plan replay if enabled, else eager.
+
+        A plan's output is a view into its arena, overwritten by the
+        stage's next call; ``keep`` copies it out.  Plans need a row, so
+        an empty batch runs eager.
+        """
+        stage = getattr(self, name)
         cache = self._plan_caches.get(name)
-        if cache is None:
-            cache = PlanCache(label=f"{type(self).__name__}.{name}")
-            self._plan_caches[name] = cache
-        return cache.run(getattr(self, name), data)
+        if cache is None or not data.shape[0]:
+            return stage(Tensor(data)).data
+        out = cache.run(stage, data)
+        return out.copy() if keep else out
 
     # -- training ------------------------------------------------------------
     def forward(self, x: Tensor) -> Tuple[Tensor, Tensor]:
@@ -224,28 +230,18 @@ class EarlyExitNetwork(nn.Module):
         return self.local_stage(x)
 
     def _infer_chunk(self, chunk: np.ndarray, threshold: float,
-                     confidence: ConfidenceFn,
-                     use_plans: Optional[bool] = None) -> BatchExitDecisions:
+                     confidence: ConfidenceFn) -> BatchExitDecisions:
         """Early-exit one micro-batch with boolean masks end to end.
 
-        With ``use_plans`` the four stages run through their captured
-        plans: plan outputs are views into per-plan arenas, so anything
-        that outlives the next call of the same stage is copied out (the
-        logits) or gathered into a fresh array (the escalated rows, in
-        the feature map's own batch-innermost layout).  A plan reads its
-        input in place, so handing one stage's arena view to the next
-        moves no bytes.
+        Under plans a stage's output lives in that plan's arena, so what
+        outlives the stage's next call is kept (the logits) or gathered
+        into a fresh array (the escalated rows, in the feature map's own
+        batch-innermost layout).  A plan reads its input in place, so
+        handing one stage's arena view to the next moves no bytes.
         """
-        plans = self.use_plans if use_plans is None else use_plans
         codec = getattr(self, "activation_codec", None)
-        if plans and chunk.shape[0]:
-            feats = self._plan_run("local_stage", chunk)
-            local_logits = self._plan_run("local_head", feats).copy()
-        else:
-            plans = False
-            features = self.local_stage(Tensor(chunk))
-            feats = features.data
-            local_logits = self.local_head(features).data
+        feats = self._run_stage("local_stage", chunk)
+        local_logits = self._run_stage("local_head", feats, keep=True)
         conf = confidence(local_logits)
         needs_remote = conf < threshold
         predictions = local_logits.argmax(axis=-1).astype(int)
@@ -260,12 +256,9 @@ class EarlyExitNetwork(nn.Module):
                          else F.take_rows(feats, remote_rows))
             if codec is not None:
                 remote_in = codec.transfer(remote_in)
-            if plans:
-                remote_feats = self._plan_run("remote_stage", remote_in)
-                remote_logits = self._plan_run("remote_head", remote_feats).copy()
-            else:
-                remote_logits = self.remote_head(
-                    self.remote_stage(Tensor(remote_in))).data
+            remote_logits = self._run_stage(
+                "remote_head", self._run_stage("remote_stage", remote_in),
+                keep=True)
             predictions[remote_rows] = remote_logits.argmax(axis=-1)
         return BatchExitDecisions(
             predictions=predictions,
@@ -278,8 +271,7 @@ class EarlyExitNetwork(nn.Module):
     def infer_batch(self, x: Tensor, threshold: float,
                     confidence: ConfidenceFn = score_confidence,
                     batch_size: Optional[int] = None,
-                    executor=None,
-                    plan: Optional[bool] = None) -> BatchExitDecisions:
+                    executor=None) -> BatchExitDecisions:
         """Batched early-exit inference on the fast path.
 
         Runs in eval mode with autograd off, processes the input in
@@ -287,11 +279,10 @@ class EarlyExitNetwork(nn.Module):
         emits ``nn.infer.*`` metrics.  Samples whose exit-1 confidence is
         >= ``threshold`` resolve locally; the rest are refined remotely.
 
-        ``plan`` overrides the network's ``use_plans`` flag for this call:
-        True runs every stage through captured plans (auto-capturing on
-        first use), False forces the eager fast path.  Plan and eager
-        execution produce bit-identical decisions (the kernels mirror the
-        eager ufunc sequences), so the flag is purely a performance knob.
+        After :meth:`enable_plans` every stage replays a captured plan
+        (capturing on first use); plan and eager execution produce
+        bit-identical decisions (the kernels mirror the eager ufunc
+        sequences), so that switch is purely a performance choice.
 
         With an ``executor`` (a
         :class:`~repro.runtime.parallel.ParallelExecutor`), independent
@@ -309,17 +300,15 @@ class EarlyExitNetwork(nn.Module):
                     # Zero rows yield zero micro-batches; run the empty
                     # batch through one chunk so the result still carries
                     # correctly-shaped (0, C) columns.
-                    return self._infer_chunk(data, threshold, confidence,
-                                             use_plans=plan)
+                    return self._infer_chunk(data, threshold, confidence)
                 if executor is not None:
                     chunks = executor.map_ordered(
                         lambda chunk: self._infer_chunk(
-                            chunk, threshold, confidence, use_plans=plan),
+                            chunk, threshold, confidence),
                         iter_microbatches(data, batch_size),
                         label=f"nn.infer.{type(self).__name__}")
                 else:
-                    chunks = [self._infer_chunk(chunk, threshold, confidence,
-                                                use_plans=plan)
+                    chunks = [self._infer_chunk(chunk, threshold, confidence)
                               for chunk in iter_microbatches(data, batch_size)]
         return BatchExitDecisions.concatenate(chunks)
 

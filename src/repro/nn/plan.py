@@ -22,14 +22,15 @@ GEMM output, and a bias sum on every forward.  A *plan* removes both:
   ops as an NCHW-shaped view; 2-D matrices are row-major.  A conv's GEMM
   result therefore *is* its output slot, nothing transposes between ops,
   and ``Flatten`` is the one op that does.
-- :class:`PlanCache` keys plans on (rows, sample shape, dtype) with LRU
-  eviction and ``nn.plan.*`` counters.  A batch with *fewer* rows than a
-  captured plan (the ragged tail of ``iter_microbatches``, or the
-  variable escalated-row count of an early-exit remote stage) runs
-  through the nearest larger plan instead of recapturing: every slot is
-  re-viewed over the contiguous *head* of its storage, so the run is the
-  same BLAS calls and the same memory walk as a plan captured at exactly
-  that row count.
+- :class:`PlanCache` holds **one plan per (sample shape, dtype)**, the
+  largest it has been asked for.  A batch with *fewer* rows (the ragged
+  tail of ``iter_microbatches``, or the variable escalated-row count of
+  an early-exit remote stage) runs as a prefix of that plan: every slot
+  is re-viewed over the contiguous *head* of its storage, so the run is
+  the same BLAS calls and the same memory walk as a plan captured at
+  exactly that row count — a ladder of smaller plans would buy nothing
+  per row.  A batch with *more* rows drops the plan and recaptures at
+  the new row count; ``nn.plan.*`` counters make both visible.
 
 Kernels mirror the eager ops expression-for-expression (same NumPy ufunc
 sequence, same dtypes; conv is the very function no-grad ``F.conv2d``
@@ -1018,41 +1019,47 @@ def capture_plan(module: M.Module, example: np.ndarray, *,
 # Plan cache
 # --------------------------------------------------------------------------
 
-class PlanCache:
-    """LRU cache of :class:`InferencePlan` keyed (rows, sample, dtype).
+#: distinct (sample shape, dtype) geometries a :class:`PlanCache` holds
+#: before the least recently used one is dropped.  A serving stage sees
+#: one; the bound only keeps a cache fed ever-new frame sizes finite.
+MAX_GEOMETRIES = 8
 
-    Lookups accept any batch whose row count is <= a cached plan with the
-    same sample shape and dtype — the smallest such plan runs padded.
+
+class PlanCache:
+    """One :class:`InferencePlan` per (sample shape, dtype): the largest seen.
+
+    A batch with at most the held plan's rows is a hit and runs as a row
+    prefix of it, at the cost of a plan captured at exactly that size.  A
+    batch with more rows is a miss: the held plan is dropped *first*, then
+    one is captured (and validated against the eager forward) at the new
+    row count, so the two arenas never coexist and a cache's footprint is
+    that of its largest batch.  The first oversized batch pays one
+    capture — building the ops, allocating the arena, one eager forward
+    and one replay — which serving moves into set-up by warming with its
+    largest batch.
+
     Pickling drops the plans (they embed process-local buffers); executor
     workers recapture on first use, which the ``nn.plan.capture``
     counters make visible (and ``deterministic_dump`` drops, since the
     counts depend on worker placement).
     """
 
-    def __init__(self, max_plans: int = 8, validate: bool = True,
-                 label: Optional[str] = None):
-        if max_plans < 1:
-            raise ValueError(f"max_plans must be >= 1: {max_plans}")
-        self.max_plans = max_plans
-        self.validate = validate
+    def __init__(self, label: Optional[str] = None):
         self.label = label
         self._plans: "OrderedDict[tuple, InferencePlan]" = OrderedDict()
         self.hits = 0
-        self.padded_hits = 0
         self.misses = 0
         self.evictions = 0
 
     # -- pickling / copying: plans are per-process ----------------------------
     def __getstate__(self):
-        return {"max_plans": self.max_plans, "validate": self.validate,
-                "label": self.label}
+        return {"label": self.label}
 
     def __setstate__(self, state):
         self.__init__(**state)
 
     def __deepcopy__(self, memo):
-        return PlanCache(max_plans=self.max_plans, validate=self.validate,
-                         label=self.label)
+        return PlanCache(label=self.label)
 
     def __len__(self):
         return len(self._plans)
@@ -1064,7 +1071,6 @@ class PlanCache:
         return {
             "plans": len(self._plans),
             "hits": self.hits,
-            "padded_hits": self.padded_hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "arena_bytes": sum(p.arena.total_bytes
@@ -1078,29 +1084,24 @@ class PlanCache:
                  "deterministic dumps)").inc(1, cache=label)
 
     def plan_for(self, module: M.Module, data: np.ndarray) -> InferencePlan:
-        """A plan fitting ``data``: cached, padded-cached, or captured."""
-        rows = int(data.shape[0])
-        sample = tuple(data.shape[1:])
-        dtype = np.dtype(data.dtype)
+        """The plan for ``data``'s geometry, recaptured if ``data`` outgrew it."""
+        key = (tuple(data.shape[1:]), np.dtype(data.dtype))
         label = self.label or type(module).__name__
-        best_key = None
-        for key in self._plans:
-            if key[1] == sample and key[2] == dtype and key[0] >= rows:
-                if best_key is None or key[0] < best_key[0]:
-                    best_key = key
-        if best_key is not None:
-            self._plans.move_to_end(best_key)
+        plan = self._plans.get(key)
+        if plan is not None and plan.rows >= data.shape[0]:
+            self._plans.move_to_end(key)
             self.hits += 1
             self._count("cache_hits", label)
-            if best_key[0] > rows:
-                self.padded_hits += 1
-            return self._plans[best_key]
+            return plan
         self.misses += 1
         self._count("cache_misses", label)
-        plan = capture_plan(module, data, validate=self.validate, label=label)
+        # Release the outgrown plan before its replacement allocates.
+        plan = None
+        self._plans.pop(key, None)
+        plan = capture_plan(module, data, label=label)
         self._count("captures", label)
-        self._plans[(rows, sample, dtype)] = plan
-        while len(self._plans) > self.max_plans:
+        self._plans[key] = plan
+        while len(self._plans) > MAX_GEOMETRIES:
             self._plans.popitem(last=False)
             self.evictions += 1
             self._count("cache_evictions", label)

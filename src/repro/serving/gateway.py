@@ -10,8 +10,11 @@ early-exit inference per batch through
 the :class:`~repro.nn.models.earlyexit.BatchExitDecisions` back out to
 each caller.  Every admitted request resolves exactly once — with its
 decisions, or with the batch's exception; every refused request raises
-:class:`~repro.serving.admission.ShedError` exactly once.  That
-answered-or-shed invariant is what the chaos property tests pin.
+:class:`~repro.serving.admission.ShedError` exactly once; a request whose
+caller cancelled ``submit()`` while it waited is dropped from the queue
+uninferred and counted ``cancelled``.  That invariant — ``submitted ==
+answered + shed + failed + cancelled`` — is what the chaos property
+tests pin.
 
 Determinism notes:
 
@@ -173,6 +176,7 @@ class ServingGateway:
         self.answered = 0
         self.shed = 0
         self.failed = 0
+        self.cancelled = 0
         registry = self.runtime.registry
         self._m_submitted = registry.counter(
             "serving.gateway.submitted",
@@ -189,6 +193,10 @@ class ServingGateway:
         self._m_failed = registry.counter(
             "serving.gateway.failed",
             help="admitted requests resolved with a batch exception")
+        self._m_cancelled = registry.counter(
+            "serving.gateway.cancelled",
+            help="admitted requests whose caller cancelled before a "
+                 "batch took them")
         self._m_batches = registry.counter(
             "serving.gateway.batches",
             help="coalesced micro-batches served")
@@ -306,11 +314,22 @@ class ServingGateway:
             self._wakeup.clear()
 
     def _take_batch(self) -> List[_Pending]:
-        """Pop whole requests until the next one would overflow the batch."""
+        """Pop whole requests until the next one would overflow the batch.
+
+        A request whose future is already done was cancelled by its caller
+        while it waited: it leaves the queue here, uninferred, and its
+        rows stop counting against admission.
+        """
         batch: List[_Pending] = []
         rows = 0
         while self._queue:
             head = self._queue[0]
+            if head.future.done():
+                self._queue.popleft()
+                self._queued_rows -= head.rows
+                self.cancelled += 1
+                self._m_cancelled.inc(1, tenant=head.tenant)
+                continue
             if batch and rows + head.rows > self.config.max_batch_rows:
                 break
             batch.append(self._queue.popleft())
@@ -337,8 +356,8 @@ class ServingGateway:
                 for pending in batch:
                     if not pending.future.done():
                         pending.future.set_exception(exc)
-                    self.failed += 1
-                    self._m_failed.inc(1, tenant=pending.tenant)
+                        self.failed += 1
+                        self._m_failed.inc(1, tenant=pending.tenant)
                 return
             parts = split_decisions(decisions, [p.rows for p in batch])
         now = self.runtime.now()
@@ -358,9 +377,11 @@ class ServingGateway:
         """A cheap live snapshot for health endpoints and tests.
 
         When the deployment serves captured plans (``capture_plans=``),
-        ``plans`` carries the per-stage plan-cache counters — hit/miss
-        ratios and arena bytes are the first thing to look at when
-        latency regresses.
+        ``plans`` carries the per-stage plan-cache counters.  A stage
+        holds one plan, so after warm-up ``misses`` stands still; one
+        that keeps rising means batches keep outgrowing the plan (each
+        miss is a recapture) — with ``arena_bytes`` the first thing to
+        look at when latency regresses.
         """
         snapshot = {
             "submitted": self.submitted,
@@ -368,6 +389,7 @@ class ServingGateway:
             "answered": self.answered,
             "shed": self.shed,
             "failed": self.failed,
+            "cancelled": self.cancelled,
             "batches": self._batch_seq,
             "queue_rows": self._queued_rows,
             "queue_requests": len(self._queue),

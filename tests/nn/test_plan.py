@@ -16,10 +16,16 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.fuse import fuse_for_inference
-from repro.nn.inference import batched_forward
+from repro.nn.inference import batched_forward, iter_microbatches
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nn.models.resnet import ResNetBlock, SmallResNet
-from repro.nn.plan import InferencePlan, PlanCache, PlanError, capture_plan
+from repro.nn.plan import (
+    MAX_GEOMETRIES,
+    InferencePlan,
+    PlanCache,
+    PlanError,
+    capture_plan,
+)
 from repro.nn.tensor import Tensor
 from repro.runtime import ParallelExecutor, Runtime, fork_available, using_runtime
 
@@ -421,12 +427,19 @@ class TestPlanCache:
             x = rng_for(1).normal(size=(8, 1, 12, 12))
             cache.run(model, x)
             cache.run(model, x)
-            cache.run(model, x[:3])  # ragged tail: padded hit, no recapture
+            cache.run(model, x[:3])  # ragged tail: prefix run, no recapture
             stats = cache.stats()
             assert stats["plans"] == 1
             assert stats["misses"] == 1
             assert stats["hits"] == 2
-            assert stats["padded_hits"] == 1
+            assert cache.plan_for(model, x[:3]).rows == 8
+            # more rows than the held plan: it is replaced, not joined
+            grown = rng_for(2).normal(size=(12, 1, 12, 12))
+            assert np.array_equal(cache.run(model, grown), eager(model, grown))
+            stats = cache.stats()
+            assert stats["plans"] == 1
+            assert stats["misses"] == 2
+            assert cache.plan_for(model, x).rows == 12
 
     def test_metrics_counters_emitted(self):
         with using_runtime(Runtime(seed=0)) as rt:
@@ -441,17 +454,18 @@ class TestPlanCache:
 
     def test_lru_eviction(self):
         with using_runtime(Runtime(seed=0)):
-            cache = PlanCache(max_plans=2, label="t")
+            cache = PlanCache(label="t")
             model = conv_stack(rng_for())
-            geometries = [(4, 1, 12, 12), (4, 1, 16, 16), (4, 1, 20, 20)]
+            geometries = [(2, 1, 8 + side, 8 + side)
+                          for side in range(MAX_GEOMETRIES + 1)]
             for shape in geometries:
                 cache.run(model, rng_for(1).normal(size=shape))
             stats = cache.stats()
-            assert stats["plans"] == 2
+            assert stats["plans"] == MAX_GEOMETRIES
             assert stats["evictions"] == 1
             # oldest geometry evicted: running it again is a miss
             cache.run(model, rng_for(1).normal(size=geometries[0]))
-            assert cache.stats()["misses"] == 4
+            assert cache.stats()["misses"] == MAX_GEOMETRIES + 2
 
     def test_distinct_dtypes_get_distinct_plans(self):
         with using_runtime(Runtime(seed=0)):
@@ -481,20 +495,29 @@ class TestPlanCache:
             pickle.dumps(plan)
 
 
+def chunked_plan_forward(cache, model, x, batch_size):
+    """``batched_forward`` with each chunk replayed through ``cache``."""
+    return np.concatenate([
+        cache.run(model, chunk).copy(order="K")
+        for chunk in iter_microbatches(x, batch_size)])
+
+
 class TestBatchedForwardIntegration:
     def test_plan_true_matches_eager_chunks(self):
         model = fuse_for_inference(conv_stack(rng_for()), dtype=np.float32)
         x = rng_for(4).normal(size=(10, 1, 12, 12)).astype(np.float32)
         plain = batched_forward(model, x, batch_size=4)
-        planned = batched_forward(model, x, batch_size=4, plan=True)
+        cache = PlanCache(label="t")
+        planned = chunked_plan_forward(cache, model, x, 4)  # 4 + 4 + ragged 2
         assert np.array_equal(plain, planned)
+        assert cache.stats()["plans"] == 1
 
     def test_successive_chunks_not_aliased(self):
         # Same-geometry chunks share one arena; outputs must be copied
-        # out before the next chunk overwrites the buffer.
+        # out (in memory order) before the next chunk overwrites the buffer.
         model = fuse_for_inference(conv_stack(rng_for()), dtype=np.float32)
         x = rng_for(5).normal(size=(8, 1, 12, 12)).astype(np.float32)
-        out = batched_forward(model, x, batch_size=2, plan=True)
+        out = chunked_plan_forward(PlanCache(label="t"), model, x, 2)
         assert np.array_equal(out[:2], eager(model, x[:2]))
         assert np.array_equal(out[-2:], eager(model, x[-2:]))
 
@@ -504,8 +527,8 @@ class TestBatchedForwardIntegration:
                                        dtype=np.float32)
             x = rng_for(6).normal(size=(6, 1, 12, 12)).astype(np.float32)
             cache = PlanCache(label="t")
-            batched_forward(model, x, plan=cache)
-            batched_forward(model, x, plan=cache)
+            chunked_plan_forward(cache, model, x, None)
+            chunked_plan_forward(cache, model, x, None)
             assert cache.stats()["misses"] == 1
             assert cache.stats()["hits"] == 1
 
@@ -537,13 +560,6 @@ class TestEarlyExitPlans:
             stats = model.plan_stats()
             assert set(stats) == set(model.PLAN_STAGES)
             assert stats["local_stage"]["plans"] == 1
-
-    def test_plan_kwarg_overrides_enable(self):
-        model = fuse_for_inference(build_early_exit(rng_for(8)),
-                                   dtype=np.float32).enable_plans()
-        x = rng_for(9).normal(size=(6, 1, 16, 16)).astype(np.float32)
-        model.infer_batch(x, 0.5, plan=False)
-        assert model.plan_stats()["local_stage"]["plans"] == 0
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")

@@ -20,12 +20,21 @@ the contiguous head of its storage when the row count changes, so what
 was the interior of a padded input at 256 rows lies in its zero border at
 3: the sequences are what catch a border (or zero channel) left stale.
 
+:class:`~repro.nn.plan.PlanCache` holds one plan per geometry and swaps
+it for a larger one when a batch outgrows it, so the same sequences run
+through a cache *without* the maximum up front: every step is still the
+eager forward, the cache never holds two plans of one geometry, and the
+outgrown plan is gone before its replacement is captured.
+
 ``REPRO_CHAOS_SEED`` (set by the CI chaos step, default 0) shifts the
 drawn workload space per CI seed; fork cost keeps example counts low.
 """
 
+import gc
 import json
 import os
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -338,3 +347,102 @@ def test_row_sequence_check_catches_a_skipped_rezero(op_name, monkeypatch):
     monkeypatch.setattr(op_class, "rebind", rebind_without_rezero)
     with pytest.raises((AssertionError, nn.PlanError)):
         assert_row_sequence_bitwise(model, x, (64, 3, 40, 64, 1, 32))
+
+
+# -- PlanCache: one plan per geometry, replaced when a batch outgrows it ------
+
+def assert_growing_cache_bitwise(model, x, sequence):
+    """Any row-count sequence through one cache; returns the cache.
+
+    Each new maximum is one miss that *replaces* the held plan; everything
+    else is a prefix run.  The cache ends up exactly as large as one that
+    only ever saw the maximum.
+    """
+    cache = nn.PlanCache(label="prop.grow")
+    largest = growths = 0
+    for r in sequence:
+        outgrown = None
+        if 0 < largest < r:
+            outgrown = weakref.ref(cache.plan_for(model, x[:1]))
+        assert np.array_equal(cache.run(model, x[:r]), eager(model, x[:r])), \
+            (r, sequence)
+        if r > largest:
+            largest, growths = r, growths + 1
+        stats = cache.stats()
+        assert (stats["plans"], stats["misses"]) == (1, growths), (r, sequence)
+        assert cache.plan_for(model, x[:1]).rows == largest
+        if outgrown is not None:
+            gc.collect()
+            assert outgrown() is None, (r, sequence)
+    only_max = nn.PlanCache(label="prop.max")
+    only_max.run(model, x[:largest])
+    assert cache.stats()["arena_bytes"] == only_max.stats()["arena_bytes"]
+    return cache
+
+
+@settings(max_examples=30, deadline=None)
+@given(sequence=st.lists(st.integers(1, 24), min_size=2, max_size=8)
+       .filter(lambda rows: rows[0] < max(rows)), **layout_cases)
+def test_cache_grown_along_row_count_sequences_matches_eager(
+        seed, c, f, h, w, pool, dtype, topology, sequence):
+    model, x = build_layout_case(seed, c, f, h, w, pool, dtype, topology,
+                                 rows=24)
+    assert_growing_cache_bitwise(model, x, sequence)
+
+
+GROWING_SEQUENCE = (4, 256, 3, 300, 90, 300)
+
+
+def test_serving_sized_growing_cache_matches_eager():
+    rng = np.random.default_rng(BASE_SEED)
+    model = fig5_remote_stage(rng)
+    x = rng.normal(0.0, 1.0, (300, 8, 16, 16)).astype(np.float32)
+    cache = assert_growing_cache_bitwise(model, x, GROWING_SEQUENCE)
+    # A second frame size is a second geometry with a plan of its own.
+    small = np.ascontiguousarray(x[:, :, :12, :12])
+    for r in (2, 40, 7):
+        for frames in (small, x):
+            assert np.array_equal(cache.run(model, frames[:r]),
+                                  eager(model, frames[:r])), r
+    stats = cache.stats()
+    assert (stats["plans"], stats["misses"], stats["evictions"]) == (2, 5, 0)
+
+
+def test_outgrown_plan_is_released_before_its_replacement_is_captured(
+        monkeypatch):
+    """The two arenas never coexist: a cache peaks at its largest plan."""
+    rng = np.random.default_rng(BASE_SEED)
+    model = fig5_remote_stage(rng)
+    x = rng.normal(0.0, 1.0, (64, 8, 16, 16)).astype(np.float32)
+    cache = nn.PlanCache(label="prop.release")
+    cache.run(model, x[:16])
+    held = weakref.ref(cache.plan_for(model, x[:16]))
+    alive_at_capture = []
+    real = plan_mod.capture_plan
+
+    def capture(module, example, **kwargs):
+        gc.collect()
+        alive_at_capture.append(held() is not None)
+        return real(module, example, **kwargs)
+
+    monkeypatch.setattr(plan_mod, "capture_plan", capture)
+    cache.run(model, x[:8])
+    assert alive_at_capture == []          # a prefix run captures nothing
+    assert np.array_equal(cache.run(model, x), eager(model, x))
+    assert alive_at_capture == [False]
+
+
+def test_grown_cache_still_detects_stale_weights_and_pickles_empty():
+    rng = np.random.default_rng(BASE_SEED)
+    model = fig5_remote_stage(rng)
+    x = rng.normal(0.0, 1.0, (32, 8, 16, 16)).astype(np.float32)
+    cache = assert_growing_cache_bitwise(model, x, (4, 32, 9))
+    back = pickle.loads(pickle.dumps(cache))
+    assert back.label == cache.label
+    assert back.stats() == dict.fromkeys(cache.stats(), 0)
+    conv = model.layers[0]
+    conv.weight.data = conv.weight.data * np.float32(0.5)
+    with pytest.raises(nn.PlanError, match="stale"):
+        cache.run(model, x[:9])
+    cache.clear()
+    assert np.array_equal(cache.run(model, x[:9]), eager(model, x[:9]))

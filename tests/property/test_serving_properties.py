@@ -1,14 +1,19 @@
 """Chaos properties of the serving gateway, under hypothesis.
 
-Two invariants the serving plane must never lose:
+The invariants the serving plane must never lose:
 
 - **answered-or-shed exactly once** — under seeded deployment crashes
   (a :class:`~repro.fog.pipeline.FailureSpec`-driven schedule) plus
   rate-limit and queue-full shed pressure, every submission resolves to
   exactly one outcome: its decisions, a :class:`ShedError`, or the
   injected crash.  Nothing hangs, nothing resolves twice, and the
-  gateway's own accounting (``submitted == answered + shed + failed``)
-  matches the caller's view.
+  gateway's own accounting (``submitted == answered + shed + failed +
+  cancelled``) matches the caller's view.
+- **lifecycle edges keep that accounting** — a caller cancelling
+  ``submit()`` mid-coalesce (its rows never reach the deployment),
+  ``close()`` with admitted batches still queued (all answered before it
+  returns, later submits shed ``shutdown``), and one batch raising among
+  many (only its requests fail; ``pump_topic`` commits nothing past it).
 - **worker-count invariance** — serving the same request sequence over
   deployments whose executors use 1, 2, or 4 workers returns identical
   decisions and a byte-identical :func:`deterministic_dump` (volatile
@@ -40,11 +45,15 @@ from repro.runtime import (
     using_runtime,
 )
 from repro.serving import (
+    DEFAULT_GROUP,
     VOLATILE_METRIC_PREFIXES,
     GatewayConfig,
     ServingGateway,
     ShedError,
+    pump_topic,
 )
+from repro.serving.admission import SHED_SHUTDOWN
+from repro.streaming.broker import Broker
 
 from tests.serving.conftest import build_model
 
@@ -60,6 +69,7 @@ class CrashingDeployment:
     def __init__(self, inner, spec: FailureSpec, total_calls: int):
         self.inner = inner
         self.calls = 0
+        self.rows_seen = []          # rows of every batch offered, in order
         rng = np.random.default_rng(spec.seed)
         failures = min(spec.max_failures or 0, total_calls)
         self.crash_calls = set(
@@ -69,6 +79,7 @@ class CrashingDeployment:
     def serve_batched(self, x, policy, batch_size=None):
         call = self.calls
         self.calls += 1
+        self.rows_seen.append(int(x.shape[0]))
         if call in self.crash_calls:
             raise RuntimeError(f"injected crash on call {call}")
         return self.inner.serve_batched(x, policy, batch_size=batch_size)
@@ -83,6 +94,14 @@ def deploy(rt):
     return deployment
 
 
+def draw_requests(rt, count, min_rows=1):
+    """``count`` seeded (tenant, frames) requests of ``min_rows``..4 rows."""
+    draw = rt.rng.np_child("prop.serving.requests")
+    return [(f"cam-{int(draw.integers(0, 3))}",
+             draw.normal(size=(int(draw.integers(min_rows, 5)), 1, 8, 8)))
+            for _ in range(count)]
+
+
 def submit_all(gateway, requests):
     """Drive all requests concurrently; one outcome per request."""
     async def main():
@@ -94,14 +113,25 @@ def submit_all(gateway, requests):
     return asyncio.run(main())
 
 
+def assert_answered(outcome, frames):
+    assert isinstance(outcome, BatchExitDecisions)
+    assert len(outcome) == frames.shape[0]
+
+
+def assert_accounts_balance(gateway, **expected):
+    stats = gateway.stats()
+    for outcome, count in expected.items():
+        assert stats[outcome] == count, (outcome, stats)
+    assert stats["submitted"] == (stats["answered"] + stats["shed"]
+                                  + stats["failed"] + stats["cancelled"])
+    assert stats["queue_rows"] == 0 and stats["queue_requests"] == 0
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=seeds)
 def test_answered_or_shed_exactly_once_under_chaos(seed):
     with using_runtime(Runtime(seed=seed)) as rt:
-        draw = rt.rng.np_child("prop.serving.requests")
-        requests = [(f"cam-{int(draw.integers(0, 3))}",
-                     draw.normal(size=(int(draw.integers(0, 5)), 1, 8, 8)))
-                    for _ in range(12)]
+        requests = draw_requests(rt, 12, min_rows=0)
         spec = FailureSpec(seed=seed, max_failures=2)
         crashy = CrashingDeployment(deploy(rt), spec, total_calls=12)
         gateway = ServingGateway(
@@ -122,15 +152,151 @@ def test_answered_or_shed_exactly_once_under_chaos(seed):
                 assert "injected crash" in str(outcome)
             else:
                 answered += 1
-                assert isinstance(outcome, BatchExitDecisions)
-                assert len(outcome) == frames.shape[0]
+                assert_answered(outcome, frames)
         assert answered + shed + failed == len(requests)
-        stats = gateway.stats()
-        assert stats["submitted"] == len(requests)
-        assert stats["answered"] == answered
-        assert stats["shed"] == shed
-        assert stats["failed"] == failed
-        assert stats["queue_rows"] == 0 and stats["queue_requests"] == 0
+        assert_accounts_balance(gateway, submitted=len(requests),
+                                answered=answered, shed=shed, failed=failed,
+                                cancelled=0)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_cancelled_mid_coalesce_is_dropped_not_inferred(seed):
+    with using_runtime(Runtime(seed=seed)) as rt:
+        requests = draw_requests(rt, 8)
+        pick = rt.rng.np_child("prop.serving.cancel")
+        cancel = set(pick.choice(len(requests), size=int(pick.integers(1, 5)),
+                                 replace=False).tolist())
+        recorder = CrashingDeployment(deploy(rt), FailureSpec(seed=seed), 0)
+        # Cancellation lands while everything is still queued (asserted
+        # below); 6-row batches make some cancelled requests wait behind a
+        # full batch before they reach the head and are dropped.
+        gateway = ServingGateway(
+            recorder, ScoreThresholdPolicy(0.45),
+            GatewayConfig(coalesce_window_s=0.02, max_batch_rows=6))
+
+        async def main():
+            async with gateway.running():
+                tasks = [asyncio.ensure_future(
+                    gateway.submit(frames, tenant=tenant))
+                    for tenant, frames in requests]
+                await asyncio.sleep(0)           # every request is queued
+                assert gateway.stats()["queue_requests"] == len(requests)
+                for index in cancel:
+                    tasks[index].cancel()
+                return await asyncio.gather(*tasks, return_exceptions=True)
+        outcomes = asyncio.run(main())
+
+        kept_rows = 0
+        for index, ((_, frames), outcome) in enumerate(zip(requests,
+                                                           outcomes)):
+            if index in cancel:
+                assert isinstance(outcome, asyncio.CancelledError)
+            else:
+                assert_answered(outcome, frames)
+                kept_rows += frames.shape[0]
+        assert sum(recorder.rows_seen) == kept_rows
+        assert_accounts_balance(gateway, cancelled=len(cancel),
+                                answered=len(requests) - len(cancel),
+                                shed=0, failed=0)
+        assert rt.registry.counter(
+            "serving.gateway.cancelled").total() == len(cancel)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_close_answers_what_was_admitted_then_sheds(seed):
+    with using_runtime(Runtime(seed=seed)) as rt:
+        requests = draw_requests(rt, 9)
+        gateway = ServingGateway(
+            deploy(rt), ScoreThresholdPolicy(0.45),
+            GatewayConfig(coalesce_window_s=0.05, max_batch_rows=5))
+
+        async def main():
+            await gateway.start()
+            tasks = [asyncio.ensure_future(
+                gateway.submit(frames, tenant=tenant))
+                for tenant, frames in requests]
+            await asyncio.sleep(0)               # several batches queued
+            await gateway.close()
+            answered_at_close = gateway.stats()["answered"]
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            with pytest.raises(ShedError) as late:
+                await gateway.submit(requests[0][1], tenant="late")
+            return answered_at_close, outcomes, late.value
+
+        answered_at_close, outcomes, late = asyncio.run(main())
+        assert answered_at_close == len(requests)
+        for (_, frames), outcome in zip(requests, outcomes):
+            assert_answered(outcome, frames)
+        assert late.reason == SHED_SHUTDOWN
+        assert_accounts_balance(gateway, answered=len(requests), shed=1,
+                                failed=0, cancelled=0)
+        assert gateway.stats()["batches"] > 1
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_one_batch_raising_fails_only_its_own_requests(seed):
+    with using_runtime(Runtime(seed=seed)) as rt:
+        # >= 10 rows in batches of <= 4: at least three calls, one crashes
+        requests = draw_requests(rt, 10)
+        crashy = CrashingDeployment(
+            deploy(rt), FailureSpec(seed=seed, max_failures=1), 3)
+        gateway = ServingGateway(
+            crashy, ScoreThresholdPolicy(0.45),
+            GatewayConfig(coalesce_window_s=0.0, max_batch_rows=4))
+        outcomes = submit_all(gateway, requests)
+
+        failed_rows = []
+        for (_, frames), outcome in zip(requests, outcomes):
+            if isinstance(outcome, RuntimeError):
+                failed_rows.append(frames.shape[0])
+            else:
+                assert_answered(outcome, frames)
+        (crashed_call,) = crashy.crash_calls
+        assert sum(failed_rows) == crashy.rows_seen[crashed_call]
+        assert len(crashy.rows_seen) >= 3 and len(failed_rows) < len(requests)
+        assert_accounts_balance(
+            gateway, answered=len(requests) - len(failed_rows),
+            failed=len(failed_rows), shed=0, cancelled=0)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds, polls=st.integers(3, 6), poll_size=st.integers(1, 4))
+def test_pump_commits_nothing_past_a_failed_batch(seed, polls, poll_size):
+    topic = "camera.frames"
+    with using_runtime(Runtime(seed=seed)) as rt:
+        broker = Broker(runtime=rt)
+        broker.create_topic(topic, partitions=1, share_ndarrays=True)
+        frames = rt.rng.np_child("prop.serving.frames").normal(
+            size=(polls * poll_size, 1, 8, 8))
+        broker.produce_batch(topic, list(frames), key_fn=lambda _: "cam-a")
+        crashy = CrashingDeployment(
+            deploy(rt), FailureSpec(seed=seed, max_failures=1), polls)
+        config = GatewayConfig(coalesce_window_s=0.0,
+                               max_batch_rows=poll_size)
+
+        def pump(deployment):
+            async def main():
+                gateway = ServingGateway(deployment,
+                                         ScoreThresholdPolicy(0.45), config)
+                async with gateway.running():
+                    return await pump_topic(gateway, broker, topic,
+                                            poll_size=poll_size)
+            return asyncio.run(main())
+
+        with pytest.raises(RuntimeError, match="injected crash"):
+            pump(crashy)
+        # one poll is one batch: everything before the crashed call is
+        # committed, the crashed poll and any read-ahead are not
+        (crashed_call,) = crashy.crash_calls
+        uncommitted = (polls - crashed_call) * poll_size
+        assert broker.lag(DEFAULT_GROUP, topic) == uncommitted
+        served, shed = pump(crashy.inner)
+        assert shed == {}
+        assert sum(len(d) for d in served["cam-a"]) == uncommitted
+        assert broker.lag(DEFAULT_GROUP, topic) == 0
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
