@@ -16,11 +16,12 @@ identical runs produce byte-identical dumps.  Metric names follow the
 ``<layer>.<component>.<metric>`` convention described in DESIGN.md.
 
 Every write goes through a *bound handle*: ``counter.bind(topic="tweets")``
-validates the labels and resolves the series key exactly once, returning
+validates the labels and resolves the series key, returning
 a handle whose ``inc``/``set``/``observe`` is a single dict write, and
 the labeled call (``counter.inc(topic="tweets")``) is
 ``bind(**labels)`` plus that same write.  Hot paths keep the handle;
-everyone else pays one throwaway handle per call.  Binding registers the
+everyone else pays one throwaway handle per call, its key looked up in
+the instrument's per-label-set memo after the first call.  Binding registers the
 label set but creates no series — the series appears on the first write,
 so a dump is byte-identical whether a value arrived through the labeled
 call or through a kept handle (the contract the parallel engine's
@@ -78,12 +79,26 @@ class _LabeledInstrument:
         self.help = help
         self._series: Dict[str, object] = {}
         self._labelsets: Dict[str, Dict[str, str]] = {}
+        self._keys: Dict[Tuple, str] = {}
 
     def _key(self, labels: Dict[str, object]) -> str:
+        """The series key of ``labels``, validated; memoised per label set.
+
+        Only all-``str`` label sets are remembered: ``1``, ``1.0`` and
+        ``True`` hash alike but render as different keys, and a label set
+        that failed validation never gets here, so it raises every time.
+        """
+        items = tuple(labels.items())
+        try:
+            return self._keys[items]
+        except (KeyError, TypeError):      # TypeError: an unhashable value
+            pass
         validated = _validated(labels)
         key = ",".join(f"{k}={v}" for k, v in sorted(validated.items()))
         if key not in self._labelsets:
             self._labelsets[key] = validated
+        if all(type(value) is str for value in labels.values()):
+            self._keys[items] = key
         return key
 
     def labels_for(self, key: str) -> Dict[str, str]:

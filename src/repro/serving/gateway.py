@@ -3,16 +3,17 @@
 :class:`ServingGateway` is the ingress in front of a
 :class:`~repro.fog.deployment.TwoTierDeployment`.  Concurrent callers
 ``await submit(frames, tenant=...)``; the gateway coalesces whatever is
-queued into micro-batches (deadline-bounded by
-``coalesce_window_s``, size-bounded by ``max_batch_rows``), runs one
-early-exit inference per batch through
+queued into micro-batches (a window that closes when arrivals pause, held
+open at most ``coalesce_window_s``; size-bounded by ``max_batch_rows``),
+runs one early-exit inference per batch through
 :meth:`~repro.fog.deployment.TwoTierDeployment.serve_batched`, and slices
 the :class:`~repro.nn.models.earlyexit.BatchExitDecisions` back out to
 each caller.  Every admitted request resolves exactly once — with its
 decisions, or with the batch's exception; every refused request raises
 :class:`~repro.serving.admission.ShedError` exactly once; a request whose
-caller cancelled ``submit()`` while it waited is dropped from the queue
-uninferred and counted ``cancelled``.  That invariant — ``submitted ==
+caller cancelled ``submit()`` while it waited leaves the queue
+uninferred, its rows released to admission as the cancellation lands, and
+is counted ``cancelled``.  That invariant — ``submitted ==
 answered + shed + failed + cancelled`` — is what the chaos property
 tests pin.
 
@@ -22,15 +23,23 @@ Determinism notes:
   single-threaded event loop has queued at wake time, so batch
   composition is a deterministic function of submission order — the mode
   the worker-sweep property tests run in.
-- With a positive window the gateway waits out the deadline for more
-  work first (lower per-request overhead, wall-clock-dependent batching).
+- With a positive window the drain loop yields one event-loop turn at a
+  time and closes the window at the first turn that admitted nothing:
+  requests created together (a tick's cameras, the clients the previous
+  batch released) have all arrived by then, and a lone request is served
+  after one turn instead of a timer.  A steady trickle — at least one
+  admission every turn — keeps it open until ``coalesce_window_s`` has
+  passed on the runtime clock or ``max_batch_rows`` are queued, so batch
+  composition depends on how arrivals interleave with loop turns.  No
+  timer is armed either way.
 - Latency histograms carry wall-clock readings;
   :data:`VOLATILE_METRIC_PREFIXES` names them so determinism tests can
   pass them to :func:`~repro.runtime.parallel.deterministic_dump`.
 
 Inference runs inline on the event loop (NumPy holds the CPU either
 way); submissions landing mid-batch simply queue and ride the next
-coalescing window.
+coalescing window — under load that pile-up is what fills batches, which
+is why the window never needs to sleep on an idle server's behalf.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import asyncio
 from collections import deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Deque, List, Optional, Sequence
 
 import numpy as np
@@ -60,9 +70,11 @@ VOLATILE_METRIC_PREFIXES = ("serving.gateway.latency_s",)
 class GatewayConfig:
     """Tuning knobs for one :class:`ServingGateway`.
 
-    ``coalesce_window_s`` bounds how long the first request of a batch
-    waits for company; ``max_batch_rows`` bounds how much company it can
-    get.  ``max_queue_rows`` is the admission bound (see
+    ``coalesce_window_s`` is the longest the first request of a batch is
+    held while company keeps arriving (the window closes earlier, at the
+    first event-loop turn that admits nothing; 0 takes exactly what is
+    queued at wake time); ``max_batch_rows`` bounds how much company it
+    can get.  ``max_queue_rows`` is the admission bound (see
     :class:`~repro.serving.admission.AdmissionController`);
     ``tenant_rate``/``tenant_burst`` enable per-tenant token buckets.
     ``batch_size`` is forwarded to ``serve_batched`` as the inner
@@ -109,35 +121,33 @@ def split_decisions(decisions: BatchExitDecisions,
     """Invert :meth:`BatchExitDecisions.concatenate` along ``row_counts``.
 
     Remote logits follow their rows: each part gets the escalated rows
-    that fall inside its slice, re-based to part-local indices.
+    that fall inside its slice, re-based to part-local indices.  Every
+    column of a part is a view into ``decisions``.
     """
-    total = sum(row_counts)
-    if total != len(decisions):
-        raise ValueError(f"row_counts sum to {total}, "
+    bounds = list(accumulate(row_counts, initial=0))
+    if bounds[-1] != len(decisions):
+        raise ValueError(f"row_counts sum to {bounds[-1]}, "
                          f"decisions hold {len(decisions)} rows")
-    parts, start = [], 0
-    for rows in row_counts:
-        parts.append(_slice_decisions(decisions, start, start + rows))
-        start += rows
+    # remote_rows ascends (flatnonzero per chunk, offset in chunk order),
+    # so one searchsorted places every part's escalated range.
+    cuts = (np.searchsorted(decisions.remote_rows, bounds).tolist()
+            if decisions.remote_logits is not None else [0] * len(bounds))
+    parts = []
+    for start, stop, first, last in zip(bounds, bounds[1:], cuts, cuts[1:]):
+        remote_rows = np.zeros(0, dtype=int)
+        remote_logits = None
+        if first < last:
+            remote_rows = (decisions.remote_rows[first:last]
+                           - start).astype(int, copy=False)
+            remote_logits = decisions.remote_logits[first:last]
+        parts.append(BatchExitDecisions(
+            predictions=decisions.predictions[start:stop],
+            exit_index=decisions.exit_index[start:stop],
+            confidence=decisions.confidence[start:stop],
+            local_logits=decisions.local_logits[start:stop],
+            remote_logits=remote_logits,
+            remote_rows=remote_rows))
     return parts
-
-
-def _slice_decisions(dec: BatchExitDecisions, start: int,
-                     stop: int) -> BatchExitDecisions:
-    remote_rows = np.zeros(0, dtype=int)
-    remote_logits = None
-    if dec.remote_logits is not None and dec.remote_rows.size:
-        mask = (dec.remote_rows >= start) & (dec.remote_rows < stop)
-        if mask.any():
-            remote_rows = (dec.remote_rows[mask] - start).astype(int)
-            remote_logits = dec.remote_logits[mask]
-    return BatchExitDecisions(
-        predictions=dec.predictions[start:stop],
-        exit_index=dec.exit_index[start:stop],
-        confidence=dec.confidence[start:stop],
-        local_logits=dec.local_logits[start:stop],
-        remote_logits=remote_logits,
-        remote_rows=remote_rows)
 
 
 class ServingGateway:
@@ -272,7 +282,29 @@ class ServingGateway:
         self._m_admitted.inc(1, tenant=tenant)
         self._update_queue_gauges()
         self._wakeup.set()
-        return await pending.future
+        try:
+            return await pending.future
+        except asyncio.CancelledError:
+            self._withdraw(pending)
+            raise
+
+    def _withdraw(self, pending: _Pending) -> None:
+        """Take a cancelled caller's request out of the queue, if still in.
+
+        Not in the queue: a batch took it (it is answered or failed), or
+        ``_take_batch`` met it at the head first and dropped it.
+        """
+        try:
+            self._queue.remove(pending)
+        except ValueError:
+            return
+        self._count_cancelled(pending)
+        self._update_queue_gauges()
+
+    def _count_cancelled(self, pending: _Pending) -> None:
+        self._queued_rows -= pending.rows
+        self.cancelled += 1
+        self._m_cancelled.inc(1, tenant=pending.tenant)
 
     def _shed(self, tenant: str, reason: str, detail: str) -> None:
         self.shed += 1
@@ -289,46 +321,49 @@ class ServingGateway:
             if not self._queue:
                 if self._closed:
                     return
-                await self._wakeup.wait()
+                # Nothing awaits between the checks above and this clear,
+                # so a flag still set here is stale (its request is served
+                # or withdrawn) and waiting on it would spin.
                 self._wakeup.clear()
+                await self._wakeup.wait()
                 continue
-            await self._await_coalescing_deadline()
+            await self._await_quiescence()
             batch = self._take_batch()
             if batch:
                 self._serve_batch(batch)
 
-    async def _await_coalescing_deadline(self) -> None:
-        """Hold the first request up to ``coalesce_window_s`` for company."""
+    async def _await_quiescence(self) -> None:
+        """Hold the batch while requests keep arriving, turn by turn.
+
+        Requests created together are admitted within one turn of the
+        event loop of each other, so the first turn that admits nothing
+        means the burst is in.  ``coalesce_window_s`` (on the runtime
+        clock) and ``max_batch_rows`` bound a trickle that never pauses.
+        """
         window = self.config.coalesce_window_s
         if window <= 0:
             return
-        deadline = self.runtime.now() + window
+        deadline = self._queue[0].enqueued_at + window
         while not self._closed and self._queued_rows < self.config.max_batch_rows:
-            remaining = deadline - self.runtime.now()
-            if remaining <= 0:
-                break
-            try:
-                await asyncio.wait_for(self._wakeup.wait(), remaining)
-            except asyncio.TimeoutError:
-                break
-            self._wakeup.clear()
+            admitted = self.admitted
+            await asyncio.sleep(0)
+            if self.admitted == admitted or self.runtime.now() >= deadline:
+                return
 
     def _take_batch(self) -> List[_Pending]:
         """Pop whole requests until the next one would overflow the batch.
 
         A request whose future is already done was cancelled by its caller
-        while it waited: it leaves the queue here, uninferred, and its
-        rows stop counting against admission.
+        and reached the head before the cancellation reached ``submit()``
+        (which would have withdrawn it): it leaves the queue here,
+        uninferred.
         """
         batch: List[_Pending] = []
         rows = 0
         while self._queue:
             head = self._queue[0]
             if head.future.done():
-                self._queue.popleft()
-                self._queued_rows -= head.rows
-                self.cancelled += 1
-                self._m_cancelled.inc(1, tenant=head.tenant)
+                self._count_cancelled(self._queue.popleft())
                 continue
             if batch and rows + head.rows > self.config.max_batch_rows:
                 break

@@ -10,7 +10,8 @@ The invariants the serving plane must never lose:
   gateway's own accounting (``submitted == answered + shed + failed +
   cancelled``) matches the caller's view.
 - **lifecycle edges keep that accounting** — a caller cancelling
-  ``submit()`` mid-coalesce (its rows never reach the deployment),
+  ``submit()`` mid-coalesce (its rows never reach the deployment and stop
+  counting against admission as the cancellation lands),
   ``close()`` with admitted batches still queued (all answered before it
   returns, later submits shed ``shutdown``), and one batch raising among
   many (only its requests fail; ``pump_topic`` commits nothing past it).
@@ -55,7 +56,7 @@ from repro.serving import (
 from repro.serving.admission import SHED_SHUTDOWN
 from repro.streaming.broker import Broker
 
-from tests.serving.conftest import build_model
+from tests.serving.conftest import RecordingDeployment, build_model
 
 BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 WORKER_SWEEP = (1, 2, 4)
@@ -169,8 +170,9 @@ def test_cancelled_mid_coalesce_is_dropped_not_inferred(seed):
                                  replace=False).tolist())
         recorder = CrashingDeployment(deploy(rt), FailureSpec(seed=seed), 0)
         # Cancellation lands while everything is still queued (asserted
-        # below); 6-row batches make some cancelled requests wait behind a
-        # full batch before they reach the head and are dropped.
+        # below).  The drain loop wakes before the cancelled callers do and
+        # serves full 6-row batches at once, dropping the cancelled requests
+        # it meets at the head; the callers then withdraw the rest.
         gateway = ServingGateway(
             recorder, ScoreThresholdPolicy(0.45),
             GatewayConfig(coalesce_window_s=0.02, max_batch_rows=6))
@@ -184,8 +186,13 @@ def test_cancelled_mid_coalesce_is_dropped_not_inferred(seed):
                 assert gateway.stats()["queue_requests"] == len(requests)
                 for index in cancel:
                     tasks[index].cancel()
-                return await asyncio.gather(*tasks, return_exceptions=True)
-        outcomes = asyncio.run(main())
+                await asyncio.sleep(0)           # every cancellation landed
+                queued = gateway.stats()["queue_rows"]
+                served = sum(recorder.rows_seen)
+                outcomes = await asyncio.gather(*tasks,
+                                                return_exceptions=True)
+                return queued, served, outcomes
+        queued, served, outcomes = asyncio.run(main())
 
         kept_rows = 0
         for index, ((_, frames), outcome) in enumerate(zip(requests,
@@ -196,11 +203,58 @@ def test_cancelled_mid_coalesce_is_dropped_not_inferred(seed):
                 assert_answered(outcome, frames)
                 kept_rows += frames.shape[0]
         assert sum(recorder.rows_seen) == kept_rows
+        # only live requests still count, wherever the cancelled ones sat
+        assert queued == kept_rows - served
         assert_accounts_balance(gateway, cancelled=len(cancel),
                                 answered=len(requests) - len(cancel),
                                 shed=0, failed=0)
         assert rt.registry.counter(
             "serving.gateway.cancelled").total() == len(cancel)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_cancelled_rows_make_room_at_cancel_time(seed):
+    with using_runtime(Runtime(seed=seed)) as rt:
+        requests = draw_requests(rt, 8)
+        pick = rt.rng.np_child("prop.serving.cancel")
+        cancel = set(pick.choice(len(requests), size=int(pick.integers(1, 5)),
+                                 replace=False).tolist())
+        total_rows = sum(frames.shape[0] for _, frames in requests)
+        cancelled_rows = sum(requests[index][1].shape[0] for index in cancel)
+        recorder = RecordingDeployment(deploy(rt))
+        # The queue is full to the row, and no batch can form before the
+        # late request arrives: the window is open (fewer rows than a
+        # batch, arrivals every turn).  Only released rows make room.
+        gateway = ServingGateway(
+            recorder, ScoreThresholdPolicy(0.45),
+            GatewayConfig(coalesce_window_s=10.0, max_batch_rows=64,
+                          max_queue_rows=total_rows))
+        late_frames = np.zeros((cancelled_rows, 1, 8, 8))
+
+        async def main():
+            async with gateway.running():
+                tasks = [asyncio.ensure_future(
+                    gateway.submit(frames, tenant=tenant))
+                    for tenant, frames in requests]
+                await asyncio.sleep(0)           # every request is queued
+                for index in cancel:
+                    tasks[index].cancel()
+                await asyncio.sleep(0)           # every cancellation landed
+                stats = gateway.stats()
+                late = await gateway.submit(late_frames, tenant="late")
+                await asyncio.gather(*tasks, return_exceptions=True)
+                return stats, late
+        stats, late = asyncio.run(main())
+
+        assert stats["batches"] == 0 and stats["cancelled"] == len(cancel)
+        assert stats["queue_rows"] == total_rows - cancelled_rows
+        assert stats["queue_requests"] == len(requests) - len(cancel)
+        assert_answered(late, late_frames)
+        assert sum(recorder.rows_seen) == total_rows
+        assert_accounts_balance(gateway, cancelled=len(cancel),
+                                answered=len(requests) - len(cancel) + 1,
+                                shed=0, failed=0)
 
 
 @settings(max_examples=5, deadline=None)

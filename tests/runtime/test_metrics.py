@@ -249,6 +249,42 @@ class TestLabelValidationAndStructuredAccess:
         with pytest.raises(MetricsError):
             histogram.observe(1.0, name="x,y")
 
+    def test_forbidden_value_raises_on_every_call(self):
+        counter = Counter("c")
+        counter.inc(1.0, hop="a")
+        for _ in range(3):
+            with pytest.raises(MetricsError):
+                counter.inc(1.0, hop="a,b")
+        assert counter.dump() == {"hop=a": 1.0}
+
+    def test_repeated_label_sets_resolve_to_the_key_a_first_call_gets(self):
+        counter = Counter("c")
+        for _ in range(3):
+            counter.inc(1.0, tenant="cam-a", reason="full")
+            counter.inc(1.0, reason="full", tenant="cam-a")   # other order
+            counter.inc(1.0, tenant="cam-b", reason="full")
+        assert counter.dump() == {"reason=full,tenant=cam-a": 6.0,
+                                  "reason=full,tenant=cam-b": 3.0}
+        assert counter.labels_for("reason=full,tenant=cam-a") == {
+            "reason": "full", "tenant": "cam-a"}
+
+    def test_equal_hashing_values_keep_their_own_series(self):
+        # 1 == 1.0 == True and they hash alike, but render differently
+        gauge = Gauge("g")
+        for _ in range(2):
+            gauge.inc(1.0, part=1)
+            gauge.inc(1.0, part=1.0)
+            gauge.inc(1.0, part=True)
+            gauge.inc(1.0, part="1")
+        assert gauge.dump() == {"part=1": 4.0, "part=1.0": 2.0,
+                                "part=True": 2.0}
+
+    def test_unhashable_label_value_is_stringified(self):
+        counter = Counter("c")
+        counter.inc(1.0, shape=[2])
+        counter.inc(1.0, shape=[2])
+        assert counter.dump() == {"shape=[2]": 2.0}
+
     def test_series_key_rejects_ambiguous_values(self):
         with pytest.raises(MetricsError):
             series_key({"hop": "edge-0->fog-0,server-1"})

@@ -22,6 +22,18 @@ def build_model(rng=None, num_classes=3):
             nn.GlobalAvgPool2d(), nn.Linear(8, num_classes, rng=rng)))
 
 
+class RecordingDeployment:
+    """Wrap a deployment; remember the rows of every batch it is handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows_seen = []
+
+    def serve_batched(self, x, policy, batch_size=None):
+        self.rows_seen.append(int(x.shape[0]))
+        return self.inner.serve_batched(x, policy, batch_size=batch_size)
+
+
 def camera_frames(seed, n):
     return np.random.default_rng(seed).normal(size=(n, 1, 8, 8))
 

@@ -1,10 +1,12 @@
 """The serving gateway: coalescing, shedding, slicing, exactly-once answers."""
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.nn.models.earlyexit import BatchExitDecisions
 from repro.serving import (
     SHED_QUEUE_FULL,
     SHED_RATE_LIMIT,
@@ -16,7 +18,7 @@ from repro.serving import (
 )
 from repro.serving.gateway import VOLATILE_METRIC_PREFIXES
 
-from tests.serving.conftest import camera_frames
+from tests.serving.conftest import RecordingDeployment, camera_frames
 
 
 def drive(gateway, submissions):
@@ -90,6 +92,133 @@ class TestCoalescing:
                                   for i in range(4)])
         assert all(len(r.predictions) == 2 for r in results)
         assert gateway.answered == 4
+
+
+class TestQuiescenceWindow:
+    """The positive window, driven through the clock the gateway reads.
+
+    ``rt.sim_clock`` binds a clock the test moves by hand, so the
+    deadline is reached exactly when the test says; ``HANG_GUARD_S`` only
+    turns a window that waits for real time into a failure.
+    """
+
+    HANG_GUARD_S = 5.0
+
+    def run(self, rt, scenario, clock=None):
+        async def guarded():
+            return await asyncio.wait_for(scenario(), self.HANG_GUARD_S)
+        with rt.sim_clock(clock or SimpleNamespace(now=0.0)):
+            return asyncio.run(guarded())
+
+    @staticmethod
+    async def trickle(gateway, count, each_turn=lambda index: None):
+        """One single-row request per event-loop turn; their tasks."""
+        tasks = []
+        for index in range(count):
+            tasks.append(asyncio.ensure_future(
+                gateway.submit(camera_frames(index, 1), tenant="t")))
+            each_turn(index)
+            await asyncio.sleep(0)
+        return tasks
+
+    @pytest.mark.parametrize("max_batch_rows, batches",
+                             [(6, [6, 6, 2]), (64, [14])],
+                             ids=["split-at-the-cap", "one-batch"])
+    def test_one_turn_of_requests_rides_the_fewest_batches(
+            self, rt, deployment, policy, max_batch_rows, batches):
+        recorder = RecordingDeployment(deployment)
+        gateway = ServingGateway(
+            recorder, policy,
+            GatewayConfig(coalesce_window_s=10.0,
+                          max_batch_rows=max_batch_rows))
+
+        async def scenario():
+            async with gateway.running():
+                return await asyncio.gather(
+                    *(gateway.submit(camera_frames(i, 2), tenant="t")
+                      for i in range(7)))
+        results = self.run(rt, scenario)
+        assert all(len(r.predictions) == 2 for r in results)
+        assert recorder.rows_seen == batches
+
+    def test_lone_request_does_not_wait_for_the_clock(self, rt, deployment,
+                                                      policy):
+        clock = SimpleNamespace(now=0.0)
+        gateway = ServingGateway(deployment, policy,
+                                 GatewayConfig(coalesce_window_s=10.0))
+
+        async def scenario():
+            async with gateway.running():
+                return await gateway.submit(camera_frames(0, 3), tenant="t")
+        assert len(self.run(rt, scenario, clock).predictions) == 3
+        assert clock.now == 0.0
+
+    def test_trickle_is_held_until_the_deadline(self, rt, deployment,
+                                                policy):
+        clock = SimpleNamespace(now=0.0)
+        recorder = RecordingDeployment(deployment)
+        gateway = ServingGateway(
+            recorder, policy,
+            GatewayConfig(coalesce_window_s=1.0, max_batch_rows=64))
+
+        def pass_the_deadline(index):
+            if index == 5:
+                clock.now = 2.0
+
+        async def scenario():
+            async with gateway.running():
+                tasks = await self.trickle(gateway, 12, pass_the_deadline)
+                return await asyncio.gather(*tasks)
+        results = self.run(rt, scenario, clock)
+        assert len(results) == 12
+        # Held while the clock stood still; the deadline cut the batch at
+        # the requests admitted before it, the rest rode the next window.
+        assert recorder.rows_seen == [5, 7]
+
+    def test_trickle_is_held_until_the_row_cap(self, rt, deployment, policy):
+        clock = SimpleNamespace(now=0.0)
+        recorder = RecordingDeployment(deployment)
+        gateway = ServingGateway(
+            recorder, policy,
+            GatewayConfig(coalesce_window_s=10.0, max_batch_rows=5))
+
+        async def scenario():
+            async with gateway.running():
+                return await asyncio.gather(
+                    *await self.trickle(gateway, 12))
+        results = self.run(rt, scenario, clock)
+        assert len(results) == 12
+        assert recorder.rows_seen == [5, 5, 2]
+        assert clock.now == 0.0
+
+    def test_close_during_an_open_window_answers_the_admitted(
+            self, rt, deployment, policy):
+        gateway = ServingGateway(deployment, policy,
+                                 GatewayConfig(coalesce_window_s=10.0))
+
+        async def scenario():
+            await gateway.start()
+            tasks = await self.trickle(gateway, 4)
+            open_window = gateway.stats()
+            await gateway.close()
+            return open_window, await asyncio.gather(*tasks)
+        open_window, results = self.run(rt, scenario)
+        assert open_window["batches"] == 0
+        assert open_window["queue_requests"] >= 3
+        assert all(len(r.predictions) == 1 for r in results)
+        assert gateway.stats()["answered"] == 4
+
+    def test_zero_window_batches_exactly_what_is_queued(self, rt, deployment,
+                                                        policy):
+        # the worker-sweep property's requests and limits
+        recorder = RecordingDeployment(deployment)
+        gateway = ServingGateway(
+            recorder, policy,
+            GatewayConfig(coalesce_window_s=0.0, max_batch_rows=8,
+                          batch_size=2))
+        drive(gateway, [("cam", camera_frames(i, rows))
+                        for i, rows in enumerate([3, 1, 4, 2, 3])])
+        assert recorder.rows_seen == [8, 5]
 
 
 class TestShedding:
@@ -203,6 +332,32 @@ class TestSplitDecisions:
                 assert len(part.remote_logits) == len(expected_remote)
             else:
                 assert part.remote_logits is None
+
+    def test_escalated_rows_follow_their_part(self):
+        remote_rows = np.array([0, 3, 4, 11])
+        whole = BatchExitDecisions(
+            predictions=np.arange(12), exit_index=np.ones(12, dtype=int),
+            confidence=np.linspace(0.0, 1.0, 12),
+            local_logits=np.arange(36.0).reshape(12, 3),
+            remote_logits=np.arange(12.0).reshape(4, 3),
+            remote_rows=remote_rows)
+        counts = [0, 1, 3, 0, 4, 4, 0]
+        parts = split_decisions(whole, counts)
+        start = 0
+        for part, rows in zip(parts, counts):
+            # the per-part mask the searchsorted cut replaces
+            mask = (remote_rows >= start) & (remote_rows < start + rows)
+            assert part.remote_rows.tolist() == (remote_rows[mask]
+                                                 - start).tolist()
+            if mask.any():
+                assert np.array_equal(part.remote_logits,
+                                      whole.remote_logits[mask])
+            else:
+                assert part.remote_logits is None
+            assert np.array_equal(part.local_logits,
+                                  whole.local_logits[start:start + rows])
+            start += rows
+        assert sum(len(p.remote_rows) for p in parts) == 4
 
     def test_row_count_mismatch_is_an_error(self, rt, deployment, policy):
         whole = deployment.serve_batched(camera_frames(4, 4), policy)
