@@ -6,10 +6,8 @@ toward the full (server) model, and the feature-map bytes crossing the
 network grow — while always staying far below shipping raw frames.
 """
 
-import numpy as np
-
 from benchmarks.helpers import print_table
-from repro.nn.tensor import Tensor
+from repro.nn.models.yolo import detection_confidence
 
 
 def test_fig5_threshold_tradeoff(trained_vehicle_app, benchmark):
@@ -52,10 +50,12 @@ def test_fig5_early_exit_inference_speed(trained_vehicle_app, benchmark):
     frames, _ = app.build_detection_dataset(16)
 
     def infer():
-        return app.model.infer(Tensor(frames), threshold=0.5)
+        decisions = app.model.infer_batch(frames, 0.5,
+                                          confidence=detection_confidence)
+        return decisions, app.model.detections(decisions)
 
-    results = benchmark(infer)
-    local = sum(1 for r in results if r["exit_index"] == 1)
+    decisions, detections = benchmark(infer)
+    local = int(decisions.local_mask.sum())
     print(f"\n  16-frame batch: {local} local exits, "
           f"{16 - local} server escalations")
-    assert len(results) == 16
+    assert len(decisions) == len(detections) == 16

@@ -6,10 +6,8 @@ LSTM1 + FC1) and the server exit (block 2 + LSTM2 + FC2), trading accuracy
 against the block-1 feature-map traffic shipped upstream.
 """
 
-import numpy as np
-
 from benchmarks.helpers import print_table
-from repro.nn.tensor import Tensor
+from repro.fog.policies import EntropyThresholdPolicy, run_policy_batched
 
 
 def test_fig7_entropy_threshold_sweep(trained_action_app, benchmark):
@@ -46,17 +44,18 @@ def test_fig7_feature_map_vs_raw_traffic(trained_action_app, benchmark):
     clips, _ = app.clips.dataset(clips_per_class=4)
 
     def infer():
-        return app.model.infer(Tensor(clips), max_entropy=0.5)
+        return run_policy_batched(app.model, clips,
+                                  EntropyThresholdPolicy(0.5))
 
-    results = benchmark(infer)
-    escalated = [r for r in results if r["exit_index"] == 2]
-    feature_bytes = sum(r["shipped_bytes"] for r in results)
-    raw_bytes = len(escalated) * app.model.raw_clip_bytes(
-        frames=clips.shape[1])
-    print(f"\n  escalated clips: {len(escalated)}/{len(results)}")
+    decisions = benchmark(infer)
+    escalated = int(decisions.remote_rows.size)
+    frames = clips.shape[1]
+    feature_bytes = escalated * app.model.feature_map_bytes(frames)
+    raw_bytes = escalated * app.model.raw_clip_bytes(frames)
+    print(f"\n  escalated clips: {escalated}/{len(decisions)}")
     print(f"  block-1 feature maps shipped: {feature_bytes / 1024:.1f} KB")
     print(f"  raw clips at this toy scale:  {raw_bytes / 1024:.1f} KB")
     print("  (fp32 feature maps only beat raw pixels at camera "
           "resolution; the gating effect — zero bytes for confident "
           "clips — is scale-independent)")
-    assert len(results) == len(clips)
+    assert len(decisions) == len(clips)

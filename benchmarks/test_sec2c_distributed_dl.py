@@ -19,7 +19,8 @@ from repro import nn
 from repro.nn import functional as F
 from repro.nn.distributed import ParameterServerTrainer
 from repro.fog import TwoTierDeployment
-from repro.nn.models.yolo import EarlyExitDetector
+from repro.fog.policies import ExitPolicy, run_policy_batched
+from repro.nn.models.yolo import EarlyExitDetector, detection_confidence
 from repro.nn.tensor import Tensor
 
 
@@ -102,8 +103,8 @@ def test_sec2c_two_tier_deployment_payloads(benchmark):
         deployment = TwoTierDeployment(
             lambda: EarlyExitDetector(1, 16, num_classes=3, grid=4,
                                       rng=np.random.default_rng(9)),
-            local_modules=["stem", "local_branch", "local_head"],
-            remote_modules=["remote_branch", "remote_head"])
+            local_modules=["local_stage", "local_head"],
+            remote_modules=["remote_stage", "remote_head"])
         deployment.deploy(trained)
         return deployment
 
@@ -122,9 +123,16 @@ def test_sec2c_two_tier_deployment_payloads(benchmark):
     deployment.device_model.eval()
     deployment.server_model.eval()
     x = Tensor(np.random.default_rng(1).normal(0, 1, (1, 1, 16, 16)))
-    mono = trained.local_head(trained.local_branch(trained.stem(x))).data
+    mono = trained.local_head(trained.local_stage(x)).data
     device = deployment.device_model
-    deployed = device.local_head(device.local_branch(device.stem(x))).data
+    deployed = device.local_head(device.local_stage(x)).data
     np.testing.assert_allclose(deployed, mono, atol=1e-12)
+    # ... and the served composite decides every frame as the monolith does.
+    policy = ExitPolicy(0.5, detection_confidence)
+    frames = np.random.default_rng(2).normal(0, 1, (8, 1, 16, 16))
+    served = deployment.serve_batched(frames, policy)
+    direct = run_policy_batched(trained, frames, policy)
+    np.testing.assert_array_equal(served.exit_index, direct.exit_index)
+    assert trained.detections(served) == trained.detections(direct)
     assert (deployment.payload_bytes["server"]
             > deployment.payload_bytes["device"])

@@ -13,8 +13,8 @@ Run:  python examples/action_monitoring.py
 from repro.apps.action import ActionRecognitionApp
 from repro.data import build_dotd_registry
 from repro.data.video import ACTION_CLASSES
+from repro.fog.policies import EntropyThresholdPolicy, run_policy_batched
 from repro.nosql import DocumentStore
-from repro.nn.tensor import Tensor
 
 
 def main() -> None:
@@ -41,16 +41,17 @@ def main() -> None:
     store = DocumentStore()
     alerts_collection = store.collection("alerts")
     clips, labels = app.clips.dataset(clips_per_class=4)
-    results = app.model.infer(Tensor(clips), max_entropy=0.8)
+    decisions = run_policy_batched(app.model, clips,
+                                   EntropyThresholdPolicy(max_entropy=0.8))
     suspicious = [ACTION_CLASSES.index("fighting"),
                   ACTION_CLASSES.index("breaking_in")]
-    alerts = app.index_alerts(alerts_collection, results,
+    alerts = app.index_alerts(alerts_collection, decisions,
                               camera_id=camera.camera_id,
                               suspicious_classes=suspicious)
-    local = sum(1 for r in results if r["exit_index"] == 1)
+    local = int(decisions.local_mask.sum())
     print(f"  camera: {camera.camera_id} on {camera.highway}")
-    print(f"  clips processed: {len(results)} "
-          f"({local} resolved on-device, {len(results) - local} on server)")
+    print(f"  clips processed: {len(decisions)} "
+          f"({local} resolved on-device, {len(decisions) - local} on server)")
     print(f"  operator alerts raised: {alerts}")
     for doc in alerts_collection.find({}, limit=5):
         print(f"    clip {doc['clip_index']:2d}: {doc['activity']:12s} "

@@ -13,8 +13,9 @@ Run:  python examples/amber_alert.py
 
 from repro.apps.vehicle import AmberAlertSearch, VehicleDetectionApp
 from repro.data import build_dotd_registry
+from repro.fog.policies import ExitPolicy, run_policy_batched
 from repro.nosql import DocumentStore
-from repro.nn.tensor import Tensor
+from repro.nn.models.yolo import detection_confidence
 
 
 def main() -> None:
@@ -29,13 +30,17 @@ def main() -> None:
     search = AmberAlertSearch(store.collection("sightings"), min_score=0.25)
 
     print("\nMonitoring three cameras and indexing sightings...")
+    # The Fig. 5 rule: a frame whose best detection score reaches 0.5
+    # resolves on the device, the rest ship their stem feature map.
+    policy = ExitPolicy(0.5, detection_confidence)
     clock = 0.0
     for camera in cameras:
         frames, _ = app.build_detection_dataset(num_scenes=10)
-        results = app.model.infer(Tensor(frames), threshold=0.5)
+        decisions = run_policy_batched(app.model, frames, policy)
         indexed = 0
-        for frame_index, result in enumerate(results):
-            for detection in result["detections"]:
+        for frame_index, detections in enumerate(
+                app.model.detections(decisions)):
+            for detection in detections:
                 label = app.catalog.label(detection.class_id)
                 search.index_sighting(
                     camera_id=camera.camera_id,

@@ -16,75 +16,74 @@ for the E8 ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.runtime.rng import resolve_rng
-from repro.runtime.core import get_runtime
 
 from repro import nn
+from repro.fog.policies import EntropyThresholdPolicy, run_policy_batched
 from repro.nn import functional as F
-from repro.nn.inference import eval_mode, iter_microbatches, observe_inference
-from repro.nn.models.earlyexit import entropy_confidence
+from repro.nn.inference import eval_mode
+from repro.nn.models.earlyexit import BatchExitDecisions, EarlyExitNetwork
+from repro.nn.models.lstm import LSTMClassifier
 from repro.nn.models.resnet import ResNetBlock
 from repro.nn.tensor import Tensor
 from repro.data.video import ACTION_CLASSES, ActionClipGenerator
 from repro.runtime import get_runtime
 
 
-class ActionEarlyExitModel(nn.Module):
-    """ResNet block 1 + LSTM1/FC1 (exit 1); block 2 + LSTM2/FC2 (exit 2)."""
+class PerFrame(nn.Module):
+    """Run a frame module over every frame of (N, T, ...) clips.
+
+    Frames fold into the batch axis for the wrapped module and unfold
+    again, so a clip stays one row — the unit early exit gathers and
+    escalates.
+    """
+
+    def __init__(self, module: nn.Module):
+        super().__init__()
+        self.module = module
+
+    def forward(self, clips: Tensor) -> Tensor:
+        n, t = clips.shape[:2]
+        out = self.module(clips.reshape(n * t, *clips.shape[2:]))
+        return out.reshape(n, t, *out.shape[1:])
+
+
+class ActionEarlyExitModel(EarlyExitNetwork):
+    """ResNet block 1 + LSTM1/FC1 (exit 1); block 2 + LSTM2/FC2 (exit 2).
+
+    An :class:`EarlyExitNetwork` over (N, T, 1, H, W) clips: the local
+    stage's output — block 1's per-frame feature maps, (N, T, C1, H/2,
+    W/2) — is what feeds exit 1 and what an escalated clip ships upstream.
+    The Fig. 7 rule is :class:`repro.fog.policies.EntropyThresholdPolicy`.
+    """
 
     def __init__(self, image_size: int = 16, num_classes: int = 5,
                  block1_channels: int = 4, block2_channels: int = 8,
                  lstm1_hidden: int = 8, lstm2_hidden: int = 16,
                  shortcut: str = "conv",
                  rng: Optional[np.random.Generator] = None):
-        super().__init__()
         rng = resolve_rng(rng, "apps.action.model")
+        block1 = ResNetBlock(1, block1_channels, stride=2,
+                             shortcut=shortcut, rng=rng)
+        block2 = ResNetBlock(block1_channels, block2_channels, stride=2,
+                             shortcut=shortcut, rng=rng)
+        # Exit heads: per-frame pooled features -> LSTM -> FC.
+        head1 = LSTMClassifier(block1_channels, lstm1_hidden, num_classes,
+                               rng=rng)
+        head2 = LSTMClassifier(block2_channels, lstm2_hidden, num_classes,
+                               rng=rng)
+        super().__init__(
+            PerFrame(block1),
+            nn.Sequential(PerFrame(nn.GlobalAvgPool2d()), head1),
+            PerFrame(block2),
+            nn.Sequential(PerFrame(nn.GlobalAvgPool2d()), head2))
         self.image_size = image_size
         self.num_classes = num_classes
-        self.block1 = ResNetBlock(1, block1_channels, stride=2,
-                                  shortcut=shortcut, rng=rng)
-        self.block2 = ResNetBlock(block1_channels, block2_channels, stride=2,
-                                  shortcut=shortcut, rng=rng)
-        self.pool = nn.GlobalAvgPool2d()
-        self.lstm1 = nn.LSTM(block1_channels, lstm1_hidden, rng=rng)
-        self.fc1 = nn.Linear(lstm1_hidden, num_classes, rng=rng)
-        self.lstm2 = nn.LSTM(block2_channels, lstm2_hidden, rng=rng)
-        self.fc2 = nn.Linear(lstm2_hidden, num_classes, rng=rng)
         self.block1_channels = block1_channels
-
-    def _fold_frames(self, clips: Tensor):
-        """(N, T, 1, H, W) -> (N*T, 1, H, W) plus the (N, T) geometry."""
-        n, t = clips.shape[0], clips.shape[1]
-        return clips.reshape(n * t, *clips.shape[2:]), n, t
-
-    def block1_features(self, clips: Tensor) -> Tensor:
-        """Per-frame block-1 feature maps: (N*T, C1, H/2, W/2)."""
-        folded, _, _ = self._fold_frames(clips)
-        return self.block1(folded)
-
-    def forward(self, clips: Tensor):
-        """Both exits' logits for (N, T, 1, H, W) clips."""
-        folded, n, t = self._fold_frames(clips)
-        feature_maps = self.block1(folded)
-        # Exit 1: per-frame pooled features -> LSTM1 -> FC1.
-        pooled1 = self.pool(feature_maps).reshape(n, t, self.block1_channels)
-        local_logits = self.fc1(self.lstm1.last_hidden(pooled1))
-        # Exit 2: continue through block 2 from the same feature maps.
-        deep_maps = self.block2(feature_maps)
-        pooled2 = self.pool(deep_maps).reshape(n, t, deep_maps.shape[1])
-        remote_logits = self.fc2(self.lstm2.last_hidden(pooled2))
-        return local_logits, remote_logits
-
-    def joint_loss(self, clips: Tensor, targets: np.ndarray,
-                   local_weight: float = 0.5) -> Tensor:
-        local_logits, remote_logits = self.forward(clips)
-        return (local_weight * F.cross_entropy(local_logits, targets)
-                + (1 - local_weight) * F.cross_entropy(remote_logits, targets))
 
     def feature_map_bytes(self, frames: int) -> int:
         """Bytes of block-1 feature maps shipped upstream per clip (fp32)."""
@@ -93,49 +92,6 @@ class ActionEarlyExitModel(nn.Module):
 
     def raw_clip_bytes(self, frames: int) -> int:
         return frames * self.image_size * self.image_size  # uint8 grayscale
-
-    def _infer_chunk(self, chunk: np.ndarray, max_entropy: float) -> List[Dict]:
-        """Entropy-gate one micro-batch; only escalated clips run block 2."""
-        folded, n, t = self._fold_frames(Tensor(chunk))
-        feature_maps = self.block1(folded)
-        pooled1 = self.pool(feature_maps).reshape(n, t, self.block1_channels)
-        local = self.fc1(self.lstm1.last_hidden(pooled1)).data
-        entropies = -entropy_confidence(local)
-        needs_remote = entropies > max_entropy
-        predictions = local.argmax(axis=-1).astype(int)
-        shipped = np.zeros(n, dtype=int)
-        if needs_remote.any():
-            map_shape = feature_maps.shape[1:]
-            escalated = feature_maps.data.reshape(n, t, *map_shape)[needs_remote]
-            deep = self.block2(Tensor(escalated.reshape(-1, *map_shape)))
-            pooled2 = self.pool(deep).reshape(
-                int(needs_remote.sum()), t, deep.shape[1])
-            remote = self.fc2(self.lstm2.last_hidden(pooled2)).data
-            predictions[needs_remote] = remote.argmax(axis=-1)
-            shipped[needs_remote] = self.feature_map_bytes(t)
-        exit_index = np.where(needs_remote, 2, 1)
-        return [{
-            "prediction": int(predictions[row]),
-            "exit_index": int(exit_index[row]),
-            "entropy": float(entropies[row]),
-            "shipped_bytes": int(shipped[row]),
-        } for row in range(n)]
-
-    def infer(self, clips: Tensor, max_entropy: float,
-              batch_size: Optional[int] = None) -> List[Dict]:
-        """Entropy-gated early-exit inference (the Fig. 7 rule).
-
-        Runs on the fast path: eval mode, no autograd, micro-batches of
-        ``batch_size`` clips (all at once if None), and only escalated
-        clips pay for the deep branch.
-        """
-        data = clips.data if isinstance(clips, Tensor) else np.asarray(clips)
-        results: List[Dict] = []
-        with observe_inference(type(self).__name__, int(data.shape[0])):
-            with eval_mode(self), nn.no_grad():
-                for chunk in iter_microbatches(data, batch_size):
-                    results.extend(self._infer_chunk(chunk, max_entropy))
-        return results
 
 
 class ActionRecognitionApp:
@@ -150,7 +106,7 @@ class ActionRecognitionApp:
             image_size=image_size,
             num_classes=self.clips.num_classes,
             shortcut=shortcut,
-            rng=get_runtime().rng.np_child("apps.action.model", seed))
+            rng=self.runtime.rng.np_child("apps.action.model", seed))
         self.seed = seed
         self.class_names = ACTION_CLASSES
 
@@ -158,7 +114,7 @@ class ActionRecognitionApp:
               lr: float = 0.01, batch_size: int = 10) -> List[float]:
         data, labels = self.clips.dataset(clips_per_class)
         optimizer = nn.Adam(self.model.parameters(), lr=lr)
-        rng = get_runtime().rng.np_child("apps.action.train.sgd", self.seed)
+        rng = self.runtime.rng.np_child("apps.action.train.sgd", self.seed)
         losses = []
         for _ in range(epochs):
             order = rng.permutation(len(labels))
@@ -179,9 +135,8 @@ class ActionRecognitionApp:
     def exit_accuracies(self, clips_per_class: int = 4) -> Dict[str, float]:
         """Accuracy of each exit alone on fresh clips."""
         data, labels = self.clips.dataset(clips_per_class)
-        self.model.eval()
-        local, remote = self.model.forward(Tensor(data))
-        self.model.train()
+        with eval_mode(self.model), nn.no_grad():
+            local, remote = self.model.forward(Tensor(data))
         return {
             "local": F.accuracy(local, labels),
             "remote": F.accuracy(remote, labels),
@@ -192,45 +147,45 @@ class ActionRecognitionApp:
                       batch_size: Optional[int] = None) -> List[Dict]:
         """The Fig. 7 tradeoff: accuracy / offload per entropy threshold."""
         data, labels = self.clips.dataset(clips_per_class)
+        clip_bytes = self.model.feature_map_bytes(data.shape[1])
+        exits = self.runtime.registry.counter("app.action.exits")
         rows = []
         for max_entropy in max_entropies:
-            results = self.model.infer(Tensor(data), max_entropy=max_entropy,
-                                       batch_size=batch_size)
-            predictions = np.array([r["prediction"] for r in results])
-            local = sum(1 for r in results if r["exit_index"] == 1)
-            exits = self.runtime.registry.counter("app.action.exits")
-            exits.inc(local, tier="local")
-            exits.inc(len(results) - local, tier="server")
+            decisions = run_policy_batched(
+                self.model, data, EntropyThresholdPolicy(max_entropy),
+                batch_size=batch_size)
+            escalated = int(decisions.remote_rows.size)
+            exits.inc(len(decisions) - escalated, tier="local")
+            exits.inc(escalated, tier="server")
             rows.append({
                 "max_entropy": max_entropy,
-                "accuracy": float((predictions == labels).mean()),
-                "local_fraction": local / len(results),
-                "bytes_shipped": sum(r["shipped_bytes"] for r in results),
+                "accuracy": float((decisions.predictions == labels).mean()),
+                "local_fraction": decisions.local_fraction,
+                "bytes_shipped": escalated * clip_bytes,
             })
         return rows
 
-    def index_alerts(self, collection, results: Sequence[Dict],
+    def index_alerts(self, collection, decisions: BatchExitDecisions,
                      camera_id: str, suspicious_classes: Sequence[int]
                      ) -> int:
         """Log recognized suspicious activity for the human operator.
 
         Mirrors the paper's flow: time, location (camera), activity type
         and exit tier are written to a database and an alert row is
-        flagged for review.
+        flagged for review.  ``decisions`` is an ``infer_batch`` result;
+        its confidence column is the negated exit-1 entropy.
         """
-        alerts = 0
-        for index, result in enumerate(results):
-            if result["prediction"] in suspicious_classes:
-                collection.insert({
-                    "camera_id": camera_id,
-                    "clip_index": index,
-                    "activity": self.class_names[result["prediction"]],
-                    "exit": result["exit_index"],
-                    "entropy": result["entropy"],
-                    "needs_review": True,
-                })
-                alerts += 1
+        alerts = [{
+            "camera_id": camera_id,
+            "clip_index": int(row),
+            "activity": self.class_names[decisions.predictions[row]],
+            "exit": int(decisions.exit_index[row]),
+            "entropy": float(-decisions.confidence[row]),
+            "needs_review": True,
+        } for row in np.flatnonzero(
+            np.isin(decisions.predictions, suspicious_classes))]
         if alerts:
+            collection.insert_many(alerts)
             self.runtime.registry.counter("app.action.alerts").inc(
-                alerts, camera=camera_id)
-        return alerts
+                len(alerts), camera=camera_id)
+        return len(alerts)

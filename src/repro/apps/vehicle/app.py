@@ -9,21 +9,22 @@ results are indexed into a document store for the web layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-from repro.runtime.core import get_runtime
 
 from repro import nn
 from repro.cluster.machines import NetworkTopology
 from repro.data.video import SceneGenerator, VehicleCatalog
 from repro.fog.pipeline import FogPipeline
+from repro.fog.policies import ExitPolicy, run_policy_batched
 from repro.fog.split import model_split_from_early_exit, place_bottom_up
 from repro.nn.flops import estimate_flops
 from repro.nn.models.yolo import (
     EarlyExitDetector,
     YoloLoss,
+    detection_confidence,
     evaluate_detections,
 )
 from repro.nn.tensor import Tensor
@@ -64,7 +65,7 @@ class VehicleDetectionApp:
         self.catalog = VehicleCatalog(max(num_classes, 1))
         self.scenes = SceneGenerator(image_size=image_size,
                                      num_classes=num_classes, seed=seed)
-        rng = get_runtime().rng.np_child("apps.vehicle.model", seed)
+        rng = self.runtime.rng.np_child("apps.vehicle.model", seed)
         self.model = EarlyExitDetector(1, image_size, num_classes,
                                        grid=grid, rng=rng)
         self.loss_fn = YoloLoss(grid=grid, num_classes=num_classes)
@@ -85,7 +86,7 @@ class VehicleDetectionApp:
         frames, truth = self.build_detection_dataset(num_scenes)
         optimizer = nn.Adam(self.model.parameters(), lr=lr)
         losses = []
-        rng = get_runtime().rng.np_child("apps.vehicle.train", self.seed)
+        rng = self.runtime.rng.np_child("apps.vehicle.train", self.seed)
         for _ in range(epochs):
             order = rng.permutation(num_scenes)
             epoch_losses = []
@@ -114,27 +115,26 @@ class VehicleDetectionApp:
         at once if None) — the fog-device serving pattern.
         """
         frames, truth = self.build_detection_dataset(num_scenes)
-        results = self.model.infer(Tensor(frames), threshold=threshold,
-                                   score_floor=score_floor,
-                                   batch_size=batch_size)
-        predicted = [r["detections"] for r in results]
+        policy = ExitPolicy(threshold, partial(detection_confidence,
+                                               score_floor=score_floor))
+        decisions = run_policy_batched(self.model, frames, policy,
+                                       batch_size=batch_size)
+        predicted = self.model.detections(decisions, score_floor)
         metrics = evaluate_detections(predicted, truth)
-        annotations = []
-        for index, result in enumerate(results):
-            for det in result["detections"]:
-                annotations.append({
-                    "frame": index,
-                    "label": self.catalog.label(det.class_id)
-                    if det.class_id < self.catalog.num_classes else str(det.class_id),
-                    "score": det.score,
-                    "box": [det.cx, det.cy, det.w, det.h],
-                    "exit": result["exit_index"],
-                })
+        annotations = [{
+            "frame": index,
+            "label": self.catalog.label(det.class_id)
+            if det.class_id < self.catalog.num_classes else str(det.class_id),
+            "score": det.score,
+            "box": [det.cx, det.cy, det.w, det.h],
+            "exit": int(decisions.exit_index[index]),
+        } for index, dets in enumerate(predicted) for det in dets]
+        escalated = int(decisions.remote_rows.size)
         report = StreamReport(
             frames=num_scenes,
-            local_exits=sum(1 for r in results if r["exit_index"] == 1),
-            server_exits=sum(1 for r in results if r["exit_index"] == 2),
-            bytes_shipped=sum(r["shipped_bytes"] for r in results),
+            local_exits=num_scenes - escalated,
+            server_exits=escalated,
+            bytes_shipped=escalated * self.model.feature_map_bytes(),
             detection_metrics=metrics,
             annotations=annotations)
         registry = self.runtime.registry
@@ -167,12 +167,12 @@ class VehicleDetectionApp:
                      edge_machine: str) -> FogPipeline:
         """Place the split model on the fog hierarchy (Fig. 3 x Fig. 5)."""
         shape = (1, self.image_size, self.image_size)
-        stem_flops, stem_shape = estimate_flops(self.model.stem, shape)
-        local_flops, local_shape = estimate_flops(
-            self.model.local_branch, stem_shape)
-        local_head_flops, _ = estimate_flops(self.model.local_head, local_shape)
+        local_branch, local_head = self.model.local_head
+        stem_flops, stem_shape = estimate_flops(self.model.local_stage, shape)
+        local_flops, local_shape = estimate_flops(local_branch, stem_shape)
+        local_head_flops, _ = estimate_flops(local_head, local_shape)
         remote_flops, remote_shape = estimate_flops(
-            self.model.remote_branch, stem_shape)
+            self.model.remote_stage, stem_shape)
         remote_head_flops, _ = estimate_flops(
             self.model.remote_head, remote_shape)
         stages = model_split_from_early_exit(
@@ -185,6 +185,4 @@ class VehicleDetectionApp:
 
     def index_annotations(self, collection, report: StreamReport) -> int:
         """Write annotations into a document store (the Fig. 4 sink)."""
-        for annotation in report.annotations:
-            collection.insert(dict(annotation))
-        return len(report.annotations)
+        return len(collection.insert_many(report.annotations))

@@ -53,8 +53,10 @@ def split_state_dict(state: Dict[str, np.ndarray],
 class TwoTierDeployment:
     """Ship a trained early-exit model to a device and a server.
 
-    The device holds the modules named by ``local_modules`` (stem, local
-    branch, local head); the server holds ``remote_modules``.  Both sides
+    The device holds the modules named by ``local_modules`` (for every
+    :class:`EarlyExitNetwork`, the Fig. 5 detector and the Fig. 7 action
+    model included: ``local_stage``, ``local_head``); the server holds
+    ``remote_modules`` (``remote_stage``, ``remote_head``).  Both sides
     are fresh instances of the same architecture, populated from the
     serialized halves — modelling the real workflow where weights travel
     over the network as bytes.

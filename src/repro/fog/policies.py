@@ -3,7 +3,9 @@
 The paper uses two concrete rules:
 
 - Fig. 5 (vehicle detection): accept locally when the classification
-  *score* exceeds a threshold — :class:`ScoreThresholdPolicy`;
+  *score* exceeds a threshold — :class:`ScoreThresholdPolicy` over class
+  logits, or ``ExitPolicy(threshold, detection_confidence)`` over the
+  detector's raw grid (:func:`repro.nn.models.yolo.detection_confidence`);
 - Fig. 7 (action recognition): accept locally when the prediction
   *entropy* is low — :class:`EntropyThresholdPolicy`.
 

@@ -41,64 +41,24 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-#: scratch buffers reused by :func:`im2col` under ``no_grad()``, keyed on
-#: the full unfold geometry + dtype.  Bounded: a sweep over many input
-#: shapes clears the cache instead of hoarding one buffer pair per shape.
-#: (Conv and pooling have their own inference kernels, so nothing in
-#: ``src/`` unfolds through ``im2col`` with autograd off any more.)
-_IM2COL_SCRATCH: dict = {}
-_IM2COL_SCRATCH_MAX = 32
-
-
-def _im2col_scratch(key, cols_shape: Tuple[int, ...],
-                    out_shape: Tuple[int, int], dtype) -> Tuple[np.ndarray, np.ndarray]:
-    entry = _IM2COL_SCRATCH.get(key)
-    if entry is None:
-        if len(_IM2COL_SCRATCH) >= _IM2COL_SCRATCH_MAX:
-            _IM2COL_SCRATCH.clear()
-        entry = (np.empty(cols_shape, dtype=dtype),
-                 np.empty(out_shape, dtype=dtype))
-        _IM2COL_SCRATCH[key] = entry
-    return entry
-
-
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
     """Unfold (N, C, H, W) into (N * out_h * out_w, C * kernel * kernel).
 
-    Under ``no_grad()`` the unfold and output buffers come from a
-    shape-keyed scratch cache: the next same-geometry call *reuses* (and
-    overwrites) them, eliminating the two large allocations per conv in
-    the inference hot loop.  Callers must therefore consume the returned
-    array before unfolding the same geometry again — every caller in
-    this module reduces it to a fresh array immediately.  With autograd
-    on, backward closures retain the columns, so that path always
-    allocates fresh buffers.
+    The grad-recording conv and pooling forwards call this (backward
+    closures retain the columns, so every call allocates); the no-grad
+    path has its own ``*_k_major`` kernels and never unfolds here.
     """
     n, c, h, w = x.shape
     out_h = _conv_output_size(h, kernel, stride, padding)
     out_w = _conv_output_size(w, kernel, stride, padding)
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols_shape = (n, c, kernel, kernel, out_h, out_w)
-    reuse = not is_grad_enabled()
-    if reuse:
-        cols, out = _im2col_scratch(
-            (cols_shape, stride, padding, x.dtype.str), cols_shape,
-            (n * out_h * out_w, c * kernel * kernel), x.dtype)
-    else:
-        cols = np.empty(cols_shape, dtype=x.dtype)
+    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
     for ky in range(kernel):
         y_end = ky + stride * out_h
         for kx in range(kernel):
             x_end = kx + stride * out_w
             cols[:, :, ky, kx, :, :] = x[:, :, ky:y_end:stride, kx:x_end:stride]
-    if reuse:
-        # Write the column layout straight into the flat scratch buffer:
-        # the reshape view makes the transpose copy land in `out`, where
-        # a plain transpose().reshape() would allocate a second array.
-        out.reshape(n, out_h, out_w, c, kernel, kernel)[...] = (
-            cols.transpose(0, 4, 5, 1, 2, 3))
-        return out, out_h, out_w
     # Explicit column count: with a zero-row batch ``reshape(0, -1)``
     # cannot infer the trailing dimension and raises.
     return (cols.transpose(0, 4, 5, 1, 2, 3)

@@ -19,7 +19,7 @@ from repro.nn.models.cnn import SimpleCNN
 from repro.nn.models.resnet import ResNetBlock, SmallResNet
 from repro.nn.models.inception import InceptionModule, MiniInceptionNet
 from repro.nn.models.lstm import LSTMClassifier
-from repro.nn.models.earlyexit import EarlyExitNetwork, ExitDecision, entropy_confidence, score_confidence
+from repro.nn.models.earlyexit import EarlyExitNetwork, entropy_confidence, score_confidence
 from repro.nn.models.yolo import (
     Detection,
     EarlyExitDetector,
@@ -28,6 +28,7 @@ from repro.nn.models.yolo import (
     YoloDetector,
     YoloLoss,
     box_iou,
+    detection_confidence,
     evaluate_detections,
     non_max_suppression,
 )
@@ -39,10 +40,10 @@ __all__ = [
     "ResNetBlock", "SmallResNet",
     "InceptionModule", "MiniInceptionNet",
     "LSTMClassifier",
-    "EarlyExitNetwork", "ExitDecision", "entropy_confidence", "score_confidence",
+    "EarlyExitNetwork", "entropy_confidence", "score_confidence",
     "YoloDetector", "TinyYolo", "EarlyExitDetector", "YoloLoss",
     "Detection", "GroundTruthBox", "box_iou", "non_max_suppression",
-    "evaluate_detections",
+    "detection_confidence", "evaluate_detections",
     "Autoencoder", "MultimodalAutoencoder",
     "CCA",
 ]

@@ -51,35 +51,28 @@ def entropy_confidence(logits: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ExitDecision:
-    """Outcome of early-exit inference for one sample."""
-
-    prediction: int
-    exit_index: int          # 1 = local, 2 = server
-    confidence: float
-    local_logits: np.ndarray
-    remote_logits: Optional[np.ndarray] = None
-
-    @property
-    def exited_locally(self) -> bool:
-        return self.exit_index == 1
-
-
-@dataclass
 class BatchExitDecisions:
     """Vectorized outcome of early-exit inference for a whole batch.
 
     Everything is a column over the batch; ``remote_logits`` holds one row
     per *escalated* sample, with ``remote_rows`` mapping those rows back to
-    batch positions.  This is the native result of the fast path — the
-    per-sample :class:`ExitDecision` view is a compatibility shim.
+    batch positions.  The one result type of early-exit inference: callers
+    read columns, never per-row objects.
+
+    A "logit" row is whatever the exit head emits.  For a classification
+    head that is ``(C,)`` and ``predictions`` — the arg-max over the last
+    axis of the answering exit's row — is the class.  For a dense head
+    (the Fig. 5 detector's ``(5 + C, S, S)`` grid) ``predictions`` carries
+    no meaning; the answer is decoded from ``local_logits`` for locally
+    resolved rows and ``remote_logits`` + ``remote_rows`` for escalated
+    ones (:meth:`repro.nn.models.yolo.EarlyExitDetector.detections`).
     """
 
-    predictions: np.ndarray            # (N,) int
+    predictions: np.ndarray            # (N,) int for classification heads
     exit_index: np.ndarray             # (N,) int; 1 = local, 2 = server
     confidence: np.ndarray             # (N,) exit-1 confidence
-    local_logits: np.ndarray           # (N, C)
-    remote_logits: Optional[np.ndarray]  # (R, C) for escalated rows
+    local_logits: np.ndarray           # (N, ...) exit-1 head output
+    remote_logits: Optional[np.ndarray]  # (R, ...) for escalated rows
     remote_rows: np.ndarray            # (R,) batch indices of escalated rows
 
     def __len__(self) -> int:
@@ -94,23 +87,6 @@ class BatchExitDecisions:
         if len(self) == 0:
             return 0.0
         return float(self.local_mask.mean())
-
-    def to_decisions(self) -> List[ExitDecision]:
-        """Per-sample :class:`ExitDecision` list (the pre-batching API)."""
-        remote_of = {int(row): index
-                     for index, row in enumerate(self.remote_rows)}
-        decisions = []
-        for row in range(len(self)):
-            remote = None
-            if row in remote_of and self.remote_logits is not None:
-                remote = self.remote_logits[remote_of[row]]
-            decisions.append(ExitDecision(
-                prediction=int(self.predictions[row]),
-                exit_index=int(self.exit_index[row]),
-                confidence=float(self.confidence[row]),
-                local_logits=self.local_logits[row],
-                remote_logits=remote))
-        return decisions
 
     @staticmethod
     def concatenate(chunks: "List[BatchExitDecisions]") -> "BatchExitDecisions":
@@ -226,9 +202,6 @@ class EarlyExitNetwork(nn.Module):
                 + (1.0 - local_weight) * F.cross_entropy(remote_logits, targets))
 
     # -- inference --------------------------------------------------------------
-    def local_features(self, x: Tensor) -> Tensor:
-        return self.local_stage(x)
-
     def _infer_chunk(self, chunk: np.ndarray, threshold: float,
                      confidence: ConfidenceFn) -> BatchExitDecisions:
         """Early-exit one micro-batch with boolean masks end to end.
@@ -311,41 +284,3 @@ class EarlyExitNetwork(nn.Module):
                     chunks = [self._infer_chunk(chunk, threshold, confidence)
                               for chunk in iter_microbatches(data, batch_size)]
         return BatchExitDecisions.concatenate(chunks)
-
-    def infer(self, x: Tensor, threshold: float,
-              confidence: ConfidenceFn = score_confidence,
-              batch_size: Optional[int] = None) -> list:
-        """Early-exit inference returning per-sample :class:`ExitDecision`s.
-
-        A compatibility view over :meth:`infer_batch` — same decisions,
-        materialized one dataclass per row.
-        """
-        return self.infer_batch(
-            x, threshold, confidence=confidence,
-            batch_size=batch_size).to_decisions()
-
-    def sweep_thresholds(self, x: Tensor, targets: np.ndarray,
-                         thresholds, confidence: ConfidenceFn = score_confidence):
-        """Accuracy / local-exit fraction per threshold (one forward pass).
-
-        Returns a list of dicts with keys ``threshold``, ``accuracy``,
-        ``local_fraction``.
-        """
-        with eval_mode(self), nn.no_grad():
-            features = self.local_stage(x)
-            local_logits = self.local_head(features).data
-            remote_logits = self.remote_head(self.remote_stage(features)).data
-        conf = confidence(local_logits)
-        targets = np.asarray(targets)
-        rows = []
-        for threshold in thresholds:
-            local_mask = conf >= threshold
-            predictions = np.where(local_mask,
-                                   local_logits.argmax(axis=-1),
-                                   remote_logits.argmax(axis=-1))
-            rows.append({
-                "threshold": float(threshold),
-                "accuracy": float((predictions == targets).mean()),
-                "local_fraction": float(local_mask.mean()),
-            })
-        return rows

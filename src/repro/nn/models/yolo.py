@@ -8,7 +8,9 @@ This module implements that family at laptop scale:
 - :class:`YoloDetector` — a generic one-box-per-cell grid detector;
 - :class:`TinyYolo` — a thin trunk variant;
 - :class:`EarlyExitDetector` — shared stem + tiny local branch + deep server
-  branch, the exact Fig. 5 topology;
+  branch, the exact Fig. 5 topology, as an
+  :class:`~repro.nn.models.earlyexit.EarlyExitNetwork`;
+- :func:`detection_confidence` — the Fig. 5 exit rule over a raw grid;
 - :class:`YoloLoss` — coordinate + objectness + class loss;
 - decoding, non-max suppression, and precision/recall/AP evaluation.
 
@@ -26,7 +28,12 @@ from repro.runtime.rng import resolve_rng
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.inference import eval_mode, iter_microbatches, observe_inference
+from repro.nn.inference import eval_mode
+from repro.nn.models.earlyexit import (
+    BatchExitDecisions,
+    EarlyExitNetwork,
+    score_confidence,
+)
 from repro.nn.tensor import Tensor
 
 
@@ -144,8 +151,7 @@ class YoloDetector(nn.Module):
     def decode(self, raw: np.ndarray, score_threshold: float = 0.5,
                nms_iou: float = 0.5) -> List[List[Detection]]:
         """Raw output (N, 5+C, S, S) -> per-image NMS-filtered detections."""
-        return decode_predictions(raw, self.grid, self.num_classes,
-                                  score_threshold, nms_iou)
+        return decode_predictions(raw, score_threshold, nms_iou)
 
     def detect(self, x: Tensor, score_threshold: float = 0.5) -> List[List[Detection]]:
         with eval_mode(self), nn.no_grad():
@@ -168,34 +174,48 @@ class TinyYolo(YoloDetector):
                          widths=(4, 8, 8), rng=rng)
 
 
-def decode_predictions(raw: np.ndarray, grid: int, num_classes: int,
-                       score_threshold: float = 0.5,
+def cell_scores(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-cell (score, class id) of a raw (N, 5+C, S, S) grid, each (N, S, S).
+
+    A cell's score is its objectness times its best class probability.
+    """
+    raw = np.asarray(raw)
+    class_logits = np.ascontiguousarray(np.moveaxis(raw[:, 5:], 1, -1))
+    return (_sigmoid(raw[:, 4]) * score_confidence(class_logits),
+            class_logits.argmax(axis=-1))
+
+
+def detection_confidence(raw: np.ndarray,
+                         score_floor: float = 0.2) -> np.ndarray:
+    """The Fig. 5 exit confidence of a raw grid: its best decoded score.
+
+    One value per image, 0 when no cell reaches ``score_floor`` (nothing
+    would be decoded).  Drives :meth:`EarlyExitNetwork.infer_batch` as the
+    ``confidence`` of an :class:`repro.fog.policies.ExitPolicy`.
+    """
+    scores, _ = cell_scores(raw)
+    best = scores.reshape(scores.shape[0], -1).max(axis=1)
+    return np.where(best >= score_floor, best, 0.0)
+
+
+def decode_predictions(raw: np.ndarray, score_threshold: float = 0.5,
                        nms_iou: float = 0.5) -> List[List[Detection]]:
     """Shared decoding for any (N, 5+C, S, S) prediction volume."""
     raw = np.asarray(raw)
-    n = raw.shape[0]
+    grid = raw.shape[-1]
+    scores, class_ids = cell_scores(raw)
+    boxes = _sigmoid(raw[:, :4])
     results: List[List[Detection]] = []
-    for image in range(n):
-        detections: List[Detection] = []
-        for gy in range(grid):
-            for gx in range(grid):
-                cell = raw[image, :, gy, gx]
-                obj = float(_sigmoid(cell[4]))
-                class_logits = cell[5:]
-                shifted = class_logits - class_logits.max()
-                probs = np.exp(shifted)
-                probs /= probs.sum()
-                class_id = int(probs.argmax())
-                score = obj * float(probs[class_id])
-                if score < score_threshold:
-                    continue
-                detections.append(Detection(
-                    cx=(gx + float(_sigmoid(cell[0]))) / grid,
-                    cy=(gy + float(_sigmoid(cell[1]))) / grid,
-                    w=float(_sigmoid(cell[2])),
-                    h=float(_sigmoid(cell[3])),
-                    class_id=class_id,
-                    score=score))
+    for image in range(raw.shape[0]):
+        detections = [
+            Detection(cx=(gx + float(boxes[image, 0, gy, gx])) / grid,
+                      cy=(gy + float(boxes[image, 1, gy, gx])) / grid,
+                      w=float(boxes[image, 2, gy, gx]),
+                      h=float(boxes[image, 3, gy, gx]),
+                      class_id=int(class_ids[image, gy, gx]),
+                      score=float(scores[image, gy, gx]))
+            for gy, gx in np.argwhere(
+                scores[image] >= score_threshold).tolist()]
         results.append(non_max_suppression(detections, nms_iou,
                                            class_agnostic=True))
     return results
@@ -290,48 +310,44 @@ def obj_bce_target_zero(logits: Tensor) -> Tensor:
     return relu_x + softplus
 
 
-class EarlyExitDetector(nn.Module):
+class EarlyExitDetector(EarlyExitNetwork):
     """Shared stem + tiny local branch + deep server branch (Fig. 5).
 
-    ``infer`` runs the stem and the tiny branch; images whose best detection
-    score clears the threshold resolve locally, the rest ship the *stem
-    feature map* upstream, where the deep branch finishes the job.
+    An :class:`EarlyExitNetwork` whose local stage is the stem, whose exit 1
+    is the tiny branch + its grid head, and whose remote stage and exit 2
+    are the deep branch + its grid head: images whose best detection score
+    (:func:`detection_confidence`) clears the threshold resolve locally,
+    the rest ship the *stem feature map* upstream.  Both heads are dense,
+    so ``infer_batch``'s logits are raw ``(5 + C, S, S)`` grids;
+    :meth:`detections` decodes the answering exit's grid of every row.
     """
 
     def __init__(self, in_channels: int, image_size: int, num_classes: int,
                  grid: int = 4, stem_width: int = 8,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__()
         rng = resolve_rng(rng, "nn.models.yolo.earlyexit")
         if image_size % 2:
             raise ValueError("image_size must be even")
-        self.stem = nn.Sequential(
+        stem = nn.Sequential(
             nn.Conv2d(in_channels, stem_width, 3, stride=2, padding=1, rng=rng),
             nn.BatchNorm2d(stem_width),
             nn.LeakyReLU(0.1))
         stem_size = image_size // 2
         # Local (tiny) branch: one strided stage per remaining halving.
-        self.local_branch, local_width = _branch(
+        local_branch, local_width = _branch(
             stem_width, stem_size, grid, (8, 8), rng)
-        self.local_head = nn.Conv2d(local_width, 5 + num_classes, 1, rng=rng)
+        local_head = nn.Conv2d(local_width, 5 + num_classes, 1, rng=rng)
         # Server (deep) branch: wider stages plus an extra refinement conv.
-        self.remote_branch, remote_width = _branch(
+        remote_branch, remote_width = _branch(
             stem_width, stem_size, grid, (16, 32), rng, extra_refine=True)
-        self.remote_head = nn.Conv2d(remote_width, 5 + num_classes, 1, rng=rng)
+        remote_head = nn.Conv2d(remote_width, 5 + num_classes, 1, rng=rng)
+        super().__init__(stem, nn.Sequential(local_branch, local_head),
+                         remote_branch, remote_head)
         self.grid = grid
         self.num_classes = num_classes
         self.image_size = image_size
         self.in_channels = in_channels
         self.stem_width = stem_width
-
-    def stem_features(self, x: Tensor) -> Tensor:
-        return self.stem(x)
-
-    def forward(self, x: Tensor) -> Tuple[Tensor, Tensor]:
-        features = self.stem(x)
-        local = self.local_head(self.local_branch(features))
-        remote = self.remote_head(self.remote_branch(features))
-        return local, remote
 
     def joint_loss(self, x: Tensor, batch_boxes, loss_fn: "YoloLoss",
                    local_weight: float = 0.5) -> Tensor:
@@ -348,52 +364,18 @@ class EarlyExitDetector(nn.Module):
         """Per-image bytes of the raw frame (uint8 per channel)."""
         return self.in_channels * self.image_size * self.image_size
 
-    def _infer_chunk(self, chunk: np.ndarray, threshold: float,
-                     score_floor: float) -> List[dict]:
-        """Early-exit one micro-batch; only escalated rows hit the server."""
-        features = self.stem(Tensor(chunk))
-        local_raw = self.local_head(self.local_branch(features)).data
-        local_dets = decode_predictions(local_raw, self.grid, self.num_classes,
-                                        score_threshold=score_floor)
-        confidences = np.array([_best_score(dets) for dets in local_dets])
-        needs_remote = confidences < threshold
-        remote_rows = np.flatnonzero(needs_remote)
-        remote_dets = {}
-        if remote_rows.size:
-            remote_in = Tensor(F.take_rows(features.data, remote_rows))
-            remote_raw = self.remote_head(self.remote_branch(remote_in)).data
-            decoded = decode_predictions(remote_raw, self.grid, self.num_classes,
-                                         score_threshold=score_floor)
-            remote_dets = dict(zip(remote_rows.tolist(), decoded))
-        results = []
-        for i, dets in enumerate(local_dets):
-            escalated = i in remote_dets
-            results.append({
-                "detections": remote_dets[i] if escalated else dets,
-                "exit_index": 2 if escalated else 1,
-                "confidence": float(confidences[i]),
-                "shipped_bytes": self.feature_map_bytes() if escalated else 0,
-            })
-        return results
+    def detections(self, decisions: BatchExitDecisions,
+                   score_floor: float = 0.2) -> List[List[Detection]]:
+        """Final per-image detections of an ``infer_batch`` result.
 
-    def infer(self, x: Tensor, threshold: float, score_floor: float = 0.2,
-              batch_size: Optional[int] = None) -> List[dict]:
-        """Early-exit detection for a batch, in micro-batches of
-        ``batch_size`` images (all at once if None).
-
-        Returns one dict per image: ``detections`` (final list),
-        ``exit_index`` (1 local / 2 server), ``confidence`` (best local
-        score), ``shipped_bytes`` (0 if resolved locally, else the stem
-        feature-map payload).
+        Each row's grid comes from the exit that answered it — the local
+        head's, or the server head's for escalated rows — and the batch is
+        decoded once.
         """
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        results: List[dict] = []
-        with observe_inference(type(self).__name__, int(data.shape[0])):
-            with eval_mode(self), nn.no_grad():
-                for chunk in iter_microbatches(data, batch_size):
-                    results.extend(
-                        self._infer_chunk(chunk, threshold, score_floor))
-        return results
+        raw = np.array(decisions.local_logits)
+        if decisions.remote_rows.size:
+            raw[decisions.remote_rows] = decisions.remote_logits
+        return decode_predictions(raw, score_threshold=score_floor)
 
 
 def _branch(in_width: int, in_size: int, grid: int, widths, rng,
@@ -428,10 +410,6 @@ def _branch(in_width: int, in_size: int, grid: int, widths, rng,
             nn.LeakyReLU(0.1),
         ]
     return nn.Sequential(*layers), current
-
-
-def _best_score(detections: Sequence[Detection]) -> float:
-    return max((d.score for d in detections), default=0.0)
 
 
 def evaluate_detections(predicted: Sequence[Sequence[Detection]],

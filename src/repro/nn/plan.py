@@ -12,10 +12,10 @@ GEMM output, and a bias sum on every forward.  A *plan* removes both:
   with **zero** Tensor wrapping and **zero** fresh array allocation.
 - An :class:`Arena` owns every intermediate buffer.  Buffers are assigned
   by liveness (a slot whose last reader has run is recycled for the next
-  slot of the same size and dtype), generalizing the PR 5 im2col scratch
-  cache into a plan-owned pool that is reused across micro-batches.  The
-  plan's *input* is not one of them: ops that read it are bound to the
-  caller's array on every ``run`` — nothing is staged.
+  slot of the same size and dtype): a plan-owned pool that is reused
+  across micro-batches.  The plan's *input* is not one of them: ops that
+  read it are bound to the caller's array on every ``run`` — nothing is
+  staged.
 - One layout rule, shared with the eager no-grad forward
   (:mod:`repro.nn.functional`): a 4-D feature map is stored
   batch-innermost, ``(C, H, W, rows)`` C-contiguous, and handed between
@@ -800,8 +800,7 @@ class Arena:
 
     Every buffer is flat; ops see :meth:`_Slot.head_view` views of it.  Two
     logical slots share storage when the earlier one's last reader has
-    already run by the time the later one is written — the plan-level
-    generalization of the PR 5 im2col scratch pair.  Exclusive slots
+    already run by the time the later one is written.  Exclusive slots
     (padded conv inputs, channel-padded shortcuts) opt out: their zero
     regions are written at rebind and must survive every run.  The plan's
     input slot gets no buffer at all (it is read in place).

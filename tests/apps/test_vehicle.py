@@ -6,6 +6,7 @@ import pytest
 from repro.apps.vehicle import VehicleDetectionApp
 from repro.cluster import NetworkTopology, Tier
 from repro.nosql import Collection
+from repro.runtime import Runtime
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,30 @@ class TestTraining:
         server = trained_app.evaluate(num_scenes=16, threshold=1.01)
         assert (local.detection_metrics["f1"]
                 <= server.detection_metrics["f1"] + 0.05)
+
+
+class TestRuntimeInjection:
+    def test_weights_follow_the_injected_runtime(self):
+        def weights(seed):
+            app = VehicleDetectionApp(num_classes=3, image_size=16,
+                                      runtime=Runtime(seed=seed))
+            return np.concatenate(
+                [p.data.ravel() for p in app.model.parameters()])
+
+        assert np.array_equal(weights(1), weights(1))
+        assert not np.array_equal(weights(1), weights(2))
+
+    def test_training_order_follows_the_injected_runtime(self):
+        def losses(seed):
+            app = VehicleDetectionApp(num_classes=3, image_size=16,
+                                      runtime=Runtime(seed=seed))
+            # Same weights on both sides: only the SGD shuffle may differ.
+            app.model.load_state_dict(reference.model.state_dict())
+            return app.train(num_scenes=12, epochs=2, batch_size=4)
+
+        reference = VehicleDetectionApp(num_classes=3, image_size=16)
+        assert losses(1) == losses(1)
+        assert losses(1) != losses(2)
 
 
 class TestEarlyExitBehaviour:
@@ -97,3 +122,16 @@ class TestDeployment:
         written = trained_app.index_annotations(collection, report)
         assert written == len(report.annotations)
         assert collection.count({}) == written
+
+    def test_one_bulk_write_stores_what_the_per_document_loop_did(
+            self, trained_app):
+        report = trained_app.evaluate(num_scenes=8, threshold=0.5)
+        reference = Collection("reference")
+        for annotation in report.annotations:
+            reference.insert(dict(annotation))
+        collection = Collection("vehicle_annotations")
+        written = trained_app.index_annotations(collection, report)
+        assert written == reference.count({}) > 0
+        assert collection.find({}) == reference.find({})
+        # The store holds copies: the report is not aliased by the sink.
+        assert all("_id" not in a for a in report.annotations)

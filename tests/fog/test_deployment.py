@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.action import ActionEarlyExitModel
 from repro.fog import TwoTierDeployment, split_state_dict
+from repro.fog.policies import EntropyThresholdPolicy, run_policy_batched
 from repro.nn.models.yolo import EarlyExitDetector
 from repro.nn.tensor import Tensor
 
@@ -44,8 +45,8 @@ class TestDetectorDeployment:
         return TwoTierDeployment(
             lambda: EarlyExitDetector(1, 16, num_classes=3, grid=4,
                                       rng=np.random.default_rng(99)),
-            local_modules=["stem", "local_branch", "local_head"],
-            remote_modules=["remote_branch", "remote_head"])
+            local_modules=["local_stage", "local_head"],
+            remote_modules=["remote_stage", "remote_head"])
 
     def test_deployed_pair_matches_monolith(self):
         trained = self.make_trained()
@@ -55,21 +56,19 @@ class TestDetectorDeployment:
         deployment.device_model.eval()
         deployment.server_model.eval()
         x = Tensor(np.random.default_rng(1).normal(0, 1, (2, 1, 16, 16)))
-        # Device side: stem + local branch + local head.
-        mono_features = trained.stem(x)
-        mono_local = trained.local_head(
-            trained.local_branch(mono_features)).data
+        # Device side: stem, then the tiny branch + its grid head.
+        mono_features = trained.local_stage(x)
+        mono_local = trained.local_head(mono_features).data
         device = deployment.device_model
-        dev_features = device.stem(x)
-        dev_local = device.local_head(
-            device.local_branch(dev_features)).data
+        dev_features = device.local_stage(x)
+        dev_local = device.local_head(dev_features).data
         np.testing.assert_allclose(dev_local, mono_local, atol=1e-12)
         # Server side consumes the device's feature map.
         mono_remote = trained.remote_head(
-            trained.remote_branch(mono_features)).data
+            trained.remote_stage(mono_features)).data
         server = deployment.server_model
         srv_remote = server.remote_head(
-            server.remote_branch(Tensor(dev_features.data))).data
+            server.remote_stage(Tensor(dev_features.data))).data
         np.testing.assert_allclose(srv_remote, mono_remote, atol=1e-12)
 
     def test_payload_sizes_reported(self):
@@ -92,8 +91,8 @@ class TestActionModelDeployment:
             lambda: ActionEarlyExitModel(
                 image_size=16, num_classes=5,
                 rng=np.random.default_rng(77)),
-            local_modules=["block1", "lstm1", "fc1"],
-            remote_modules=["block2", "lstm2", "fc2"])
+            local_modules=["local_stage", "local_head"],
+            remote_modules=["remote_stage", "remote_head"])
         deployment.deploy(trained)
         trained.eval()
         deployment.device_model.eval()
@@ -102,16 +101,13 @@ class TestActionModelDeployment:
         mono_local, mono_remote = trained(clips)
         # Recompute the device path on the deployed device model.
         device = deployment.device_model
-        folded, n, t = device._fold_frames(clips)
-        feature_maps = device.block1(folded)
-        pooled = device.pool(feature_maps).reshape(n, t, device.block1_channels)
-        dev_local = device.fc1(device.lstm1.last_hidden(pooled)).data
+        feature_maps = device.local_stage(clips)
+        dev_local = device.local_head(feature_maps).data
         np.testing.assert_allclose(dev_local, mono_local.data, atol=1e-12)
         # Server path from the device's block-1 feature maps.
         server = deployment.server_model
-        deep = server.block2(Tensor(feature_maps.data))
-        pooled2 = server.pool(deep).reshape(n, t, deep.shape[1])
-        srv_remote = server.fc2(server.lstm2.last_hidden(pooled2)).data
+        srv_remote = server.remote_head(
+            server.remote_stage(Tensor(feature_maps.data))).data
         np.testing.assert_allclose(srv_remote, mono_remote.data, atol=1e-12)
 
 
@@ -133,8 +129,8 @@ class TestFusedDeployment:
             lambda: ActionEarlyExitModel(
                 image_size=16, num_classes=5,
                 rng=np.random.default_rng(78)),
-            local_modules=["block1", "lstm1", "fc1"],
-            remote_modules=["block2", "lstm2", "fc2"],
+            local_modules=["local_stage", "local_head"],
+            remote_modules=["remote_stage", "remote_head"],
             **kwargs)
 
     def test_fused_deploy_reports_folded_layers(self):
@@ -155,11 +151,12 @@ class TestFusedDeployment:
         fused.deploy(trained)
         clips = Tensor(np.random.default_rng(12).normal(0, 1, (2, 3, 1, 16, 16)))
         plain.device_model.eval()
-        expected = [r["prediction"]
-                    for r in plain.device_model.infer(clips, max_entropy=0.8)]
-        got = [r["prediction"]
-               for r in fused.device_model.infer(clips, max_entropy=0.8)]
-        assert got == expected
+        policy = EntropyThresholdPolicy(0.8)
+        expected = run_policy_batched(plain.device_model, clips, policy)
+        got = run_policy_batched(fused.device_model, clips, policy)
+        np.testing.assert_array_equal(got.predictions, expected.predictions)
+        np.testing.assert_allclose(got.local_logits, expected.local_logits,
+                                   atol=1e-10)
 
     def test_inference_dtype_casts_deployed_models(self):
         deployment = self.make_deployment(fuse_inference=True,

@@ -13,9 +13,9 @@ import pytest
 from repro.apps.vehicle import AmberAlertSearch, VehicleDetectionApp
 from repro.cluster import NetworkTopology, Tier
 from repro.fog import TwoTierDeployment, simulate_shared_streams
+from repro.fog.policies import ExitPolicy, run_policy_batched
 from repro.nosql import DocumentStore
-from repro.nn.models.yolo import EarlyExitDetector
-from repro.nn.tensor import Tensor
+from repro.nn.models.yolo import EarlyExitDetector, detection_confidence
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +32,8 @@ def test_capstone_train_deploy_stream_search(trained):
         lambda: EarlyExitDetector(1, app.image_size, app.num_classes,
                                   grid=app.grid,
                                   rng=np.random.default_rng(123)),
-        local_modules=["stem", "local_branch", "local_head"],
-        remote_modules=["remote_branch", "remote_head"])
+        local_modules=["local_stage", "local_head"],
+        remote_modules=["remote_stage", "remote_head"])
     deployment.deploy(app.model)
     assert deployment.payload_bytes["device"] > 0
 
@@ -44,27 +44,25 @@ def test_capstone_train_deploy_stream_search(trained):
     store = DocumentStore()
     search = AmberAlertSearch(store.collection("sightings"), min_score=0.2)
 
+    # The deployed pair serves the frames; the monolith must agree.
+    policy = ExitPolicy(0.5, detection_confidence)
     streams = []
-    per_camera_results = {}
+    per_camera_decisions = {}
     for camera_index, edge in enumerate(edges):
         frames, _ = app.build_detection_dataset(num_scenes=10)
-        results = app.model.infer(Tensor(frames), threshold=0.5)
-        per_camera_results[edge] = results
-        pipeline = app.fog_pipeline(topology, edge)
+        decisions = deployment.serve_batched(frames, policy)
+        direct = run_policy_batched(app.model, frames, policy)
+        assert np.array_equal(decisions.exit_index, direct.exit_index)
+        assert app.model.detections(decisions) == app.model.detections(direct)
+        per_camera_decisions[edge] = decisions
         streams.append({
-            "pipeline": pipeline,
-            "num_items": len(results),
+            "pipeline": app.fog_pipeline(topology, edge),
+            "num_items": len(decisions),
             "arrival_interval_s": 0.05,
-            # drive the simulation with the model's REAL exit outcomes
-            "exit_probabilities": None,
+            # simulate_shared_streams draws exits from probabilities:
+            # drive it with the model's measured local fraction.
+            "exit_probabilities": {1: decisions.local_fraction},
         })
-    # simulate_shared_streams draws exits from probabilities; translate
-    # the measured local fraction instead.
-    for stream, edge in zip(streams, edges):
-        results = per_camera_results[edge]
-        local_fraction = (sum(1 for r in results if r["exit_index"] == 1)
-                          / len(results))
-        stream["exit_probabilities"] = {1: local_fraction}
     stats = simulate_shared_streams(streams, seed=0)
     assert all(s.completed == 10 for s in stats)
     server_busy = stats[0].machine_busy_s.get("server-0", 0.0)
@@ -72,8 +70,9 @@ def test_capstone_train_deploy_stream_search(trained):
 
     # --- index sightings and answer an AMBER alert ------------------------
     for camera_index, edge in enumerate(edges):
-        for frame_index, result in enumerate(per_camera_results[edge]):
-            for detection in result["detections"]:
+        detections = app.model.detections(per_camera_decisions[edge])
+        for frame_index, frame_detections in enumerate(detections):
+            for detection in frame_detections:
                 search.index_sighting(
                     camera_id=f"cam-{camera_index}",
                     time=60.0 * camera_index + frame_index,

@@ -16,8 +16,9 @@ from repro.compute import SparkContext, StreamingContext
 from repro.core import CyberInfrastructure, InfraConfig
 from repro.data import LawEnforcementFeed, OpenCityData, SecureStore, WazeGenerator
 from repro.dfs import DistributedFileSystem
+from repro.fog.policies import EntropyThresholdPolicy, run_policy_batched
 from repro.nosql import Collection, HTable
-from repro.nn.tensor import Tensor
+from repro.nn.models.yolo import detection_confidence
 from repro.streaming import Broker, RelationalDatabase, SqoopImporter
 from repro.viz import heatmap_svg
 
@@ -29,10 +30,11 @@ class TestVideoPathEndToEnd:
         app = VehicleDetectionApp(num_classes=3, image_size=16, seed=0)
         app.train(num_scenes=24, epochs=12)
         frames, _ = app.build_detection_dataset(20)
-        results = app.model.infer(Tensor(frames), threshold=0.4)
+        decisions = app.model.infer_batch(frames, 0.4,
+                                          confidence=detection_confidence)
         # Map the model's real per-frame exits onto pipeline stages:
         # exit 1 -> stage 1 (fog), exit 2 -> stage 2 (server).
-        outcomes = [r["exit_index"] for r in results]
+        outcomes = decisions.exit_index.tolist()
         topology = NetworkTopology.build_fog_hierarchy()
         edge = topology.machines(Tier.EDGE)[0].name
         pipeline = app.fog_pipeline(topology, edge)
@@ -41,7 +43,7 @@ class TestVideoPathEndToEnd:
             exit_outcomes=outcomes)
         assert stats.completed == 20
         assert (stats.resolved_per_stage.get(1, 0)
-                == sum(1 for r in results if r["exit_index"] == 1))
+                == int(decisions.local_mask.sum()))
 
     def test_annotations_survive_storage_roundtrip(self):
         app = VehicleDetectionApp(num_classes=3, image_size=16, seed=1)
@@ -171,9 +173,10 @@ class TestInfrastructureWithApplications:
         app = ActionRecognitionApp(image_size=16, frames=6, seed=0)
         app.train(clips_per_class=4, epochs=10)
         clips, _ = app.clips.dataset(clips_per_class=2)
-        results = app.model.infer(Tensor(clips), max_entropy=0.9)
+        decisions = run_policy_batched(app.model, clips,
+                                       EntropyThresholdPolicy(0.9))
         alerts = app.index_alerts(
-            infra.collection("alerts"), results,
+            infra.collection("alerts"), decisions,
             camera_id="br-001", suspicious_classes=[3, 4])
         assert infra.collection("alerts").count({"camera_id": "br-001"}) \
             == alerts

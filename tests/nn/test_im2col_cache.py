@@ -1,10 +1,14 @@
-"""The no_grad() im2col scratch-buffer cache: reuse, isolation, bounds."""
+"""im2col under ``no_grad()``: same values as with autograd on, no reuse.
+
+(File and class keep the names of the scratch cache they once tested, so
+the test ids stay stable.)
+"""
 
 import numpy as np
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.functional import _IM2COL_SCRATCH, _IM2COL_SCRATCH_MAX, im2col
+from repro.nn.functional import im2col
 
 
 def fresh_input(rng, shape=(2, 3, 8, 8)):
@@ -12,67 +16,25 @@ def fresh_input(rng, shape=(2, 3, 8, 8)):
 
 
 class TestScratchReuse:
-    def setup_method(self):
-        _IM2COL_SCRATCH.clear()
-
     def test_matches_grad_path(self):
         rng = np.random.default_rng(0)
         x = fresh_input(rng)
         with nn.no_grad():
-            cached, oh1, ow1 = im2col(x, kernel=3, stride=1, padding=1)
+            first, oh1, ow1 = im2col(x, kernel=3, stride=1, padding=1)
+            second, _, _ = im2col(x, kernel=3, stride=1, padding=1)
         fresh, oh2, ow2 = im2col(x, kernel=3, stride=1, padding=1)
         assert (oh1, ow1) == (oh2, ow2)
-        assert np.array_equal(cached, fresh)
-
-    def test_same_geometry_reuses_buffer(self):
-        rng = np.random.default_rng(1)
-        with nn.no_grad():
-            first, _, _ = im2col(fresh_input(rng), 3, 1, 1)
-            second, _, _ = im2col(fresh_input(rng), 3, 1, 1)
-        assert second is first  # same scratch array, overwritten in place
-        assert len(_IM2COL_SCRATCH) == 1
-
-    def test_distinct_geometry_distinct_buffers(self):
-        rng = np.random.default_rng(2)
-        with nn.no_grad():
-            a, _, _ = im2col(fresh_input(rng), 3, 1, 1)
-            b, _, _ = im2col(fresh_input(rng), 3, 2, 1)
-            c, _, _ = im2col(fresh_input(rng, (4, 3, 8, 8)), 3, 1, 1)
-        assert a is not b and a is not c
-        assert len(_IM2COL_SCRATCH) == 3
-
-    def test_dtype_keys_cache(self):
-        rng = np.random.default_rng(3)
-        x32 = fresh_input(rng)
-        with nn.no_grad():
-            a, _, _ = im2col(x32, 3, 1, 1)
-            b, _, _ = im2col(x32.astype(np.float64), 3, 1, 1)
-        assert a is not b
-        assert a.dtype == np.float32 and b.dtype == np.float64
-
-    def test_grad_path_never_caches(self):
-        rng = np.random.default_rng(4)
-        x = fresh_input(rng)
-        first, _, _ = im2col(x, 3, 1, 1)
-        second, _, _ = im2col(x, 3, 1, 1)
-        assert first is not second
-        assert _IM2COL_SCRATCH == {}
-
-    def test_cache_bounded(self):
-        rng = np.random.default_rng(5)
-        with nn.no_grad():
-            for n in range(1, _IM2COL_SCRATCH_MAX + 3):
-                im2col(fresh_input(rng, (n, 1, 6, 6)), 3, 1, 0)
-        assert len(_IM2COL_SCRATCH) <= _IM2COL_SCRATCH_MAX
+        assert np.array_equal(first, fresh)
+        assert not np.shares_memory(first, second)  # nothing is reused
 
     def test_conv2d_inference_unchanged_by_cache(self):
         rng = np.random.default_rng(6)
         conv = nn.Conv2d(3, 4, 3, padding=1, rng=rng)
         conv.eval()
         x = F.as_tensor(fresh_input(rng))
-        expected = conv(x).data.copy()  # grad path, fresh buffers
+        expected = conv(x).data.copy()  # grad path
         with nn.no_grad():
             warm = conv(x).data.copy()
-            again = conv(x).data.copy()  # second pass hits the scratch
+            again = conv(x).data.copy()
         assert np.allclose(expected, warm)
         assert np.array_equal(warm, again)

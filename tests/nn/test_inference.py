@@ -234,29 +234,21 @@ class TestBatchedEarlyExitParity:
             assert batch.exit_index[row] == exit_index
             assert batch.confidence[row] == pytest.approx(conf, abs=1e-12)
 
-    def test_to_decisions_round_trip(self):
-        rng = np.random.default_rng(7)
-        model = make_early_exit(rng)
-        x = rng.normal(0, 1, (8, 1, 8, 8))
-        warm_batchnorm(model, x)
-        batch = model.infer_batch(x, threshold=0.4, batch_size=3)
-        decisions = batch.to_decisions()
-        assert len(decisions) == 8
-        for row, decision in enumerate(decisions):
-            assert decision.prediction == batch.predictions[row]
-            assert decision.exit_index == batch.exit_index[row]
-            escalated = batch.exit_index[row] == 2
-            assert (decision.remote_logits is not None) == escalated
-
     def test_infer_matches_infer_batch(self):
+        # Micro-batching is invisible in every decision column.
         rng = np.random.default_rng(8)
         model = make_early_exit(rng)
         x = rng.normal(0, 1, (5, 1, 8, 8))
         warm_batchnorm(model, x)
-        whole = model.infer(x, threshold=0.4)
-        chunked = model.infer(x, threshold=0.4, batch_size=2)
-        assert [d.prediction for d in whole] == [d.prediction for d in chunked]
-        assert [d.exit_index for d in whole] == [d.exit_index for d in chunked]
+        threshold = float(np.median(model.infer_batch(x, 0.0).confidence))
+        whole = model.infer_batch(x, threshold)
+        chunked = model.infer_batch(x, threshold, batch_size=2)
+        assert 0 < whole.remote_rows.size < 5
+        np.testing.assert_array_equal(whole.predictions, chunked.predictions)
+        np.testing.assert_array_equal(whole.exit_index, chunked.exit_index)
+        np.testing.assert_array_equal(whole.remote_rows, chunked.remote_rows)
+        np.testing.assert_allclose(whole.remote_logits, chunked.remote_logits,
+                                   atol=1e-12)
 
 
 class TestInferenceHelpers:
@@ -342,4 +334,3 @@ class TestZeroRowBatches:
         assert decisions.local_logits.shape == (0, 3)
         assert decisions.remote_rows.size == 0
         assert decisions.local_fraction == 0.0
-        assert decisions.to_decisions() == []

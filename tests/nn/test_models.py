@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.fog.policies import ExitPolicy, accuracy_offload_tradeoff
 from repro.nn import functional as F
+from repro.nn.inference import eval_mode
 from repro.nn.models import (
     Autoencoder,
     CCA,
@@ -247,36 +249,49 @@ class TestEarlyExitNetwork:
     def test_threshold_zero_all_local(self):
         model = _build_earlyexit()
         x, _ = _earlyexit_data(8)
-        decisions = model.infer(Tensor(x), threshold=0.0)
-        assert all(d.exited_locally for d in decisions)
+        decisions = model.infer_batch(Tensor(x), threshold=0.0)
+        assert decisions.local_mask.all()
+        assert decisions.remote_logits is None
+        assert decisions.remote_rows.size == 0
 
     def test_threshold_above_one_all_remote(self):
         model = _build_earlyexit()
         x, _ = _earlyexit_data(8)
-        decisions = model.infer(Tensor(x), threshold=1.01)
-        assert all(not d.exited_locally for d in decisions)
-        assert all(d.remote_logits is not None for d in decisions)
+        decisions = model.infer_batch(Tensor(x), threshold=1.01)
+        assert not decisions.local_mask.any()
+        np.testing.assert_array_equal(decisions.remote_rows, np.arange(8))
+        assert decisions.remote_logits.shape == (8, 2)
 
     def test_decision_count_matches_batch(self):
         model = _build_earlyexit()
         x, _ = _earlyexit_data(10)
-        assert len(model.infer(Tensor(x), threshold=0.7)) == 10
+        assert len(model.infer_batch(Tensor(x), threshold=0.7)) == 10
 
     def test_entropy_confidence_usable(self):
         model = _build_earlyexit()
         x, _ = _earlyexit_data(6)
-        decisions = model.infer(Tensor(x), threshold=-0.3,
-                                confidence=entropy_confidence)
+        decisions = model.infer_batch(Tensor(x), threshold=-0.3,
+                                      confidence=entropy_confidence)
         assert len(decisions) == 6
+        assert (decisions.confidence <= 0).all()
 
     def test_sweep_local_fraction_monotone_in_threshold(self):
         model = _build_earlyexit()
         x, y = _earlyexit_data(20)
-        rows = model.sweep_thresholds(Tensor(x), y, [0.0, 0.5, 0.9, 1.01])
+        with eval_mode(model), nn.no_grad():
+            local, remote = model(Tensor(x))
+        rows = accuracy_offload_tradeoff(
+            local.data, remote.data, y,
+            [ExitPolicy(t, score_confidence) for t in (0.0, 0.5, 0.9, 1.01)])
         fractions = [r["local_fraction"] for r in rows]
         assert fractions == sorted(fractions, reverse=True)
         assert fractions[0] == 1.0
         assert fractions[-1] == 0.0
+        # One pass over both exits and the per-threshold served path agree.
+        for row in rows:
+            served = model.infer_batch(Tensor(x), row["threshold"])
+            assert served.local_fraction == row["local_fraction"]
+            assert float((served.predictions == y).mean()) == row["accuracy"]
 
 
 class TestAutoencoder:

@@ -15,6 +15,7 @@ from repro.nn.models import (
     evaluate_detections,
     non_max_suppression,
 )
+from repro.nn.models.yolo import decode_predictions, detection_confidence
 from repro.nn.tensor import Tensor
 
 
@@ -186,8 +187,8 @@ class TestEarlyExitDetector:
     def test_remote_branch_heavier(self):
         from repro.nn.flops import estimate_flops
         model = EarlyExitDetector(1, 16, num_classes=3, grid=4)
-        local, _ = estimate_flops(model.local_branch, (8, 8, 8))
-        remote, _ = estimate_flops(model.remote_branch, (8, 8, 8))
+        local, _ = estimate_flops(model.local_head, (8, 8, 8))
+        remote, _ = estimate_flops(model.remote_stage, (8, 8, 8))
         assert remote > local
 
     def test_feature_map_smaller_than_raw_for_large_frames(self):
@@ -199,17 +200,38 @@ class TestEarlyExitDetector:
     def test_infer_threshold_extremes(self):
         model = EarlyExitDetector(1, 16, num_classes=2, grid=2)
         x = Tensor(np.random.default_rng(0).normal(0, 1, (4, 1, 16, 16)))
-        all_local = model.infer(x, threshold=0.0)
-        assert all(r["exit_index"] == 1 for r in all_local)
-        assert all(r["shipped_bytes"] == 0 for r in all_local)
-        all_remote = model.infer(x, threshold=1.01)
-        assert all(r["exit_index"] == 2 for r in all_remote)
-        assert all(r["shipped_bytes"] > 0 for r in all_remote)
+        all_local = model.infer_batch(x, 0.0, confidence=detection_confidence)
+        assert all_local.local_mask.all()
+        assert all_local.remote_rows.size == 0
+        all_remote = model.infer_batch(x, 1.01,
+                                       confidence=detection_confidence)
+        assert not all_remote.local_mask.any()
+        assert all_remote.remote_logits.shape == (4, 7, 2, 2)
 
     def test_infer_result_count(self):
         model = EarlyExitDetector(1, 16, num_classes=2, grid=2)
         x = Tensor(np.zeros((5, 1, 16, 16)))
-        assert len(model.infer(x, threshold=0.5)) == 5
+        decisions = model.infer_batch(x, 0.5, confidence=detection_confidence)
+        assert len(decisions) == 5
+        assert len(model.detections(decisions)) == 5
+
+    def test_detections_come_from_the_answering_exit(self):
+        rng = np.random.default_rng(3)
+        model = EarlyExitDetector(1, 16, num_classes=2, grid=2, rng=rng)
+        x = rng.normal(0, 1, (6, 1, 16, 16))
+        confidence = model.infer_batch(
+            x, 0.0, confidence=detection_confidence).confidence
+        decisions = model.infer_batch(x, float(np.median(confidence)) + 1e-9,
+                                      confidence=detection_confidence)
+        assert 0 < decisions.remote_rows.size < 6
+        local = decode_predictions(decisions.local_logits, 0.2)
+        remote = dict(zip(decisions.remote_rows.tolist(),
+                          decode_predictions(decisions.remote_logits, 0.2)))
+        assert model.detections(decisions) == [
+            remote.get(row, local[row]) for row in range(6)]
+        # The exit-1 confidence is the best locally decoded score.
+        best = [max((d.score for d in dets), default=0.0) for dets in local]
+        np.testing.assert_array_equal(decisions.confidence, best)
 
     def test_joint_loss_trains(self):
         rng = np.random.default_rng(1)
