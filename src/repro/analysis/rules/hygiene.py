@@ -165,11 +165,11 @@ class BrokerInternalsRule(Rule):
 class ServingPathRule(Rule):
     """API304: raw deployment serving calls stay behind ``repro.serving``.
 
-    ``TwoTierDeployment.serve_batched`` / ``serve_streams`` are the bare
-    inference surface: no coalescing, no admission control, no rate
-    limits, no shedding.  Library code outside ``repro/serving/`` and
-    ``repro/fog/`` that calls them directly silently opts the request
-    path out of all of that, so it must route through the gateway
+    ``TwoTierDeployment.serve_batched`` is the bare inference surface:
+    no coalescing, no admission control, no rate limits, no shedding.
+    Library code outside ``repro/serving/`` and ``repro/fog/`` that calls
+    it directly silently opts the request path out of all of that, so it
+    must route through the gateway
     (:class:`repro.serving.ServingGateway` /
     :func:`repro.serving.serve_camera_topic`) instead.  Tests and
     benchmarks may still drive deployments directly — equivalence checks
@@ -179,11 +179,11 @@ class ServingPathRule(Rule):
     id = "API304"
     name = "serving-path"
     severity = Severity.ERROR
-    description = ("direct TwoTierDeployment serving call outside "
+    description = ("direct TwoTierDeployment.serve_batched call outside "
                    "repro/serving/ and repro/fog/")
     library_only = True
 
-    BANNED = frozenset({"serve_batched", "serve_streams"})
+    BANNED = frozenset({"serve_batched"})
 
     def applies(self, ctx: ModuleContext) -> bool:
         # the serving plane and the fog tier are the sanctioned homes;

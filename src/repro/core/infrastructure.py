@@ -252,7 +252,6 @@ class CyberInfrastructure:
         return len(produced)
 
     def serve_camera_streams(self, deployment, policy,
-                             batch_size: Optional[int] = None,
                              group: str = "fog-serving",
                              poll_size: int = 256,
                              gateway_config=None) -> Dict[str, List]:
@@ -272,8 +271,7 @@ class CyberInfrastructure:
 
         topic = self.attach_camera_feed()
         return serve_camera_topic(deployment, policy, self.bus, topic,
-                                  batch_size=batch_size, group=group,
-                                  poll_size=poll_size,
+                                  group=group, poll_size=poll_size,
                                   config=gateway_config)
 
     @property

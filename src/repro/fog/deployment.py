@@ -10,7 +10,7 @@ model's outputs exactly (the invariant the deployment tests assert).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class TwoTierDeployment:
                  remote_modules: Sequence[str], fuse_inference: bool = False,
                  inference_dtype=None, capture_plans: bool = False,
                  quantize_edge: bool = False, calibration=None,
-                 activation_codec=None, runtime=None, executor=None):
+                 activation_codec=None, runtime=None):
         if quantize_edge and calibration is None:
             raise ValueError(
                 "quantize_edge needs a representative calibration batch")
@@ -102,7 +102,6 @@ class TwoTierDeployment:
         self.quantize_edge = quantize_edge
         self.calibration = calibration
         self.activation_codec = activation_codec
-        self.executor = executor
         self.runtime = runtime or get_runtime()
         self.device_model: Optional[Module] = None
         self.server_model: Optional[Module] = None
@@ -193,12 +192,6 @@ class TwoTierDeployment:
             help="edge weight payload bytes saved by int8 quantization").inc(
                 float_bytes - int8_bytes)
 
-    def device_weight_names(self) -> List[str]:
-        return sorted(self.local_modules)
-
-    def server_weight_names(self) -> List[str]:
-        return sorted(self.remote_modules)
-
     # -- serving ---------------------------------------------------------------
     def served_model(self) -> EarlyExitNetwork:
         """The composite the two-tier pair actually serves.
@@ -244,52 +237,11 @@ class TwoTierDeployment:
             return {}
         return self._served.plan_stats()
 
-    def serve_batched(self, x, policy: ExitPolicy,
-                      batch_size: Optional[int] = None) -> BatchExitDecisions:
-        """One batch through the deployed pair, micro-batches fanned out
-        across the deployment executor (serial when None)."""
-        return run_policy_batched(self.served_model(), x, policy,
-                                  batch_size=batch_size,
-                                  executor=self.executor)
-
-    def serve_streams(self, streams: Sequence, policy: ExitPolicy,
-                      batch_size: Optional[int] = None
-                      ) -> List[BatchExitDecisions]:
-        """Serve independent camera streams, one executor task per stream.
-
-        This is the fog fan-out: forked workers inherit both tier models,
-        each stream's frames cross via shared memory, and the per-stream
-        exit decisions come back in submission order — identical to
-        serving every stream serially, which the parallel-serving tests
-        assert.
-
-        ``streams`` is either a sequence of per-camera frame arrays (the
-        legacy shape) or a broker record batch exposing per-key
-        ``groups()`` (duck-typed, so the fog layer needs no broker
-        import): each camera's sub-batch stacks its frames once and
-        serves as one stream, in key order.
-        """
-        model = self.served_model()
-        groups = getattr(streams, "groups", None)
-        if callable(groups):
-            streams = [group.stacked_values() for _, group in groups()]
-        else:
-            streams = list(streams)
-
-        def serve(frames):
-            return run_policy_batched(model, frames, policy,
-                                      batch_size=batch_size)
-
-        if self.executor is None:
-            results = [serve(frames) for frames in streams]
-        else:
-            results = self.executor.map_ordered(
-                serve, streams, label="fog.serve_streams")
-        self.runtime.registry.counter(
-            "fog.deploy.streams_served",
-            help="camera streams served by two-tier deployments").inc(
-                len(streams))
-        return results
+    def serve_batched(self, x, policy: ExitPolicy) -> BatchExitDecisions:
+        """One batch through the deployed pair: the only way a batch
+        reaches the deployed model.  A caller that owns a worker pool fans
+        out around it (one ``map_ordered`` task per camera stream)."""
+        return run_policy_batched(self.served_model(), x, policy)
 
 
 def _dict_to_bytes(state: Dict[str, np.ndarray]) -> bytes:

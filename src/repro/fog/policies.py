@@ -75,26 +75,15 @@ def measured_exit_fractions(local_logits: np.ndarray,
 
 
 def run_policy_batched(model, x, policy: ExitPolicy,
-                       batch_size: Optional[int] = None,
-                       executor=None) -> BatchExitDecisions:
+                       batch_size: Optional[int] = None) -> BatchExitDecisions:
     """Drive an early-exit model with a policy on the batched fast path.
 
     ``model`` is anything with the
     :meth:`repro.nn.models.earlyexit.EarlyExitNetwork.infer_batch` contract.
     The policy's confidence function and threshold become the exit rule, so
     the Fig. 5 (score) and Fig. 7 (entropy) policies both run through one
-    vectorized, no-grad, micro-batched path.  ``executor`` (a
-    :class:`~repro.runtime.parallel.ParallelExecutor`) fans the
-    micro-batches out across pool workers; exit decisions are identical
-    to the serial path either way.
+    vectorized, no-grad, micro-batched path.
     """
-    if executor is not None:
-        return model.infer_batch(x, policy.threshold,
-                                 confidence=policy.confidence_fn,
-                                 batch_size=batch_size,
-                                 executor=executor)
-    # Keep the executor kwarg out of the serial call: ``model`` is duck-
-    # typed and pre-engine implementations of the contract don't take it.
     return model.infer_batch(x, policy.threshold,
                              confidence=policy.confidence_fn,
                              batch_size=batch_size)

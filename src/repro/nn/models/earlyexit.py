@@ -212,7 +212,6 @@ class EarlyExitNetwork(nn.Module):
         batch-innermost layout).  A plan reads its input in place, so
         handing one stage's arena view to the next moves no bytes.
         """
-        codec = getattr(self, "activation_codec", None)
         feats = self._run_stage("local_stage", chunk)
         local_logits = self._run_stage("local_head", feats, keep=True)
         conf = confidence(local_logits)
@@ -227,8 +226,8 @@ class EarlyExitNetwork(nn.Module):
             # its input).
             remote_in = (feats if remote_rows.size == feats.shape[0]
                          else F.take_rows(feats, remote_rows))
-            if codec is not None:
-                remote_in = codec.transfer(remote_in)
+            if self.activation_codec is not None:
+                remote_in = self.activation_codec.transfer(remote_in)
             remote_logits = self._run_stage(
                 "remote_head", self._run_stage("remote_stage", remote_in),
                 keep=True)
@@ -243,8 +242,7 @@ class EarlyExitNetwork(nn.Module):
 
     def infer_batch(self, x: Tensor, threshold: float,
                     confidence: ConfidenceFn = score_confidence,
-                    batch_size: Optional[int] = None,
-                    executor=None) -> BatchExitDecisions:
+                    batch_size: Optional[int] = None) -> BatchExitDecisions:
         """Batched early-exit inference on the fast path.
 
         Runs in eval mode with autograd off, processes the input in
@@ -257,14 +255,11 @@ class EarlyExitNetwork(nn.Module):
         bit-identical decisions (the kernels mirror the eager ufunc
         sequences), so that switch is purely a performance choice.
 
-        With an ``executor`` (a
-        :class:`~repro.runtime.parallel.ParallelExecutor`), independent
-        micro-batches fan out across pool workers — the forked workers
-        inherit the model weights, only activations cross the boundary —
-        and the concatenated decisions are bitwise identical to the
-        serial path (chunk boundaries don't depend on worker count).
-        Plans are per-worker state: each worker recaptures into its own
-        arenas, which only the dump-dropped ``nn.plan.*`` counters see.
+        A caller that owns a process pool fans out around this call (one
+        ``map_ordered`` task per chunk, :meth:`BatchExitDecisions.concatenate`
+        to stitch).  Plans are per-process state: each forked worker
+        recaptures into its own arenas, which only the dump-dropped
+        ``nn.plan.*`` counters see.
         """
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         with observe_inference(type(self).__name__, int(data.shape[0])):
@@ -274,13 +269,6 @@ class EarlyExitNetwork(nn.Module):
                     # batch through one chunk so the result still carries
                     # correctly-shaped (0, C) columns.
                     return self._infer_chunk(data, threshold, confidence)
-                if executor is not None:
-                    chunks = executor.map_ordered(
-                        lambda chunk: self._infer_chunk(
-                            chunk, threshold, confidence),
-                        iter_microbatches(data, batch_size),
-                        label=f"nn.infer.{type(self).__name__}")
-                else:
-                    chunks = [self._infer_chunk(chunk, threshold, confidence)
-                              for chunk in iter_microbatches(data, batch_size)]
+                chunks = [self._infer_chunk(chunk, threshold, confidence)
+                          for chunk in iter_microbatches(data, batch_size)]
         return BatchExitDecisions.concatenate(chunks)

@@ -4,11 +4,11 @@
 :class:`~repro.fog.deployment.TwoTierDeployment`.  Concurrent callers
 ``await submit(frames, tenant=...)``; the gateway coalesces whatever is
 queued into micro-batches (a window that closes when arrivals pause, held
-open at most ``coalesce_window_s``; size-bounded by ``max_batch_rows``),
-runs one early-exit inference per batch through
-:meth:`~repro.fog.deployment.TwoTierDeployment.serve_batched`, and slices
-the :class:`~repro.nn.models.earlyexit.BatchExitDecisions` back out to
-each caller.  Every admitted request resolves exactly once — with its
+open at most ``coalesce_window_s``; size-bounded by ``max_batch_rows``;
+one sample geometry per batch), runs one early-exit inference per batch
+through :meth:`~repro.fog.deployment.TwoTierDeployment.serve_batched`, and
+slices the :class:`~repro.nn.models.earlyexit.BatchExitDecisions` back out
+to each caller.  Every admitted request resolves exactly once — with its
 decisions, or with the batch's exception; every refused request raises
 :class:`~repro.serving.admission.ShedError` exactly once; a request whose
 caller cancelled ``submit()`` while it waited leaves the queue
@@ -22,7 +22,7 @@ Determinism notes:
 - With ``coalesce_window_s=0`` the drain loop takes exactly what the
   single-threaded event loop has queued at wake time, so batch
   composition is a deterministic function of submission order — the mode
-  the worker-sweep property tests run in.
+  the determinism tests run in.
 - With a positive window the drain loop yields one event-loop turn at a
   time and closes the window at the first turn that admitted nothing:
   requests created together (a tick's cameras, the clients the previous
@@ -77,14 +77,11 @@ class GatewayConfig:
     can get.  ``max_queue_rows`` is the admission bound (see
     :class:`~repro.serving.admission.AdmissionController`);
     ``tenant_rate``/``tenant_burst`` enable per-tenant token buckets.
-    ``batch_size`` is forwarded to ``serve_batched`` as the inner
-    micro-batch size (None = one chunk per coalesced batch).
     """
 
     coalesce_window_s: float = 0.002
     max_batch_rows: int = 64
     max_queue_rows: int = 1024
-    batch_size: Optional[int] = None
     tenant_rate: Optional[float] = None
     tenant_burst: Optional[float] = None
 
@@ -98,8 +95,6 @@ class GatewayConfig:
         if self.max_queue_rows < 1:
             raise ValueError(
                 f"max_queue_rows must be >= 1: {self.max_queue_rows}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {self.batch_size}")
 
 
 class _Pending:
@@ -351,7 +346,10 @@ class ServingGateway:
                 return
 
     def _take_batch(self) -> List[_Pending]:
-        """Pop whole requests until the next one would overflow the batch.
+        """Pop whole requests until the next one would overflow the batch
+        or change its ``frames.shape[1:]``: a batch is stacked into one
+        array, so an odd-shaped request rides alone and meets the model's
+        verdict alone instead of failing the stack for its neighbours.
 
         A request whose future is already done was cancelled by its caller
         and reached the head before the cancellation reached ``submit()``
@@ -365,7 +363,8 @@ class ServingGateway:
             if head.future.done():
                 self._count_cancelled(self._queue.popleft())
                 continue
-            if batch and rows + head.rows > self.config.max_batch_rows:
+            if batch and (rows + head.rows > self.config.max_batch_rows
+                          or head.frames.shape[1:] != batch[0].frames.shape[1:]):
                 break
             batch.append(self._queue.popleft())
             rows += head.rows
@@ -385,8 +384,7 @@ class ServingGateway:
             try:
                 with tracer.span("serving.gateway.infer", batch=seq):
                     decisions = self.deployment.serve_batched(
-                        stacked, self.policy,
-                        batch_size=self.config.batch_size)
+                        stacked, self.policy)
             except Exception as exc:
                 for pending in batch:
                     if not pending.future.done():

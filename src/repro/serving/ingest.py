@@ -83,7 +83,6 @@ async def pump_topic(gateway: ServingGateway, bus, topic: str,
 
 
 def serve_camera_topic(deployment, policy, bus, topic: str,
-                       batch_size: Optional[int] = None,
                        group: str = DEFAULT_GROUP, poll_size: int = 256,
                        config: Optional[GatewayConfig] = None,
                        runtime=None) -> Dict[str, List]:
@@ -98,8 +97,7 @@ def serve_camera_topic(deployment, policy, bus, topic: str,
         config = GatewayConfig(
             coalesce_window_s=0.0,
             max_batch_rows=max(1, poll_size),
-            max_queue_rows=max(1024, 4 * poll_size),
-            batch_size=batch_size)
+            max_queue_rows=max(1024, 4 * poll_size))
 
     async def run() -> Dict[str, List]:
         gateway = ServingGateway(deployment, policy, config, runtime=runtime)

@@ -480,11 +480,7 @@ class Broker:
     """
 
     def __init__(self, runtime=None,
-                 shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES,
-                 latency_sample_every: int = 1):
-        if latency_sample_every < 1:
-            raise BrokerError(
-                f"latency_sample_every must be >= 1: {latency_sample_every}")
+                 shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES):
         self._topics: Dict[str, _Topic] = {}
         self._groups: Dict[str, _Group] = {}
         #: (group, topic, partition) -> committed offset
@@ -495,8 +491,6 @@ class Broker:
         self._staged_bytes = 0
         self._ticks = 0
         self.shm_min_bytes = int(shm_min_bytes)
-        self.latency_sample_every = int(latency_sample_every)
-        self._sampled = {"produce": 0, "fetch": 0}
         self.runtime = runtime or get_runtime()
         registry = self.runtime.registry
         self._produced = registry.counter(
@@ -532,15 +526,15 @@ class Broker:
             "ndarray payload bytes staged into shared memory")
         self._produce_latency = registry.histogram(
             "streaming.broker.produce_latency_s",
-            "runtime-clock seconds per produce call (sampled; wall time "
+            "runtime-clock seconds per produce call (wall time "
             "outside a DES run)")
         self._fetch_latency = registry.histogram(
             "streaming.broker.fetch_latency_s",
-            "runtime-clock seconds per poll call (sampled; wall time "
+            "runtime-clock seconds per poll call (wall time "
             "outside a DES run)")
         self._e2e_latency = registry.histogram(
             "streaming.broker.produce_to_consume_s",
-            "sim-clock seconds between produce and fetch (sampled; "
+            "sim-clock seconds between produce and fetch ("
             "observed only while a DES clock is bound)")
         self._topic_telemetry_cache: Dict[str, _TopicTelemetry] = {}
         self._group_telemetry_cache: Dict[Tuple[str, str],
@@ -552,11 +546,6 @@ class Broker:
         if self.runtime.clock_kind == "sim":
             return self.runtime.now()
         return float(self._ticks)
-
-    def _sample(self, kind: str) -> bool:
-        n = self._sampled[kind]
-        self._sampled[kind] = n + 1
-        return n % self.latency_sample_every == 0
 
     # -- bound telemetry -----------------------------------------------------
     def _topic_telemetry(self, topic: str) -> _TopicTelemetry:
@@ -723,8 +712,7 @@ class Broker:
         if n:
             telemetry.produced.inc(n)
             telemetry.depth.set(self.topic_size(topic))
-        if self._sample("produce"):
-            telemetry.produce_latency.observe(self.runtime.now() - started)
+        telemetry.produce_latency.observe(self.runtime.now() - started)
         return RecordBatch(topic, plan, offsets, keys, values, stamps)
 
     def _admit(self, t: _Topic, plan: Sequence[int]) -> Optional[List[int]]:
@@ -1065,8 +1053,7 @@ class Broker:
                 now = self.runtime.now()
                 observe = telemetry.e2e.observe
                 for stamp in out_timestamps:
-                    if self._sample("fetch"):
-                        observe(now - stamp)
+                    observe(now - stamp)
         self._update_lag(group.name, topic)
         return RecordBatch(topic, out_partitions, out_offsets, out_keys,
                            out_values, out_timestamps)
@@ -1222,8 +1209,7 @@ class Consumer:
                 else RecordBatch.empty(self.topics[0])
         if self.auto_commit and out:
             broker._commit(self)
-        if broker._sample("fetch"):
-            self._fetch_latency.observe(broker.runtime.now() - started)
+        self._fetch_latency.observe(broker.runtime.now() - started)
         return out
 
     def drain(self, batch_size: int = 100) -> List[Record]:

@@ -165,13 +165,6 @@ class TestServingPath:
         """, path="src/repro/core/example.py")
         assert rule_ids(findings) == ["API304"]
 
-    def test_serve_streams_outside_serving_flagged(self):
-        findings = check("""
-            def handle(deployment, streams, policy):
-                return deployment.serve_streams(streams, policy)
-        """, path="src/repro/apps/example.py")
-        assert rule_ids(findings) == ["API304"]
-
     def test_serving_package_exempt(self):
         findings = check("""
             def serve(self, stacked, policy):

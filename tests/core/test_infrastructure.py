@@ -269,9 +269,9 @@ class TestCameraFogGlue:
         infra.publish_camera_frames("cam-a", frames)
         deployment = camera_deployment()
         policy = ScoreThresholdPolicy(0.45)
-        direct = deployment.serve_streams([np.stack(frames)], policy)
+        direct = deployment.serve_batched(np.stack(frames), policy)
         served = infra.serve_camera_streams(deployment, policy)
         assert np.array_equal(served["cam-a"][0].predictions,
-                              direct[0].predictions)
+                              direct.predictions)
         assert np.array_equal(served["cam-a"][0].exit_index,
-                              direct[0].exit_index)
+                              direct.exit_index)

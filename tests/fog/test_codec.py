@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.fog import TwoTierDeployment
 from repro.fog.codec import AutoencoderCodec
-from repro.fog.policies import ScoreThresholdPolicy
+from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn.models.autoencoder import Autoencoder
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.runtime import Runtime, using_runtime
@@ -120,8 +120,11 @@ class TestDeploymentKnobs:
             planned.deploy(trained)
             policy = ScoreThresholdPolicy(0.6)
             x = self.frames()
-            a = plain.serve_batched(x, policy, batch_size=4)
-            b = planned.serve_batched(x, policy, batch_size=4)
+            # 10 rows in chunks of 4: the plan serves a ragged tail too
+            a = run_policy_batched(plain.served_model(), x, policy,
+                                   batch_size=4)
+            b = run_policy_batched(planned.served_model(), x, policy,
+                                   batch_size=4)
             assert np.array_equal(a.predictions, b.predictions)
             assert np.array_equal(a.exit_index, b.exit_index)
             assert np.array_equal(a.confidence, b.confidence)

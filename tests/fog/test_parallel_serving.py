@@ -1,4 +1,10 @@
-"""Fog fan-out through the parallel engine: decisions identical to serial."""
+"""Fog fan-out through the parallel engine: decisions identical to serial.
+
+The caller owns the pool (:mod:`tests.fanout`); inference runs inside the
+forked workers.
+"""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +13,14 @@ from repro import nn
 from repro.fog import TwoTierDeployment
 from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn.models.earlyexit import EarlyExitNetwork
-from repro.runtime import ParallelExecutor, Runtime, fork_available, using_runtime
+from repro.runtime import (
+    Runtime,
+    deterministic_dump,
+    fork_available,
+    using_runtime,
+)
+
+from tests.fanout import infer_fanned, serve_streams_fanned
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="platform lacks fork")
@@ -30,6 +43,10 @@ def frames(seed, n=12):
     return np.random.default_rng(seed).normal(0.0, 1.0, (n, 1, 8, 8))
 
 
+def normalized_dump(rt):
+    return json.dumps(deterministic_dump(rt), sort_keys=True)
+
+
 def decisions_equal(a, b):
     return (np.array_equal(a.predictions, b.predictions)
             and np.array_equal(a.exit_index, b.exit_index)
@@ -42,40 +59,32 @@ class TestRunPolicyBatchedExecutor:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_decisions_identical_to_serial(self, workers):
         policy = ScoreThresholdPolicy(0.55)
-        with using_runtime(Runtime(seed=5)):
-            model = build_network()
-            x = frames(7, n=16)
-            serial = run_policy_batched(model, x, policy, batch_size=4)
-            fanned = run_policy_batched(
-                model, x, policy, batch_size=4,
-                executor=ParallelExecutor(workers=workers))
-        assert decisions_equal(serial, fanned)
+        dumps = {}
+        for pool in (1, workers):
+            with using_runtime(Runtime(seed=5)) as rt:
+                model = build_network()
+                x = frames(7, n=16)
+                serial = run_policy_batched(model, x, policy, batch_size=4)
+                before = rt.registry.counter("nn.infer.items").total()
+                fanned = infer_fanned(model, x, policy, 4, workers=pool)
+                # the four chunks were inferred in workers and merged back
+                assert rt.registry.counter(
+                    "nn.infer.items").total() == before + 16
+                dumps[pool] = normalized_dump(rt)
+            assert decisions_equal(serial, fanned)
+        assert dumps[1] == dumps[workers]
         assert set(serial.exit_index) == {1, 2}  # both tiers exercised
 
-    def test_executorless_call_omits_kwarg(self):
-        # Pre-engine models implement infer_batch without an executor
-        # kwarg; the serial call must stay compatible with them.
-        class LegacyModel:
-            def infer_batch(self, x, threshold, confidence=None,
-                            batch_size=None):
-                return ("legacy", len(x))
 
-        policy = ScoreThresholdPolicy(0.5)
-        with using_runtime(Runtime()):
-            out = run_policy_batched(LegacyModel(), np.zeros((3, 1)), policy)
-        assert out == ("legacy", 3)
-
-
-def make_deployment(executor=None):
+def make_deployment():
     return TwoTierDeployment(
         lambda: build_network(seed=99),
         local_modules=["local_stage", "local_head"],
-        remote_modules=["remote_stage", "remote_head"],
-        executor=executor)
+        remote_modules=["remote_stage", "remote_head"])
 
 
-def deployed(executor=None):
-    deployment = make_deployment(executor)
+def deployed():
+    deployment = make_deployment()
     deployment.deploy(build_network(seed=1))
     return deployment
 
@@ -100,24 +109,19 @@ class TestDeploymentServing:
     @needs_fork
     def test_serve_batched_parallel_matches_serial(self):
         policy = ScoreThresholdPolicy(0.45)
-        x = frames(3, n=16)
-        with using_runtime(Runtime()):
-            serial = deployed().serve_batched(x, policy, batch_size=4)
-        with using_runtime(Runtime()):
-            fanned = deployed(ParallelExecutor(workers=4)).serve_batched(
-                x, policy, batch_size=4)
-        assert decisions_equal(serial, fanned)
-
-    @needs_fork
-    def test_serve_streams_parallel_matches_serial(self):
-        policy = ScoreThresholdPolicy(0.45)
         streams = [frames(seed, n=6) for seed in range(5)]
-        with using_runtime(Runtime()) as rt:
-            serial = deployed().serve_streams(streams, policy)
-            assert rt.registry.counter(
-                "fog.deploy.streams_served").total() == 5
+        served, dumps = {}, {}
+        for workers in (1, 4):
+            with using_runtime(Runtime()) as rt:
+                served[workers] = serve_streams_fanned(
+                    deployed(), streams, policy, workers)
+                dumps[workers] = normalized_dump(rt)
         with using_runtime(Runtime()):
-            fanned = deployed(ParallelExecutor(workers=4)).serve_streams(
-                streams, policy)
-        assert len(serial) == len(fanned) == 5
-        assert all(decisions_equal(a, b) for a, b in zip(serial, fanned))
+            deployment = deployed()
+            serial = [deployment.serve_batched(stream, policy)
+                      for stream in streams]
+        for workers in (1, 4):
+            assert len(served[workers]) == 5
+            assert all(decisions_equal(a, b)
+                       for a, b in zip(serial, served[workers]))
+        assert dumps[1] == dumps[4]

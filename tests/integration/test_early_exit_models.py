@@ -251,13 +251,14 @@ class TestServedPath:
         policy = median_policy(case, model, x)
         deployment = deploy(case, model)
         assert type(deployment.served_model()) is EarlyExitNetwork
-        for batch_size in (None, 3):
-            direct = run_policy_batched(model, x, policy,
-                                        batch_size=batch_size)
-            assert 0 < direct.remote_rows.size < len(x)
-            assert_same_decisions(
-                deployment.serve_batched(x, policy, batch_size=batch_size),
-                direct)
+        direct = run_policy_batched(model, x, policy)
+        assert 0 < direct.remote_rows.size < len(x)
+        assert_same_decisions(deployment.serve_batched(x, policy), direct)
+        # the composite chunks like the monolith does
+        assert_same_decisions(
+            run_policy_batched(deployment.served_model(), x, policy,
+                               batch_size=3),
+            run_policy_batched(model, x, policy, batch_size=3))
 
     def test_fused_float32_deployment_keeps_the_decisions(self, trained):
         case, model, x = trained

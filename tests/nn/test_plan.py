@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn import functional as F
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.inference import batched_forward, iter_microbatches
@@ -27,7 +28,9 @@ from repro.nn.plan import (
     capture_plan,
 )
 from repro.nn.tensor import Tensor
-from repro.runtime import ParallelExecutor, Runtime, fork_available, using_runtime
+from repro.runtime import Runtime, fork_available, using_runtime
+
+from tests.fanout import infer_fanned
 
 
 def rng_for(seed=0):
@@ -572,9 +575,8 @@ class TestWorkerTransport:
                                        dtype=np.float32).enable_plans()
             x = rng_for(11).normal(size=(8, 1, 16, 16)).astype(np.float32)
             serial = model.infer_batch(x, 0.6)
-            executor = ParallelExecutor(workers=2)
-            parallel = model.infer_batch(x, 0.6, batch_size=4,
-                                         executor=executor)
+            parallel = infer_fanned(model, x, ScoreThresholdPolicy(0.6),
+                                    batch_size=4, workers=2)
             assert np.array_equal(serial.predictions, parallel.predictions)
             assert np.array_equal(serial.confidence, parallel.confidence)
 

@@ -24,15 +24,16 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.compute.rdd import SparkContext
-from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
+from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.runtime import (
-    ParallelExecutor,
     Runtime,
     deterministic_dump,
     fork_available,
     using_runtime,
 )
+
+from tests.fanout import infer_fanned
 
 BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 WORKER_SWEEP = (1, 2, 4)
@@ -96,9 +97,9 @@ def test_exit_decisions_invariant_under_worker_count(seed, n, threshold,
             model = build_early_exit(rng)
             x = rt.rng.np_child("prop.parallel.x").normal(
                 0.0, 1.0, (n, 1, 8, 8))
-            decisions[workers] = run_policy_batched(
-                model, x, policy, batch_size=batch_size,
-                executor=ParallelExecutor(workers=workers))
+            decisions[workers] = infer_fanned(model, x, policy, batch_size,
+                                              workers)
+            assert rt.registry.counter("nn.infer.items").total() == n
             dumps[workers] = normalized_dump(rt)
     first = decisions[WORKER_SWEEP[0]]
     for workers in WORKER_SWEEP[1:]:

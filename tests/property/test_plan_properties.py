@@ -42,18 +42,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
+from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn import plan as plan_mod
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nn.models.resnet import ResNetBlock
 from repro.nn.quantize import quantize_for_inference
 from repro.runtime import (
-    ParallelExecutor,
     Runtime,
     deterministic_dump,
     fork_available,
     using_runtime,
 )
+
+from tests.fanout import infer_fanned
 
 BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 WORKER_SWEEP = (1, 2, 4)
@@ -88,10 +89,8 @@ def serve(seed, n, threshold, batch_size, workers, plans):
         if plans:
             model.enable_plans()
         x = rt.rng.np_child("prop.plan.x").normal(0.0, 1.0, (n, 1, 8, 8))
-        decisions = run_policy_batched(
-            model, x, ScoreThresholdPolicy(threshold),
-            batch_size=batch_size,
-            executor=ParallelExecutor(workers=workers))
+        decisions = infer_fanned(model, x, ScoreThresholdPolicy(threshold),
+                                 batch_size, workers)
         return decisions, normalized_dump(rt)
 
 

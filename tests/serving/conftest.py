@@ -29,9 +29,9 @@ class RecordingDeployment:
         self.inner = inner
         self.rows_seen = []
 
-    def serve_batched(self, x, policy, batch_size=None):
+    def serve_batched(self, x, policy):
         self.rows_seen.append(int(x.shape[0]))
-        return self.inner.serve_batched(x, policy, batch_size=batch_size)
+        return self.inner.serve_batched(x, policy)
 
 
 def camera_frames(seed, n):

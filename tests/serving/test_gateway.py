@@ -210,12 +210,10 @@ class TestQuiescenceWindow:
 
     def test_zero_window_batches_exactly_what_is_queued(self, rt, deployment,
                                                         policy):
-        # the worker-sweep property's requests and limits
         recorder = RecordingDeployment(deployment)
         gateway = ServingGateway(
             recorder, policy,
-            GatewayConfig(coalesce_window_s=0.0, max_batch_rows=8,
-                          batch_size=2))
+            GatewayConfig(coalesce_window_s=0.0, max_batch_rows=8))
         drive(gateway, [("cam", camera_frames(i, rows))
                         for i, rows in enumerate([3, 1, 4, 2, 3])])
         assert recorder.rows_seen == [8, 5]
@@ -279,7 +277,7 @@ class TestShedding:
 class TestFailures:
     def test_batch_failure_resolves_every_member(self, rt, policy):
         class ExplodingDeployment:
-            def serve_batched(self, x, policy, batch_size=None):
+            def serve_batched(self, x, policy):
                 raise RuntimeError("fabric down")
 
         gateway = ServingGateway(ExplodingDeployment(), policy,
@@ -298,12 +296,11 @@ class TestFailures:
                 self.inner = inner
                 self.calls = 0
 
-            def serve_batched(self, x, policy, batch_size=None):
+            def serve_batched(self, x, policy):
                 self.calls += 1
                 if self.calls == 1:
                     raise RuntimeError("first batch dies")
-                return self.inner.serve_batched(x, policy,
-                                                batch_size=batch_size)
+                return self.inner.serve_batched(x, policy)
 
         gateway = ServingGateway(FlakyDeployment(deployment), policy,
                                  GatewayConfig(coalesce_window_s=0.0,
@@ -312,6 +309,41 @@ class TestFailures:
                                   for i in range(3)])
         assert isinstance(results[0], RuntimeError)
         assert all(len(r.predictions) == 2 for r in results[1:])
+
+
+    def test_odd_geometry_rides_alone_and_fails_alone(self, rt, deployment,
+                                                      policy):
+        # (2, 1, 8, 8) + (3, 2, 8, 8) cannot be stacked, and the model
+        # rejects two channels: the odd request must not take its
+        # neighbours — or the drain loop — down with it.
+        recorder = RecordingDeployment(deployment)
+        gateway = ServingGateway(recorder, policy,
+                                 GatewayConfig(coalesce_window_s=0.0))
+        odd = np.zeros((3, 2, 8, 8))
+        wide = np.zeros((1, 1, 16, 16))      # servable, still its own batch
+
+        async def main():
+            async with gateway.running():
+                first = await asyncio.wait_for(asyncio.gather(
+                    gateway.submit(camera_frames(0, 2), tenant="a"),
+                    gateway.submit(odd, tenant="b"),
+                    gateway.submit(camera_frames(1, 2), tenant="c"),
+                    gateway.submit(wide, tenant="d"),
+                    return_exceptions=True), timeout=5)
+                later = await asyncio.wait_for(
+                    gateway.submit(camera_frames(2, 2), tenant="a"),
+                    timeout=5)
+                return first, later
+
+        (good, bad, neighbour, alone), later = asyncio.run(main())
+        assert isinstance(bad, ValueError) and "channel" in str(bad)
+        assert [len(r.predictions)
+                for r in (good, neighbour, alone, later)] == [2, 2, 1, 2]
+        assert recorder.rows_seen == [2, 3, 2, 1, 2]
+        stats = gateway.stats()
+        assert (stats["answered"], stats["failed"]) == (4, 1)
+        assert stats["submitted"] == (stats["answered"] + stats["shed"]
+                                      + stats["failed"] + stats["cancelled"])
 
 
 class TestSplitDecisions:
@@ -373,8 +405,6 @@ class TestConfigAndMetrics:
             GatewayConfig(max_batch_rows=0)
         with pytest.raises(ValueError):
             GatewayConfig(max_queue_rows=0)
-        with pytest.raises(ValueError):
-            GatewayConfig(batch_size=0)
 
     def test_gateway_metrics_are_recorded(self, rt, deployment, policy):
         gateway = ServingGateway(deployment, policy,

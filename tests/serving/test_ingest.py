@@ -78,7 +78,7 @@ class TestPumpTopic:
 
     def test_batch_failure_aborts_without_committing(self, rt, policy):
         class ExplodingDeployment:
-            def serve_batched(self, x, policy, batch_size=None):
+            def serve_batched(self, x, policy):
                 raise RuntimeError("fabric down")
 
         bus = camera_bus(rt)
@@ -125,11 +125,11 @@ class TestPipelinedPump:
         calls = {"n": 0}
         real = deployment.serve_batched
 
-        def flaky(x, policy, batch_size=None):
+        def flaky(x, policy):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise RuntimeError("fabric down")
-            return real(x, policy, batch_size=batch_size)
+            return real(x, policy)
 
         deployment.serve_batched = flaky
 

@@ -7,8 +7,8 @@ follow the rules of an independent reference model
 (:mod:`tests.streaming.reference_log` — the two calls are never checked
 against each other), and the normalized registry dump is byte-identical
 whichever call carried the records — including when a
-:class:`RecordBatch` rides straight into
-``TwoTierDeployment.serve_streams`` across worker counts.
+:class:`RecordBatch`'s per-camera groups are served through
+``TwoTierDeployment.serve_batched`` across worker counts.
 """
 
 import json
@@ -20,12 +20,7 @@ from repro.fog import TwoTierDeployment
 from repro.fog.policies import ScoreThresholdPolicy
 from repro import nn
 from repro.nn.models.earlyexit import EarlyExitNetwork
-from repro.runtime import (
-    ParallelExecutor,
-    Runtime,
-    fork_available,
-    using_runtime,
-)
+from repro.runtime import Runtime, fork_available, using_runtime
 from repro.runtime.parallel import deterministic_dump
 from repro.streaming import (
     BackpressureError,
@@ -39,6 +34,7 @@ from repro.streaming.broker import (
     VOLATILE_SPAN_PREFIXES,
 )
 
+from tests.fanout import serve_streams_fanned
 from tests.streaming.reference_log import ReferenceLog, as_rows
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -436,12 +432,11 @@ def build_network(seed):
             nn.GlobalAvgPool2d(), nn.Linear(8, 3, rng=rng)))
 
 
-def deployed(executor=None):
+def deployed():
     deployment = TwoTierDeployment(
         lambda: build_network(seed=99),
         local_modules=["local_stage", "local_head"],
-        remote_modules=["remote_stage", "remote_head"],
-        executor=executor)
+        remote_modules=["remote_stage", "remote_head"])
     deployment.deploy(build_network(seed=1))
     return deployment
 
@@ -454,15 +449,25 @@ def camera_batch(broker):
     return broker.consumer("fog", ["frames"]).poll_batch(9)
 
 
+def camera_streams(batch):
+    return [group.stacked_values() for _, group in batch.groups()]
+
+
 class TestServeStreamsOverBatch:
     def test_batch_input_matches_stacked_lists(self):
         policy = ScoreThresholdPolicy(0.45)
         with using_runtime(Runtime(seed=7)) as rt:
             batch = camera_batch(Broker(runtime=rt))
-            legacy = [group.stacked_values() for _, group in batch.groups()]
-            from_batch = deployed().serve_streams(batch, policy)
-            from_lists = deployed().serve_streams(legacy, policy)
-        assert len(from_batch) == len(from_lists)
+            cameras = sorted(set(batch.keys))
+            legacy = [np.stack([record.value for record in batch.records()
+                                if record.key == camera])
+                      for camera in cameras]
+            deployment = deployed()
+            from_batch = [deployment.serve_batched(frames, policy)
+                          for frames in camera_streams(batch)]
+            from_lists = [deployment.serve_batched(frames, policy)
+                          for frames in legacy]
+        assert len(from_batch) == len(from_lists) == 2
         for a, b in zip(from_batch, from_lists):
             assert np.array_equal(a.predictions, b.predictions)
             assert np.array_equal(a.exit_index, b.exit_index)
@@ -474,7 +479,9 @@ class TestServeStreamsOverBatch:
         for workers in (1, 2, 4):
             with using_runtime(Runtime(seed=7)) as rt:
                 batch = camera_batch(Broker(runtime=rt))
-                deployed(ParallelExecutor(workers=workers)).serve_streams(
-                    batch, policy)
+                served = serve_streams_fanned(
+                    deployed(), camera_streams(batch), policy, workers)
+                assert sum(len(d) for d in served) == 9
+                assert rt.registry.counter("nn.infer.items").total() == 9
                 dumps[workers] = normalized_dump(rt)
         assert dumps[1] == dumps[2] == dumps[4]
