@@ -230,11 +230,11 @@ class CyberInfrastructure:
     def attach_camera_feed(self) -> str:
         """Ensure the bounded, shared-memory camera-frame topic exists.
 
-        Frames are large ndarrays: the topic stages them in shared memory
-        (consumers get zero-copy read-only views) and bounds each
-        partition at ``camera_partition_capacity`` so a stalled fog tier
-        backpressures the cameras instead of buffering frames without
-        limit.
+        Frames of ``shm_min_bytes`` (64 KiB) or more are staged in shared
+        memory (consumers get zero-copy read-only views); a 16x16 frame
+        is 1 KiB and is stored as is.  Each partition is bounded at
+        ``camera_partition_capacity`` so a stalled fog tier backpressures
+        the cameras instead of buffering frames without limit.
         """
         if self.CAMERA_TOPIC not in self.bus.topic_names():
             self.bus.create_topic(

@@ -254,6 +254,10 @@ def _percentile(ordered: List[float], q: float) -> float:
 #: consumers of the metrics endpoint index them without existence checks
 SUMMARY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p95", "p99")
 
+#: ``max_samples`` of the per-call latency histograms (broker produce and
+#: fetch, gateway answer), which would otherwise grow with the uptime
+LATENCY_SAMPLES = 1024
+
 
 class _SeriesStats:
     """Exact streaming aggregates for one histogram series.

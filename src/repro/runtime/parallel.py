@@ -53,6 +53,7 @@ fields — is byte-for-byte identical across ``workers`` in ``{1, 2, 4,
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -160,6 +161,13 @@ def share_ndarrays(value: Any, min_bytes: int = DEFAULT_SHM_MIN_BYTES
     segments — close and unlink them when the last reader is done.
     """
     return _encode_item(value, min_bytes)
+
+
+def stages_nothing(values: Sequence[Any], min_bytes: int) -> bool:
+    """True when every value is a plain ndarray below ``min_bytes``, which
+    :func:`share_ndarrays` hands back as is; checked at C speed."""
+    return (set(map(type, values)) == {np.ndarray}
+            and max(map(operator.attrgetter("nbytes"), values)) < min_bytes)
 
 
 def _decode_payload(payload: Any,

@@ -32,7 +32,8 @@ Determinism notes:
   passed on the runtime clock or ``max_batch_rows`` are queued, so batch
   composition depends on how arrivals interleave with loop turns.  No
   timer is armed either way.
-- Latency histograms carry wall-clock readings;
+- Latency histograms carry wall-clock readings (a reservoir of
+  :data:`~repro.runtime.metrics.LATENCY_SAMPLES` per tenant);
   :data:`VOLATILE_METRIC_PREFIXES` names them so determinism tests can
   pass them to :func:`~repro.runtime.parallel.deterministic_dump`.
 
@@ -49,12 +50,13 @@ from collections import deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.models.earlyexit import BatchExitDecisions
 from repro.runtime import get_runtime
+from repro.runtime.metrics import LATENCY_SAMPLES
 from repro.serving.admission import (
     SHED_SHUTDOWN,
     AdmissionController,
@@ -95,6 +97,18 @@ class GatewayConfig:
         if self.max_queue_rows < 1:
             raise ValueError(
                 f"max_queue_rows must be >= 1: {self.max_queue_rows}")
+
+
+class _TenantTelemetry:
+    """Per-request metric handles, bound once per tenant (same series)."""
+
+    __slots__ = ("submitted", "admitted", "answered", "latency")
+
+    def __init__(self, gateway: "ServingGateway", tenant: str):
+        self.submitted = gateway._m_submitted.bind(tenant=tenant)
+        self.admitted = gateway._m_admitted.bind(tenant=tenant)
+        self.answered = gateway._m_answered.bind(tenant=tenant)
+        self.latency = gateway._m_latency.bind(tenant=tenant)
 
 
 class _Pending:
@@ -213,7 +227,9 @@ class ServingGateway:
             help="rows per coalesced micro-batch")
         self._m_latency = registry.histogram(
             "serving.gateway.latency_s",
-            help="wall seconds from admission to answer")
+            help="wall seconds from admission to answer",
+            max_samples=LATENCY_SAMPLES)
+        self._tenants: Dict[str, _TenantTelemetry] = {}
         self._g_queue_rows = registry.gauge(
             "serving.gateway.queue_rows",
             help="frame rows waiting in the coalescing queue")
@@ -260,8 +276,11 @@ class ServingGateway:
         """
         data = np.asarray(frames)
         rows = int(data.shape[0])
+        telemetry = self._tenants.get(tenant)
+        if telemetry is None:
+            telemetry = self._tenants[tenant] = _TenantTelemetry(self, tenant)
         self.submitted += 1
-        self._m_submitted.inc(1, tenant=tenant)
+        telemetry.submitted.inc(1)
         if self._closed or self._wakeup is None:
             self._shed(tenant, SHED_SHUTDOWN, "gateway is not running")
         reason = self.admission.admit(tenant, rows, self._queued_rows)
@@ -274,7 +293,7 @@ class ServingGateway:
         self._queue.append(pending)
         self._queued_rows += rows
         self.admitted += 1
-        self._m_admitted.inc(1, tenant=tenant)
+        telemetry.admitted.inc(1)
         self._update_queue_gauges()
         self._wakeup.set()
         try:
@@ -398,9 +417,9 @@ class ServingGateway:
             if not pending.future.done():
                 pending.future.set_result(part)
             self.answered += 1
-            self._m_answered.inc(1, tenant=pending.tenant)
-            self._m_latency.observe(now - pending.enqueued_at,
-                                    tenant=pending.tenant)
+            telemetry = self._tenants[pending.tenant]
+            telemetry.answered.inc(1)
+            telemetry.latency.observe(now - pending.enqueued_at)
         self._m_batches.inc()
         self._m_rows.inc(rows)
         self._m_batch_rows.observe(rows)

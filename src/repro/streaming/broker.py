@@ -31,22 +31,23 @@ lists:
   down), ``"drop"`` discards the new records, ``"error"`` raises
   :class:`BackpressureError`.
 - **Zero-copy payload handoff.**  Topics created with
-  ``share_ndarrays=True`` stage large ndarray values into
-  ``multiprocessing.shared_memory`` segments once, reusing the
+  ``share_ndarrays=True`` stage ndarrays of ``shm_min_bytes`` (64 KiB) or
+  more into ``multiprocessing.shared_memory`` once, via the
   :mod:`repro.runtime.parallel` transport; every consumer group reads the
-  same read-only view with no per-consumer copy, and eviction unlinks the
-  segment.
+  same read-only view, and eviction unlinks the segment.  A batch of
+  smaller plain ndarrays (a 16x16 frame is 1 KiB) is stored as is after
+  one C-speed check; producers get their own objects back either way.
 - **Columnar record batches.**  Partitions store parallel
   offset/key/value/timestamp columns rather than ``Record`` objects, and
   the hot path moves :class:`RecordBatch` slices of those columns:
-  ``produce_batch`` is the one append path (plan partitions, admit, one
-  bulk column append per touched partition) and ``Consumer.poll_batch``
-  the one fetch path, returning a batch whose per-key ``groups()`` feed
-  the serving gateway directly.  ``produce()`` and ``poll()`` are
-  one-record / row views of those two.  Individual :class:`Record`
-  objects are materialized lazily, only when a caller actually asks for
-  row views (``produce()``, ``poll()``, iteration, indexing) — the
-  payload objects themselves are never copied.
+  ``produce_batch`` is the one append path (plan partitions per distinct
+  key, admit, one bulk column append per touched partition) and
+  ``Consumer.poll_batch`` the one fetch path, returning a batch whose
+  per-key ``groups()`` feed the serving gateway directly.  ``produce()``
+  and ``poll()`` are one-record / row views of those two.  Individual
+  :class:`Record` objects are materialized lazily, only when a caller
+  actually asks for row views (``produce()``, ``poll()``, iteration,
+  indexing) — the payload objects themselves are never copied.
 
 Telemetry lives under ``streaming.broker.*``: produce/fetch volume and
 latency, per-group lag gauges, rebalance and generation counters,
@@ -61,7 +62,9 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -79,10 +82,12 @@ from typing import (
 import numpy as np
 
 from repro.runtime import get_runtime
+from repro.runtime.metrics import LATENCY_SAMPLES
 from repro.runtime.parallel import (
     DEFAULT_SHM_MIN_BYTES,
     SharedArrayRef,
     share_ndarrays,
+    stages_nothing,
 )
 
 
@@ -239,35 +244,40 @@ class RecordBatch:
     def select(self, rows: Iterable[int]) -> "RecordBatch":
         """A sub-batch of ``rows`` (payload objects shared, not copied)."""
         rows = list(rows)
+        # itemgetter gathers in C, but hands back a bare item for one row
+        take = (itemgetter(*rows) if len(rows) > 1
+                else lambda column: [column[index] for index in rows])
         topics = self.topics
         if not isinstance(topics, str):
-            topics = [topics[i] for i in rows]
+            topics = list(take(topics))
         return RecordBatch(topics,
-                           [self.partitions[i] for i in rows],
-                           [self.offsets[i] for i in rows],
-                           [self.keys[i] for i in rows],
-                           [self.values[i] for i in rows],
-                           [self.timestamps[i] for i in rows])
+                           list(take(self.partitions)),
+                           list(take(self.offsets)),
+                           list(take(self.keys)),
+                           list(take(self.values)),
+                           list(take(self.timestamps)))
 
     def stacked_values(self) -> np.ndarray:
         """The value column as one stacked ndarray, computed once.
 
-        This is the gateway-submission shape: a camera sub-batch from
-        :meth:`groups` stacks its frames here instead of every consumer
-        re-running ``np.stack`` over row views.  Cached on the batch.
+        The gateway-submission shape, built once per sub-batch from
+        :meth:`groups` by ``np.array`` (``np.stack``'s array, ragged rows
+        raising too, at a third of the cost) and cached on the batch.
         """
         if self._stacked is None:
             if not self.values:
                 raise BrokerError("cannot stack an empty batch")
-            self._stacked = np.stack(self.values)
+            self._stacked = np.array(self.values)
         return self._stacked
 
     def groups(self) -> List[Tuple[Optional[str], "RecordBatch"]]:
         """Per-key sub-batches, deterministically ordered by key.
 
         Row order within each sub-batch is arrival order; ``None`` keys
-        group together and sort first.
+        group together and sort first; a one-key batch is its own group.
         """
+        if self.keys and self.keys.count(self.keys[0]) == len(self.keys):
+            return [(self.keys[0], self)]
         rows_by_key: Dict[Optional[str], List[int]] = {}
         for index, key in enumerate(self.keys):
             bucket = rows_by_key.get(key)
@@ -403,14 +413,19 @@ class _Topic:
                 self._key_partitions[key] = partition
         return partition
 
-    def plan_partitions(self, keys: Sequence[Optional[str]]) -> List[int]:
+    def plan_partitions(self, keys: List[Optional[str]]) -> List[int]:
         """Partition for each key *without* committing the cursor.
 
-        Pure for keyed records (stable hash); unkeyed records take the
-        round-robin cursor positions they *would* get; ``produce_batch``
-        advances the cursor only once the batch is admitted, so a
-        backpressure-rejected batch does not disturb the rotation.
+        Pure for keyed records (stable hash, looked up once per distinct
+        key when no row is unkeyed); unkeyed records take the round-robin
+        cursor positions they *would* get; ``produce_batch`` advances the
+        cursor only once the batch is admitted, so a rejected batch does
+        not disturb the rotation.
         """
+        if None not in keys:
+            partition_of = {key: self.partition_for_key(key)
+                            for key in dict.fromkeys(keys)}
+            return list(map(partition_of.__getitem__, keys))
         width = len(self.partitions)
         cursor = self._round_robin
         plan = []
@@ -527,11 +542,11 @@ class Broker:
         self._produce_latency = registry.histogram(
             "streaming.broker.produce_latency_s",
             "runtime-clock seconds per produce call (wall time "
-            "outside a DES run)")
+            "outside a DES run)", max_samples=LATENCY_SAMPLES)
         self._fetch_latency = registry.histogram(
             "streaming.broker.fetch_latency_s",
             "runtime-clock seconds per poll call (wall time "
-            "outside a DES run)")
+            "outside a DES run)", max_samples=LATENCY_SAMPLES)
         self._e2e_latency = registry.histogram(
             "streaming.broker.produce_to_consume_s",
             "sim-clock seconds between produce and fetch ("
@@ -600,7 +615,7 @@ class Broker:
 
     def topic_size(self, topic: str) -> int:
         """Retained records across all partitions."""
-        return sum(len(p) for p in self._topic(topic).partitions)
+        return sum([len(p.offsets) for p in self._topic(topic).partitions])
 
     def partition_sizes(self, topic: str) -> List[int]:
         """Retained records per partition."""
@@ -650,7 +665,7 @@ class Broker:
         ``Record`` objects materialize lazily).  This is the broker's one
         append path: one partition plan, one admission check, one bulk
         column append per touched partition, and one telemetry update
-        for the whole batch.
+        for the whole batch.  Values come back as the producer's objects.
         """
         t = self._topic(topic)
         values = list(values)
@@ -662,7 +677,7 @@ class Broker:
         width = len(parts)
         keys: List[Optional[str]] = (
             [None] * len(values) if key_fn is None
-            else [key_fn(value) for value in values])
+            else list(map(key_fn, values)))
         plan = t.plan_partitions(keys)
         kept = self._admit(t, plan)
         t._round_robin += keys.count(None)
@@ -676,10 +691,11 @@ class Broker:
         if self.runtime.clock_kind == "sim":
             stamps = [self.runtime.now()] * n
         else:
-            stamps = [float(tick)
-                      for tick in range(self._ticks, self._ticks + n)]
+            stamps = list(map(float, range(self._ticks, self._ticks + n)))
             self._ticks += n
-        if key_fn is None and kept is None:
+        if n and plan.count(plan[0]) == n:
+            lanes = [(plan[0], slice(None))]
+        elif key_fn is None and kept is None:
             # Round-robin lays rows lane, lane + width, ... on one
             # partition in input order: each partition's rows are one
             # strided slice.
@@ -690,18 +706,18 @@ class Broker:
             for index, partition in enumerate(plan):
                 rows_of.setdefault(partition, []).append(index)
             lanes = rows_of.items()
-        share = t.config.share_ndarrays
+        stage = (t.config.share_ndarrays
+                 and not stages_nothing(values, self.shm_min_bytes))
         offsets = [0] * n
         for partition, rows in lanes:
             part = parts[partition]
             lane_values = _take(values, rows)
             lane_offsets = range(part.end_offset,
                                  part.end_offset + len(lane_values))
-            if share:
+            if stage:
                 lane_values = [self._store_value(t, part, offset, value)
                                for offset, value
                                in zip(lane_offsets, lane_values)]
-                _put(values, rows, lane_values)
             _put(offsets, rows, lane_offsets)
             part.offsets.extend(lane_offsets)
             part.keys.extend(_take(keys, rows))
@@ -724,9 +740,7 @@ class Broker:
         bound = t.config.max_partition_records
         if bound is None:
             return None
-        needed: Dict[int, int] = {}
-        for partition in plan:
-            needed[partition] = needed.get(partition, 0) + 1
+        needed = Counter(plan)
         free: Dict[int, int] = {}
         for partition, count in needed.items():
             part = t.partitions[partition]

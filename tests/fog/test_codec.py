@@ -9,6 +9,7 @@ from repro.fog.codec import AutoencoderCodec
 from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn.models.autoencoder import Autoencoder
 from repro.nn.models.earlyexit import EarlyExitNetwork
+from repro.nn.tensor import Tensor
 from repro.runtime import Runtime, using_runtime
 
 IMG = 12
@@ -75,6 +76,32 @@ class TestAutoencoderCodec:
             feats = rng.normal(size=(3, 4, IMG, IMG)).astype(np.float32)
             codec.transfer(feats)
             assert codec.bytes_sent == 3 * 16 * 4  # float32 codes
+
+    def test_batch_innermost_and_row_major_maps_transfer_identically(self):
+        with using_runtime(Runtime(seed=0)):
+            rng = np.random.default_rng(0)
+            codec = make_codec(rng)
+            feats = rng.normal(size=(7, 4, IMG, IMG)).astype(np.float32)
+            # stored (C, H, W, N), viewed NCHW: the no-grad layout
+            innermost = np.ascontiguousarray(
+                feats.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+            out = codec.transfer(innermost)
+            assert np.array_equal(out, codec.transfer(feats))
+            assert out.transpose(1, 2, 3, 0).flags["C_CONTIGUOUS"]
+
+    def test_float_code_matches_the_float64_module_path(self):
+        with using_runtime(Runtime(seed=0)):
+            rng = np.random.default_rng(0)
+            autoencoder = Autoencoder(4 * IMG * IMG, [32], 16, rng=rng)
+            codec = AutoencoderCodec(autoencoder, quantize_code=False)
+            feats = rng.normal(size=(5, 4, IMG, IMG)).astype(np.float32)
+            out = codec.transfer(feats)
+            with nn.no_grad():
+                reference = autoencoder(
+                    Tensor(feats.reshape(5, -1).astype(np.float64))).data
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(out.reshape(5, -1), reference,
+                                       rtol=1e-4, atol=1e-5)
 
     def test_geometry_mismatch_rejected(self):
         with using_runtime(Runtime(seed=0)):

@@ -29,6 +29,7 @@ drawn schedules while keeping any single invocation deterministic.
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -385,42 +386,84 @@ def test_batch_and_record_paths_dump_identically(num_records, chunk,
     assert run(True) == run(False)
 
 
+#: the state machine's ``shm_min_bytes`` and its ndarray value sizes
+#: (float32 elements): below, at and above the staging threshold
+SHM_MIN_BYTES = 64
+VALUE_SIZES = (4, 15, 16, 32)
+
+
+def ident(value):
+    """The sequence number a value was produced with (int or ndarray)."""
+    return value if isinstance(value, int) else int(value[0])
+
+
 KEY_FNS = {
     "unkeyed": None,
-    "keyed": lambda value: f"k{value % 5}",
-    "mixed": lambda value: f"k{value % 5}" if value % 2 else None,
+    "single": lambda value: "k0",
+    "keyed": lambda value: f"k{ident(value) % 5}",
+    "mixed": lambda value: f"k{ident(value) % 5}" if ident(value) % 2
+    else None,
 }
+
+
+def comparable(rows):
+    """Model rows with ndarray values as (dtype, shape, bytes) triples."""
+    return [(p, o, k, (v.dtype.str, v.shape, v.tobytes())
+             if isinstance(v, np.ndarray) else v, t)
+            for p, o, k, v, t in rows]
+
+
+def staged(value):
+    return isinstance(value, np.ndarray) and value.nbytes >= SHM_MIN_BYTES
 
 
 @seed(BASE_SEED)
 class BrokerAgainstReference(RuleBasedStateMachine):
-    """Every call's result and the state it leaves match the reference."""
+    """Every call's result and the state it leaves match the reference.
+
+    With ``share`` drawn the topic is ``share_ndarrays=True`` and values
+    are float32 arrays on both sides of ``SHM_MIN_BYTES``: what the broker
+    stages, tracks and releases, and each poll's ``groups()`` /
+    ``stacked_values()``, must match the model too.
+    """
 
     @initialize(partitions=st.integers(1, 4),
                 bound=st.none() | st.integers(1, 6),
                 policy=st.sampled_from(["block", "drop", "error"]),
                 retention=st.none() | st.integers(1, 8),
                 max_age=st.none() | st.integers(0, 12),
-                auto_commit=st.booleans())
+                auto_commit=st.booleans(),
+                share=st.booleans())
     def create(self, partitions, bound, policy, retention, max_age,
-               auto_commit):
-        self.broker = Broker(runtime=Runtime(seed=BASE_SEED))
+               auto_commit, share):
+        self.broker = Broker(runtime=Runtime(seed=BASE_SEED),
+                             shm_min_bytes=SHM_MIN_BYTES)
         self.broker.create_topic(
             "events", partitions=partitions, max_partition_records=bound,
             backpressure=policy, retention_max_records=retention,
-            retention_max_age_s=max_age)
+            retention_max_age_s=max_age, share_ndarrays=share)
         self.consumer = self.broker.consumer("g", ["events"],
                                              auto_commit=auto_commit)
         self.reference = ReferenceLog(partitions, bound, policy, retention,
                                       max_age, auto_commit)
         self.partitions = partitions
         self.policy = policy
+        self.share = share
         self.next_value = 0
 
-    def values(self, count):
+    def teardown(self):
+        broker = getattr(self, "broker", None)
+        if broker is not None:
+            broker.close()
+
+    def values(self, count, sizes):
+        """``count`` fresh values; arrays take ``sizes`` in turn."""
         start = self.next_value
         self.next_value += count
-        return list(range(start, start + count))
+        if not self.share:
+            return list(range(start, start + count))
+        return [np.full(sizes[value % len(sizes)], value, dtype=np.float32)
+                for value in range(start, start + count)]
 
     def expect(self, rows, call):
         """Run ``call``; it must append, or refuse, exactly as the model."""
@@ -434,31 +477,59 @@ class BrokerAgainstReference(RuleBasedStateMachine):
             return None
         return expected, call()
 
-    @rule(key=st.none() | st.sampled_from(["k0", "k1", "k2", "k3", "k4"]))
-    def produce(self, key):
-        value, = self.values(1)
+    @rule(key=st.none() | st.sampled_from(["k0", "k1", "k2", "k3", "k4"]),
+          size=st.sampled_from(VALUE_SIZES))
+    def produce(self, key, size):
+        value, = self.values(1, [size])
         outcome = self.expect(
             [(key, value)],
             lambda: self.broker.produce("events", value, key=key))
         if outcome is not None:
             expected, record = outcome
-            assert as_rows([record] if record is not None else []) == expected
+            assert comparable(as_rows([record] if record is not None
+                                      else [])) == comparable(expected)
 
-    @rule(count=st.integers(1, 12), keying=st.sampled_from(sorted(KEY_FNS)))
-    def produce_batch(self, count, keying):
-        values, key_fn = self.values(count), KEY_FNS[keying]
+    @rule(count=st.integers(1, 12), keying=st.sampled_from(sorted(KEY_FNS)),
+          sizes=st.lists(st.sampled_from(VALUE_SIZES), min_size=1,
+                         max_size=2))
+    def produce_batch(self, count, keying, sizes):
+        values, key_fn = self.values(count, sizes), KEY_FNS[keying]
         outcome = self.expect(
             [(key_fn(value) if key_fn else None, value) for value in values],
             lambda: self.broker.produce_batch("events", values,
                                               key_fn=key_fn))
         if outcome is not None:
             expected, batch = outcome
-            assert as_rows(batch) == expected
+            assert comparable(as_rows(batch)) == comparable(expected)
 
     @rule(budget=st.integers(1, 9))
     def poll_batch(self, budget):
-        assert as_rows(self.consumer.poll_batch(budget)) \
-            == self.reference.poll(budget)
+        batch = self.consumer.poll_batch(budget)
+        expected = self.reference.poll(budget)
+        assert comparable(as_rows(batch)) == comparable(expected)
+        if self.share:
+            self.same_groups(batch, expected)
+
+    def same_groups(self, batch, expected):
+        """Per-key sub-batches and their stacks against the model's rows."""
+        by_key = {}
+        for _, _, key, value, _ in expected:
+            by_key.setdefault(key, []).append(value)
+        groups = batch.groups()
+        assert [key for key, _ in groups] == sorted(
+            by_key, key=lambda key: (key is not None, key or ""))
+        for key, group in groups:
+            try:
+                stacked = np.stack(by_key[key])
+            except ValueError:
+                with pytest.raises(ValueError):
+                    group.stacked_values()
+                continue
+            got = group.stacked_values()
+            assert got.dtype == stacked.dtype
+            assert np.array_equal(got, stacked)
+            assert not any(value.flags.writeable
+                           for value in group.values if staged(value))
 
     @rule()
     def commit(self):
@@ -491,8 +562,10 @@ class BrokerAgainstReference(RuleBasedStateMachine):
         assert [self.consumer.committed("events", p) for p in every] \
             == [reference.committed.get(p, 0) for p in every]
         assert broker.lag("g", "events") == reference.lag()
+        assert broker.tracked_segments() == sum(
+            staged(row[3]) for row in reference.rows())
 
 
 BrokerAgainstReference.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None)
+    max_examples=60, stateful_step_count=30, deadline=None)
 TestBrokerAgainstReference = BrokerAgainstReference.TestCase

@@ -4,6 +4,8 @@ The basic surface (topics, produce/consume, round-robin, lag) is covered
 by ``test_bus.py``; this file exercises what makes the broker a broker.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -402,6 +404,47 @@ class TestZeroCopy:
         broker.produce("frames", small)
         record = broker.consumer("g", ["frames"]).poll(1)[0]
         np.testing.assert_array_equal(record.value, small)
+        assert broker.shm_bytes_staged() == 0
+
+    def test_produce_hands_back_the_producers_values(self):
+        broker = Broker()
+        broker.create_topic("frames", partitions=2, share_ndarrays=True)
+        large = np.zeros(64 * 1024, dtype=np.float32)
+        assert broker.produce("frames", large).value is large
+        values = [np.ones(64 * 1024, dtype=np.float32), np.arange(8),
+                  np.full(64 * 1024, 2.0, dtype=np.float32)]
+        batch = broker.produce_batch("frames", values)
+        assert all(got is sent for got, sent in zip(batch.values, values))
+        assert broker.tracked_segments() == 3
+        polled = broker.consumer("g", ["frames"]).poll_batch(10).values
+        assert sorted(float(value.sum()) for value in polled) \
+            == sorted(float(value.sum()) for value in [large, *values])
+        assert not any(value.flags.writeable for value in polled
+                       if value.nbytes >= broker.shm_min_bytes)
+        broker.close()
+
+    def test_produce_of_small_frames_is_not_a_per_frame_walk(self):
+        """Python calls per frame in one keyed 256-frame produce_batch.
+
+        One is the caller's ``key_fn``; a per-frame staging walk or
+        partition lookup would add one or more each.
+        """
+        broker = Broker()
+        broker.create_topic("frames", partitions=4, share_ndarrays=True,
+                            max_partition_records=4096)
+        frames = list(np.zeros((256, 1, 16, 16), dtype=np.float32))
+        calls = 0
+
+        def count_calls(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count_calls)
+        try:
+            broker.produce_batch("frames", frames, key_fn=lambda _: "cam-0")
+        finally:
+            sys.setprofile(None)
+        assert calls / len(frames) <= 3
         assert broker.shm_bytes_staged() == 0
 
     def test_eviction_unlinks_segments(self):

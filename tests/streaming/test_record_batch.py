@@ -119,6 +119,17 @@ class TestRecordBatchShape:
         with pytest.raises(BrokerError):
             RecordBatch.empty().stacked_values()
 
+    def test_stacked_values_of_ragged_rows_raises(self):
+        batch = RecordBatch("t", [0, 0], [0, 1], ["a", "a"],
+                            [np.zeros((2, 3)), np.zeros((2, 4))], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            batch.stacked_values()
+
+    def test_one_key_batch_is_its_own_group(self):
+        batch = RecordBatch("t", [0, 1], [0, 0], ["a", "a"],
+                            [np.zeros(3), np.ones(3)], [0.0, 1.0])
+        assert batch.groups() == [("a", batch)]
+
     def test_concat_same_topic_keeps_scalar(self):
         merged = RecordBatch.concat([sample_batch(), sample_batch()])
         assert merged.topics == "events"
