@@ -10,11 +10,13 @@ Under ``no_grad()`` conv, pooling and global average pooling run the
 (:mod:`repro.nn.plan`) — and follow one layout rule: a 4-D feature map is
 *stored* batch-innermost, ``(C, H, W, N)`` C-contiguous, and *handed
 around* as an NCHW-shaped view of that storage, so every shape contract
-and ``[n, c, y, x]`` index reads as before while the K·K copies of a conv
-unfold move ``W'·N``-element runs and the GEMM result already is the next
-op's input.  Elementwise ops need no rule (NumPy follows operand memory
-order); 2-D matrices stay row-major.  The grad-recording forward keeps
-``im2col`` + ``cols @ W.T`` because backward reads ``cols``.
+and ``[n, c, y, x]`` index reads as before while a conv unfold moves
+``W'·N``-element runs and the GEMM result already is the next op's input.
+The conv works through the output in bands of whole output rows sized to
+:data:`CONV_BAND_BYTES`, so a large batch's column matrix never leaves L2.
+Elementwise ops need no rule (NumPy follows operand memory order); 2-D
+matrices stay row-major.  The grad-recording forward keeps ``im2col`` +
+``cols @ W.T`` because backward reads ``cols``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.dtypes import ensure_float, get_default_dtype
 from repro.nn.grad_mode import is_grad_enabled
@@ -87,39 +90,75 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kernel: int,
 # Convolution and pooling primitives
 # --------------------------------------------------------------------------
 
-def unfold_pairs(x_t: np.ndarray, cols_t: np.ndarray, stride: int) -> list:
-    """The K·K (destination, source) view pairs of a K-major unfold.
+#: bytes a band of the inference conv touches (column block + GEMM
+#: result): half a 2 MiB per-core L2.
+CONV_BAND_BYTES = 1 << 20
 
-    ``x_t`` is the padded input viewed (C, H, W, N); ``cols_t`` the
-    (C, K, K, H', W', N) view of a C-contiguous (C·K·K, H'·W'·N) column
-    matrix, so each strided copy lands in final position and, with ``x_t``
-    stored batch-innermost, moves W'·N-element runs (N at stride 2)
-    whatever C is.  Plans build the pairs once per row count.
+
+def conv_bands(c: int, kernel: int, f: int, out_h: int, out_w: int,
+               rows: int, itemsize: int) -> list:
+    """The ``(first, stop)`` output-row spans the inference conv works in.
+
+    As many whole rows per band as keep its (C·K·K + F)·rows·W'·N
+    elements within :data:`CONV_BAND_BYTES` bytes: at least one, all of
+    them for a map that fits.
     """
-    _, kernel, _, out_h, out_w, _ = cols_t.shape
-    return [(cols_t[:, ky, kx],
-             x_t[:, ky:ky + stride * out_h:stride,
-                 kx:kx + stride * out_w:stride])
-            for ky in range(kernel) for kx in range(kernel)]
+    row_bytes = (c * kernel * kernel + f) * out_w * rows * itemsize
+    step = max(1, CONV_BAND_BYTES // row_bytes) if row_bytes else out_h
+    return [(y, min(y + step, out_h)) for y in range(0, out_h, step)]
 
 
-def conv_k_major(pairs: list, cols: np.ndarray, w_flat: np.ndarray,
+def conv_band_views(x_t: np.ndarray, cols: np.ndarray, out: np.ndarray,
+                    kernel: int, stride: int) -> list:
+    """The per-band views :func:`conv_k_major` works on.
+
+    For each :func:`conv_bands` span of ``out`` (F, H'·W'·N): the column
+    block as (C, K, K, rows, W', N), its windows of the (padded) input
+    ``x_t`` viewed (C, H, W, N), the block as the (C·K·K, rows·W'·N) GEMM
+    operand, and the band's result columns.  Every block is the head of
+    the flat scratch ``cols``, so the scratch is one band, not the map.
+    Plans build the list once per row count (per run for a conv reading
+    the plan's input unpadded).
+    """
+    # the sliding-window view, by strides: sliding_window_view's checks
+    # cost 11 us a call, as much as a 10-row conv's unfold
+    c, height, width, rows = x_t.shape
+    out_h = (height - kernel) // stride + 1
+    out_w = (width - kernel) // stride + 1
+    sc, sh, sw, sn = x_t.strides
+    windows = as_strided(x_t, (c, kernel, kernel, out_h, out_w, rows),
+                         (sc, sh, sw, stride * sh, stride * sw, sn),
+                         writeable=False)
+    span = out_w * rows
+    views = []
+    for first, stop in conv_bands(c, kernel, out.shape[0], out_h, out_w,
+                                  rows, out.itemsize):
+        src = windows[:, :, :, first:stop]
+        block = cols[:src.size]
+        views.append((block.reshape(src.shape), src,
+                      block.reshape(c * kernel * kernel, -1),
+                      out[:, first * span:stop * span]))
+    return views
+
+
+def conv_k_major(bands: list, w_flat: np.ndarray,
                  bias_col: Optional[np.ndarray], out: np.ndarray,
                  relu: bool = False) -> None:
-    """The inference conv kernel: K-major unfold, one GEMM, bias (+ ReLU).
+    """The inference conv kernel: banded K-major unfold + GEMM, bias (+ ReLU).
 
-    ``pairs`` is :func:`unfold_pairs` into the (C·K·K, H'·W'·N) column
-    matrix ``cols``; ``out`` is (F, H'·W'·N), C-contiguous — the
-    batch-innermost storage of the (N, F, H', W') result, so bias and a
-    folded ReLU are applied in place and nothing is written back.  No-grad
-    :func:`conv2d` calls this on fresh arrays and plan replay
-    (``repro.nn.plan._ConvOp``) on the contiguous head of its arena
-    buffers — the same BLAS call with the same shapes and leading
-    dimensions, hence bit-identical results.
+    ``bands`` is :func:`conv_band_views` into ``out``, the C-contiguous
+    (F, H'·W'·N) batch-innermost storage of the (N, F, H', W') result.
+    Per band, one copy unfolds the windows and one GEMM writes the band's
+    result columns (a strided, BLAS-legal ``out=``), so a 256-row map's
+    operands stay in L2.  Bias and a folded ReLU run once over ``out``
+    (on a strided band block, NumPy's ufunc buffering allocates ~96 KiB
+    per call).  No-grad :func:`conv2d` calls this on fresh arrays and plan
+    replay (``repro.nn.plan._ConvOp``) on the contiguous head of its arena
+    buffers — the same bands and BLAS calls, hence bit-identical results.
     """
-    for dst, src in pairs:
+    for dst, src, cols, block in bands:
         np.copyto(dst, src)
-    np.matmul(w_flat, cols, out=out)
+        np.matmul(w_flat, cols, out=block)
     if bias_col is not None:
         np.add(out, bias_col, out=out)
     if relu:
@@ -141,11 +180,11 @@ def _conv2d_inference(x: np.ndarray, weight: np.ndarray,
         padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dtype)
         padded[:, padding:-padding, padding:-padding] = x_t
         x_t = padded
-    cols = np.empty((c * kernel * kernel, out_h * out_w * n), dtype=dtype)
+    _, band = conv_bands(c, kernel, f, out_h, out_w, n, dtype.itemsize)[0]
+    cols = np.empty(c * kernel * kernel * band * out_w * n, dtype)  # one band
     out = np.empty((f, out_h * out_w * n), dtype=dtype)
-    pairs = unfold_pairs(
-        x_t, cols.reshape(c, kernel, kernel, out_h, out_w, n), stride)
-    conv_k_major(pairs, cols, weight.reshape(f, -1),
+    conv_k_major(conv_band_views(x_t, cols, out, kernel, stride),
+                 weight.reshape(f, -1),
                  None if bias is None else bias.reshape(f, 1), out)
     return out.reshape(f, out_h, out_w, n).transpose(3, 0, 1, 2)
 

@@ -62,11 +62,11 @@ import numpy as np
 from repro.nn import modules as M
 from repro.nn.functional import (
     _conv_output_size,
+    conv_band_views,
     conv_k_major,
     global_avg_pool_k_major,
     pool_k_major,
     pool_windows,
-    unfold_pairs,
 )
 from repro.nn.grad_mode import no_grad
 from repro.nn.tensor import Tensor
@@ -235,20 +235,21 @@ class _ConvOp(_PlanOp):
     """Conv2d: ``functional.conv_k_major`` over arena buffers.
 
     Slots: optional padded input (exclusive, never recycled: only its
-    interior is written per run), the K-major column matrix
-    (C·K·K · H'·W'·N) and the (N, F, H', W') output — whose batch-innermost
-    storage is the (F, H'·W'·N) GEMM result itself, so bias and a directly
-    following ``ReLU`` (``relu``, set by :func:`_build_relu`) are applied
-    in place and nothing is written back.
+    interior is written per run), the column scratch (map-sized; every
+    band unfolds into its head) and the (N, F, H', W') output, whose
+    batch-innermost storage is the (F, H'·W'·N) GEMM result itself, so
+    bias and a directly following ``ReLU`` (``relu``, set by
+    :func:`_build_relu`) are applied in place.
 
     An ``r``-row run views all three over the contiguous *head* of their
-    storage, so BLAS gets exactly the operands no-grad ``F.conv2d`` hands
-    it at ``r`` rows, and a plan captured at ``r`` rows would bind: every
-    prefix length is bit-identical to both by construction, at the same
-    cost.  Re-viewing moves the padded buffer's border, so ``rebind``
-    re-zeroes it (four thin slices, 6-30 us; a strided ``[..., :r]``
-    prefix would keep the zeros in place but doubles the interior copy
-    and costs the unfold 4x at 4 of 16 rows — on every run).
+    storage and bands them as eager does at ``r`` rows, so BLAS gets
+    exactly the operands no-grad ``F.conv2d`` hands it, and a plan
+    captured at ``r`` rows would bind: every prefix length is
+    bit-identical to both by construction, at the same cost.  Re-viewing
+    moves the padded buffer's border, so ``rebind`` re-zeroes it (four
+    thin slices, 6-30 us; a strided ``[..., :r]`` prefix would keep the
+    zeros in place but doubles the interior copy and costs the unfold 4x
+    at 4 of 16 rows — on every run).
     """
 
     label = "conv2d"
@@ -282,14 +283,12 @@ class _ConvOp(_PlanOp):
         builder.flops += 2.0 * n * f * out_h * out_w * c * k * k
 
     def rebind(self, views):
-        _, c, _, _, f, out_h, out_w = self.geometry
-        k, p = self.kernel, self.padding
+        _, _, _, _, f, out_h, out_w = self.geometry
+        p = self.padding
         out = views[self.out_slot]
         rows = out.shape[0]
         self._gemm = out.transpose(1, 2, 3, 0).reshape(f, out_h * out_w * rows)
-        self._cols = views[self._cols_slot].reshape(
-            c * k * k, out_h * out_w * rows)
-        self._cols_t = self._cols.reshape(c, k, k, out_h, out_w, rows)
+        self._cols = views[self._cols_slot].reshape(-1)
         if self._pad_slot is not None:
             padded = views[self._pad_slot]
             self._pad_interior = padded[:, :, p:-p, p:-p]
@@ -298,21 +297,22 @@ class _ConvOp(_PlanOp):
             x_t[:, -p:] = 0
             x_t[:, :, :p] = 0
             x_t[:, :, -p:] = 0
-            self._pairs = unfold_pairs(x_t, self._cols_t, self.stride)
+            self._bands = conv_band_views(
+                x_t, self._cols, self._gemm, self.kernel, self.stride)
         self.set_input(views[self.reads[0]])
 
     def set_input(self, x):
         if self._pad_slot is not None:
             self._pad_src = x
         else:
-            self._pairs = unfold_pairs(
-                x.transpose(1, 2, 3, 0), self._cols_t, self.stride)
+            self._bands = conv_band_views(x.transpose(1, 2, 3, 0), self._cols,
+                                          self._gemm, self.kernel, self.stride)
 
     def run(self):
         if self._pad_slot is not None:
             self._pad_interior[...] = self._pad_src
-        conv_k_major(self._pairs, self._cols, self._w_flat, self._bias_col,
-                     self._gemm, self.relu)
+        conv_k_major(self._bands, self._w_flat, self._bias_col, self._gemm,
+                     self.relu)
 
 
 class _LinearOp(_PlanOp):

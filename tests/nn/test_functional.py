@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.grad_mode import no_grad
 from repro.nn.tensor import Tensor
 from tests.nn.gradcheck import check_grad, numeric_grad
 
@@ -82,6 +83,67 @@ class TestConv2d:
         x = Tensor(rng.normal(0, 1, (2, 1, 4, 4)))
         w = Tensor(rng.normal(0, 1, (2, 1, 3, 3)))
         check_grad(lambda b: (F.conv2d(x, w, b) ** 2).sum(), (2,), rng=rng)
+
+
+class TestConvBands:
+    """The inference conv's bands: exact tiling within the L2 budget."""
+
+    #: (C, K, F, H', W', rows, itemsize) -> band count
+    GEOMETRIES = {
+        (1, 3, 8, 16, 16, 256, 4): 6,     # Fig. 5 local conv, camera-drain
+        (8, 3, 16, 8, 8, 89, 4): 2,       # Fig. 5 remote convs, 89 escalated
+        (16, 3, 16, 8, 8, 89, 4): 4,
+        (16, 3, 16, 8, 8, 16, 4): 1,      # a camera-paced batch fits one band
+        (16, 5, 16, 20, 20, 512, 8): 20,  # one output row exceeds the budget
+        (3, 3, 4, 7, 7, 0, 4): 1,         # zero rows
+    }
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_bands_tile_the_output_once_in_order_within_budget(self, geometry):
+        c, k, f, out_h, out_w, rows, itemsize = geometry
+        spans = F.conv_bands(*geometry)
+        assert len(spans) == self.GEOMETRIES[geometry]
+        assert [first for first, _ in spans] == [0] + [s for _, s in spans[:-1]]
+        assert spans[-1][1] == out_h
+        row_bytes = (c * k * k + f) * out_w * rows * itemsize
+        for first, stop in spans:
+            assert stop > first
+            assert (stop - first) * row_bytes <= F.CONV_BAND_BYTES \
+                or stop - first == 1
+        # every band but the last is as tall as the budget allows
+        for first, stop in spans[:-1]:
+            assert (stop - first + 1) * row_bytes > F.CONV_BAND_BYTES
+
+    def test_views_tile_the_result_and_reuse_one_band_of_scratch(self):
+        c, k, f, size, rows = 1, 3, 8, 16, 256
+        spans = F.conv_bands(c, k, f, size, size, rows, 4)
+        x_t = np.zeros((c, size + 2, size + 2, rows), np.float32)  # padded
+        out = np.empty((f, size * size * rows), np.float32)
+        cols = np.empty(c * k * k * spans[0][1] * size * rows, np.float32)
+        views = F.conv_band_views(x_t, cols, out, k, 1)
+        assert len(views) == len(spans) > 1
+        covered = 0
+        for (dst, src, operand, block), (first, stop) in zip(views, spans):
+            assert dst.shape == src.shape == (c, k, k, stop - first, size, rows)
+            assert dst.ctypes.data == operand.ctypes.data == cols.ctypes.data
+            assert operand.flags["C_CONTIGUOUS"]
+            assert operand.shape == (c * k * k, (stop - first) * size * rows)
+            assert block.shape == (f, operand.shape[1])
+            assert block.ctypes.data == out.ctypes.data + covered * out.itemsize
+            covered += block.shape[1]
+        assert covered == out.shape[1]
+
+    def test_multi_band_no_grad_conv_matches_the_training_forward(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (256, 1, 16, 16)).astype(np.float32)  # 6 bands
+        w = rng.normal(0, 1, (8, 1, 3, 3)).astype(np.float32)
+        b = rng.normal(0, 1, 8).astype(np.float32)
+        with no_grad():
+            fast = F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+            empty = F.conv2d(Tensor(x[:0]), Tensor(w), Tensor(b), padding=1)
+        slow = F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        np.testing.assert_allclose(fast, slow, rtol=1e-5, atol=1e-5)
+        assert empty.shape == (0, 8, 16, 16)
 
 
 class TestPooling:

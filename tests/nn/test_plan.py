@@ -392,6 +392,22 @@ class TestReplayAllocation:
         replay = traced_peak_bytes(lambda: plan.run(batch))
         assert rebind < self.BUDGET and replay < self.BUDGET, (rebind, replay)
 
+    @pytest.mark.parametrize("rows", [64, 40])
+    def test_unpadded_multi_band_conv_stays_under_budget(self, rows):
+        # An unpadded conv unfolds the plan's input itself, so set_input
+        # rebuilds its band views on every run (5 bands at 64 rows, 3 at 40).
+        model = fuse_for_inference(nn.Sequential(
+            nn.Conv2d(8, 16, 3, rng=rng_for(25)), nn.ReLU()), dtype=np.float32)
+        x = rng_for(26).normal(size=(64, 8, 16, 16)).astype(np.float32)
+        plan = capture_plan(model, x)
+        (conv,) = plan._ops
+        batch = x[:rows]
+        plan.run(batch)
+        assert len(conv._bands) > 2
+        peak = traced_peak_bytes(lambda: plan.run(batch))
+        assert peak < self.BUDGET, peak
+        assert np.array_equal(plan.run(batch), eager(model, batch))
+
     @pytest.mark.parametrize("slope", [0.1, 1.5, -0.3])
     def test_leaky_relu_bit_identical_without_scale_array(self, slope):
         model = fuse_for_inference(nn.Sequential(

@@ -38,7 +38,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
@@ -208,6 +208,112 @@ def test_k36_f8_every_row_prefix_matches_eager():
     model = nn.fuse_for_inference(model, dtype=np.float32)
     x = rng.normal(0.0, 1.0, (256, 1, 12, 12)).astype(np.float32)
     assert_every_prefix_bitwise(model, x)
+
+
+# -- the banded conv kernel against an independent oracle ---------------------
+
+def direct_conv(x, weight, bias, stride, padding):
+    """float64 convolution as a sum over the K·K taps: no unfold, no bands."""
+    k = weight.shape[2]
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    x = np.pad(x.astype(np.float64), pad)
+    out_h = (x.shape[2] - k) // stride + 1
+    out_w = (x.shape[3] - k) // stride + 1
+    out = bias.astype(np.float64)[None, :, None, None]
+    for ky in range(k):
+        for kx in range(k):
+            taps = x[:, :, ky:ky + stride * out_h:stride,
+                     kx:kx + stride * out_w:stride]
+            out = out + np.tensordot(
+                taps, weight[:, :, ky, kx].astype(np.float64),
+                axes=([1], [1])).transpose(0, 3, 1, 2)
+    return out
+
+
+#: how a drawn row count must split the conv's output into bands
+BAND_LAYOUTS = {
+    "one": lambda spans: len(spans) == 1,
+    "two": lambda spans: len(spans) == 2,
+    "many": lambda spans: len(spans) >= 4,
+    "ragged": lambda spans: (len(spans) >= 2 and spans[-1][1] - spans[-1][0]
+                             < spans[0][1] - spans[0][0]),
+}
+#: input floats a drawn batch may hold (4 MB of float32)
+ORACLE_INPUT_LIMIT = 1 << 20
+
+
+def rows_with_layout(layout, c, f, k, out_h, out_w, sample_size):
+    """The row counts whose float32 bands have ``layout``, fewest first.
+
+    For each band height ``step`` = H', H' - 1, ..., 1 the largest row
+    count with bands that tall — each a band boundary exactly — up to
+    :data:`ORACLE_INPUT_LIMIT` input floats.
+    """
+    unit = (c * k * k + f) * out_w * 4  # bytes per output row per batch row
+    found = []
+    for step in range(out_h, 0, -1):
+        rows = max(1, nn.functional.CONV_BAND_BYTES // (unit * step))
+        if rows * sample_size > ORACLE_INPUT_LIMIT:
+            break
+        spans = nn.functional.conv_bands(c, k, f, out_h, out_w, rows, 4)
+        if BAND_LAYOUTS[layout](spans) and rows not in found:
+            found.append(rows)
+    return found
+
+
+@pytest.mark.parametrize("layout", sorted(BAND_LAYOUTS))
+def test_banded_conv_matches_direct_oracle_and_plans_bitwise(layout):
+    """Generated geometries at row counts that make one, two, many and a
+    ragged last band: no-grad ``F.conv2d`` against a float64 per-tap sum,
+    and a plan — captured at those rows and as a prefix of a larger
+    capture — against eager, bit for bit.  Zero rows run too."""
+    generated = []
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=seeds, c=st.sampled_from((1, 3, 8, 16)), f=st.integers(1, 16),
+           k=st.sampled_from((1, 3, 5)), stride=st.sampled_from((1, 2)),
+           padding=st.sampled_from((0, 1, 2)), h=st.integers(5, 20),
+           w=st.integers(5, 20), pick=st.integers(0, 15),
+           extra=st.integers(1, 8))
+    def check(seed, c, f, k, stride, padding, h, w, pick, extra):
+        out_h = (h + 2 * padding - k) // stride + 1
+        out_w = (w + 2 * padding - k) // stride + 1
+        found = rows_with_layout(layout, c, f, k, out_h, out_w, c * h * w)
+        assume(found)
+        rows = found[pick % len(found)]
+        spans = nn.functional.conv_bands(c, k, f, out_h, out_w, rows, 4)
+        assert BAND_LAYOUTS[layout](spans), (rows, spans)
+        generated.append(len(spans))
+        rng = np.random.default_rng(seed)
+        conv = nn.Conv2d(c, f, k, stride=stride, padding=padding, rng=rng)
+        randomize(conv, rng)
+        model = nn.fuse_for_inference(nn.Sequential(conv, nn.ReLU()),
+                                      dtype=np.float32)
+        conv = model.layers[0]
+        x = rng.normal(0.0, 1.0, (rows + extra, c, h, w)).astype(np.float32)
+        with nn.no_grad():
+            got = nn.functional.conv2d(
+                nn.Tensor(x[:rows]), conv.weight, conv.bias,
+                stride=stride, padding=padding).data
+        np.testing.assert_allclose(
+            got, direct_conv(x[:rows], conv.weight.data, conv.bias.data,
+                             stride, padding), rtol=1e-4, atol=1e-4)
+        expected = eager(model, x[:rows])
+        assert np.array_equal(expected, np.maximum(got, 0))
+        exact = nn.capture_plan(model, x[:rows])
+        assert exact.bit_exact and exact.fallback_ops == 0
+        assert np.array_equal(exact.run(x[:rows]), expected)
+        larger = nn.capture_plan(model, x)
+        assert np.array_equal(larger.run(x[:rows]), expected)
+        empty = (0, f, out_h, out_w)
+        assert eager(model, x[:0]).shape == empty
+        assert larger.run(x[:0]).shape == empty
+        # and re-bound from zero rows back to the bands at ``rows``
+        assert np.array_equal(larger.run(x[:rows]), expected)
+
+    check()
+    # every example asserted its layout; this asserts some were generated
+    assert generated, layout
 
 
 # -- pooling, Flatten, shortcuts, fake-quant: prefixes and row sequences ------
