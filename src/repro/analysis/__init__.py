@@ -8,9 +8,7 @@ them into machine-checked invariants.  It is a from-scratch framework on
 
 - a pluggable rule registry (:mod:`repro.analysis.core`) with per-rule
   severity and path scoping;
-- ``# repro: noqa[RULE]`` line suppressions;
-- a committed baseline file for grandfathered findings
-  (:mod:`repro.analysis.baseline`);
+- ``# repro: noqa[RULE]`` line suppressions, the only escape hatch;
 - text and JSON reporters (:mod:`repro.analysis.report`);
 - a CLI: ``python -m repro.analysis src tests benchmarks`` (also installed
   as the ``repro-lint`` console script).
@@ -19,10 +17,8 @@ Since PR 7 the analyzer is *whole-program*: every parsed module feeds a
 project graph (:mod:`repro.analysis.graph` — symbol tables, import
 edges, re-export-following name resolution, Tarjan cycle detection, a
 coarse call graph with reverse reachability) that graph-scoped rules
-(:class:`~repro.analysis.core.GraphRule`) check once per run.  An
-incremental cache (:mod:`repro.analysis.cache`) and an optional
-``ParallelExecutor`` fan-out accelerate re-lints without changing
-findings.
+(:class:`~repro.analysis.core.GraphRule`) check once per run.  A run is
+one serial pass: parse, module rules, graph rules.
 
 Rule packs live under :mod:`repro.analysis.rules`:
 
@@ -47,25 +43,23 @@ Rule packs live under :mod:`repro.analysis.rules`:
   module globals, write into their read-only shared-memory item, touch
   runtime/broker state, or reach ``time.sleep`` from DES-clocked code.
 
-The package deliberately depends only on the standard library so the lint
-can run before the scientific stack is importable.
+The package deliberately depends only on the standard library — and on
+nothing in ``repro`` outside itself — so the lint can run before the
+scientific stack is importable.
 """
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import ResultCache, analyzer_fingerprint
 from repro.analysis.core import (Finding, GraphRule, Rule, Severity,
                                  all_rules, rule)
-from repro.analysis.engine import (UnknownRuleError, analyze_paths,
-                                   analyze_source, registered_rule_ids)
+from repro.analysis.engine import (UnknownRuleError, UnlintablePathError,
+                                   analyze_paths, analyze_source,
+                                   registered_rule_ids)
 from repro.analysis.graph import ProjectGraph, build_graph
 from repro.analysis.report import render_json, render_text
 
 __all__ = [
-    "Baseline",
     "Finding", "GraphRule", "Rule", "Severity", "all_rules", "rule",
     "ProjectGraph", "build_graph",
-    "ResultCache", "analyzer_fingerprint",
-    "UnknownRuleError", "analyze_paths", "analyze_source",
-    "registered_rule_ids",
+    "UnknownRuleError", "UnlintablePathError", "analyze_paths",
+    "analyze_source", "registered_rule_ids",
     "render_json", "render_text",
 ]

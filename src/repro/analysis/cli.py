@@ -1,22 +1,19 @@
 """Command-line interface: ``python -m repro.analysis`` / ``repro-lint``.
 
-Exit status: 0 when no new error-severity findings remain after baseline
-and ``noqa`` filtering, 1 when errors (or, with ``--strict``, warnings)
-remain, 2 on usage errors.
+Exit status: 0 when no error-severity findings remain after ``noqa``
+filtering, 1 when errors (or, with ``--strict``, warnings) remain, 2 on
+usage errors — an unknown rule id, or a path that is neither a directory
+nor an existing ``.py`` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.cache import ResultCache, analyzer_fingerprint
 from repro.analysis.core import Severity, all_rules
-from repro.analysis.engine import (UnknownRuleError, analyze_paths,
-                                   registered_rule_ids)
+from repro.analysis.engine import (UnknownRuleError, UnlintablePathError,
+                                   analyze_paths)
 from repro.analysis.report import render_json, render_text
 
 
@@ -36,27 +33,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: src)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} "
-                             "when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                             "and exit 0")
     parser.add_argument("--select", default=None, metavar="CODES",
                         help="comma-separated rule ids to run exclusively")
     parser.add_argument("--ignore", default=None, metavar="CODES",
                         help="comma-separated rule ids to skip")
     parser.add_argument("--strict", action="store_true",
                         help="warnings also fail the run")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="fan per-module rule execution out through "
-                             "the repo's own ParallelExecutor (falls back "
-                             "to serial when numpy is unavailable)")
-    parser.add_argument("--cache", default=None, metavar="FILE",
-                        help="incremental result cache file; unchanged "
-                             "files skip rule execution")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     return parser
@@ -78,34 +60,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_list_rules())
         return 0
 
-    select = _parse_codes(args.select)
-    ignore = _parse_codes(args.ignore)
-    cache = None
-    if args.cache:
-        ids = set(registered_rule_ids())
-        chosen = {i for i in ids if not select or i in select} - set(ignore or ())
-        cache = ResultCache(args.cache, analyzer_fingerprint(sorted(chosen)))
     try:
-        findings, contexts = analyze_paths(
-            args.paths, select=select, ignore=ignore,
-            workers=args.workers, cache=cache)
-    except UnknownRuleError as exc:
+        findings, _ = analyze_paths(args.paths,
+                                    select=_parse_codes(args.select),
+                                    ignore=_parse_codes(args.ignore))
+    except (UnknownRuleError, UnlintablePathError) as exc:
         parser.error(str(exc))  # exits 2
 
-    baseline_path = Path(args.baseline) if args.baseline \
-        else Path(DEFAULT_BASELINE_NAME)
-    if args.write_baseline:
-        Baseline.from_findings(findings, contexts).save(baseline_path)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-
-    baselined, stale = [], []
-    if not args.no_baseline and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-        findings, baselined, stale = baseline.apply(findings, contexts)
-
     renderer = render_json if args.format == "json" else render_text
-    print(renderer(findings, baselined, stale))
+    print(renderer(findings))
 
     failing_severities = {Severity.ERROR, Severity.WARNING} if args.strict \
         else {Severity.ERROR}

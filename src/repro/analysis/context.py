@@ -32,22 +32,21 @@ class ModuleContext:
                  is_library: Optional[bool] = None):
         self.path = path
         self.rel_path = _normalize(path)
-        self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
         if is_library is None:
             parts = PurePosixPath(self.rel_path).parts
             is_library = "src" in parts[:-1]
         self.is_library = is_library
-        self.noqa: Dict[int, Set[str]] = self._collect_noqa()
+        self.noqa: Dict[int, Set[str]] = self._collect_noqa(source)
         self._parents: Dict[int, ast.AST] = {}
         self.imports: Dict[str, str] = {}
         self._index()
 
     # -- construction ----------------------------------------------------------
-    def _collect_noqa(self) -> Dict[int, Set[str]]:
+    @staticmethod
+    def _collect_noqa(source: str) -> Dict[int, Set[str]]:
         table: Dict[int, Set[str]] = {}
-        for lineno, line in enumerate(self.lines, start=1):
+        for lineno, line in enumerate(source.splitlines(), start=1):
             match = NOQA_RE.search(line)
             if not match:
                 continue

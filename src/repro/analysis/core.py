@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import ast
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Type
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Type
 
 from repro.analysis.context import ModuleContext
 
@@ -39,12 +39,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def fingerprint_line(self, ctx_lines: List[str]) -> str:
-        """The stripped source line, used for line-number-stable baselines."""
-        if 1 <= self.line <= len(ctx_lines):
-            return ctx_lines[self.line - 1].strip()
-        return ""
 
     def to_dict(self) -> Dict:
         return {
@@ -110,8 +104,6 @@ class GraphRule(Rule):
     graph findings whose (path, line) is suppressed in that module.
     """
 
-    scope = "graph"
-
     def check(self, graph) -> Iterator[Finding]:
         raise NotImplementedError
 
@@ -143,11 +135,6 @@ def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, ordered by id."""
     _load_builtin_packs()
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Optional[Type[Rule]]:
-    _load_builtin_packs()
-    return _REGISTRY.get(rule_id)
 
 
 _packs_loaded = False

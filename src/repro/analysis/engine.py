@@ -1,7 +1,7 @@
 """The analysis engine: collect, parse, dispatch — per-module and whole-program.
 
 ``analyze_paths`` is the programmatic entry the CLI and tests share.  It
-runs in two phases:
+runs serially, in one process, in two phases:
 
 1. **Per-module**: every file parses into a
    :class:`~repro.analysis.context.ModuleContext` and runs the module
@@ -14,18 +14,9 @@ runs in two phases:
    checks it once.  Graph findings honor ``# repro: noqa`` like any
    other finding.
 
-Two optional accelerators, both proven identical to the serial cold run
-by the engine tests:
-
-- an **incremental cache** (:mod:`repro.analysis.cache`): per-file
-  findings keyed on content hash + analyzer fingerprint, graph findings
-  keyed on the hash of all file hashes;
-- **parallel rule execution** through the repo's own
-  :class:`~repro.runtime.parallel.ParallelExecutor` (``workers > 1``) —
-  the analyzer dogfoods the engine it guards.  The import is deferred
-  and ``ImportError``-gated: without numpy installed the analyzer
-  silently runs serially, preserving its stdlib-only cold start
-  (ARCH503).
+A named path that is neither a directory nor an existing ``.py`` file
+is an error (:class:`UnlintablePathError`), never an empty pass: a typo
+in a lint command must not switch the gate off.
 """
 
 from __future__ import annotations
@@ -33,7 +24,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.cache import ResultCache, file_sha, project_sha
 from repro.analysis.context import ModuleContext
 from repro.analysis.core import Finding, GraphRule, Rule, Severity, all_rules
 from repro.analysis.graph import ProjectGraph, build_graph
@@ -46,23 +36,39 @@ SKIP_DIRS = {"__pycache__", ".git", ".hg", ".tox", ".venv", "venv",
 PARSE_RULE = "PARSE"
 
 
+class UnlintablePathError(ValueError):
+    """A named path is neither a directory nor an existing ``.py`` file."""
+
+    def __init__(self, paths: Sequence[str]):
+        self.paths = list(paths)
+        super().__init__("not a directory or an existing .py file: "
+                         + ", ".join(self.paths))
+
+
 def collect_files(paths: Sequence[str]) -> List[Path]:
     """Expand files and directories into a list of unique ``.py`` files.
 
     Deduplication is by *resolved* path, so ``repro-lint src ./src`` (or
     a file named both directly and via its directory) analyzes — and
     counts — every file exactly once.  The paths as given are preserved
-    in the result; only the identity check resolves.
+    in the result; only the identity check resolves.  Raises
+    :class:`UnlintablePathError` naming every path that is neither a
+    directory nor an existing ``.py`` file.
     """
     files: List[Path] = []
+    unlintable: List[str] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             for candidate in sorted(path.rglob("*.py")):
                 if not SKIP_DIRS.intersection(candidate.parts):
                     files.append(candidate)
-        elif path.suffix == ".py":
+        elif path.suffix == ".py" and path.is_file():
             files.append(path)
+        else:
+            unlintable.append(str(raw))
+    if unlintable:
+        raise UnlintablePathError(unlintable)
     seen = set()
     unique = []
     for path in files:
@@ -170,48 +176,24 @@ def analyze_source(source: str, path: str = "src/repro/example.py",
                   key=lambda f: f.sort_key())
 
 
-def _make_executor(workers: int):
-    """The repo's own ParallelExecutor, or None when unavailable.
-
-    Deferred, ImportError-gated import: the parallel engine pulls in
-    numpy, and the analyzer must keep working in a bare interpreter
-    (ARCH503 stdlib-only contract).
-    """
-    if workers <= 1:
-        return None
-    try:
-        from repro.runtime.parallel import ParallelExecutor
-    except ImportError:
-        return None
-    return ParallelExecutor(workers=workers)
-
-
 def analyze_paths(paths: Sequence[str],
                   rules: Optional[Sequence[Rule]] = None,
                   select: Optional[Iterable[str]] = None,
                   ignore: Optional[Iterable[str]] = None,
-                  workers: int = 1,
-                  cache: Optional[ResultCache] = None,
                   ) -> Tuple[List[Finding], Dict[str, ModuleContext]]:
     """Analyze files/directories; returns (findings, contexts-by-path).
 
-    ``workers > 1`` fans per-module rule execution out through the
-    repo's own ParallelExecutor when it is importable (findings are
-    order-independent: each task is pure and results merge in
-    submission order).  ``cache`` short-circuits rule execution for
-    files whose content hash matches the previous run under the same
-    analyzer fingerprint.
+    Parse every file, run the module rules over each parsed module, then
+    the graph rules over the project graph once.
     """
     chosen = _select_rules(rules, select, ignore)
     module_rules, graph_rules = _split_rules(chosen)
 
     findings: List[Finding] = []
     contexts: Dict[str, ModuleContext] = {}
-    shas: Dict[str, str] = {}
     for path in collect_files(paths):
         try:
-            source = path.read_text(encoding="utf-8")
-            ctx = ModuleContext(str(path), source)
+            ctx = ModuleContext(str(path), path.read_text(encoding="utf-8"))
         except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
             lineno = getattr(exc, "lineno", 1) or 1
             findings.append(Finding(
@@ -219,46 +201,10 @@ def analyze_paths(paths: Sequence[str],
                 line=lineno, col=0, message=f"failed to parse: {exc}"))
             continue
         contexts[ctx.rel_path] = ctx
-        shas[ctx.rel_path] = file_sha(source)
 
-    # -- per-module phase (cached / parallel / serial) -------------------------
-    pending: List[str] = []
     for rel_path in sorted(contexts):
-        cached = cache.get_module(rel_path, shas[rel_path]) \
-            if cache is not None else None
-        if cached is not None:
-            findings.extend(cached)
-        else:
-            pending.append(rel_path)
-
-    executor = _make_executor(workers) if pending else None
-
-    def run_module(rel_path: str) -> List[Finding]:
-        return analyze_module(contexts[rel_path], rules=module_rules)
-
-    if executor is not None:
-        batches = executor.map_ordered(run_module, pending,
-                                       label="analysis.lint")
-    else:
-        batches = [run_module(rel_path) for rel_path in pending]
-    for rel_path, batch in zip(pending, batches):
-        findings.extend(batch)
-        if cache is not None:
-            cache.put_module(rel_path, shas[rel_path], batch)
-
-    # -- whole-program phase ---------------------------------------------------
+        findings.extend(analyze_module(contexts[rel_path], rules=module_rules))
     if graph_rules and contexts:
-        tree_sha = project_sha(shas)
-        graph_findings = cache.get_project(tree_sha) \
-            if cache is not None else None
-        if graph_findings is None:
-            graph = build_graph(contexts)
-            graph_findings = analyze_graph(graph, contexts,
-                                           rules=graph_rules)
-            if cache is not None:
-                cache.put_project(tree_sha, graph_findings)
-        findings.extend(graph_findings)
-
-    if cache is not None:
-        cache.save()
+        findings.extend(analyze_graph(build_graph(contexts), contexts,
+                                      rules=graph_rules))
     return sorted(findings, key=lambda f: f.sort_key()), contexts

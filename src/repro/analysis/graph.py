@@ -118,7 +118,6 @@ class ProjectGraph:
 
     def __init__(self, contexts: Dict[str, ModuleContext]):
         self.modules: Dict[str, ModuleNode] = {}
-        self._by_path: Dict[str, str] = {}
         for rel_path, ctx in sorted(contexts.items()):
             name = module_name_for_path(rel_path)
             if not name:
@@ -129,7 +128,6 @@ class ProjectGraph:
                 package = parts[1]
             self.modules[name] = ModuleNode(name=name, ctx=ctx,
                                             package=package)
-            self._by_path[ctx.rel_path] = name
         for node in self.modules.values():
             self._collect_symbols(node)
         for node in self.modules.values():
@@ -212,10 +210,6 @@ class ProjectGraph:
         return ".".join(anchor)
 
     # -- lookups ---------------------------------------------------------------
-    def module_for_path(self, rel_path: str) -> Optional[ModuleNode]:
-        name = self._by_path.get(rel_path)
-        return self.modules.get(name) if name else None
-
     def library_modules(self) -> Iterator[ModuleNode]:
         for name in sorted(self.modules):
             node = self.modules[name]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.analysis.core import Finding, Severity
 
@@ -18,9 +18,7 @@ def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
     }
 
 
-def render_text(findings: Sequence[Finding],
-                baselined: Sequence[Finding] = (),
-                stale: Sequence[Tuple] = ()) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     lines: List[str] = []
     for finding in findings:
         lines.append(f"{finding.path}:{finding.line}:{finding.col + 1} "
@@ -29,29 +27,14 @@ def render_text(findings: Sequence[Finding],
     summary = summarize(findings)
     lines.append(
         f"{summary['total']} finding(s): {summary['errors']} error(s), "
-        f"{summary['warnings']} warning(s); "
-        f"{len(baselined)} grandfathered by baseline")
-    if stale:
-        lines.append(f"{len(stale)} stale baseline entr(y/ies) "
-                     f"matched nothing — prune with --write-baseline:")
-        for rule_id, path, line_text in stale:
-            lines.append(f"  stale: {rule_id} {path} {line_text!r}")
+        f"{summary['warnings']} warning(s)")
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding],
-                baselined: Sequence[Finding] = (),
-                stale: Sequence[Tuple] = ()) -> str:
-    summary = summarize(findings)
-    summary["baselined"] = len(baselined)
+def render_json(findings: Sequence[Finding]) -> str:
     payload = {
         "version": 1,
-        "summary": summary,
+        "summary": summarize(findings),
         "findings": [f.to_dict() for f in findings],
-        "baselined": [f.to_dict() for f in baselined],
-        "stale_baseline_entries": [
-            {"rule": rule_id, "path": path, "line_text": line_text}
-            for rule_id, path, line_text in stale
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

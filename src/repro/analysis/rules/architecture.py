@@ -13,9 +13,8 @@ submodule instead of the package ``__init__``.
 Layer numbers grow upward; a package may import its own layer or below,
 never above.  ``repro.analysis`` sits outside the map entirely: it must
 stay standard-library-only at import time so the lint can run before the
-scientific stack is installed (deferred, ``ImportError``-gated imports —
-the engine's optional ``ParallelExecutor`` fan-out — are the sanctioned
-escape and are exempt by design).
+scientific stack is installed; it imports nothing from ``repro``
+outside itself.
 """
 
 from __future__ import annotations
@@ -132,9 +131,9 @@ class AnalysisStdlibOnlyRule(GraphRule):
 
     The linter must be runnable before numpy/scipy are installed (CI
     runs it in a bare interpreter) and must never depend on the code it
-    judges.  Only *top-level* imports are checked: the engine's optional
-    ``ParallelExecutor`` fan-out is imported lazily behind an
-    ``ImportError`` gate, which keeps the cold-start contract intact.
+    judges.  Only *top-level* imports are checked: a function-level
+    import behind an ``ImportError`` gate does not run at import time,
+    so it cannot break the cold-start contract.
     """
 
     id = "ARCH503"

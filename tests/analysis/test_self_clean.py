@@ -6,14 +6,19 @@ fallback, or a malformed metric name anywhere under ``src/``, this test
 fails before CI's dedicated lint job even runs.
 """
 
-import json
+import io
+import tokenize
 from pathlib import Path
 
-from repro.analysis import Baseline, analyze_paths
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME
+from repro.analysis import analyze_paths, registered_rule_ids
+from repro.analysis.context import NOQA_RE
+from repro.analysis.engine import collect_files
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
+
+#: every tree the lint job covers
+LINTED_ROOTS = ["src", "tests", "benchmarks", "examples"]
 
 DETERMINISM_RULES = ["DET101", "DET102", "DET103", "DET104", "DET105"]
 
@@ -30,12 +35,34 @@ def test_src_clean_for_all_rules():
         f"{f.path}:{f.line} {f.rule}: {f.message}" for f in findings)
 
 
-def test_committed_baseline_has_no_determinism_entries():
-    path = REPO_ROOT / DEFAULT_BASELINE_NAME
-    assert path.exists(), "committed analysis baseline is missing"
-    payload = json.loads(path.read_text())
-    det = [e for e in payload.get("findings", [])
-           if e["rule"] in DETERMINISM_RULES]
-    assert det == []
-    # and it must round-trip through the Baseline loader
-    Baseline.load(path)
+def noqa_codes(source):
+    """(line, code) for every rule id a ``# repro: noqa[...]`` comment names.
+
+    Only real comments count: a noqa quoted inside a string (a rule
+    fixture, a docstring) suppresses nothing in this tree.
+    """
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        match = NOQA_RE.search(token.string) \
+            if token.type == tokenize.COMMENT else None
+        if match and match.group("codes"):
+            for code in match.group("codes").split(","):
+                if code.strip():
+                    yield token.start[0], code.strip().upper()
+
+
+def test_every_noqa_names_a_registered_rule():
+    # noqa is the only suppression, so a comment naming a retired or
+    # misspelt rule is a stale entry that silences nothing
+    assert list(noqa_codes("x = 1  # repro: noqa[DET101, nope]\n"
+                           "s = '# repro: noqa[NOPE]'\n")) == [
+        (1, "DET101"), (1, "NOPE")]
+    known = set(registered_rule_ids())
+    stale = []
+    for path in collect_files([str(REPO_ROOT / root)
+                               for root in LINTED_ROOTS]):
+        source = path.read_text(encoding="utf-8")
+        if NOQA_RE.search(source):
+            stale += [f"{path}:{line} {code}"
+                      for line, code in noqa_codes(source)
+                      if code not in known]
+    assert stale == []
