@@ -38,10 +38,8 @@ Rule packs live under :mod:`repro.analysis.rules`:
   with resolved import edges — no upward imports, no top-level import
   cycles, ``repro.analysis`` stays stdlib-only, no cross-package
   ``_private`` imports, every package placed in the map.
-- **concurrency** (CONC6xx): functions shipped to ``map_ordered`` —
-  resolved through the project graph, across modules — must not mutate
-  module globals, write into their read-only shared-memory item, touch
-  runtime/broker state, or reach ``time.sleep`` from DES-clocked code.
+- **concurrency** (CONC604): DES-clocked code must not reach
+  ``time.sleep``, directly or through the call graph.
 
 The package deliberately depends only on the standard library — and on
 nothing in ``repro`` outside itself — so the lint can run before the

@@ -95,10 +95,10 @@ class GraphRule(Rule):
     A graph rule sees the :class:`~repro.analysis.graph.ProjectGraph`
     built once per run — symbol tables, import edges, call graph — and
     judges cross-module contracts a single-file rule cannot: layering,
-    import cycles, worker closures defined in one module and shipped to
-    an executor in another.  Subclasses implement :meth:`check` instead
-    of ``visit_*`` hooks; per-module scoping (library vs. test code) is
-    the rule's own responsibility because there is no single context.
+    import cycles, a sleep reached through another module's function.
+    Subclasses implement :meth:`check` instead of ``visit_*`` hooks;
+    per-module scoping (library vs. test code) is the rule's own
+    responsibility because there is no single context.
 
     ``# repro: noqa[RULE]`` suppression still applies: the engine drops
     graph findings whose (path, line) is suppressed in that module.

@@ -1,12 +1,10 @@
 """Whole-program symbol/import graph for cross-module analysis.
 
 The per-file rules in :mod:`repro.analysis.rules` judge one
-:class:`~repro.analysis.context.ModuleContext` at a time; the invariants
-introduced by the parallel engine and the streaming broker (worker
-closures shipped across a fork, layer boundaries, DES pacing) are
-*cross-module* contracts.  :class:`ProjectGraph` is the substrate for
-checking them statically: built once per analysis run from every parsed
-module, it provides
+:class:`~repro.analysis.context.ModuleContext` at a time; layer
+boundaries, import cycles and DES pacing are *cross-module* contracts.
+:class:`ProjectGraph` is the substrate for checking them statically:
+built once per analysis run from every parsed module, it provides
 
 - **module identity** — a dotted module name derived from the file path
   (``src/repro/fog/pipeline.py`` -> ``repro.fog.pipeline``), plus the
@@ -19,8 +17,8 @@ module, it provides
   function-level imports legitimately break cycles);
 - **cross-module name resolution** — ``resolve(module, name)`` follows
   import bindings (including re-exports) to the defining module's
-  symbol table, so a rule inspecting ``map_ordered(worker, ...)`` in
-  module B can fetch the ``FunctionDef`` of ``worker`` from module A;
+  symbol table, so the call graph can follow ``load(...)`` in module B
+  to the ``FunctionDef`` of ``load`` in module A;
 - **cycle detection** — Tarjan SCCs over top-level import edges;
 - a **call graph** — coarse edges from each function/method to the
   project symbols and external dotted names it calls, with reverse

@@ -1,393 +1,19 @@
-"""Concurrency-safety rules (CONC6xx) for the parallel engine and broker.
+"""Concurrency rule (CONC604): no wall-clock pacing on DES-clocked paths.
 
-``ParallelExecutor.map_ordered`` forks a fresh pool per call: workers
-inherit the parent's memory, run the task, and ship back *only* the
-return value plus a telemetry delta.  Everything else a worker does to
-inherited state is silently discarded when the pool exits — which makes
-"the worker mutated a module global" the classic heisenbug of this
-engine: correct serially (``workers=1`` runs in-process), silently wrong
-in parallel.  Shared-memory ndarray views are read-only by construction,
-so worker-side writes raise at runtime; these rules catch both classes
-*statically*, before a test has to get lucky.
-
-All four rules are graph-scoped.  The worker function shipped to
-``map_ordered`` is resolved through the project graph — a lambda at the
-call site, a nested ``def`` in the enclosing function, a module-level
-function, or a function *imported from another module* all resolve to
-their def site, which is exactly the cross-module case a per-file linter
-cannot see (worker defined in module A, shipped in module B).
-
-The analysis of a worker body is deliberately intraprocedural: it judges
-what the worker itself does, not its transitive callees, trading recall
-for a rule precise enough to gate CI on.
+The rule is graph-scoped so that a sleep reached through another module
+is caught too, which a per-file linter cannot see.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Set
 
-from repro.analysis.context import ModuleContext
 from repro.analysis.core import Finding, GraphRule, Severity, rule
-from repro.analysis.graph import ModuleNode, ProjectGraph
-
-#: method names that mutate their receiver in place (list/dict/set/ndarray)
-MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "remove", "pop", "clear", "update",
-    "setdefault", "add", "discard", "popitem", "sort", "reverse",
-    "fill", "partition", "put", "resize", "setflags", "itemset",
-})
-
-#: calls that mutate runtime-wide state a forked worker cannot ship back
-RUNTIME_MUTATORS = frozenset({
-    "repro.runtime.core.set_runtime",
-})
-
-#: broker/bus surface that mutates log or group state; called in a forked
-#: worker it mutates the *copy*, and the parent broker never sees it
-BROKER_MUTATORS = frozenset({
-    "produce", "produce_batch", "commit", "create_topic", "subscribe",
-    "seek_to_committed", "attach_camera_feed", "publish_camera_frames",
-})
-
-#: receiver names that identify a broker/bus object well enough to judge
-_BROKER_RECEIVERS = ("broker", "bus")
+from repro.analysis.graph import ProjectGraph
 
 #: the sanctioned wall-clock home (mirrors determinism.CLOCK_HOME)
 CLOCK_HOME = ("repro/runtime/core.py",)
-
-
-def _receiver_parts(node: ast.AST) -> Tuple[str, ...]:
-    """Name parts of an attribute chain's receiver (``a.b.c()`` -> a, b)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return tuple(reversed(parts))
-
-
-def _local_names(fn: ast.AST) -> Set[str]:
-    """Names bound inside a function: params, assignments, loop targets."""
-    names: Set[str] = set()
-    args = fn.args
-    for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-        names.add(arg.arg)
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and \
-                    isinstance(node.ctx, (ast.Store, ast.Del)):
-                names.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.ClassDef)):
-                names.add(node.name)
-    return names
-
-
-def _first_param(fn: ast.AST) -> Optional[str]:
-    args = fn.args.posonlyargs + fn.args.args
-    if args:
-        name = args[0].arg
-        return None if name in ("self", "cls") else name
-    return None
-
-
-def _body_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
-        yield from ast.walk(stmt)
-
-
-class _WorkerSite:
-    """One resolved ``map_ordered`` shipment: where and what runs remotely."""
-
-    def __init__(self, call_node: ast.Call, call_ctx: ModuleContext,
-                 fn_node: ast.AST, def_ctx: ModuleContext,
-                 def_module: str):
-        self.call_node = call_node     # the map_ordered(...) call
-        self.call_ctx = call_ctx       # module shipping the worker
-        self.fn_node = fn_node         # Lambda / FunctionDef of the worker
-        self.def_ctx = def_ctx         # module defining the worker
-        self.def_module = def_module
-
-
-def _nested_def(ctx: ModuleContext, name: str) -> Optional[ast.AST]:
-    """Any ``def <name>`` in the module, including nested scopes."""
-    for node in ctx.walk():
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name == name:
-            return node
-    return None
-
-
-def iter_worker_sites(graph: ProjectGraph) -> Iterator[_WorkerSite]:
-    """Every ``*.map_ordered(fn, ...)`` in library code, with fn resolved.
-
-    Resolution order for ``fn``: lambda at the call site; any ``def`` in
-    the shipping module (nested scopes included); a symbol imported from
-    another project module (followed through re-exports).  Bound methods
-    on arbitrary objects (``self.x``) stay unresolved — the receiver's
-    class is not knowable from the graph — and are skipped.
-    """
-    for node in graph.library_modules():
-        ctx = node.ctx
-        for ast_node in ctx.walk():
-            if not isinstance(ast_node, ast.Call):
-                continue
-            func = ast_node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr == "map_ordered"):
-                continue
-            if not ast_node.args:
-                continue
-            worker = ast_node.args[0]
-            if isinstance(worker, ast.Lambda):
-                yield _WorkerSite(ast_node, ctx, worker, ctx, node.name)
-            elif isinstance(worker, ast.Name):
-                local = _nested_def(ctx, worker.id)
-                if local is not None:
-                    yield _WorkerSite(ast_node, ctx, local, ctx, node.name)
-                    continue
-                symbol = graph.resolve(node.name, worker.id)
-                if symbol is not None and symbol.kind == "function":
-                    def_node = graph.modules[symbol.module]
-                    yield _WorkerSite(ast_node, ctx, symbol.node,
-                                      def_node.ctx, symbol.module)
-            elif isinstance(worker, ast.Attribute):
-                symbol = graph.resolve_call_target(node.name, worker)
-                if symbol is not None and symbol.kind == "function":
-                    def_node = graph.modules[symbol.module]
-                    yield _WorkerSite(ast_node, ctx, symbol.node,
-                                      def_node.ctx, symbol.module)
-
-
-def _module_level_mutables(module: ModuleNode) -> Set[str]:
-    """Top-level names bound to mutable containers in ``module``."""
-    mutable: Set[str] = set()
-    for name, symbol in module.symbols.items():
-        if symbol.kind != "assign":
-            continue
-        stmt = symbol.node
-        value = getattr(stmt, "value", None)
-        if value is None:
-            continue
-        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                              ast.DictComp, ast.SetComp)):
-            mutable.add(name)
-        elif isinstance(value, ast.Call) and \
-                isinstance(value.func, ast.Name) and \
-                value.func.id in {"list", "dict", "set", "bytearray",
-                                  "deque", "defaultdict", "Counter",
-                                  "OrderedDict"}:
-            mutable.add(name)
-    return mutable
-
-
-@rule
-class WorkerGlobalMutationRule(GraphRule):
-    """CONC601: a shipped worker must not mutate module-level state.
-
-    A forked worker inherits module globals by copy-on-write; writes land
-    in the child and vanish when the pool exits.  Only the return value
-    and the telemetry delta cross back.  The rule resolves the function
-    shipped to ``map_ordered`` — across modules if need be — and flags
-    ``global`` writes and in-place mutation of module-level containers
-    inside its body.
-    """
-
-    id = "CONC601"
-    name = "worker-global-mutation"
-    severity = Severity.ERROR
-    description = ("function shipped to map_ordered mutates module-level "
-                   "state (lost on pool exit)")
-
-    def check(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for site in iter_worker_sites(graph):
-            def_node = graph.modules[site.def_module]
-            mutables = _module_level_mutables(def_node)
-            locals_ = _local_names(site.fn_node)
-            globals_declared: Set[str] = set()
-            for node in _body_nodes(site.fn_node):
-                if isinstance(node, ast.Global):
-                    globals_declared.update(node.names)
-                    yield self.found_in(
-                        site.def_ctx, node.lineno,
-                        "worker declares `global "
-                        f"{', '.join(node.names)}`; worker-side writes "
-                        "to module globals are lost when the forked "
-                        "pool exits — return the value instead")
-            module_names = (mutables - locals_) | globals_declared
-            if not module_names:
-                continue
-            for node in _body_nodes(site.fn_node):
-                name = self._mutated_name(node)
-                if name in module_names:
-                    yield self.found_in(
-                        site.def_ctx, node.lineno,
-                        f"worker mutates module-level {name!r}; forked "
-                        "workers mutate a copy that is discarded — "
-                        "return the data and merge in the parent")
-
-    @staticmethod
-    def _mutated_name(node: ast.AST) -> Optional[str]:
-        # NAME[...] = v  /  NAME[...] += v
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript) and \
-                        isinstance(target.value, ast.Name):
-                    return target.value.id
-        # NAME.append(...) and friends
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr in MUTATING_METHODS and \
-                isinstance(node.func.value, ast.Name):
-            return node.func.value.id
-        return None
-
-
-@rule
-class SharedViewWriteRule(GraphRule):
-    """CONC602: workers must not write into their shipped item.
-
-    Arrays at or above ``shm_min_bytes`` arrive as *read-only*
-    shared-memory views; a write raises ``ValueError: assignment
-    destination is read-only`` at runtime — but only when the array is
-    big enough to take the shared-memory path, so small-input tests pass
-    while production sizes crash.  The rule flags in-place writes to the
-    worker's item parameter statically.
-    """
-
-    id = "CONC602"
-    name = "shared-view-write"
-    severity = Severity.ERROR
-    description = ("worker writes into its shipped item (a read-only "
-                   "shared-memory view at runtime)")
-
-    def check(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for site in iter_worker_sites(graph):
-            param = _first_param(site.fn_node)
-            if param is None:
-                continue
-            rebound = self._rebound_before_use(site.fn_node, param)
-            for node in _body_nodes(site.fn_node):
-                message = self._write_to(node, param)
-                if message and not rebound:
-                    yield self.found_in(
-                        site.def_ctx, node.lineno,
-                        f"worker {message} parameter {param!r}, which "
-                        "arrives as a read-only shared-memory view for "
-                        "large arrays; np.copy(...) it first if a "
-                        "scratch buffer is genuinely needed")
-
-    @staticmethod
-    def _rebound_before_use(fn: ast.AST, param: str) -> bool:
-        """True when the worker's first statement(s) rebind the param
-        (``item = np.copy(item)`` is the sanctioned escape)."""
-        body = fn.body if isinstance(fn.body, list) else []
-        for stmt in body[:2]:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name) and target.id == param:
-                        return True
-        return False
-
-    @staticmethod
-    def _write_to(node: ast.AST, param: str) -> Optional[str]:
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript) and \
-                        isinstance(target.value, ast.Name) and \
-                        target.value.id == param:
-                    return "assigns into"
-                if isinstance(node, ast.AugAssign) and \
-                        isinstance(target, ast.Name) and target.id == param:
-                    return "augments (+=) the"
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and \
-                    isinstance(func.value, ast.Name) and \
-                    func.value.id == param and \
-                    func.attr in {"fill", "sort", "partition", "put",
-                                  "resize", "setflags", "itemset"}:
-                return f"calls in-place `.{func.attr}()` on"
-            if isinstance(func, ast.Attribute) and func.attr == "copyto" \
-                    and node.args and isinstance(node.args[0], ast.Name) \
-                    and node.args[0].id == param:
-                return "np.copyto()-writes into"
-        return None
-
-
-@rule
-class WorkerRuntimeMutationRule(GraphRule):
-    """CONC603: no runtime/registry/broker mutation inside workers.
-
-    The telemetry merge covers counters, gauges, histograms, spans and
-    events — nothing else.  ``set_runtime`` rebinds the child's process
-    default; ``gensym`` advances a per-process counter that diverges
-    across workers (breaking dump determinism); ``registry.reset()``
-    wipes the snapshot the delta is diffed against; broker produce /
-    commit / subscribe mutate the *forked copy* of the log, and the
-    parent broker never hears about it.
-    """
-
-    id = "CONC603"
-    name = "worker-runtime-mutation"
-    severity = Severity.ERROR
-    description = ("worker mutates runtime/registry/broker state that "
-                   "does not merge back to the parent")
-
-    def check(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for site in iter_worker_sites(graph):
-            for node in _body_nodes(site.fn_node):
-                if not isinstance(node, ast.Call):
-                    continue
-                resolved = site.def_ctx.resolve(node.func)
-                if resolved in RUNTIME_MUTATORS:
-                    yield self.found_in(
-                        site.def_ctx, node.lineno,
-                        f"worker calls `{resolved.rsplit('.', 1)[-1]}()`;"
-                        " rebinding the process runtime inside a forked "
-                        "worker affects only the child")
-                    continue
-                if not isinstance(node.func, ast.Attribute):
-                    continue
-                attr = node.func.attr
-                receiver = _receiver_parts(node.func.value)
-                if attr == "gensym":
-                    yield self.found_in(
-                        site.def_ctx, node.lineno,
-                        "worker calls `gensym()`; per-process counters "
-                        "diverge across workers and break dump "
-                        "determinism — derive names from the item key")
-                elif attr == "reset" and receiver and \
-                        receiver[-1] in {"registry", "runtime", "tracer",
-                                         "events"}:
-                    yield self.found_in(
-                        site.def_ctx, node.lineno,
-                        f"worker calls `{'.'.join(receiver)}.reset()`; "
-                        "wiping telemetry inside a worker corrupts the "
-                        "snapshot-diff merge")
-                elif attr in BROKER_MUTATORS and receiver and any(
-                        _BROKER_RECEIVERS[0] in part.lower()
-                        or part.lower() == _BROKER_RECEIVERS[1]
-                        for part in receiver):
-                    yield self.found_in(
-                        site.def_ctx, node.lineno,
-                        f"worker calls `{'.'.join(receiver)}.{attr}()`; "
-                        "broker state mutated in a forked worker is "
-                        "discarded with the child — produce/commit from "
-                        "the parent after results merge")
-
 
 #: packages whose code runs on the DES clock when an environment is bound
 DES_PACKAGES = frozenset({

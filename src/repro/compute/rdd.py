@@ -6,7 +6,8 @@ partition-by-partition; wide transformations (reduceByKey, groupByKey,
 join, distinct, sortBy) insert a *shuffle*: all parent partitions are
 evaluated, records are hash-partitioned by key, and a new stage begins.
 The :class:`SparkContext` counts shuffles and evaluated partitions so the
-substrate benchmarks can report stage structure.
+substrate benchmarks can report stage structure.  Partitions evaluate
+one after another in the calling process, in partition order.
 
 Fault-tolerance flavour: partitions are recomputed from lineage on demand;
 ``cache()`` pins computed partitions in memory.
@@ -14,11 +15,28 @@ Fault-tolerance flavour: partitions are recomputed from lineage on demand;
 
 from __future__ import annotations
 
+import functools
 import itertools
+import numbers
+import zlib
 from collections import defaultdict
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.runtime import ParallelExecutor, get_runtime
+from repro.runtime import get_runtime
+
+
+def _partition_of(key: Any, n: int) -> int:
+    """The shuffle bucket of ``key`` among ``n``, the same in every process.
+
+    Numbers keep ``hash(key) % n`` (Python's numeric hash is unsalted and
+    equal for equal numbers of any type).  ``str`` and ``bytes`` hashes
+    are salted per process by ``PYTHONHASHSEED``, so every other key
+    buckets by a CRC of its ``repr``; keys that compare equal must then
+    have equal reprs, which holds for strings, tuples and dataclasses.
+    """
+    if isinstance(key, numbers.Number):
+        return hash(key) % n
+    return zlib.crc32(repr(key).encode()) % n
 
 
 class SparkContext:
@@ -29,31 +47,15 @@ class SparkContext:
     labeled per context); :attr:`shuffle_count` and
     :attr:`partitions_computed` are views over those series, so the
     existing benchmark API keeps working.
-
-    With ``workers=N`` (or an explicit ``executor``), actions evaluate
-    partitions through a
-    :class:`~repro.runtime.parallel.ParallelExecutor`: collect/count/
-    reduce and every shuffle's map side fan partition evaluation across
-    N forked workers.  Results, cache contents and shuffle/partition
-    counts are identical to the serial path for any worker count — the
-    executor merges worker-side telemetry back in partition order.
     """
 
-    def __init__(self, default_parallelism: int = 4, runtime=None,
-                 workers: Optional[int] = None, executor=None):
+    def __init__(self, default_parallelism: int = 4, runtime=None):
         if default_parallelism < 1:
             raise ValueError(
                 f"default_parallelism must be >= 1: {default_parallelism}")
         self.default_parallelism = default_parallelism
         self._rdd_ids = itertools.count()
         self.runtime = runtime or get_runtime()
-        if executor is not None:
-            self.executor = executor
-        elif workers is not None:
-            self.executor = ParallelExecutor(workers=workers,
-                                             runtime=self.runtime)
-        else:
-            self.executor = None
         self._label = self.runtime.gensym("spark-ctx")
         registry = self.runtime.registry
         self._shuffles = registry.counter(
@@ -96,28 +98,21 @@ class SparkContext:
         return self.parallelize(lines, num_partitions)
 
 
-class _EmptyPartition:
-    """Pickle-stable sentinel for a partition that yielded no items."""
-
-
 class RDD:
     """A partitioned, lazily-evaluated dataset with recorded lineage.
 
-    ``parents`` records the narrow-dependency graph (shuffle outputs
-    start a new stage with no parents); actions walk it so that
-    parallel partition evaluation can ship worker-side cache fills for
-    every cached ancestor back to the main process.
+    The lineage lives in the ``compute`` closures: a narrow
+    transformation's closure pulls its parent's partition, and a
+    shuffle's output holds materialized buckets that start a new stage.
     """
 
     def __init__(self, context: SparkContext,
                  compute: Callable[[int], Iterator],
-                 num_partitions: int, name: str = "rdd",
-                 parents: Tuple["RDD", ...] = ()):
+                 num_partitions: int, name: str = "rdd"):
         self.context = context
         self._compute = compute
         self.num_partitions = num_partitions
         self.name = name
-        self.parents = tuple(parents)
         self.rdd_id = next(context._rdd_ids)
         self._cache: Optional[Dict[int, List]] = None
 
@@ -132,56 +127,6 @@ class RDD:
             self._cache[index] = values
             return iter(values)
         return values
-
-    def _lineage(self) -> List["RDD"]:
-        """This RDD and every ancestor in its stage graph (deduplicated)."""
-        seen = set()
-        order: List[RDD] = []
-        stack: List[RDD] = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            order.append(node)
-            stack.extend(node.parents)
-        return order
-
-    def _evaluate_partitions(self, task_fn: Callable[[int], Any],
-                             stage: str) -> List:
-        """Run ``task_fn`` over every partition index, in index order.
-
-        The fan-out path for actions: with a context executor the tasks
-        run on pool workers and each task ships back, alongside its
-        value, the partitions it filled into any cached ancestor's
-        worker-side cache — so ``cache()`` keeps working across the
-        process boundary exactly as it does serially.
-        """
-        executor = self.context.executor
-        indices = list(range(self.num_partitions))
-        if executor is None:
-            return [task_fn(index) for index in indices]
-        cached = [rdd for rdd in self._lineage() if rdd._cache is not None]
-
-        def run_task(index: int):
-            before = {rdd.rdd_id: frozenset(rdd._cache) for rdd in cached}
-            value = task_fn(index)
-            fills = {}
-            for rdd in cached:
-                fresh = {part: rdd._cache[part] for part in rdd._cache
-                         if part not in before[rdd.rdd_id]}
-                if fresh:
-                    fills[rdd.rdd_id] = fresh
-            return value, fills
-
-        by_id = {rdd.rdd_id: rdd for rdd in cached}
-        results = []
-        for value, fills in executor.map_ordered(
-                run_task, indices, label=f"{self.name}@{self.rdd_id}.{stage}"):
-            for rdd_id, parts in fills.items():
-                by_id[rdd_id]._cache.update(parts)
-            results.append(value)
-        return results
 
     def cache(self) -> "RDD":
         """Pin computed partitions in memory; returns self."""
@@ -210,41 +155,36 @@ class RDD:
     def map(self, fn: Callable) -> "RDD":
         return RDD(self.context,
                    lambda i: (fn(x) for x in self._iter_partition(i)),
-                   self.num_partitions, name=f"{self.name}.map",
-                   parents=(self,))
+                   self.num_partitions, name=f"{self.name}.map")
 
     def filter(self, predicate: Callable) -> "RDD":
         return RDD(self.context,
                    lambda i: (x for x in self._iter_partition(i) if predicate(x)),
-                   self.num_partitions, name=f"{self.name}.filter",
-                   parents=(self,))
+                   self.num_partitions, name=f"{self.name}.filter")
 
     def flatMap(self, fn: Callable) -> "RDD":
         def compute(i):
             for item in self._iter_partition(i):
                 yield from fn(item)
         return RDD(self.context, compute, self.num_partitions,
-                   name=f"{self.name}.flatMap", parents=(self,))
+                   name=f"{self.name}.flatMap")
 
     def mapPartitions(self, fn: Callable[[Iterator], Iterator]) -> "RDD":
-        # The stage id in the name keeps executor task labels unambiguous
-        # when the same lineage applies mapPartitions more than once.
+        # The stage id in the name keeps debug names unambiguous when the
+        # same lineage applies mapPartitions more than once.
         return RDD(self.context, lambda i: iter(fn(self._iter_partition(i))),
                    self.num_partitions,
-                   name=f"{self.name}.mapPartitions@{self.rdd_id}",
-                   parents=(self,))
+                   name=f"{self.name}.mapPartitions@{self.rdd_id}")
 
     def mapPartitionsWithIndex(
             self, fn: Callable[[int, Iterator], Iterable]) -> "RDD":
         """Like :meth:`mapPartitions`, but ``fn(index, iterator)`` also
-        receives the partition index — the stage-local task id, which is
-        what parallel-executor task labels and per-partition seeding key
-        on."""
+        receives the partition index — the stage-local task id that
+        per-partition seeding keys on."""
         return RDD(self.context,
                    lambda i: iter(fn(i, self._iter_partition(i))),
                    self.num_partitions,
-                   name=f"{self.name}.mapPartitionsWithIndex@{self.rdd_id}",
-                   parents=(self,))
+                   name=f"{self.name}.mapPartitionsWithIndex@{self.rdd_id}")
 
     def mapValues(self, fn: Callable) -> "RDD":
         return self.map(lambda kv: (kv[0], fn(kv[1])))
@@ -261,7 +201,7 @@ class RDD:
             return other._iter_partition(i - mine)
 
         return RDD(self.context, compute, mine + other.num_partitions,
-                   name=f"{self.name}.union", parents=(self, other))
+                   name=f"{self.name}.union")
 
     def sample(self, fraction: float, seed: int = 0) -> "RDD":
         if not 0.0 <= fraction <= 1.0:
@@ -274,31 +214,29 @@ class RDD:
                     if rng.random() < fraction)
 
         return RDD(self.context, compute, self.num_partitions,
-                   name=f"{self.name}.sample", parents=(self,))
+                   name=f"{self.name}.sample")
 
     # -- shuffles (wide transformations) -------------------------------------------
     def _shuffle_by_key(self, num_partitions: Optional[int] = None
                         ) -> List[List[Tuple]]:
         """Materialize and hash-partition (key, value) records.
 
-        The map side (evaluate a partition, bucket its records by key
-        hash) fans out across the context executor; the buckets are
-        concatenated in partition order, so the shuffled record order —
-        and therefore every downstream reduce — matches the serial path
-        exactly.  One shuffle is recorded regardless of worker count.
+        Partitions are read in order, so each bucket holds its records in
+        partition order and every downstream reduce folds them in that
+        order.  A key's bucket (:func:`_partition_of`) is computed once
+        per distinct key.
         """
         self.context._record_shuffle()
         n = num_partitions or self.num_partitions
-
-        def bucket_partition(index: int) -> List[List[Tuple]]:
-            buckets: List[List[Tuple]] = [[] for _ in range(n)]
+        buckets: List[List[Tuple]] = [[] for _ in range(n)]
+        bucket_of: Dict[Any, List[Tuple]] = {}
+        for index in range(self.num_partitions):
             for key, value in self._iter_partition(index):
-                buckets[hash(key) % n].append((key, value))
-            return buckets
-
-        per_partition = self._evaluate_partitions(bucket_partition, "shuffle")
-        return [[pair for part in per_partition for pair in part[bucket]]
-                for bucket in range(n)]
+                bucket = bucket_of.get(key)
+                if bucket is None:
+                    bucket = bucket_of[key] = buckets[_partition_of(key, n)]
+                bucket.append((key, value))
+        return buckets
 
     def reduceByKey(self, fn: Callable,
                     num_partitions: Optional[int] = None) -> "RDD":
@@ -359,20 +297,17 @@ class RDD:
 
     # -- actions ------------------------------------------------------------------
     def _collect_all(self) -> List:
-        parts = self._evaluate_partitions(
-            lambda index: list(self._iter_partition(index)), "collect")
         out: List = []
-        for part in parts:
-            out.extend(part)
+        for index in range(self.num_partitions):
+            out.extend(self._iter_partition(index))
         return out
 
     def collect(self) -> List:
         return self._collect_all()
 
     def count(self) -> int:
-        return sum(self._evaluate_partitions(
-            lambda index: sum(1 for _ in self._iter_partition(index)),
-            "count"))
+        return sum(sum(1 for _ in self._iter_partition(index))
+                   for index in range(self.num_partitions))
 
     def countByKey(self) -> Dict:
         counts: Dict = defaultdict(int)
@@ -381,30 +316,25 @@ class RDD:
         return dict(counts)
 
     def reduce(self, fn: Callable):
-        """Fold all items with ``fn``, fanning a partial fold per partition.
+        """Fold all items with ``fn``, one partial fold per partition.
 
         Like Spark's ``reduce``, ``fn`` must be associative: each
-        partition is folded left-to-right where it is evaluated and the
-        per-partition partials are folded in partition order, which for
-        associative ``fn`` equals the serial left fold.
+        partition is folded left-to-right and the per-partition partials
+        are folded in partition order, which for associative ``fn``
+        equals the left fold over all items.
         """
-        def fold(index: int):
-            acc: Any = _EmptyPartition()
-            for item in self._iter_partition(index):
-                acc = item if isinstance(acc, _EmptyPartition) else fn(acc, item)
-            return acc
-
-        partials = [value
-                    for value in self._evaluate_partitions(fold, "reduce")
-                    if not isinstance(value, _EmptyPartition)]
+        partials = []
+        for index in range(self.num_partitions):
+            items = list(self._iter_partition(index))
+            if items:
+                partials.append(functools.reduce(fn, items))
         if not partials:
             raise ValueError("reduce of an empty RDD")
-        acc = partials[0]
-        for part in partials[1:]:
-            acc = fn(acc, part)
-        return acc
+        return functools.reduce(fn, partials)
 
     def take(self, n: int) -> List:
+        if n <= 0:
+            return []
         out: List = []
         for index in range(self.num_partitions):
             for item in self._iter_partition(index):

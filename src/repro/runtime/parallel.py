@@ -1,20 +1,21 @@
 """Deterministic process-pool execution engine with shared-memory transport.
 
-The paper's infrastructure is *distributed* — Spark executors fan
-partition work across YARN containers and fog nodes serve hundreds of
-camera streams concurrently — while a plain Python reproduction runs on
-one core.  :class:`ParallelExecutor` closes that gap without giving up
-the one property everything else in this repo is built on: a run's
-``runtime.dump()`` must not depend on how many workers executed it.
+The paper's fog nodes serve hundreds of camera streams concurrently,
+while a plain Python reproduction runs on one core.
+:class:`ParallelExecutor` lets the caller that owns a pool fan whole
+units of work (one camera stream or micro-batch per task) across cores
+without giving up the one property everything else in this repo is
+built on: a run's ``runtime.dump()`` must not depend on how many workers
+executed it.
 
 Three design decisions make that work:
 
 **Fork-per-call pools.**  ``map_ordered(fn, items)`` creates a fresh
 ``fork``-context pool for each call, *after* stashing ``fn`` in a module
 global.  Forked children inherit the function — closures, lambdas, bound
-methods, captured models and RDD lineages all cross for free, with zero
-pickling of code or weights.  Only the per-task payloads and results
-cross the boundary explicitly.  On platforms without ``fork`` (or when
+methods and captured models all cross for free, with zero pickling of
+code or weights.  Only the per-task payloads and results cross the
+boundary explicitly.  On platforms without ``fork`` (or when
 ``workers <= 1``, or inside a worker) the same call degrades to an
 in-process loop that emits the *same* spans and counters, so the serial
 and parallel paths are observationally identical.
@@ -381,15 +382,15 @@ class ParallelExecutor:
         platform without ``fork``) selects the serial path, which emits
         the identical span/counter structure so dumps stay comparable
         across worker counts.
-    runtime:
-        The :class:`~repro.runtime.core.Runtime` that receives engine
-        telemetry and merged worker deltas; the process default if None.
     shm_min_bytes:
         Arrays at or above this many bytes ship via shared memory; the
         rest travel inside the pickled payload.
+
+    Engine telemetry and merged worker deltas go to the process-default
+    runtime at construction time.
     """
 
-    def __init__(self, workers: Optional[int] = None, runtime: Optional[Runtime] = None,
+    def __init__(self, workers: Optional[int] = None,
                  shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES):
         if workers is None:
             workers = multiprocessing.cpu_count()
@@ -398,7 +399,7 @@ class ParallelExecutor:
         if shm_min_bytes < 0:
             raise ParallelError(f"shm_min_bytes must be >= 0: {shm_min_bytes}")
         self.workers = int(workers)
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
         self.shm_min_bytes = int(shm_min_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -499,7 +500,6 @@ class ParallelExecutor:
 # -- the determinism-contract view of a dump -----------------------------------
 
 def deterministic_dump(runtime: Optional[Runtime] = None,
-                       extra_drop: Iterable[str] = (),
                        drop_metric_prefixes: Iterable[str] = (),
                        drop_span_prefixes: Iterable[str] = ()) -> Dict:
     """``runtime.dump()`` restricted to the parallel determinism contract.
@@ -522,14 +522,14 @@ def deterministic_dump(runtime: Optional[Runtime] = None,
     """
     rt = runtime or get_runtime()
     payload = rt.dump()
-    drop = set(WALL_CLOCK_METRICS) | set(extra_drop)
     metric_prefixes = (ENGINE_METRIC_PREFIX, PLAN_METRIC_PREFIX,
                        *drop_metric_prefixes)
     span_prefixes = tuple(drop_span_prefixes)
     for kind, metrics in payload["metrics"].items():
         payload["metrics"][kind] = {
             name: series for name, series in metrics.items()
-            if name not in drop and not name.startswith(metric_prefixes)}
+            if name not in WALL_CLOCK_METRICS
+            and not name.startswith(metric_prefixes)}
     if span_prefixes:
         payload["spans"] = [span for span in payload["spans"]
                             if not span["name"].startswith(span_prefixes)]

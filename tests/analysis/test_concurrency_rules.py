@@ -1,9 +1,8 @@
-"""Fixture-tree tests for the concurrency rule pack (CONC6xx).
+"""Fixture-tree tests for the concurrency rule (CONC604, wall pacing).
 
-The headline case is cross-module: a worker function *defined* in module
-A and *shipped* to ``map_ordered`` in module B is resolved through the
-project graph and judged at its def site — the thing a per-file linter
-cannot do.
+The headline case is cross-module: a DES-layer function that reaches
+``time.sleep`` through another module is caught at its own def site,
+with the call chain as evidence — the thing a per-file linter cannot do.
 """
 
 import textwrap
@@ -18,215 +17,6 @@ def run(tmp_path, files, select):
         path.write_text(textwrap.dedent(source))
     findings, _ = analyze_paths([str(tmp_path)], select=select)
     return findings
-
-
-class TestWorkerGlobalMutation:
-    def test_cross_module_worker_caught_at_def_site(self, tmp_path):
-        # worker defined in tasks.py, shipped in driver.py
-        findings = run(tmp_path, {
-            "src/repro/compute/tasks.py": """
-                RESULTS = []
-
-                def worker(item):
-                    RESULTS.append(item)
-                    return item
-            """,
-            "src/repro/compute/driver.py": """
-                from repro.compute.tasks import worker
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC601"])
-        assert [f.rule for f in findings] == ["CONC601"]
-        assert findings[0].path.endswith("src/repro/compute/tasks.py")
-        assert "RESULTS" in findings[0].message
-
-    def test_global_statement_flagged(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                COUNT = 0
-
-                def worker(item):
-                    global COUNT
-                    COUNT += 1
-                    return item
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC601"])
-        assert "CONC601" in [f.rule for f in findings]
-
-    def test_local_shadow_clean(self, tmp_path):
-        # near miss: same name, same method, but a fresh local list
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                RESULTS = []
-
-                def worker(item):
-                    RESULTS = []
-                    RESULTS.append(item)
-                    return RESULTS
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC601"])
-        assert findings == []
-
-    def test_unshipped_function_clean(self, tmp_path):
-        # mutating a module global is fine when the fn never crosses a fork
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                RESULTS = []
-
-                def collect(item):
-                    RESULTS.append(item)
-                    return item
-            """,
-        }, ["CONC601"])
-        assert findings == []
-
-
-class TestSharedViewWrite:
-    def test_subscript_store_flagged(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                def worker(item):
-                    item[0] = 0.0
-                    return item.sum()
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC602"])
-        assert [f.rule for f in findings] == ["CONC602"]
-
-    def test_inplace_method_flagged(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                def worker(item):
-                    item.fill(0.0)
-                    return item
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC602"])
-        assert [f.rule for f in findings] == ["CONC602"]
-
-    def test_lambda_worker_flagged(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                def launch(executor, items):
-                    return executor.map_ordered(
-                        lambda item: item.sort(), items)
-            """,
-        }, ["CONC602"])
-        assert [f.rule for f in findings] == ["CONC602"]
-
-    def test_copy_first_escape_clean(self, tmp_path):
-        # the sanctioned pattern: rebind to a private copy, then scribble
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                import numpy as np
-
-                def worker(item):
-                    item = np.copy(item)
-                    item[0] = 0.0
-                    return item.sum()
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC602"])
-        assert findings == []
-
-    def test_read_only_use_clean(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                def worker(item):
-                    return item.sum() + item.mean()
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC602"])
-        assert findings == []
-
-
-class TestWorkerRuntimeMutation:
-    def test_nested_def_broker_produce_flagged(self, tmp_path):
-        # a closure defined inside the launcher resolves through the
-        # shipping module's own tree
-        findings = run(tmp_path, {
-            "src/repro/streaming/jobs.py": """
-                def launch(executor, broker, items):
-                    def worker(item):
-                        broker.produce("results", item)
-                        return item
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC603"])
-        assert [f.rule for f in findings] == ["CONC603"]
-        assert "produce" in findings[0].message
-
-    def test_named_worker_broker_commit_flagged(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/streaming/jobs.py": """
-                def worker(item, broker=None):
-                    broker.commit("grp", "topic", 0, item)
-                    return item
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC603"])
-        assert [f.rule for f in findings] == ["CONC603"]
-        assert "commit" in findings[0].message
-
-    def test_registry_reset_flagged(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                def worker(item, registry=None):
-                    registry.reset()
-                    return item
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC603"])
-        assert [f.rule for f in findings] == ["CONC603"]
-
-    def test_gensym_flagged(self, tmp_path):
-        findings = run(tmp_path, {
-            "src/repro/compute/driver.py": """
-                def worker(item, runtime=None):
-                    name = runtime.gensym()
-                    return (name, item)
-
-                def launch(executor, items):
-                    return executor.map_ordered(worker, items)
-            """,
-        }, ["CONC603"])
-        assert [f.rule for f in findings] == ["CONC603"]
-
-    def test_parent_side_produce_clean(self, tmp_path):
-        # producing *after* map_ordered returns is exactly right
-        findings = run(tmp_path, {
-            "src/repro/streaming/jobs.py": """
-                def worker(item):
-                    return item * 2
-
-                def launch(executor, broker, items):
-                    results = executor.map_ordered(worker, items)
-                    for result in results:
-                        broker.produce("results", result)
-                    return results
-            """,
-        }, ["CONC603"])
-        assert findings == []
 
 
 class TestWallPacing:

@@ -108,7 +108,7 @@ CASES = [
              "dtype = np.result_type(x.dtype, weight.dtype)",
              "x = np.asarray(x, dtype=np.float64)  # seeded"),
     Mutation("PERF402", "src/repro/compute/rdd.py",
-             "executor = self.context.executor", """
+             "bucket_of: Dict[Any, List[Tuple]] = {}", """
              from concurrent.futures import ThreadPoolExecutor
              pool = ThreadPoolExecutor(max_workers=2)  # seeded
              """),
@@ -135,14 +135,7 @@ CASES = [
     Mutation("ARCH505", "src/repro/edgecache/__init__.py", None,
              '"""Edge-side frame cache."""  # seeded',
              tree=("src/repro/serving/__init__.py",)),
-    # -- concurrency (graph): the worker rdd.py ships to map_ordered -------------
-    Mutation("CONC601", "src/repro/compute/rdd.py",
-             "value = task_fn(index)", "global _TASKS_RUN  # seeded"),
-    Mutation("CONC602", "src/repro/compute/rdd.py",
-             "value = task_fn(index)", "index += 1  # seeded"),
-    Mutation("CONC603", "src/repro/compute/rdd.py",
-             "value = task_fn(index)",
-             "self.context.runtime.registry.reset()  # seeded"),
+    # -- concurrency (graph) ----------------------------------------------------
     Mutation("CONC604", "src/repro/fog/pipeline.py",
              "data_at = chosen", """
              import time

@@ -1,7 +1,13 @@
 """Tests for the Spark-like RDD engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.compute import SparkContext
 from repro.dfs import DistributedFileSystem
 
@@ -136,6 +142,21 @@ class TestWideTransformations:
         assert counts["fox"] == 2
         assert counts["dog"] == 1
 
+    def test_str_key_shuffle_ignores_hash_seed(self):
+        # str hashes are salted per process; the shuffled order must not be
+        job = ("from repro.compute import SparkContext\n"
+               "words = 'a b c d e f g h'.split()\n"
+               "rdd = SparkContext().parallelize([(w, 1) for w in words])\n"
+               "print(rdd.reduceByKey(lambda a, b: a + b).collect())\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", job], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert len(outputs) == 1
+
 
 class TestActions:
     def test_reduce(self):
@@ -147,6 +168,7 @@ class TestActions:
 
     def test_take(self):
         assert len(sc().parallelize(range(100)).take(5)) == 5
+        assert sc().parallelize(range(5), 2).take(0) == []
 
     def test_take_more_than_available(self):
         assert sorted(sc().parallelize([1, 2]).take(10)) == [1, 2]

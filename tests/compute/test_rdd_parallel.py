@@ -1,81 +1,7 @@
-"""Partition-parallel RDD actions: serial/parallel equivalence."""
-
-import pytest
+"""mapPartitions / mapPartitionsWithIndex: stage names, indices, laziness."""
 
 from repro.compute.rdd import SparkContext
-from repro.runtime import Runtime, fork_available, using_runtime
-
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="platform lacks fork")
-
-
-def run_actions(workers):
-    """One representative workload; returns observable outcomes."""
-    with using_runtime(Runtime(seed=11)):
-        sc = SparkContext(default_parallelism=4, workers=workers)
-        base = sc.parallelize(range(60), 6).cache()
-        mapped = base.map(lambda x: (x % 5, x))
-        return {
-            "collect": mapped.collect(),
-            "count": base.filter(lambda x: x % 3 == 0).count(),
-            "reduce": base.reduce(lambda a, b: a + b),
-            "reduceByKey": sorted(
-                mapped.reduceByKey(lambda a, b: a + b).collect()),
-            "countByKey": mapped.countByKey(),
-            "withIndex": base.mapPartitionsWithIndex(
-                lambda i, it: [(i, sorted(it))]).collect(),
-            "shuffles": sc.shuffle_count,
-            "partitions": sc.partitions_computed,
-            "cached": dict(base._cache),
-        }
-
-
-class TestWorkerEquivalence:
-    @needs_fork
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_actions_match_serial(self, workers):
-        assert run_actions(workers) == run_actions(1)
-
-    def test_executorless_context_matches_workers_1(self):
-        assert run_actions(None) == run_actions(1)
-
-
-class TestParallelCacheInterop:
-    @needs_fork
-    def test_collect_fills_main_process_cache(self):
-        with using_runtime(Runtime()):
-            sc = SparkContext(workers=4)
-            rdd = sc.parallelize(range(40), 4).cache()
-            rdd.collect()
-            assert sorted(rdd._cache) == [0, 1, 2, 3]
-            computed = sc.partitions_computed
-            rdd.collect()  # all partitions now cache hits
-            assert sc.partitions_computed == computed
-
-    @needs_fork
-    def test_ancestor_caches_fill_through_actions(self):
-        # Evaluating a child in workers must ship the *parent's* cache
-        # fills home too, not just the action target's.
-        with using_runtime(Runtime()):
-            sc = SparkContext(workers=4)
-            parent = sc.parallelize(range(40), 4).cache()
-            child = parent.map(lambda x: x + 1)
-            child.collect()
-            assert sorted(parent._cache) == [0, 1, 2, 3]
-            computed = sc.partitions_computed
-            assert sorted(parent.collect()) == list(range(40))
-            assert sc.partitions_computed == computed
-
-    @needs_fork
-    def test_shuffle_counts_unchanged_by_workers(self):
-        counts = {}
-        for workers in (1, 4):
-            with using_runtime(Runtime()):
-                sc = SparkContext(workers=workers)
-                pairs = sc.parallelize(range(30), 6).map(lambda x: (x % 4, 1))
-                pairs.reduceByKey(lambda a, b: a + b).collect()
-                counts[workers] = (sc.shuffle_count, sc.partitions_computed)
-        assert counts[1] == counts[4]
+from repro.runtime import Runtime, using_runtime
 
 
 class TestMapPartitionsLineage:

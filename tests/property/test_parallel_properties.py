@@ -4,7 +4,6 @@ Every example builds one seeded workload and runs it at worker counts
 {1, 2, 4}; the engine's determinism contract says the worker count is
 *unobservable*:
 
-- RDD actions return identical values;
 - batched early-exit inference returns identical
   :class:`BatchExitDecisions`;
 - the normalized registry dump (:func:`deterministic_dump`) is
@@ -23,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.compute.rdd import SparkContext
 from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.runtime import (
@@ -58,29 +56,6 @@ def build_early_exit(rng, num_classes=4):
             nn.Conv2d(4, 8, 3, padding=1, rng=rng), nn.ReLU()),
         remote_head=nn.Sequential(
             nn.GlobalAvgPool2d(), nn.Linear(8, num_classes, rng=rng)))
-
-
-@settings(max_examples=5, deadline=None)
-@given(seed=seeds, n=st.integers(8, 40), partitions=st.integers(1, 6),
-       modulus=st.integers(2, 5))
-def test_rdd_actions_invariant_under_worker_count(seed, n, partitions,
-                                                  modulus):
-    outcomes = {}
-    for workers in WORKER_SWEEP:
-        with using_runtime(Runtime(seed=seed)) as rt:
-            sc = SparkContext(workers=workers)
-            base = sc.parallelize(range(n), partitions).cache()
-            pairs = base.map(lambda x: (x % modulus, x))
-            outcomes[workers] = {
-                "collect": base.collect(),
-                "count": base.filter(lambda x: x % 2 == 0).count(),
-                "reduce": base.reduce(lambda a, b: a + b),
-                "byKey": sorted(
-                    pairs.reduceByKey(lambda a, b: a + b).collect()),
-                "shuffles": sc.shuffle_count,
-                "dump": normalized_dump(rt),
-            }
-    assert outcomes[1] == outcomes[2] == outcomes[4]
 
 
 @settings(max_examples=5, deadline=None)

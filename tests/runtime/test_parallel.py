@@ -31,7 +31,7 @@ needs_fork = pytest.mark.skipif(not fork_available(),
 
 
 def fresh_executor(workers, **kwargs):
-    return ParallelExecutor(workers=workers, runtime=get_runtime(), **kwargs)
+    return ParallelExecutor(workers=workers, **kwargs)
 
 
 class TestMapOrdered:
