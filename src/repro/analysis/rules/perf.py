@@ -92,7 +92,7 @@ class HardcodedFloat64Rule(Rule):
 #: the one sanctioned home for process/thread pool construction
 POOL_HOME = ("repro/runtime/parallel.py",)
 
-#: pool/worker constructors whose direct use bypasses the execution engine
+#: pool/worker constructors that may only appear in :data:`POOL_HOME`
 _POOL_CONSTRUCTORS = {
     "multiprocessing.Pool",
     "multiprocessing.pool.Pool",
@@ -109,22 +109,20 @@ _POOL_CONSTRUCTORS = {
 
 @rule
 class DirectPoolConstructionRule(Rule):
-    """PERF402: no ad-hoc worker pools outside the parallel engine.
+    """PERF402: no ad-hoc worker pools outside :mod:`repro.runtime.parallel`.
 
-    A pool built outside :mod:`repro.runtime.parallel` loses everything
-    the engine guarantees: submission-order results, worker telemetry
-    merged back into the runtime registry, shared-memory transport, the
-    serial fallback, and the dump-determinism contract the worker-sweep
-    property tests enforce.  Route fan-out through
-    ``ParallelExecutor.map_ordered`` instead.
+    The library runs serially in one process: telemetry, span ids and
+    seeded RNG streams all assume one writer, so a pool started anywhere
+    else silently splits a run's dump across processes or threads.  The
+    one sanctioned home for pool code is :data:`POOL_HOME`, where it has
+    to come with its own answer for merging telemetry back.
     """
 
     id = "PERF402"
     name = "direct-pool-construction"
     severity = Severity.ERROR
     description = ("process/thread pool constructed outside "
-                   "repro.runtime.parallel; use "
-                   "ParallelExecutor.map_ordered")
+                   "repro.runtime.parallel")
     exempt_suffixes = POOL_HOME
 
     def visit_Call(self, node: ast.Call,
@@ -133,10 +131,10 @@ class DirectPoolConstructionRule(Rule):
         if resolved in _POOL_CONSTRUCTORS:
             short = resolved.split(".")[-1]
             yield self.found(node, ctx,
-                             f"`{short}(...)` builds workers outside the "
-                             "parallel engine; use repro.runtime.parallel."
-                             "ParallelExecutor.map_ordered (ordered "
-                             "results, merged telemetry, serial fallback)")
+                             f"`{short}(...)` builds workers outside "
+                             "repro.runtime.parallel; run the work serially "
+                             "or put the pool there, with its telemetry "
+                             "merge")
 
 
 #: numpy calls that allocate a fresh array: the constructors, ``where``

@@ -55,7 +55,7 @@ class ActivationCodec:
     Implementations must return a fresh array of the same shape and dtype
     and must be deterministic — exit decisions downstream of a transfer
     feed the reproducibility invariants (identical decisions across
-    worker counts).
+    identically-seeded runs).
     """
 
     def transfer(self, features: np.ndarray) -> np.ndarray:

@@ -239,8 +239,7 @@ class TwoTierDeployment:
 
     def serve_batched(self, x, policy: ExitPolicy) -> BatchExitDecisions:
         """One batch through the deployed pair: the only way a batch
-        reaches the deployed model.  A caller that owns a worker pool fans
-        out around it (one ``map_ordered`` task per camera stream)."""
+        reaches the deployed model."""
         return run_policy_batched(self.served_model(), x, policy)
 
 

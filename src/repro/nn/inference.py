@@ -27,6 +27,7 @@ from repro.nn.grad_mode import no_grad
 from repro.nn.modules import Module
 from repro.nn.tensor import Tensor
 from repro.runtime import get_runtime
+from repro.runtime.metrics import LATENCY_SAMPLES
 
 
 @contextmanager
@@ -72,7 +73,9 @@ def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
     and ``nn.infer.throughput_items_s`` carry runtime-clock readings —
     virtual time inside a DES simulation, *wall time* otherwise, so under
     a wall clock those two (and only those two) vary between
-    identically-seeded runs.
+    identically-seeded runs.  The latency histogram keeps a reservoir of
+    :data:`~repro.runtime.metrics.LATENCY_SAMPLES` per model; its count,
+    sum, min and max stay exact.
     """
     rt = runtime or get_runtime()
     start = rt.now()
@@ -87,8 +90,8 @@ def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
                 items, model=model)
         registry.histogram(
             "nn.infer.latency_s",
-            help="wall/sim seconds per inference call").observe(
-                elapsed, model=model)
+            help="wall/sim seconds per inference call",
+            max_samples=LATENCY_SAMPLES).observe(elapsed, model=model)
         if elapsed > 0:
             registry.gauge(
                 "nn.infer.throughput_items_s",

@@ -254,12 +254,6 @@ class EarlyExitNetwork(nn.Module):
         (capturing on first use); plan and eager execution produce
         bit-identical decisions (the kernels mirror the eager ufunc
         sequences), so that switch is purely a performance choice.
-
-        A caller that owns a process pool fans out around this call (one
-        ``map_ordered`` task per chunk, :meth:`BatchExitDecisions.concatenate`
-        to stitch).  Plans are per-process state: each forked worker
-        recaptures into its own arenas, which only the dump-dropped
-        ``nn.plan.*`` counters see.
         """
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         with observe_inference(type(self).__name__, int(data.shape[0])):

@@ -46,10 +46,10 @@ if the module was retrained, re-cast, or re-loaded — call
 :meth:`PlanCache.clear` (or recapture) after mutating a planned module.
 
 Plan state is deliberately per-process: :class:`PlanCache` pickles as an
-*empty* cache (workers of a ``ParallelExecutor`` recapture on first use)
-and its counters live under the ``nn.plan.`` metric prefix, which
-``deterministic_dump`` drops — capture counts depend on worker placement
-and must not leak into merged telemetry.
+*empty* cache (an unpickled copy recaptures on first use) and its
+counters live under the ``nn.plan.`` metric prefix, which
+``deterministic_dump`` drops — capture counts depend on what the process
+ran before, not on the seed.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from repro.nn.tensor import Tensor
 from repro.runtime import get_runtime
 
 #: metric namespace for plan-cache counters; dropped from deterministic
-#: dumps (see ``repro.runtime.parallel``) because plans are per-worker.
+#: dumps (see ``repro.runtime.parallel``) because plans are per-process.
 PLAN_METRIC_PREFIX = "nn.plan."
 
 
@@ -1037,10 +1037,10 @@ class PlanCache:
     and one replay — which serving moves into set-up by warming with its
     largest batch.
 
-    Pickling drops the plans (they embed process-local buffers); executor
-    workers recapture on first use, which the ``nn.plan.capture``
+    Pickling drops the plans (they embed process-local buffers); an
+    unpickled copy recaptures on first use, which the ``nn.plan.capture``
     counters make visible (and ``deterministic_dump`` drops, since the
-    counts depend on worker placement).
+    counts depend on what the process ran before).
     """
 
     def __init__(self, label: Optional[str] = None):

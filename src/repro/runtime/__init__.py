@@ -23,12 +23,7 @@ from repro.runtime.metrics import (
     MetricsRegistry,
     series_key,
 )
-from repro.runtime.parallel import (
-    ParallelError,
-    ParallelExecutor,
-    deterministic_dump,
-    fork_available,
-)
+from repro.runtime.parallel import deterministic_dump
 from repro.runtime.rng import RngContext, derive_seed, resolve_rng
 from repro.runtime.tracing import Span, Tracer
 
@@ -39,6 +34,5 @@ __all__ = [
     "Tracer", "Span",
     "EventLog", "EventRecord",
     "RngContext", "derive_seed", "resolve_rng",
-    "ParallelExecutor", "ParallelError", "deterministic_dump",
-    "fork_available",
+    "deterministic_dump",
 ]

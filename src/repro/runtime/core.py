@@ -83,14 +83,7 @@ class Runtime:
         self._gensym_counts[prefix] = n + 1
         return f"{prefix}-{n}"
 
-    # -- lifecycle -------------------------------------------------------------
-    def reset(self) -> None:
-        """Drop all recorded telemetry (seed and bound clocks persist)."""
-        self.registry.reset()
-        self.tracer.reset()
-        self.events.reset()
-        self._gensym_counts.clear()
-
+    # -- export ----------------------------------------------------------------
     def dump(self) -> Dict:
         """The full observability state as one JSON-ready dict."""
         return {

@@ -8,10 +8,9 @@ they carry virtual timestamps and replay deterministically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.runtime.ring import Ring
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 #: events a log retains; older ones are dropped first
 EVENT_RING_CAPACITY = 65_536
@@ -36,34 +35,21 @@ class EventRecord:
 
 
 class EventLog:
-    """Append-only ring of the last :data:`EVENT_RING_CAPACITY` events.
+    """Append-only log of the last :data:`EVENT_RING_CAPACITY` events.
 
-    Reads cover the retained window; :attr:`recorded_total` keeps
-    counting past evictions.
+    Recording into a full log evicts the oldest event; reads cover the
+    retained window.
     """
 
     def __init__(self, clock: Callable[[], Tuple[float, str]]):
         self._clock = clock
-        self._records: Ring[EventRecord] = Ring(EVENT_RING_CAPACITY)
+        self._records: Deque[EventRecord] = deque(maxlen=EVENT_RING_CAPACITY)
 
     def emit(self, kind: str, **data) -> EventRecord:
         now, clock_kind = self._clock()
-        return self.record(EventRecord(kind=kind, time=now, clock=clock_kind,
-                                       data=data))
-
-    def record(self, record: EventRecord) -> EventRecord:
-        """Append a pre-built record (parallel-worker delta merge)."""
+        record = EventRecord(kind=kind, time=now, clock=clock_kind, data=data)
         self._records.append(record)
         return record
-
-    @property
-    def recorded_total(self) -> int:
-        """Events recorded since the last reset, evicted ones included."""
-        return self._records.total
-
-    def records_since(self, mark: int) -> List[EventRecord]:
-        """Retained events recorded after ``recorded_total`` read ``mark``."""
-        return self._records.since(mark)
 
     def records(self, kind: Optional[str] = None) -> List[EventRecord]:
         if kind is None:
@@ -72,9 +58,6 @@ class EventLog:
 
     def count(self, kind: Optional[str] = None) -> int:
         return len(self.records(kind))
-
-    def reset(self) -> None:
-        self._records.clear()
 
     def dump(self) -> List[Dict]:
         return [record.to_dict() for record in self._records]

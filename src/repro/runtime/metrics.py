@@ -24,8 +24,7 @@ everyone else pays one throwaway handle per call, its key looked up in
 the instrument's per-label-set memo after the first call.  Binding registers the
 label set but creates no series — the series appears on the first write,
 so a dump is byte-identical whether a value arrived through the labeled
-call or through a kept handle (the contract the parallel engine's
-snapshot-diff merge relies on).
+call or through a kept handle.
 """
 
 from __future__ import annotations
@@ -255,7 +254,8 @@ def _percentile(ordered: List[float], q: float) -> float:
 SUMMARY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p95", "p99")
 
 #: ``max_samples`` of the per-call latency histograms (broker produce and
-#: fetch, gateway answer), which would otherwise grow with the uptime
+#: fetch, gateway answer, inference call), which would otherwise grow with
+#: the uptime
 LATENCY_SAMPLES = 1024
 
 
@@ -395,10 +395,6 @@ class Histogram(_LabeledInstrument):
         stats = self._stats.get(key)
         return stats.count if stats is not None else 0
 
-    def observation_counts(self) -> Dict[str, int]:
-        """Exact per-series observation counts (parallel-merge snapshot)."""
-        return {key: self._stats[key].count for key in self._series}
-
     def summary(self, **labels) -> Dict[str, Optional[float]]:
         return self._summary_for(series_key(labels))
 
@@ -503,9 +499,6 @@ class MetricsRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
-
-    def reset(self) -> None:
-        self._metrics.clear()
 
     def dump(self) -> Dict[str, Dict]:
         """{kind: {name: {series_key: value-or-summary}}}, fully sorted."""

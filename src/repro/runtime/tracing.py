@@ -17,9 +17,7 @@ into the request tree (see :meth:`Tracer.span_tree`).
 
 Ids are small integers drawn in start order, so two identically-seeded
 runs assign identical ids and ``dump()`` stays byte-stable under
-``deterministic_dump`` — including across worker counts: the parallel
-engine re-maps worker-local ids into the exact sequence the serial loop
-would have produced (see ``repro.runtime.parallel``).
+``deterministic_dump`` (see ``repro.runtime.parallel``).
 
 Spans survive generator suspension: a ``with tracer.span(...)`` block
 inside a DES process stays open across ``yield env.timeout(...)`` and its
@@ -32,11 +30,10 @@ ancestry.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-from repro.runtime.ring import Ring
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 #: finished spans a tracer retains; older ones are dropped first, so a
 #: long-lived process holds a fixed window instead of its whole history
@@ -131,43 +128,17 @@ class SpanSampler:
 class Tracer:
     """Records finished spans in completion order, linked into a tree.
 
-    The store is a ring of :data:`SPAN_RING_CAPACITY` spans: recording
-    into a full ring evicts the oldest span, and every read (``spans``,
+    The store keeps the last :data:`SPAN_RING_CAPACITY` spans: recording
+    into a full store evicts the oldest span, and every read (``spans``,
     ``span_tree``, ``total_duration``, ``dump``) covers the retained
-    window.  :attr:`recorded_total` keeps counting past evictions.
+    window.
     """
 
     def __init__(self, clock: Callable[[], Tuple[float, str]]):
         self._clock = clock
-        self._spans: Ring[Span] = Ring(SPAN_RING_CAPACITY)
+        self._spans: Deque[Span] = deque(maxlen=SPAN_RING_CAPACITY)
         self._next_id = 0
         self._open_stack: List[Span] = []
-
-    # -- id allocation ---------------------------------------------------------
-    def _allocate_id(self) -> int:
-        span_id = self._next_id
-        self._next_id += 1
-        return span_id
-
-    @property
-    def next_span_id(self) -> int:
-        """The id the next started span will receive (parallel-merge hook)."""
-        return self._next_id
-
-    def advance_span_ids(self, count: int) -> None:
-        """Consume ``count`` ids without starting spans.
-
-        The parallel engine calls this after merging a worker delta so the
-        parent's counter lands exactly where a serial execution of the
-        same tasks would have left it.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0: {count}")
-        self._next_id += count
-
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span (the parent of a span started now)."""
-        return self._open_stack[-1] if self._open_stack else None
 
     @contextmanager
     def span(self, name: str, **labels) -> Iterator[Span]:
@@ -175,9 +146,9 @@ class Tracer:
         parent = self._open_stack[-1] if self._open_stack else None
         record = Span(name=name,
                       labels={k: str(v) for k, v in labels.items()},
-                      start=now, clock=kind,
-                      span_id=self._allocate_id(),
+                      start=now, clock=kind, span_id=self._next_id,
                       parent_id=None if parent is None else parent.span_id)
+        self._next_id += 1
         self._open_stack.append(record)
         try:
             yield record
@@ -189,7 +160,7 @@ class Tracer:
                 self._open_stack.remove(record)
             except ValueError:  # pragma: no cover - double-close guard
                 pass
-            self.record(record)
+            self._spans.append(record)
 
     def sampler(self, name: str, every: int = 1) -> SpanSampler:
         """A :class:`SpanSampler` recording every ``every``-th span.
@@ -199,32 +170,6 @@ class Tracer:
         ``sampler.span()`` costs one integer increment per skipped item.
         """
         return SpanSampler(self, name, every)
-
-    def record(self, span: Span) -> Span:
-        """Append an externally-finished span (parallel-worker delta merge).
-
-        The span must already be closed; its timestamps and tree links are
-        whatever the recording process observed — the merge preserves them
-        verbatim (the parallel engine re-maps ids *before* calling this).
-        """
-        if span.end is None:
-            raise RuntimeError(f"cannot record open span {span.name!r}")
-        self._spans.append(span)
-        return span
-
-    @property
-    def recorded_total(self) -> int:
-        """Spans recorded since the last reset, evicted ones included."""
-        return self._spans.total
-
-    def spans_since(self, mark: int) -> List[Span]:
-        """Retained spans recorded after ``recorded_total`` read ``mark``.
-
-        A length-based slice stops working once the ring is full (its
-        length no longer grows); the monotone total is what a delta
-        capture can rely on.
-        """
-        return self._spans.since(mark)
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
         if name is None:
@@ -242,7 +187,7 @@ class Tracer:
 
         Each node is the span's :meth:`~Span.to_dict` plus a ``children``
         list; spans whose parent is still open, was never recorded or
-        has been evicted from the ring surface as roots.
+        has been evicted from the store surface as roots.
         """
         nodes = {s.span_id: dict(s.to_dict(), children=[])
                  for s in self._spans}
@@ -263,11 +208,6 @@ class Tracer:
         return sum(s.duration for s in self._spans
                    if s.name == name
                    and all(s.labels.get(k) == v for k, v in wanted.items()))
-
-    def reset(self) -> None:
-        self._spans.clear()
-        self._open_stack.clear()
-        self._next_id = 0
 
     def dump(self) -> List[Dict]:
         return [span.to_dict() for span in self._spans]

@@ -32,8 +32,8 @@ lists:
   :class:`BackpressureError`.
 - **Zero-copy payload handoff.**  Topics created with
   ``share_ndarrays=True`` stage ndarrays of ``shm_min_bytes`` (64 KiB) or
-  more into ``multiprocessing.shared_memory`` once, via the
-  :mod:`repro.runtime.parallel` transport; every consumer group reads the
+  more into ``multiprocessing.shared_memory`` once, via
+  :func:`repro.runtime.parallel.share_ndarrays`; every consumer group reads the
   same read-only view, and eviction unlinks the segment.  A batch of
   smaller plain ndarrays (a 16x16 frame is 1 KiB) is stored as is after
   one C-speed check; producers get their own objects back either way.

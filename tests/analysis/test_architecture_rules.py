@@ -99,9 +99,9 @@ class TestAnalysisStdlibOnly:
     def test_project_import_outside_analysis_flagged(self, tmp_path):
         findings = run(tmp_path, {
             "src/repro/analysis/helper.py":
-                "from repro.runtime.parallel import ParallelExecutor\n",
+                "from repro.runtime.parallel import SharedArrayRef\n",
             "src/repro/runtime/parallel.py":
-                "class ParallelExecutor:\n    pass\n",
+                "class SharedArrayRef:\n    pass\n",
         }, ["ARCH503"])
         assert [f.rule for f in findings] == ["ARCH503"]
 
@@ -110,15 +110,15 @@ class TestAnalysisStdlibOnly:
             "src/repro/analysis/helper.py": """
                 import json
 
-                def make_executor():
+                def make_ref():
                     try:
-                        from repro.runtime.parallel import ParallelExecutor
+                        from repro.runtime.parallel import SharedArrayRef
                     except ImportError:
                         return None
-                    return ParallelExecutor()
+                    return SharedArrayRef()
             """,
             "src/repro/runtime/parallel.py":
-                "class ParallelExecutor:\n    pass\n",
+                "class SharedArrayRef:\n    pass\n",
         }, ["ARCH503"])
         assert findings == []
 

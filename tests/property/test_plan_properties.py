@@ -1,15 +1,13 @@
 """Plan-execution invariance, under hypothesis.
 
 Captured inference plans are a pure execution-strategy change: for every
-seeded workload, batched early-exit serving with plans enabled must be
-indistinguishable from eager serving — at every worker count in
-{1, 2, 4}:
+seeded workload, micro-batched early-exit serving with plans enabled must
+be indistinguishable from eager serving:
 
-- :class:`BatchExitDecisions` are identical (plans on vs off, and across
-  worker counts);
+- :class:`BatchExitDecisions` are identical (plans on vs off);
 - the normalized registry dump (:func:`deterministic_dump`) is
-  byte-identical — ``nn.plan.*`` cache counters are per-worker execution
-  detail and are excluded from the dump by construction.
+  byte-identical — ``nn.plan.*`` cache counters are execution detail and
+  are excluded from the dump by construction.
 
 And because eager ``no_grad`` conv, pooling and global average pooling
 are the kernels plan replay calls (DESIGN.md §15), a captured plan must
@@ -27,7 +25,7 @@ eager forward, the cache never holds two plans of one geometry, and the
 outgrown plan is gone before its replacement is captured.
 
 ``REPRO_CHAOS_SEED`` (set by the CI chaos step, default 0) shifts the
-drawn workload space per CI seed; fork cost keeps example counts low.
+drawn workload space per CI seed.
 """
 
 import gc
@@ -42,26 +40,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.fog.policies import ScoreThresholdPolicy
+from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn import plan as plan_mod
-from repro.nn.models.earlyexit import EarlyExitNetwork
+from repro.nn.inference import iter_microbatches
+from repro.nn.models.earlyexit import BatchExitDecisions, EarlyExitNetwork
 from repro.nn.models.resnet import ResNetBlock
 from repro.nn.quantize import quantize_for_inference
-from repro.runtime import (
-    Runtime,
-    deterministic_dump,
-    fork_available,
-    using_runtime,
-)
-
-from tests.fanout import infer_fanned
+from repro.runtime import Runtime, deterministic_dump, using_runtime
 
 BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-WORKER_SWEEP = (1, 2, 4)
 PLAN_SWEEP = (False, True)
-
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="platform lacks fork")
 
 seeds = st.integers(0, 2**16).map(lambda s: s + BASE_SEED)
 
@@ -82,19 +70,21 @@ def build_early_exit(rng, num_classes=4):
             nn.GlobalAvgPool2d(), nn.Linear(8, num_classes, rng=rng)))
 
 
-def serve(seed, n, threshold, batch_size, workers, plans):
+def serve(seed, n, threshold, batch_size, plans):
+    """One ``run_policy_batched`` call per micro-batch, stitched back."""
     with using_runtime(Runtime(seed=seed)) as rt:
         rng = rt.rng.np_child("prop.plan.model")
         model = build_early_exit(rng)
         if plans:
             model.enable_plans()
         x = rt.rng.np_child("prop.plan.x").normal(0.0, 1.0, (n, 1, 8, 8))
-        decisions = infer_fanned(model, x, ScoreThresholdPolicy(threshold),
-                                 batch_size, workers)
+        policy = ScoreThresholdPolicy(threshold)
+        decisions = BatchExitDecisions.concatenate(
+            [run_policy_batched(model, chunk, policy)
+             for chunk in iter_microbatches(x, batch_size)])
         return decisions, normalized_dump(rt)
 
 
-@needs_fork
 @settings(max_examples=5, deadline=None)
 @given(seed=seeds, n=st.integers(4, 24),
        threshold=st.floats(0.35, 0.99),
@@ -103,10 +93,9 @@ def test_decisions_and_dumps_invariant_under_plans_and_workers(
         seed, n, threshold, batch_size):
     decisions, dumps = {}, {}
     for plans in PLAN_SWEEP:
-        for workers in WORKER_SWEEP:
-            decisions[plans, workers], dumps[plans, workers] = serve(
-                seed, n, threshold, batch_size, workers, plans)
-    first = decisions[False, 1]
+        decisions[plans], dumps[plans] = serve(seed, n, threshold,
+                                               batch_size, plans)
+    first = decisions[False]
     for key, other in decisions.items():
         assert np.array_equal(first.predictions, other.predictions), key
         assert np.array_equal(first.exit_index, other.exit_index), key

@@ -82,20 +82,6 @@ class TestDefaultRuntime:
 
 
 class TestLifecycle:
-    def test_reset_clears_everything(self):
-        runtime = Runtime(seed=3)
-        runtime.registry.counter("c").inc()
-        with runtime.tracer.span("s"):
-            pass
-        runtime.events.emit("e")
-        runtime.gensym("p")
-        runtime.reset()
-        assert runtime.registry.names() == []
-        assert runtime.tracer.spans() == []
-        assert runtime.events.count() == 0
-        assert runtime.gensym("p") == "p-0"
-        assert runtime.seed == 3
-
     def test_dump_shape(self):
         runtime = Runtime(seed=11)
         runtime.registry.counter("c").inc()

@@ -223,12 +223,6 @@ class TestRegistry:
         assert dump["gauges"]["g"][""] == 1
         assert dump["histograms"]["h"][""]["count"] == 1
 
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.reset()
-        assert "c" not in registry
-
 
 class TestLabelValidationAndStructuredAccess:
     def test_label_value_with_comma_rejected_at_write_time(self):

@@ -148,16 +148,6 @@ class TestSpans:
         assert child.clock == "sim"
         assert child.parent_id == outer.span_id
 
-    def test_reset_restarts_ids(self):
-        runtime = Runtime()
-        with runtime.tracer.span("a"):
-            pass
-        runtime.tracer.reset()
-        with runtime.tracer.span("b"):
-            pass
-        (span,) = runtime.tracer.spans()
-        assert span.span_id == 0
-
     def test_same_seed_runs_dump_identical_trees(self):
         def run():
             runtime = Runtime(seed=3)
@@ -230,7 +220,6 @@ class TestRings:
         kept = runtime.tracer.spans()
         assert [span.labels["index"] for span in kept] == ["2", "3", "4", "5"]
         assert [span.span_id for span in kept] == [2, 3, 4, 5]
-        assert runtime.tracer.recorded_total == 6
         assert len(runtime.tracer.dump()) == 4
 
     def test_reads_cover_the_retained_window(self, runtime):
@@ -246,42 +235,33 @@ class TestRings:
         for _ in range(4):
             with runtime.tracer.span("old"):
                 pass
-        mark = runtime.tracer.recorded_total
-        assert runtime.tracer.spans_since(mark) == []
         for _ in range(2):
             with runtime.tracer.span("new"):
                 pass
-        assert [span.name for span in runtime.tracer.spans_since(mark)] \
-            == ["new", "new"]
-        # More recorded than the ring holds: the retained suffix.
-        assert len(runtime.tracer.spans_since(0)) == 4
+        # More recorded than the store holds: the newest four, in order,
+        # and ids keep counting past the evicted ones.
+        assert [(span.name, span.span_id) for span in runtime.tracer.spans()] \
+            == [("old", 2), ("old", 3), ("new", 4), ("new", 5)]
 
     def test_child_of_evicted_parent_surfaces_as_root(self, runtime):
-        def finished(name, span_id, parent_id):
-            return tracing.Span(name=name, labels={}, start=0.0, clock="wall",
-                                end=1.0, span_id=span_id, parent_id=parent_id)
-
         # A parent that closes before its child (interleaved DES
-        # processes, merged worker deltas) is also evicted before it.
-        runtime.tracer.record(finished("parent", 0, None))
-        runtime.tracer.record(finished("kid", 1, 0))
+        # processes) is also evicted before it.
+        parent = runtime.tracer.span("parent")
+        parent.__enter__()
+        kid = runtime.tracer.span("kid")
+        kid.__enter__()
+        parent.__exit__(None, None, None)
+        kid.__exit__(None, None, None)
         (root,) = runtime.tracer.span_tree()
         assert root["name"] == "parent"
         assert [node["name"] for node in root["children"]] == ["kid"]
-        for span_id in (2, 3, 4):
-            runtime.tracer.record(finished("filler", span_id, None))
+        for _ in range(3):
+            with runtime.tracer.span("filler"):
+                pass
         forest = runtime.tracer.span_tree()
         assert [node["name"] for node in forest] == ["kid", "filler",
                                                      "filler", "filler"]
         assert forest[0]["parent_id"] == 0
-
-    def test_reset_restarts_the_total(self, runtime):
-        with runtime.tracer.span("op"):
-            pass
-        runtime.events.emit("e")
-        runtime.reset()
-        assert runtime.tracer.recorded_total == 0
-        assert runtime.events.recorded_total == 0
 
     def test_oldest_events_evicted_first(self, runtime):
         for index in range(5):
@@ -289,9 +269,6 @@ class TestRings:
         assert [record.data["index"] for record in runtime.events.records()] \
             == [2, 3, 4]
         assert runtime.events.count("tick") == 3
-        assert runtime.events.recorded_total == 5
-        assert [record.data["index"]
-                for record in runtime.events.records_since(3)] == [3, 4]
         assert len(runtime.events.dump()) == 3
 
 

@@ -6,9 +6,9 @@ row views deliver, the logical tick clock, backpressure and rotation
 follow the rules of an independent reference model
 (:mod:`tests.streaming.reference_log` — the two calls are never checked
 against each other), and the normalized registry dump is byte-identical
-whichever call carried the records — including when a
-:class:`RecordBatch`'s per-camera groups are served through
-``TwoTierDeployment.serve_batched`` across worker counts.
+whichever call carried the records.  A :class:`RecordBatch`'s per-camera
+groups serve through ``TwoTierDeployment.serve_batched`` exactly as the
+stacked row values do.
 """
 
 import json
@@ -20,7 +20,7 @@ from repro.fog import TwoTierDeployment
 from repro.fog.policies import ScoreThresholdPolicy
 from repro import nn
 from repro.nn.models.earlyexit import EarlyExitNetwork
-from repro.runtime import Runtime, fork_available, using_runtime
+from repro.runtime import Runtime, using_runtime
 from repro.runtime.parallel import deterministic_dump
 from repro.streaming import (
     BackpressureError,
@@ -34,11 +34,7 @@ from repro.streaming.broker import (
     VOLATILE_SPAN_PREFIXES,
 )
 
-from tests.fanout import serve_streams_fanned
 from tests.streaming.reference_log import ReferenceLog, as_rows
-
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="platform lacks fork")
 
 
 def normalized_dump(runtime):
@@ -482,17 +478,3 @@ class TestServeStreamsOverBatch:
         for a, b in zip(from_batch, from_lists):
             assert np.array_equal(a.predictions, b.predictions)
             assert np.array_equal(a.exit_index, b.exit_index)
-
-    @needs_fork
-    def test_dump_invariant_across_worker_counts(self):
-        policy = ScoreThresholdPolicy(0.45)
-        dumps = {}
-        for workers in (1, 2, 4):
-            with using_runtime(Runtime(seed=7)) as rt:
-                batch = camera_batch(Broker(runtime=rt))
-                served = serve_streams_fanned(
-                    deployed(), camera_streams(batch), policy, workers)
-                assert sum(len(d) for d in served) == 9
-                assert rt.registry.counter("nn.infer.items").total() == 9
-                dumps[workers] = normalized_dump(rt)
-        assert dumps[1] == dumps[2] == dumps[4]
