@@ -4,14 +4,17 @@ Regenerates the quantitative claims embedded in the text: 67 groups, 982
 members, ~14 first-degree associates on average, a second-degree field of
 the order of 200 ("prohibitively large"), and the multimodal narrowing
 that shrinks it to a small persons-of-interest set.  Baseline: the
-no-triangulation investigation that must review the whole field.
+no-triangulation investigation that must review the whole field.  The
+incident-built network reads only the monthly law-enforcement transfers
+the 90-day retention rule has not purged.
 """
 
 import numpy as np
+import pytest
 
 from benchmarks.helpers import print_table
 from repro.apps.social import MultimodalTriangulation, SocialNetworkAnalysis
-from repro.data import TweetGenerator
+from repro.data import LawEnforcementFeed, SecureStore, TweetGenerator
 
 
 def test_sec4b_network_statistics(benchmark):
@@ -80,3 +83,55 @@ def test_sec4b_triangulation_narrowing(benchmark):
     assert report.narrowing_factor > 10
     counts = [count for _, count in report.stages()]
     assert counts == sorted(counts, reverse=True)
+
+
+def test_sec4b_network_from_retained_monthly_transfers():
+    # Sec. II-A-4: agencies upload one file a month; files older than 90
+    # days are purged, so the co-offending network can only be built from
+    # the months still on the secure server.
+    feed = LawEnforcementFeed(seed=0)
+    store = SecureStore(retention_days=90)
+    months = {month: feed.monthly_batch(month, incidents=30)
+              for month in range(1, 5)}
+    for month, records in months.items():
+        store.upload(f"month-{month}", records, day=30 * (month - 1))
+    purged = store.purge(current_day=91)
+
+    readable = {}
+    for month in months:
+        try:
+            readable[month] = store.read(f"month-{month}", authorized=True)
+        except KeyError:
+            readable[month] = None
+    retained = [r for records in readable.values() if records
+                for r in records]
+    network = SocialNetworkAnalysis.from_incidents(retained)
+    rows = [{"month": month, "upload_day": 30 * (month - 1),
+             "records": len(months[month]),
+             "readable_day_91": readable[month] is not None}
+            for month in months]
+    print_table("Sec. IV-B — co-offending network from retained transfers",
+                rows, ["month", "upload_day", "records", "readable_day_91"])
+    print(f"  network: {network.graph.num_vertices} people, "
+          f"{network.graph.num_edges} links from "
+          f"{len(retained)} retained incidents")
+
+    # Day 91: only the day-0 upload is past the 90-day window.
+    assert purged == 1
+    assert readable[1] is None
+    assert all(readable[month] == months[month] for month in (2, 3, 4))
+    with pytest.raises(PermissionError):
+        store.read("month-2")
+    # The network is exactly the retained months' co-listing pairs: a pair
+    # seen only in the purged month is gone with it.
+    def co_listed(records):
+        pairs = set()
+        for record in records:
+            people = list(record["suspects"]) + list(record["victims"])
+            pairs.update(tuple(sorted((a, b)))
+                         for i, a in enumerate(people) for b in people[i + 1:])
+        return pairs
+
+    links = {(s, d) for s, d, _ in network.graph.edges}
+    assert links == co_listed(retained)
+    assert co_listed(months[1]) - links  # the purge removed real links

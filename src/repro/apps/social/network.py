@@ -9,7 +9,7 @@ their sizes (the "prohibitively large" problem), and key-player rankings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -90,13 +90,3 @@ class SocialNetworkAnalysis:
         ranks = self.graph.pagerank()
         ordered = sorted(ranks.items(), key=lambda kv: kv[1], reverse=True)
         return ordered[:top]
-
-    def group_of(self, person: str) -> Optional[int]:
-        attrs = self.graph.vertices.get(person)
-        if attrs is None:
-            raise KeyError(f"unknown person: {person}")
-        return attrs.get("group")
-
-    def shared_co_offenders(self, a: str, b: str) -> set:
-        """People directly linked to both a and b (the second-degree path)."""
-        return self.associates(a, 1) & self.associates(b, 1)

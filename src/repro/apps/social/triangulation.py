@@ -11,12 +11,12 @@ measures the narrowing factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.apps.social.network import SocialNetworkAnalysis
-from repro.compute.mllib import TfIdf, cosine_similarity, tokenize
+from repro.compute.mllib import tokenize
 from repro.data.social import Tweet
 
 #: Vocabulary investigators watch for (matches the generator's incident pool).
@@ -107,26 +107,3 @@ class MultimodalTriangulation:
             after_geo_filter=len(geo_hits),
             after_time_filter=len(time_hits),
             persons_of_interest=time_hits)
-
-    def rank_by_text_similarity(self, tweets: Sequence[Tweet],
-                                candidates: Set[str]) -> List[Tuple[str, float]]:
-        """TF-IDF ranking of candidates by similarity to the watch keywords.
-
-        The "deep hybrid model ... NLP techniques" stage at laptop scale:
-        candidates whose tweet text most resembles incident vocabulary rank
-        first, giving investigators a priority order.
-        """
-        documents = {user: [] for user in candidates}
-        for tweet in tweets:
-            if tweet.user_id in documents:
-                documents[tweet.user_id].extend(tokenize(tweet.text))
-        users = [u for u, tokens in documents.items() if tokens]
-        if not users:
-            return []
-        corpus = [documents[u] for u in users] + [list(self.keywords)]
-        tfidf = TfIdf()
-        matrix = tfidf.fit_transform(corpus)
-        query = matrix[-1]
-        scores = [(user, cosine_similarity(matrix[i], query))
-                  for i, user in enumerate(users)]
-        return sorted(scores, key=lambda kv: kv[1], reverse=True)

@@ -98,10 +98,6 @@ class DStream:
     def filter(self, predicate: Callable) -> "DStream":
         return self._derive(lambda batch: [x for x in batch if predicate(x)])
 
-    def flat_map(self, fn: Callable) -> "DStream":
-        return self._derive(
-            lambda batch: [y for x in batch for y in fn(x)])
-
     # -- outputs --------------------------------------------------------------
     def foreach_batch(self, sink: Callable[[List], None]) -> "DStream":
         """Invoke ``sink(batch)`` on every (possibly empty) micro-batch."""

@@ -10,7 +10,7 @@ connected components, triangle counting, and a Pregel-ish
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 
 
 class Graph:
@@ -91,24 +91,6 @@ class Graph:
             seen.discard(vertex)
         return seen
 
-    def shortest_path_length(self, source: Any, target: Any) -> Optional[int]:
-        """BFS hop count, or None when unreachable."""
-        if source not in self.vertices or target not in self.vertices:
-            raise KeyError("unknown vertex")
-        if source == target:
-            return 0
-        queue = deque([(source, 0)])
-        seen = {source}
-        while queue:
-            vertex, distance = queue.popleft()
-            for neighbor in self._adjacency.get(vertex, ()):
-                if neighbor == target:
-                    return distance + 1
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append((neighbor, distance + 1))
-        return None
-
     # -- global analytics -------------------------------------------------------
     def pagerank(self, damping: float = 0.85, iterations: int = 30
                  ) -> Dict[Any, float]:
@@ -152,10 +134,6 @@ class Graph:
             next_id += 1
         return component
 
-    def num_components(self) -> int:
-        components = self.connected_components()
-        return len(set(components.values())) if components else 0
-
     def triangle_count(self) -> int:
         """Number of distinct triangles; requires an undirected graph."""
         if self.directed:
@@ -168,13 +146,6 @@ class Graph:
                     if a < b and b in self._adjacency.get(a, set()):
                         count += 1
         return count // 3
-
-    def subgraph(self, vertex_ids: Iterable) -> "Graph":
-        keep = set(vertex_ids)
-        vertices = {v: attr for v, attr in self.vertices.items() if v in keep}
-        edges = [(s, d, a) for s, d, a in self.edges
-                 if s in keep and d in keep]
-        return Graph(vertices, edges, directed=self.directed)
 
     def aggregate_messages(self,
                            send: Callable[[Any, Any, Any], Iterable[Tuple[Any, Any]]],

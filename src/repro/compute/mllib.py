@@ -88,12 +88,6 @@ class KMeans:
             raise RuntimeError("KMeans must be fit before predict")
         return self._assign(_as_matrix(data), self.centers)
 
-    def inertia(self, data) -> float:
-        """Sum of squared distances to assigned centers."""
-        points = _as_matrix(data)
-        assignment = self.predict(points)
-        return float(((points - self.centers[assignment]) ** 2).sum())
-
 
 class LogisticRegression:
     """Binary logistic regression trained by full-batch gradient descent."""

@@ -138,19 +138,6 @@ class RDD:
     def is_cached(self) -> bool:
         return self._cache is not None
 
-    def getNumPartitions(self) -> int:
-        return self.num_partitions
-
-    def debug_string(self) -> str:
-        """The lineage chain, root first (Spark's ``toDebugString`` role).
-
-        Shuffle boundaries are visible as name segments (reduceByKey,
-        groupByKey, join, sortBy) — each starts a new stage.
-        """
-        return (f"({self.num_partitions}) {self.name} "
-                f"[rdd {self.rdd_id}"
-                f"{', cached' if self.is_cached else ''}]")
-
     # -- narrow transformations -------------------------------------------------
     def map(self, fn: Callable) -> "RDD":
         return RDD(self.context,
@@ -185,12 +172,6 @@ class RDD:
                    lambda i: iter(fn(i, self._iter_partition(i))),
                    self.num_partitions,
                    name=f"{self.name}.mapPartitionsWithIndex@{self.rdd_id}")
-
-    def mapValues(self, fn: Callable) -> "RDD":
-        return self.map(lambda kv: (kv[0], fn(kv[1])))
-
-    def keyBy(self, fn: Callable) -> "RDD":
-        return self.map(lambda x: (fn(x), x))
 
     def union(self, other: "RDD") -> "RDD":
         mine = self.num_partitions
@@ -309,12 +290,6 @@ class RDD:
         return sum(sum(1 for _ in self._iter_partition(index))
                    for index in range(self.num_partitions))
 
-    def countByKey(self) -> Dict:
-        counts: Dict = defaultdict(int)
-        for key, _ in self._collect_all():
-            counts[key] += 1
-        return dict(counts)
-
     def reduce(self, fn: Callable):
         """Fold all items with ``fn``, one partial fold per partition.
 
@@ -357,7 +332,3 @@ class RDD:
         if not items:
             raise ValueError("mean of an empty RDD")
         return sum(items) / len(items)
-
-    def foreach(self, fn: Callable) -> None:
-        for item in self._collect_all():
-            fn(item)

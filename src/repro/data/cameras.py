@@ -85,9 +85,6 @@ class CameraRegistry:
     def by_city(self, city: str) -> List[Camera]:
         return [c for c in self._cameras if c.city == city]
 
-    def by_highway(self, highway: str) -> List[Camera]:
-        return [c for c in self._cameras if c.highway == highway]
-
     def cities(self) -> List[str]:
         return sorted({c.city for c in self._cameras})
 
@@ -102,11 +99,6 @@ class CameraRegistry:
             raise ValueError("registry is empty")
         return min(self._cameras,
                    key=lambda c: (c.lat - lat) ** 2 + (c.lon - lon) ** 2)
-
-    def within_radius(self, lat: float, lon: float,
-                      radius_deg: float) -> List[Camera]:
-        return [c for c in self._cameras
-                if math.hypot(c.lat - lat, c.lon - lon) <= radius_deg]
 
     def total_ingest_bytes_per_second(self) -> int:
         return sum(c.bytes_per_second for c in self._cameras)

@@ -1,15 +1,15 @@
 """Baton Rouge open-data substitute (Sec. II-A-3).
 
-Generates the record families the paper lists: public safety (crime and
-fire incidents), government (citizen service requests), and transportation
-(traffic incidents, potholes).  District-level crime rates are heterogeneous
-so hotspot analyses have structure to find.
+Generates the record families the paper's analyses read: public safety
+(crime incidents, 911 calls) and transportation (traffic incidents).
+District-level crime rates are heterogeneous so hotspot analyses have
+structure to find.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -97,35 +97,3 @@ class OpenCityData:
                     "lanes_blocked": int(rng.integers(0, 3)),
                 })
         return records
-
-    def service_requests(self, days: int, daily_rate: float = 15.0
-                         ) -> List[Dict]:
-        """Citizen requests (potholes, signals, blight)."""
-        rng = self._rng
-        categories = ("pothole", "traffic signal", "street light", "blight",
-                      "drainage")
-        records = []
-        for day in range(days):
-            for _ in range(rng.poisson(daily_rate)):
-                records.append({
-                    "request_id": next(self._ids),
-                    "kind": "service",
-                    "category": categories[int(rng.integers(len(categories)))],
-                    "location": [float(rng.random()), float(rng.random())],
-                    "day": day,
-                    "status": str(rng.choice(["open", "closed"])),
-                })
-        return records
-
-    def daily_crime_counts(self, records: Sequence[Dict],
-                           district: Optional[int] = None) -> List[int]:
-        """Crime counts per day — the LSTM forecasting time series."""
-        filtered = [r for r in records if r["kind"] == "crime"
-                    and (district is None or r["district"] == district)]
-        if not filtered:
-            return []
-        days = max(r["day"] for r in filtered) + 1
-        counts = [0] * days
-        for record in filtered:
-            counts[record["day"]] += 1
-        return counts

@@ -56,17 +56,6 @@ class LawEnforcementFeed:
             })
         return records
 
-    def co_offense_edges(self, records: Sequence[Dict]) -> List[tuple]:
-        """(person, person) pairs linked in place and time by incidents —
-        the raw material of the Sec. IV-B co-offending network."""
-        edges = set()
-        for record in records:
-            people = list(record["suspects"]) + list(record["victims"])
-            for i, a in enumerate(people):
-                for b in people[i + 1:]:
-                    edges.add(tuple(sorted((a, b))))
-        return sorted(edges)
-
 
 @dataclass
 class _Upload:

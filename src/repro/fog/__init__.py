@@ -6,7 +6,7 @@ topology into end-to-end latency/throughput numbers:
 - :mod:`repro.fog.split` — describe a model as a chain of stages (FLOPs,
   activation bytes, optional exit head) and place stages onto machines;
 - :mod:`repro.fog.policies` — exit policies (score/entropy thresholds) and
-  helpers that measure a trained model's per-stage exit fractions;
+  the batched call that runs a model under one;
 - :mod:`repro.fog.pipeline` — analytic per-item cost accounting and a
   discrete-event stream simulation with queueing at every machine.
 """
@@ -24,7 +24,6 @@ from repro.fog.policies import (
     EntropyThresholdPolicy,
     ExitPolicy,
     ScoreThresholdPolicy,
-    measured_exit_fractions,
     run_policy_batched,
 )
 from repro.fog.pipeline import (
@@ -42,7 +41,7 @@ __all__ = [
     "model_split_from_early_exit", "materialize_stages",
     "place_bottom_up", "place_all_on",
     "ExitPolicy", "ScoreThresholdPolicy", "EntropyThresholdPolicy",
-    "measured_exit_fractions", "run_policy_batched",
+    "run_policy_batched",
     "FogPipeline", "ItemCost", "StreamStats", "simulate_shared_streams",
     "FailureSpec", "FaultPolicy",
     "TwoTierDeployment", "split_state_dict",

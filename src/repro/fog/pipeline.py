@@ -649,22 +649,6 @@ class FogPipeline:
                         network_s=network, bytes_shipped=shipped,
                         per_stage_compute=per_stage)
 
-    def mean_cost(self, resolution_profile: Dict[int, float]) -> ItemCost:
-        """Expected cost under {stage_index: fraction resolving there}."""
-        total = sum(resolution_profile.values())
-        if not np.isclose(total, 1.0, atol=1e-6):
-            raise ValueError(f"resolution fractions must sum to 1: {total}")
-        compute = network = bytes_shipped = 0.0
-        for stage_index, fraction in resolution_profile.items():
-            cost = self.item_cost(stage_index)
-            compute += fraction * cost.compute_s
-            network += fraction * cost.network_s
-            bytes_shipped += fraction * cost.bytes_shipped
-        # Report as a synthetic item resolving at the deepest used stage.
-        deepest = max(s for s, f in resolution_profile.items() if f > 0)
-        return ItemCost(resolved_stage=deepest, compute_s=compute,
-                        network_s=network, bytes_shipped=int(bytes_shipped))
-
     # -- discrete-event stream --------------------------------------------------
     def simulate_stream(self, num_items: int, arrival_interval_s: float,
                         exit_probabilities: Optional[Dict[int, float]] = None,

@@ -15,7 +15,7 @@ function, so downstream code only sees the :class:`ExitPolicy` interface.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class ExitPolicy:
         """Boolean mask per row: True = resolve at this tier."""
         return self.confidences(logits) >= self.threshold
 
-    def exit_fraction(self, logits: np.ndarray) -> float:
-        mask = self.should_exit(logits)
-        return float(mask.mean()) if mask.size else 0.0
-
 
 class ScoreThresholdPolicy(ExitPolicy):
     """Exit when max softmax probability >= threshold (Fig. 5)."""
@@ -68,12 +64,6 @@ class EntropyThresholdPolicy(ExitPolicy):
         super().__init__(-max_entropy, entropy_confidence)
 
 
-def measured_exit_fractions(local_logits: np.ndarray,
-                            policies: Sequence[ExitPolicy]) -> List[float]:
-    """Exit fraction of each policy on a batch of local-head logits."""
-    return [policy.exit_fraction(local_logits) for policy in policies]
-
-
 def run_policy_batched(model, x, policy: ExitPolicy,
                        batch_size: Optional[int] = None) -> BatchExitDecisions:
     """Drive an early-exit model with a policy on the batched fast path.
@@ -87,30 +77,3 @@ def run_policy_batched(model, x, policy: ExitPolicy,
     return model.infer_batch(x, policy.threshold,
                              confidence=policy.confidence_fn,
                              batch_size=batch_size)
-
-
-def accuracy_offload_tradeoff(local_logits: np.ndarray,
-                              remote_logits: np.ndarray,
-                              targets: np.ndarray,
-                              policy_grid: Sequence[ExitPolicy]) -> List[Dict]:
-    """Rows of {threshold, accuracy, local_fraction} for a policy sweep.
-
-    This is the measurement behind benches E5/E7: as the threshold rises,
-    fewer items exit locally, accuracy approaches the server model's, and
-    network traffic rises.
-    """
-    local_logits = np.asarray(local_logits)
-    remote_logits = np.asarray(remote_logits)
-    targets = np.asarray(targets)
-    rows = []
-    for policy in policy_grid:
-        mask = policy.should_exit(local_logits)
-        predictions = np.where(mask,
-                               local_logits.argmax(axis=-1),
-                               remote_logits.argmax(axis=-1))
-        rows.append({
-            "threshold": policy.threshold,
-            "accuracy": float((predictions == targets).mean()),
-            "local_fraction": float(mask.mean()),
-        })
-    return rows

@@ -5,14 +5,14 @@ Subpackages:
 - :mod:`repro.nn.tensor` — reverse-mode autograd over NumPy arrays.
 - :mod:`repro.nn.modules` — layers: Linear, Conv2d, BatchNorm, LSTM, ...
 - :mod:`repro.nn.functional` — conv/pool primitives, softmax family, losses.
-- :mod:`repro.nn.optim` — SGD, Adam, schedulers.
+- :mod:`repro.nn.optim` — SGD, Adam.
 - :mod:`repro.nn.models` — the paper's model families (CNN, ResNet with the
-  Fig. 8 conv-shortcut block, Inception, LSTM classifiers, YOLO-style
+  Fig. 8 conv-shortcut block, LSTM classifiers, YOLO-style
   detectors with the Fig. 5 early-exit split, autoencoders, CCA).
 - :mod:`repro.nn.flops` — static FLOP estimation for fog placement.
 """
 
-from repro.nn.tensor import Tensor, as_tensor, concatenate, stack, where, zeros, ones
+from repro.nn.tensor import Tensor, as_tensor, concatenate, stack, zeros, ones
 from repro.nn import functional
 from repro.nn.dtypes import (
     default_dtype,
@@ -32,7 +32,6 @@ from repro.nn.modules import (
     BatchNorm2d,
     Conv2d,
     Dropout,
-    Embedding,
     Flatten,
     GlobalAvgPool2d,
     Identity,
@@ -55,8 +54,8 @@ from repro.nn.inference import (
     iter_microbatches,
     observe_inference,
 )
-from repro.nn.optim import SGD, Adam, Optimizer, StepLR
-from repro.nn.data import ArrayDataset, DataLoader, DataParallelTrainer, evaluate, train_epoch
+from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.data import ArrayDataset, DataLoader, DataParallelTrainer
 from repro.nn.serialization import (
     load_state,
     save_state,
@@ -76,7 +75,7 @@ from repro.nn.quantize import (
 from repro.nn.distributed import AsyncWorker, ParameterServer, ParameterServerTrainer
 
 __all__ = [
-    "Tensor", "as_tensor", "concatenate", "stack", "where", "zeros", "ones",
+    "Tensor", "as_tensor", "concatenate", "stack", "zeros", "ones",
     "functional",
     "no_grad", "enable_grad", "is_grad_enabled", "set_grad_enabled",
     "default_dtype", "get_default_dtype", "set_default_dtype", "ensure_float",
@@ -85,9 +84,9 @@ __all__ = [
     "Module", "Parameter", "Sequential", "Linear", "Conv2d", "BatchNorm2d",
     "BatchNorm1d", "Dropout", "ReLU", "LeakyReLU", "Tanh", "Sigmoid",
     "Identity", "Flatten", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "LSTM",
-    "LSTMCell", "Embedding",
-    "Optimizer", "SGD", "Adam", "StepLR",
-    "ArrayDataset", "DataLoader", "DataParallelTrainer", "train_epoch", "evaluate",
+    "LSTMCell",
+    "Optimizer", "SGD", "Adam",
+    "ArrayDataset", "DataLoader", "DataParallelTrainer",
     "save_state", "load_state", "state_to_bytes", "state_from_bytes",
     "state_size_bytes",
     "estimate_flops", "activation_size_bytes",

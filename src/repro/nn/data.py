@@ -1,4 +1,4 @@
-"""Dataset/DataLoader utilities and a tiny training loop.
+"""Dataset/DataLoader utilities and the data-parallel trainer.
 
 ``repro.nn`` mirrors the data-parallel training workflow the paper runs on
 TensorFlow: mini-batch iteration with shuffling, plus a
@@ -9,7 +9,7 @@ train models over multiple nodes (Sec. II-C-1).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,40 +79,6 @@ class DataLoader:
             if self.drop_last and len(batch) < self.batch_size:
                 return
             yield self.dataset.inputs[batch], self.dataset.targets[batch]
-
-
-def train_epoch(model: Module, loader: DataLoader, optimizer: Optimizer,
-                loss_fn: Callable[[Tensor, np.ndarray], Tensor],
-                max_grad_norm: Optional[float] = None) -> float:
-    """One epoch of training; returns the mean batch loss."""
-    model.train()
-    losses: List[float] = []
-    for inputs, targets in loader:
-        optimizer.zero_grad()
-        logits = model(Tensor(inputs))
-        loss = loss_fn(logits, targets)
-        loss.backward()
-        if max_grad_norm is not None:
-            optimizer.clip_grad_norm(max_grad_norm)
-        optimizer.step()
-        losses.append(loss.item())
-    return float(np.mean(losses)) if losses else 0.0
-
-
-def evaluate(model: Module, loader: DataLoader,
-             metric: Callable[[Tensor, np.ndarray], float]) -> float:
-    """Mean metric over the loader with the model in eval mode."""
-    model.eval()
-    scores: List[float] = []
-    weights: List[int] = []
-    for inputs, targets in loader:
-        logits = model(Tensor(inputs))
-        scores.append(metric(logits, targets))
-        weights.append(len(targets))
-    model.train()
-    if not scores:
-        return 0.0
-    return float(np.average(scores, weights=weights))
 
 
 class DataParallelTrainer:

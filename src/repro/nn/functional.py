@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.nn.dtypes import ensure_float, get_default_dtype
+from repro.nn.dtypes import ensure_float
 from repro.nn.grad_mode import is_grad_enabled
 from repro.nn.tensor import Tensor, as_tensor
 
@@ -432,38 +432,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     prediction, target = as_tensor(prediction), as_tensor(target)
     diff = prediction - target.detach()
     return (diff * diff).mean()
-
-
-def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
-    """Binary cross-entropy on logits, numerically stable."""
-    logits, targets = as_tensor(logits), as_tensor(targets)
-    t = targets.detach()
-    # max(x, 0) - x*t + log(1 + exp(-|x|))
-    relu_x = logits.relu()
-    abs_x = logits.abs()
-    softplus = ((-abs_x).exp() + 1.0).log()
-    return (relu_x - logits * t + softplus).mean()
-
-
-def smooth_l1_loss(prediction: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
-    """Huber-style loss used for YOLO bounding-box regression."""
-    prediction, target = as_tensor(prediction), as_tensor(target)
-    diff = prediction - target.detach()
-    abs_diff = diff.abs()
-    quadratic = (diff * diff) * (0.5 / beta)
-    linear = abs_diff - 0.5 * beta
-    from repro.nn.tensor import where
-    return where(abs_diff.data < beta, quadratic, linear).mean()
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer class indices -> one-hot float matrix."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.min(initial=0) < 0 or (indices.size and indices.max() >= num_classes):
-        raise ValueError("class index out of range")
-    out = np.zeros((indices.shape[0], num_classes), dtype=get_default_dtype())
-    out[np.arange(indices.shape[0]), indices] = 1.0
-    return out
 
 
 def accuracy(logits: Tensor, targets: np.ndarray) -> float:

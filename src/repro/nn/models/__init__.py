@@ -3,8 +3,6 @@
 - :mod:`repro.nn.models.cnn` — plain CNN modules (Sec. III-A).
 - :mod:`repro.nn.models.resnet` — ResNet blocks with the paper's
   conv-shortcut variant (Fig. 8) plus maxpool/identity ablations.
-- :mod:`repro.nn.models.inception` — inception-style modules (GoogLeNet
-  family, Sec. III-A).
 - :mod:`repro.nn.models.lstm` — LSTM sequence classifiers (Sec. III-B).
 - :mod:`repro.nn.models.earlyexit` — two-exit networks with score/entropy
   confidence, the core of Figs. 5 and 7.
@@ -17,7 +15,6 @@
 
 from repro.nn.models.cnn import SimpleCNN
 from repro.nn.models.resnet import ResNetBlock, SmallResNet
-from repro.nn.models.inception import InceptionModule, MiniInceptionNet
 from repro.nn.models.lstm import LSTMClassifier
 from repro.nn.models.earlyexit import EarlyExitNetwork, entropy_confidence, score_confidence
 from repro.nn.models.yolo import (
@@ -38,7 +35,6 @@ from repro.nn.models.cca import CCA
 __all__ = [
     "SimpleCNN",
     "ResNetBlock", "SmallResNet",
-    "InceptionModule", "MiniInceptionNet",
     "LSTMClassifier",
     "EarlyExitNetwork", "entropy_confidence", "score_confidence",
     "YoloDetector", "TinyYolo", "EarlyExitDetector", "YoloLoss",

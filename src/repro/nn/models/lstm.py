@@ -29,7 +29,3 @@ class LSTMClassifier(nn.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.head(self.lstm.last_hidden(x))
-
-    def hidden_sequence(self, x: Tensor) -> Tensor:
-        """Full (N, T, H) hidden sequence for downstream temporal pooling."""
-        return self.lstm(x)

@@ -28,7 +28,6 @@ from repro.runtime.rng import resolve_rng
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.inference import eval_mode
 from repro.nn.models.earlyexit import (
     BatchExitDecisions,
     EarlyExitNetwork,
@@ -152,11 +151,6 @@ class YoloDetector(nn.Module):
                nms_iou: float = 0.5) -> List[List[Detection]]:
         """Raw output (N, 5+C, S, S) -> per-image NMS-filtered detections."""
         return decode_predictions(raw, score_threshold, nms_iou)
-
-    def detect(self, x: Tensor, score_threshold: float = 0.5) -> List[List[Detection]]:
-        with eval_mode(self), nn.no_grad():
-            raw = self.forward(x).data
-        return self.decode(raw, score_threshold)
 
     def estimate_flops(self, input_shape: Tuple[int, ...]):
         from repro.nn.flops import estimate_flops

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.dtypes import get_default_dtype
 from repro.nn.grad_mode import is_grad_enabled
 from repro.nn.tensor import Tensor, concatenate, stack
 from repro.runtime.rng import resolve_rng
@@ -408,22 +407,3 @@ class LSTM(Module):
         """Convenience: hidden state at the final time step, shape (N, H)."""
         sequence = self.forward(x)
         return sequence[:, sequence.shape[1] - 1, :]
-
-
-class Embedding(Module):
-    """Token-id -> dense vector lookup table (for the NLP pipeline)."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        rng = resolve_rng(rng, "nn.modules.embedding")
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(rng.normal(0, 0.1, (num_embeddings, embedding_dim))
-                                .astype(get_default_dtype(), copy=False))
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=int)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
-            raise ValueError("embedding index out of range")
-        return self.weight[indices]

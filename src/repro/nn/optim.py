@@ -127,23 +127,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Multiplies the optimizer's learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        if step_size < 1:
-            raise ValueError(f"step_size must be >= 1: {step_size}")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-        self.optimizer.runtime.registry.gauge(
-            "nn.optim.lr", "current learning rate").set(
-                self.optimizer.lr, opt=type(self.optimizer).__name__)

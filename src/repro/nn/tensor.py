@@ -6,7 +6,7 @@ operations applied to it; :meth:`Tensor.backward` walks the recorded graph in
 reverse topological order accumulating gradients.
 
 Only the operations needed by the paper's model families (CNN / ResNet /
-Inception / LSTM / YOLO / autoencoders) are implemented, each with full
+LSTM / YOLO / autoencoders) are implemented, each with full
 broadcasting support where NumPy broadcasts.
 """
 
@@ -408,21 +408,6 @@ class Tensor:
 
         return Tensor._make(self.data[index], (self,), backward)
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions symmetrically."""
-        if padding < 0:
-            raise ValueError(f"negative padding: {padding}")
-        if padding == 0:
-            return self
-        pad_width = [(0, 0)] * (self.data.ndim - 2) + [(padding, padding)] * 2
-        out_data = np.pad(self.data, pad_width)
-        sl = (Ellipsis, slice(padding, -padding), slice(padding, -padding))
-
-        def backward(grad):
-            self._accumulate(grad[sl])
-
-        return Tensor._make(out_data, (self,), backward)
-
 
 def as_tensor(value: ArrayLike, like: Optional[Tensor] = None) -> Tensor:
     """Coerce to :class:`Tensor` without copying when already one.
@@ -467,18 +452,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             tensor._accumulate(grad[tuple(index)])
 
     return Tensor._make(data, tensors, backward)
-
-
-def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise select with gradients flowing to both branches."""
-    a, b = as_tensor(a), as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-
-    def backward(grad):
-        a._accumulate(grad * condition)
-        b._accumulate(grad * ~condition)
-
-    return Tensor._make(np.where(condition, a.data, b.data), (a, b), backward)
 
 
 def zeros(*shape, requires_grad: bool = False, dtype=None) -> Tensor:

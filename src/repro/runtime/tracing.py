@@ -9,8 +9,8 @@ timestamps outside it, with no change at the call site.
 
 Spans form a *tree*: every span carries a ``span_id`` (assigned from a
 per-tracer counter the moment the span starts) and a ``parent_id`` — the
-id of the span that was innermost on the tracer's current-span stack when
-it opened (``None`` at the root).  ``with tracer.span("outer"): with
+id of the span that was innermost on the current-span stack when it
+opened (``None`` at the root).  ``with tracer.span("outer"): with
 tracer.span("inner"): ...`` therefore records ``inner.parent_id ==
 outer.span_id`` with no extra plumbing, and a dump can be re-assembled
 into the request tree (see :meth:`Tracer.span_tree`).
@@ -22,16 +22,22 @@ runs assign identical ids and ``dump()`` stays byte-stable under
 Spans survive generator suspension: a ``with tracer.span(...)`` block
 inside a DES process stays open across ``yield env.timeout(...)`` and its
 duration covers the simulated wait — exactly how the fog pipeline
-measures per-stage queueing plus service time.  Note the current-span
-stack tracks *lexical* nesting (the innermost open ``with`` block), which
-for interleaved DES processes is the opening order, not per-process
-ancestry.
+measures per-stage queueing plus service time.
+
+The current-span stack lives in a :class:`contextvars.ContextVar`, so it
+is per execution context: each asyncio task starts from a copy of its
+creator's stack, and two interleaved requests on one event loop build
+two separate trees.  Within one context the stack tracks *lexical*
+nesting (the innermost open ``with`` block), which for interleaved DES
+processes — generators sharing a context — is the opening order, not
+per-process ancestry.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
@@ -153,28 +159,30 @@ class Tracer:
         self._clock = clock
         self._spans: Deque[_SpanRow] = deque(maxlen=SPAN_RING_CAPACITY)
         self._next_id = 0
-        self._open_stack: List[Span] = []
+        # this context's open spans, innermost last; a tuple, so a task
+        # that copied the context never sees its creator's later changes
+        self._open: ContextVar[Tuple[Span, ...]] = ContextVar(
+            "repro.runtime.tracing.open", default=())
 
     @contextmanager
     def span(self, name: str, **labels) -> Iterator[Span]:
         now, kind = self._clock()
-        parent = self._open_stack[-1] if self._open_stack else None
+        stack = self._open.get()
         record = Span(name=name,
                       labels={k: str(v) for k, v in labels.items()},
                       start=now, clock=kind, span_id=self._next_id,
-                      parent_id=None if parent is None else parent.span_id)
+                      parent_id=stack[-1].span_id if stack else None)
         self._next_id += 1
-        self._open_stack.append(record)
+        self._open.set(stack + (record,))
         try:
             yield record
         finally:
             record.end = self._clock()[0]
             # Tolerate out-of-order closes (interleaved DES generators):
             # remove this span wherever it sits, not just at the top.
-            try:
-                self._open_stack.remove(record)
-            except ValueError:  # pragma: no cover - double-close guard
-                pass
+            stack = self._open.get()
+            self._open.set(stack[:-1] if stack and stack[-1] is record
+                           else tuple(s for s in stack if s is not record))
             self._spans.append(
                 (record.name, record.start, record.clock, record.end,
                  record.span_id, record.parent_id,

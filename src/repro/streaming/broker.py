@@ -610,9 +610,6 @@ class Broker:
         except KeyError:
             raise BrokerError(f"no such topic: {name}") from None
 
-    def partition_count(self, topic: str) -> int:
-        return len(self._topic(topic).partitions)
-
     def topic_size(self, topic: str) -> int:
         """Retained records across all partitions."""
         return sum([len(p.offsets) for p in self._topic(topic).partitions])
@@ -620,10 +617,6 @@ class Broker:
     def partition_sizes(self, topic: str) -> List[int]:
         """Retained records per partition."""
         return [len(p) for p in self._topic(topic).partitions]
-
-    def begin_offset(self, topic: str, partition: int) -> int:
-        """Earliest retained offset of a partition."""
-        return self._partition(topic, partition).base_offset
 
     def end_offset(self, topic: str, partition: int) -> int:
         """The offset the next produced record will get."""
@@ -1123,13 +1116,6 @@ class Broker:
             committed = self._group_offsets.get((group, topic, partition), 0)
             total += max(0, part.end_offset - committed)
         return total
-
-    def reset_group(self, group: str, topic: str) -> None:
-        """Rewind a group's offsets to replay a topic from the beginning."""
-        t = self._topic(topic)
-        for partition in range(len(t.partitions)):
-            self._group_offsets.pop((group, topic, partition), None)
-            self._positions.pop((group, topic, partition), None)
 
 
 class Consumer:

@@ -34,12 +34,6 @@ class TestNetworkAnalysis:
         ranks = [rank for _, rank in top]
         assert ranks == sorted(ranks, reverse=True)
 
-    def test_group_lookup(self, paper_network):
-        member = sorted(paper_network.graph.vertices)[0]
-        assert paper_network.group_of(member) is not None
-        with pytest.raises(KeyError):
-            paper_network.group_of("nobody")
-
     def test_from_incident_records(self):
         feed = LawEnforcementFeed(seed=0)
         records = feed.monthly_batch(1, incidents=25)
@@ -47,15 +41,13 @@ class TestNetworkAnalysis:
         assert analysis.graph.num_vertices > 0
         assert analysis.graph.num_edges > 0
         # every edge comes from people co-listed on a record
-        expected = set(feed.co_offense_edges(records))
+        expected = set()
+        for record in records:
+            people = list(record["suspects"]) + list(record["victims"])
+            for i, a in enumerate(people):
+                expected.update(tuple(sorted((a, b))) for b in people[i + 1:])
         actual = {(s, d) for s, d, _ in analysis.graph.edges}
         assert actual <= expected
-
-    def test_shared_co_offenders(self):
-        records = [{"suspects": ["a", "b"], "victims": []},
-                   {"suspects": ["b", "c"], "victims": []}]
-        analysis = SocialNetworkAnalysis.from_incidents(records)
-        assert analysis.shared_co_offenders("a", "c") == {"b"}
 
     def test_empty_network_field_sizes(self):
         from repro.compute.graphx import Graph
@@ -123,20 +115,6 @@ class TestTriangulation:
         report = MultimodalTriangulation(network).investigate(
             anchor, location, time, tweets, time_window=2.0)
         assert report.after_time_filter <= report.after_geo_filter
-
-    def test_text_ranking_prefers_incident_tweeters(self):
-        (network, anchor, tweets, location, time,
-         guilty) = self.build_scenario(4)
-        triangulation = MultimodalTriangulation(network)
-        candidates = network.associates(anchor, 2)
-        ranking = triangulation.rank_by_text_similarity(tweets, candidates)
-        if ranking:
-            ranked_users = [user for user, _ in ranking]
-            for guilty_user in guilty:
-                if guilty_user in ranked_users:
-                    # guilty users appear in the top half of the ranking
-                    assert (ranked_users.index(guilty_user)
-                            < max(len(ranked_users) // 2, 2))
 
     def test_report_without_hits(self):
         network = SocialNetworkAnalysis(

@@ -59,14 +59,6 @@ class TestDStreamTransformations:
         context.run_until_idle()
         assert sorted(out) == [0, 4, 8, 12, 16]
 
-    def test_flat_map(self):
-        bus = bus_with("lines", ["a b", "c"])
-        context = StreamingContext(bus, batch_max_records=100)
-        out = []
-        context.stream("lines").flat_map(str.split).foreach_batch(out.extend)
-        context.run_until_idle()
-        assert sorted(out) == ["a", "b", "c"]
-
     def test_multiple_children_see_same_batch(self):
         bus = bus_with("events", range(6))
         context = StreamingContext(bus, batch_max_records=100)

@@ -42,12 +42,6 @@ class TestKMeans:
         model = KMeans(k=2, seed=0).fit(rdd)
         assert model.centers.shape == (2, 2)
 
-    def test_inertia_decreases_with_more_clusters(self):
-        points = self._blobs()
-        inertia1 = KMeans(k=1, seed=0).fit(points).inertia(points)
-        inertia2 = KMeans(k=2, seed=0).fit(points).inertia(points)
-        assert inertia2 < inertia1
-
     def test_validates(self):
         with pytest.raises(ValueError):
             KMeans(k=0)
@@ -213,15 +207,6 @@ class TestGraph:
         with pytest.raises(KeyError):
             g.n_degree_neighborhood(99, 1)
 
-    def test_shortest_path_length(self):
-        g = self.triangle_graph()
-        assert g.shortest_path_length(4, 1) == 2
-        assert g.shortest_path_length(1, 1) == 0
-
-    def test_shortest_path_unreachable(self):
-        g = Graph({1: None, 2: None}, [])
-        assert g.shortest_path_length(1, 2) is None
-
     def test_pagerank_sums_to_one(self):
         ranks = self.triangle_graph().pagerank()
         assert sum(ranks.values()) == pytest.approx(1.0, abs=1e-6)
@@ -250,7 +235,7 @@ class TestGraph:
         assert components[0] == components[2]
         assert components[3] == components[4]
         assert components[0] != components[3]
-        assert g.num_components() == 3  # {0,1,2}, {3,4}, {5}
+        assert len(set(components.values())) == 3  # {0,1,2}, {3,4}, {5}
 
     def test_triangle_count(self):
         assert self.triangle_graph().triangle_count() == 1
@@ -259,12 +244,6 @@ class TestGraph:
         g = Graph({1: None, 2: None}, [(1, 2)], directed=True)
         with pytest.raises(ValueError):
             g.triangle_count()
-
-    def test_subgraph(self):
-        g = self.triangle_graph()
-        sub = g.subgraph({1, 2, 3})
-        assert sub.num_vertices == 3
-        assert sub.num_edges == 3
 
     def test_aggregate_messages_degree_count(self):
         g = self.triangle_graph()
@@ -279,5 +258,5 @@ class TestGraph:
     def test_empty_graph(self):
         g = Graph({}, [])
         assert g.pagerank() == {}
-        assert g.num_components() == 0
+        assert g.connected_components() == {}
         assert g.mean_degree() == 0.0

@@ -23,10 +23,10 @@ class TestBasics:
 
     def test_partition_count(self):
         rdd = sc().parallelize(range(10), num_partitions=3)
-        assert rdd.getNumPartitions() == 3
+        assert rdd.num_partitions == 3
 
     def test_default_parallelism_used(self):
-        assert sc(5).parallelize(range(10)).getNumPartitions() == 5
+        assert sc(5).parallelize(range(10)).num_partitions == 5
 
     def test_validates_parallelism(self):
         with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ class TestNarrowTransformations:
         b = a.context.parallelize([3, 4])
         union = a.union(b)
         assert sorted(union.collect()) == [1, 2, 3, 4]
-        assert union.getNumPartitions() == 4
+        assert union.num_partitions == 4
 
     def test_sample_deterministic_and_bounded(self):
         rdd = sc().parallelize(range(1000))
@@ -87,10 +87,6 @@ class TestNarrowTransformations:
     def test_sample_validates(self):
         with pytest.raises(ValueError):
             sc().parallelize([1]).sample(2.0)
-
-    def test_key_by(self):
-        out = sc().parallelize(["aa", "b"]).keyBy(len).collect()
-        assert sorted(out) == [(1, "b"), (2, "aa")]
 
 
 class TestWideTransformations:
@@ -186,15 +182,6 @@ class TestActions:
     def test_mean_empty_rejected(self):
         with pytest.raises(ValueError):
             sc().parallelize([]).mean()
-
-    def test_count_by_key(self):
-        pairs = [("a", 1), ("a", 2), ("b", 1)]
-        assert sc().parallelize(pairs).countByKey() == {"a": 2, "b": 1}
-
-    def test_foreach(self):
-        seen = []
-        sc().parallelize([1, 2, 3]).foreach(seen.append)
-        assert sorted(seen) == [1, 2, 3]
 
 
 class TestCaching:

@@ -143,8 +143,9 @@ class TestBatchIngest:
         return infra
 
     def committed(self, infra):
+        partitions = infra.bus.topic_config("feed").partitions
         return [infra.bus.committed_offset("storage", "feed", partition)
-                for partition in range(infra.bus.partition_count("feed"))]
+                for partition in range(partitions)]
 
     def test_bounded_topic_stores_every_record_exactly_once(self):
         infra = self.infra(bus_partition_capacity=8)

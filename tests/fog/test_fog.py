@@ -11,12 +11,10 @@ from repro.fog import (
     ScoreThresholdPolicy,
     Stage,
     TierPlacement,
-    measured_exit_fractions,
     model_split_from_early_exit,
     place_all_on,
     place_bottom_up,
 )
-from repro.fog.policies import accuracy_offload_tradeoff
 from repro.fog.split import bottleneck_latency
 
 
@@ -130,33 +128,6 @@ class TestPolicies:
         with pytest.raises(ValueError):
             EntropyThresholdPolicy(-0.1)
 
-    def test_exit_fraction(self):
-        policy = ScoreThresholdPolicy(0.9)
-        logits = np.array([[10.0, -10.0], [0.0, 0.0], [8.0, -8.0]])
-        assert policy.exit_fraction(logits) == pytest.approx(2 / 3)
-
-    def test_measured_exit_fractions_monotone(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(0, 2, (200, 4))
-        policies = [ScoreThresholdPolicy(t) for t in (0.3, 0.6, 0.9)]
-        fractions = measured_exit_fractions(logits, policies)
-        assert fractions == sorted(fractions, reverse=True)
-
-    def test_tradeoff_rows(self):
-        rng = np.random.default_rng(1)
-        n = 100
-        targets = rng.integers(0, 3, n)
-        # remote logits: near-perfect; local: noisy
-        remote = np.eye(3)[targets] * 10 + rng.normal(0, 0.1, (n, 3))
-        local = np.eye(3)[targets] * 1 + rng.normal(0, 1.0, (n, 3))
-        rows = accuracy_offload_tradeoff(
-            local, remote, targets,
-            [ScoreThresholdPolicy(t) for t in (0.0, 0.5, 0.9, 1.0)])
-        # threshold 0: everything local (lower accuracy);
-        # threshold 1: everything remote (highest accuracy)
-        assert rows[0]["local_fraction"] == 1.0
-        assert rows[-1]["accuracy"] >= rows[0]["accuracy"]
-
 
 class TestFogPipelineAnalytic:
     def make(self):
@@ -180,17 +151,6 @@ class TestFogPipelineAnalytic:
     def test_item_cost_range_check(self):
         with pytest.raises(ValueError):
             self.make().item_cost(9)
-
-    def test_mean_cost_interpolates(self):
-        pipeline = self.make()
-        all_local = pipeline.mean_cost({1: 1.0})
-        all_server = pipeline.mean_cost({2: 1.0})
-        mixed = pipeline.mean_cost({1: 0.5, 2: 0.5})
-        assert all_local.total_s < mixed.total_s < all_server.total_s
-
-    def test_mean_cost_validates_fractions(self):
-        with pytest.raises(ValueError):
-            self.make().mean_cost({1: 0.4, 2: 0.4})
 
     def test_offload_saves_bytes_into_server_tier(self):
         # The paper's claim: with early exits, only the small feature map

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.fog.policies import ExitPolicy, accuracy_offload_tradeoff
 from repro.nn import functional as F
-from repro.nn.inference import eval_mode
 from repro.nn.models import (
     Autoencoder,
     CCA,
     EarlyExitNetwork,
-    InceptionModule,
     LSTMClassifier,
-    MiniInceptionNet,
     MultimodalAutoencoder,
     ResNetBlock,
     SimpleCNN,
@@ -137,32 +133,10 @@ class TestSmallResNet:
         assert F.accuracy(model(Tensor(x)), y) >= 0.9
 
 
-class TestInception:
-    def test_module_concatenates_branches(self):
-        module = InceptionModule(8, 4, 4, 8, 2, 4, 4)
-        out = module(Tensor(np.zeros((2, 8, 6, 6))))
-        assert out.shape == (2, module.out_channels, 6, 6)
-        assert module.out_channels == 4 + 8 + 4 + 4
-
-    def test_net_forward(self):
-        model = MiniInceptionNet(1, num_classes=4)
-        assert model(Tensor(np.zeros((2, 1, 8, 8)))).shape == (2, 4)
-
-    def test_module_flops(self):
-        module = InceptionModule(8, 4, 4, 8, 2, 4, 4)
-        flops, shape = module.estimate_flops((8, 6, 6))
-        assert flops > 0
-        assert shape == (module.out_channels, 6, 6)
-
-
 class TestLSTMClassifier:
     def test_forward_shape(self):
         model = LSTMClassifier(4, 8, num_classes=3)
         assert model(Tensor(np.zeros((2, 6, 4)))).shape == (2, 3)
-
-    def test_hidden_sequence_shape(self):
-        model = LSTMClassifier(4, 8, num_classes=3, num_layers=2)
-        assert model.hidden_sequence(Tensor(np.zeros((2, 6, 4)))).shape == (2, 6, 8)
 
     def test_learns_temporal_pattern(self):
         # class = whether the sequence is increasing or decreasing
@@ -274,24 +248,6 @@ class TestEarlyExitNetwork:
                                       confidence=entropy_confidence)
         assert len(decisions) == 6
         assert (decisions.confidence <= 0).all()
-
-    def test_sweep_local_fraction_monotone_in_threshold(self):
-        model = _build_earlyexit()
-        x, y = _earlyexit_data(20)
-        with eval_mode(model), nn.no_grad():
-            local, remote = model(Tensor(x))
-        rows = accuracy_offload_tradeoff(
-            local.data, remote.data, y,
-            [ExitPolicy(t, score_confidence) for t in (0.0, 0.5, 0.9, 1.01)])
-        fractions = [r["local_fraction"] for r in rows]
-        assert fractions == sorted(fractions, reverse=True)
-        assert fractions[0] == 1.0
-        assert fractions[-1] == 0.0
-        # One pass over both exits and the per-threshold served path agree.
-        for row in rows:
-            served = model.infer_batch(Tensor(x), row["threshold"])
-            assert served.local_fraction == row["local_fraction"]
-            assert float((served.predictions == y).mean()) == row["accuracy"]
 
 
 class TestAutoencoder:

@@ -224,25 +224,6 @@ class TestLSTM:
         assert not np.allclose(fwd, rev)
 
 
-class TestEmbedding:
-    def test_lookup_shape(self):
-        emb = nn.Embedding(10, 4)
-        out = emb(np.array([1, 5, 5]))
-        assert out.shape == (3, 4)
-
-    def test_out_of_range_rejected(self):
-        emb = nn.Embedding(10, 4)
-        with pytest.raises(ValueError):
-            emb(np.array([10]))
-
-    def test_gradient_accumulates_on_repeated_index(self):
-        emb = nn.Embedding(5, 2)
-        out = emb(np.array([1, 1]))
-        out.sum().backward()
-        np.testing.assert_allclose(emb.weight.grad[1], [2.0, 2.0])
-        np.testing.assert_allclose(emb.weight.grad[0], [0.0, 0.0])
-
-
 class TestEndToEndTraining:
     def test_mlp_learns_xor(self):
         rng = np.random.default_rng(0)

@@ -1,11 +1,10 @@
-"""Tests for optimizers, schedulers, datasets, loaders and trainers."""
+"""Tests for optimizers, datasets, loaders and trainers."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
 
 
 def quadratic_param(start=5.0):
@@ -96,21 +95,6 @@ class TestGradClipping:
         np.testing.assert_allclose(p.grad, grad_before)
 
 
-class TestStepLR:
-    def test_decays_on_schedule(self):
-        p = quadratic_param()
-        opt = nn.SGD([p], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_validates_step_size(self):
-        with pytest.raises(ValueError):
-            nn.StepLR(nn.SGD([quadratic_param()], lr=1.0), step_size=0)
-
-
 class TestArrayDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -165,41 +149,6 @@ class TestDataLoader:
         ds = nn.ArrayDataset(np.zeros((4, 1)), np.zeros(4))
         with pytest.raises(ValueError):
             nn.DataLoader(ds, batch_size=0)
-
-
-class TestTrainingLoops:
-    def _toy_problem(self, n=60, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(0, 1, (n, 2))
-        y = (x[:, 0] + x[:, 1] > 0).astype(int)
-        return nn.ArrayDataset(x, y)
-
-    def test_train_epoch_reduces_loss(self):
-        ds = self._toy_problem()
-        model = nn.Sequential(nn.Linear(2, 8, rng=np.random.default_rng(1)),
-                              nn.ReLU(), nn.Linear(8, 2))
-        loader = nn.DataLoader(ds, batch_size=16, shuffle=True)
-        opt = nn.Adam(model.parameters(), lr=0.05)
-        first = nn.train_epoch(model, loader, opt, F.cross_entropy)
-        for _ in range(10):
-            last = nn.train_epoch(model, loader, opt, F.cross_entropy)
-        assert last < first
-
-    def test_evaluate_reports_accuracy(self):
-        ds = self._toy_problem()
-        model = nn.Sequential(nn.Linear(2, 8), nn.ReLU(), nn.Linear(8, 2))
-        loader = nn.DataLoader(ds, batch_size=16)
-        opt = nn.Adam(model.parameters(), lr=0.05)
-        for _ in range(15):
-            nn.train_epoch(model, loader, opt, F.cross_entropy)
-        acc = nn.evaluate(model, loader, F.accuracy)
-        assert acc > 0.9
-
-    def test_evaluate_restores_training_mode(self):
-        ds = self._toy_problem(n=8)
-        model = nn.Sequential(nn.Linear(2, 2), nn.Dropout(0.5))
-        nn.evaluate(model, nn.DataLoader(ds, batch_size=4), F.accuracy)
-        assert model.training
 
 
 class TestDataParallelTrainer:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, concatenate, stack, where, zeros, ones
+from repro.nn.tensor import Tensor, concatenate, stack, zeros, ones
 from tests.nn.gradcheck import check_grad
 
 
@@ -228,17 +228,6 @@ class TestShapeGradients:
         expected[2] = 2 * 2 * value[2]  # selected twice -> grads accumulate
         np.testing.assert_allclose(x.grad, expected)
 
-    def test_pad2d(self):
-        check_grad(lambda x: (x.pad2d(1) ** 2).sum(), (1, 2, 3, 3))
-
-    def test_pad2d_zero_is_identity(self):
-        x = Tensor(np.ones((1, 1, 2, 2)))
-        assert x.pad2d(0) is x
-
-    def test_pad2d_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Tensor(np.ones((1, 1, 2, 2))).pad2d(-1)
-
 
 class TestCombinators:
     def test_concatenate_gradients(self):
@@ -258,14 +247,6 @@ class TestCombinators:
         (out[0] * 5).sum().backward()
         np.testing.assert_allclose(a.grad, [5.0, 5.0, 5.0])
         np.testing.assert_allclose(b.grad, [0.0, 0.0, 0.0])
-
-    def test_where_gradients(self):
-        cond = np.array([True, False, True])
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        where(cond, a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
 
 
 class TestGraphStructure:

@@ -554,7 +554,7 @@ class BrokerAgainstReference(RuleBasedStateMachine):
             == [len(reference.logs[p]) for p in every]
         assert [broker.end_offset("events", p) for p in every] \
             == reference.ends
-        assert [broker.begin_offset("events", p) for p in every] \
+        assert [broker._partition("events", p).base_offset for p in every] \
             == [reference.logs[p][0][1] if reference.logs[p]
                 else reference.ends[p] for p in every]
         assert [self.consumer.position("events", p) for p in every] \

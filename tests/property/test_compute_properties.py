@@ -142,11 +142,3 @@ def test_triangle_count_matches_networkx(seed):
     nx_graph.add_nodes_from(graph.vertices)
     expected = sum(nx.triangles(nx_graph).values()) // 3
     assert graph.triangle_count() == expected
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 7), st.integers(0, 7))
-def test_shortest_path_symmetric(seed, a, b):
-    graph = random_graph(seed)
-    assert (graph.shortest_path_length(a, b)
-            == graph.shortest_path_length(b, a))

@@ -86,16 +86,6 @@ def test_entropy_bounds(logits):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 8), st.integers(1, 20))
-def test_one_hot_argmax_roundtrip(num_classes, n):
-    rng = np.random.default_rng(n)
-    indices = rng.integers(0, num_classes, n)
-    encoded = F.one_hot(indices, num_classes)
-    np.testing.assert_array_equal(encoded.argmax(axis=1), indices)
-    np.testing.assert_allclose(encoded.sum(axis=1), 1.0)
-
-
-@settings(max_examples=30, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 5)),
                   elements=SMALL_FLOATS))
 def test_cross_entropy_at_least_log_prob_of_truth(logits):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.cluster import Environment, NetworkTopology, Tier
 from repro.fog import (
     FogPipeline,
-    ScoreThresholdPolicy,
     model_split_from_early_exit,
     place_bottom_up,
 )
@@ -89,18 +88,6 @@ def test_fog_deeper_resolution_never_cheaper(local_flops, remote_flops,
     costs = [pipeline.item_cost(stage).total_s
              for stage in range(len(stages))]
     assert costs == sorted(costs)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.floats(-5, 5, allow_nan=False),
-                          st.floats(-5, 5, allow_nan=False)),
-                min_size=1, max_size=20))
-def test_exit_fraction_monotone_in_threshold(logit_pairs):
-    logits = np.array(logit_pairs)
-    thresholds = [0.5, 0.7, 0.9, 1.0]
-    fractions = [ScoreThresholdPolicy(t).exit_fraction(logits)
-                 for t in thresholds]
-    assert fractions == sorted(fractions, reverse=True)
 
 
 @settings(max_examples=15, deadline=None)

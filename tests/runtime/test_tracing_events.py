@@ -5,6 +5,7 @@ call site records virtual-clock timestamps while a DES environment is
 bound and wall-clock timestamps otherwise.
 """
 
+import asyncio
 import gc
 
 import pytest
@@ -57,6 +58,29 @@ class TestSpans:
         env.run()
         assert runtime.tracer.total_duration("slow") == pytest.approx(2.0)
         assert runtime.tracer.total_duration("fast") == pytest.approx(0.5)
+
+    def test_interleaved_requests_build_separate_trees(self):
+        """Two requests taking turns on one event loop never adopt each
+        other's spans: the open-span stack is per asyncio task."""
+        runtime = Runtime()
+
+        async def request(name):
+            with runtime.tracer.span("request", req=name):
+                await asyncio.sleep(0)
+                with runtime.tracer.span("stage", req=name):
+                    await asyncio.sleep(0)
+
+        async def both():
+            await asyncio.gather(request("a"), request("b"))
+
+        asyncio.run(both())
+        forest = runtime.tracer.span_tree()
+        assert sorted(node["labels"]["req"] for node in forest) == ["a", "b"]
+        for node in forest:
+            assert node["name"] == "request"
+            assert [(child["name"], child["labels"]["req"], child["children"])
+                    for child in node["children"]] == [
+                ("stage", node["labels"]["req"], [])]
 
     def test_same_call_site_both_clocks(self):
         """No call-site change needed to switch clock domains."""

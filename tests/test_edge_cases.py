@@ -4,25 +4,10 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.compute import SparkContext
 from repro.dfs import DistributedFileSystem
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.nosql import Collection, HTable
-
-
-class TestRDDLineage:
-    def test_debug_string_mentions_transformations(self):
-        rdd = (SparkContext().parallelize(range(4))
-               .map(lambda x: x).filter(lambda x: True))
-        text = rdd.debug_string()
-        assert "map" in text and "filter" in text
-        assert "(4)" in text
-
-    def test_debug_string_shows_cache_flag(self):
-        rdd = SparkContext().parallelize([1]).cache()
-        assert "cached" in rdd.debug_string()
-        assert "cached" not in SparkContext().parallelize([1]).debug_string()
 
 
 class TestNNEdgeCases:

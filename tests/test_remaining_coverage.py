@@ -141,11 +141,6 @@ class TestMiscLayers:
         assert len(model) == 2
         assert isinstance(list(model)[0], nn.ReLU)
 
-    def test_embedding_empty_batch(self):
-        emb = nn.Embedding(5, 3)
-        out = emb(np.array([], dtype=int))
-        assert out.shape == (0, 3)
-
 
 class TestTensorMatmulCorners:
     def test_vector_vector_dot(self):
