@@ -28,10 +28,6 @@ FIGURE_TESTS = sorted(
 
 #: tables left out of the ledger: no stable rendering
 UNSTABLE = {
-    "Fig. 2 — DOTD camera coverage":
-        "its GeoJSON byte count follows the camera coordinates, which "
-        "data.cameras derives from hash(highway), so PYTHONHASHSEED moves "
-        "them",
     "Fig. 4 — pipeline stages (one pass)":
         "its records_per_s column is wall-clock throughput",
 }

@@ -83,9 +83,8 @@ class SparkContext:
         n = self.default_parallelism if num_partitions is None else num_partitions
         if n < 1:
             raise ValueError(f"num_partitions must be >= 1: {n}")
-        chunks: List[List] = [[] for _ in range(n)]
-        for index, item in enumerate(items):
-            chunks[index % n].append(item)
+        # Item i goes to partition i % n: partition p is a strided slice.
+        chunks = [items[index::n] for index in range(n)]
         return RDD(self, lambda i: iter(chunks[i]), n, name="parallelize")
 
     def text_file(self, dfs, path: str,
@@ -198,21 +197,32 @@ class RDD:
                    name=f"{self.name}.sample")
 
     # -- shuffles (wide transformations) -------------------------------------------
-    def _shuffle_by_key(self, num_partitions: Optional[int] = None
+    def _shuffle_by_key(self, num_partitions: Optional[int] = None,
+                        combine: Optional[Callable] = None
                         ) -> List[List[Tuple]]:
         """Materialize and hash-partition (key, value) records.
 
         Partitions are read in order, so each bucket holds its records in
         partition order and every downstream reduce folds them in that
         order.  A key's bucket (:func:`_partition_of`) is computed once
-        per distinct key.
+        per distinct key.  With ``combine``, each partition is first
+        folded per key, left to right, as Spark's map-side combine does:
+        a bucket then holds one partial per (key, partition), keys in
+        first-seen order.
         """
         self.context._record_shuffle()
         n = num_partitions or self.num_partitions
         buckets: List[List[Tuple]] = [[] for _ in range(n)]
         bucket_of: Dict[Any, List[Tuple]] = {}
         for index in range(self.num_partitions):
-            for key, value in self._iter_partition(index):
+            records = self._iter_partition(index)
+            if combine is not None:
+                partials: Dict = {}
+                for key, value in records:
+                    partials[key] = (combine(partials[key], value)
+                                     if key in partials else value)
+                records = partials.items()
+            for key, value in records:
                 bucket = bucket_of.get(key)
                 if bucket is None:
                     bucket = bucket_of[key] = buckets[_partition_of(key, n)]
@@ -221,7 +231,7 @@ class RDD:
 
     def reduceByKey(self, fn: Callable,
                     num_partitions: Optional[int] = None) -> "RDD":
-        buckets = self._shuffle_by_key(num_partitions)
+        buckets = self._shuffle_by_key(num_partitions, combine=fn)
         reduced: List[List[Tuple]] = []
         for bucket in buckets:
             acc: Dict = {}

@@ -162,8 +162,9 @@ class CyberInfrastructure:
         commit drain them.  A bounded topic gets one transaction per
         cycle, so it backpressures the Flume channel (and through it the
         source) instead of overflowing.  A Spark job then aggregates
-        all stored records by ``analysis_field``; the result is rendered
-        to a bar-chart SVG (the web layer's input).
+        all stored records by ``analysis_field``, read from the stored
+        documents in place; the result is rendered to a bar-chart SVG
+        (the web layer's input).
         """
         if not self._sources:
             raise RuntimeError("no sources registered")
@@ -176,12 +177,9 @@ class CyberInfrastructure:
                 name, records, coll)
             report.records_stored[name] = len(coll) - before
         # Analysis: district-level counts across all stored collections.
-        rows = []
-        for name in self._sources:
-            for document in self.collection(name).find({}):
-                value = document.get(analysis_field)
-                if value is not None:
-                    rows.append((value, 1))
+        rows = [(value, 1) for name in self._sources
+                for document in self.collection(name)
+                if (value := document.get(analysis_field)) is not None]
         counts = dict(
             self.spark.parallelize(rows).reduceByKey(lambda a, b: a + b)
             .collect()) if rows else {}

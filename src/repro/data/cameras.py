@@ -9,6 +9,7 @@ segments near each city, with per-camera stream parameters.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -141,7 +142,9 @@ def build_dotd_registry(seed: int = 0,
             highway = city.interstates[index % len(city.interstates)]
             # Place along a rough line through the city with jitter.
             t = (index / max(count - 1, 1)) - 0.5
-            angle = (hash(highway) % 180) * math.pi / 180.0
+            # A keyed digest, not hash(): str hashes are salted per
+            # process, which would move every camera with PYTHONHASHSEED.
+            angle = (zlib.crc32(highway.encode()) % 180) * math.pi / 180.0
             lat = city.lat + 0.2 * t * math.sin(angle) + rng.normal(0, 0.01)
             lon = city.lon + 0.2 * t * math.cos(angle) + rng.normal(0, 0.01)
             cameras.append(Camera(

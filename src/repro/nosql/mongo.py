@@ -127,6 +127,15 @@ class Collection:
     def __len__(self) -> int:
         return len(self._documents)
 
+    def __iter__(self) -> Iterator[Dict]:
+        """The stored documents in insertion order, read in place.
+
+        No copies: a whole-collection scan that only reads fields costs
+        no per-document ``dict`` (``find`` returns copies); callers must
+        not mutate what they get.
+        """
+        return iter(self._documents.values())
+
     # -- indexes ---------------------------------------------------------------
     def create_index(self, field: str) -> None:
         """Hash index on ``field`` for exact-match acceleration."""
@@ -178,7 +187,6 @@ class Collection:
         """
         documents = list(documents)
         stored_documents = self._documents
-        ids: List[Any] = []
         given: set = set()
         for document in documents:
             if not isinstance(document, dict):
@@ -189,18 +197,21 @@ class Collection:
                 if doc_id in stored_documents or doc_id in given:
                     raise MongoError(f"duplicate _id: {doc_id}")
                 given.add(doc_id)
-            ids.append(doc_id)
         indexed = bool(self._hash_indexes or self._geo_indexes)
         counter = self._counter
-        for position, document in enumerate(documents):
-            stored = dict(document)
-            doc_id = ids[position]
+        ids: List[Any] = []
+        for document in documents:
+            doc_id = document.get("_id")
             if doc_id is None:
-                doc_id = ids[position] = next(counter)
+                doc_id = next(counter)
+            # a plain dict whatever the input's type, like dict(document),
+            # without the type call's argument handling
+            stored = dict.copy(document)
             stored["_id"] = doc_id
             stored_documents[doc_id] = stored
             if indexed:
                 self._index_insert(doc_id, stored)
+            ids.append(doc_id)
         return ids
 
     def update(self, query: Dict, update: Dict) -> int:

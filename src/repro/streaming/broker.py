@@ -668,17 +668,27 @@ class Broker:
         telemetry = self._topic_telemetry(topic)
         parts = t.partitions
         width = len(parts)
-        keys: List[Optional[str]] = (
-            [None] * len(values) if key_fn is None
-            else list(map(key_fn, values)))
-        plan = t.plan_partitions(keys)
+        n = len(values)
+        keys: List[Optional[str]]
+        if key_fn is None:
+            # Round-robin row i goes to (cursor + i) % width: one rotation
+            # of the partitions, repeated and cut to the batch.
+            start = t._round_robin % width
+            rotation = [*range(start, width), *range(start)]
+            plan = (rotation * -(-n // width))[:n]
+            keys = [None] * n
+            unkeyed = n
+        else:
+            keys = list(map(key_fn, values))
+            plan = t.plan_partitions(keys)
+            unkeyed = keys.count(None)
         kept = self._admit(t, plan)
-        t._round_robin += keys.count(None)
+        t._round_robin += unkeyed
         if kept is not None:
             plan = [plan[index] for index in kept]
             keys = [keys[index] for index in kept]
             values = [values[index] for index in kept]
-        n = len(values)
+            n = len(values)
         # Record timestamps: sim time when bound, else one logical tick
         # per appended record.
         if self.runtime.clock_kind == "sim":
@@ -713,14 +723,15 @@ class Broker:
                                in zip(lane_offsets, lane_values)]
             _put(offsets, rows, lane_offsets)
             part.offsets.extend(lane_offsets)
-            part.keys.extend(_take(keys, rows))
+            part.keys.extend([None] * len(lane_values) if key_fn is None
+                             else _take(keys, rows))
             part.values.extend(lane_values)
             part.timestamps.extend(_take(stamps, rows))
             part.end_offset = lane_offsets.stop
         self._apply_size_retention(t)
         if n:
             telemetry.produced.inc(n)
-            telemetry.depth.set(self.topic_size(topic))
+            telemetry.depth.set(sum([len(part.offsets) for part in parts]))
         telemetry.produce_latency.observe(self.runtime.now() - started)
         return RecordBatch(topic, plan, offsets, keys, values, stamps)
 

@@ -101,6 +101,48 @@ class TestWideTransformations:
         rdd.collect()
         assert context.shuffle_count == 1
 
+    def test_reduce_by_key_combines_each_partition_before_the_shuffle(self):
+        # 4 partitions of 25 ("k", 1) rows: 24 map-side folds each, then
+        # the reduce side folds the four 25-row partials, as Spark's
+        # combiner does (without it every fold would take a raw 1)
+        right_operands = []
+
+        def add(a, b):
+            right_operands.append(b)
+            return a + b
+
+        out = sc().parallelize([("k", 1)] * 100, 4).reduceByKey(add).collect()
+        assert out == [("k", 100)]
+        assert len(right_operands) == 99
+        assert [b for b in right_operands if b != 1] == [25, 25, 25]
+
+    def test_reduce_by_key_keeps_fold_and_key_order(self):
+        # associative but not commutative: each key folds its values in
+        # partition order, and keys come out in first-seen order per bucket
+        items = [("a", "0"), ("b", "1"), ("a", "2"), ("a", "3"), ("b", "4"),
+                 ("a", "5"), ("a", "6"), (7, "7"), (7, "8"), ("b", "9")]
+        concat = sc().parallelize(items, 2).reduceByKey(lambda a, b: a + b)
+        assert concat.collect() == [("a", "02635"), ("b", "419"), (7, "87")]
+        lists = sc().parallelize([(k, [v]) for k, v in items], 3) \
+            .reduceByKey(lambda a, b: a + b)
+        assert lists.collect() == [("b", ["9", "1", "4"]), (7, ["7", "8"]),
+                                   ("a", ["0", "3", "6", "2", "5"])]
+
+    def test_reduce_by_key_counts_partitions_once(self):
+        context = sc()
+        context.parallelize([("a", 1), ("b", 1)] * 6, 3) \
+            .reduceByKey(lambda a, b: a + b).collect()
+        assert context.shuffle_count == 1
+        # the shuffle reads the three parent partitions once each, and
+        # collect reads the three reduced ones
+        assert context.partitions_computed == 3 + 3
+
+    def test_distinct_keeps_first_seen_keys(self):
+        mixed = sc().parallelize(["x", 3, "y", 1, 3, "x", 2.0, 1, "z", 2], 3)
+        assert mixed.distinct().collect() == [3, "y", "z", "x", 1, 2.0]
+        equal = sc().parallelize([1, True, 1.0, 2, 2.0], 2).distinct()
+        assert equal.collect() == [2.0, 1]
+
     def test_group_by_key(self):
         pairs = [("a", 1), ("a", 2), ("b", 3)]
         out = dict(sc().parallelize(pairs).groupByKey().collect())

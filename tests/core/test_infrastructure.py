@@ -1,6 +1,7 @@
 """Tests for the assembled cyberinfrastructure (Figs. 1 and 4)."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nosql import Collection, MongoError
 from repro.runtime import Runtime, using_runtime
 from repro.streaming import Consumer, FlumeAgent
+from repro.viz.exporters import bar_chart_svg
 
 
 def small_infra():
@@ -122,6 +124,26 @@ class TestCollectionPipeline:
         report = infra.run_collection_pipeline()
         assert report.viz_bytes > 0
         assert infra.last_visualization.startswith("<svg")
+
+    def test_analysis_reads_stored_documents_in_place(self, monkeypatch):
+        # the aggregation reads the stored documents, not find()'s copies;
+        # the chart must still be the per-district count of every record
+        infra, _ = self.build()
+        expected = infra.run_collection_pipeline(analysis_field="district")
+        expected_chart = infra.last_visualization
+        infra, crime_records = self.build()
+
+        def copies(*_, **__):
+            raise AssertionError("the analysis copied the collection")
+
+        monkeypatch.setattr(Collection, "find", copies)
+        report = infra.run_collection_pipeline(analysis_field="district")
+        assert report == expected
+        assert infra.last_visualization == expected_chart
+        counts = Counter(record["district"] for record in crime_records)
+        assert expected_chart == bar_chart_svg(
+            {str(k): float(v) for k, v in sorted(counts.items())},
+            title="records by district")
 
     def test_pipeline_idempotent_topics(self):
         infra, _ = self.build()

@@ -1,8 +1,14 @@
 """Tests for the camera registry and the procedural video generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import (
     ActionClipGenerator,
     Camera,
@@ -33,6 +39,21 @@ class TestCameraRegistry:
         b = build_dotd_registry(seed=3)
         assert [c.camera_id for c in a] == [c.camera_id for c in b]
         assert [c.lat for c in a] == [c.lat for c in b]
+
+    def test_coordinates_ignore_hash_seed(self):
+        # str hashes are salted per process: camera placement must not
+        # follow PYTHONHASHSEED, or Fig. 2's GeoJSON moves between runs
+        job = ("from repro.data import build_dotd_registry\n"
+               "print([(c.camera_id, c.lat, c.lon)"
+               " for c in build_dotd_registry(seed=0)])\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", job], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert len(outputs) == 1
 
     def test_custom_counts(self):
         registry = build_dotd_registry(

@@ -342,6 +342,23 @@ class TestStridedRoundRobin:
                 reference.produce([(None, value)])
         assert log_state(broker, self.WIDTH) == reference_state(reference)
 
+    def test_keyless_plan_by_arithmetic_matches_per_record_produce(self):
+        # the keyless plan is one rotation from the cursor, repeated and
+        # cut to the batch: sizes below, at and across the width, and
+        # Flume's 25-record transactions, each starting where the last
+        # one left the cursor
+        broker, reference = self.pair()
+        single = make_broker(self.WIDTH)
+        for size in (1, 3, 4, 5, 25, 27):
+            values = [f"s{size}-{i}" for i in range(size)]
+            expected = [row for value in values
+                        for row in reference.produce([(None, value)])]
+            assert as_rows(broker.produce_batch("events", values)) == expected
+            assert as_rows(single.produce("events", value)
+                           for value in values) == expected
+        assert log_state(broker, self.WIDTH) == reference_state(reference)
+        assert log_state(single, self.WIDTH) == reference_state(reference)
+
     def test_bounded_drop_takes_the_per_row_branch(self):
         # after drops the surviving rows are no longer a stride: each
         # partition takes an index list instead of a slice
