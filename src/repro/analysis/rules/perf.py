@@ -49,9 +49,9 @@ class HardcodedFloat64Rule(Rule):
     """PERF401: no hard-coded float64 casts outside the dtype policy homes.
 
     ``np.asarray(x, dtype=np.float64)`` and ``x.astype(np.float64)``
-    override the configured dtype and upcast float32 inference data back
+    override the dtype policy and upcast float32 inference data back
     to float64.  Use :func:`repro.nn.dtypes.ensure_float` (respects the
-    default-dtype policy and preserves float32/float64 inputs) or cast to
+    dtype policy and preserves float32/float64 inputs) or cast to
     the companion array's ``.dtype`` instead.
     """
 

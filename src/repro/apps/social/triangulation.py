@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.apps.social.network import SocialNetworkAnalysis
-from repro.compute.mllib import tokenize
+from repro.data.collector import GeoSubscription, KeywordSubscription
 from repro.data.social import Tweet
 
 #: Vocabulary investigators watch for (matches the generator's incident pool).
@@ -59,10 +57,10 @@ class MultimodalTriangulation:
                  keywords: Sequence[str] = INCIDENT_KEYWORDS):
         self.analysis = analysis
         self.keywords = [k.lower() for k in keywords]
-        self._keyword_set = set(self.keywords)
-
-    def _text_matches(self, tweet: Tweet) -> bool:
-        return bool(self._keyword_set & set(tokenize(tweet.text)))
+        # the collector's own match rules (Sec. II-A-2): whole tokens, and
+        # a closed circle around the incident
+        self._text = KeywordSubscription("incident-text",
+                                         tuple(self.keywords))
 
     def investigate(self, anchor: str, incident_location: Tuple[float, float],
                     incident_time: float, tweets: Sequence[Tweet],
@@ -80,25 +78,17 @@ class MultimodalTriangulation:
                 by_user.setdefault(tweet.user_id, []).append(tweet)
 
         with_tweets = set(by_user)
+        near = GeoSubscription("incident-location", tuple(incident_location),
+                               geo_radius)
         text_hits = {user for user, user_tweets in by_user.items()
-                     if any(self._text_matches(t) for t in user_tweets)}
-        geo_hits = set()
-        for user in text_hits:
-            for tweet in by_user[user]:
-                if not self._text_matches(tweet):
-                    continue
-                distance = np.hypot(tweet.location[0] - incident_location[0],
-                                    tweet.location[1] - incident_location[1])
-                if distance <= geo_radius:
-                    geo_hits.add(user)
-                    break
-        time_hits = set()
-        for user in geo_hits:
-            for tweet in by_user[user]:
-                if (self._text_matches(tweet)
-                        and abs(tweet.time - incident_time) <= time_window):
-                    time_hits.add(user)
-                    break
+                     if any(map(self._text.matches, user_tweets))}
+        geo_hits = {user for user in text_hits
+                    if any(self._text.matches(t) and near.matches(t)
+                           for t in by_user[user])}
+        time_hits = {user for user in geo_hits
+                     if any(self._text.matches(t)
+                            and abs(t.time - incident_time) <= time_window
+                            for t in by_user[user])}
         return TriangulationReport(
             anchor=anchor,
             field_size=len(field_members),

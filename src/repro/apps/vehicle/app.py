@@ -52,7 +52,7 @@ class VehicleDetectionApp:
 
     Parameters are laptop-scale by default; the paper-scale configuration
     (400 classes, 32k images) is exercised by benchmark E10 through
-    :meth:`build_classification_dataset`.
+    :meth:`repro.data.video.SceneGenerator.classification_dataset`.
     """
 
     def __init__(self, num_classes: int = 6, image_size: int = 16,
@@ -74,10 +74,6 @@ class VehicleDetectionApp:
     def build_detection_dataset(self, num_scenes: int,
                                 vehicles_per_scene: int = 1):
         return self.scenes.generate_batch(num_scenes, vehicles_per_scene)
-
-    def build_classification_dataset(self, num_images: int):
-        """Single-vehicle crops + labels (the Sec. IV-A-1 dataset shape)."""
-        return self.scenes.classification_dataset(num_images)
 
     # -- training -------------------------------------------------------------
     def train(self, num_scenes: int = 48, epochs: int = 25,

@@ -10,7 +10,7 @@ cost ``latency + size / bandwidth``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
@@ -45,14 +45,6 @@ UPLINK_DEFAULTS: Dict[Tier, Dict[str, float]] = {
 _TIER_ORDER = [Tier.EDGE, Tier.FOG, Tier.SERVER, Tier.CLOUD]
 
 
-def next_tier_up(tier: Tier) -> Optional[Tier]:
-    """The tier one hop upstream of ``tier`` (None for the cloud)."""
-    index = _TIER_ORDER.index(tier)
-    if index + 1 >= len(_TIER_ORDER):
-        return None
-    return _TIER_ORDER[index + 1]
-
-
 @dataclass
 class Machine:
     """A simulated machine with a compute rate and capacity budget."""
@@ -63,7 +55,6 @@ class Machine:
     memory_bytes: float = 0.0
     storage_bytes: float = 0.0
     alive: bool = True
-    busy_seconds: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
         defaults = TIER_DEFAULTS[self.tier]
@@ -73,14 +64,6 @@ class Machine:
             self.memory_bytes = defaults["memory_bytes"]
         if self.storage_bytes <= 0:
             self.storage_bytes = defaults["storage_bytes"]
-
-    def compute_time(self, flop_count: float) -> float:
-        """Seconds to execute ``flop_count`` floating-point operations."""
-        if flop_count < 0:
-            raise ValueError(f"negative flop count: {flop_count}")
-        seconds = flop_count / self.flops
-        self.busy_seconds += seconds
-        return seconds
 
 
 @dataclass(frozen=True)
@@ -217,14 +200,8 @@ class NetworkTopology:
         except KeyError:
             raise KeyError(f"no link {src} -> {dst}") from None
 
-    def links(self) -> List[Link]:
-        return list(self._links.values())
-
     def parent_of(self, name: str) -> Optional[str]:
         return self._parent.get(name)
-
-    def children_of(self, name: str) -> List[str]:
-        return [child for child, parent in self._parent.items() if parent == name]
 
     def uplink_path(self, src: str) -> Iterator[Link]:
         """Yield the chain of uplinks from ``src`` to the root of its tree."""

@@ -64,12 +64,6 @@ class CapacityPlanner:
             return float("inf")
         return storage_bytes / rate
 
-    def raw_storage_for_retention(self, seconds: float) -> float:
-        """Buffer size needed to hold ``seconds`` of raw video."""
-        if seconds < 0:
-            raise ValueError(f"negative retention: {seconds}")
-        return seconds * self.raw_bytes_per_second
-
     # -- annotated (long-term) tier ---------------------------------------------
     @property
     def annotation_bytes_per_second(self) -> float:

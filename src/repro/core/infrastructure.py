@@ -19,15 +19,14 @@ visualization payload, returning per-stage record counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cluster.machines import NetworkTopology, Tier
 from repro.compute.rdd import SparkContext
 from repro.compute.yarn import NodeManager, ResourceManager
 from repro.dfs import DistributedFileSystem
-from repro.nosql import DocumentStore, HTable
+from repro.nosql import DocumentStore
 from repro.streaming import (
     BACKPRESSURE_POLICIES,
     Broker,
@@ -36,7 +35,7 @@ from repro.streaming import (
     FunctionSource,
     broker_sink,
 )
-from repro.viz.exporters import bar_chart_svg, timeseries_json
+from repro.viz.exporters import bar_chart_svg
 
 
 @dataclass
@@ -115,19 +114,12 @@ class CyberInfrastructure:
             cfg.datanodes, replication=cfg.dfs_replication,
             block_size=cfg.dfs_block_size)
         self.documents = DocumentStore("smartcity")
-        self._htables: Dict[str, HTable] = {}
         # Software layer: streaming + compute.
         self.bus = Broker()
         self.spark = SparkContext(default_parallelism=4)
         self._sources: Dict[str, Callable[[], Iterable[Dict]]] = {}
 
     # -- storage helpers ---------------------------------------------------------
-    def htable(self, name: str, families: Sequence[str] = ("d",)) -> HTable:
-        """Get or create a wide-column table backed by the DFS."""
-        if name not in self._htables:
-            self._htables[name] = HTable(name, self.dfs, families=families)
-        return self._htables[name]
-
     def collection(self, name: str):
         return self.documents.collection(name)
 
@@ -309,7 +301,9 @@ class CyberInfrastructure:
             "software": {
                 "dfs_datanodes": len(self.dfs.datanodes),
                 "dfs_replication": self.dfs.namenode.replication,
-                "htables": sorted(self._htables),
+                # an ``HTable`` is built on ``self.dfs`` by its user; no
+                # pipeline stage here owns one
+                "htables": [],
                 "collections": self.documents.collection_names(),
                 "bus_topics": self.bus.topic_names(),
             },

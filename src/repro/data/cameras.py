@@ -13,8 +13,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.runtime.core import get_runtime
 
 
@@ -94,12 +92,6 @@ class CameraRegistry:
             if camera.camera_id == camera_id:
                 return camera
         raise KeyError(f"unknown camera: {camera_id}")
-
-    def nearest(self, lat: float, lon: float) -> Camera:
-        if not self._cameras:
-            raise ValueError("registry is empty")
-        return min(self._cameras,
-                   key=lambda c: (c.lat - lat) ** 2 + (c.lon - lon) ** 2)
 
     def total_ingest_bytes_per_second(self) -> int:
         return sum(c.bytes_per_second for c in self._cameras)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -114,7 +114,8 @@ class Tweet:
 
 
 class TweetGenerator:
-    """Keyword/geo-filtered tweet streams (the Twitter collector role).
+    """Tweet streams (the Twitter API role); filtering them by keyword and
+    location is :class:`repro.data.collector.TweetCollector`'s job.
 
     Ordinary users emit chatter uniformly over the city square [0, 1]^2.
     ``incident_burst`` produces tweets near a given place/time from a given
@@ -167,21 +168,6 @@ class TweetGenerator:
                           float(location[1] + rng.normal(0, geo_spread))),
                 time=float(time + rng.normal(0, time_spread))))
         return tweets
-
-    @staticmethod
-    def keyword_filter(tweets: Sequence[Tweet],
-                       keywords: Sequence[str]) -> List[Tweet]:
-        """Tweets containing any of the keywords (the collection filter)."""
-        lowered = [k.lower() for k in keywords]
-        return [t for t in tweets
-                if any(k in t.text.lower() for k in lowered)]
-
-    @staticmethod
-    def geo_filter(tweets: Sequence[Tweet], center: Tuple[float, float],
-                   radius: float) -> List[Tweet]:
-        return [t for t in tweets
-                if np.hypot(t.location[0] - center[0],
-                            t.location[1] - center[1]) <= radius]
 
 
 class WazeGenerator:

@@ -18,7 +18,6 @@ from repro.fog.policies import ExitPolicy, run_policy_batched
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.models.earlyexit import BatchExitDecisions, EarlyExitNetwork
 from repro.nn.modules import Module
-from repro.nn.serialization import state_from_bytes, state_to_bytes
 from repro.runtime import get_runtime
 
 

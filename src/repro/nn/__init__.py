@@ -12,14 +12,9 @@ Subpackages:
 - :mod:`repro.nn.flops` — static FLOP estimation for fog placement.
 """
 
-from repro.nn.tensor import Tensor, as_tensor, concatenate, stack, zeros, ones
+from repro.nn.tensor import Tensor, as_tensor, concatenate, stack
 from repro.nn import functional
-from repro.nn.dtypes import (
-    default_dtype,
-    ensure_float,
-    get_default_dtype,
-    set_default_dtype,
-)
+from repro.nn.dtypes import ensure_float
 from repro.nn.grad_mode import (
     enable_grad,
     is_grad_enabled,
@@ -27,11 +22,8 @@ from repro.nn.grad_mode import (
     set_grad_enabled,
 )
 from repro.nn.modules import (
-    AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Identity,
@@ -44,8 +36,6 @@ from repro.nn.modules import (
     Parameter,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.inference import (
@@ -56,13 +46,7 @@ from repro.nn.inference import (
 )
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.data import ArrayDataset, DataLoader, DataParallelTrainer
-from repro.nn.serialization import (
-    load_state,
-    save_state,
-    state_from_bytes,
-    state_size_bytes,
-    state_to_bytes,
-)
+from repro.nn.serialization import load_state, save_state
 from repro.nn.flops import activation_size_bytes, estimate_flops
 from repro.nn.plan import InferencePlan, PlanCache, PlanError, capture_plan
 from repro.nn.quantize import (
@@ -75,20 +59,18 @@ from repro.nn.quantize import (
 from repro.nn.distributed import AsyncWorker, ParameterServer, ParameterServerTrainer
 
 __all__ = [
-    "Tensor", "as_tensor", "concatenate", "stack", "zeros", "ones",
+    "Tensor", "as_tensor", "concatenate", "stack",
     "functional",
     "no_grad", "enable_grad", "is_grad_enabled", "set_grad_enabled",
-    "default_dtype", "get_default_dtype", "set_default_dtype", "ensure_float",
+    "ensure_float",
     "fuse_for_inference",
     "batched_forward", "eval_mode", "iter_microbatches", "observe_inference",
     "Module", "Parameter", "Sequential", "Linear", "Conv2d", "BatchNorm2d",
-    "BatchNorm1d", "Dropout", "ReLU", "LeakyReLU", "Tanh", "Sigmoid",
-    "Identity", "Flatten", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "LSTM",
-    "LSTMCell",
+    "ReLU", "LeakyReLU", "Identity", "Flatten", "MaxPool2d", "GlobalAvgPool2d",
+    "LSTM", "LSTMCell",
     "Optimizer", "SGD", "Adam",
     "ArrayDataset", "DataLoader", "DataParallelTrainer",
-    "save_state", "load_state", "state_to_bytes", "state_from_bytes",
-    "state_size_bytes",
+    "save_state", "load_state",
     "estimate_flops", "activation_size_bytes",
     "capture_plan", "InferencePlan", "PlanCache", "PlanError",
     "QuantizedConv2d", "QuantizedLinear", "quantize_for_inference",

@@ -1,20 +1,17 @@
-"""The framework dtype policy: one knob instead of hard-coded float64.
+"""The framework dtype policy: a fixed default, and explicit dtypes win.
 
 Historically :class:`repro.nn.tensor.Tensor` force-cast every input to
 ``float64``, which doubles memory traffic on the inference fast path for no
 accuracy benefit.  This module owns the policy:
 
-- the *default dtype* is what non-float data (ints, bools, Python lists)
+- :data:`DEFAULT_DTYPE` is what non-float data (ints, bools, Python lists)
   is promoted to when it becomes a tensor, and what fresh parameters are
-  initialized as.  It stays ``float64`` out of the box so every training
-  path, optimizer and gradcheck remains byte-for-byte identical;
+  initialized as.  It is ``float64``, so every training path, optimizer
+  and gradcheck stays byte-for-byte identical;
 - float arrays keep their own dtype — a ``float32`` array stays ``float32``
   through the whole op chain, which is what lets
   :func:`repro.nn.fuse.fuse_for_inference` produce genuinely single-precision
-  deployment copies;
-- :func:`default_dtype` scopes a different default (typically ``float32``
-  for building inference-only models) to a block and restores the previous
-  policy on exit.
+  deployment copies; an explicit ``dtype`` argument propagates the same way.
 
 This file is one of the linter's sanctioned homes for explicit float64
 casts (rule PERF401): everything else must preserve input dtype or go
@@ -23,48 +20,14 @@ through :func:`ensure_float`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 DTypeLike = Union[np.dtype, type]
 
-#: dtypes accepted as a framework default
-_ALLOWED = (np.float32, np.float64)
-
-_default_dtype = np.dtype(np.float64)
-
-
-def get_default_dtype() -> np.dtype:
-    """The dtype non-float data is promoted to (float64 unless changed)."""
-    return _default_dtype
-
-
-def set_default_dtype(dtype: DTypeLike) -> np.dtype:
-    """Install a new default dtype; returns the previous one."""
-    global _default_dtype
-    resolved = np.dtype(dtype)
-    if resolved not in [np.dtype(d) for d in _ALLOWED]:
-        raise ValueError(
-            f"default dtype must be float32 or float64, got {resolved}")
-    previous = _default_dtype
-    _default_dtype = resolved
-    return previous
-
-
-@contextmanager
-def default_dtype(dtype: DTypeLike) -> Iterator[np.dtype]:
-    """Scope a default dtype to a block (exception-safe restore)::
-
-        with nn.default_dtype(np.float32):
-            model = SmallResNet(1, 4)     # float32 parameters throughout
-    """
-    previous = set_default_dtype(dtype)
-    try:
-        yield get_default_dtype()
-    finally:
-        set_default_dtype(previous)
+#: the dtype non-float data is promoted to
+DEFAULT_DTYPE = np.dtype(np.float64)
 
 
 def ensure_float(value, dtype: Optional[DTypeLike] = None) -> np.ndarray:
@@ -72,12 +35,12 @@ def ensure_float(value, dtype: Optional[DTypeLike] = None) -> np.ndarray:
 
     With ``dtype`` given, casts to it.  Otherwise float32/float64 arrays
     pass through untouched (no silent upcast — the PERF401 invariant) and
-    anything else (ints, bools, lists, float16) is promoted to the current
-    default dtype.
+    anything else (ints, bools, lists, float16) is promoted to
+    :data:`DEFAULT_DTYPE`.
     """
     if dtype is not None:
         return np.asarray(value, dtype=dtype)
     array = np.asarray(value)
     if array.dtype.kind == "f" and array.dtype.itemsize >= 4:
         return array
-    return array.astype(get_default_dtype())
+    return array.astype(DEFAULT_DTYPE)

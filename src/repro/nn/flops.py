@@ -26,8 +26,8 @@ def estimate_flops(module: M.Module, input_shape: Tuple[int, ...]) -> Tuple[floa
 
     A captured :class:`repro.nn.plan.InferencePlan` is also accepted: the
     plan compiler already summed per-op FLOPs over its exact geometry
-    (including what actually executes — eval-mode Dropout compiles to
-    nothing, fused models have no BatchNorm passes left), so the plan is
+    (including what actually executes — fused models have no BatchNorm
+    passes left, ``Identity`` compiles to nothing), so the plan is
     the ground truth the static estimate is checked against in tests.
     """
     if hasattr(module, "flops_per_item") and hasattr(module, "sample_shape"):
@@ -59,7 +59,7 @@ def estimate_flops(module: M.Module, input_shape: Tuple[int, ...]) -> Tuple[floa
                 f"linear layer expects {module.in_features} features, "
                 f"input shape {input_shape} provides {flattened}")
         return 2.0 * module.in_features * module.out_features, (module.out_features,)
-    if isinstance(module, (M.MaxPool2d, M.AvgPool2d)):
+    if isinstance(module, M.MaxPool2d):
         c, h, w = input_shape
         stride = module.stride or module.kernel_size
         out_h = _conv_out(h, module.kernel_size, stride, 0)
@@ -80,12 +80,7 @@ def estimate_flops(module: M.Module, input_shape: Tuple[int, ...]) -> Tuple[floa
         for dim in input_shape:
             flattened *= dim
         return 0.0, (flattened,)
-    if isinstance(module, M.Dropout):
-        # Inference-time identity: placement decisions price the serving
-        # forward, where dropout executes nothing.  (It used to be counted
-        # like an activation — an over-report pinned by regression test.)
-        return 0.0, input_shape
-    if isinstance(module, (M.ReLU, M.LeakyReLU, M.Tanh, M.Sigmoid)):
+    if isinstance(module, (M.ReLU, M.LeakyReLU)):
         numel = 1
         for dim in input_shape:
             numel *= dim

@@ -203,33 +203,27 @@ def pool_windows(x: np.ndarray, out: np.ndarray, kernel: int,
             for ky in range(kernel) for kx in range(kernel)]
 
 
-def pool_k_major(windows: list, out: np.ndarray, kind: str) -> None:
-    """The inference pooling kernel: K·K shifted-view reductions into ``out``.
+def pool_k_major(windows: list, out: np.ndarray) -> None:
+    """The inference max-pooling kernel: K·K shifted-view maxima into ``out``.
 
     ``windows`` is :func:`pool_windows` over the input, in any memory
     layout: the K·K views are folded into ``out`` in (ky, kx) order with
-    ``np.maximum`` (``kind="max"``) or ``np.add`` followed by one division
-    by K·K (``"avg"``).  Elementwise, so the values do not depend on the
+    ``np.maximum``.  Elementwise, so the values do not depend on the
     layout, nothing is unfolded and nothing is allocated.  Shared by
-    no-grad :func:`max_pool2d` / :func:`avg_pool2d` and plan replay
-    (``repro.nn.plan._PoolOp``).
+    no-grad :func:`max_pool2d` and plan replay (``repro.nn.plan._PoolOp``).
     """
-    fold = np.maximum if kind == "max" else np.add
     np.copyto(out, windows[0])
     for window in windows[1:]:
-        fold(out, window, out=out)
-    if kind == "avg":
-        np.divide(out, len(windows), out=out)
+        np.maximum(out, window, out=out)
 
 
-def _pool2d_inference(x: np.ndarray, kernel: int, stride: int,
-                      kind: str) -> np.ndarray:
-    """No-grad pooling into a fresh array stored like ``x`` is."""
+def _pool2d_inference(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """No-grad max pooling into a fresh array stored like ``x`` is."""
     n, c, h, w = x.shape
     out_h = _conv_output_size(h, kernel, stride, 0)
     out_w = _conv_output_size(w, kernel, stride, 0)
     out = np.empty_like(x[:, :, :out_h, :out_w])
-    pool_k_major(pool_windows(x, out, kernel, stride), out, kind)
+    pool_k_major(pool_windows(x, out, kernel, stride), out)
     return out
 
 
@@ -317,7 +311,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     x = as_tensor(x)
     stride = kernel if stride is None else stride
     if not is_grad_enabled():
-        return Tensor(_pool2d_inference(x.data, kernel, stride, "max"))
+        return Tensor(_pool2d_inference(x.data, kernel, stride))
     n, c, h, w = x.data.shape
     reshaped = x.data.reshape(n * c, 1, h, w)
     cols, out_h, out_w = im2col(reshaped, kernel, stride, 0)
@@ -328,26 +322,6 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     def backward(grad):
         grad_cols = np.zeros_like(cols)
         grad_cols[np.arange(cols.shape[0]), argmax] = grad.reshape(-1)
-        grad_x = col2im(grad_cols, reshaped.shape, kernel, stride, 0)
-        x._accumulate(grad_x.reshape(x.data.shape))
-
-    return Tensor._make(out, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over (N, C, H, W)."""
-    x = as_tensor(x)
-    stride = kernel if stride is None else stride
-    if not is_grad_enabled():
-        return Tensor(_pool2d_inference(x.data, kernel, stride, "avg"))
-    n, c, h, w = x.data.shape
-    reshaped = x.data.reshape(n * c, 1, h, w)
-    cols, out_h, out_w = im2col(reshaped, kernel, stride, 0)
-    out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
-
-    def backward(grad):
-        grad_cols = np.repeat(grad.reshape(-1, 1), kernel * kernel, axis=1)
-        grad_cols /= kernel * kernel
         grad_x = col2im(grad_cols, reshaped.shape, kernel, stride, 0)
         x._accumulate(grad_x.reshape(x.data.shape))
 

@@ -1,9 +1,7 @@
 """Weight initialization schemes.
 
 Every initializer honors the framework dtype policy: pass ``dtype``
-explicitly or inherit :func:`repro.nn.dtypes.get_default_dtype` (float64
-unless scoped otherwise), so models built under
-``with nn.default_dtype(np.float32):`` come out single-precision end to end.
+explicitly or get :data:`repro.nn.dtypes.DEFAULT_DTYPE` (float64).
 """
 
 from __future__ import annotations
@@ -12,11 +10,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.dtypes import get_default_dtype
+from repro.nn.dtypes import DEFAULT_DTYPE
 
 
 def _resolve(dtype) -> np.dtype:
-    return np.dtype(dtype) if dtype is not None else get_default_dtype()
+    return np.dtype(dtype) if dtype is not None else DEFAULT_DTYPE
 
 
 def _fans(shape) -> tuple:

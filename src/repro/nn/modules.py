@@ -2,21 +2,23 @@
 
 A :class:`Module` owns :class:`Parameter` tensors and child modules, exposes
 ``parameters()`` / ``state_dict()`` / ``load_state_dict()`` and a train/eval
-mode switch (needed by batch-norm and dropout).  Every layer family used by
-the paper's models is here: dense, convolution, batch-norm, pooling, dropout,
-LSTM, and ``Sequential`` composition.
+mode switch (needed by batch-norm).  Every layer family the paper's models
+build is here: dense, convolution, batch-norm, max / global-average
+pooling, ReLU / LeakyReLU, LSTM, and ``Sequential`` composition; a layer
+type no model builds is not, because each one costs a plan builder and a
+FLOP case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.grad_mode import is_grad_enabled
-from repro.nn.tensor import Tensor, concatenate, stack
+from repro.nn.tensor import Tensor, stack
 from repro.runtime.rng import resolve_rng
 
 
@@ -227,27 +229,6 @@ class BatchNorm2d(Module):
         return normalized * self.gamma.reshape(view) + self.beta.reshape(view)
 
 
-class BatchNorm1d(BatchNorm2d):
-    """Batch normalization over (N, F) inputs."""
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1): {p}")
-        self.p = p
-        self._rng = resolve_rng(rng, "nn.modules.dropout")
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask.astype(x.data.dtype, copy=False))
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
@@ -260,16 +241,6 @@ class LeakyReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
 
 
 class Flatten(Module):
@@ -297,16 +268,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int = 2, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class GlobalAvgPool2d(Module):

@@ -422,37 +422,17 @@ class _LeakyReluOp(_ElementwiseOp):
         np.copyto(self._out, self._x, where=self._mask)
 
 
-class _TanhOp(_ElementwiseOp):
-    label = "tanh"
-
-    def run(self):
-        np.tanh(self._x, out=self._out)
-
-
-class _SigmoidOp(_ElementwiseOp):
-    label = "sigmoid"
-
-    def run(self):
-        # Mirrors Tensor.sigmoid: 1 / (1 + exp(-clip(x, -60, 60))).
-        out = self._out
-        np.clip(self._x, -60, 60, out=out)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        out += 1.0
-        np.divide(1.0, out, out=out)
-
-
 class _PoolOp(_PlanOp):
-    """Max/avg pooling: ``functional.pool_k_major`` straight into the arena."""
+    """Max pooling: ``functional.pool_k_major`` straight into the arena."""
 
-    def __init__(self, builder: _PlanBuilder, kind: str, kernel: int,
+    label = "max_pool"
+
+    def __init__(self, builder: _PlanBuilder, kernel: int,
                  stride: Optional[int], in_slot: int):
         n, c, h, w = builder.slots[in_slot].shape
         stride = kernel if stride is None else stride
         out_h = _conv_output_size(h, kernel, stride, 0)
         out_w = _conv_output_size(w, kernel, stride, 0)
-        self.kind = kind
-        self.label = f"{kind}_pool"
         self.kernel, self.stride = kernel, stride
         self.out_slot = builder.new_slot((n, c, out_h, out_w),
                                          builder.slots[in_slot].dtype)
@@ -464,7 +444,7 @@ class _PoolOp(_PlanOp):
         self._windows = pool_windows(x, self._out, self.kernel, self.stride)
 
     def run(self):
-        pool_k_major(self._windows, self._out, self.kind)
+        pool_k_major(self._windows, self._out)
 
 
 class _GlobalAvgPoolOp(_PlanOp):
@@ -666,9 +646,8 @@ def _build_simple(builder, op):
     return op.out_slot
 
 
-@plan_builder(M.Identity, M.Dropout)
+@plan_builder(M.Identity)
 def _build_identity(builder, module, in_slot):
-    # Plans encode eval semantics; eval-mode dropout is the identity.
     return in_slot
 
 
@@ -720,16 +699,6 @@ def _build_leaky_relu(builder, module, in_slot):
         builder, _LeakyReluOp(builder, module.negative_slope, in_slot))
 
 
-@plan_builder(M.Tanh)
-def _build_tanh(builder, module, in_slot):
-    return _build_simple(builder, _TanhOp(builder, in_slot))
-
-
-@plan_builder(M.Sigmoid)
-def _build_sigmoid(builder, module, in_slot):
-    return _build_simple(builder, _SigmoidOp(builder, in_slot))
-
-
 @plan_builder(M.Flatten)
 def _build_flatten(builder, module, in_slot):
     slot = builder.slots[in_slot]
@@ -739,11 +708,10 @@ def _build_flatten(builder, module, in_slot):
         builder, in_slot, (slot.shape[0], slot.row_size)))
 
 
-@plan_builder(M.MaxPool2d, M.AvgPool2d)
+@plan_builder(M.MaxPool2d)
 def _build_pool(builder, module, in_slot):
-    kind = "max" if isinstance(module, M.MaxPool2d) else "avg"
     return _build_simple(builder, _PoolOp(
-        builder, kind, module.kernel_size, module.stride, in_slot))
+        builder, module.kernel_size, module.stride, in_slot))
 
 
 @plan_builder(M.GlobalAvgPool2d)
@@ -771,7 +739,7 @@ def _register_model_builders():
             shortcut = in_slot
             if module.stride > 1:
                 shortcut = _build_simple(builder, _PoolOp(
-                    builder, "max", module.stride, module.stride, shortcut))
+                    builder, module.stride, module.stride, shortcut))
             if module.out_channels > module.in_channels:
                 shortcut = _build_simple(builder, _PadChannelsOp(
                     builder, shortcut, module.out_channels))

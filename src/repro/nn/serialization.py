@@ -8,9 +8,8 @@ disjoint halves onto two module instances is exactly what the fog layer does.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
@@ -31,21 +30,3 @@ def load_state(module: Module, path: PathLike) -> None:
         state = {key: archive[key] for key in archive.files}
     module.load_state_dict(state)
 
-
-def state_to_bytes(module: Module) -> bytes:
-    """Serialize a state dict to bytes (what the fog tier ships upstream)."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **module.state_dict())
-    return buffer.getvalue()
-
-
-def state_from_bytes(module: Module, payload: bytes) -> None:
-    """Inverse of :func:`state_to_bytes`."""
-    with np.load(io.BytesIO(payload)) as archive:
-        state = {key: archive[key] for key in archive.files}
-    module.load_state_dict(state)
-
-
-def state_size_bytes(module: Module) -> int:
-    """Total parameter payload size in bytes (float64)."""
-    return sum(value.nbytes for value in module.state_dict().values())

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.dtypes import get_default_dtype
+from repro.nn.dtypes import DEFAULT_DTYPE
 from repro.nn.grad_mode import is_grad_enabled
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -51,7 +51,7 @@ class Tensor:
         elif not (array.dtype.kind == "f" and array.dtype.itemsize >= 4):
             # Ints, bools, lists, float16: promote under the dtype policy.
             # float32/float64 inputs keep their own precision.
-            array = array.astype(get_default_dtype())
+            array = array.astype(DEFAULT_DTYPE)
         self.data = array
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
@@ -453,12 +453,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor._make(data, tensors, backward)
 
-
-def zeros(*shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or get_default_dtype()),
-                  requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or get_default_dtype()),
-                  requires_grad=requires_grad)

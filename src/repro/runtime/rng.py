@@ -39,10 +39,6 @@ class RngContext:
         """A NumPy generator dedicated to ``scope``."""
         return np.random.default_rng(derive_seed(self.seed, scope))
 
-    def spawn(self, *scope) -> "RngContext":
-        """A child context whose own children are scoped under ``scope``."""
-        return RngContext(derive_seed(self.seed, scope))
-
     def __repr__(self) -> str:
         return f"RngContext(seed={self.seed})"
 

@@ -8,7 +8,10 @@ other than its own definition.  Top-level names are resolved through
 does not keep ``repro.nn.data.evaluate`` alive.  Methods cannot be
 resolved without types, so any attribute of the same name counts, and so
 does an identifier-shaped string (``getattr(obj, "poll")``).  A package
-``__init__``'s re-export and an ``__all__`` entry are not uses.
+``__init__``'s re-export and an ``__all__`` entry are not uses, and
+neither is naming a class only to dispatch on it: as the class argument
+of ``isinstance`` / ``issubclass``, or as an argument of a decorator
+call (``@plan_builder(M.Identity)``).
 
 A class a project decorator registers (the analyzer's ``@rule``) and its
 ``visit_<Node>`` hooks are reached through the registry, not by name,
@@ -22,6 +25,8 @@ import ast
 import functools
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
+
+import pytest
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.engine import collect_files
@@ -39,20 +44,13 @@ FEEDS = "paper-named substrate: the PAPER.md data-feed generators"
 DES = "paper-named substrate: the repro.cluster DES machines"
 TF = "paper-named substrate: TensorFlow-role layer / op"
 ORACLE = "test oracle or fixture entry point"
-NEXT = "nominee for the census's next batch (ROADMAP 7)"
 
 #: qualified name -> one-line reason it stays without a non-test caller
 KEEP: Dict[str, str] = {
     "repro.analysis.engine.analyze_source": ORACLE,
-    "repro.apps.vehicle.app.VehicleDetectionApp.build_classification_dataset":
-        NEXT,
     "repro.cluster.failures.FailureInjector.fail_fraction": DES,
     "repro.cluster.failures.FailureInjector.recover_all": DES,
     "repro.cluster.failures.FailureInjector.live_count": DES,
-    "repro.cluster.machines.Machine.compute_time": NEXT,
-    "repro.cluster.machines.NetworkTopology.links": NEXT,
-    "repro.cluster.machines.NetworkTopology.children_of": NEXT,
-    "repro.cluster.machines.next_tier_up": NEXT,
     "repro.cluster.sim.Environment.event": DES,
     "repro.cluster.sim.Environment.all_of": DES,
     "repro.cluster.sim.Resource.in_use": DES,
@@ -83,21 +81,16 @@ KEEP: Dict[str, str] = {
     "repro.compute.rdd.SparkContext.text_file": SPARK,
     "repro.compute.yarn.ResourceManager.nodes": STORES,
     "repro.compute.yarn.ResourceManager.running_containers": STORES,
-    "repro.core.capacity.CapacityPlanner.raw_storage_for_retention": NEXT,
-    "repro.core.infrastructure.CyberInfrastructure.htable": NEXT,
     "repro.core.infrastructure.CyberInfrastructure.publish_camera_frames":
         "ROADMAP 4(a) / 13(a) decide the camera feed pair",
     "repro.core.infrastructure.CyberInfrastructure.serve_camera_streams":
         "ROADMAP 4(a) / 13(a) decide the camera feed pair",
-    "repro.data.cameras.CameraRegistry.nearest": NEXT,
     "repro.data.city.OpenCityData.traffic_incidents": FEEDS,
     "repro.data.collector.TweetCollector": FEEDS,
     "repro.data.collector.TweetCollector.add_keywords": FEEDS,
     "repro.data.collector.TweetCollector.add_location": FEEDS,
     "repro.data.collector.TweetCollector.subscription_names": FEEDS,
     "repro.data.lawenforcement.SecureStore.upload_ids": ORACLE,
-    "repro.data.social.TweetGenerator.keyword_filter": FEEDS,
-    "repro.data.social.TweetGenerator.geo_filter": FEEDS,
     "repro.dfs.filesystem.BlockReport.lost": STORES,
     "repro.dfs.filesystem.DataNode.block_count": STORES,
     "repro.dfs.filesystem.DataNode.has_block": STORES,
@@ -107,28 +100,20 @@ KEEP: Dict[str, str] = {
     "repro.fog.policies.ExitPolicy.should_exit": ORACLE,
     "repro.fog.split.materialize_stages": "ROADMAP 3(b) feeds it",
     "repro.nn.data.DataLoader": TF,
-    "repro.nn.dtypes.default_dtype": NEXT,
     "repro.nn.functional.softmax": TF,
     "repro.nn.grad_mode.enable_grad": TF,
     "repro.nn.models.yolo.TinyYolo":
         "paper-named substrate: Fig. 5's tiny YOLO",
-    "repro.nn.modules.BatchNorm1d": TF,
     "repro.nn.quantize.measure_quantization_drop":
         "ROADMAP 10(b) bounds int8 agreement with it",
     "repro.nn.serialization.load_state": TF,
     "repro.nn.serialization.save_state": TF,
-    "repro.nn.serialization.state_from_bytes": NEXT,
-    "repro.nn.serialization.state_size_bytes": NEXT,
-    "repro.nn.serialization.state_to_bytes": NEXT,
-    "repro.nn.tensor.ones": NEXT,
-    "repro.nn.tensor.zeros": NEXT,
     "repro.nosql.hbase.HTable.row_count": STORES,
     "repro.nosql.hbase.HTable.memstore_size": STORES,
     "repro.nosql.mongo.Collection.find_one": STORES,
     "repro.nosql.mongo.DocumentStore.drop_collection": STORES,
     "repro.runtime.core.set_runtime": ORACLE,
     "repro.runtime.parallel.deterministic_dump": ORACLE,
-    "repro.runtime.rng.RngContext.spawn": NEXT,
     "repro.runtime.tracing.Tracer.children_of": ORACLE,
     "repro.runtime.tracing.Tracer.total_duration": ORACLE,
     "repro.serving.admission.TokenBucket.available": ORACLE,
@@ -198,12 +183,15 @@ def _module_of(graph: ProjectGraph, module: str, expr: ast.AST):
     return None
 
 
-def _uses(graph: ProjectGraph, module: str, expr: ast.AST) -> Iterator:
+def _uses(graph: ProjectGraph, module: str, expr: ast.AST,
+          dispatch_only: bool = False) -> Iterator:
     """Use keys of one expression node.
 
     ``("symbol", module, name)`` for a Name or ``module.attr`` that
     resolves to a project def; ``("attr", name)`` for every attribute
     read and every identifier-shaped string (``getattr(obj, "poll")``).
+    A ``dispatch_only`` node (see :func:`_dispatch_only_args`) yields no
+    symbol use of a class.
     """
     target = None
     if isinstance(expr, ast.Name):
@@ -215,8 +203,32 @@ def _uses(graph: ProjectGraph, module: str, expr: ast.AST) -> Iterator:
     elif isinstance(expr, ast.Constant) and isinstance(expr.value, str) \
             and expr.value.isidentifier():
         yield ("attr", expr.value)
-    if target is not None:
+    if target is not None and not (dispatch_only and target.kind == "class"):
         yield ("symbol", target.module, target.name)
+
+
+def _dispatch_only_args(item: ast.AST) -> List[ast.AST]:
+    """Expressions under ``item`` that name a class only to dispatch on it.
+
+    The class argument of ``isinstance`` / ``issubclass`` (alone or in a
+    tuple), and the arguments of a decorator call
+    (``@plan_builder(M.Identity)``): a table or a type test keyed on a
+    class no caller builds is not a use of that class.
+    """
+    if isinstance(item, ast.Call):
+        if isinstance(item.func, ast.Name) and len(item.args) == 2 and \
+                item.func.id in ("isinstance", "issubclass"):
+            classes = item.args[1]
+            return list(classes.elts) if isinstance(classes, ast.Tuple) \
+                else [classes]
+        return []
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [arg for decorator in item.decorator_list
+                if isinstance(decorator, ast.Call)
+                for arg in decorator.args + [kw.value
+                                             for kw in decorator.keywords]]
+    return []
 
 
 def unreferenced(graph: ProjectGraph) -> List[str]:
@@ -227,9 +239,12 @@ def unreferenced(graph: ProjectGraph) -> List[str]:
         stack: List[Tuple[ast.AST, Tuple[int, ...]]] = [
             (stmt, ()) for stmt in node.ctx.tree.body
             if not _is_reexport(node, stmt)]
+        dispatch_only = set()
         while stack:
             item, owners = stack.pop()
-            for use in _uses(graph, module, item):
+            dispatch_only.update(map(id, _dispatch_only_args(item)))
+            for use in _uses(graph, module, item,
+                             id(item) in dispatch_only):
                 total[use] = total.get(use, 0) + 1
                 for owner in owners:
                     inside[use, owner] = inside.get((use, owner), 0) + 1
@@ -283,3 +298,70 @@ def test_keep_list_holds_only_names_still_without_a_caller():
     stale = sorted(set(KEEP) - set(dead()))
     assert stale == [], "keep-list entries that now have a caller or are " \
         "gone:\n  " + "\n  ".join(stale)
+
+
+#: a synthetic library module: a dispatch table and a type test over
+#: ``Layer`` subclasses, and an analyzer-style ``@rule`` class
+DISPATCH_DEMO = '''
+TABLE = {}
+
+
+def registry(*types):
+    def decorate(fn):
+        for cls in types:
+            TABLE[cls] = fn
+        return fn
+    return decorate
+
+
+def rule(cls):
+    return cls
+
+
+class Layer:
+    pass
+
+
+class Dispatched(Layer):
+    pass
+
+
+class Built(Layer):
+    pass
+
+
+@rule
+class Checker:
+    def visit_Call(self, node):
+        return node
+
+
+@registry(Dispatched, Built)
+def handle(layer):
+    return isinstance(layer, (Dispatched, Built)) or \\
+        issubclass(type(layer), Dispatched)
+'''
+
+
+def synthetic_census(user: str) -> List[str]:
+    """``unreferenced()`` over the demo module and one user module."""
+    user_source = ("from repro.demo import Built, Dispatched, handle\n"
+                   "handle(Built())\n" + user + "\n")
+    return unreferenced(ProjectGraph({
+        "src/repro/demo.py": ModuleContext("src/repro/demo.py",
+                                           DISPATCH_DEMO),
+        "src/repro/user.py": ModuleContext("src/repro/user.py",
+                                           user_source)}))
+
+
+def test_a_class_named_only_by_type_tests_and_decorators_is_unreferenced():
+    # ``Layer`` is a base class and ``Checker`` / ``visit_Call`` are
+    # registry-reached, so ``Dispatched`` is the only name reported
+    assert synthetic_census("") == ["repro.demo.Dispatched"]
+
+
+@pytest.mark.parametrize("use", ["Dispatched()",
+                                 "class _Sub(Dispatched):\n    pass"],
+                         ids=["constructed", "subclassed"])
+def test_constructing_or_subclassing_a_class_is_a_use(use):
+    assert synthetic_census(use) == []

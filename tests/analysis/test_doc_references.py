@@ -6,14 +6,18 @@ re-exported in one, then class members) and every ``path.py::symbol``
 documents below must resolve through
 :class:`~repro.analysis.graph.ProjectGraph`.  Call arguments after the
 dotted name (``repro.viz.registry_to_json(rt, path=...)``) are ignored.
-Standard library only, like the analyzer it builds on.
+
+Every ``ROADMAP [item] N`` / ``N(x)`` quote (``ROADMAP 4(a) / 13(a)``
+quotes two) in those documents, the CI workflow and the Python sources
+must name an item ROADMAP.md still numbers, and a sub-item that item's
+text still has.  Standard library only, like the analyzer it builds on.
 """
 
 import ast
 import functools
 import re
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.engine import collect_files
@@ -23,6 +27,22 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 DOCUMENTS = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
              ".claude/skills/verify/SKILL.md"]
+
+#: files and trees whose ROADMAP item quotes are checked, besides DOCUMENTS
+#: (``benchmarks/e2e`` quotes no items)
+QUOTE_FILES = [".github/workflows/ci.yml"]
+QUOTE_ROOTS = ["src", "tests", "benchmarks"]
+QUOTE_SKIP = "benchmarks/e2e/"
+
+ROADMAP_QUOTE = re.compile(
+    r"ROADMAP(?:\.md)?(?:'s)?\s+(?:items?\s+)?"
+    r"(\d+(?:\([a-z]+\))?(?:\s*(?:/|,|and|or)\s*\d+(?:\([a-z]+\))?)*)")
+ITEM_REF = re.compile(r"(\d+)(?:\(([a-z]+)\))?")
+#: a numbered item heading (``7. **Census ...``); the work-order list's
+#: ``1. **12**:`` entries are not items
+ITEM_HEAD = re.compile(r"^(\d+)\. \*\*(?!\d)", re.M)
+#: a comment that continues on the next line (``# ... ROADMAP`` / ``# 7``)
+COMMENT_BREAK = re.compile(r"\n[ \t]*#[ \t]*")
 
 DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
 PATH_ID = re.compile(r"`([\w./-]+\.py)((?:::\w+)+)[^`]*`")
@@ -107,3 +127,65 @@ def test_documents_reference_only_live_code():
              for ref in stale_references(
                  graph, (REPO_ROOT / doc).read_text(encoding="utf-8"))]
     assert stale == [], "stale code references:\n  " + "\n  ".join(stale)
+
+
+def roadmap_items(roadmap: str) -> Dict[int, str]:
+    """Item number -> the item's text, for the items under "## Open items"."""
+    section = roadmap.split("\n## Open items", 1)[1]
+    section = re.split(r"\n#+ ", section, maxsplit=1)[0]
+    heads = list(ITEM_HEAD.finditer(section))
+    ends = [head.start() for head in heads[1:]] + [len(section)]
+    return {int(head.group(1)): section[head.start():end]
+            for head, end in zip(heads, ends)}
+
+
+def stale_roadmap_quotes(items: Dict[int, str], text: str) -> List[str]:
+    """Quoted ``N`` / ``N(x)`` that name no item, or a sub-item it lacks.
+
+    A sub-item is an ``(x)`` that starts a word in the item's text: item
+    7 quoting ``15(b)`` has no ``(b)`` of its own.
+    """
+    stale = []
+    for quote in ROADMAP_QUOTE.finditer(COMMENT_BREAK.sub(" ", text)):
+        for number, sub in ITEM_REF.findall(quote.group(1)):
+            item = items.get(int(number))
+            if item is None or (sub and not re.search(
+                    rf"(?<![\w(])\({sub}\)", item)):
+                stale.append(f"{number}({sub})" if sub else number)
+    return stale
+
+
+def quoting_files() -> List[Path]:
+    own = Path(__file__).resolve()
+    files = [REPO_ROOT / name for name in DOCUMENTS + QUOTE_FILES]
+    for root in QUOTE_ROOTS:
+        files.extend(
+            path for path in sorted((REPO_ROOT / root).rglob("*.py"))
+            if path.resolve() != own and not path.relative_to(
+                REPO_ROOT).as_posix().startswith(QUOTE_SKIP))
+    return files
+
+
+def test_the_quote_checker_tells_live_from_stale():
+    # this file's own quotes are of the synthetic roadmap below, so the
+    # repository-wide scan skips it
+    items = roadmap_items(
+        "1. **An aim.**\n\n## Open items\n\n1. **12**: next.\n\n"
+        "1. **Plans.** (ii) decide; (c) FLOPs.\n\n"
+        "7. **Census.** The test is 15(b)'s.\n\n"
+        "### Parked\n\n9. **Closed.**\n")
+    assert sorted(items) == [1, 7]
+    text = ("ROADMAP 1(ii) / 7, ROADMAP item 1(c); ROADMAP's 7\n"
+            "    # ... ROADMAP\n    # 7(b), ROADMAP 9 and 1(b)")
+    assert stale_roadmap_quotes(items, text) == ["7(b)", "9", "1(b)"]
+
+
+def test_roadmap_quotes_name_live_items():
+    items = roadmap_items(
+        (REPO_ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
+    stale = [f"{path.relative_to(REPO_ROOT).as_posix()}: ROADMAP {quote}"
+             for path in quoting_files()
+             for quote in stale_roadmap_quotes(
+                 items, path.read_text(encoding="utf-8"))]
+    assert stale == [], "stale ROADMAP item quotes:\n  " + \
+        "\n  ".join(stale)

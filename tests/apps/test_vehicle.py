@@ -89,7 +89,7 @@ class TestEarlyExitBehaviour:
 class TestDatasets:
     def test_classification_dataset_shape(self):
         app = VehicleDetectionApp(num_classes=4, image_size=16, seed=0)
-        images, labels = app.build_classification_dataset(20)
+        images, labels = app.scenes.classification_dataset(20)
         assert images.shape == (20, 1, 16, 16)
         assert set(labels) == {0, 1, 2, 3}
 

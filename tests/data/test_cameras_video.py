@@ -17,7 +17,6 @@ from repro.data import (
     VehicleCatalog,
     build_dotd_registry,
 )
-from repro.data.cameras import LOUISIANA_CITIES
 from repro.data.video import ACTION_CLASSES
 
 
@@ -66,12 +65,6 @@ class TestCameraRegistry:
         assert registry.get(camera.camera_id) == camera
         with pytest.raises(KeyError):
             registry.get("ghost")
-
-    def test_nearest(self):
-        registry = build_dotd_registry(seed=0)
-        br = next(c for c in LOUISIANA_CITIES if c.name == "Baton Rouge")
-        nearest = registry.nearest(br.lat, br.lon)
-        assert nearest.city == "Baton Rouge"
 
     def test_duplicate_ids_rejected(self):
         camera = Camera("c1", "X", "I-0", 0, 0, 30, 640, 480)

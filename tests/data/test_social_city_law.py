@@ -11,7 +11,9 @@ from repro.data import (
     TweetGenerator,
     WazeGenerator,
 )
+from repro.compute.mllib import tokenize
 from repro.data.city import DISTRICT_RATES
+from repro.data.collector import TweetCollector
 
 
 class TestGangNetwork:
@@ -85,28 +87,32 @@ class TestTweets:
     def test_incident_text_contains_incident_terms(self):
         generator = TweetGenerator(seed=0)
         burst = generator.incident_burst(["user0001"], (0.5, 0.5), 12.0)
-        hits = TweetGenerator.keyword_filter(burst, ["shots", "gunshot",
-                                                     "police", "sirens",
-                                                     "fight", "robbery",
-                                                     "fired", "heard",
-                                                     "scared", "avenue"])
+        collector = TweetCollector()
+        collector.add_keywords("watch", ["shots", "gunshot", "police",
+                                         "sirens", "fight", "robbery",
+                                         "fired", "heard", "scared", "avenue"])
+        hits = collector.collect(burst)
         assert hits  # incident tweets match the watch keywords
 
     def test_keyword_filter(self):
         generator = TweetGenerator(seed=1)
         tweets = generator.chatter(200)
-        music = TweetGenerator.keyword_filter(tweets, ["music"])
-        assert all("music" in t.text for t in music)
+        collector = TweetCollector()
+        collector.add_keywords("music", ["music"])
+        music = collector.collect(tweets)
+        assert all("music" in tokenize(doc["text"]) for doc in music)
         assert 0 < len(music) < len(tweets)
 
     def test_geo_filter(self):
         generator = TweetGenerator(seed=2)
         tweets = generator.chatter(200)
-        near = TweetGenerator.geo_filter(tweets, (0.5, 0.5), 0.2)
+        collector = TweetCollector()
+        collector.add_location("center", (0.5, 0.5), 0.2)
+        near = collector.collect(tweets)
         assert 0 < len(near) < len(tweets)
-        for tweet in near:
-            assert np.hypot(tweet.location[0] - 0.5,
-                            tweet.location[1] - 0.5) <= 0.2
+        for doc in near:
+            assert np.hypot(doc["location"][0] - 0.5,
+                            doc["location"][1] - 0.5) <= 0.2
 
     def test_as_document(self):
         tweet = TweetGenerator(seed=0).chatter(1)[0]

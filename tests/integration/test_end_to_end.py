@@ -187,7 +187,7 @@ class TestInfrastructureWithApplications:
             datanodes=3, dfs_replication=2))
         city = OpenCityData(seed=0)
         records = city.crime_incidents(days=10)
-        table = infra.htable("crimes_wide", families=("info",))
+        table = HTable("crimes_wide", infra.dfs, families=("info",))
         for record in records:
             table.put(f"incident-{record['incident_id']:06d}", "info",
                       "offense", record["offense"].encode())

@@ -167,15 +167,6 @@ class TestPooling:
         rng = np.random.default_rng(4)
         check_grad(lambda x: (F.max_pool2d(x, 2) ** 2).sum(), (1, 2, 4, 4), rng=rng)
 
-    def test_avg_pool_values(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        out = F.avg_pool2d(Tensor(x), kernel=2)
-        assert out.data.reshape(-1)[0] == 2.5
-
-    def test_avg_pool_gradcheck(self):
-        rng = np.random.default_rng(5)
-        check_grad(lambda x: (F.avg_pool2d(x, 2) ** 2).sum(), (1, 2, 4, 4), rng=rng)
-
     def test_global_avg_pool(self):
         x = Tensor(np.ones((2, 3, 4, 4)) * 5)
         out = F.global_avg_pool2d(x)

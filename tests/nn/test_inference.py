@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.dtypes import default_dtype, ensure_float, get_default_dtype, \
-    set_default_dtype
+from repro.nn.dtypes import ensure_float
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.inference import (
     batched_forward,
@@ -92,24 +91,6 @@ class TestGradMode:
 
 
 class TestDtypePolicy:
-    def test_default_dtype_roundtrip(self):
-        previous = set_default_dtype(np.float32)
-        try:
-            assert get_default_dtype() == np.float32
-            assert Tensor([1, 2]).data.dtype == np.float32
-        finally:
-            set_default_dtype(previous)
-        assert get_default_dtype() == np.float64
-
-    def test_default_dtype_context(self):
-        with default_dtype(np.float32):
-            assert Tensor([1]).data.dtype == np.float32
-        assert Tensor([1]).data.dtype == np.float64
-
-    def test_rejects_non_float_default(self):
-        with pytest.raises(ValueError):
-            set_default_dtype(np.int32)
-
     def test_ensure_float_preserves_float32(self):
         x = np.ones(3, dtype=np.float32)
         assert ensure_float(x).dtype == np.float32

@@ -217,8 +217,8 @@ class TestArenaContract:
                              shortcut="maxpool", rng=rng_for(30))
         flat = nn.Sequential(
             nn.Conv2d(1, 4, 3, padding=1, rng=rng_for(31)), nn.LeakyReLU(0.1),
-            nn.AvgPool2d(3, stride=2), nn.Conv2d(4, 6, 3, rng=rng_for(32)),
-            nn.Tanh(), nn.Flatten(), nn.Linear(6 * 25, 5, rng=rng_for(33)))
+            nn.MaxPool2d(3, stride=2), nn.Conv2d(4, 6, 3, rng=rng_for(32)),
+            nn.LeakyReLU(), nn.Flatten(), nn.Linear(6 * 25, 5, rng=rng_for(33)))
         return [fuse_for_inference(pooled, dtype=np.float32),
                 fuse_for_inference(flat, dtype=np.float32),
                 fuse_for_inference(conv_stack(rng_for(34)), dtype=np.float32)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, concatenate, stack, zeros, ones
+from repro.nn.tensor import Tensor, concatenate, stack
 from tests.nn.gradcheck import check_grad
 
 
@@ -51,10 +51,6 @@ class TestBasics:
 
     def test_repr(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
-
-    def test_factories(self):
-        assert zeros(2, 3).shape == (2, 3)
-        assert ones(4).data.sum() == 4.0
 
 
 class TestArithmeticGradients:

@@ -21,11 +21,12 @@ def build_mlp(widths, seed):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=4),
        st.integers(0, 1000))
-def test_state_bytes_roundtrip_random_mlps(widths, seed):
+def test_state_bytes_roundtrip_random_mlps(tmp_path_factory, widths, seed):
     source = build_mlp(widths, seed)
     target = build_mlp(widths, seed + 1)
-    payload = nn.state_to_bytes(source)
-    nn.state_from_bytes(target, payload)
+    path = tmp_path_factory.mktemp("state") / "mlp.npz"
+    nn.save_state(source, path)
+    nn.load_state(target, path)
     x = Tensor(np.random.default_rng(seed).normal(0, 1, (3, widths[0])))
     np.testing.assert_allclose(source(x).data, target(x).data)
 
@@ -44,9 +45,10 @@ def test_state_dict_is_complete(widths, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 100))
-def test_mismatched_architecture_rejected(a, b, seed):
+def test_mismatched_architecture_rejected(tmp_path_factory, a, b, seed):
     source = nn.Linear(a, b, rng=np.random.default_rng(seed))
     target = nn.Linear(a + 1, b, rng=np.random.default_rng(seed))
-    payload = nn.state_to_bytes(source)
+    path = tmp_path_factory.mktemp("state") / "linear.npz"
+    nn.save_state(source, path)
     with pytest.raises(ValueError):
-        nn.state_from_bytes(target, payload)
+        nn.load_state(target, path)

@@ -36,11 +36,3 @@ class TestRngContext:
         b = RngContext(5).np_child("shuffle")
         assert (a.integers(0, 1000, size=20) ==
                 b.integers(0, 1000, size=20)).all()
-
-    def test_spawn_rescopes(self):
-        root = RngContext(9)
-        spawned = root.spawn("module")
-        # spawn("module").child("x") == child via the combined scope seed
-        direct = RngContext(derive_seed(9, ("module",))).child("x")
-        assert spawned.child("x").random() == direct.random()
-        assert spawned.seed != root.seed

@@ -38,14 +38,6 @@ class TestNNEdgeCases:
         out = lstm(Tensor(np.zeros((2, 1, 2))))
         assert out.shape == (2, 1, 4)
 
-    def test_dropout_grad_flows_through_mask(self):
-        layer = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((10, 10)), requires_grad=True)
-        layer(x).sum().backward()
-        # kept positions have grad 2.0 (inverted scaling), dropped 0.0
-        unique = set(np.unique(x.grad).tolist())
-        assert unique <= {0.0, 2.0}
-
     def test_adam_handles_zero_gradient(self):
         param = nn.Parameter(np.array([1.0]))
         optimizer = nn.Adam([param], lr=0.1)

@@ -126,18 +126,8 @@ class TestMiscLayers:
         out = layer(Tensor(np.array([-1.0, 2.0])))
         np.testing.assert_allclose(out.data, [-0.2, 2.0])
 
-    def test_tanh_sigmoid_layers(self):
-        x = Tensor(np.array([0.0]))
-        assert nn.Tanh()(x).data[0] == 0.0
-        assert nn.Sigmoid()(x).data[0] == 0.5
-
-    def test_avg_pool_layer(self):
-        layer = nn.AvgPool2d(2)
-        x = Tensor(np.arange(4, dtype=float).reshape(1, 1, 2, 2))
-        assert layer(x).data.reshape(-1)[0] == 1.5
-
     def test_sequential_iteration_and_len(self):
-        model = nn.Sequential(nn.ReLU(), nn.Tanh())
+        model = nn.Sequential(nn.ReLU(), nn.LeakyReLU())
         assert len(model) == 2
         assert isinstance(list(model)[0], nn.ReLU)
 
