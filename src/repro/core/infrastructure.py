@@ -29,6 +29,7 @@ from repro.dfs import DistributedFileSystem
 from repro.nosql import DocumentStore
 from repro.streaming import (
     BACKPRESSURE_POLICIES,
+    BackpressureStall,
     Broker,
     Channel,
     FlumeAgent,
@@ -140,6 +141,9 @@ class CyberInfrastructure:
         return sorted(self._sources)
 
     # -- the Fig. 4 pipeline -----------------------------------------------------------
+    #: records per storage poll, and the largest Flume transaction
+    INGEST_POLL = 100
+
     def run_collection_pipeline(self,
                                 analysis_field: str = "district"
                                 ) -> PipelineRunReport:
@@ -148,15 +152,11 @@ class CyberInfrastructure:
         Each source flows through a transactional Flume agent *onto its
         broker topic*; a manual-commit ``storage`` consumer group drains
         the topic into the document collection, committing offsets only
-        after the inserts land.  Producer and storage consumer share one
-        loop that works a poll at a time: up to four 25-record Flume
-        transactions go onto the topic, then one poll, one insert and one
-        commit drain them.  A bounded topic gets one transaction per
-        cycle, so it backpressures the Flume channel (and through it the
-        source) instead of overflowing.  A Spark job then aggregates
-        all stored records by ``analysis_field``, read from the stored
-        documents in place; the result is rendered to a bar-chart SVG
-        (the web layer's input).
+        after the inserts land: each cycle one Flume transaction, sized
+        from the topic's bounds, goes onto the topic and one poll, insert
+        and commit drain it.  A Spark job then aggregates all stored
+        records by ``analysis_field``, read from the stored documents in
+        place, and renders a bar-chart SVG (the web layer's input).
         """
         if not self._sources:
             raise RuntimeError("no sources registered")
@@ -183,48 +183,47 @@ class CyberInfrastructure:
         self._last_viz = svg
         return report
 
-    def _ingest_source(self, name: str, records: List[Dict], coll,
-                       max_cycles: int = 10_000) -> int:
+    def _ingest_source(self, name: str, records: List[Dict], coll) -> int:
         """Source -> Flume -> broker topic -> storage group -> collection.
 
         Returns the number of events the agent delivered to the broker.
-        The loop works one poll (``4 * batch_size`` records) at a time:
-        it reads the source once against that budget, pumps up to four
-        Flume transactions onto the topic, then makes one storage
-        ``poll_batch``, one all-or-nothing ``insert_many`` and one offset
-        commit.  Transactions stay the unit of atomic delivery and
-        rollback; offsets commit only after the insert lands
-        (at-least-once into storage — an insert that raises leaves them
-        where they were).  A topic with a per-partition size bound
-        (capacity or size retention) gets one transaction per cycle, so
-        it drains as fast as it fills and never stalls, drops, raises or
-        prunes unconsumed records.
+        Each cycle moves one Flume transaction (the unit of atomic delivery
+        and rollback), then makes one storage ``poll_batch``, one
+        all-or-nothing ``insert_many`` and one offset commit, so offsets
+        commit only after the insert lands.  A transaction is one poll,
+        capped at ``bound * partitions`` for each size bound of the topic:
+        round-robin puts at most ``ceil(k / partitions)`` of k rows on a
+        partition, so it fits once the committed head is evicted and never
+        stalls, drops, raises or prunes an unstored record.  A cycle that
+        moves nothing while the channel holds records would repeat forever
+        (another group's commits pin the head), so it raises
+        :class:`BackpressureStall`.
         """
+        config = self.bus.topic_config(name)
+        bounds = (config.max_partition_records, config.retention_max_records)
+        size = min([self.INGEST_POLL] + [bound * config.partitions
+                                         for bound in bounds if bound])
         agent = FlumeAgent(
             FunctionSource(records),
             broker_sink(self.bus, name),
             channel=Channel(capacity=max(len(records), 1)),
-            batch_size=25)
-        poll = 4 * agent.batch_size
-        # Size retention prunes a partition's head whether or not it was
-        # consumed, so it bounds the topic like capacity does.
-        config = self.bus.topic_config(name)
-        bounded = (config.max_partition_records is not None
-                   or config.retention_max_records is not None)
-        per_cycle = 1 if bounded else poll // agent.batch_size
+            batch_size=size)
         storage = self.bus.consumer("storage", [name], auto_commit=False)
         try:
-            for _ in range(max_cycles):
-                agent.pump_source(per_cycle * agent.batch_size)
-                for _ in range(per_cycle):
-                    if not agent.pump_sink():
-                        break
-                batch = storage.poll_batch(poll)
+            while True:
+                agent.pump_source(size)
+                delivered = agent.pump_sink()
+                batch = storage.poll_batch(self.INGEST_POLL)
                 if batch:
                     coll.insert_many(batch.values)
                     storage.commit()
-                if (agent.source_exhausted
-                        and len(agent.channel) == 0 and not batch):
+                elif not delivered:
+                    if len(agent.channel):
+                        undelivered = (len(records)
+                                       - agent.metrics.events_delivered)
+                        raise BackpressureStall(
+                            f"topic {name}: {undelivered} records "
+                            f"undelivered and no room will free up")
                     break
         finally:
             storage.close()

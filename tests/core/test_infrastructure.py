@@ -14,7 +14,7 @@ from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nosql import Collection, HTable, MongoError
 from repro.runtime import Runtime, using_runtime
-from repro.streaming import Consumer, FlumeAgent
+from repro.streaming import BackpressureStall, Consumer, FlumeAgent
 from repro.viz.exporters import bar_chart_svg
 
 
@@ -178,7 +178,7 @@ class TestBatchIngest:
         # Backpressure was real: the log never held the whole feed.
         assert infra.bus.topic_size("feed") < len(self.RECORDS)
 
-    def test_one_poll_insert_and_commit_per_four_transactions(
+    def test_one_transaction_poll_insert_and_commit_per_cycle(
             self, monkeypatch):
         inserts, delivered, commits = [], [], []
         insert_many, pump_sink = Collection.insert_many, FlumeAgent.pump_sink
@@ -201,15 +201,29 @@ class TestBatchIngest:
         monkeypatch.setattr(Collection, "insert_many", counted_insert_many)
         monkeypatch.setattr(FlumeAgent, "pump_sink", counted_pump_sink)
         monkeypatch.setattr(Consumer, "commit", counted_commit)
-        report = self.infra().run_collection_pipeline()
-        assert report.records_stored["feed"] == len(self.RECORDS)
-        # Flume transactions stay 25 records; storage works per poll.
-        assert delivered == [25] * 8 + [3]
+
+        def run(**config):
+            del inserts[:], delivered[:], commits[:]
+            with using_runtime(Runtime()) as runtime:
+                report = self.infra(**config).run_collection_pipeline()
+                spans = runtime.tracer.spans("streaming.flume.deliver")
+            assert report.records_stored["feed"] == len(self.RECORDS)
+            # Flume's deliver span wraps a whole cycle's transaction.
+            assert len(spans) == len(commits)
+
+        # Unbounded: a transaction is a whole 100-record poll.
+        run()
+        assert delivered == [100, 100, 3]
         assert inserts == [100, 100, 3]
         assert commits == ["storage"] * 3
+        # Capacity 8 on 4 partitions: 32-record transactions fit.
+        run(bus_partition_capacity=8)
+        assert delivered == [32] * 6 + [11]
+        assert inserts == [32] * 6 + [11]
+        assert commits == ["storage"] * 7
 
-    @pytest.mark.parametrize("capacity", [8, 32])
-    @pytest.mark.parametrize("policy", ["drop", "error"])
+    @pytest.mark.parametrize("capacity", [1, 6, 8, 32])
+    @pytest.mark.parametrize("policy", ["block", "drop", "error"])
     def test_bounded_topic_never_drops_or_raises(self, policy, capacity):
         with using_runtime(Runtime()) as runtime:
             infra = self.infra(bus_partition_capacity=capacity,
@@ -218,11 +232,26 @@ class TestBatchIngest:
             dropped = runtime.registry.counter(
                 "streaming.broker.records_dropped").total()
         assert dropped == 0
+        assert report.records_ingested["feed"] == len(self.RECORDS)
         assert report.records_stored["feed"] == len(self.RECORDS)
         stored = infra.collection("feed").find({})
         assert sorted(doc["record_id"] for doc in stored) \
             == list(range(len(self.RECORDS)))
         assert max(infra.bus.partition_sizes("feed")) <= capacity
+        assert infra.bus.lag("storage", "feed") == 0
+
+    def test_stalled_ingest_raises_instead_of_returning_short(self):
+        # An audit group that committed offset 1 everywhere and left pins
+        # consumed-head eviction: once each partition holds 8 records,
+        # no cycle can free room, so the ingest must fail loudly.
+        infra = self.infra(bus_partition_capacity=8)
+        audit = infra.bus.consumer("audit", ["feed"], auto_commit=False)
+        audit.commit({("feed", partition): 1 for partition in range(4)})
+        audit.close()
+        with pytest.raises(BackpressureStall,
+                           match=r"topic feed: 171 records undelivered"):
+            infra.run_collection_pipeline()
+        assert len(infra.collection("feed")) == 32
         assert infra.bus.lag("storage", "feed") == 0
 
     def test_size_retention_never_prunes_unstored_records(self):
@@ -236,6 +265,21 @@ class TestBatchIngest:
         stored = infra.collection("feed").find({})
         assert sorted(doc["record_id"] for doc in stored) \
             == list(range(len(self.RECORDS)))
+
+    def test_small_size_retention_never_prunes_unstored_records(self):
+        # A one-record bound per partition: each transaction puts at most
+        # one row on a partition, so retention only prunes stored records.
+        infra = small_infra()
+        infra.bus.create_topic("feed", partitions=4, retention_max_records=1)
+        infra.register_source("feed", lambda: self.RECORDS)
+        report = infra.run_collection_pipeline()
+        assert report.records_ingested["feed"] == len(self.RECORDS)
+        assert report.records_stored["feed"] == len(self.RECORDS)
+        stored = infra.collection("feed").find({})
+        assert sorted(doc["record_id"] for doc in stored) \
+            == list(range(len(self.RECORDS)))
+        assert max(infra.bus.partition_sizes("feed")) <= 1
+        assert infra.bus.lag("storage", "feed") == 0
 
     def test_unkeyed_feed_rides_the_round_robin_branch(self):
         infra = self.infra()

@@ -345,11 +345,11 @@ class TestStridedRoundRobin:
     def test_keyless_plan_by_arithmetic_matches_per_record_produce(self):
         # the keyless plan is one rotation from the cursor, repeated and
         # cut to the batch: sizes below, at and across the width, and
-        # Flume's 25-record transactions, each starting where the last
-        # one left the cursor
+        # the Fig. 4 ingest's 100-record transactions with a ragged tail,
+        # each starting where the last one left the cursor
         broker, reference = self.pair()
         single = make_broker(self.WIDTH)
-        for size in (1, 3, 4, 5, 25, 27):
+        for size in (1, 3, 4, 5, 25, 27, 100, 103):
             values = [f"s{size}-{i}" for i in range(size)]
             expected = [row for value in values
                         for row in reference.produce([(None, value)])]
