@@ -363,3 +363,52 @@ class WallClockTaintRule(Rule):
                             f"wall-clock value flows into event payload "
                             f"{label!r}; dumps serialize payloads "
                             "byte-for-byte — use runtime.now()")
+
+
+def _is_str_expression(node: ast.AST, str_params: Set[str]) -> bool:
+    """A str literal, an f-string, ``str(...)`` / ``repr(...)``, or a
+    parameter annotated ``str``."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str)
+    if isinstance(node, ast.JoinedStr):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in {"str", "repr"}
+    return isinstance(node, ast.Name) and node.id in str_params
+
+
+@rule
+class StrHashRule(Rule):
+    """DET108: no bare ``hash()`` of a string.
+
+    ``str`` hashes are salted per process (``PYTHONHASHSEED``), so a
+    bucket, placement or partition computed as ``hash(name) % n`` moves
+    between identically-seeded runs.  Use a keyed digest of the bytes
+    (``zlib.crc32(name.encode())``).  Numeric hashes are unsalted, so a
+    ``hash()`` whose argument is not visibly a string is left alone.
+    """
+
+    id = "DET108"
+    name = "str-hash"
+    severity = Severity.ERROR
+    description = ("hash() of a str is salted per process; use "
+                   "zlib.crc32(value.encode())")
+
+    def visit_Module(self, node: ast.Module,
+                     ctx: ModuleContext) -> Iterator[Finding]:
+        for owner, body in iter_scopes(node):
+            args = getattr(owner, "args", None)
+            str_params = set() if args is None else {
+                arg.arg for arg in (args.posonlyargs + args.args
+                                    + args.kwonlyargs)
+                if isinstance(arg.annotation, ast.Name)
+                and arg.annotation.id == "str"}
+            for child in scope_nodes(body):
+                if isinstance(child, ast.Call) and \
+                        isinstance(child.func, ast.Name) and \
+                        child.func.id == "hash" and len(child.args) == 1 \
+                        and _is_str_expression(child.args[0], str_params):
+                    yield self.found(child, ctx,
+                                     "hash() of a str differs per process "
+                                     "(PYTHONHASHSEED); use "
+                                     "zlib.crc32(value.encode())")

@@ -127,9 +127,6 @@ class ActionRecognitionApp:
                 optimizer.step()
                 epoch.append(loss.item())
             losses.append(float(np.mean(epoch)))
-            self.runtime.registry.histogram(
-                "app.action.epoch_loss", "per-epoch mean training loss"
-            ).observe(losses[-1])
         return losses
 
     def exit_accuracies(self, clips_per_class: int = 4) -> Dict[str, float]:
@@ -148,15 +145,12 @@ class ActionRecognitionApp:
         """The Fig. 7 tradeoff: accuracy / offload per entropy threshold."""
         data, labels = self.clips.dataset(clips_per_class)
         clip_bytes = self.model.feature_map_bytes(data.shape[1])
-        exits = self.runtime.registry.counter("app.action.exits")
         rows = []
         for max_entropy in max_entropies:
             decisions = run_policy_batched(
                 self.model, data, EntropyThresholdPolicy(max_entropy),
                 batch_size=batch_size)
             escalated = int(decisions.remote_rows.size)
-            exits.inc(len(decisions) - escalated, tier="local")
-            exits.inc(escalated, tier="server")
             rows.append({
                 "max_entropy": max_entropy,
                 "accuracy": float((decisions.predictions == labels).mean()),
@@ -186,6 +180,4 @@ class ActionRecognitionApp:
             np.isin(decisions.predictions, suspicious_classes))]
         if alerts:
             collection.insert_many(alerts)
-            self.runtime.registry.counter("app.action.alerts").inc(
-                len(alerts), camera=camera_id)
         return len(alerts)

@@ -96,9 +96,6 @@ class VehicleDetectionApp:
                 optimizer.step()
                 epoch_losses.append(loss.item())
             losses.append(float(np.mean(epoch_losses)))
-            self.runtime.registry.histogram(
-                "app.vehicle.epoch_loss", "per-epoch mean training loss"
-            ).observe(losses[-1])
         return losses
 
     # -- evaluation ------------------------------------------------------------
@@ -126,21 +123,13 @@ class VehicleDetectionApp:
             "exit": int(decisions.exit_index[index]),
         } for index, dets in enumerate(predicted) for det in dets]
         escalated = int(decisions.remote_rows.size)
-        report = StreamReport(
+        return StreamReport(
             frames=num_scenes,
             local_exits=num_scenes - escalated,
             server_exits=escalated,
             bytes_shipped=escalated * self.model.feature_map_bytes(),
             detection_metrics=metrics,
             annotations=annotations)
-        registry = self.runtime.registry
-        registry.counter("app.vehicle.frames").inc(report.frames)
-        registry.counter("app.vehicle.exits").inc(report.local_exits,
-                                                  tier="local")
-        registry.counter("app.vehicle.exits").inc(report.server_exits,
-                                                  tier="server")
-        registry.counter("app.vehicle.bytes_shipped").inc(report.bytes_shipped)
-        return report
 
     def threshold_sweep(self, thresholds: Sequence[float],
                         num_scenes: int = 24,

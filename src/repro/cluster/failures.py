@@ -6,8 +6,8 @@ tolerate exactly that.  :class:`FailureInjector` drives deterministic,
 seedable crash/recover schedules against any collection of objects that
 expose an ``alive`` flag (e.g. :class:`repro.cluster.machines.Machine` or a
 DFS datanode).  Every injection lands in the shared runtime as a
-structured event (``cluster.failure`` / ``cluster.recovery``) and a
-counter, so experiments can correlate failures with latency spikes.
+structured event (``cluster.failure`` / ``cluster.recovery``), so
+experiments can correlate failures with latency spikes.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class FailureInjector:
         victim.alive = False
         self.failed.append(victim)
         self.events.append(("fail", victim))
-        self.runtime.registry.counter("cluster.failures.injected").inc()
         self.runtime.events.emit("cluster.failure",
                                  target=_target_name(victim))
         if self.on_fail is not None:
@@ -92,7 +91,6 @@ class FailureInjector:
         self.failed.remove(target)
         target.alive = True
         self.events.append(("recover", target))
-        self.runtime.registry.counter("cluster.failures.recovered").inc()
         self.runtime.events.emit("cluster.recovery",
                                  target=_target_name(target))
         if self.on_recover is not None:

@@ -16,8 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.runtime import get_runtime
-
 
 class YarnError(Exception):
     """Raised for invalid scheduling requests."""
@@ -96,8 +94,7 @@ class ResourceManager:
     """
 
     def __init__(self, scheduler: str = "fifo",
-                 queue_capacity: Optional[Dict[str, float]] = None,
-                 runtime=None):
+                 queue_capacity: Optional[Dict[str, float]] = None):
         if scheduler not in ("fifo", "capacity"):
             raise YarnError(f"unknown scheduler: {scheduler}")
         if scheduler == "capacity" and not queue_capacity:
@@ -108,23 +105,6 @@ class ResourceManager:
         self._pending: List[ResourceRequest] = []
         self._containers: Dict[int, Container] = {}
         self._ids = itertools.count(1)
-        self.runtime = runtime or get_runtime()
-        registry = self.runtime.registry
-        self._rm_label = self.runtime.gensym("yarn-rm")
-        self._submitted = registry.counter(
-            "compute.yarn.requests_submitted", "container requests received")
-        self._granted = registry.counter(
-            "compute.yarn.containers_granted", "container leases granted")
-        self._released = registry.counter(
-            "compute.yarn.containers_released", "container leases released")
-        self._pending_gauge = registry.gauge(
-            "compute.yarn.pending_requests", "requests waiting for capacity")
-        self._util_gauge = registry.gauge(
-            "compute.yarn.utilization", "live-vcore utilization fraction")
-
-    def _observe(self) -> None:
-        self._pending_gauge.set(len(self._pending), rm=self._rm_label)
-        self._util_gauge.set(self.utilization(), rm=self._rm_label)
 
     # -- membership ----------------------------------------------------------
     def register_node(self, node: NodeManager) -> None:
@@ -170,7 +150,6 @@ class ResourceManager:
         if (self.scheduler == "capacity"
                 and request.queue not in self.queue_capacity):
             raise YarnError(f"unknown queue: {request.queue}")
-        self._submitted.inc(rm=self._rm_label, queue=request.queue)
         self._pending.append(request)
         granted = self._drive()
         for container in granted:
@@ -184,7 +163,6 @@ class ResourceManager:
             raise YarnError(f"unknown container: {container.container_id}")
         del self._containers[container.container_id]
         container.node._release(container)
-        self._released.inc(rm=self._rm_label, queue=container.queue)
         return self._drive()
 
     def _ordered_pending(self) -> List[ResourceRequest]:
@@ -218,12 +196,10 @@ class ResourceManager:
                 self._containers[container.container_id] = container
                 self._pending.remove(request)
                 granted.append(container)
-                self._granted.inc(rm=self._rm_label, queue=request.queue)
                 if request.on_grant is not None:
                     request.on_grant(container)
                 progress = True
                 break
-        self._observe()
         return granted
 
     def _pick_node(self, request: ResourceRequest) -> Optional[NodeManager]:

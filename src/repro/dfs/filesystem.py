@@ -1,9 +1,6 @@
 """NameNode / DataNode block storage with replication and recovery.
 
-Storage traffic is reported through the shared runtime registry
-(``dfs.files_created``, ``dfs.bytes_written``, ``dfs.bytes_read``,
-``dfs.replicas_created``, gauge ``dfs.bytes_stored``); datanode
-crash/recover transitions land in the structured event log
+Datanode crash/recover transitions land in the structured event log
 (``dfs.datanode_failed`` / ``dfs.datanode_recovered``).
 """
 
@@ -206,13 +203,6 @@ class DistributedFileSystem:
     def __init__(self, namenode: NameNode, runtime=None):
         self.namenode = namenode
         self.runtime = runtime or get_runtime()
-        registry = self.runtime.registry
-        self._files_created = registry.counter("dfs.hdfs.files_created")
-        self._files_deleted = registry.counter("dfs.hdfs.files_deleted")
-        self._bytes_written = registry.counter("dfs.hdfs.bytes_written")
-        self._bytes_read = registry.counter("dfs.hdfs.bytes_read")
-        self._replicas_created = registry.counter("dfs.hdfs.replicas_created")
-        self._stored_gauge = registry.gauge("dfs.hdfs.bytes_stored")
 
     @classmethod
     def with_datanodes(cls, count: int, replication: int = 3,
@@ -250,9 +240,6 @@ class DistributedFileSystem:
         status = FileStatus(path=path, size=len(data),
                             block_ids=block_ids, replication=replication)
         self.namenode.record_file(status)
-        self._files_created.inc()
-        self._bytes_written.inc(len(data))
-        self._stored_gauge.set(self.total_bytes_stored())
         return status
 
     def read(self, path: str) -> bytes:
@@ -264,9 +251,7 @@ class DistributedFileSystem:
                 raise NotEnoughReplicas(
                     f"all replicas of block {block_id} ({path}) are dead")
             parts.append(live[0].read(block_id))
-        payload = b"".join(parts)
-        self._bytes_read.inc(len(payload))
-        return payload
+        return b"".join(parts)
 
     def append(self, path: str, data: bytes) -> FileStatus:
         """Append by writing new blocks (no partial-block fill, like HDFS v1)."""
@@ -280,8 +265,6 @@ class DistributedFileSystem:
                 self.namenode.record_replica(block_id, node.name)
             status.block_ids.append(block_id)
         status.size += len(data)
-        self._bytes_written.inc(len(data))
-        self._stored_gauge.set(self.total_bytes_stored())
         return status
 
     def delete(self, path: str) -> None:
@@ -290,8 +273,6 @@ class DistributedFileSystem:
             for name in self.namenode.replicas(block_id):
                 self.namenode.datanode(name).drop(block_id)
                 self.namenode.forget_replica(block_id, name)
-        self._files_deleted.inc()
-        self._stored_gauge.set(self.total_bytes_stored())
 
     def exists(self, path: str) -> bool:
         return self.namenode.exists(path)
@@ -338,9 +319,6 @@ class DistributedFileSystem:
                 node.store(report.block_id, data)
                 self.namenode.record_replica(report.block_id, node.name)
                 created += 1
-        if created:
-            self._replicas_created.inc(created)
-            self._stored_gauge.set(self.total_bytes_stored())
         return created
 
     def total_bytes_stored(self) -> int:

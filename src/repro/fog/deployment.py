@@ -138,11 +138,6 @@ class TwoTierDeployment:
                 "device": self.device_model.fused_layers,
                 "server": self.server_model.fused_layers,
             }
-            counter = self.runtime.registry.counter(
-                "fog.deploy.fused_layers",
-                help="BatchNorm layers folded into tier-local weights")
-            counter.inc(self.fused_layers["device"], tier="device")
-            counter.inc(self.fused_layers["server"], tier="server")
         if self.quantize_edge:
             self._quantize_device_tier()
 

@@ -18,9 +18,10 @@ shared :mod:`repro.runtime` substrate instead of hand-rolled accumulators:
 - ``fog.pipeline.stage`` spans (queue wait + service per stage,
   virtual-clock timestamps) and ``fog.pipeline.hop`` spans (transfer per
   hop);
-- counters ``fog.pipeline.items_completed``, ``fog.pipeline.resolved``,
-  ``fog.pipeline.bytes_shipped`` and ``fog.pipeline.machine_busy_s``;
-- histogram ``fog.pipeline.item_latency_s``.
+- counters ``fog.pipeline.resolved``, ``fog.pipeline.bytes_shipped`` and
+  ``fog.pipeline.machine_busy_s``;
+- histogram ``fog.pipeline.item_latency_s`` (one observation per
+  completed item).
 
 Failure model
 -------------
@@ -44,7 +45,7 @@ fault-tolerantly:
   exit head (the paper's graceful-degradation-by-early-exit design), or is
   *dropped* when no exit was reached.
 
-Outcomes are counted in ``fog.pipeline.items_completed`` /
+Outcomes are counted in ``fog.pipeline.item_latency_s`` /
 ``fog.pipeline.degraded`` / ``fog.pipeline.dropped`` (every arrival lands
 in exactly one) plus ``fog.pipeline.retries`` and
 ``fog.pipeline.failovers``; crash/recovery records appear as
@@ -435,7 +436,6 @@ def _item_process(env, runtime, pipeline: "FogPipeline", fabric: _Fabric,
         return None
     registry.histogram("fog.pipeline.item_latency_s").observe(
         env.now - start, run=run_id)
-    registry.counter("fog.pipeline.items_completed").inc(run=run_id)
     registry.counter("fog.pipeline.resolved").inc(run=run_id,
                                                   stage=resolve_stage)
     return None

@@ -27,15 +27,9 @@ from repro.runtime import get_runtime
 
 
 class ParameterServer:
-    """Canonical weights plus an SGD apply rule and a version counter.
+    """Canonical weights plus an SGD apply rule and a version counter."""
 
-    Pushed updates are counted in the runtime registry
-    (``nn.ps.updates``) and every gradient's staleness lands in the
-    ``nn.ps.staleness`` histogram, so the async-lag ablation shows up in
-    the same dump as the rest of the stack.
-    """
-
-    def __init__(self, model: Module, lr: float = 0.05, runtime=None):
+    def __init__(self, model: Module, lr: float = 0.05):
         if lr <= 0:
             raise ValueError(f"lr must be positive: {lr}")
         self.model = model
@@ -43,12 +37,6 @@ class ParameterServer:
         self.version = 0
         self.updates_applied = 0
         self.total_staleness = 0
-        self.runtime = runtime or get_runtime()
-        registry = self.runtime.registry
-        self._updates = registry.counter(
-            "nn.ps.updates", "gradient pushes applied")
-        self._staleness = registry.histogram(
-            "nn.ps.staleness", "gradient staleness in versions")
 
     def pull(self) -> Tuple[int, Dict[str, np.ndarray]]:
         """Current (version, weights snapshot)."""
@@ -70,8 +58,6 @@ class ParameterServer:
         self.version += 1
         self.updates_applied += 1
         self.total_staleness += staleness
-        self._updates.inc()
-        self._staleness.observe(staleness)
         return staleness
 
     @property
@@ -122,14 +108,12 @@ class ParameterServerTrainer:
     def __init__(self, build_model: Callable[[], Module],
                  loss_fn: Callable[[Tensor, np.ndarray], Tensor],
                  num_workers: int = 4, lr: float = 0.05,
-                 pull_period: int = 1, runtime=None):
+                 pull_period: int = 1):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1: {num_workers}")
         if pull_period < 1:
             raise ValueError(f"pull_period must be >= 1: {pull_period}")
-        self.runtime = runtime or get_runtime()
-        self.server = ParameterServer(build_model(), lr=lr,
-                                      runtime=self.runtime)
+        self.server = ParameterServer(build_model(), lr=lr)
         self.workers = [AsyncWorker(f"worker-{i}", build_model, loss_fn)
                         for i in range(num_workers)]
         self.pull_period = pull_period
@@ -152,9 +136,6 @@ class ParameterServerTrainer:
                 inputs[batch], targets[batch])
             self.server.push(gradients, worker.held_version)
             self.losses.append(loss)
-            self.runtime.registry.histogram(
-                "nn.train.loss", "per-step training losses").observe(
-                    loss, trainer="parameter_server")
         return self.losses
 
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray,

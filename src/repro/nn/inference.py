@@ -7,7 +7,7 @@ Everything the fog tier needs to run a trained model cheaply lives here:
 - :func:`iter_microbatches` — slice a batch into configurable micro-batches
   so memory stays bounded while NumPy still amortizes per-op overhead;
 - :func:`observe_inference` — time a block on the runtime clock and emit
-  ``nn.infer.latency_s`` / ``nn.infer.throughput_items_s``;
+  ``nn.infer.items`` / ``nn.infer.latency_s``;
 - :func:`batched_forward` — the composition of all three: run a module
   over an input batch with no autograd recording and return the raw
   output array.
@@ -70,10 +70,9 @@ def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
     """Time a block and emit the inference metrics for ``items`` samples.
 
     ``nn.infer.items`` is a deterministic counter; ``nn.infer.latency_s``
-    and ``nn.infer.throughput_items_s`` carry runtime-clock readings —
-    virtual time inside a DES simulation, *wall time* otherwise, so under
-    a wall clock those two (and only those two) vary between
-    identically-seeded runs.  The latency histogram keeps a reservoir of
+    carries runtime-clock readings — virtual time inside a DES
+    simulation, *wall time* otherwise, so under a wall clock it (and only
+    it) varies between identically-seeded runs.  It keeps a reservoir of
     :data:`~repro.runtime.metrics.LATENCY_SAMPLES` per model; its count,
     sum, min and max stay exact.
     """
@@ -92,11 +91,6 @@ def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
             "nn.infer.latency_s",
             help="wall/sim seconds per inference call",
             max_samples=LATENCY_SAMPLES).observe(elapsed, model=model)
-        if elapsed > 0:
-            registry.gauge(
-                "nn.infer.throughput_items_s",
-                help="samples per second of the latest inference call").set(
-                    items / elapsed, model=model)
 
 
 def batched_forward(module: Module, x: Union[Tensor, np.ndarray],

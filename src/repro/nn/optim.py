@@ -1,8 +1,7 @@
 """Gradient-descent optimizers.
 
-Every optimizer reports through the shared runtime registry: counter
-``nn.optim.steps`` (labeled by optimizer class) and histogram
-``nn.optim.grad_norm`` for observed pre-clip gradient norms.
+Every optimizer counts its steps in the shared runtime registry's
+``nn.optim.steps`` (labeled by optimizer class).
 """
 
 from __future__ import annotations
@@ -27,11 +26,8 @@ class Optimizer:
         self.parameters = parameters
         self.lr = lr
         self.runtime = runtime or get_runtime()
-        registry = self.runtime.registry
-        self._steps = registry.counter(
+        self._steps = self.runtime.registry.counter(
             "nn.optim.steps", "optimizer steps taken")
-        self._grad_norm = registry.histogram(
-            "nn.optim.grad_norm", "pre-clip global gradient L2 norms")
 
     def _record_step(self) -> None:
         self._steps.inc(opt=type(self).__name__)
@@ -50,7 +46,6 @@ class Optimizer:
             if param.grad is not None:
                 total += float((param.grad ** 2).sum())
         norm = float(np.sqrt(total))
-        self._grad_norm.observe(norm, opt=type(self).__name__)
         if norm > max_norm and norm > 0:
             scale = max_norm / norm
             for param in self.parameters:

@@ -103,17 +103,6 @@ class HTable:
         self._clock = 0
         self._flush_count = 0
         self.runtime = runtime or get_runtime()
-        registry = self.runtime.registry
-        self._puts = registry.counter("nosql.hbase.puts")
-        self._deletes = registry.counter("nosql.hbase.deletes")
-        self._flushes = registry.counter("nosql.hbase.flushes")
-        self._compactions = registry.counter("nosql.hbase.compactions")
-        self._memstore_gauge = registry.gauge("nosql.hbase.memstore_cells")
-        self._hfile_gauge = registry.gauge("nosql.hbase.hfiles")
-
-    def _observe_sizes(self) -> None:
-        self._memstore_gauge.set(len(self._memstore), table=self.name)
-        self._hfile_gauge.set(len(self._hfile_paths), table=self.name)
 
     # -- write path -----------------------------------------------------------
     def _tick(self) -> int:
@@ -133,21 +122,15 @@ class HTable:
         cell = Cell(row, family, qualifier, value,
                     timestamp if timestamp is not None else self._tick())
         self._memstore[cell.key] = cell
-        self._puts.inc(table=self.name)
         if len(self._memstore) >= self.memstore_flush_cells:
             self.flush()
-        else:
-            self._observe_sizes()
 
     def delete(self, row: str, family: str, qualifier: str) -> None:
         self._check_family(family)
         cell = Cell(row, family, qualifier, b"", self._tick(), tombstone=True)
         self._memstore[cell.key] = cell
-        self._deletes.inc(table=self.name)
         if len(self._memstore) >= self.memstore_flush_cells:
             self.flush()
-        else:
-            self._observe_sizes()
 
     def flush(self) -> Optional[str]:
         """Write the memstore to a new HFile in the DFS; returns its path."""
@@ -161,8 +144,6 @@ class HTable:
             self._hfile_paths.append(path)
             self._hfile_cache[path] = cells
             self._memstore.clear()
-        self._flushes.inc(table=self.name)
-        self._observe_sizes()
         return path
 
     # -- read path --------------------------------------------------------------
@@ -255,6 +236,4 @@ class HTable:
             self.dfs.create(path, _encode_cells(survivors))
             self._hfile_paths.append(path)
             self._hfile_cache[path] = survivors
-        self._compactions.inc(table=self.name)
-        self._observe_sizes()
         return path

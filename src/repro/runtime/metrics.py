@@ -6,9 +6,9 @@ labeled *series*:
 - :class:`Counter` — monotonically increasing float (events, bytes,
   busy-seconds);
 - :class:`Gauge` — a value that goes up and down (queue depth,
-  utilization);
+  consumer lag);
 - :class:`Histogram` — raw observations summarized at dump time
-  (latencies, losses, gradient norms).
+  (latencies, delays).
 
 A series is addressed by keyword labels (``counter.inc(topic="tweets")``)
 and rendered in dumps as a deterministic ``"k1=v1,k2=v2"`` key, so two

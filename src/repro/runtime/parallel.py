@@ -41,12 +41,7 @@ PLAN_METRIC_PREFIX = "nn.plan."
 
 #: metrics that carry wall-clock readings by design (documented in their
 #: help strings); :func:`deterministic_dump` excludes them
-WALL_CLOCK_METRICS = frozenset({
-    "nn.infer.latency_s",
-    "nn.infer.throughput_items_s",
-    "streaming.broker.produce_latency_s",
-    "streaming.broker.fetch_latency_s",
-})
+WALL_CLOCK_METRICS = frozenset({"nn.infer.latency_s"})
 
 
 # -- shared-memory ndarray transport ------------------------------------------
@@ -118,7 +113,7 @@ def deterministic_dump(runtime: Optional[Runtime] = None,
 
     ``drop_metric_prefixes`` / ``drop_span_prefixes`` let callers exclude
     whole telemetry families whose *attempt counts* legitimately vary
-    with deployment shape — e.g. ``streaming.broker.*`` fetch/lag series
+    with deployment shape — e.g. ``streaming.broker.*`` lag series
     vary with consumer-group size even though the committed output does
     not (see :data:`repro.streaming.broker.VOLATILE_METRIC_PREFIXES`).
     """

@@ -190,12 +190,6 @@ class ServingGateway:
         self._drain_task: Optional["asyncio.Task"] = None
         self._closed = False
         self._batch_seq = 0
-        self.submitted = 0
-        self.admitted = 0
-        self.answered = 0
-        self.shed = 0
-        self.failed = 0
-        self.cancelled = 0
         registry = self.runtime.registry
         self._m_submitted = registry.counter(
             "serving.gateway.submitted",
@@ -216,15 +210,9 @@ class ServingGateway:
             "serving.gateway.cancelled",
             help="admitted requests whose caller cancelled before a "
                  "batch took them")
-        self._m_batches = registry.counter(
-            "serving.gateway.batches",
-            help="coalesced micro-batches served")
         self._m_rows = registry.counter(
             "serving.gateway.rows_served",
             help="frame rows served through coalesced batches")
-        self._m_batch_rows = registry.histogram(
-            "serving.gateway.batch_rows",
-            help="rows per coalesced micro-batch")
         self._m_latency = registry.histogram(
             "serving.gateway.latency_s",
             help="wall seconds from admission to answer",
@@ -233,9 +221,15 @@ class ServingGateway:
         self._g_queue_rows = registry.gauge(
             "serving.gateway.queue_rows",
             help="frame rows waiting in the coalescing queue")
-        self._g_queue_requests = registry.gauge(
-            "serving.gateway.queue_requests",
-            help="requests waiting in the coalescing queue")
+        #: the request counters ``stats()`` reads, each with its total
+        #: when this gateway was built: a runtime's earlier gateways wrote
+        #: the same series
+        self._counters = {
+            "submitted": self._m_submitted, "admitted": self._m_admitted,
+            "answered": self._m_answered, "shed": self._m_shed,
+            "failed": self._m_failed, "cancelled": self._m_cancelled}
+        self._counted_before = {name: counter.total()
+                                for name, counter in self._counters.items()}
 
     # -- lifecycle --------------------------------------------------------------
     async def start(self) -> None:
@@ -279,7 +273,6 @@ class ServingGateway:
         telemetry = self._tenants.get(tenant)
         if telemetry is None:
             telemetry = self._tenants[tenant] = _TenantTelemetry(self, tenant)
-        self.submitted += 1
         telemetry.submitted.inc(1)
         if self._closed or self._wakeup is None:
             self._shed(tenant, SHED_SHUTDOWN, "gateway is not running")
@@ -292,7 +285,6 @@ class ServingGateway:
                            self.runtime.now())
         self._queue.append(pending)
         self._queued_rows += rows
-        self.admitted += 1
         telemetry.admitted.inc(1)
         self._update_queue_gauges()
         self._wakeup.set()
@@ -317,17 +309,14 @@ class ServingGateway:
 
     def _count_cancelled(self, pending: _Pending) -> None:
         self._queued_rows -= pending.rows
-        self.cancelled += 1
         self._m_cancelled.inc(1, tenant=pending.tenant)
 
     def _shed(self, tenant: str, reason: str, detail: str) -> None:
-        self.shed += 1
         self._m_shed.inc(1, tenant=tenant, reason=reason)
         raise ShedError(tenant, reason, detail)
 
     def _update_queue_gauges(self) -> None:
         self._g_queue_rows.set(self._queued_rows)
-        self._g_queue_requests.set(len(self._queue))
 
     # -- drain loop -------------------------------------------------------------
     async def _drain_loop(self) -> None:
@@ -358,10 +347,11 @@ class ServingGateway:
         if window <= 0:
             return
         deadline = self._queue[0].enqueued_at + window
+        admitted = self._m_admitted.total
         while not self._closed and self._queued_rows < self.config.max_batch_rows:
-            admitted = self.admitted
+            before = admitted()
             await asyncio.sleep(0)
-            if self.admitted == admitted or self.runtime.now() >= deadline:
+            if admitted() == before or self.runtime.now() >= deadline:
                 return
 
     def _take_batch(self) -> List[_Pending]:
@@ -408,7 +398,6 @@ class ServingGateway:
                 for pending in batch:
                     if not pending.future.done():
                         pending.future.set_exception(exc)
-                        self.failed += 1
                         self._m_failed.inc(1, tenant=pending.tenant)
                 return
             parts = split_decisions(decisions, [p.rows for p in batch])
@@ -416,37 +405,33 @@ class ServingGateway:
         for pending, part in zip(batch, parts):
             if not pending.future.done():
                 pending.future.set_result(part)
-            self.answered += 1
             telemetry = self._tenants[pending.tenant]
             telemetry.answered.inc(1)
             telemetry.latency.observe(now - pending.enqueued_at)
-        self._m_batches.inc()
         self._m_rows.inc(rows)
-        self._m_batch_rows.observe(rows)
 
     # -- observability ----------------------------------------------------------
     def stats(self) -> dict:
         """A cheap live snapshot for health endpoints and tests.
 
-        When the deployment serves captured plans (``capture_plans=``),
-        ``plans`` carries the per-stage plan-cache counters.  A stage
-        holds one plan, so after warm-up ``misses`` stands still; one
-        that keeps rising means batches keep outgrowing the plan (each
+        The request counts are views over the ``serving.gateway.*``
+        counters: their totals since this gateway was built.  When the
+        deployment serves captured plans (``capture_plans=``), ``plans``
+        carries the per-stage plan-cache counters.  A stage holds one
+        plan, so after warm-up ``misses`` stands still; one that keeps
+        rising means batches keep outgrowing the plan (each
         miss is a recapture) — with ``arena_bytes`` the first thing to
         look at when latency regresses.
         """
         snapshot = {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "answered": self.answered,
-            "shed": self.shed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
+            name: int(counter.total() - self._counted_before[name])
+            for name, counter in self._counters.items()}
+        snapshot.update({
             "batches": self._batch_seq,
             "queue_rows": self._queued_rows,
             "queue_requests": len(self._queue),
             "closed": self._closed,
-        }
+        })
         plan_stats = getattr(self.deployment, "plan_stats", None)
         if callable(plan_stats):
             plans = plan_stats()

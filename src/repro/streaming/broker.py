@@ -49,10 +49,10 @@ lists:
   actually asks for row views (``produce()``, ``poll()``, iteration,
   indexing) — the payload objects themselves are never copied.
 
-Telemetry lives under ``streaming.broker.*``: produce/fetch volume and
-latency, per-group lag gauges, rebalance and generation counters,
-retention evictions, backpressure stalls, shared-memory bytes.  Delivery
-*attempts* legitimately vary with group membership, so
+Telemetry lives under ``streaming.broker.*``: the per-group consumer
+lag gauge, the produce-to-consume delay histogram, and the records the
+``"drop"`` policy discards.  Delivery *attempts* legitimately vary with
+group membership, so
 :data:`VOLATILE_METRIC_PREFIXES` / :data:`VOLATILE_SPAN_PREFIXES` name
 what invariance tests should drop via
 :func:`repro.runtime.parallel.deterministic_dump`.
@@ -82,7 +82,6 @@ from typing import (
 import numpy as np
 
 from repro.runtime import get_runtime
-from repro.runtime.metrics import LATENCY_SAMPLES
 from repro.runtime.parallel import (
     DEFAULT_SHM_MIN_BYTES,
     SharedArrayRef,
@@ -455,32 +454,12 @@ class _Group:
         return sorted(p for p, m in mapping.items() if m == member_id)
 
 
-class _TopicTelemetry:
-    """Produce-side bound metric handles, resolved once per topic.
-
-    The labeled calls these replace dominated the per-record produce
-    cost; the handles land in exactly the same series, so dumps cannot
-    tell the paths apart.
-    """
-
-    __slots__ = ("produced", "depth", "produce_latency", "dropped", "stalls")
-
-    def __init__(self, broker: "Broker", topic: str):
-        self.produced = broker._produced.bind(topic=topic)
-        self.depth = broker._depth.bind(topic=topic)
-        self.produce_latency = broker._produce_latency.bind(topic=topic)
-        self.dropped = broker._dropped.bind(topic=topic,
-                                            reason="backpressure")
-        self.stalls = broker._stalls.bind(topic=topic)
-
-
 class _GroupTelemetry:
     """Fetch-side bound metric handles, resolved once per (group, topic)."""
 
-    __slots__ = ("consumed", "e2e", "lag")
+    __slots__ = ("e2e", "lag")
 
     def __init__(self, broker: "Broker", group: str, topic: str):
-        self.consumed = broker._consumed.bind(group=group, topic=topic)
         self.e2e = broker._e2e_latency.bind(group=group, topic=topic)
         self.lag = broker._lag.bind(group=group, topic=topic)
 
@@ -508,50 +487,16 @@ class Broker:
         self.shm_min_bytes = int(shm_min_bytes)
         self.runtime = runtime or get_runtime()
         registry = self.runtime.registry
-        self._produced = registry.counter(
-            "streaming.broker.records_produced",
-            "records appended to a topic")
-        self._consumed = registry.counter(
-            "streaming.broker.records_consumed",
-            "records fetched by a consumer group")
         self._dropped = registry.counter(
             "streaming.broker.records_dropped",
             "records discarded by the drop backpressure policy")
-        self._stalls = registry.counter(
-            "streaming.broker.backpressure_stalls",
-            "blocked produce attempts against full partitions")
-        self._evictions = registry.counter(
-            "streaming.broker.retention_evictions",
-            "records evicted by retention, compaction or consumed-head "
-            "trimming")
-        self._rebalances = registry.counter(
-            "streaming.broker.rebalances",
-            "consumer-group rebalances (joins and leaves)")
-        self._generation = registry.gauge(
-            "streaming.broker.generation",
-            "current consumer-group generation")
         self._lag = registry.gauge(
             "streaming.broker.lag",
             "records between a group's committed offsets and the log end")
-        self._depth = registry.gauge(
-            "streaming.broker.depth",
-            "retained records per topic")
-        self._shm_bytes = registry.counter(
-            "streaming.broker.shm_bytes",
-            "ndarray payload bytes staged into shared memory")
-        self._produce_latency = registry.histogram(
-            "streaming.broker.produce_latency_s",
-            "runtime-clock seconds per produce call (wall time "
-            "outside a DES run)", max_samples=LATENCY_SAMPLES)
-        self._fetch_latency = registry.histogram(
-            "streaming.broker.fetch_latency_s",
-            "runtime-clock seconds per poll call (wall time "
-            "outside a DES run)", max_samples=LATENCY_SAMPLES)
         self._e2e_latency = registry.histogram(
             "streaming.broker.produce_to_consume_s",
             "sim-clock seconds between produce and fetch ("
             "observed only while a DES clock is bound)")
-        self._topic_telemetry_cache: Dict[str, _TopicTelemetry] = {}
         self._group_telemetry_cache: Dict[Tuple[str, str],
                                           _GroupTelemetry] = {}
 
@@ -563,13 +508,6 @@ class Broker:
         return float(self._ticks)
 
     # -- bound telemetry -----------------------------------------------------
-    def _topic_telemetry(self, topic: str) -> _TopicTelemetry:
-        handles = self._topic_telemetry_cache.get(topic)
-        if handles is None:
-            handles = _TopicTelemetry(self, topic)
-            self._topic_telemetry_cache[topic] = handles
-        return handles
-
     def _group_telemetry(self, group: str, topic: str) -> _GroupTelemetry:
         key = (group, topic)
         handles = self._group_telemetry_cache.get(key)
@@ -657,15 +595,13 @@ class Broker:
         order (``len()`` and indexing behave like the old record list;
         ``Record`` objects materialize lazily).  This is the broker's one
         append path: one partition plan, one admission check, one bulk
-        column append per touched partition, and one telemetry update
-        for the whole batch.  Values come back as the producer's objects.
+        column append per touched partition.  Values come back as the
+        producer's objects.
         """
         t = self._topic(topic)
         values = list(values)
         if not values:
             return RecordBatch.empty(topic)
-        started = self.runtime.now()
-        telemetry = self._topic_telemetry(topic)
         parts = t.partitions
         width = len(parts)
         n = len(values)
@@ -718,7 +654,7 @@ class Broker:
             lane_offsets = range(part.end_offset,
                                  part.end_offset + len(lane_values))
             if stage:
-                lane_values = [self._store_value(t, part, offset, value)
+                lane_values = [self._store_value(part, offset, value)
                                for offset, value
                                in zip(lane_offsets, lane_values)]
             _put(offsets, rows, lane_offsets)
@@ -729,10 +665,6 @@ class Broker:
             part.timestamps.extend(_take(stamps, rows))
             part.end_offset = lane_offsets.stop
         self._apply_size_retention(t)
-        if n:
-            telemetry.produced.inc(n)
-            telemetry.depth.set(sum([len(part.offsets) for part in parts]))
-        telemetry.produce_latency.observe(self.runtime.now() - started)
         return RecordBatch(topic, plan, offsets, keys, values, stamps)
 
     def _admit(self, t: _Topic, plan: Sequence[int]) -> Optional[List[int]]:
@@ -761,9 +693,9 @@ class Broker:
                 if free[partition] > 0:
                     free[partition] -= 1
                     kept.append(index)
-            self._topic_telemetry(t.name).dropped.inc(len(plan) - len(kept))
+            self._dropped.inc(len(plan) - len(kept), topic=t.name,
+                              reason="backpressure")
             return kept
-        self._topic_telemetry(t.name).stalls.inc()
         overfull = sorted(p for p, count in needed.items()
                           if count > free[p])
         message = (f"topic {t.name} partitions {overfull} are full "
@@ -789,7 +721,6 @@ class Broker:
                 if t.config.compact:
                     self._compact(t)
                 evicted += before - self.topic_size(name)
-            self._depth.set(self.topic_size(name), topic=name)
         return evicted
 
     def compact(self, topic: str) -> int:
@@ -797,18 +728,15 @@ class Broker:
         t = self._topic(topic)
         with self.runtime.tracer.span("streaming.broker.compaction",
                                       topic=topic):
-            removed = self._compact(t)
-        self._depth.set(self.topic_size(topic), topic=topic)
-        return removed
+            return self._compact(t)
 
     def _apply_size_retention(self, t: _Topic) -> None:
         bound = t.config.retention_max_records
         if bound is None:
             return
-        for partition, part in enumerate(t.partitions):
+        for part in t.partitions:
             if len(part) > bound:
-                self._truncate_head(t, partition, len(part) - bound,
-                                    reason="size")
+                self._truncate_head(part, len(part) - bound)
 
     def _evict_aged(self, t: _Topic, partition: int) -> None:
         max_age = t.config.retention_max_age_s
@@ -820,7 +748,7 @@ class Broker:
         # is a bisect over the timestamp column.
         cut = bisect_left(part.timestamps, horizon)
         if cut:
-            self._truncate_head(t, partition, cut, reason="age")
+            self._truncate_head(part, cut)
 
     def _evict_consumed_head(self, t: _Topic, partition: int) -> None:
         """Trim records already committed by every group that consumes here."""
@@ -833,16 +761,13 @@ class Broker:
         part = t.partitions[partition]
         cut = part.index_for(safe)
         if cut:
-            self._truncate_head(t, partition, cut, reason="consumed")
+            self._truncate_head(part, cut)
 
-    def _truncate_head(self, t: _Topic, partition: int, count: int,
-                       reason: str) -> None:
-        part = t.partitions[partition]
+    def _truncate_head(self, part: _Partition, count: int) -> None:
         if part.shm:
             for offset in part.offsets[:count]:
                 self._release(part, offset)
         part.truncate_head(count)
-        self._evictions.inc(count, topic=t.name, reason=reason)
 
     def _compact(self, t: _Topic) -> int:
         """Keep only the latest record per key; tombstones delete the key."""
@@ -872,12 +797,10 @@ class Broker:
                         self._release(part, offset)
             part.keep_rows(survivors)
             removed += dropped
-        if removed:
-            self._evictions.inc(removed, topic=t.name, reason="compaction")
         return removed
 
     # -- zero-copy payload transport -----------------------------------------------
-    def _store_value(self, t: _Topic, part: _Partition, offset: int,
+    def _store_value(self, part: _Partition, offset: int,
                      value: Any) -> Any:
         encoded, staged, segments = share_ndarrays(value, self.shm_min_bytes)
         if segments:
@@ -885,7 +808,6 @@ class Broker:
             for segment in segments:
                 self._segments[segment.name] = segment
             self._staged_bytes += staged
-            self._shm_bytes.inc(staged, topic=t.name)
         return encoded
 
     def _resolve(self, obj: Any) -> Any:
@@ -1004,8 +926,6 @@ class Broker:
                 for p in range(len(t.partitions)):
                     self._positions.pop((group.name, topic, p), None)
             group.assignment = assignment
-        self._rebalances.inc(group=group.name)
-        self._generation.set(group.generation, group=group.name)
 
     # -- fetch --------------------------------------------------------------------
     def _fetch_batch(self, consumer: "Consumer", topic: str,
@@ -1064,14 +984,11 @@ class Broker:
             if budget <= 0:
                 group.cursors[topic] = partition + 1
                 break
-        if out_offsets:
-            telemetry = self._group_telemetry(group.name, topic)
-            telemetry.consumed.inc(len(out_offsets))
-            if self.runtime.clock_kind == "sim":
-                now = self.runtime.now()
-                observe = telemetry.e2e.observe
-                for stamp in out_timestamps:
-                    observe(now - stamp)
+        if out_offsets and self.runtime.clock_kind == "sim":
+            now = self.runtime.now()
+            observe = self._group_telemetry(group.name, topic).e2e.observe
+            for stamp in out_timestamps:
+                observe(now - stamp)
         self._update_lag(group.name, topic)
         return RecordBatch(topic, out_partitions, out_offsets, out_keys,
                            out_values, out_timestamps)
@@ -1152,7 +1069,6 @@ class Consumer:
         self.auto_commit = auto_commit
         self.member_id = broker.runtime.gensym(f"{group}-member")
         self._closed = False
-        self._fetch_latency = broker._fetch_latency.bind(group=group)
         broker._join(group, self.member_id, self.topics)
         self.generation = broker.group_generation(group)
 
@@ -1203,7 +1119,6 @@ class Consumer:
             raise BrokerError(f"max_records must be >= 1: {max_records}")
         self._sync()
         broker = self.broker
-        started = broker.runtime.now()
         if len(self.topics) == 1:
             out = broker._fetch_batch(self, self.topics[0], max_records)
         else:
@@ -1220,7 +1135,6 @@ class Consumer:
                 else RecordBatch.empty(self.topics[0])
         if self.auto_commit and out:
             broker._commit(self)
-        self._fetch_latency.observe(broker.runtime.now() - started)
         return out
 
     def drain(self, batch_size: int = 100) -> List[Record]:

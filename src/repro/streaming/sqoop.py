@@ -54,10 +54,7 @@ def csv_to_rows(payload: bytes) -> List[dict]:
 class SqoopImporter:
     """Imports relational tables in parallel key-range chunks.
 
-    Imported rows/files are reported through the runtime as
-    ``streaming.sqoop.rows_imported{table=...}`` and
-    ``streaming.sqoop.files_written{table=...}``; each job runs under a
-    ``sqoop.import`` span.
+    Each job runs under a ``streaming.sqoop.import`` span.
 
     ``broker`` is the transport between the mapper (table-scan) side and
     the writer side; when omitted each importer gets a private
@@ -74,13 +71,6 @@ class SqoopImporter:
         self.runtime = runtime or get_runtime()
         self.broker = broker if broker is not None \
             else Broker(runtime=self.runtime)
-
-    def _record(self, table_name: str, rows: int, files: int) -> None:
-        registry = self.runtime.registry
-        registry.counter("streaming.sqoop.rows_imported").inc(
-            rows, table=table_name)
-        registry.counter("streaming.sqoop.files_written").inc(
-            files, table=table_name)
 
     def _produce_splits(self, table, table_name: str,
                         num_mappers: int) -> str:
@@ -135,7 +125,6 @@ class SqoopImporter:
                 self.dfs.create(path, _rows_to_csv(table.columns, split))
                 files.append(path)
                 rows += len(split)
-        self._record(table_name, rows, len(files))
         return ImportReport(table=table_name, rows=rows,
                             mappers=num_mappers, files=files)
 
@@ -159,6 +148,5 @@ class SqoopImporter:
                     consumer.commit()
             finally:
                 consumer.close()
-        self._record(table_name, rows, 0)
         return ImportReport(table=table_name, rows=rows,
                             mappers=num_mappers, files=[])

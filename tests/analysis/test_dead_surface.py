@@ -81,6 +81,7 @@ KEEP: Dict[str, str] = {
     "repro.compute.rdd.SparkContext.text_file": SPARK,
     "repro.compute.yarn.ResourceManager.nodes": STORES,
     "repro.compute.yarn.ResourceManager.running_containers": STORES,
+    "repro.compute.yarn.ResourceManager.utilization": STORES,
     "repro.core.infrastructure.CyberInfrastructure.publish_camera_frames":
         "ROADMAP 4(a) / 13(a) decide the camera feed pair",
     "repro.core.infrastructure.CyberInfrastructure.serve_camera_streams":

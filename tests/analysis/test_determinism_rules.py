@@ -362,3 +362,48 @@ class TestWallClockTaint:
                 return Record(timestamp=time.time())  # repro: noqa[DET107]
         """, path=TEST)
         assert findings == []
+
+
+class TestStrHash:
+    def test_str_annotated_parameter_flagged(self):
+        # the shape of a placement bug: a per-process bucket for a name
+        findings = check("""
+            def bucket(name: str, n: int) -> int:
+                return hash(name) % n
+        """)
+        assert rule_ids(findings) == ["DET108"]
+        assert findings[0].line == 3
+
+    def test_literal_fstring_str_and_repr_flagged(self):
+        findings = check("""
+            def keys(x):
+                return [hash("a"), hash(f"{x}"), hash(str(x)),
+                        hash(repr(x))]
+        """)
+        assert rule_ids(findings) == ["DET108"] * 4
+
+    def test_number_guarded_hash_clean(self):
+        # the compute layer's shuffle bucket: numbers keep hash(), whose
+        # numeric form is unsalted
+        findings = check("""
+            import numbers
+
+            def partition_of(key, n: int) -> int:
+                if isinstance(key, numbers.Number):
+                    return hash(key) % n
+                return 0
+        """)
+        assert findings == []
+
+    def test_parameter_of_another_scope_clean(self):
+        findings = check("""
+            def outer(name: str):
+                def inner(name):
+                    return hash(name)
+                return inner
+        """)
+        assert findings == []
+
+    def test_test_code_exempt_and_noqa_suppresses(self):
+        assert check("hash('a')\n", path=TEST) == []
+        assert check("hash('a')  # repro: noqa[DET108]\n") == []

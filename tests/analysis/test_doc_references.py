@@ -10,18 +10,29 @@ dotted name (``repro.viz.registry_to_json(rt, path=...)``) are ignored.
 Every ``ROADMAP [item] N`` / ``N(x)`` quote (``ROADMAP 4(a) / 13(a)``
 quotes two) in those documents, the CI workflow and the Python sources
 must name an item ROADMAP.md still numbers, and a sub-item that item's
-text still has.  Standard library only, like the analyzer it builds on.
+text still has.
+
+Every backticked ``<layer>.<component>.<name>`` whose layer is a
+telemetry layer (``streaming.broker.lag``, ``nn.plan.*``) must be a
+metric ``src/`` registers, a span name ``src/`` opens, or a per-layer
+metric of ``BENCHMARK.json`` / ``benchmarks/e2e``, unless it names code
+(``nn.functional.take_rows`` is ``repro.nn.functional.take_rows``).
+Standard library only, like the analyzer it builds on.
 """
 
 import ast
 import functools
+import json
 import re
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.engine import collect_files
 from repro.analysis.graph import ProjectGraph, module_name_for_path
+
+from tests.analysis.test_metric_census import metric_writes, src_sources
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -45,6 +56,9 @@ ITEM_HEAD = re.compile(r"^(\d+)\. \*\*(?!\d)", re.M)
 COMMENT_BREAK = re.compile(r"\n[ \t]*#[ \t]*")
 
 DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
+#: a name of three or more dotted segments, ``*`` allowed, and its quote
+TELEMETRY_NAME = r"[a-z]\w*(?:\.[\w*]+){2,}"
+TELEMETRY = re.compile(rf"`({TELEMETRY_NAME})[^`]*`")
 PATH_ID = re.compile(r"`([\w./-]+\.py)((?:::\w+)+)[^`]*`")
 
 
@@ -188,4 +202,59 @@ def test_roadmap_quotes_name_live_items():
              for quote in stale_roadmap_quotes(
                  items, path.read_text(encoding="utf-8"))]
     assert stale == [], "stale ROADMAP item quotes:\n  " + \
+        "\n  ".join(stale)
+
+
+@functools.lru_cache(maxsize=1)
+def telemetry_names():
+    """``(names, prefixes)``: every metric, span and per-layer benchmark
+    name the repository defines, and the prefixes of run-time-built
+    metric names."""
+    literal, dynamic = metric_writes(src_sources())
+    names = set(literal)
+    for source in src_sources().values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in ("span", "sampler") and node.args \
+                    and isinstance(node.args[0], ast.Constant):
+                names.add(node.args[0].value)
+    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    names.update(entry["name"] for entry in benchmark["per_layer"])
+    for path in sorted((REPO_ROOT / "benchmarks" / "e2e").glob("*.py")):
+        names.update(node.value for node in ast.walk(ast.parse(
+            path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(TELEMETRY_NAME, node.value))
+    return frozenset(names), frozenset(filter(None, dynamic.values()))
+
+
+def stale_telemetry(graph: ProjectGraph, text: str) -> List[str]:
+    """Backticked telemetry names in ``text`` that nothing defines."""
+    names, prefixes = telemetry_names()
+    layers = {name.split(".")[0] for name in names if name.count(".") >= 2}
+    return [quote for quote in TELEMETRY.findall(text)
+            if quote.split(".")[0] in layers
+            and not dotted_resolves(graph, "repro." + quote)
+            and not any(fnmatchcase(name, quote) for name in names)
+            and not any(quote.startswith(prefix)
+                        or fnmatchcase(prefix, quote)
+                        for prefix in prefixes)]
+
+
+def test_the_telemetry_checker_tells_live_from_stale():
+    text = ("`streaming.broker.lag` `nn.plan.*` `nn.plan.cache_hits` "
+            "`serving.gateway.batch` `streaming.produce_batch.calls` "
+            "`nn.functional.take_rows` `np.random.default_rng` "
+            "`streaming.broker.depth` `nn.optim.grad_norm`")
+    assert stale_telemetry(project_graph(), text) == [
+        "streaming.broker.depth", "nn.optim.grad_norm"]
+
+
+def test_documents_quote_only_live_telemetry():
+    graph = project_graph()
+    stale = [f"{doc}: {quote}" for doc in DOCUMENTS
+             for quote in stale_telemetry(
+                 graph, (REPO_ROOT / doc).read_text(encoding="utf-8"))]
+    assert stale == [], "quoted telemetry names nothing defines:\n  " + \
         "\n  ".join(stale)

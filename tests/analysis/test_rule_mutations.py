@@ -74,6 +74,9 @@ CASES = [
              probe = Record(topic=topic, partition=0, offset=0, key=None,
                             value=None, timestamp=stamp)  # seeded
              """),
+    Mutation("DET108", "src/repro/streaming/broker.py",
+             "digest = hashlib.md5(key.encode()).digest()",
+             "partition = hash(key) % len(self.partitions)  # seeded"),
     # -- observability ----------------------------------------------------------
     Mutation("OBS201", "src/repro/serving/gateway.py",
              "self._m_submitted = registry.counter(",

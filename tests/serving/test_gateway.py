@@ -91,7 +91,7 @@ class TestCoalescing:
         results = drive(gateway, [("t", camera_frames(i, 2))
                                   for i in range(4)])
         assert all(len(r.predictions) == 2 for r in results)
-        assert gateway.answered == 4
+        assert gateway.stats()["answered"] == 4
 
 
 class TestQuiescenceWindow:
@@ -420,6 +420,20 @@ class TestConfigAndMetrics:
         assert latency["tenant=t"]["count"] == 3
         assert any("serving.gateway.latency_s".startswith(p)
                    for p in VOLATILE_METRIC_PREFIXES)
+
+    def test_stats_count_only_this_gateways_events(self, rt, deployment,
+                                                   policy):
+        # stats() reads the runtime's serving.gateway.* counters, which
+        # every gateway built on the runtime writes
+        config = GatewayConfig(coalesce_window_s=0.0)
+        drive(ServingGateway(deployment, policy, config),
+              [("t", camera_frames(i, 2)) for i in range(3)])
+        gateway = ServingGateway(deployment, policy, config)
+        drive(gateway, [("t", camera_frames(0, 2))])
+        stats = gateway.stats()
+        assert (stats["submitted"], stats["admitted"], stats["answered"]) \
+            == (1, 1, 1)
+        assert rt.registry.counter("serving.gateway.submitted").total() == 4
 
     def test_batch_spans_nest(self, rt, deployment, policy):
         gateway = ServingGateway(deployment, policy,
