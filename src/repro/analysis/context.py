@@ -28,15 +28,11 @@ def _normalize(path: str) -> str:
 class ModuleContext:
     """One parsed source file plus the derived tables rules consume."""
 
-    def __init__(self, path: str, source: str,
-                 is_library: Optional[bool] = None):
+    def __init__(self, path: str, source: str):
         self.path = path
         self.rel_path = _normalize(path)
         self.tree = ast.parse(source, filename=path)
-        if is_library is None:
-            parts = PurePosixPath(self.rel_path).parts
-            is_library = "src" in parts[:-1]
-        self.is_library = is_library
+        self.is_library = "src" in PurePosixPath(self.rel_path).parts[:-1]
         self.noqa: Dict[int, Set[str]] = self._collect_noqa(source)
         self._parents: Dict[int, ast.AST] = {}
         self.imports: Dict[str, str] = {}

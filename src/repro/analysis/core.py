@@ -112,9 +112,9 @@ class GraphRule(Rule):
         return False
 
     def found_in(self, ctx: ModuleContext, lineno: int,
-                 message: str, col: int = 0) -> Finding:
+                 message: str) -> Finding:
         return Finding(rule=self.id, severity=self.severity,
-                       path=ctx.rel_path, line=lineno, col=col,
+                       path=ctx.rel_path, line=lineno, col=0,
                        message=message)
 
 

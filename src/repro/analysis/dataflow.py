@@ -24,7 +24,7 @@ Design choices, deliberately simple:
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Callable, Iterator, List, Sequence, Set, Tuple
 
 #: predicate deciding whether an AST node (typically a Call) is a source
 SourcePredicate = Callable[[ast.AST], bool]
@@ -93,10 +93,10 @@ def expression_tainted(node: ast.AST, tainted: Set[str],
     return False
 
 
-def tainted_names(body: Sequence[ast.stmt], is_source: SourcePredicate,
-                  initial: Iterable[str] = ()) -> Set[str]:
+def tainted_names(body: Sequence[ast.stmt],
+                  is_source: SourcePredicate) -> Set[str]:
     """Names carrying taint anywhere in the scope (two-pass fixpoint)."""
-    tainted: Set[str] = set(initial)
+    tainted: Set[str] = set()
     for _ in range(2):
         before = len(tainted)
         for node in scope_nodes(body):

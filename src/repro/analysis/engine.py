@@ -101,14 +101,11 @@ def _validate_codes(codes: Optional[Iterable[str]]) -> None:
         raise UnknownRuleError(unknown)
 
 
-def _select_rules(rules: Optional[Sequence[Rule]],
-                  select: Optional[Iterable[str]],
+def _select_rules(select: Optional[Iterable[str]],
                   ignore: Optional[Iterable[str]]) -> List[Rule]:
-    chosen = list(rules) if rules is not None else all_rules()
-    if rules is None:
-        # only validate against the registry when running registry rules
-        _validate_codes(select)
-        _validate_codes(ignore)
+    _validate_codes(select)
+    _validate_codes(ignore)
+    chosen = all_rules()
     if select:
         wanted = {code.upper() for code in select}
         chosen = [r for r in chosen if r.id in wanted]
@@ -163,21 +160,18 @@ def analyze_graph(graph: ProjectGraph,
     return findings
 
 
-def analyze_source(source: str, path: str = "src/repro/example.py",
-                   rules: Optional[Sequence[Rule]] = None,
-                   is_library: Optional[bool] = None) -> List[Finding]:
+def analyze_source(source: str, path: str = "src/repro/example.py"
+                   ) -> List[Finding]:
     """Analyze a source string with the module rules (fixture entry point).
 
     Graph rules need a multi-file project; exercise them through
     :func:`analyze_paths` on a fixture tree instead.
     """
-    ctx = ModuleContext(path, source, is_library=is_library)
-    return sorted(analyze_module(ctx, rules=rules),
-                  key=lambda f: f.sort_key())
+    ctx = ModuleContext(path, source)
+    return sorted(analyze_module(ctx), key=lambda f: f.sort_key())
 
 
 def analyze_paths(paths: Sequence[str],
-                  rules: Optional[Sequence[Rule]] = None,
                   select: Optional[Iterable[str]] = None,
                   ignore: Optional[Iterable[str]] = None,
                   ) -> Tuple[List[Finding], Dict[str, ModuleContext]]:
@@ -186,7 +180,7 @@ def analyze_paths(paths: Sequence[str],
     Parse every file, run the module rules over each parsed module, then
     the graph rules over the project graph once.
     """
-    chosen = _select_rules(rules, select, ignore)
+    chosen = _select_rules(select, ignore)
     module_rules, graph_rules = _split_rules(chosen)
 
     findings: List[Finding] = []

@@ -62,20 +62,17 @@ class ActionEarlyExitModel(EarlyExitNetwork):
     """
 
     def __init__(self, image_size: int = 16, num_classes: int = 5,
-                 block1_channels: int = 4, block2_channels: int = 8,
-                 lstm1_hidden: int = 8, lstm2_hidden: int = 16,
-                 shortcut: str = "conv",
+                 block1_channels: int = 4, shortcut: str = "conv",
                  rng: Optional[np.random.Generator] = None):
         rng = resolve_rng(rng, "apps.action.model")
         block1 = ResNetBlock(1, block1_channels, stride=2,
                              shortcut=shortcut, rng=rng)
-        block2 = ResNetBlock(block1_channels, block2_channels, stride=2,
+        block2 = ResNetBlock(block1_channels, 8, stride=2,
                              shortcut=shortcut, rng=rng)
-        # Exit heads: per-frame pooled features -> LSTM -> FC.
-        head1 = LSTMClassifier(block1_channels, lstm1_hidden, num_classes,
-                               rng=rng)
-        head2 = LSTMClassifier(block2_channels, lstm2_hidden, num_classes,
-                               rng=rng)
+        # Exit heads: per-frame pooled features -> LSTM -> FC (8 and 16
+        # hidden units).
+        head1 = LSTMClassifier(block1_channels, 8, num_classes, rng=rng)
+        head2 = LSTMClassifier(8, 16, num_classes, rng=rng)
         super().__init__(
             PerFrame(block1),
             nn.Sequential(PerFrame(nn.GlobalAvgPool2d()), head1),
@@ -97,15 +94,13 @@ class ActionEarlyExitModel(EarlyExitNetwork):
 class ActionRecognitionApp:
     """Train/evaluate the Fig. 7 pipeline on synthetic behaviour clips."""
 
-    def __init__(self, image_size: int = 16, frames: int = 6, seed: int = 0,
-                 shortcut: str = "conv", runtime=None):
-        self.runtime = runtime or get_runtime()
+    def __init__(self, image_size: int = 16, frames: int = 6, seed: int = 0):
+        self.runtime = get_runtime()
         self.clips = ActionClipGenerator(image_size=image_size,
                                          frames=frames, seed=seed)
         self.model = ActionEarlyExitModel(
             image_size=image_size,
             num_classes=self.clips.num_classes,
-            shortcut=shortcut,
             rng=self.runtime.rng.np_child("apps.action.model", seed))
         self.seed = seed
         self.class_names = ACTION_CLASSES
@@ -140,16 +135,14 @@ class ActionRecognitionApp:
         }
 
     def entropy_sweep(self, max_entropies: Sequence[float],
-                      clips_per_class: int = 4,
-                      batch_size: Optional[int] = None) -> List[Dict]:
+                      clips_per_class: int = 4) -> List[Dict]:
         """The Fig. 7 tradeoff: accuracy / offload per entropy threshold."""
         data, labels = self.clips.dataset(clips_per_class)
         clip_bytes = self.model.feature_map_bytes(data.shape[1])
         rows = []
         for max_entropy in max_entropies:
             decisions = run_policy_batched(
-                self.model, data, EntropyThresholdPolicy(max_entropy),
-                batch_size=batch_size)
+                self.model, data, EntropyThresholdPolicy(max_entropy))
             escalated = int(decisions.remote_rows.size)
             rows.append({
                 "max_entropy": max_entropy,

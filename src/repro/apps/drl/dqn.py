@@ -9,7 +9,7 @@ synced target network.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Tuple
 
 import numpy as np
 
@@ -57,12 +57,15 @@ def _q_network(observation_dim: int, num_actions: int, hidden: int,
         nn.Linear(hidden, num_actions, rng=rng))
 
 
+#: exploration rate before the first step and after the linear decay
+EPSILON_START, EPSILON_END = 1.0, 0.05
+
+
 class DQNAgent:
     """DQN with target network and epsilon-greedy exploration."""
 
     def __init__(self, observation_dim: int, num_actions: int,
                  hidden: int = 32, lr: float = 1e-3, gamma: float = 0.95,
-                 epsilon_start: float = 1.0, epsilon_end: float = 0.05,
                  epsilon_decay_steps: int = 2000,
                  target_sync_every: int = 100, seed: int = 0):
         if not 0.0 <= gamma < 1.0:
@@ -74,8 +77,6 @@ class DQNAgent:
         self.optimizer = nn.Adam(self.q.parameters(), lr=lr)
         self.gamma = gamma
         self.num_actions = num_actions
-        self.epsilon_start = epsilon_start
-        self.epsilon_end = epsilon_end
         self.epsilon_decay_steps = epsilon_decay_steps
         self.target_sync_every = target_sync_every
         self._step = 0
@@ -84,8 +85,7 @@ class DQNAgent:
     @property
     def epsilon(self) -> float:
         progress = min(self._step / self.epsilon_decay_steps, 1.0)
-        return self.epsilon_start + progress * (self.epsilon_end
-                                                - self.epsilon_start)
+        return EPSILON_START + progress * (EPSILON_END - EPSILON_START)
 
     def act(self, observation: np.ndarray, greedy: bool = False) -> int:
         if not greedy and self._rng.random() < self.epsilon:
@@ -112,10 +112,9 @@ class DQNAgent:
         return loss.item()
 
     def train(self, env, episodes: int = 60, batch_size: int = 32,
-              buffer: Optional[ReplayBuffer] = None,
               warmup: int = 200) -> List[float]:
         """Standard DQN loop; returns per-episode total rewards."""
-        buffer = buffer or ReplayBuffer(seed=0)
+        buffer = ReplayBuffer(seed=0)
         episode_rewards: List[float] = []
         for _ in range(episodes):
             observation = env.reset()
@@ -138,10 +137,9 @@ class DQNAgent:
         return lambda observation: self.act(observation, greedy=True)
 
 
-def random_policy(num_actions: int, seed: int = 0
-                  ) -> Callable[[np.ndarray], int]:
+def random_policy(num_actions: int) -> Callable[[np.ndarray], int]:
     """Uniform random action baseline."""
-    rng = get_runtime().rng.np_child("apps.drl.dqn.random_policy", seed)
+    rng = get_runtime().rng.np_child("apps.drl.dqn.random_policy", 0)
 
     def policy(observation: np.ndarray) -> int:
         return int(rng.integers(num_actions))
@@ -149,9 +147,10 @@ def random_policy(num_actions: int, seed: int = 0
     return policy
 
 
-def static_policy(hold_action: int = 6) -> Callable[[np.ndarray], int]:
-    """Fixed wide-shot camera: always hold (the no-control baseline)."""
-    return lambda observation: hold_action
+def static_policy() -> Callable[[np.ndarray], int]:
+    """Fixed wide-shot camera: always hold, action 6 (the no-control
+    baseline)."""
+    return lambda observation: 6
 
 
 def evaluate_policy(env, policy: Callable[[np.ndarray], int],

@@ -37,12 +37,13 @@ class LSTMRegressor(nn.Module):
         return self.head(self.lstm.last_hidden(x))
 
 
-def seasonal_series(days: int, base: float = 12.0, weekly_amp: float = 5.0,
-                    noise: float = 1.0, seed: int = 0) -> np.ndarray:
-    """Daily counts with weekend peaks — the structure city crime shows."""
+def seasonal_series(days: int, noise: float = 1.0,
+                    seed: int = 0) -> np.ndarray:
+    """Daily counts with weekend peaks — the structure city crime shows:
+    a weekly sine of amplitude 5 around a base of 12 a day."""
     rng = get_runtime().rng.np_child("apps.forecast.crime.series", seed)
     t = np.arange(days)
-    series = (base + weekly_amp * np.sin(2 * np.pi * t / 7.0)
+    series = (12.0 + 5.0 * np.sin(2 * np.pi * t / 7.0)
               + rng.normal(0, noise, days))
     return np.clip(series, 0, None)
 
@@ -65,10 +66,10 @@ def windows(series: Sequence[float], length: int
 class CrimeForecaster:
     """Train/evaluate next-day crime-count forecasting."""
 
-    def __init__(self, window: int = 7, hidden_size: int = 12, seed: int = 0):
+    def __init__(self, window: int = 7, seed: int = 0):
         self.window = window
-        self.model = LSTMRegressor(hidden_size,
-                                   rng=get_runtime().rng.np_child("apps.forecast.crime.model", seed))
+        self.model = LSTMRegressor(
+            rng=get_runtime().rng.np_child("apps.forecast.crime.model", seed))
         self._mean = 0.0
         self._std = 1.0
 
@@ -78,14 +79,13 @@ class CrimeForecaster:
     def _denormalize(self, values: np.ndarray) -> np.ndarray:
         return values * self._std + self._mean
 
-    def fit(self, series: Sequence[float], epochs: int = 120,
-            lr: float = 0.01) -> List[float]:
+    def fit(self, series: Sequence[float], epochs: int = 120) -> List[float]:
         inputs, targets = windows(series, self.window)
         self._mean = float(targets.mean())
         self._std = float(targets.std()) or 1.0
         x = self._normalize(inputs)
         y = self._normalize(targets).reshape(-1, 1)
-        optimizer = nn.Adam(self.model.parameters(), lr=lr)
+        optimizer = nn.Adam(self.model.parameters(), lr=0.01)
         losses = []
         for _ in range(epochs):
             optimizer.zero_grad()

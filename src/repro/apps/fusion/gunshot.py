@@ -84,8 +84,8 @@ class GunshotEventGenerator:
 class GunshotFusionApp:
     """Trains single-modality baselines and both fusion methods."""
 
-    def __init__(self, seed: int = 0, noise: float = 0.35):
-        self.generator = GunshotEventGenerator(seed=seed, noise=noise)
+    def __init__(self, seed: int = 0):
+        self.generator = GunshotEventGenerator(seed=seed)
         self.seed = seed
 
     def _fit_logistic(self, features: np.ndarray, labels: np.ndarray,

@@ -25,14 +25,14 @@ class OpioidAnalytics:
         self._rng = get_runtime().rng.np_child("apps.social.opioid", seed)
         self._ids = itertools.count(1)
 
-    def synthetic_overdoses(self, days: int, base_daily_rate: float = 1.0
-                            ) -> List[Dict]:
+    def synthetic_overdoses(self, days: int) -> List[Dict]:
         """Overdose events whose district profile follows crime intensity
-        (the hypothesis the paper wants to test against real data)."""
+        (the hypothesis the paper wants to test against real data): a
+        district's daily rate is its crime multiplier."""
         records = []
         for day in range(days):
             for district, multiplier in DISTRICT_RATES.items():
-                count = self._rng.poisson(base_daily_rate * multiplier)
+                count = self._rng.poisson(multiplier)
                 for _ in range(count):
                     records.append({
                         "overdose_id": next(self._ids),
@@ -62,9 +62,9 @@ class OpioidAnalytics:
             return 0.0
         return float(np.corrcoef(a, b)[0, 1])
 
-    def report(self, days: int = 60, seed: int = 0) -> Dict[str, float]:
+    def report(self, days: int = 60) -> Dict[str, float]:
         """Correlate overdoses with crime and 911 volume per district."""
-        city = OpenCityData(seed=seed)
+        city = OpenCityData(seed=0)
         crimes = city.crime_incidents(days)
         calls = city.emergency_calls(days)
         overdoses = self.synthetic_overdoses(days)

@@ -53,10 +53,9 @@ class TriangulationReport:
 class MultimodalTriangulation:
     """Intersects the associate field with tweet text/geo/time evidence."""
 
-    def __init__(self, analysis: SocialNetworkAnalysis,
-                 keywords: Sequence[str] = INCIDENT_KEYWORDS):
+    def __init__(self, analysis: SocialNetworkAnalysis):
         self.analysis = analysis
-        self.keywords = [k.lower() for k in keywords]
+        self.keywords = [k.lower() for k in INCIDENT_KEYWORDS]
         # the collector's own match rules (Sec. II-A-2): whole tokens, and
         # a closed circle around the incident
         self._text = KeywordSubscription("incident-text",
@@ -64,14 +63,15 @@ class MultimodalTriangulation:
 
     def investigate(self, anchor: str, incident_location: Tuple[float, float],
                     incident_time: float, tweets: Sequence[Tweet],
-                    geo_radius: float = 0.1, time_window: float = 2.0,
-                    degree: int = 2) -> TriangulationReport:
+                    geo_radius: float = 0.1, time_window: float = 2.0
+                    ) -> TriangulationReport:
         """Run the full narrowing pipeline around one incident.
 
-        ``anchor`` is the victim or suspect whose associate field seeds the
-        investigation; the three filters then apply in sequence.
+        ``anchor`` is the victim or suspect whose second-degree associate
+        field seeds the investigation; the three filters then apply in
+        sequence.
         """
-        field_members = self.analysis.associates(anchor, degree)
+        field_members = self.analysis.associates(anchor, 2)
         by_user: Dict[str, List[Tweet]] = {}
         for tweet in tweets:
             if tweet.user_id in field_members:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from repro.nn.models.yolo import (
 )
 from repro.nn.tensor import Tensor
 from repro.runtime import get_runtime
+
+#: detection grid cells per side
+GRID = 4
 
 
 @dataclass
@@ -56,24 +59,24 @@ class VehicleDetectionApp:
     """
 
     def __init__(self, num_classes: int = 6, image_size: int = 16,
-                 grid: int = 4, seed: int = 0, runtime=None):
-        self.runtime = runtime or get_runtime()
+                 seed: int = 0):
+        self.runtime = get_runtime()
         self.num_classes = num_classes
         self.image_size = image_size
-        self.grid = grid
+        self.grid = GRID
         self.seed = seed
         self.catalog = VehicleCatalog(max(num_classes, 1))
         self.scenes = SceneGenerator(image_size=image_size,
                                      num_classes=num_classes, seed=seed)
         rng = self.runtime.rng.np_child("apps.vehicle.model", seed)
         self.model = EarlyExitDetector(1, image_size, num_classes,
-                                       grid=grid, rng=rng)
-        self.loss_fn = YoloLoss(grid=grid, num_classes=num_classes)
+                                       grid=GRID, rng=rng)
+        self.loss_fn = YoloLoss(grid=GRID, num_classes=num_classes)
 
     # -- data ----------------------------------------------------------------
-    def build_detection_dataset(self, num_scenes: int,
-                                vehicles_per_scene: int = 1):
-        return self.scenes.generate_batch(num_scenes, vehicles_per_scene)
+    def build_detection_dataset(self, num_scenes: int):
+        """One vehicle per scene."""
+        return self.scenes.generate_batch(num_scenes, 1)
 
     # -- training -------------------------------------------------------------
     def train(self, num_scenes: int = 48, epochs: int = 25,
@@ -100,18 +103,12 @@ class VehicleDetectionApp:
 
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, num_scenes: int = 24, threshold: float = 0.5,
-                 score_floor: float = 0.2,
-                 batch_size: Optional[int] = None) -> StreamReport:
-        """Run the early-exit pipeline over fresh scenes and score it.
-
-        ``batch_size`` feeds frames to the detector in micro-batches (all
-        at once if None) — the fog-device serving pattern.
-        """
+                 score_floor: float = 0.2) -> StreamReport:
+        """Run the early-exit pipeline over fresh scenes and score it."""
         frames, truth = self.build_detection_dataset(num_scenes)
         policy = ExitPolicy(threshold, partial(detection_confidence,
                                                score_floor=score_floor))
-        decisions = run_policy_batched(self.model, frames, policy,
-                                       batch_size=batch_size)
+        decisions = run_policy_batched(self.model, frames, policy)
         predicted = self.model.detections(decisions, score_floor)
         metrics = evaluate_detections(predicted, truth)
         annotations = [{
@@ -132,13 +129,11 @@ class VehicleDetectionApp:
             annotations=annotations)
 
     def threshold_sweep(self, thresholds: Sequence[float],
-                        num_scenes: int = 24,
-                        batch_size: Optional[int] = None) -> List[Dict]:
+                        num_scenes: int = 24) -> List[Dict]:
         """Accuracy/offload rows per threshold (the Fig. 5 tradeoff)."""
         rows = []
         for threshold in thresholds:
-            report = self.evaluate(num_scenes=num_scenes, threshold=threshold,
-                                   batch_size=batch_size)
+            report = self.evaluate(num_scenes=num_scenes, threshold=threshold)
             rows.append({
                 "threshold": threshold,
                 "f1": report.detection_metrics["f1"],

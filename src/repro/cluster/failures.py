@@ -36,18 +36,17 @@ class FailureInjector:
     on_fail / on_recover:
         Optional callbacks invoked with the affected target, used by e.g.
         the DFS namenode to trigger re-replication.
-    runtime:
-        Observability runtime; defaults to the installed one.
+
+    Events land in the runtime installed at construction.
     """
 
     def __init__(self, targets: Sequence, seed: int = 0,
                  on_fail: Optional[Callable] = None,
-                 on_recover: Optional[Callable] = None,
-                 runtime=None):
+                 on_recover: Optional[Callable] = None):
         if not targets:
             raise ValueError("need at least one failure target")
         self.targets = list(targets)
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
         self._rng = self.runtime.rng.child("cluster.failures", seed)
         self.on_fail = on_fail
         self.on_recover = on_recover
@@ -157,8 +156,7 @@ class FailureProcess:
                  max_failures: Optional[int] = 4,
                  horizon_s: Optional[float] = None,
                  on_fail: Optional[Callable] = None,
-                 on_recover: Optional[Callable] = None,
-                 runtime=None):
+                 on_recover: Optional[Callable] = None):
         if max_failures is None and horizon_s is None:
             raise ValueError(
                 "FailureProcess needs max_failures or horizon_s: an "
@@ -171,7 +169,7 @@ class FailureProcess:
                 f"mean_time_to_repair_s must be > 0: {mean_time_to_repair_s}")
         self.env = env
         self.injector = FailureInjector(targets, seed=seed, on_fail=on_fail,
-                                        on_recover=on_recover, runtime=runtime)
+                                        on_recover=on_recover)
         self.runtime = self.injector.runtime
         self.mean_time_to_failure_s = float(mean_time_to_failure_s)
         self.mean_time_to_repair_s = (

@@ -147,17 +147,15 @@ class NetworkTopology:
         self._links[(link.src, link.dst)] = link
         return link
 
-    def connect_up(self, child: str, parent: str,
-                   bandwidth: Optional[float] = None,
-                   latency: Optional[float] = None) -> Link:
+    def connect_up(self, child: str, parent: str) -> Link:
         """Add an uplink from ``child`` to ``parent`` with tier defaults."""
         tier = self.machine(child).tier
         defaults = UPLINK_DEFAULTS.get(tier, {"bandwidth": 1e9, "latency": 0.001})
         link = Link(
             src=child,
             dst=parent,
-            bandwidth_bytes_per_s=bandwidth if bandwidth is not None else defaults["bandwidth"],
-            latency_s=latency if latency is not None else defaults["latency"],
+            bandwidth_bytes_per_s=defaults["bandwidth"],
+            latency_s=defaults["latency"],
         )
         self.add_link(link)
         self._parent[child] = parent

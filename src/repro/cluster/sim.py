@@ -96,12 +96,11 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after a delay."""
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         super().__init__(env)
         self.delay = delay
-        self._value = value
         env._schedule(self, delay=delay)
 
 
@@ -279,8 +278,8 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)

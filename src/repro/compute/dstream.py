@@ -34,9 +34,10 @@ class StreamingContext:
         self._streams: List["DStream"] = []
         self.batches_run = 0
 
-    def stream(self, topic: str, group: str = "streaming") -> "DStream":
-        """A source DStream reading ``topic`` with its own consumer group."""
-        consumer = self.bus.consumer(group, [topic], auto_commit=False)
+    def stream(self, topic: str) -> "DStream":
+        """A source DStream reading ``topic`` as consumer group
+        ``streaming``."""
+        consumer = self.bus.consumer("streaming", [topic], auto_commit=False)
         # Columnar poll: the batch's value column is already the
         # micro-batch list, with no Record objects in between.
         stream = DStream(
@@ -57,10 +58,11 @@ class StreamingContext:
         self.batches_run += 1
         return total
 
-    def run_until_idle(self, max_batches: int = 1000) -> int:
-        """Run micro-batches until a batch consumes nothing."""
+    def run_until_idle(self) -> int:
+        """Run micro-batches until a batch consumes nothing (at most
+        1000)."""
         total = 0
-        for _ in range(max_batches):
+        for _ in range(1000):
             consumed = self.run_batch()
             total += consumed
             if consumed == 0:

@@ -30,16 +30,14 @@ def _as_matrix(data) -> np.ndarray:
 
 
 class KMeans:
-    """Lloyd's algorithm with k-means++ seeding."""
+    """Lloyd's algorithm with k-means++ seeding: at most 50 iterations,
+    stopping once no center moves by 1e-6 or more."""
 
-    def __init__(self, k: int, max_iterations: int = 50, seed: int = 0,
-                 tolerance: float = 1e-6):
+    def __init__(self, k: int, seed: int = 0):
         if k < 1:
             raise ValueError(f"k must be >= 1: {k}")
         self.k = k
-        self.max_iterations = max_iterations
         self.seed = seed
-        self.tolerance = tolerance
         self.centers: Optional[np.ndarray] = None
         self.iterations_run = 0
 
@@ -49,7 +47,7 @@ class KMeans:
             raise ValueError(f"{len(points)} points cannot form {self.k} clusters")
         rng = get_runtime().rng.np_child("compute.mllib.kmeans", self.seed)
         centers = self._plus_plus_init(points, rng)
-        for iteration in range(self.max_iterations):
+        for iteration in range(50):
             assignment = self._assign(points, centers)
             new_centers = centers.copy()
             for cluster in range(self.k):
@@ -59,7 +57,7 @@ class KMeans:
             shift = np.abs(new_centers - centers).max()
             centers = new_centers
             self.iterations_run = iteration + 1
-            if shift < self.tolerance:
+            if shift < 1e-6:
                 break
         self.centers = centers
         return self

@@ -49,13 +49,13 @@ class SparkContext:
     existing benchmark API keeps working.
     """
 
-    def __init__(self, default_parallelism: int = 4, runtime=None):
+    def __init__(self, default_parallelism: int = 4):
         if default_parallelism < 1:
             raise ValueError(
                 f"default_parallelism must be >= 1: {default_parallelism}")
         self.default_parallelism = default_parallelism
         self._rdd_ids = itertools.count()
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
         self._label = self.runtime.gensym("spark-ctx")
         registry = self.runtime.registry
         self._shuffles = registry.counter(
@@ -87,14 +87,13 @@ class SparkContext:
         chunks = [items[index::n] for index in range(n)]
         return RDD(self, lambda i: iter(chunks[i]), n, name="parallelize")
 
-    def text_file(self, dfs, path: str,
-                  num_partitions: Optional[int] = None) -> "RDD":
+    def text_file(self, dfs, path: str) -> "RDD":
         """Lines of a DFS file (or every file under a directory prefix)."""
         paths = [path] if dfs.exists(path) else dfs.listdir(path)
         lines: List[str] = []
         for p in paths:
             lines.extend(dfs.read(p).decode().splitlines())
-        return self.parallelize(lines, num_partitions)
+        return self.parallelize(lines)
 
 
 class RDD:
@@ -197,10 +196,10 @@ class RDD:
                    name=f"{self.name}.sample")
 
     # -- shuffles (wide transformations) -------------------------------------------
-    def _shuffle_by_key(self, num_partitions: Optional[int] = None,
-                        combine: Optional[Callable] = None
+    def _shuffle_by_key(self, n: int, combine: Optional[Callable] = None
                         ) -> List[List[Tuple]]:
-        """Materialize and hash-partition (key, value) records.
+        """Materialize and hash-partition (key, value) records into ``n``
+        buckets.
 
         Partitions are read in order, so each bucket holds its records in
         partition order and every downstream reduce folds them in that
@@ -211,7 +210,6 @@ class RDD:
         first-seen order.
         """
         self.context._record_shuffle()
-        n = num_partitions or self.num_partitions
         buckets: List[List[Tuple]] = [[] for _ in range(n)]
         bucket_of: Dict[Any, List[Tuple]] = {}
         for index in range(self.num_partitions):
@@ -229,9 +227,8 @@ class RDD:
                 bucket.append((key, value))
         return buckets
 
-    def reduceByKey(self, fn: Callable,
-                    num_partitions: Optional[int] = None) -> "RDD":
-        buckets = self._shuffle_by_key(num_partitions, combine=fn)
+    def reduceByKey(self, fn: Callable) -> "RDD":
+        buckets = self._shuffle_by_key(self.num_partitions, combine=fn)
         reduced: List[List[Tuple]] = []
         for bucket in buckets:
             acc: Dict = {}
@@ -241,8 +238,8 @@ class RDD:
         return RDD(self.context, lambda i: iter(reduced[i]), len(reduced),
                    name=f"{self.name}.reduceByKey")
 
-    def groupByKey(self, num_partitions: Optional[int] = None) -> "RDD":
-        buckets = self._shuffle_by_key(num_partitions)
+    def groupByKey(self) -> "RDD":
+        buckets = self._shuffle_by_key(self.num_partitions)
         grouped: List[List[Tuple]] = []
         for bucket in buckets:
             acc: Dict[Any, List] = defaultdict(list)
@@ -252,10 +249,9 @@ class RDD:
         return RDD(self.context, lambda i: iter(grouped[i]), len(grouped),
                    name=f"{self.name}.groupByKey")
 
-    def join(self, other: "RDD",
-             num_partitions: Optional[int] = None) -> "RDD":
+    def join(self, other: "RDD") -> "RDD":
         """Inner join of two (key, value) RDDs -> (key, (left, right))."""
-        n = num_partitions or max(self.num_partitions, other.num_partitions)
+        n = max(self.num_partitions, other.num_partitions)
         left = self._shuffle_by_key(n)
         right = other._shuffle_by_key(n)
         joined: List[List[Tuple]] = []

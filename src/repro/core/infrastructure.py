@@ -256,10 +256,7 @@ class CyberInfrastructure:
             topic, list(frames), key_fn=lambda frame: camera_id)
         return len(produced)
 
-    def serve_camera_streams(self, deployment, policy,
-                             group: str = "fog-serving",
-                             poll_size: int = 256,
-                             gateway_config=None) -> Dict[str, List]:
+    def serve_camera_streams(self, deployment, policy) -> Dict[str, List]:
         """Drain camera frames through a two-tier fog deployment.
 
         Routes ``camera.frames`` through the serving gateway
@@ -268,16 +265,13 @@ class CyberInfrastructure:
         submitted per camera with the camera id as the tenant, coalesced
         into micro-batches, and served; offsets commit only after every
         camera in the poll resolved.  Returns
-        {camera_id: [BatchExitDecisions, ...]}.  ``gateway_config`` (a
-        :class:`repro.serving.GatewayConfig`) turns on admission control
-        and rate limits; the default never sheds.
+        {camera_id: [BatchExitDecisions, ...]}.  The gateway is sized to
+        the poll, so the drain never sheds.
         """
         from repro.serving import serve_camera_topic
 
         topic = self.attach_camera_feed()
-        return serve_camera_topic(deployment, policy, self.bus, topic,
-                                  group=group, poll_size=poll_size,
-                                  config=gateway_config)
+        return serve_camera_topic(deployment, policy, self.bus, topic)
 
     @property
     def last_visualization(self) -> str:

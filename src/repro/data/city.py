@@ -40,16 +40,16 @@ class OpenCityData:
         return [float(np.clip(cx + self._rng.normal(0, 0.08), 0, 1)),
                 float(np.clip(cy + self._rng.normal(0, 0.08), 0, 1))]
 
-    def crime_incidents(self, days: int, base_daily_rate: float = 3.0
-                        ) -> List[Dict]:
-        """Poisson per-district daily incidents over ``days`` days."""
+    def crime_incidents(self, days: int) -> List[Dict]:
+        """Poisson per-district daily incidents over ``days`` days: three
+        a day, scaled by the district's rate."""
         if days < 1:
             raise ValueError(f"days must be >= 1: {days}")
         rng = self._rng
         records = []
         for day in range(days):
             for district, multiplier in DISTRICT_RATES.items():
-                count = rng.poisson(base_daily_rate * multiplier)
+                count = rng.poisson(3.0 * multiplier)
                 for _ in range(count):
                     records.append({
                         "incident_id": next(self._ids),
@@ -62,13 +62,12 @@ class OpenCityData:
                     })
         return records
 
-    def emergency_calls(self, days: int, daily_rate: float = 20.0
-                        ) -> List[Dict]:
-        """911 call records (time, district, priority)."""
+    def emergency_calls(self, days: int) -> List[Dict]:
+        """911 call records (time, district, priority), 20 a day."""
         rng = self._rng
         records = []
         for day in range(days):
-            for _ in range(rng.poisson(daily_rate)):
+            for _ in range(rng.poisson(20.0)):
                 district = int(rng.choice(list(DISTRICT_RATES)))
                 records.append({
                     "call_id": next(self._ids),
@@ -81,12 +80,12 @@ class OpenCityData:
                 })
         return records
 
-    def traffic_incidents(self, days: int, daily_rate: float = 8.0
-                          ) -> List[Dict]:
+    def traffic_incidents(self, days: int) -> List[Dict]:
+        """Traffic incident records, eight a day."""
         rng = self._rng
         records = []
         for day in range(days):
-            for _ in range(rng.poisson(daily_rate)):
+            for _ in range(rng.poisson(8.0)):
                 records.append({
                     "incident_id": next(self._ids),
                     "kind": "traffic",

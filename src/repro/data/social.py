@@ -28,6 +28,9 @@ _CHATTER = ["game", "food", "school", "music", "weather", "mall", "party",
 _INCIDENT_TERMS = ["shots", "fired", "heard", "gunshot", "police", "sirens",
                    "fight", "robbery", "scared", "avenue"]
 
+#: share of gang ties inside one group; the rest cross groups
+WITHIN_GROUP_FRACTION = 0.4
+
 
 class GangNetworkGenerator:
     """Co-offending network with the paper's Sec. IV-B shape."""
@@ -36,22 +39,18 @@ class GangNetworkGenerator:
         self._rng = get_runtime().rng.np_child("data.social.gangs", seed)
 
     def generate(self, num_groups: int = 67, total_members: int = 982,
-                 mean_first_degree: float = 14.0,
-                 within_group_fraction: float = 0.4) -> Graph:
+                 mean_first_degree: float = 14.0) -> Graph:
         """Build the gang graph.
 
         Members are split across groups (sizes drawn to sum exactly).
-        ``within_group_fraction`` of ties stay inside a group; the rest are
-        cross-group co-offending links ("a relationship connection through
-        a shared co-offender", Sec. IV-B).  The default keeps the realized
-        mean degree at ``mean_first_degree`` and the mean second-degree
-        field near the ~200 the paper reports: dense clustering would make
-        first-degree neighborhoods overlap and shrink the field, so ties
-        must be substantially cross-group.
+        :data:`WITHIN_GROUP_FRACTION` of ties stay inside a group; the rest
+        are cross-group co-offending links ("a relationship connection
+        through a shared co-offender", Sec. IV-B).  That split keeps the
+        realized mean degree at ``mean_first_degree`` and the mean
+        second-degree field near the ~200 the paper reports: dense
+        clustering would make first-degree neighborhoods overlap and
+        shrink the field, so ties must be substantially cross-group.
         """
-        if not 0.0 <= within_group_fraction <= 1.0:
-            raise ValueError(
-                f"within_group_fraction must be in [0, 1]: {within_group_fraction}")
         if num_groups < 1 or total_members < num_groups:
             raise ValueError("need at least one member per group")
         rng = self._rng
@@ -74,7 +73,7 @@ class GangNetworkGenerator:
 
         target_edges = int(total_members * mean_first_degree / 2)
         edges = set()
-        within_target = int(target_edges * within_group_fraction)
+        within_target = int(target_edges * WITHIN_GROUP_FRACTION)
         attempts = 0
         while len(edges) < within_target and attempts < target_edges * 50:
             attempts += 1
@@ -138,9 +137,8 @@ class TweetGenerator:
             words.insert(0, "just")
         return " ".join(words)
 
-    def chatter(self, count: int, time_range: Tuple[float, float] = (0.0, 24.0)
-                ) -> List[Tweet]:
-        """Background tweets: random users, places and times."""
+    def chatter(self, count: int) -> List[Tweet]:
+        """Background tweets: random users, places and times of day."""
         rng = self._rng
         tweets = []
         for _ in range(count):
@@ -149,7 +147,7 @@ class TweetGenerator:
                 user_id=self.users[int(rng.integers(len(self.users)))],
                 text=self._text(incident=False),
                 location=(float(rng.random()), float(rng.random())),
-                time=float(rng.uniform(*time_range))))
+                time=float(rng.uniform(0.0, 24.0))))
         return tweets
 
     def incident_burst(self, user_ids: Sequence[str],
@@ -179,9 +177,9 @@ class WazeGenerator:
         self._rng = get_runtime().rng.np_child("data.social.waze", seed)
         self._ids = itertools.count(1)
 
-    def reports(self, count: int,
-                time_range: Tuple[float, float] = (0.0, 24.0)) -> List[Dict]:
-        """System-generated jams and user-reported incidents."""
+    def reports(self, count: int) -> List[Dict]:
+        """System-generated jams and user-reported incidents, at random
+        times of day."""
         rng = self._rng
         out = []
         for _ in range(count):
@@ -190,7 +188,7 @@ class WazeGenerator:
                 "report_id": next(self._ids),
                 "type": kind,
                 "location": [float(rng.random()), float(rng.random())],
-                "time": float(rng.uniform(*time_range)),
+                "time": float(rng.uniform(0.0, 24.0)),
                 "severity": int(rng.integers(1, 6)),
                 "source": "system" if kind == "JAM" else "user",
             })

@@ -60,6 +60,10 @@ class VehicleCatalog:
         return [self.label(i) for i in range(self.num_classes)]
 
 
+#: standard deviation of a scene's background and pixel noise
+SCENE_NOISE = 0.05
+
+
 class SceneGenerator:
     """Renders traffic frames with ground truth.
 
@@ -69,14 +73,13 @@ class SceneGenerator:
     """
 
     def __init__(self, image_size: int = 32, num_classes: int = 10,
-                 seed: int = 0, noise: float = 0.05):
+                 seed: int = 0):
         if image_size < 8:
             raise ValueError(f"image_size must be >= 8: {image_size}")
         if num_classes < 1:
             raise ValueError(f"num_classes must be >= 1: {num_classes}")
         self.image_size = image_size
         self.num_classes = num_classes
-        self.noise = noise
         self._rng = get_runtime().rng.np_child("data.video.scenes", seed)
         # Per-class signature: a fixed 4x4 pattern in [0.3, 1.0].
         signature_rng = get_runtime().rng.np_child("data.video.signatures", seed)
@@ -93,15 +96,13 @@ class SceneGenerator:
         cols = np.linspace(0, 3.999, width).astype(int)
         return signature[np.ix_(rows, cols)]
 
-    def generate_scene(self, num_vehicles: int = 2,
-                       min_size: Optional[int] = None,
-                       max_size: Optional[int] = None
+    def generate_scene(self, num_vehicles: int = 2
                        ) -> Tuple[np.ndarray, List[GroundTruthBox]]:
         """One frame plus its ground-truth boxes."""
         size = self.image_size
-        min_size = min_size or max(6, size // 5)
-        max_size = max_size or max(min_size + 1, size // 2)
-        frame = self._rng.normal(0.1, self.noise, (1, size, size))
+        min_size = max(6, size // 5)
+        max_size = max(min_size + 1, size // 2)
+        frame = self._rng.normal(0.1, SCENE_NOISE, (1, size, size))
         boxes: List[GroundTruthBox] = []
         for _ in range(num_vehicles):
             class_id = int(self._rng.integers(self.num_classes))
@@ -114,7 +115,7 @@ class SceneGenerator:
             boxes.append(GroundTruthBox(
                 cx=(left + w / 2) / size, cy=(top + h / 2) / size,
                 w=w / size, h=h / size, class_id=class_id))
-        frame += self._rng.normal(0, self.noise, frame.shape)
+        frame += self._rng.normal(0, SCENE_NOISE, frame.shape)
         return np.clip(frame, 0.0, 1.0), boxes
 
     def generate_batch(self, num_scenes: int, vehicles_per_scene: int = 2
@@ -142,7 +143,8 @@ class SceneGenerator:
             class_id = index % self.num_classes
             labels[index] = class_id
             images[index, 0] = self.render_vehicle(class_id, patch, patch)
-            images[index, 0] += self._rng.normal(0, self.noise, (patch, patch))
+            images[index, 0] += self._rng.normal(0, SCENE_NOISE,
+                                                 (patch, patch))
         return np.clip(images, 0.0, 1.0), labels
 
 

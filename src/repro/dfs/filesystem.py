@@ -200,14 +200,13 @@ class DistributedFileSystem:
     b'frame-bytes'
     """
 
-    def __init__(self, namenode: NameNode, runtime=None):
+    def __init__(self, namenode: NameNode):
         self.namenode = namenode
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
 
     @classmethod
     def with_datanodes(cls, count: int, replication: int = 3,
-                       block_size: int = 64 * 1024,
-                       capacity_bytes: Optional[int] = None
+                       block_size: int = 64 * 1024
                        ) -> "DistributedFileSystem":
         if count < replication:
             raise ValueError(
@@ -215,7 +214,7 @@ class DistributedFileSystem:
         namenode = NameNode(replication=replication, block_size=block_size)
         for index in range(count):
             namenode.register_datanode(
-                DataNode(f"datanode-{index}", capacity_bytes=capacity_bytes))
+                DataNode(f"datanode-{index}"))
         return cls(namenode)
 
     @property
@@ -223,11 +222,10 @@ class DistributedFileSystem:
         return list(self.namenode._datanodes.values())
 
     # -- file operations ---------------------------------------------------------
-    def create(self, path: str, data: bytes,
-               replication: Optional[int] = None) -> FileStatus:
+    def create(self, path: str, data: bytes) -> FileStatus:
         if self.namenode.exists(path):
             raise FileAlreadyExists(path)
-        replication = replication or self.namenode.replication
+        replication = self.namenode.replication
         block_ids = []
         for start in range(0, max(len(data), 1), self.namenode.block_size):
             chunk = data[start:start + self.namenode.block_size]

@@ -82,11 +82,10 @@ class AutoencoderCodec(ActivationCodec):
     weights per feature dtype and runs ``W @ X`` batch-innermost.
     """
 
-    def __init__(self, autoencoder: Autoencoder, quantize_code: bool = True,
-                 runtime=None):
+    def __init__(self, autoencoder: Autoencoder, quantize_code: bool = True):
         self.autoencoder = autoencoder
         self.quantize_code = quantize_code
-        self.runtime = runtime
+        self.registry = get_runtime().registry
         self.transfers = 0
         self.bytes_raw = 0
         self.bytes_sent = 0
@@ -95,9 +94,6 @@ class AutoencoderCodec(ActivationCodec):
     @property
     def bytes_saved(self) -> int:
         return self.bytes_raw - self.bytes_sent
-
-    def _registry(self):
-        return (self.runtime or get_runtime()).registry
 
     def transfer(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features)
@@ -129,13 +125,12 @@ class AutoencoderCodec(ActivationCodec):
         self.transfers += 1
         self.bytes_raw += raw
         self.bytes_sent += sent
-        registry = self._registry()
-        registry.counter(
+        self.registry.counter(
             "fog.deploy.offload_bytes_saved",
             help="activation bytes avoided by the offload codec "
                  "(raw feature payload minus shipped code payload)").inc(
                 raw - sent)
-        registry.counter(
+        self.registry.counter(
             "fog.deploy.offload_transfers",
             help="escalation batches shipped through the offload codec").inc(1)
         return restored

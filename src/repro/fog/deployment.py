@@ -18,7 +18,7 @@ from repro.fog.policies import ExitPolicy, run_policy_batched
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.models.earlyexit import BatchExitDecisions, EarlyExitNetwork
 from repro.nn.modules import Module
-from repro.runtime import get_runtime
+from repro.runtime import get_runtime, using_runtime
 
 
 def split_state_dict(state: Dict[str, np.ndarray],
@@ -88,7 +88,7 @@ class TwoTierDeployment:
                  remote_modules: Sequence[str], fuse_inference: bool = False,
                  inference_dtype=None, capture_plans: bool = False,
                  quantize_edge: bool = False, calibration=None,
-                 activation_codec=None, runtime=None):
+                 activation_codec=None):
         if quantize_edge and calibration is None:
             raise ValueError(
                 "quantize_edge needs a representative calibration batch")
@@ -101,7 +101,7 @@ class TwoTierDeployment:
         self.quantize_edge = quantize_edge
         self.calibration = calibration
         self.activation_codec = activation_codec
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
         self.device_model: Optional[Module] = None
         self.server_model: Optional[Module] = None
         self.payload_bytes = {"device": 0, "server": 0}
@@ -164,9 +164,9 @@ class TwoTierDeployment:
             for p in getattr(device, name).parameters())
         device.local_stage = quantize_for_inference(
             device.local_stage, calibration)
-        features = batched_forward(device.local_stage, calibration,
-                                   model="edge_calibration",
-                                   runtime=self.runtime)
+        with using_runtime(self.runtime):
+            features = batched_forward(device.local_stage, calibration,
+                                       model="edge_calibration")
         device.local_head = quantize_for_inference(
             device.local_head, features)
         layers = (device.local_stage.quantized_layers

@@ -491,8 +491,8 @@ def _stream_stats(runtime, pipeline: "FogPipeline", run_id: str,
             registry.counter("fog.pipeline.failovers"), run_id)))
 
 
-def _start_failures(env: Environment, fabric: _Fabric, spec: FailureSpec,
-                    runtime) -> FailureProcess:
+def _start_failures(env: Environment, fabric: _Fabric,
+                    spec: FailureSpec) -> FailureProcess:
     """Wire a :class:`FailureProcess` to this run's fabric."""
     names = (list(spec.targets) if spec.targets is not None
              else fabric.machine_names())
@@ -503,8 +503,7 @@ def _start_failures(env: Environment, fabric: _Fabric, spec: FailureSpec,
         mean_time_to_repair_s=spec.mean_time_to_repair_s,
         max_failures=spec.max_failures,
         horizon_s=spec.horizon_s,
-        on_fail=fabric.on_machine_fail,
-        runtime=runtime)
+        on_fail=fabric.on_machine_fail)
 
 
 def _simulate(runtime, stream_states: List[dict],
@@ -528,7 +527,7 @@ def _simulate(runtime, stream_states: List[dict],
                 0.0, run=state["run_id"])
 
     if failures is not None:
-        _start_failures(env, fabric, failures, runtime)
+        _start_failures(env, fabric, failures)
 
     def arrival_process(env, state):
         for item, stage in enumerate(state["resolved_at"]):
@@ -560,7 +559,6 @@ def _validated_outcomes(stages: Sequence[Stage],
 
 
 def simulate_shared_streams(streams: Sequence[dict], seed: int = 0,
-                            runtime=None,
                             failures: Optional[FailureSpec] = None,
                             fault_policy: Optional[FaultPolicy] = None
                             ) -> List[StreamStats]:
@@ -583,7 +581,7 @@ def simulate_shared_streams(streams: Sequence[dict], seed: int = 0,
     """
     if not streams:
         raise ValueError("need at least one stream")
-    runtime = runtime or get_runtime()
+    runtime = get_runtime()
     rng = runtime.rng.child("fog.pipeline.exits", seed)
     stream_states: List[dict] = []
     for spec in streams:
@@ -653,7 +651,7 @@ class FogPipeline:
     def simulate_stream(self, num_items: int, arrival_interval_s: float,
                         exit_probabilities: Optional[Dict[int, float]] = None,
                         exit_outcomes: Optional[Sequence[int]] = None,
-                        seed: int = 0, runtime=None,
+                        seed: int = 0,
                         failures: Optional[FailureSpec] = None,
                         fault_policy: Optional[FaultPolicy] = None
                         ) -> StreamStats:
@@ -677,9 +675,8 @@ class FogPipeline:
         fault_policy:
             Optional :class:`FaultPolicy`; defaults to unbounded queue
             waits with 3 attempts per stage.
-        runtime:
-            Observability runtime receiving spans/metrics; defaults to the
-            installed one.
+
+        Spans and metrics land in the installed runtime.
         """
         if num_items < 1:
             raise ValueError(f"num_items must be >= 1: {num_items}")
@@ -687,7 +684,7 @@ class FogPipeline:
             raise ValueError("arrival_interval_s must be >= 0")
         if exit_outcomes is not None and len(exit_outcomes) != num_items:
             raise ValueError("need one exit outcome per item")
-        runtime = runtime or get_runtime()
+        runtime = get_runtime()
         if exit_outcomes is not None:
             resolved_at = _validated_outcomes(self.stages, exit_outcomes)
         else:

@@ -144,7 +144,6 @@ def model_split_from_early_exit(local_flops: float, remote_flops: float,
 def materialize_stages(named_modules: Sequence[Tuple[str, object]],
                        input_shape: Tuple[int, ...],
                        fuse: bool = False,
-                       dtype_bytes: int = 4,
                        exit_heads: Optional[Dict[str, object]] = None
                        ) -> List[Stage]:
     """Build :class:`Stage` rows from actual modules instead of hand costs.
@@ -176,7 +175,7 @@ def materialize_stages(named_modules: Sequence[Tuple[str, object]],
         stages.append(Stage(
             name=name,
             flops=flops,
-            output_bytes=0 if last else activation_size_bytes(shape, dtype_bytes),
+            output_bytes=0 if last else activation_size_bytes(shape),
             exit_head_flops=head_flops,
             has_exit=head is not None))
     return stages

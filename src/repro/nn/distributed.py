@@ -121,9 +121,9 @@ class ParameterServerTrainer:
         self.losses: List[float] = []
 
     def run(self, inputs: np.ndarray, targets: np.ndarray,
-            steps: int, batch_size: int = 16, seed: int = 0) -> List[float]:
+            steps: int, batch_size: int = 16) -> List[float]:
         """Run ``steps`` pushes round-robin across workers."""
-        rng = get_runtime().rng.np_child("nn.distributed.batches", seed)
+        rng = get_runtime().rng.np_child("nn.distributed.batches", 0)
         n = len(inputs)
         for step in range(steps):
             worker_index = step % len(self.workers)

@@ -20,26 +20,19 @@ through :func:`ensure_float`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
-
-DTypeLike = Union[np.dtype, type]
 
 #: the dtype non-float data is promoted to
 DEFAULT_DTYPE = np.dtype(np.float64)
 
 
-def ensure_float(value, dtype: Optional[DTypeLike] = None) -> np.ndarray:
+def ensure_float(value) -> np.ndarray:
     """``np.asarray`` under the dtype policy.
 
-    With ``dtype`` given, casts to it.  Otherwise float32/float64 arrays
-    pass through untouched (no silent upcast — the PERF401 invariant) and
-    anything else (ints, bools, lists, float16) is promoted to
-    :data:`DEFAULT_DTYPE`.
+    Float32/float64 arrays pass through untouched (no silent upcast — the
+    PERF401 invariant) and anything else (ints, bools, lists, float16) is
+    promoted to :data:`DEFAULT_DTYPE`.
     """
-    if dtype is not None:
-        return np.asarray(value, dtype=dtype)
     array = np.asarray(value)
     if array.dtype.kind == "f" and array.dtype.itemsize >= 4:
         return array

@@ -369,17 +369,19 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return log_softmax(x, axis=axis).exp()
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    return log_softmax(x, axis=-1).exp()
 
 
-def entropy(probabilities: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
+def entropy(probabilities: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropy (nats) of a probability distribution.
 
     This is the confidence signal for the Fig. 7 early-exit policy: a low
     entropy classification on the local device skips the server hop.
+    Probabilities are floored at 1e-12 so a zero contributes nothing.
     """
-    p = np.clip(ensure_float(probabilities), eps, 1.0)
+    p = np.clip(ensure_float(probabilities), 1e-12, 1.0)
     return -(p * np.log(p)).sum(axis=axis)
 
 

@@ -66,7 +66,7 @@ def iter_microbatches(data: np.ndarray,
 
 
 @contextmanager
-def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
+def observe_inference(model: str, items: int) -> Iterator[None]:
     """Time a block and emit the inference metrics for ``items`` samples.
 
     ``nn.infer.items`` is a deterministic counter; ``nn.infer.latency_s``
@@ -76,7 +76,7 @@ def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
     :data:`~repro.runtime.metrics.LATENCY_SAMPLES` per model; its count,
     sum, min and max stay exact.
     """
-    rt = runtime or get_runtime()
+    rt = get_runtime()
     start = rt.now()
     try:
         yield
@@ -95,8 +95,7 @@ def observe_inference(model: str, items: int, runtime=None) -> Iterator[None]:
 
 def batched_forward(module: Module, x: Union[Tensor, np.ndarray],
                     batch_size: Optional[int] = None,
-                    model: Optional[str] = None,
-                    runtime=None) -> np.ndarray:
+                    model: Optional[str] = None) -> np.ndarray:
     """Forward ``x`` through ``module`` on the fast path; returns an array.
 
     Eval mode, no autograd recording, micro-batched over the leading axis,
@@ -111,7 +110,7 @@ def batched_forward(module: Module, x: Union[Tensor, np.ndarray],
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
     label = model or type(module).__name__
     outputs = []
-    with observe_inference(label, int(data.shape[0]), runtime=runtime):
+    with observe_inference(label, int(data.shape[0])):
         with eval_mode(module), no_grad():
             if data.shape[0] == 0:
                 # A zero-row batch yields no micro-batches, and

@@ -1,20 +1,14 @@
 """Weight initialization schemes.
 
-Every initializer honors the framework dtype policy: pass ``dtype``
-explicitly or get :data:`repro.nn.dtypes.DEFAULT_DTYPE` (float64).
+Every initializer returns :data:`repro.nn.dtypes.DEFAULT_DTYPE` (float64)
+arrays, the framework dtype policy.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn.dtypes import DEFAULT_DTYPE
-
-
-def _resolve(dtype) -> np.dtype:
-    return np.dtype(dtype) if dtype is not None else DEFAULT_DTYPE
 
 
 def _fans(shape) -> tuple:
@@ -28,23 +22,23 @@ def _fans(shape) -> tuple:
     return size, size
 
 
-def kaiming_uniform(shape, rng: np.random.Generator, dtype=None) -> np.ndarray:
+def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """He initialization for ReLU networks (the paper's CNN stacks)."""
     fan_in, _ = _fans(shape)
     bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(_resolve(dtype), copy=False)
+    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE, copy=False)
 
 
-def xavier_uniform(shape, rng: np.random.Generator, dtype=None) -> np.ndarray:
+def xavier_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """Glorot initialization for tanh/sigmoid layers (LSTM gates)."""
     fan_in, fan_out = _fans(shape)
     bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(_resolve(dtype), copy=False)
+    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE, copy=False)
 
 
-def zeros(shape, rng: Optional[np.random.Generator] = None, dtype=None) -> np.ndarray:
-    return np.zeros(shape, dtype=_resolve(dtype))
+def zeros(shape) -> np.ndarray:
+    return np.zeros(shape, dtype=DEFAULT_DTYPE)
 
 
-def ones(shape, rng: Optional[np.random.Generator] = None, dtype=None) -> np.ndarray:
-    return np.ones(shape, dtype=_resolve(dtype))
+def ones(shape) -> np.ndarray:
+    return np.ones(shape, dtype=DEFAULT_DTYPE)

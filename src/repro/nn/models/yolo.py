@@ -147,10 +147,10 @@ class YoloDetector(nn.Module):
         """Raw predictions, shape (N, 5 + C, S, S)."""
         return self.head(self.trunk(x))
 
-    def decode(self, raw: np.ndarray, score_threshold: float = 0.5,
-               nms_iou: float = 0.5) -> List[List[Detection]]:
+    def decode(self, raw: np.ndarray, score_threshold: float = 0.5
+               ) -> List[List[Detection]]:
         """Raw output (N, 5+C, S, S) -> per-image NMS-filtered detections."""
-        return decode_predictions(raw, score_threshold, nms_iou)
+        return decode_predictions(raw, score_threshold)
 
     def estimate_flops(self, input_shape: Tuple[int, ...]):
         from repro.nn.flops import estimate_flops
@@ -163,8 +163,8 @@ class TinyYolo(YoloDetector):
     """A thin-trunk detector — the local-device half of the Fig. 5 pipeline."""
 
     def __init__(self, in_channels: int, image_size: int, num_classes: int,
-                 grid: int = 4, rng: Optional[np.random.Generator] = None):
-        super().__init__(in_channels, image_size, num_classes, grid=grid,
+                 rng: Optional[np.random.Generator] = None):
+        super().__init__(in_channels, image_size, num_classes,
                          widths=(4, 8, 8), rng=rng)
 
 
@@ -192,9 +192,10 @@ def detection_confidence(raw: np.ndarray,
     return np.where(best >= score_floor, best, 0.0)
 
 
-def decode_predictions(raw: np.ndarray, score_threshold: float = 0.5,
-                       nms_iou: float = 0.5) -> List[List[Detection]]:
-    """Shared decoding for any (N, 5+C, S, S) prediction volume."""
+def decode_predictions(raw: np.ndarray, score_threshold: float = 0.5
+                       ) -> List[List[Detection]]:
+    """Shared decoding for any (N, 5+C, S, S) prediction volume; overlaps
+    of IoU 0.5 or more are suppressed."""
     raw = np.asarray(raw)
     grid = raw.shape[-1]
     scores, class_ids = cell_scores(raw)
@@ -210,9 +211,13 @@ def decode_predictions(raw: np.ndarray, score_threshold: float = 0.5,
                       score=float(scores[image, gy, gx]))
             for gy, gx in np.argwhere(
                 scores[image] >= score_threshold).tolist()]
-        results.append(non_max_suppression(detections, nms_iou,
+        results.append(non_max_suppression(detections, 0.5,
                                            class_agnostic=True))
     return results
+
+
+#: YoloLoss's coordinate and no-object weights
+LAMBDA_COORD, LAMBDA_NOOBJ = 5.0, 0.5
 
 
 class YoloLoss:
@@ -221,15 +226,14 @@ class YoloLoss:
     Each ground-truth box is assigned to the grid cell containing its
     center.  Assigned cells pay a coordinate MSE (in sigmoid space), a
     BCE pushing objectness to 1, and a class cross-entropy; unassigned
-    cells pay a down-weighted BCE pushing objectness to 0.
+    cells pay a down-weighted BCE pushing objectness to 0.  The weights
+    are the YOLO paper's: :data:`LAMBDA_COORD` on coordinates and
+    :data:`LAMBDA_NOOBJ` on empty cells.
     """
 
-    def __init__(self, grid: int, num_classes: int,
-                 lambda_coord: float = 5.0, lambda_noobj: float = 0.5):
+    def __init__(self, grid: int, num_classes: int):
         self.grid = grid
         self.num_classes = num_classes
-        self.lambda_coord = lambda_coord
-        self.lambda_noobj = lambda_noobj
 
     def build_targets(self, batch_boxes: Sequence[Sequence[GroundTruthBox]]
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,9 +285,9 @@ class YoloLoss:
         # the no-object BCE then genuinely suppresses empty cells instead
         # of being diluted by the cell count.
         batch = float(raw.shape[0])
-        return (self.lambda_coord * (xy_loss + wh_loss)
+        return (LAMBDA_COORD * (xy_loss + wh_loss)
                 + obj_loss
-                + self.lambda_noobj * noobj_loss
+                + LAMBDA_NOOBJ * noobj_loss
                 + cls_loss) * (1.0 / batch)
 
 
@@ -407,12 +411,11 @@ def _branch(in_width: int, in_size: int, grid: int, widths, rng,
 
 
 def evaluate_detections(predicted: Sequence[Sequence[Detection]],
-                        truth: Sequence[Sequence[GroundTruthBox]],
-                        iou_threshold: float = 0.5) -> dict:
-    """Precision / recall / F1 / mean-IoU over a batch at one IoU cut.
+                        truth: Sequence[Sequence[GroundTruthBox]]) -> dict:
+    """Precision / recall / F1 / mean-IoU over a batch at an IoU cut of 0.5.
 
     A prediction matches at most one ground-truth box of the same class with
-    IoU >= threshold (greedy by score).
+    IoU >= 0.5 (greedy by score).
     """
     if len(predicted) != len(truth):
         raise ValueError("predicted and truth batch sizes differ")
@@ -428,7 +431,7 @@ def evaluate_detections(predicted: Sequence[Sequence[Detection]],
                 iou = box_iou(det, box)
                 if iou > best_iou:
                     best_iou, best_box = iou, box
-            if best_box is not None and best_iou >= iou_threshold:
+            if best_box is not None and best_iou >= 0.5:
                 unmatched.remove(best_box)
                 localized += 1
                 matched_ious.append(best_iou)

@@ -25,8 +25,8 @@ from repro.runtime.rng import resolve_rng
 class Parameter(Tensor):
     """A tensor registered as trainable state of a module."""
 
-    def __init__(self, data, name: Optional[str] = None):
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -200,11 +200,13 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     """Batch normalization over the channel axis of (N, C, H, W)."""
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    #: running-statistics update rate, and the variance floor
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, num_features: int):
         super().__init__()
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(init.ones((num_features,)))
         self.beta = Parameter(init.zeros((num_features,)))
         self._buffer_running_mean = init.zeros((num_features,))

@@ -17,7 +17,7 @@ from repro.runtime import get_runtime
 class Optimizer:
     """Base optimizer holding a parameter list."""
 
-    def __init__(self, parameters: Sequence[Tensor], lr: float, runtime=None):
+    def __init__(self, parameters: Sequence[Tensor], lr: float):
         parameters = list(parameters)
         if not parameters:
             raise ValueError("optimizer needs at least one parameter")
@@ -25,8 +25,7 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive: {lr}")
         self.parameters = parameters
         self.lr = lr
-        self.runtime = runtime or get_runtime()
-        self._steps = self.runtime.registry.counter(
+        self._steps = get_runtime().registry.counter(
             "nn.optim.steps", "optimizer steps taken")
 
     def _record_step(self) -> None:
@@ -58,9 +57,8 @@ class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay."""
 
     def __init__(self, parameters: Sequence[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 runtime=None):
-        super().__init__(parameters, lr, runtime=runtime)
+                 momentum: float = 0.0, weight_decay: float = 0.0):
+        super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1): {momentum}")
         self.momentum = momentum
@@ -85,16 +83,15 @@ class SGD(Optimizer):
             param.data -= self.lr * grad
 
 
+#: Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba)."""
 
-    def __init__(self, parameters: Sequence[Tensor], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, runtime=None):
-        super().__init__(parameters, lr, runtime=runtime)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, parameters: Sequence[Tensor], lr: float = 1e-3):
+        super().__init__(parameters, lr)
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
@@ -102,23 +99,21 @@ class Adam(Optimizer):
     def step(self) -> None:
         self._record_step()
         self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
+        bias1 = 1.0 - ADAM_BETA1 ** self._t
+        bias2 = 1.0 - ADAM_BETA2 ** self._t
         for param in self.parameters:
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             key = id(param)
             m = self._m.get(key)
             v = self._v.get(key)
             if m is None:
                 m = np.zeros_like(param.data)
                 v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad ** 2
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad ** 2
             self._m[key], self._v[key] = m, v
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

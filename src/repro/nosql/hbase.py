@@ -87,8 +87,7 @@ class HTable:
 
     def __init__(self, name: str, dfs: DistributedFileSystem,
                  families: Sequence[str],
-                 memstore_flush_cells: int = 1000,
-                 runtime=None):
+                 memstore_flush_cells: int = 1000):
         if not families:
             raise HBaseError("a table needs at least one column family")
         if memstore_flush_cells < 1:
@@ -102,7 +101,7 @@ class HTable:
         self._hfile_cache: Dict[str, List[Cell]] = {}
         self._clock = 0
         self._flush_count = 0
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
 
     # -- write path -----------------------------------------------------------
     def _tick(self) -> int:
@@ -114,13 +113,11 @@ class HTable:
             raise HBaseError(
                 f"unknown column family {family!r}; declared: {self.families}")
 
-    def put(self, row: str, family: str, qualifier: str, value: bytes,
-            timestamp: Optional[int] = None) -> None:
+    def put(self, row: str, family: str, qualifier: str, value: bytes) -> None:
         self._check_family(family)
         if not isinstance(value, bytes):
             raise HBaseError(f"values must be bytes, got {type(value).__name__}")
-        cell = Cell(row, family, qualifier, value,
-                    timestamp if timestamp is not None else self._tick())
+        cell = Cell(row, family, qualifier, value, self._tick())
         self._memstore[cell.key] = cell
         if len(self._memstore) >= self.memstore_flush_cells:
             self.flush()

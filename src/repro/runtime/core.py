@@ -14,10 +14,15 @@ The runtime clock is wall time until a DES
 virtual-clock timestamps, so a simulated run's dump is a deterministic
 function of its seed.
 
-Modules resolve their runtime with :func:`get_runtime`, which returns the
-process-wide default unless a different runtime has been installed with
-:func:`set_runtime` / :func:`using_runtime`.  Experiments that need an
-isolated, reproducible dump do::
+There is one way to choose a runtime: install it with
+:func:`using_runtime` (or :func:`set_runtime` for the whole process).
+:func:`get_runtime` returns the installed one.  A component binds
+``get_runtime()`` when it is built and keeps writing there after the
+block ends; a function writes to the runtime installed when it is
+called.  No component takes a ``runtime=`` argument except the DES
+:class:`~repro.cluster.sim.Environment`, whose ``runtime`` is the one it
+binds its clock to.  Experiments that need an isolated, reproducible
+dump do::
 
     with using_runtime(Runtime(seed=7)) as rt:
         ...build and run the stack...

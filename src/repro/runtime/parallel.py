@@ -26,11 +26,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.core import Runtime, get_runtime
+from repro.runtime.core import Runtime
 
 #: arrays at or above this size are staged in shared memory
 DEFAULT_SHM_MIN_BYTES = 64 * 1024
@@ -99,7 +99,7 @@ def stages_nothing(values: Sequence[Any], min_bytes: int) -> bool:
 
 # -- the determinism-contract view of a dump -----------------------------------
 
-def deterministic_dump(runtime: Optional[Runtime] = None,
+def deterministic_dump(runtime: Runtime,
                        drop_metric_prefixes: Iterable[str] = (),
                        drop_span_prefixes: Iterable[str] = ()) -> Dict:
     """``runtime.dump()`` restricted to what a seeded run determines.
@@ -117,8 +117,7 @@ def deterministic_dump(runtime: Optional[Runtime] = None,
     vary with consumer-group size even though the committed output does
     not (see :data:`repro.streaming.broker.VOLATILE_METRIC_PREFIXES`).
     """
-    rt = runtime or get_runtime()
-    payload = rt.dump()
+    payload = runtime.dump()
     metric_prefixes = (PLAN_METRIC_PREFIX, *drop_metric_prefixes)
     span_prefixes = tuple(drop_span_prefixes)
     for kind, metrics in payload["metrics"].items():

@@ -173,12 +173,11 @@ class ServingGateway:
     with reason ``shutdown``.
     """
 
-    def __init__(self, deployment, policy, config: Optional[GatewayConfig] = None,
-                 runtime=None):
+    def __init__(self, deployment, policy, config: Optional[GatewayConfig] = None):
         self.deployment = deployment
         self.policy = policy
         self.config = config or GatewayConfig()
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
         self.admission = AdmissionController(
             self.config.max_queue_rows,
             tenant_rate=self.config.tenant_rate,

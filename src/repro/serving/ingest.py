@@ -16,7 +16,7 @@ poll is redelivered to the next consumer.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.serving.admission import ShedError
 from repro.serving.gateway import GatewayConfig, ServingGateway
@@ -30,13 +30,14 @@ POLL_SPAN_EVERY = 16
 
 
 async def pump_topic(gateway: ServingGateway, bus, topic: str,
-                     group: str = DEFAULT_GROUP, poll_size: int = 256
+                     poll_size: int = 256
                      ) -> Tuple[Dict[str, List], Dict[str, int]]:
     """Drain ``topic`` through ``gateway`` until a poll comes back empty.
 
     Returns ``(served, shed)``: per-camera lists of
     :class:`~repro.nn.models.earlyexit.BatchExitDecisions` (one per poll
-    the camera appeared in) and per-camera shed-request counts.
+    the camera appeared in) and per-camera shed-request counts.  The
+    pump reads as consumer group :data:`DEFAULT_GROUP`.
 
     The pump is *pipelined*: each columnar poll is regrouped per camera
     by ``batch.groups()`` (sorted keys, deterministic), the gather of
@@ -46,7 +47,7 @@ async def pump_topic(gateway: ServingGateway, bus, topic: str,
     taken right after its own poll — never the prefetched positions — so
     a failed batch (and everything polled after it) is redelivered.
     """
-    consumer = bus.consumer(group, [topic], auto_commit=False)
+    consumer = bus.consumer(DEFAULT_GROUP, [topic], auto_commit=False)
     served: Dict[str, List] = {}
     shed: Dict[str, int] = {}
     poll_span = gateway.runtime.tracer.sampler("serving.ingest.poll",
@@ -83,27 +84,23 @@ async def pump_topic(gateway: ServingGateway, bus, topic: str,
 
 
 def serve_camera_topic(deployment, policy, bus, topic: str,
-                       group: str = DEFAULT_GROUP, poll_size: int = 256,
-                       config: Optional[GatewayConfig] = None,
-                       runtime=None) -> Dict[str, List]:
+                       poll_size: int = 256) -> Dict[str, List]:
     """Synchronous one-shot drain: build a gateway, pump, tear down.
 
     The convenience entrypoint the infrastructure facade calls.  The
-    default config coalesces with a zero window (deterministic batching)
-    and sizes the batch and queue bounds to the poll, so a default drain
-    never sheds; pass ``config`` to exercise admission control.
+    gateway coalesces with a zero window (deterministic batching) and
+    sizes the batch and queue bounds to the poll, so a drain never sheds.
     """
-    if config is None:
-        config = GatewayConfig(
-            coalesce_window_s=0.0,
-            max_batch_rows=max(1, poll_size),
-            max_queue_rows=max(1024, 4 * poll_size))
+    config = GatewayConfig(
+        coalesce_window_s=0.0,
+        max_batch_rows=max(1, poll_size),
+        max_queue_rows=max(1024, 4 * poll_size))
 
     async def run() -> Dict[str, List]:
-        gateway = ServingGateway(deployment, policy, config, runtime=runtime)
+        gateway = ServingGateway(deployment, policy, config)
         async with gateway.running():
             served, _ = await pump_topic(gateway, bus, topic,
-                                         group=group, poll_size=poll_size)
+                                         poll_size=poll_size)
         return served
 
     return asyncio.run(run())

@@ -95,9 +95,8 @@ class ObservabilityServer:
     ``(host, port)`` so tests and launchers never race on a fixed port.
     """
 
-    def __init__(self, runtime=None, gateway=None,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.runtime = runtime or get_runtime()
+    def __init__(self, gateway=None, host: str = "127.0.0.1", port: int = 0):
+        self.runtime = get_runtime()
         self.gateway = gateway
         self.host = host
         self.port = port

@@ -473,8 +473,7 @@ class Broker:
     ``repro/streaming/``).
     """
 
-    def __init__(self, runtime=None,
-                 shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES):
+    def __init__(self, shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES):
         self._topics: Dict[str, _Topic] = {}
         self._groups: Dict[str, _Group] = {}
         #: (group, topic, partition) -> committed offset
@@ -485,7 +484,7 @@ class Broker:
         self._staged_bytes = 0
         self._ticks = 0
         self.shm_min_bytes = int(shm_min_bytes)
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
         registry = self.runtime.registry
         self._dropped = registry.counter(
             "streaming.broker.records_dropped",
@@ -1137,11 +1136,11 @@ class Consumer:
             broker._commit(self)
         return out
 
-    def drain(self, batch_size: int = 100) -> List[Record]:
-        """Poll until no new records remain."""
+    def drain(self) -> List[Record]:
+        """Poll, 100 records at a time, until no new records remain."""
         out: List[Record] = []
         while True:
-            batch = self.poll(batch_size)
+            batch = self.poll(100)
             if not batch:
                 return out
             out.extend(batch)

@@ -238,20 +238,20 @@ class FlumeAgent:
     name:
         Label under which this agent's counters appear in the registry;
         auto-generated (``flume-agent-N``) when omitted.
-    runtime:
-        Observability runtime; defaults to the installed one.
+
+    Counters and spans land in the runtime installed at construction.
     """
 
     def __init__(self, source: FunctionSource, sink: Callable[[List[Any]], None],
                  channel: Optional[Channel] = None, batch_size: int = 10,
-                 name: Optional[str] = None, runtime=None):
+                 name: Optional[str] = None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
         self.source = source
         self.sink = sink
         self.channel = channel if channel is not None else Channel()
         self.batch_size = batch_size
-        self.runtime = runtime or get_runtime()
+        self.runtime = get_runtime()
         self.name = name or self.runtime.gensym("flume-agent")
         self._source_exhausted = False
         # Bound handles: this agent's label set is resolved once, and every
@@ -271,8 +271,7 @@ class FlumeAgent:
     @classmethod
     def from_consumer(cls, consumer: Consumer,
                       sink: Callable[[List[Any]], None],
-                      batch_size: int = 10, name: Optional[str] = None,
-                      runtime=None) -> "FlumeAgent":
+                      batch_size: int = 10) -> "FlumeAgent":
         """An agent whose channel *is* a broker consumer group.
 
         Transaction commit maps to offset commit and rollback to
@@ -282,8 +281,7 @@ class FlumeAgent:
         ``auto_commit=False``.
         """
         return cls(FunctionSource([]), sink,
-                   channel=ConsumerChannel(consumer), batch_size=batch_size,
-                   name=name, runtime=runtime)
+                   channel=ConsumerChannel(consumer), batch_size=batch_size)
 
     @property
     def source_exhausted(self) -> bool:

@@ -56,21 +56,18 @@ class SqoopImporter:
 
     Each job runs under a ``streaming.sqoop.import`` span.
 
-    ``broker`` is the transport between the mapper (table-scan) side and
-    the writer side; when omitted each importer gets a private
-    :class:`~repro.streaming.broker.Broker`.  Topics are per-job
-    (``sqoop.<table>-N`` via ``gensym``), so repeated imports on a shared
-    broker never collide.
+    Each importer's private :class:`~repro.streaming.broker.Broker` is the
+    transport between the mapper (table-scan) side and the writer side.
+    Topics are per-job (``sqoop.<table>-N`` via ``gensym``), so repeated
+    imports never collide.
     """
 
     def __init__(self, database: RelationalDatabase,
-                 dfs: Optional[DistributedFileSystem] = None,
-                 runtime=None, broker: Optional[Broker] = None):
+                 dfs: Optional[DistributedFileSystem] = None):
         self.database = database
         self.dfs = dfs
-        self.runtime = runtime or get_runtime()
-        self.broker = broker if broker is not None \
-            else Broker(runtime=self.runtime)
+        self.runtime = get_runtime()
+        self.broker = Broker()
 
     def _produce_splits(self, table, table_name: str,
                         num_mappers: int) -> str:

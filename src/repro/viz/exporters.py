@@ -12,8 +12,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
-def registry_to_json(source, path: Optional[str] = None,
-                     indent: int = 2) -> str:
+def registry_to_json(source, path: Optional[str] = None) -> str:
     """Serialize a runtime observability dump to canonical JSON.
 
     ``source`` may be a :class:`repro.runtime.Runtime` (full dump: seed,
@@ -24,7 +23,7 @@ def registry_to_json(source, path: Optional[str] = None,
     the JSON is also written there.
     """
     dump = source.dump()
-    text = json.dumps(dump, sort_keys=True, indent=indent)
+    text = json.dumps(dump, sort_keys=True, indent=2)
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -32,19 +31,19 @@ def registry_to_json(source, path: Optional[str] = None,
 
 
 def points_to_geojson(points: Sequence[Dict],
-                      lon_key: str = "lon", lat_key: str = "lat",
                       properties: Optional[Sequence[str]] = None) -> str:
-    """Dict records with coordinates -> a GeoJSON FeatureCollection string."""
+    """Dict records with ``lon`` / ``lat`` coordinates -> a GeoJSON
+    FeatureCollection string."""
     features = []
     for point in points:
-        if lon_key not in point or lat_key not in point:
-            raise KeyError(f"record missing {lon_key}/{lat_key}: {point}")
+        if "lon" not in point or "lat" not in point:
+            raise KeyError(f"record missing lon/lat: {point}")
         keep = properties if properties is not None else [
-            k for k in point if k not in (lon_key, lat_key)]
+            k for k in point if k not in ("lon", "lat")]
         features.append({
             "type": "Feature",
             "geometry": {"type": "Point",
-                         "coordinates": [point[lon_key], point[lat_key]]},
+                         "coordinates": [point["lon"], point["lat"]]},
             "properties": {k: point[k] for k in keep if k in point},
         })
     return json.dumps({"type": "FeatureCollection", "features": features})
@@ -60,9 +59,8 @@ def cameras_to_geojson(registry) -> str:
     return points_to_geojson(records)
 
 
-def timeseries_json(series: Dict[str, Sequence[float]],
-                    x_label: str = "day") -> str:
-    """Named series -> the compact JSON a D3 line chart binds to."""
+def timeseries_json(series: Dict[str, Sequence[float]]) -> str:
+    """Named daily series -> the compact JSON a D3 line chart binds to."""
     if not series:
         raise ValueError("need at least one series")
     lengths = {len(values) for values in series.values()}
@@ -70,19 +68,18 @@ def timeseries_json(series: Dict[str, Sequence[float]],
         raise ValueError(f"series lengths differ: {sorted(lengths)}")
     (length,) = lengths
     return json.dumps({
-        "x_label": x_label,
+        "x_label": "day",
         "x": list(range(length)),
         "series": {name: list(map(float, values))
                    for name, values in series.items()},
     })
 
 
-def bar_chart_svg(values: Dict[str, float], title: str = "",
-                  width: int = 480, height: int = 240) -> str:
-    """A self-contained SVG bar chart."""
+def bar_chart_svg(values: Dict[str, float], title: str = "") -> str:
+    """A self-contained 480x240 SVG bar chart."""
     if not values:
         raise ValueError("need at least one bar")
-    margin = 30
+    width, height, margin = 480, 240, 30
     chart_w = width - 2 * margin
     chart_h = height - 2 * margin
     peak = max(max(values.values()), 1e-12)
@@ -105,9 +102,9 @@ def bar_chart_svg(values: Dict[str, float], title: str = "",
     return "".join(parts)
 
 
-def heatmap_svg(grid: Sequence[Sequence[float]], title: str = "",
-                cell: int = 18) -> str:
-    """A density grid -> SVG heatmap (crime-hotspot map layer)."""
+def heatmap_svg(grid: Sequence[Sequence[float]], title: str = "") -> str:
+    """A density grid -> SVG heatmap of 18-pixel cells (crime-hotspot map
+    layer)."""
     rows = len(grid)
     if rows == 0 or len(grid[0]) == 0:
         raise ValueError("grid must be non-empty")
@@ -116,6 +113,7 @@ def heatmap_svg(grid: Sequence[Sequence[float]], title: str = "",
         raise ValueError("grid rows have unequal lengths")
     peak = max(max(row) for row in grid)
     peak = peak if peak > 0 else 1.0
+    cell = 18
     width, height = cols * cell, rows * cell + (20 if title else 0)
     offset = 20 if title else 0
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -41,7 +41,6 @@ GATEWAY_STATS = "read back by ServingGateway.stats()"
 #: metric name -> one-line reason it stays without a named reader
 KEEP: Dict[str, str] = {
     "compute.spark.partitions_computed": SPARK_VIEW,
-    "compute.spark.shuffles": SPARK_VIEW,
     "fog.pipeline.bytes_shipped": DES_REPORT,
     "fog.pipeline.degraded": DES_REPORT,
     "fog.pipeline.dropped": DES_REPORT,
@@ -50,7 +49,6 @@ KEEP: Dict[str, str] = {
     "fog.pipeline.machine_busy_s": DES_REPORT,
     "fog.pipeline.resolved": DES_REPORT,
     "fog.pipeline.retries": DES_REPORT,
-    "nn.optim.steps": "the Fig. 3 registry table's one nn family",
     "serving.gateway.admitted": GATEWAY_STATS,
     "serving.gateway.failed": GATEWAY_STATS,
     "serving.gateway.shed": GATEWAY_STATS,

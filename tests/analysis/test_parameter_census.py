@@ -1,0 +1,493 @@
+"""Parameter census: every defaulted parameter of a public ``src/`` def is
+set by a caller outside tests.
+
+A parameter with a default is an option.  It earns its place when some
+call in ``src/``, ``benchmarks/`` or ``examples/`` passes it, by keyword
+or by position; otherwise its default is the only value the program
+uses, and it belongs in the body as a literal or a module constant.
+
+Calls resolve as in :mod:`tests.analysis.test_dead_surface`: a function
+or class through :class:`~repro.analysis.graph.ProjectGraph`, a method
+by name (``x.drain(batch_size=...)`` sets every ``drain``'s
+``batch_size``).  ``functools.partial(f, kw=...)`` calls ``f``,
+``cls(...)`` in a class body calls that class, a class without an
+``__init__`` calls its first base's,
+``super().__init__(...)`` calls the first base's ``__init__``, and a
+module-level alias (``topic_sink = broker_sink``) calls what it names.  A
+``*args`` argument sets every positional parameter from its place on,
+and ``**kwargs`` sets them all.
+
+A pass-through, ``g(x=x)`` where ``x`` is a parameter of the enclosing
+def, sets ``g``'s ``x`` only when the enclosing ``x`` is itself required
+or set: forwarding a parameter nobody passes passes nothing.
+
+``KEEP`` lists the defs whose unset parameters stay, one reason each.
+It is also the census's nomination list for its next batch: an entry
+whose parameters all gain a caller, or go, must leave the list.
+"""
+
+import ast
+import functools
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+import pytest
+
+from repro.analysis.context import ModuleContext
+from repro.analysis.graph import ProjectGraph, SymbolDef
+from tests.analysis.test_dead_surface import (
+    _contexts,
+    _module_of,
+    public_surface,
+)
+
+TESTS_ONLY = "set only by tests: a nomination for the census's next batch"
+
+#: def qualified name -> one-line reason its unset parameters stay
+KEEP: Dict[str, str] = {
+    "repro.analysis.cli.main":
+        "the CLI entry point: argv=None reads sys.argv",
+    "repro.analysis.engine.analyze_source":
+        "the rule-fixture entry point: tests name a snippet's path",
+    "repro.apps.action.app.ActionEarlyExitModel": TESTS_ONLY,
+    "repro.apps.drl.dqn.DQNAgent": TESTS_ONLY,
+    "repro.apps.drl.dqn.ReplayBuffer": TESTS_ONLY,
+    "repro.apps.drl.env.PTZCameraEnv.reset": TESTS_ONLY,
+    "repro.apps.forecast.crime.LSTMRegressor": TESTS_ONLY,
+    "repro.apps.forecast.crime.seasonal_series": TESTS_ONLY,
+    "repro.apps.fusion.gunshot.GunshotEventGenerator": TESTS_ONLY,
+    "repro.apps.geospatial.hotspot.HotspotCnnApp": TESTS_ONLY,
+    "repro.apps.vehicle.amber.AmberAlertSearch.cameras_to_stake_out":
+        TESTS_ONLY,
+    "repro.cluster.failures.FailureInjector": TESTS_ONLY,
+    "repro.cluster.failures.FailureProcess": TESTS_ONLY,
+    "repro.cluster.sim.Environment": TESTS_ONLY,
+    "repro.cluster.sim.Store": TESTS_ONLY,
+    "repro.compute.graphx.Graph": TESTS_ONLY,
+    "repro.compute.graphx.Graph.n_degree_neighborhood": TESTS_ONLY,
+    "repro.compute.graphx.Graph.pagerank": TESTS_ONLY,
+    "repro.compute.mllib.LogisticRegression": TESTS_ONLY,
+    "repro.compute.mllib.TfIdf": TESTS_ONLY,
+    "repro.compute.rdd.RDD.sortBy": TESTS_ONLY,
+    "repro.compute.rdd.SparkContext.parallelize": TESTS_ONLY,
+    "repro.compute.yarn.ResourceManager": TESTS_ONLY,
+    "repro.core.capacity.CapacityPlanner": TESTS_ONLY,
+    "repro.core.capacity.CapacityPlanner.report": TESTS_ONLY,
+    "repro.data.cameras.build_dotd_registry": TESTS_ONLY,
+    "repro.data.collector.TweetCollector": TESTS_ONLY,
+    "repro.data.lawenforcement.LawEnforcementFeed": TESTS_ONLY,
+    "repro.data.social.GangNetworkGenerator.generate": TESTS_ONLY,
+    "repro.data.video.ActionClipGenerator": TESTS_ONLY,
+    "repro.dfs.filesystem.DataNode": TESTS_ONLY,
+    "repro.fog.pipeline.FogPipeline.simulate_stream": TESTS_ONLY,
+    "repro.fog.pipeline.simulate_shared_streams": TESTS_ONLY,
+    "repro.fog.policies.run_policy_batched": TESTS_ONLY,
+    "repro.fog.split.materialize_stages": TESTS_ONLY,
+    "repro.fog.split.model_split_from_early_exit": TESTS_ONLY,
+    "repro.nn.data.DataLoader": TESTS_ONLY,
+    "repro.nn.flops.activation_size_bytes": TESTS_ONLY,
+    "repro.nn.inference.batched_forward": TESTS_ONLY,
+    "repro.nn.inference.iter_microbatches": TESTS_ONLY,
+    "repro.nn.models.cca.CCA": TESTS_ONLY,
+    "repro.nn.models.earlyexit.EarlyExitNetwork.infer_batch": TESTS_ONLY,
+    "repro.nn.models.yolo.EarlyExitDetector": TESTS_ONLY,
+    "repro.nn.models.yolo.EarlyExitDetector.joint_loss": TESTS_ONLY,
+    "repro.nn.models.yolo.TinyYolo": TESTS_ONLY,
+    "repro.nn.models.yolo.YoloDetector": TESTS_ONLY,
+    "repro.nn.models.yolo.YoloDetector.decode": TESTS_ONLY,
+    "repro.nn.modules.LSTM": TESTS_ONLY,
+    "repro.nn.modules.Linear": TESTS_ONLY,
+    "repro.nn.modules.MaxPool2d": TESTS_ONLY,
+    "repro.nn.optim.SGD": TESTS_ONLY,
+    "repro.nn.plan.capture_plan": TESTS_ONLY,
+    "repro.nn.quantize.measure_quantization_drop": TESTS_ONLY,
+    "repro.nn.tensor.Tensor": TESTS_ONLY,
+    "repro.nn.tensor.Tensor.backward": TESTS_ONLY,
+    "repro.nosql.hbase.HTable.scan": TESTS_ONLY,
+    "repro.nosql.mongo.Collection.distinct": TESTS_ONLY,
+    "repro.nosql.mongo.Collection.find": TESTS_ONLY,
+    "repro.nosql.mongo.Collection.find_one": TESTS_ONLY,
+    "repro.runtime.metrics.BoundGauge.dec": TESTS_ONLY,
+    "repro.runtime.metrics.Gauge.dec": TESTS_ONLY,
+    "repro.runtime.parallel.deterministic_dump":
+        "the determinism oracle: invariance tests drop volatile families",
+    "repro.serving.observability.ObservabilityServer":
+        "host is a deployment setting; gateway and port are set only by tests",
+    "repro.streaming.broker.Broker": TESTS_ONLY,
+    "repro.streaming.broker.Broker.create_topic": TESTS_ONLY,
+    "repro.streaming.flume.FlumeAgent": TESTS_ONLY,
+    "repro.streaming.flume.FlumeAgent.from_consumer": TESTS_ONLY,
+    "repro.streaming.flume.broker_sink": TESTS_ONLY,
+    "repro.streaming.flume.dfs_sink": TESTS_ONLY,
+    "repro.streaming.sqoop.SqoopImporter": TESTS_ONLY,
+    "repro.streaming.sqoop.SqoopImporter.import_table": TESTS_ONLY,
+    "repro.viz.exporters.points_to_geojson": TESTS_ONLY,
+}
+
+#: (def qualified name, parameter name)
+Param = Tuple[str, str]
+
+
+class _Def:
+    """One def the census tracks: its positional and keyword parameters."""
+
+    def __init__(self, node: ast.AST, bound: bool):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if bound and positional:
+            positional = positional[1:]       # self / cls
+        self.positional = [a.arg for a in positional]
+        self.names = set(self.positional) | {a.arg for a in args.kwonlyargs}
+        first_default = len(positional) - len(args.defaults)
+        self.defaulted = [a.arg for a in positional[first_default:]] + [
+            a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+
+
+def _is_bound(node: ast.AST) -> bool:
+    return not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                   for d in node.decorator_list)
+
+
+def _methods(cls: ast.ClassDef) -> Iterator[ast.AST]:
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt
+
+
+class _Census:
+    """Every def under ``src/``, and the parameters its callers set."""
+
+    def __init__(self, graph: ProjectGraph):
+        self.graph = graph
+        #: def qualname -> _Def (a class stands for its ``__init__``)
+        self.defs: Dict[str, _Def] = {}
+        #: def node id -> qualname, to name the def enclosing a call
+        self.by_node: Dict[int, str] = {}
+        #: method name -> qualnames of every method so named
+        self.by_method: Dict[str, List[str]] = {}
+        for node in graph.library_modules():
+            for stmt in node.ctx.tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self._add(f"{node.name}.{stmt.name}", stmt, False)
+                elif isinstance(stmt, ast.ClassDef):
+                    self._add_class(node.name, stmt)
+        self.set: Set[Param] = set()
+        #: outer parameter -> parameters a pass-through of it sets
+        self.forwards: Dict[Param, Set[Param]] = {}
+
+    def _add(self, qualname: str, node: ast.AST, bound: bool) -> None:
+        self.defs[qualname] = _Def(node, bound)
+        self.by_node[id(node)] = qualname
+
+    def _add_class(self, module: str, cls: ast.ClassDef) -> None:
+        qualname = f"{module}.{cls.name}"
+        for method in _methods(cls):
+            if method.name == "__init__":
+                self._add(qualname, method, True)
+            else:
+                name = f"{qualname}.{method.name}"
+                self._add(name, method, _is_bound(method))
+                self.by_method.setdefault(method.name, []).append(name)
+
+    # -- call resolution ------------------------------------------------------
+    def _class_init(self, module: str, expr: ast.AST) -> List[str]:
+        """The ``__init__`` a class expression names, if the census has it."""
+        symbol = None
+        if isinstance(expr, ast.Name):
+            symbol = self.graph.resolve(module, expr.id)
+        elif isinstance(expr, ast.Attribute):
+            base = _module_of(self.graph, module, expr.value)
+            symbol = self.graph.resolve(base, expr.attr) if base else None
+        if symbol is None or symbol.kind != "class":
+            return []
+        return self._init_of(symbol)
+
+    def _init_of(self, cls: SymbolDef) -> List[str]:
+        """The class's own ``__init__``, else the one it inherits."""
+        qualname = f"{cls.module}.{cls.name}"
+        if qualname in self.defs:
+            return [qualname]
+        bases = cls.node.bases
+        return self._class_init(cls.module, bases[0]) if bases else []
+
+    def targets(self, module: str, func: ast.AST,
+                cls: Optional[ast.ClassDef]) -> List[str]:
+        """Qualnames of the defs a call's ``func`` expression may reach."""
+        if isinstance(func, ast.Name) and func.id == "cls" and cls:
+            return self._class_init(module, ast.Name(cls.name))
+        if isinstance(func, ast.Attribute) and func.attr == "__init__" \
+                and isinstance(func.value, ast.Call) \
+                and isinstance(func.value.func, ast.Name) \
+                and func.value.func.id == "super":
+            return self._class_init(module, cls.bases[0]) \
+                if cls and cls.bases else []
+        symbol = self.graph.resolve_call_target(module, func)
+        if symbol is not None and symbol.kind == "assign":
+            symbol = _aliased(self.graph, symbol)
+        if symbol is not None and symbol.kind == "class":
+            return self._init_of(symbol)
+        if symbol is not None:
+            qualname = f"{symbol.module}.{symbol.name}"
+            return [qualname] if qualname in self.defs else []
+        if isinstance(func, ast.Attribute):
+            return list(self.by_method.get(func.attr, ()))
+        return []
+
+    # -- walking the callers --------------------------------------------------
+    def visit(self, module: str, tree: ast.AST) -> None:
+        stack: List[Tuple[ast.AST, Tuple[ast.AST, ...],
+                          Optional[ast.ClassDef]]] = [(tree, (), None)]
+        while stack:
+            item, scopes, cls = stack.pop()
+            if isinstance(item, ast.Call):
+                self._call(module, item, scopes, cls)
+            if isinstance(item, ast.ClassDef):
+                cls = item
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                scopes = scopes + (item,)
+            stack.extend((child, scopes, cls)
+                         for child in ast.iter_child_nodes(item))
+
+    def _call(self, module: str, call: ast.Call,
+              scopes: Tuple[ast.AST, ...],
+              cls: Optional[ast.ClassDef]) -> None:
+        func, args = call.func, call.args
+        if _is_partial(module, self.graph, func) and args:
+            func, args = args[0], args[1:]
+        for qualname in self.targets(module, func, cls):
+            callee = self.defs[qualname]
+            for param, value in _bindings(callee, args, call.keywords):
+                self._setter((qualname, param), value, scopes)
+
+    def _setter(self, param: Param, value: Optional[ast.AST],
+                scopes: Tuple[ast.AST, ...]) -> None:
+        outer = _forwarded(value, scopes)
+        if outer is None:
+            self.set.add(param)
+            return
+        scope, name = outer
+        owner = self.by_node.get(id(scope))
+        if owner is None or name not in self.defs[owner].defaulted:
+            self.set.add(param)      # required, or a def the census lacks
+        else:
+            self.forwards.setdefault((owner, name), set()).add(param)
+
+    def settled(self) -> Set[Param]:
+        """Directly set parameters plus every pass-through they feed."""
+        done = set(self.set)
+        frontier = list(done)
+        while frontier:
+            for param in self.forwards.get(frontier.pop(), ()):
+                if param not in done:
+                    done.add(param)
+                    frontier.append(param)
+        return done
+
+
+def _aliased(graph: ProjectGraph, symbol: SymbolDef) -> Optional[SymbolDef]:
+    """The def a module-level ``alias = f`` names (``topic_sink``)."""
+    value = symbol.node.value
+    return graph.resolve(symbol.module, value.id) \
+        if isinstance(value, ast.Name) else None
+
+
+def _is_partial(module: str, graph: ProjectGraph, func: ast.AST) -> bool:
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+    return name == "partial" and graph.resolve_call_target(
+        module, func) is None
+
+
+def _bindings(callee: _Def, args: List[ast.AST],
+              keywords: List[ast.keyword]
+              ) -> Iterator[Tuple[str, Optional[ast.AST]]]:
+    """``(parameter, value)`` for each parameter a call passes; ``None``
+    as the value when a ``*args`` / ``**kwargs`` spread passes it."""
+    for index, arg in enumerate(args):
+        if isinstance(arg, ast.Starred):
+            for param in callee.positional[index:]:
+                yield param, None
+            break
+        if index < len(callee.positional):
+            yield callee.positional[index], arg
+    for keyword in keywords:
+        if keyword.arg is None:
+            for param in callee.names:
+                yield param, None
+        elif keyword.arg in callee.names:
+            yield keyword.arg, keyword.value
+
+
+def _forwarded(value: Optional[ast.AST], scopes: Tuple[ast.AST, ...]
+               ) -> Optional[Tuple[ast.AST, str]]:
+    """``(def, parameter)`` when ``value`` is a bare parameter of the
+    innermost enclosing def that has one by that name."""
+    if not isinstance(value, ast.Name):
+        return None
+    for scope in reversed(scopes):
+        params = scope.args
+        names = {a.arg for a in params.posonlyargs + params.args
+                 + params.kwonlyargs}
+        if value.id in names:
+            return scope, value.id
+    return None
+
+
+def unset_parameters(graph: ProjectGraph) -> Dict[str, List[str]]:
+    """Public def qualname -> its defaulted parameters no caller sets."""
+    census = _Census(graph)
+    for name, node in graph.modules.items():
+        census.visit(name, node.ctx.tree)
+    settled = census.settled()
+    unset: Dict[str, List[str]] = {}
+    for qualname, _, _ in public_surface(graph):
+        callee = census.defs.get(qualname)
+        if callee is None:
+            continue
+        params = [p for p in callee.defaulted
+                  if (qualname, p) not in settled]
+        if params:
+            unset[qualname] = params
+    return unset
+
+
+def defaulted_parameters(graph: ProjectGraph) -> int:
+    """How many defaulted parameters the public ``src/`` defs declare."""
+    census = _Census(graph)
+    return sum(len(census.defs[q].defaulted)
+               for q, _, _ in public_surface(graph) if q in census.defs)
+
+
+@functools.lru_cache(maxsize=1)
+def project() -> ProjectGraph:
+    return ProjectGraph(_contexts())
+
+
+@functools.lru_cache(maxsize=1)
+def unset() -> Dict[str, List[str]]:
+    return unset_parameters(project())
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_outside_tests():
+    unexplained = [f"{name}({', '.join(params)})"
+                   for name, params in sorted(unset().items())
+                   if name not in KEEP]
+    assert unexplained == [], (
+        "defaulted parameters nothing outside tests sets (make each "
+        "default a constant, or keep-list the def with a reason):\n  "
+        + "\n  ".join(unexplained))
+
+
+def test_keep_list_holds_only_defs_with_an_unset_parameter():
+    stale = sorted(set(KEEP) - set(unset()))
+    assert stale == [], "keep-list entries whose parameters are all set " \
+        "or gone:\n  " + "\n  ".join(stale)
+
+
+# -- the checker on synthetic modules -----------------------------------------
+
+#: a synthetic library module: a function, a class, a subclass and a
+#: forwarding wrapper, each with defaulted parameters
+LIBRARY = '''
+def score(x, floor=0.0, scale=1.0):
+    return x * scale + floor
+
+
+rescore = score
+
+
+def wrapper(x, floor=0.0):
+    return score(x, floor=floor)
+
+
+def required(x, floor):
+    return score(x, floor=floor)
+
+
+class Base:
+    def __init__(self, size=4):
+        self.size = size
+
+
+class Child(Base):
+    def __init__(self, size=4, name="child"):
+        super().__init__(size=size)
+        self.name = name
+
+    @classmethod
+    def named(cls):
+        return cls(name="named")
+
+    def drain(self, batch=256):
+        return batch
+
+
+class Grandchild(Child):
+    pass
+'''
+
+
+def synthetic_unset(user: str) -> Dict[str, List[str]]:
+    """``unset_parameters()`` over the demo library and one user module."""
+    return unset_parameters(ProjectGraph({
+        "src/repro/demo.py": ModuleContext("src/repro/demo.py", LIBRARY),
+        "examples/user.py": ModuleContext("examples/user.py", user)}))
+
+
+def test_an_unset_parameter_is_reported():
+    assert synthetic_unset("") == {
+        "repro.demo.Base": ["size"],
+        "repro.demo.Child": ["size"],
+        "repro.demo.Child.drain": ["batch"],
+        "repro.demo.score": ["scale"],
+        "repro.demo.wrapper": ["floor"]}
+
+
+def test_keyword_positional_and_method_calls_are_setters():
+    found = synthetic_unset(
+        "from repro.demo import Child, score, wrapper\n"
+        "score(1, 0.5, scale=2.0)\n"
+        "wrapper(1, 0.5)\n"
+        "Child(2).drain(batch=8)\n")
+    assert found == {}
+
+
+def test_partial_counts_as_a_setter():
+    found = synthetic_unset(
+        "import functools\n"
+        "from repro.demo import score\n"
+        "scaled = functools.partial(score, scale=2.0)\n")
+    assert "repro.demo.score" not in found
+
+
+def test_a_class_without_an_init_calls_its_bases():
+    found = synthetic_unset("from repro.demo import Grandchild\n"
+                            "Grandchild(size=2)\n")
+    assert "repro.demo.Child" not in found
+    assert "repro.demo.Base" not in found
+
+
+def test_a_call_through_a_module_alias_is_a_setter():
+    found = synthetic_unset("from repro.demo import rescore\n"
+                            "rescore(1, scale=2.0)\n")
+    assert "repro.demo.score" not in found
+
+
+def test_a_pass_through_counts_only_when_its_outer_parameter_is_set():
+    # ``wrapper(floor=floor)`` forwards into ``score``: unset until a
+    # caller sets ``wrapper``'s floor; ``required``'s floor always is
+    assert synthetic_unset("")["repro.demo.wrapper"] == ["floor"]
+    assert "floor" not in synthetic_unset("")["repro.demo.score"]
+    # ``super().__init__(size=size)`` forwards ``Child``'s size to
+    # ``Base``: set once a caller sets ``Child``'s
+    assert "repro.demo.Base" in synthetic_unset("")
+    found = synthetic_unset("from repro.demo import Child\nChild(size=2)\n")
+    assert "repro.demo.Base" not in found
+
+
+def test_a_stale_keep_entry_fails(monkeypatch):
+    monkeypatch.setitem(KEEP, "repro.runtime.core.Runtime.gone",
+                        "a def that no longer exists")
+    with pytest.raises(AssertionError, match="Runtime.gone"):
+        test_keep_list_holds_only_defs_with_an_unset_parameter()

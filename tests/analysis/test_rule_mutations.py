@@ -53,7 +53,7 @@ CASES = [
              'self._rng = get_runtime().rng.np_child("data.video.scenes", seed)',
              "self._rng = np.random.default_rng(seed)  # seeded"),
     Mutation("DET103", "src/repro/nn/init.py",
-             "return np.zeros(shape, dtype=_resolve(dtype))",
+             "bound = np.sqrt(6.0 / max(fan_in, 1))",
              "rng = rng or _FALLBACK_RNG  # seeded"),
     Mutation("DET104", "src/repro/runtime/tracing.py",
              "now, kind = self._clock()", """
@@ -103,7 +103,7 @@ CASES = [
              "if name not in self.bus.topic_names():",
              "backlog = len(self.bus._topics)  # seeded"),
     Mutation("API304", "src/repro/apps/vehicle/app.py",
-             "decisions = run_policy_batched(self.model, frames, policy,",
+             "decisions = run_policy_batched(self.model, frames, policy)",
              "decisions = self.deployment.serve_batched(frames, policy)"
              "  # seeded"),
     # -- performance ------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.apps.action import ActionEarlyExitModel, ActionRecognitionApp
 from repro.fog.policies import EntropyThresholdPolicy, run_policy_batched
 from repro.nosql import Collection
 from repro.nn.tensor import Tensor
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 
 
 def infer(app, data, max_entropy):
@@ -113,8 +113,8 @@ class TestEarlyExit:
 class TestRuntimeInjection:
     def test_weights_follow_the_injected_runtime(self):
         def weights(seed):
-            app = ActionRecognitionApp(image_size=16, frames=4,
-                                       runtime=Runtime(seed=seed))
+            with using_runtime(Runtime(seed=seed)):
+                app = ActionRecognitionApp(image_size=16, frames=4)
             return np.concatenate(
                 [p.data.ravel() for p in app.model.parameters()])
 
@@ -123,8 +123,8 @@ class TestRuntimeInjection:
 
     def test_training_order_follows_the_injected_runtime(self):
         def losses(seed):
-            app = ActionRecognitionApp(image_size=16, frames=4,
-                                       runtime=Runtime(seed=seed))
+            with using_runtime(Runtime(seed=seed)):
+                app = ActionRecognitionApp(image_size=16, frames=4)
             # Same weights on both sides: only the SGD shuffle may differ.
             app.model.load_state_dict(reference.model.state_dict())
             return app.train(clips_per_class=2, epochs=2, batch_size=4)

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.vehicle import VehicleDetectionApp
 from repro.cluster import NetworkTopology, Tier
 from repro.nosql import Collection
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +39,8 @@ class TestTraining:
 class TestRuntimeInjection:
     def test_weights_follow_the_injected_runtime(self):
         def weights(seed):
-            app = VehicleDetectionApp(num_classes=3, image_size=16,
-                                      runtime=Runtime(seed=seed))
+            with using_runtime(Runtime(seed=seed)):
+                app = VehicleDetectionApp(num_classes=3, image_size=16)
             return np.concatenate(
                 [p.data.ravel() for p in app.model.parameters()])
 
@@ -49,8 +49,8 @@ class TestRuntimeInjection:
 
     def test_training_order_follows_the_injected_runtime(self):
         def losses(seed):
-            app = VehicleDetectionApp(num_classes=3, image_size=16,
-                                      runtime=Runtime(seed=seed))
+            with using_runtime(Runtime(seed=seed)):
+                app = VehicleDetectionApp(num_classes=3, image_size=16)
             # Same weights on both sides: only the SGD shuffle may differ.
             app.model.load_state_dict(reference.model.state_dict())
             return app.train(num_scenes=12, epochs=2, batch_size=4)

@@ -9,7 +9,7 @@ from repro.cluster import (
     Machine,
     Tier,
 )
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 
 
 def make_machines(count=5):
@@ -123,13 +123,13 @@ class TestRecoverSpecificTarget:
 class TestFailureProcess:
     """Crash/recover scheduling as first-class simulation events."""
 
-    def _run(self, seed=0, runtime=None, **kwargs):
-        runtime = runtime or Runtime(seed=0)
+    def _run(self, seed=0, **kwargs):
+        runtime = Runtime(seed=0)
         env = Environment(runtime=runtime)
         machines = make_machines()
         kwargs.setdefault("mean_time_to_failure_s", 0.2)
-        process = FailureProcess(env, machines, seed=seed, runtime=runtime,
-                                 **kwargs)
+        with using_runtime(runtime):
+            process = FailureProcess(env, machines, seed=seed, **kwargs)
         env.run()
         return runtime, machines, process
 
@@ -188,9 +188,10 @@ class TestFailureProcess:
         runtime = Runtime(seed=0)
         env = Environment(runtime=runtime)
         machines = make_machines()
-        process = FailureProcess(env, machines, seed=0,
-                                 mean_time_to_failure_s=10.0,
-                                 max_failures=50, runtime=runtime)
+        with using_runtime(runtime):
+            process = FailureProcess(env, machines, seed=0,
+                                     mean_time_to_failure_s=10.0,
+                                     max_failures=50)
 
         def stopper(env):
             yield env.timeout(0.5)

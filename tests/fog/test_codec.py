@@ -193,6 +193,26 @@ class TestDeploymentKnobs:
             assert codec.transfers >= 1
             assert codec.bytes_saved > 0
 
+    def test_deploy_metrics_land_in_the_runtime_the_deployment_was_built_in(
+            self):
+        # built under one runtime, deployed and served under another: the
+        # deployment's and its codec's counters all stay with the first
+        built, serving = Runtime(seed=0), Runtime(seed=1)
+        with using_runtime(built):
+            deployment = self.deployment(
+                quantize_edge=True, calibration=self.frames(8),
+                activation_codec=make_codec(np.random.default_rng(5)))
+        with using_runtime(serving):
+            deployment.deploy(self.trained())
+            # threshold 0.99: everything escalates through the codec
+            deployment.serve_batched(self.frames(), ScoreThresholdPolicy(0.99))
+        names = {"fog.deploy.quantized_layers",
+                 "fog.deploy.edge_int8_bytes_saved",
+                 "fog.deploy.offload_bytes_saved",
+                 "fog.deploy.offload_transfers"}
+        assert names <= set(built.registry.names())
+        assert not names & set(serving.registry.names())
+
     def test_codec_changes_remote_logits_not_shapes(self):
         with using_runtime(Runtime(seed=0)):
             rng = np.random.default_rng(6)

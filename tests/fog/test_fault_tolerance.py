@@ -12,7 +12,7 @@ from repro.fog import (
     model_split_from_early_exit,
     place_bottom_up,
 )
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 
 
 def topo():
@@ -32,12 +32,12 @@ def run_stream(failures=None, fault_policy=None, num_items=30, seed=0,
                interval=0.05, exit_probabilities=None):
     runtime = Runtime(seed=0)
     pipeline = build_pipeline(topo())
-    stats = pipeline.simulate_stream(
-        num_items, interval,
-        exit_probabilities=({1: 0.5} if exit_probabilities is None
-                            else exit_probabilities),
-        seed=seed, runtime=runtime, failures=failures,
-        fault_policy=fault_policy)
+    with using_runtime(runtime):
+        stats = pipeline.simulate_stream(
+            num_items, interval,
+            exit_probabilities=({1: 0.5} if exit_probabilities is None
+                                else exit_probabilities),
+            seed=seed, failures=failures, fault_policy=fault_policy)
     return runtime, stats
 
 

@@ -289,10 +289,10 @@ class TestServedPath:
                     *(gateway.submit(x[rows], tenant=tenant)
                       for tenant, rows in slices.items()))
 
-        with using_runtime(Runtime(seed=3)) as runtime:
+        with using_runtime(Runtime(seed=3)):
             gateway = ServingGateway(
                 deploy(case, model), policy,
-                GatewayConfig(coalesce_window_s=0.0), runtime=runtime)
+                GatewayConfig(coalesce_window_s=0.0))
             parts = asyncio.run(main(gateway))
         stats = gateway.stats()
         assert stats["submitted"] == stats["answered"] == len(slices)

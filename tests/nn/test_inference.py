@@ -15,7 +15,7 @@ from repro.nn.inference import (
 from repro.nn.models.earlyexit import EarlyExitNetwork, score_confidence
 from repro.nn.models.resnet import SmallResNet
 from repro.nn.tensor import Tensor
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 from repro.runtime.metrics import LATENCY_SAMPLES
 
 
@@ -295,9 +295,10 @@ class TestInferenceHelpers:
 
     def test_latency_histogram_is_bounded_with_exact_count(self):
         rt = Runtime()
-        for _ in range(1100):
-            with observe_inference("m", 1, runtime=rt):
-                pass
+        with using_runtime(rt):
+            for _ in range(1100):
+                with observe_inference("m", 1):
+                    pass
         latency = rt.registry.get("nn.infer.latency_s")
         assert LATENCY_SAMPLES == 1024
         assert len(latency.values(model="m")) == LATENCY_SAMPLES

@@ -48,7 +48,7 @@ from repro.fog import (
     model_split_from_early_exit,
     place_bottom_up,
 )
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 from repro.runtime.parallel import deterministic_dump
 from repro.streaming import Broker, FlumeAgent, FunctionSource, broker_sink
 from repro.streaming.broker import (
@@ -126,7 +126,8 @@ class Member:
 def test_rebalance_churn_commits_exactly_once(schedule, num_records,
                                               partitions, churn_seed):
     runtime = Runtime(seed=BASE_SEED + churn_seed)
-    broker = Broker(runtime=runtime)
+    with using_runtime(runtime):
+        broker = Broker()
     broker.create_topic("events", partitions=partitions)
     for i in range(num_records):
         broker.produce("events", i, key=f"k{i % 5}" if i % 2 else None)
@@ -162,11 +163,12 @@ def test_rebalance_churn_commits_exactly_once(schedule, num_records,
 def test_dump_invariant_across_group_sizes(group_sizes, num_records, batch):
     def run(members_count):
         runtime = Runtime(seed=BASE_SEED)
-        broker = Broker(runtime=runtime)
-        broker.create_topic("events", partitions=4)
-        agent = FlumeAgent(FunctionSource(range(num_records)),
-                           broker_sink(broker, "events"),
-                           batch_size=batch, runtime=runtime)
+        with using_runtime(runtime):
+            broker = Broker()
+            broker.create_topic("events", partitions=4)
+            agent = FlumeAgent(FunctionSource(range(num_records)),
+                               broker_sink(broker, "events"),
+                               batch_size=batch)
         agent.run()
         members = [Member(broker, "g") for _ in range(members_count)]
         committed = []
@@ -199,7 +201,8 @@ view_actions = st.lists(
 def run_view_schedule(schedule, num_records, auto_commit, columnar):
     """Drive one schedule; returns (rows per poll, offsets after each step)."""
     runtime = Runtime(seed=BASE_SEED)
-    broker = Broker(runtime=runtime)
+    with using_runtime(runtime):
+        broker = Broker()
     for topic, partitions in VIEW_TOPICS:
         broker.create_topic(topic, partitions=partitions)
         broker.produce_batch(
@@ -278,7 +281,8 @@ def test_broker_fed_fog_stream_accounts_every_record_under_chaos(
     batch is accounted, and every produced frame is committed exactly
     once."""
     runtime = Runtime(seed=BASE_SEED)
-    broker = Broker(runtime=runtime)
+    with using_runtime(runtime):
+        broker = Broker()
     broker.create_topic("frames", partitions=2)
     for i in range(num_items):
         broker.produce("frames", i)
@@ -289,10 +293,11 @@ def test_broker_fed_fog_stream_accounts_every_record_under_chaos(
         batch = consumer.poll(8)
         if not batch:
             break
-        stats = build_pipeline().simulate_stream(
-            len(batch), 0.03, exit_probabilities={1: 0.5},
-            seed=exit_seed, runtime=runtime, failures=spec,
-            fault_policy=FaultPolicy(stage_timeout_s=2.0))
+        with using_runtime(runtime):
+            stats = build_pipeline().simulate_stream(
+                len(batch), 0.03, exit_probabilities={1: 0.5},
+                seed=exit_seed, failures=spec,
+                fault_policy=FaultPolicy(stage_timeout_s=2.0))
         assert stats.accounted == len(batch)
         consumer.commit()
         served.extend(r.value for r in batch)
@@ -319,7 +324,8 @@ def test_batch_poll_rebalance_churn_commits_exactly_once(
     rebalance-churn schedule of the per-record property, but every poll
     rides ``poll_batch`` and reads the value column directly."""
     runtime = Runtime(seed=BASE_SEED + churn_seed)
-    broker = Broker(runtime=runtime)
+    with using_runtime(runtime):
+        broker = Broker()
     broker.create_topic("events", partitions=partitions)
     chunk = max(1, num_records // 3)
     for start in range(0, num_records, chunk):
@@ -360,7 +366,8 @@ def test_batch_and_record_paths_dump_identically(num_records, chunk,
     ``produce_batch``/``poll_batch`` or ``produce``/``poll``."""
     def run(batch_path):
         runtime = Runtime(seed=BASE_SEED + dump_seed)
-        broker = Broker(runtime=runtime)
+        with using_runtime(runtime):
+            broker = Broker()
         broker.create_topic("events", partitions=partitions)
         values = list(range(num_records))
         if batch_path:
@@ -436,8 +443,8 @@ class BrokerAgainstReference(RuleBasedStateMachine):
                 share=st.booleans())
     def create(self, partitions, bound, policy, retention, max_age,
                auto_commit, share):
-        self.broker = Broker(runtime=Runtime(seed=BASE_SEED),
-                             shm_min_bytes=SHM_MIN_BYTES)
+        with using_runtime(Runtime(seed=BASE_SEED)):
+            self.broker = Broker(shm_min_bytes=SHM_MIN_BYTES)
         self.broker.create_topic(
             "events", partitions=partitions, max_partition_records=bound,
             backpressure=policy, retention_max_records=retention,

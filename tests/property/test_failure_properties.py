@@ -29,7 +29,7 @@ from repro.fog import (
     place_bottom_up,
     simulate_shared_streams,
 )
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 
 BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -63,10 +63,10 @@ fault_policies = st.builds(
 def run_once(spec, policy, num_items, exit_seed):
     runtime = Runtime(seed=BASE_SEED)
     pipeline = build_pipeline()
-    stats = pipeline.simulate_stream(
-        num_items, 0.03, exit_probabilities={1: 0.5},
-        seed=exit_seed, runtime=runtime,
-        failures=spec, fault_policy=policy)
+    with using_runtime(runtime):
+        stats = pipeline.simulate_stream(
+            num_items, 0.03, exit_probabilities={1: 0.5},
+            seed=exit_seed, failures=spec, fault_policy=policy)
     return runtime, stats
 
 
@@ -103,8 +103,9 @@ def test_shared_streams_conserve_items_under_chaos(spec, num_items,
         {"pipeline": build_pipeline(), "num_items": num_items,
          "arrival_interval_s": 0.05, "exit_probabilities": {1: 0.2}},
     ]
-    all_stats = simulate_shared_streams(
-        streams, seed=exit_seed, runtime=runtime, failures=spec,
-        fault_policy=FaultPolicy(stage_timeout_s=2.0))
+    with using_runtime(runtime):
+        all_stats = simulate_shared_streams(
+            streams, seed=exit_seed, failures=spec,
+            fault_policy=FaultPolicy(stage_timeout_s=2.0))
     for stats in all_stats:
         assert stats.accounted == num_items

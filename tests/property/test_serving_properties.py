@@ -323,7 +323,7 @@ def test_one_batch_raising_fails_only_its_own_requests(seed):
 def test_pump_commits_nothing_past_a_failed_batch(seed, polls, poll_size):
     topic = "camera.frames"
     with using_runtime(Runtime(seed=seed)) as rt:
-        broker = Broker(runtime=rt)
+        broker = Broker()
         broker.create_topic(topic, partitions=1, share_ndarrays=True)
         frames = rt.rng.np_child("prop.serving.frames").normal(
             size=(polls * poll_size, 1, 8, 8))

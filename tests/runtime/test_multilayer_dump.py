@@ -20,17 +20,18 @@ from repro.streaming import Broker, FlumeAgent, FunctionSource, topic_sink
 from repro.viz import registry_to_json
 
 
-def run_multilayer_experiment(runtime):
+def run_multilayer_experiment():
+    """Every layer writes to the installed runtime."""
     # streaming: flume agent feeding a bus topic, then consumed
-    bus = Broker(runtime=runtime)
+    bus = Broker()
     bus.create_topic("frames", partitions=2)
     agent = FlumeAgent(FunctionSource(range(16)), topic_sink(bus, "frames"),
-                       batch_size=4, runtime=runtime)
+                       batch_size=4)
     agent.run()
     bus.consumer("analytics", ["frames"]).drain()
 
     # compute: a shuffle through the Spark-style layer
-    context = SparkContext(default_parallelism=2, runtime=runtime)
+    context = SparkContext(default_parallelism=2)
     context.parallelize([("a", 1), ("b", 2), ("a", 3)]) \
         .reduceByKey(lambda x, y: x + y).collect()
 
@@ -44,11 +45,11 @@ def run_multilayer_experiment(runtime):
     edge = topology.machines(Tier.EDGE)[0].name
     pipeline = FogPipeline(place_bottom_up(topology, stages, edge))
     pipeline.simulate_stream(num_items=8, arrival_interval_s=0.005,
-                             exit_probabilities={1: 0.5}, runtime=runtime)
+                             exit_probabilities={1: 0.5})
 
     # nn: an optimizer step
     param = Tensor(np.ones(4))
-    optimizer = nn.SGD([param], lr=0.1, runtime=runtime)
+    optimizer = nn.SGD([param], lr=0.1)
     param.grad = np.ones(4)
     optimizer.step()
 
@@ -56,7 +57,7 @@ def run_multilayer_experiment(runtime):
 class TestMultiLayerDump:
     def test_one_registry_covers_every_layer(self, tmp_path):
         with using_runtime(Runtime(seed=0)) as runtime:
-            run_multilayer_experiment(runtime)
+            run_multilayer_experiment()
             path = tmp_path / "registry.json"
             text = registry_to_json(runtime, path=str(path))
 
@@ -70,7 +71,7 @@ class TestMultiLayerDump:
 
     def test_sim_spans_carry_virtual_timestamps(self):
         with using_runtime(Runtime(seed=0)) as runtime:
-            run_multilayer_experiment(runtime)
+            run_multilayer_experiment()
             stage_spans = runtime.tracer.spans("fog.pipeline.stage")
             assert stage_spans
             assert all(s.clock == "sim" for s in stage_spans)

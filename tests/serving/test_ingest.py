@@ -19,8 +19,8 @@ TOPIC = "camera.frames"
 GROUP = "fog-serving"
 
 
-def camera_bus(rt):
-    bus = Broker(runtime=rt)
+def camera_bus():
+    bus = Broker()
     bus.create_topic(TOPIC, partitions=2, share_ndarrays=True)
     return bus
 
@@ -33,7 +33,7 @@ def publish(bus, camera, frames):
 class TestServeCameraTopic:
     def test_every_frame_is_decided_and_committed(self, rt, deployment,
                                                   policy):
-        bus = camera_bus(rt)
+        bus = camera_bus()
         publish(bus, "cam-a", camera_frames(0, 6))
         publish(bus, "cam-b", camera_frames(1, 4))
         served = serve_camera_topic(deployment, policy, bus, TOPIC)
@@ -43,7 +43,7 @@ class TestServeCameraTopic:
         assert bus.lag(GROUP, TOPIC) == 0
 
     def test_matches_the_raw_deployment_path(self, rt, deployment, policy):
-        bus = camera_bus(rt)
+        bus = camera_bus()
         frames = camera_frames(2, 5)
         publish(bus, "cam-a", frames)
         served = serve_camera_topic(deployment, policy, bus, TOPIC)
@@ -52,7 +52,7 @@ class TestServeCameraTopic:
                               direct.predictions)
 
     def test_second_drain_is_empty(self, rt, deployment, policy):
-        bus = camera_bus(rt)
+        bus = camera_bus()
         publish(bus, "cam-a", camera_frames(3, 3))
         assert serve_camera_topic(deployment, policy, bus, TOPIC)
         assert serve_camera_topic(deployment, policy, bus, TOPIC) == {}
@@ -61,14 +61,14 @@ class TestServeCameraTopic:
 class TestPumpTopic:
     def test_shed_cameras_are_counted_and_still_committed(self, rt,
                                                           deployment, policy):
-        bus = camera_bus(rt)
+        bus = camera_bus()
         publish(bus, "cam-a", camera_frames(0, 4))
         publish(bus, "cam-b", camera_frames(1, 4))
         # cam-a (sorted first) fills the queue; cam-b is shed for overload
         config = GatewayConfig(coalesce_window_s=0.0, max_queue_rows=4)
 
         async def main():
-            gateway = ServingGateway(deployment, policy, config, runtime=rt)
+            gateway = ServingGateway(deployment, policy, config)
             async with gateway.running():
                 return await pump_topic(gateway, bus, TOPIC)
         served, shed = asyncio.run(main())
@@ -81,13 +81,12 @@ class TestPumpTopic:
             def serve_batched(self, x, policy):
                 raise RuntimeError("fabric down")
 
-        bus = camera_bus(rt)
+        bus = camera_bus()
         publish(bus, "cam-a", camera_frames(0, 3))
 
         async def main():
             gateway = ServingGateway(ExplodingDeployment(), policy,
-                                     GatewayConfig(coalesce_window_s=0.0),
-                                     runtime=rt)
+                                     GatewayConfig(coalesce_window_s=0.0))
             async with gateway.running():
                 return await pump_topic(gateway, bus, TOPIC)
         with pytest.raises(RuntimeError, match="fabric down"):
@@ -99,14 +98,14 @@ class TestPipelinedPump:
     def test_multiple_polls_all_served_and_committed(self, rt, deployment,
                                                      policy):
         # poll_size 2 forces four pipelined poll→submit→commit rounds
-        bus = camera_bus(rt)
+        bus = camera_bus()
         publish(bus, "cam-a", camera_frames(0, 8))
 
         async def main():
             gateway = ServingGateway(
                 deployment, policy,
                 GatewayConfig(coalesce_window_s=0.0, max_batch_rows=2,
-                              max_queue_rows=64), runtime=rt)
+                              max_queue_rows=64))
             async with gateway.running():
                 return await pump_topic(gateway, bus, TOPIC, poll_size=2)
 
@@ -120,7 +119,7 @@ class TestPipelinedPump:
                                                          deployment, policy):
         """Read-ahead must not over-commit: when poll N fails, poll N-1
         stays committed and everything from poll N on is redelivered."""
-        bus = camera_bus(rt)
+        bus = camera_bus()
         publish(bus, "cam-a", camera_frames(0, 6))
         calls = {"n": 0}
         real = deployment.serve_batched
@@ -137,7 +136,7 @@ class TestPipelinedPump:
             gateway = ServingGateway(
                 deployment, policy,
                 GatewayConfig(coalesce_window_s=0.0, max_batch_rows=2,
-                              max_queue_rows=64), runtime=rt)
+                              max_queue_rows=64))
             async with gateway.running():
                 return await pump_topic(gateway, bus, TOPIC, poll_size=2)
 
@@ -148,14 +147,14 @@ class TestPipelinedPump:
         assert bus.lag(GROUP, TOPIC) == 4
 
     def test_poll_spans_are_sampled(self, rt, deployment, policy):
-        bus = camera_bus(rt)
+        bus = camera_bus()
         publish(bus, "cam-a", camera_frames(0, 8))
 
         async def main():
             gateway = ServingGateway(
                 deployment, policy,
                 GatewayConfig(coalesce_window_s=0.0, max_batch_rows=8,
-                              max_queue_rows=64), runtime=rt)
+                              max_queue_rows=64))
             async with gateway.running():
                 return await pump_topic(gateway, bus, TOPIC, poll_size=2)
 

@@ -26,9 +26,9 @@ async def fetch(host, port, target, method="GET"):
     return status, body
 
 
-def serve_and_fetch(rt, targets, gateway=None, method="GET"):
+def serve_and_fetch(targets, gateway=None, method="GET"):
     async def main():
-        async with ObservabilityServer(runtime=rt, gateway=gateway) as server:
+        async with ObservabilityServer(gateway=gateway) as server:
             return [await fetch(server.host, server.port, t, method=method)
                     for t in targets]
     return asyncio.run(main())
@@ -40,8 +40,7 @@ class TestRoutes:
                                  GatewayConfig(coalesce_window_s=0.0))
 
         async def main():
-            async with ObservabilityServer(runtime=rt,
-                                           gateway=gateway) as server:
+            async with ObservabilityServer(gateway=gateway) as server:
                 async with gateway.running():
                     await gateway.submit(camera_frames(0, 3), tenant="cam")
                     return await fetch(server.host, server.port, "/healthz")
@@ -52,13 +51,13 @@ class TestRoutes:
         assert payload["answered"] == 1 and payload["submitted"] == 1
 
     def test_healthz_without_gateway_is_minimal(self, rt):
-        (status, body), = serve_and_fetch(rt, ["/healthz"])
+        (status, body), = serve_and_fetch(["/healthz"])
         assert status == 200
         assert json.loads(body) == {"status": "ok"}
 
     def test_metrics_returns_the_full_runtime_dump(self, rt):
         rt.registry.counter("demo.hits", help="x").inc(7)
-        (status, body), = serve_and_fetch(rt, ["/metrics"])
+        (status, body), = serve_and_fetch(["/metrics"])
         payload = json.loads(body)
         assert status == 200
         assert payload["seed"] == 11
@@ -67,7 +66,7 @@ class TestRoutes:
     def test_stream_emits_n_snapshots(self, rt):
         rt.registry.counter("demo.hits", help="x").inc(1)
         (status, body), = serve_and_fetch(
-            rt, ["/metrics/stream?frames=3&interval_s=0"])
+            ["/metrics/stream?frames=3&interval_s=0"])
         assert status == 200
         lines = body.decode().strip().splitlines()
         assert len(lines) == 3
@@ -78,32 +77,32 @@ class TestRoutes:
 
     def test_stream_rejects_out_of_bounds_queries(self, rt):
         responses = serve_and_fetch(
-            rt, ["/metrics/stream?frames=0",
-                 "/metrics/stream?frames=nope",
-                 "/metrics/stream?interval_s=9999"])
+            ["/metrics/stream?frames=0",
+             "/metrics/stream?frames=nope",
+             "/metrics/stream?interval_s=9999"])
         assert [status for status, _ in responses] == [400, 400, 400]
 
     def test_spans_returns_the_parent_child_forest(self, rt):
         with rt.tracer.span("outer"):
             with rt.tracer.span("inner"):
                 pass
-        (status, body), = serve_and_fetch(rt, ["/spans"])
+        (status, body), = serve_and_fetch(["/spans"])
         forest = json.loads(body)
         assert status == 200
         assert [node["name"] for node in forest] == ["outer"]
         assert [child["name"] for child in forest[0]["children"]] == ["inner"]
 
     def test_unknown_route_is_404(self, rt):
-        (status, body), = serve_and_fetch(rt, ["/nope"])
+        (status, body), = serve_and_fetch(["/nope"])
         assert status == 404
 
     def test_non_get_is_405(self, rt):
-        (status, _), = serve_and_fetch(rt, ["/healthz"], method="POST")
+        (status, _), = serve_and_fetch(["/healthz"], method="POST")
         assert status == 405
 
     def test_ephemeral_port_binding(self, rt):
         async def main():
-            server = ObservabilityServer(runtime=rt, port=0)
+            server = ObservabilityServer(port=0)
             host, port = await server.start()
             try:
                 assert port != 0
@@ -187,7 +186,7 @@ class TestHostilePeers:
         async def main():
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: unhandled.append(context))
-            async with ObservabilityServer(runtime=rt) as server:
+            async with ObservabilityServer() as server:
                 status = await asyncio.wait_for(
                     exchange(server.host, server.port, **request),
                     DEADLINE_S)

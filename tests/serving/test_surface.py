@@ -26,18 +26,16 @@ SURFACE = [
     (TwoTierDeployment.__init__,
      ["self", "architecture_factory", "local_modules", "remote_modules",
       "fuse_inference", "inference_dtype", "capture_plans", "quantize_edge",
-      "calibration", "activation_codec", "runtime"]),
+      "calibration", "activation_codec"]),
     (TwoTierDeployment.serve_batched, ["self", "x", "policy"]),
     (ServingGateway.__init__,
-     ["self", "deployment", "policy", "config", "runtime"]),
-    (pump_topic, ["gateway", "bus", "topic", "group", "poll_size"]),
-    (serve_camera_topic,
-     ["deployment", "policy", "bus", "topic", "group", "poll_size", "config",
-      "runtime"]),
+     ["self", "deployment", "policy", "config"]),
+    (pump_topic, ["gateway", "bus", "topic", "poll_size"]),
+    (serve_camera_topic, ["deployment", "policy", "bus", "topic", "poll_size"]),
     (run_policy_batched, ["model", "x", "policy", "batch_size"]),
     (EarlyExitNetwork.infer_batch,
      ["self", "x", "threshold", "confidence", "batch_size"]),
-    (Broker.__init__, ["self", "runtime", "shm_min_bytes"]),
+    (Broker.__init__, ["self", "shm_min_bytes"]),
 ]
 
 

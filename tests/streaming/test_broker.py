@@ -190,7 +190,7 @@ class TestRetention:
         clock = FakeClock(0.0)
         with using_runtime(Runtime(seed=0)) as runtime:
             with runtime.sim_clock(clock):
-                broker = Broker(runtime=runtime)
+                broker = Broker()
                 broker.create_topic("events", partitions=1,
                                     retention_max_age_s=10.0)
                 broker.produce("events", "old")
@@ -470,7 +470,7 @@ class TestTimestamps:
         clock = FakeClock(3.5)
         with using_runtime(Runtime(seed=0)) as runtime:
             with runtime.sim_clock(clock):
-                broker = Broker(runtime=runtime)
+                broker = Broker()
                 broker.create_topic("events", partitions=1)
                 first = broker.produce("events", "a")
                 clock.now = 7.25

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dfs import DistributedFileSystem
 from repro.nosql import Collection
-from repro.runtime import Runtime
+from repro.runtime import Runtime, using_runtime
 from repro.streaming import (
     Broker,
     Channel,
@@ -163,10 +163,11 @@ class TestFlumeAgent:
 
     def test_bound_handles_write_the_labeled_series(self):
         runtime = Runtime()
-        agent = FlumeAgent(FunctionSource(range(7)), lambda events: None,
-                           batch_size=3, name="probe", runtime=runtime)
-        idle = FlumeAgent(FunctionSource([]), lambda events: None,
-                          name="idle", runtime=runtime)
+        with using_runtime(runtime):
+            agent = FlumeAgent(FunctionSource(range(7)), lambda events: None,
+                               batch_size=3, name="probe")
+            idle = FlumeAgent(FunctionSource([]), lambda events: None,
+                              name="idle")
         agent.run()
         counters = runtime.registry.dump()["counters"]
         assert counters["streaming.flume.events_received"] \
@@ -272,8 +273,9 @@ class TestTransactionSemantics:
             if calls["n"] == 1:
                 raise SinkError("blip")
 
-        agent = FlumeAgent(FunctionSource(range(4)), once_failing_sink,
-                           batch_size=4, runtime=runtime)
+        with using_runtime(runtime):
+            agent = FlumeAgent(FunctionSource(range(4)), once_failing_sink,
+                               batch_size=4)
         agent.run()
         outcomes = [s.labels["outcome"]
                     for s in runtime.tracer.spans("streaming.flume.deliver")]

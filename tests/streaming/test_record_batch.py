@@ -418,7 +418,8 @@ class TestDumpParity:
     def test_batch_and_record_paths_dump_identically(self):
         def run(batch_path):
             runtime = Runtime(seed=3)
-            broker = Broker(runtime=runtime)
+            with using_runtime(runtime):
+                broker = Broker()
             broker.create_topic("events", partitions=4)
             values = list(range(30))
             if batch_path:
@@ -481,7 +482,7 @@ class TestServeStreamsOverBatch:
     def test_batch_input_matches_stacked_lists(self):
         policy = ScoreThresholdPolicy(0.45)
         with using_runtime(Runtime(seed=7)) as rt:
-            batch = camera_batch(Broker(runtime=rt))
+            batch = camera_batch(Broker())
             cameras = sorted(set(batch.keys))
             legacy = [np.stack([record.value for record in batch.records()
                                 if record.key == camera])
