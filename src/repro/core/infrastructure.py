@@ -141,9 +141,6 @@ class CyberInfrastructure:
         return sorted(self._sources)
 
     # -- the Fig. 4 pipeline -----------------------------------------------------------
-    #: records per storage poll, and the largest Flume transaction
-    INGEST_POLL = 100
-
     def run_collection_pipeline(self,
                                 analysis_field: str = "district"
                                 ) -> PipelineRunReport:
@@ -190,8 +187,9 @@ class CyberInfrastructure:
         Each cycle moves one Flume transaction (the unit of atomic delivery
         and rollback), then makes one storage ``poll_batch``, one
         all-or-nothing ``insert_many`` and one offset commit, so offsets
-        commit only after the insert lands.  A transaction is one poll,
-        capped at ``bound * partitions`` for each size bound of the topic:
+        commit only after the insert lands.  A transaction is the whole
+        channel (the feed), capped at ``bound * partitions`` for each size
+        bound of the topic, and the poll takes the same size:
         round-robin puts at most ``ceil(k / partitions)`` of k rows on a
         partition, so it fits once the committed head is evicted and never
         stalls, drops, raises or prunes an unstored record.  A cycle that
@@ -201,19 +199,18 @@ class CyberInfrastructure:
         """
         config = self.bus.topic_config(name)
         bounds = (config.max_partition_records, config.retention_max_records)
-        size = min([self.INGEST_POLL] + [bound * config.partitions
+        channel = Channel(capacity=max(len(records), 1))
+        size = min([channel.capacity] + [bound * config.partitions
                                          for bound in bounds if bound])
-        agent = FlumeAgent(
-            FunctionSource(records),
-            broker_sink(self.bus, name),
-            channel=Channel(capacity=max(len(records), 1)),
-            batch_size=size)
+        agent = FlumeAgent(FunctionSource(records),
+                           broker_sink(self.bus, name),
+                           channel=channel, batch_size=size)
         storage = self.bus.consumer("storage", [name], auto_commit=False)
         try:
             while True:
                 agent.pump_source(size)
                 delivered = agent.pump_sink()
-                batch = storage.poll_batch(self.INGEST_POLL)
+                batch = storage.poll_batch(size)
                 if batch:
                     coll.insert_many(batch.values)
                     storage.commit()

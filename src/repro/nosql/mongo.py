@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import deque
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -183,35 +184,45 @@ class Collection:
 
         The whole batch is validated before the first write, so a
         non-dict or a duplicate ``_id`` (against the collection or within
-        the batch) raises with the collection unchanged and no id drawn.
+        the batch) raises with the collection unchanged and no id drawn;
+        the first offending document in batch order names the error.
+        Only documents that carry their own ``_id`` cost Python-level work.
         """
         documents = list(documents)
+        checked = documents  # a duplicate before a non-dict names the error
+        if not all(map(isinstance, documents, itertools.repeat(dict))):
+            first_bad = next(i for i, document in enumerate(documents)
+                             if not isinstance(document, dict))
+            checked = documents[:first_bad]
         stored_documents = self._documents
-        given: set = set()
-        for document in documents:
-            if not isinstance(document, dict):
-                raise MongoError(
-                    f"documents must be dicts, got {type(document).__name__}")
-            doc_id = document.get("_id")
-            if doc_id is not None:
-                if doc_id in stored_documents or doc_id in given:
-                    raise MongoError(f"duplicate _id: {doc_id}")
-                given.add(doc_id)
-        indexed = bool(self._hash_indexes or self._geo_indexes)
-        counter = self._counter
-        ids: List[Any] = []
-        for document in documents:
-            doc_id = document.get("_id")
-            if doc_id is None:
-                doc_id = next(counter)
-            # a plain dict whatever the input's type, like dict(document),
-            # without the type call's argument handling
-            stored = dict.copy(document)
-            stored["_id"] = doc_id
-            stored_documents[doc_id] = stored
-            if indexed:
-                self._index_insert(doc_id, stored)
-            ids.append(doc_id)
+        ids = list(map(dict.get, checked, itertools.repeat("_id")))
+        missing = ids.count(None)
+        if missing < len(ids):
+            given: set = set()
+            for doc_id in ids:
+                if doc_id is not None:
+                    if doc_id in stored_documents or doc_id in given:
+                        raise MongoError(f"duplicate _id: {doc_id}")
+                    given.add(doc_id)
+        if checked is not documents:
+            raise MongoError("documents must be dicts, got "
+                             f"{type(documents[len(checked)]).__name__}")
+        if missing == len(ids):
+            ids = list(itertools.islice(self._counter, missing))
+        elif missing:
+            drawn = itertools.islice(self._counter, missing)
+            ids = [next(drawn) if doc_id is None else doc_id
+                   for doc_id in ids]
+        # plain dicts whatever the input's type, like dict(document),
+        # without the type call's argument handling
+        stored = list(map(dict.copy, documents))
+        # set every copy's _id at C speed (the empty deque drains the map)
+        deque(map(dict.__setitem__, stored, itertools.repeat("_id"), ids),
+              maxlen=0)
+        stored_documents.update(zip(ids, stored))
+        if self._hash_indexes or self._geo_indexes:
+            for doc_id, document in zip(ids, stored):
+                self._index_insert(doc_id, document)
         return ids
 
     def update(self, query: Dict, update: Dict) -> int:

@@ -95,9 +95,14 @@ class Channel:
     def take_batch(self, max_events: int) -> "Transaction":
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1: {max_events}")
-        take = self._queue.popleft
-        return Transaction(
-            self, [take() for _ in range(min(max_events, len(self._queue)))])
+        queue = self._queue
+        if max_events >= len(queue):
+            events = list(queue)
+            queue.clear()
+        else:
+            take = queue.popleft
+            events = [take() for _ in range(max_events)]
+        return Transaction(self, events)
 
 
 class Transaction:

@@ -165,6 +165,24 @@ class TestBatchIngest:
         return [infra.bus.committed_offset("storage", "feed", partition)
                 for partition in range(partitions)]
 
+    def test_stored_documents_do_not_alias_the_source_records(self):
+        # Polled values are the producer's own dicts, so the store must
+        # keep copies: no source record gains an _id, and a source record
+        # mutated after the pass leaves the store as it was.
+        records = [dict(record) for record in self.RECORDS]
+        infra = self.infra(records)
+        infra.run_collection_pipeline()
+        coll = infra.collection("feed")
+        assert len(coll) == len(records)
+        assert not any("_id" in record for record in records)
+        sources = {id(record) for record in records}
+        assert not any(id(document) in sources for document in coll)
+        before = coll.find({})
+        for record in records:
+            record["district"] = -1
+            record["_id"] = "mutated"
+        assert coll.find({}) == before
+
     def test_bounded_topic_stores_every_record_exactly_once(self):
         infra = self.infra(bus_partition_capacity=8)
         report = infra.run_collection_pipeline()
@@ -211,11 +229,11 @@ class TestBatchIngest:
             # Flume's deliver span wraps a whole cycle's transaction.
             assert len(spans) == len(commits)
 
-        # Unbounded: a transaction is a whole 100-record poll.
+        # Unbounded: a transaction is the whole feed.
         run()
-        assert delivered == [100, 100, 3]
-        assert inserts == [100, 100, 3]
-        assert commits == ["storage"] * 3
+        assert delivered == [203]
+        assert inserts == [203]
+        assert commits == ["storage"]
         # Capacity 8 on 4 partitions: 32-record transactions fit.
         run(bus_partition_capacity=8)
         assert delivered == [32] * 6 + [11]
@@ -291,7 +309,8 @@ class TestBatchIngest:
         assert all(record.key is None for record in replay)
 
     def test_failed_insert_leaves_offsets_uncommitted(self, monkeypatch):
-        infra = self.infra()
+        # Capacity 8 on 4 partitions: 32-record cycles, so a third exists.
+        infra = self.infra(bus_partition_capacity=8)
         stored_insert_many = Collection.insert_many
         calls = []
 

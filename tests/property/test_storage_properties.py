@@ -1,11 +1,13 @@
 """Property-based tests for the DFS, HBase and document-store substrates."""
 
+from collections import OrderedDict
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dfs import DistributedFileSystem
-from repro.nosql import Collection, HTable
+from repro.nosql import Collection, HTable, MongoError
 
 FILE_CONTENT = st.binary(min_size=0, max_size=500)
 ROW_KEYS = st.text(alphabet="abcdef", min_size=1, max_size=4)
@@ -166,3 +168,101 @@ def test_mongo_geo_index_matches_scan(points, radius):
     query = {"location": {"$near": [0.5, 0.5], "$maxDistance": radius}}
     assert ({d["_id"] for d in plain.find(query)}
             == {d["_id"] for d in indexed.find(query)})
+
+
+def reference_insert_many(collection, documents):
+    """One document at a time: validate all, then draw, copy and store."""
+    documents = list(documents)
+    stored_documents = collection._documents
+    given = set()
+    for document in documents:
+        if not isinstance(document, dict):
+            raise MongoError(
+                f"documents must be dicts, got {type(document).__name__}")
+        doc_id = document.get("_id")
+        if doc_id is not None:
+            if doc_id in stored_documents or doc_id in given:
+                raise MongoError(f"duplicate _id: {doc_id}")
+            given.add(doc_id)
+    ids = []
+    for document in documents:
+        doc_id = document.get("_id")
+        if doc_id is None:
+            doc_id = next(collection._counter)
+        stored = dict.copy(document)
+        stored["_id"] = doc_id
+        stored_documents[doc_id] = stored
+        if collection._hash_indexes or collection._geo_indexes:
+            collection._index_insert(doc_id, stored)
+        ids.append(doc_id)
+    return ids
+
+
+# ids collide on purpose: small ints meet the counter, 1 == 1.0 == True
+GIVEN_IDS = st.one_of(st.integers(1, 6), st.sampled_from(["a", "b", 1.0, True]))
+
+
+@st.composite
+def insert_documents(draw):
+    document = {"kind": draw(st.sampled_from(["crime", "tweet"])),
+                "location": [draw(st.floats(0, 1)), draw(st.floats(0, 1))]}
+    mode = draw(st.sampled_from(["absent", "absent", "none", "given"]))
+    if mode == "none":
+        document["_id"] = None
+    elif mode == "given":
+        document["_id"] = draw(GIVEN_IDS)
+    if draw(st.booleans()):
+        document = dict(reversed(list(document.items())))
+    return OrderedDict(document) if draw(st.booleans()) else document
+
+
+NOT_DICTS = st.sampled_from([None, 7, "doc", [("kind", "crime")]])
+
+
+@st.composite
+def insert_batches(draw):
+    batch = draw(st.lists(insert_documents(), max_size=12))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        batch.insert(draw(st.integers(0, len(batch))), draw(NOT_DICTS))
+    return batch
+
+
+def collection_state(collection):
+    return (list(collection._documents.items()),
+            [type(document) for document in collection._documents.values()],
+            collection._hash_indexes,
+            {field: index._buckets
+             for field, index in collection._geo_indexes.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(insert_documents(), max_size=6), insert_batches(),
+       st.booleans())
+def test_bulk_insert_many_matches_a_per_document_reference(
+        prefill, batch, indexed):
+    bulk, reference = Collection("bulk"), Collection("reference")
+    for collection in (bulk, reference):
+        if indexed:
+            collection.create_index("kind")
+            collection.create_geo_index("location", cell_size=0.25)
+        for document in prefill:
+            try:
+                reference_insert_many(collection, [document])
+            except MongoError:
+                pass
+    before = collection_state(bulk)
+    outcomes = []
+    for collection, insert in ((bulk, Collection.insert_many),
+                               (reference, reference_insert_many)):
+        try:
+            outcomes.append(("ids", insert(collection, batch)))
+        except MongoError as error:
+            outcomes.append(("error", str(error)))
+    assert outcomes[0] == outcomes[1]
+    assert collection_state(bulk) == collection_state(reference)
+    assert next(bulk._counter) == next(reference._counter)
+    stored = {id(document) for document in bulk._documents.values()}
+    assert not any(id(document) in stored for document in batch)
+    if outcomes[0][0] == "error":
+        assert collection_state(bulk) == before
+

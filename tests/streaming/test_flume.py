@@ -1,6 +1,8 @@
 """Tests for Flume-style agents: transactional channels, retry delivery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dfs import DistributedFileSystem
 from repro.nosql import Collection
@@ -73,6 +75,29 @@ class TestChannel:
         txn.rollback()
         txn2 = channel.take_batch(5)
         assert txn2.events == [0, 1, 2, 3, 4]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(), max_size=20), st.integers(-3, 3),
+           st.booleans(), st.lists(st.integers(), max_size=4))
+    def test_take_commits_a_prefix_and_rollback_restores_the_queue(
+            self, events, offset, commit, later):
+        # max_events below, equal to and above the queue length
+        channel = Channel(capacity=len(events) + len(later) + 1)
+        channel.put_many(events)
+        max_events = max(1, len(events) + offset)
+        txn = channel.take_batch(max_events)
+        taken = events[:max_events]
+        assert txn.events == taken
+        assert list(channel._queue) == events[len(taken):]
+        channel.put_many(later)  # arrivals while the batch is out
+        assert txn.events == taken
+        if commit:
+            txn.commit()
+            assert list(channel._queue) == events[len(taken):] + later
+        else:
+            txn.rollback()
+            assert list(channel._queue) == events + later
+        assert channel.room == channel.capacity - len(channel)
 
     def test_double_commit_rejected(self):
         channel = Channel()

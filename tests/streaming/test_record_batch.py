@@ -345,7 +345,7 @@ class TestStridedRoundRobin:
     def test_keyless_plan_by_arithmetic_matches_per_record_produce(self):
         # the keyless plan is one rotation from the cursor, repeated and
         # cut to the batch: sizes below, at and across the width, and
-        # the Fig. 4 ingest's 100-record transactions with a ragged tail,
+        # batches of a hundred rows and one with a ragged tail,
         # each starting where the last one left the cursor
         broker, reference = self.pair()
         single = make_broker(self.WIDTH)
