@@ -59,16 +59,20 @@ class ActionEarlyExitModel(EarlyExitNetwork):
     stage's output — block 1's per-frame feature maps, (N, T, C1, H/2,
     W/2) — is what feeds exit 1 and what an escalated clip ships upstream.
     The Fig. 7 rule is :class:`repro.fog.policies.EntropyThresholdPolicy`.
+    Both blocks take the projection ("conv") shortcut.
     """
 
+    #: channels of block 1's feature maps, the ones an escalated clip ships
+    block1_channels = 4
+
     def __init__(self, image_size: int = 16, num_classes: int = 5,
-                 block1_channels: int = 4, shortcut: str = "conv",
                  rng: Optional[np.random.Generator] = None):
         rng = resolve_rng(rng, "apps.action.model")
+        block1_channels = self.block1_channels
         block1 = ResNetBlock(1, block1_channels, stride=2,
-                             shortcut=shortcut, rng=rng)
+                             shortcut="conv", rng=rng)
         block2 = ResNetBlock(block1_channels, 8, stride=2,
-                             shortcut=shortcut, rng=rng)
+                             shortcut="conv", rng=rng)
         # Exit heads: per-frame pooled features -> LSTM -> FC (8 and 16
         # hidden units).
         head1 = LSTMClassifier(block1_channels, 8, num_classes, rng=rng)
@@ -80,7 +84,6 @@ class ActionEarlyExitModel(EarlyExitNetwork):
             nn.Sequential(PerFrame(nn.GlobalAvgPool2d()), head2))
         self.image_size = image_size
         self.num_classes = num_classes
-        self.block1_channels = block1_channels
 
     def feature_map_bytes(self, frames: int) -> int:
         """Bytes of block-1 feature maps shipped upstream per clip (fp32)."""

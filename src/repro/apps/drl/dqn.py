@@ -18,14 +18,15 @@ from repro.runtime.core import get_runtime
 from repro.nn.tensor import Tensor
 
 
+#: transitions a replay buffer keeps before evicting the oldest
+REPLAY_CAPACITY = 5000
+
+
 class ReplayBuffer:
     """Fixed-capacity experience store with uniform sampling."""
 
-    def __init__(self, capacity: int = 5000, seed: int = 0):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self._buffer: Deque[Tuple] = deque(maxlen=capacity)
+    def __init__(self, seed: int = 0):
+        self._buffer: Deque[Tuple] = deque(maxlen=REPLAY_CAPACITY)
         self._rng = get_runtime().rng.child("apps.drl.dqn.replay", seed)
 
     def __len__(self) -> int:
@@ -60,25 +61,23 @@ def _q_network(observation_dim: int, num_actions: int, hidden: int,
 #: exploration rate before the first step and after the linear decay
 EPSILON_START, EPSILON_END = 1.0, 0.05
 
+#: the TD target's discount, and the learn steps between target syncs
+GAMMA, TARGET_SYNC_EVERY = 0.95, 100
+
 
 class DQNAgent:
     """DQN with target network and epsilon-greedy exploration."""
 
     def __init__(self, observation_dim: int, num_actions: int,
-                 hidden: int = 32, lr: float = 1e-3, gamma: float = 0.95,
-                 epsilon_decay_steps: int = 2000,
-                 target_sync_every: int = 100, seed: int = 0):
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1): {gamma}")
+                 hidden: int = 32, lr: float = 1e-3,
+                 epsilon_decay_steps: int = 2000, seed: int = 0):
         rng = get_runtime().rng.np_child("apps.drl.dqn.init", seed)
         self.q = _q_network(observation_dim, num_actions, hidden, rng)
         self.target = _q_network(observation_dim, num_actions, hidden, rng)
         self.target.load_state_dict(self.q.state_dict())
         self.optimizer = nn.Adam(self.q.parameters(), lr=lr)
-        self.gamma = gamma
         self.num_actions = num_actions
         self.epsilon_decay_steps = epsilon_decay_steps
-        self.target_sync_every = target_sync_every
         self._step = 0
         self._rng = get_runtime().rng.np_child("apps.drl.dqn.policy", seed)
 
@@ -97,7 +96,7 @@ class DQNAgent:
         """One gradient step on a replay batch; returns the TD loss."""
         states, actions, rewards, next_states, dones = batch
         next_q = self.target(Tensor(next_states)).data.max(axis=1)
-        targets = rewards + self.gamma * next_q * (1.0 - dones)
+        targets = rewards + GAMMA * next_q * (1.0 - dones)
         self.optimizer.zero_grad()
         q_values = self.q(Tensor(states))
         picked = q_values[np.arange(len(actions)), actions]
@@ -107,7 +106,7 @@ class DQNAgent:
         self.optimizer.clip_grad_norm(5.0)
         self.optimizer.step()
         self._step += 1
-        if self._step % self.target_sync_every == 0:
+        if self._step % TARGET_SYNC_EVERY == 0:
             self.target.load_state_dict(self.q.state_dict())
         return loss.item()
 

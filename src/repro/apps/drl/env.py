@@ -10,7 +10,7 @@ high-value but easy to lose.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -63,15 +63,12 @@ class PTZCameraEnv:
         return np.array([self.cam[0], self.cam[1],
                          self.zoom / self.MAX_ZOOM, offset[0], offset[1]])
 
-    def reset(self, incident_at: Optional[Tuple[float, float]] = None
-              ) -> np.ndarray:
+    def reset(self) -> np.ndarray:
+        """Centre the camera, zoom out and place a new incident at random."""
         self._steps = 0
         self.cam = np.array([0.5, 0.5])
         self.zoom = 0
-        if incident_at is not None:
-            self.incident = np.clip(np.asarray(incident_at, dtype=float), 0, 1)
-        else:
-            self.incident = self._rng.random(2)
+        self.incident = self._rng.random(2)
         return self._observe()
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool]:

@@ -24,27 +24,26 @@ from repro.nn.tensor import Tensor
 
 
 class LSTMRegressor(nn.Module):
-    """LSTM over (N, T, 1) windows with a scalar linear head."""
+    """12-unit LSTM over (N, T, 1) windows with a scalar linear head."""
 
-    def __init__(self, hidden_size: int = 12,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = resolve_rng(rng, "apps.forecast.crime.model")
-        self.lstm = nn.LSTM(1, hidden_size, rng=rng)
-        self.head = nn.Linear(hidden_size, 1, rng=rng)
+        self.lstm = nn.LSTM(1, 12, rng=rng)
+        self.head = nn.Linear(12, 1, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.head(self.lstm.last_hidden(x))
 
 
-def seasonal_series(days: int, noise: float = 1.0,
-                    seed: int = 0) -> np.ndarray:
+def seasonal_series(days: int, seed: int = 0) -> np.ndarray:
     """Daily counts with weekend peaks — the structure city crime shows:
-    a weekly sine of amplitude 5 around a base of 12 a day."""
+    a weekly sine of amplitude 5 around a base of 12 a day, plus unit
+    Gaussian noise."""
     rng = get_runtime().rng.np_child("apps.forecast.crime.series", seed)
     t = np.arange(days)
     series = (12.0 + 5.0 * np.sin(2 * np.pi * t / 7.0)
-              + rng.normal(0, noise, days))
+              + rng.normal(0, 1.0, days))
     return np.clip(series, 0, None)
 
 

@@ -32,6 +32,9 @@ from repro.nn.tensor import Tensor
 
 EVENT_CLASSES = ("gunshot", "fireworks", "backfire")
 
+#: standard deviation of the noise on every audio and video feature
+SENSOR_NOISE = 0.35
+
 
 class GunshotEventGenerator:
     """Paired (audio, video) feature vectors with event labels.
@@ -40,11 +43,12 @@ class GunshotEventGenerator:
     backfires share an impulsive envelope; fireworks have a crackling,
     spread envelope.  Video features: a 16-dim brightness-transient vector.
     Gunshots and fireworks share a flash transient; backfires are flat.
+    Both modalities carry Gaussian noise of standard deviation
+    :data:`SENSOR_NOISE`.
     """
 
-    def __init__(self, seed: int = 0, noise: float = 0.35):
+    def __init__(self, seed: int = 0):
         self._rng = get_runtime().rng.np_child("apps.fusion.gunshot", seed)
-        self.noise = noise
         self.audio_dim = 20
         self.video_dim = 16
         # Prototype envelopes.
@@ -62,8 +66,8 @@ class GunshotEventGenerator:
         name = EVENT_CLASSES[label]
         audio = self._impulse if name in ("gunshot", "backfire") else self._crackle
         video = self._flash if name in ("gunshot", "fireworks") else self._flat
-        return (audio + rng.normal(0, self.noise, self.audio_dim),
-                video + rng.normal(0, self.noise, self.video_dim))
+        return (audio + rng.normal(0, SENSOR_NOISE, self.audio_dim),
+                video + rng.normal(0, SENSOR_NOISE, self.video_dim))
 
     def dataset(self, per_class: int
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,24 +25,26 @@ from repro.nn.models.cnn import SimpleCNN
 from repro.nn.tensor import Tensor
 
 
+#: incidents per simulated day: the hotspot's cluster, and the background
+CLUSTER_POINTS, NOISE_POINTS = 10, 200
+
+
 class HotspotCnnApp:
     """Predict the hot quadrant from a noisy daily crime-density grid.
 
-    Each sample is one simulated day: a cluster of incidents in one
-    quadrant plus uniform background noise, rasterized to ``grid`` x
-    ``grid``.  The task is four-way quadrant classification; the
+    Each sample is one simulated day: a cluster of
+    :data:`CLUSTER_POINTS` incidents in one quadrant plus
+    :data:`NOISE_POINTS` uniform background incidents, rasterized to
+    ``grid`` x ``grid``.  The task is four-way quadrant classification; the
     interesting regime is high background noise, where counting incidents
     per quadrant (the non-spatial baseline) degrades but the CNN's local
     pattern detection holds up.
     """
 
-    def __init__(self, grid: int = 8, seed: int = 0,
-                 cluster_points: int = 10, noise_points: int = 200):
+    def __init__(self, grid: int = 8, seed: int = 0):
         if grid % 2:
             raise ValueError(f"grid must be even: {grid}")
         self.grid = grid
-        self.cluster_points = cluster_points
-        self.noise_points = noise_points
         self._rng = get_runtime().rng.np_child("apps.geospatial.hotspot", seed)
         self._aggregator = GridAggregator(rows=grid, cols=grid)
         self.model = SimpleCNN(1, grid, num_classes=4, channels=(8,),
@@ -60,8 +62,8 @@ class HotspotCnnApp:
         rng = self._rng
         cx, cy = self._quadrant_center(quadrant)
         cluster = np.clip(
-            rng.normal([cx, cy], 0.06, (self.cluster_points, 2)), 0, 1)
-        noise = rng.random((self.noise_points, 2))
+            rng.normal([cx, cy], 0.06, (CLUSTER_POINTS, 2)), 0, 1)
+        noise = rng.random((NOISE_POINTS, 2))
         points = np.vstack([cluster, noise])
         return self._aggregator.density(points)
 

@@ -94,15 +94,15 @@ class AmberAlertSearch:
                 score=document["score"]))
         return track
 
-    def cameras_to_stake_out(self, description: str, top: int = 3
+    def cameras_to_stake_out(self, description: str
                              ) -> List[Tuple[str, int]]:
-        """Cameras with the most sightings — where to watch next."""
+        """The three cameras with the most sightings — where to watch next."""
         track = self.search(description)
         counts: Dict[str, int] = {}
         for sighting in track.sightings:
             counts[sighting.camera_id] = counts.get(sighting.camera_id, 0) + 1
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ordered[:top]
+        return ordered[:3]
 
 
 def _escape_for_regex(text: str) -> str:

@@ -33,23 +33,21 @@ class FailureInjector:
         the same failure schedule.  The stream is derived from the
         runtime's :class:`~repro.runtime.RngContext` under the scope
         ``("cluster.failures", seed)``.
-    on_fail / on_recover:
-        Optional callbacks invoked with the affected target, used by e.g.
+    on_fail:
+        Optional callback invoked with each crashed target, used by e.g.
         the DFS namenode to trigger re-replication.
 
     Events land in the runtime installed at construction.
     """
 
     def __init__(self, targets: Sequence, seed: int = 0,
-                 on_fail: Optional[Callable] = None,
-                 on_recover: Optional[Callable] = None):
+                 on_fail: Optional[Callable] = None):
         if not targets:
             raise ValueError("need at least one failure target")
         self.targets = list(targets)
         self.runtime = get_runtime()
         self._rng = self.runtime.rng.child("cluster.failures", seed)
         self.on_fail = on_fail
-        self.on_recover = on_recover
         self.failed: List = []
         self.events: List[tuple] = []  # (kind, target) history
 
@@ -92,8 +90,6 @@ class FailureInjector:
         self.events.append(("recover", target))
         self.runtime.events.emit("cluster.recovery",
                                  target=_target_name(target))
-        if self.on_recover is not None:
-            self.on_recover(target)
         return target
 
     def recover_one(self):
@@ -145,9 +141,9 @@ class FailureProcess:
         Bounds on the schedule.  At least one must be set — an unbounded
         schedule would keep the event queue non-empty forever and
         ``env.run()`` could never drain.
-    on_fail / on_recover:
-        Forwarded to the wrapped :class:`FailureInjector` (e.g. the fog
-        fabric uses ``on_fail`` to interrupt in-flight work).
+    on_fail:
+        Forwarded to the wrapped :class:`FailureInjector` (the fog fabric
+        uses it to interrupt in-flight work).
     """
 
     def __init__(self, env, targets: Sequence, seed: int = 0,
@@ -155,8 +151,7 @@ class FailureProcess:
                  mean_time_to_repair_s: Optional[float] = None,
                  max_failures: Optional[int] = 4,
                  horizon_s: Optional[float] = None,
-                 on_fail: Optional[Callable] = None,
-                 on_recover: Optional[Callable] = None):
+                 on_fail: Optional[Callable] = None):
         if max_failures is None and horizon_s is None:
             raise ValueError(
                 "FailureProcess needs max_failures or horizon_s: an "
@@ -168,8 +163,7 @@ class FailureProcess:
             raise ValueError(
                 f"mean_time_to_repair_s must be > 0: {mean_time_to_repair_s}")
         self.env = env
-        self.injector = FailureInjector(targets, seed=seed, on_fail=on_fail,
-                                        on_recover=on_recover)
+        self.injector = FailureInjector(targets, seed=seed, on_fail=on_fail)
         self.runtime = self.injector.runtime
         self.mean_time_to_failure_s = float(mean_time_to_failure_s)
         self.mean_time_to_repair_s = (

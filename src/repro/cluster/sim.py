@@ -262,8 +262,8 @@ class Environment:
     (``cluster.sim.events_dispatched``, ``cluster.sim.now``).
     """
 
-    def __init__(self, initial_time: float = 0.0, runtime=None):
-        self._now = float(initial_time)
+    def __init__(self, runtime=None):
+        self._now = 0.0
         self._queue: List = []
         self._counter = itertools.count()
         self._runtime = runtime

@@ -13,22 +13,23 @@ from collections import defaultdict, deque
 from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 
 
+#: pagerank's damping factor and power-iteration count
+PAGERANK_DAMPING, PAGERANK_ITERATIONS = 0.85, 30
+
+
 class Graph:
-    """An undirected-by-default property graph.
+    """An undirected property graph.
 
     Parameters
     ----------
     vertices:
         {vertex_id: attribute}.
     edges:
-        Iterable of (src, dst) or (src, dst, attribute) tuples.
-    directed:
-        When False (default), each edge is traversable both ways.
+        Iterable of (src, dst) or (src, dst, attribute) tuples; each edge
+        is traversable both ways.
     """
 
-    def __init__(self, vertices: Dict[Any, Any],
-                 edges: Iterable[Tuple], directed: bool = False):
-        self.directed = directed
+    def __init__(self, vertices: Dict[Any, Any], edges: Iterable[Tuple]):
         self.vertices: Dict[Any, Any] = dict(vertices)
         self.edges: List[Tuple[Any, Any, Any]] = []
         self._adjacency: Dict[Any, Set] = defaultdict(set)
@@ -45,8 +46,7 @@ class Graph:
                     raise KeyError(f"edge endpoint {endpoint!r} not a vertex")
             self.edges.append((src, dst, attr))
             self._adjacency[src].add(dst)
-            if not directed:
-                self._adjacency[dst].add(src)
+            self._adjacency[dst].add(src)
 
     # -- basics ---------------------------------------------------------------
     @property
@@ -70,9 +70,8 @@ class Graph:
         return sum(degrees.values()) / len(degrees) if degrees else 0.0
 
     # -- neighborhoods (first/second-degree associates, Sec. IV-B) -----------------
-    def n_degree_neighborhood(self, vertex: Any, depth: int,
-                              include_self: bool = False) -> Set:
-        """All vertices within ``depth`` hops of ``vertex``.
+    def n_degree_neighborhood(self, vertex: Any, depth: int) -> Set:
+        """All vertices within ``depth`` hops of ``vertex``, itself excluded.
 
         ``depth=1`` is the first-degree associate set; ``depth=2`` adds the
         second-degree associates reached through a shared co-offender.
@@ -87,22 +86,19 @@ class Graph:
             frontier = {n for v in frontier for n in self._adjacency.get(v, ())
                         } - seen
             seen |= frontier
-        if not include_self:
-            seen.discard(vertex)
+        seen.discard(vertex)
         return seen
 
     # -- global analytics -------------------------------------------------------
-    def pagerank(self, damping: float = 0.85, iterations: int = 30
-                 ) -> Dict[Any, float]:
+    def pagerank(self) -> Dict[Any, float]:
         """Power-iteration pagerank; ranks sum to ~1."""
-        if not 0.0 < damping < 1.0:
-            raise ValueError(f"damping must be in (0, 1): {damping}")
+        damping = PAGERANK_DAMPING
         n = self.num_vertices
         if n == 0:
             return {}
         ranks = {v: 1.0 / n for v in self.vertices}
         out_degree = {v: len(self._adjacency.get(v, ())) for v in self.vertices}
-        for _ in range(iterations):
+        for _ in range(PAGERANK_ITERATIONS):
             incoming: Dict[Any, float] = defaultdict(float)
             dangling = 0.0
             for vertex, rank in ranks.items():
@@ -135,9 +131,7 @@ class Graph:
         return component
 
     def triangle_count(self) -> int:
-        """Number of distinct triangles; requires an undirected graph."""
-        if self.directed:
-            raise ValueError("triangle_count requires an undirected graph")
+        """Number of distinct triangles."""
         count = 0
         for vertex in self.vertices:
             neighbors = self._adjacency.get(vertex, set())

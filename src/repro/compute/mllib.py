@@ -90,13 +90,11 @@ class KMeans:
 class LogisticRegression:
     """Binary logistic regression trained by full-batch gradient descent."""
 
-    def __init__(self, lr: float = 0.1, iterations: int = 200,
-                 l2: float = 0.0):
+    def __init__(self, lr: float = 0.1, iterations: int = 200):
         if lr <= 0:
             raise ValueError(f"lr must be positive: {lr}")
         self.lr = lr
         self.iterations = iterations
-        self.l2 = l2
         self.weights: Optional[np.ndarray] = None
         self.bias = 0.0
 
@@ -118,7 +116,7 @@ class LogisticRegression:
             z = x @ self.weights + self.bias
             probs = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
             error = probs - y
-            grad_w = x.T @ error / n + self.l2 * self.weights
+            grad_w = x.T @ error / n
             grad_b = error.mean()
             self.weights -= self.lr * grad_w
             self.bias -= self.lr * grad_b

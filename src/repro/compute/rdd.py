@@ -77,12 +77,10 @@ class SparkContext:
     def _record_partition(self) -> None:
         self._partitions.inc(ctx=self._label)
 
-    def parallelize(self, data: Iterable, num_partitions: Optional[int] = None
-                    ) -> "RDD":
+    def parallelize(self, data: Iterable) -> "RDD":
+        """``data`` over ``default_parallelism`` partitions."""
         items = list(data)
-        n = self.default_parallelism if num_partitions is None else num_partitions
-        if n < 1:
-            raise ValueError(f"num_partitions must be >= 1: {n}")
+        n = self.default_parallelism
         # Item i goes to partition i % n: partition p is a strided slice.
         chunks = [items[index::n] for index in range(n)]
         return RDD(self, lambda i: iter(chunks[i]), n, name="parallelize")

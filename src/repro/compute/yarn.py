@@ -3,18 +3,15 @@
 A :class:`ResourceManager` owns a set of :class:`NodeManager` machines and
 grants :class:`Container` leases against their vcore/memory capacity.
 Requests that cannot be placed are queued; releasing capacity re-drives the
-queue.  Two scheduling policies from the Hadoop ecosystem:
-
-- ``fifo`` — strict arrival order;
-- ``capacity`` — named queues with guaranteed cluster fractions; a queue
-  using less than its guarantee gets priority.
+queue in strict arrival order (Hadoop's FIFO scheduler): a request that
+does not fit blocks the ones behind it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class YarnError(Exception):
@@ -28,7 +25,6 @@ class ResourceRequest:
     app_id: str
     vcores: int
     memory_mb: int
-    queue: str = "default"
     on_grant: Optional[Callable[["Container"], None]] = None
 
 
@@ -41,7 +37,6 @@ class Container:
     app_id: str
     vcores: int
     memory_mb: int
-    queue: str = "default"
 
 
 class NodeManager:
@@ -82,25 +77,9 @@ class NodeManager:
 
 
 class ResourceManager:
-    """Grants containers; queues what does not fit.
+    """Grants containers; queues what does not fit, first in first out."""
 
-    Parameters
-    ----------
-    scheduler:
-        ``"fifo"`` or ``"capacity"``.
-    queue_capacity:
-        For the capacity scheduler: {queue_name: fraction}; fractions should
-        sum to ~1.0.
-    """
-
-    def __init__(self, scheduler: str = "fifo",
-                 queue_capacity: Optional[Dict[str, float]] = None):
-        if scheduler not in ("fifo", "capacity"):
-            raise YarnError(f"unknown scheduler: {scheduler}")
-        if scheduler == "capacity" and not queue_capacity:
-            raise YarnError("capacity scheduler needs queue_capacity")
-        self.scheduler = scheduler
-        self.queue_capacity = dict(queue_capacity or {"default": 1.0})
+    def __init__(self):
         self._nodes: Dict[str, NodeManager] = {}
         self._pending: List[ResourceRequest] = []
         self._containers: Dict[int, Container] = {}
@@ -119,10 +98,6 @@ class ResourceManager:
     @property
     def total_vcores(self) -> int:
         return sum(n.vcores for n in self._nodes.values() if n.alive)
-
-    def vcores_used_by_queue(self, queue: str) -> int:
-        return sum(c.vcores for c in self._containers.values()
-                   if c.queue == queue)
 
     def utilization(self) -> float:
         total = self.total_vcores
@@ -143,17 +118,16 @@ class ResourceManager:
     def submit(self, request: ResourceRequest) -> Optional[Container]:
         """Try to place a request; queue it otherwise.
 
-        Returns the granted container or None if queued.
+        Returns the container granted to *this* request, or None if it is
+        queued.  Requests queued ahead of it may be granted by the same
+        call (a node joined since they queued); their ``on_grant`` hears
+        of it.
         """
         if request.vcores < 1 or request.memory_mb < 1:
             raise YarnError("requests need positive resources")
-        if (self.scheduler == "capacity"
-                and request.queue not in self.queue_capacity):
-            raise YarnError(f"unknown queue: {request.queue}")
         self._pending.append(request)
-        granted = self._drive()
-        for container in granted:
-            if container.app_id == request.app_id and request not in self._pending:
+        for granted_request, container in self._drive():
+            if granted_request is request:
                 return container
         return None
 
@@ -163,43 +137,26 @@ class ResourceManager:
             raise YarnError(f"unknown container: {container.container_id}")
         del self._containers[container.container_id]
         container.node._release(container)
-        return self._drive()
+        return [granted for _, granted in self._drive()]
 
-    def _ordered_pending(self) -> List[ResourceRequest]:
-        if self.scheduler == "fifo":
-            return list(self._pending)
-
-        # Capacity: sort by how far each queue is below its guarantee.
-        def headroom(request: ResourceRequest) -> float:
-            guaranteed = self.queue_capacity[request.queue] * self.total_vcores
-            used = self.vcores_used_by_queue(request.queue)
-            return used - guaranteed  # more negative = more underserved
-
-        return sorted(self._pending, key=headroom)
-
-    def _drive(self) -> List[Container]:
-        granted: List[Container] = []
-        progress = True
-        while progress:
-            progress = False
-            for request in self._ordered_pending():
-                node = self._pick_node(request)
-                if node is None:
-                    if self.scheduler == "fifo":
-                        break  # strict ordering: head of line blocks
-                    continue
-                node._allocate(request)
-                container = Container(
-                    container_id=next(self._ids), node=node,
-                    app_id=request.app_id, vcores=request.vcores,
-                    memory_mb=request.memory_mb, queue=request.queue)
-                self._containers[container.container_id] = container
-                self._pending.remove(request)
-                granted.append(container)
-                if request.on_grant is not None:
-                    request.on_grant(container)
-                progress = True
-                break
+    def _drive(self) -> List[Tuple[ResourceRequest, Container]]:
+        """Grant queued requests in arrival order until the head does not fit."""
+        granted: List[Tuple[ResourceRequest, Container]] = []
+        while self._pending:
+            request = self._pending[0]
+            node = self._pick_node(request)
+            if node is None:
+                break  # strict ordering: head of line blocks
+            node._allocate(request)
+            container = Container(
+                container_id=next(self._ids), node=node,
+                app_id=request.app_id, vcores=request.vcores,
+                memory_mb=request.memory_mb)
+            self._containers[container.container_id] = container
+            del self._pending[0]
+            granted.append((request, container))
+            if request.on_grant is not None:
+                request.on_grant(container)
         return granted
 
     def _pick_node(self, request: ResourceRequest) -> Optional[NodeManager]:

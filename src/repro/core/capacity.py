@@ -11,40 +11,24 @@ factor annotation buys — the paper's core storage argument, quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 SECONDS_PER_DAY = 86_400.0
 
+#: how raw frames map to persisted annotations: the fraction of frames
+#: with any detection worth indexing, and the record persisted for each
+#: (boxes + labels + meta)
+ANNOTATED_FRACTION, BYTES_PER_ANNOTATION = 0.05, 512
 
-@dataclass(frozen=True)
-class AnnotationProfile:
-    """How raw frames map to persisted annotations.
-
-    annotated_fraction:
-        Fraction of frames with any detection worth indexing.
-    bytes_per_annotation:
-        Persisted record size per annotated frame (boxes + labels + meta).
-    """
-
-    annotated_fraction: float = 0.05
-    bytes_per_annotation: int = 512
-
-    def __post_init__(self):
-        if not 0.0 <= self.annotated_fraction <= 1.0:
-            raise ValueError(
-                f"annotated_fraction must be in [0, 1]: {self.annotated_fraction}")
-        if self.bytes_per_annotation < 1:
-            raise ValueError(
-                f"bytes_per_annotation must be >= 1: {self.bytes_per_annotation}")
+#: the report's sizing question: a 10 TB raw buffer, a year of annotations
+RAW_BUFFER_BYTES, RETENTION_DAYS = 10e12, 365.0
 
 
 class CapacityPlanner:
     """Sizing math over a camera registry's aggregate feed."""
 
-    def __init__(self, registry, profile: Optional[AnnotationProfile] = None):
+    def __init__(self, registry):
         self.registry = registry
-        self.profile = profile or AnnotationProfile()
 
     # -- raw (temporary) tier --------------------------------------------------
     @property
@@ -67,8 +51,8 @@ class CapacityPlanner:
     # -- annotated (long-term) tier ---------------------------------------------
     @property
     def annotation_bytes_per_second(self) -> float:
-        return (self.frames_per_second * self.profile.annotated_fraction
-                * self.profile.bytes_per_annotation)
+        return (self.frames_per_second * ANNOTATED_FRACTION
+                * BYTES_PER_ANNOTATION)
 
     def annotated_storage_for_days(self, days: float) -> float:
         if days < 0:
@@ -83,15 +67,14 @@ class CapacityPlanner:
             return float("inf")
         return self.raw_bytes_per_second / annotated
 
-    def report(self, raw_buffer_bytes: float = 10e12,
-               retention_days: float = 365.0) -> Dict[str, float]:
+    def report(self) -> Dict[str, float]:
         """The sizing summary the hardware layer needs."""
         return {
             "cameras": float(len(self.registry)),
             "raw_gb_per_hour": self.raw_bytes_per_second * 3600 / 1e9,
             "raw_buffer_hours": self.raw_retention_seconds(
-                raw_buffer_bytes) / 3600.0,
+                RAW_BUFFER_BYTES) / 3600.0,
             "annotated_gb_per_year": self.annotated_storage_for_days(
-                retention_days) / 1e9,
+                RETENTION_DAYS) / 1e9,
             "compression_factor": self.compression_factor,
         }

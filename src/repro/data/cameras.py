@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.runtime.core import get_runtime
 
@@ -111,22 +111,17 @@ class CameraRegistry:
         return rows
 
 
-def build_dotd_registry(seed: int = 0,
-                        cameras_per_city: Optional[Dict[str, int]] = None
-                        ) -> CameraRegistry:
+def build_dotd_registry(seed: int = 0) -> CameraRegistry:
     """Construct the synthetic DOTD network: >200 cameras, 9 cities.
 
     Cameras are scattered along each city's interstates within ~0.2 degrees
     of the city center; Baton Rouge (the paper's focus, Fig. 2) gets the
-    densest coverage by default.
+    densest coverage.
     """
     rng = get_runtime().rng.np_child("data.cameras", seed)
-    default_counts = {city.name: 20 for city in LOUISIANA_CITIES}
-    default_counts["Baton Rouge"] = 45
-    default_counts["New Orleans"] = 35
-    counts = dict(default_counts)
-    if cameras_per_city:
-        counts.update(cameras_per_city)
+    counts = {city.name: 20 for city in LOUISIANA_CITIES}
+    counts["Baton Rouge"] = 45
+    counts["New Orleans"] = 35
     cameras: List[Camera] = []
     for city in LOUISIANA_CITIES:
         count = counts.get(city.name, 0)

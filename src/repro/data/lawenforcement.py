@@ -25,12 +25,10 @@ _AGENCIES = ("BRPD", "EBRSO", "LSUPD")
 class LawEnforcementFeed:
     """Monthly batches of individual-level incident records."""
 
-    def __init__(self, seed: int = 0, num_persons: int = 300):
-        if num_persons < 2:
-            raise ValueError(f"num_persons must be >= 2: {num_persons}")
+    def __init__(self, seed: int = 0):
         self._rng = get_runtime().rng.np_child("data.lawenforcement", seed)
         self._ids = itertools.count(1)
-        self.persons = [f"p{i:05d}" for i in range(num_persons)]
+        self.persons = [f"p{i:05d}" for i in range(300)]
 
     def monthly_batch(self, month: int, incidents: int = 40) -> List[Dict]:
         """One month's transfer: incident rows with involved persons."""

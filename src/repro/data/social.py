@@ -31,6 +31,10 @@ _INCIDENT_TERMS = ["shots", "fired", "heard", "gunshot", "police", "sirens",
 #: share of gang ties inside one group; the rest cross groups
 WITHIN_GROUP_FRACTION = 0.4
 
+#: the Baton Rouge network the paper reports: 67 groups, 982 members and
+#: 14 first-degree associates per member on average
+NUM_GROUPS, TOTAL_MEMBERS, MEAN_FIRST_DEGREE = 67, 982, 14.0
+
 
 class GangNetworkGenerator:
     """Co-offending network with the paper's Sec. IV-B shape."""
@@ -38,21 +42,20 @@ class GangNetworkGenerator:
     def __init__(self, seed: int = 0):
         self._rng = get_runtime().rng.np_child("data.social.gangs", seed)
 
-    def generate(self, num_groups: int = 67, total_members: int = 982,
-                 mean_first_degree: float = 14.0) -> Graph:
-        """Build the gang graph.
+    def generate(self) -> Graph:
+        """Build the gang graph: :data:`TOTAL_MEMBERS` members in
+        :data:`NUM_GROUPS` groups.
 
         Members are split across groups (sizes drawn to sum exactly).
         :data:`WITHIN_GROUP_FRACTION` of ties stay inside a group; the rest
         are cross-group co-offending links ("a relationship connection
         through a shared co-offender", Sec. IV-B).  That split keeps the
-        realized mean degree at ``mean_first_degree`` and the mean
+        realized mean degree at :data:`MEAN_FIRST_DEGREE` and the mean
         second-degree field near the ~200 the paper reports: dense
         clustering would make first-degree neighborhoods overlap and
         shrink the field, so ties must be substantially cross-group.
         """
-        if num_groups < 1 or total_members < num_groups:
-            raise ValueError("need at least one member per group")
+        num_groups, total_members = NUM_GROUPS, TOTAL_MEMBERS
         rng = self._rng
         # Group sizes: multinomial around the mean, min 1 each.
         base = total_members // num_groups
@@ -71,7 +74,7 @@ class GangNetworkGenerator:
                 members.append(member_id)
             members_by_group.append(members)
 
-        target_edges = int(total_members * mean_first_degree / 2)
+        target_edges = int(total_members * MEAN_FIRST_DEGREE / 2)
         edges = set()
         within_target = int(target_edges * WITHIN_GROUP_FRACTION)
         attempts = 0

@@ -164,15 +164,13 @@ class ActionClipGenerator:
     architecture exploits and the tests assert.
     """
 
-    def __init__(self, image_size: int = 16, frames: int = 8, seed: int = 0,
-                 noise: float = 0.05):
+    def __init__(self, image_size: int = 16, frames: int = 8, seed: int = 0):
         if image_size < 8:
             raise ValueError(f"image_size must be >= 8: {image_size}")
         if frames < 2:
             raise ValueError(f"frames must be >= 2: {frames}")
         self.image_size = image_size
         self.frames = frames
-        self.noise = noise
         self.num_classes = len(ACTION_CLASSES)
         self._rng = get_runtime().rng.np_child("data.video.clips", seed)
 
@@ -213,7 +211,7 @@ class ActionClipGenerator:
                 frame[int(size * 0.3):int(size * 0.7), size - 2:] = 0.5
                 x = 2 + min(progress * 2.0, 1.0) * (size - 5)
                 self._blob(frame, x, y0)
-            frame += self._rng.normal(0, self.noise, (size, size))
+            frame += self._rng.normal(0, 0.05, (size, size))
             clip[t, 0] = np.clip(frame, 0.0, 1.0)
         return clip
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.runtime import get_runtime
 
@@ -60,9 +60,8 @@ class BlockReport:
 class DataNode:
     """Stores block payloads in memory; ``alive`` models crashes."""
 
-    def __init__(self, name: str, capacity_bytes: Optional[int] = None):
+    def __init__(self, name: str):
         self.name = name
-        self.capacity_bytes = capacity_bytes
         self.alive = True
         self._blocks: Dict[int, bytes] = {}
 
@@ -77,9 +76,6 @@ class DataNode:
     def store(self, block_id: int, data: bytes) -> None:
         if not self.alive:
             raise DFSError(f"datanode {self.name} is down")
-        if (self.capacity_bytes is not None
-                and self.used_bytes + len(data) > self.capacity_bytes):
-            raise DFSError(f"datanode {self.name} is full")
         self._blocks[block_id] = data
 
     def read(self, block_id: int) -> bytes:

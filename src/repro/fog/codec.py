@@ -39,7 +39,7 @@ def _run_dense(stack: Sequential, x: np.ndarray) -> np.ndarray:
     for layer in stack:
         if isinstance(layer, ReLU):
             x = np.maximum(x, 0)
-        elif isinstance(layer, Linear) and layer.bias is not None:
+        elif isinstance(layer, Linear):
             x = layer.weight.data @ x
             x += layer.bias.data[:, None]
         else:

@@ -131,7 +131,7 @@ class FaultPolicy:
 class FailureSpec:
     """Configuration for the in-sim failure schedule of one run.
 
-    ``simulate_stream`` / ``simulate_shared_streams`` turn this into a
+    ``simulate_stream`` turns this into a
     :class:`~repro.cluster.failures.FailureProcess` wired to the run's
     machine fabric, so crashes interrupt in-flight work and recoveries
     restore the placed machines.
@@ -546,21 +546,7 @@ def _simulate(runtime, stream_states: List[dict],
             for state in stream_states]
 
 
-def _validated_outcomes(stages: Sequence[Stage],
-                        exit_outcomes: Sequence[int]) -> List[int]:
-    last_stage = len(stages) - 1
-    resolved_at = []
-    for stage in exit_outcomes:
-        stage = int(stage)
-        if not 0 <= stage <= last_stage:
-            raise ValueError(f"exit outcome {stage} out of range")
-        resolved_at.append(stage)
-    return resolved_at
-
-
-def simulate_shared_streams(streams: Sequence[dict], seed: int = 0,
-                            failures: Optional[FailureSpec] = None,
-                            fault_policy: Optional[FaultPolicy] = None
+def simulate_shared_streams(streams: Sequence[dict], seed: int = 0
                             ) -> List[StreamStats]:
     """Run several pipelines' streams against *shared* machine queues.
 
@@ -568,16 +554,13 @@ def simulate_shared_streams(streams: Sequence[dict], seed: int = 0,
     handful of fog nodes and one analysis server, so one camera's offloads
     queue behind another's.  Each entry of ``streams`` is a dict with keys
     ``pipeline`` (:class:`FogPipeline`), ``num_items``,
-    ``arrival_interval_s`` and optionally ``exit_probabilities`` or
-    ``exit_outcomes``.  Machines with the same name share a single
-    unit-capacity resource across all streams; per-stream
+    ``arrival_interval_s`` and optionally ``exit_probabilities``.
+    Machines with the same name share a single unit-capacity resource
+    across all streams; per-stream
     :class:`StreamStats` are returned in input order.  Each stream's
     ``machine_busy_s`` reports the *combined* busy time of its machines
-    across all streams, matching the shared queues.
-
-    Passing ``failures`` injects a seeded in-sim crash/recovery schedule
-    shared by every stream; ``fault_policy`` tunes the per-item retry and
-    failover behaviour (see the module docstring's failure model).
+    across all streams, matching the shared queues.  Every machine stays
+    up; :meth:`FogPipeline.simulate_stream` is where failures are injected.
     """
     if not streams:
         raise ValueError("need at least one stream")
@@ -589,21 +572,14 @@ def simulate_shared_streams(streams: Sequence[dict], seed: int = 0,
         num_items = spec["num_items"]
         if num_items < 1:
             raise ValueError(f"num_items must be >= 1: {num_items}")
-        if spec.get("exit_outcomes") is not None:
-            if len(spec["exit_outcomes"]) != num_items:
-                raise ValueError("need one exit outcome per item")
-            resolved_at = _validated_outcomes(pipeline.stages,
-                                              spec["exit_outcomes"])
-        else:
-            resolved_at = _draw_resolved_stages(
-                pipeline.stages, num_items,
-                spec.get("exit_probabilities") or {}, rng)
         stream_states.append({
             "pipeline": pipeline,
             "interval": spec["arrival_interval_s"],
-            "resolved_at": resolved_at,
+            "resolved_at": _draw_resolved_stages(
+                pipeline.stages, num_items,
+                spec.get("exit_probabilities") or {}, rng),
         })
-    return _simulate(runtime, stream_states, failures, fault_policy)
+    return _simulate(runtime, stream_states, None, None)
 
 
 class FogPipeline:
@@ -650,7 +626,6 @@ class FogPipeline:
     # -- discrete-event stream --------------------------------------------------
     def simulate_stream(self, num_items: int, arrival_interval_s: float,
                         exit_probabilities: Optional[Dict[int, float]] = None,
-                        exit_outcomes: Optional[Sequence[int]] = None,
                         seed: int = 0,
                         failures: Optional[FailureSpec] = None,
                         fault_policy: Optional[FaultPolicy] = None
@@ -664,9 +639,6 @@ class FogPipeline:
         exit_probabilities:
             {stage_index: P(exit at stage | reached stage)} for stages with
             exits; drawn per item from the runtime's seeded RNG context.
-        exit_outcomes:
-            Alternative: per-item resolved stage indices measured from a
-            real model (overrides probabilities).
         failures:
             Optional :class:`FailureSpec`; when given, a seeded
             :class:`~repro.cluster.failures.FailureProcess` crashes and
@@ -682,15 +654,10 @@ class FogPipeline:
             raise ValueError(f"num_items must be >= 1: {num_items}")
         if arrival_interval_s < 0:
             raise ValueError("arrival_interval_s must be >= 0")
-        if exit_outcomes is not None and len(exit_outcomes) != num_items:
-            raise ValueError("need one exit outcome per item")
         runtime = get_runtime()
-        if exit_outcomes is not None:
-            resolved_at = _validated_outcomes(self.stages, exit_outcomes)
-        else:
-            rng = runtime.rng.child("fog.pipeline.exits", seed)
-            resolved_at = _draw_resolved_stages(
-                self.stages, num_items, exit_probabilities or {}, rng)
+        rng = runtime.rng.child("fog.pipeline.exits", seed)
+        resolved_at = _draw_resolved_stages(
+            self.stages, num_items, exit_probabilities or {}, rng)
         stats = _simulate(runtime, [{
             "pipeline": self,
             "interval": arrival_interval_s,

@@ -15,7 +15,7 @@ function, so downstream code only sees the :class:`ExitPolicy` interface.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -64,16 +64,14 @@ class EntropyThresholdPolicy(ExitPolicy):
         super().__init__(-max_entropy, entropy_confidence)
 
 
-def run_policy_batched(model, x, policy: ExitPolicy,
-                       batch_size: Optional[int] = None) -> BatchExitDecisions:
+def run_policy_batched(model, x, policy: ExitPolicy) -> BatchExitDecisions:
     """Drive an early-exit model with a policy on the batched fast path.
 
     ``model`` is anything with the
     :meth:`repro.nn.models.earlyexit.EarlyExitNetwork.infer_batch` contract.
     The policy's confidence function and threshold become the exit rule, so
     the Fig. 5 (score) and Fig. 7 (entropy) policies both run through one
-    vectorized, no-grad, micro-batched path.
+    vectorized, no-grad, whole-batch path.
     """
     return model.infer_batch(x, policy.threshold,
-                             confidence=policy.confidence_fn,
-                             batch_size=batch_size)
+                             confidence=policy.confidence_fn)

@@ -123,12 +123,12 @@ class TierPlacement:
 
 def model_split_from_early_exit(local_flops: float, remote_flops: float,
                                 feature_bytes: int, input_bytes: int,
-                                local_exit_flops: float = 0.0,
-                                remote_exit_flops: float = 0.0) -> List[Stage]:
+                                local_exit_flops: float = 0.0) -> List[Stage]:
     """The canonical two-stage split of Figs. 5 and 7.
 
     Stage 0 ("local") runs the shared stem plus the cheap exit head; stage 1
-    ("server") consumes the stem's feature map.  ``input_bytes`` is recorded
+    ("server") consumes the stem's feature map, its head's FLOPs counted in
+    ``remote_flops``.  ``input_bytes`` is recorded
     on a zero-cost ingest stage so the raw-frame hop from the camera to the
     local device is also priced.
     """
@@ -136,8 +136,7 @@ def model_split_from_early_exit(local_flops: float, remote_flops: float,
         Stage("ingest", flops=0.0, output_bytes=input_bytes),
         Stage("local", flops=local_flops, output_bytes=feature_bytes,
               exit_head_flops=local_exit_flops, has_exit=True),
-        Stage("server", flops=remote_flops, output_bytes=0,
-              exit_head_flops=remote_exit_flops),
+        Stage("server", flops=remote_flops, output_bytes=0),
     ]
 
 

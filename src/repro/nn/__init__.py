@@ -41,7 +41,6 @@ from repro.nn.fuse import fuse_for_inference
 from repro.nn.inference import (
     batched_forward,
     eval_mode,
-    iter_microbatches,
     observe_inference,
 )
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -64,7 +63,7 @@ __all__ = [
     "no_grad", "enable_grad", "is_grad_enabled", "set_grad_enabled",
     "ensure_float",
     "fuse_for_inference",
-    "batched_forward", "eval_mode", "iter_microbatches", "observe_inference",
+    "batched_forward", "eval_mode", "observe_inference",
     "Module", "Parameter", "Sequential", "Linear", "Conv2d", "BatchNorm2d",
     "ReLU", "LeakyReLU", "Identity", "Flatten", "MaxPool2d", "GlobalAvgPool2d",
     "LSTM", "LSTMCell",

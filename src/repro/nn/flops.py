@@ -61,9 +61,9 @@ def estimate_flops(module: M.Module, input_shape: Tuple[int, ...]) -> Tuple[floa
         return 2.0 * module.in_features * module.out_features, (module.out_features,)
     if isinstance(module, M.MaxPool2d):
         c, h, w = input_shape
-        stride = module.stride or module.kernel_size
-        out_h = _conv_out(h, module.kernel_size, stride, 0)
-        out_w = _conv_out(w, module.kernel_size, stride, 0)
+        k = module.kernel_size
+        out_h = _conv_out(h, k, k, 0)
+        out_w = _conv_out(w, k, k, 0)
         return float(c * out_h * out_w * module.kernel_size ** 2), (c, out_h, out_w)
     if isinstance(module, M.GlobalAvgPool2d):
         c, h, w = input_shape
@@ -88,13 +88,8 @@ def estimate_flops(module: M.Module, input_shape: Tuple[int, ...]) -> Tuple[floa
     if isinstance(module, M.LSTM):
         steps = input_shape[0] if len(input_shape) == 2 else 1
         feature = input_shape[-1]
-        total = 0.0
-        in_size = feature
-        for _ in range(module.num_layers):
-            gate_macs = 4 * module.hidden_size * (in_size + module.hidden_size)
-            total += 2.0 * gate_macs * steps
-            in_size = module.hidden_size
-        return total, (steps, module.hidden_size)
+        gate_macs = 4 * module.hidden_size * (feature + module.hidden_size)
+        return 2.0 * gate_macs * steps, (steps, module.hidden_size)
     if hasattr(module, "estimate_flops"):
         return module.estimate_flops(input_shape)
     # Composite user modules: sum over registered children, shape unchanged
@@ -102,7 +97,7 @@ def estimate_flops(module: M.Module, input_shape: Tuple[int, ...]) -> Tuple[floa
     raise TypeError(f"cannot estimate FLOPs for {type(module).__name__}")
 
 
-def activation_size_bytes(shape: Tuple[int, ...], dtype_bytes: int = 4) -> int:
+def activation_size_bytes(shape: Tuple[int, ...]) -> int:
     """Bytes of an activation of ``shape`` (per sample) at fp32 transport.
 
     Used to price sending a feature map upstream (Fig. 5) versus sending the
@@ -111,4 +106,4 @@ def activation_size_bytes(shape: Tuple[int, ...], dtype_bytes: int = 4) -> int:
     numel = 1
     for dim in shape:
         numel *= dim
-    return numel * dtype_bytes
+    return numel * 4

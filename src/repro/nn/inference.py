@@ -1,16 +1,15 @@
-"""The inference fast path: eval-scoped, no-grad, micro-batched forwards.
+"""The inference fast path: eval-scoped, no-grad, whole-batch forwards.
 
 Everything the fog tier needs to run a trained model cheaply lives here:
 
 - :func:`eval_mode` — scope a module (and children) to eval mode and
   restore each submodule's previous training flag on exit;
-- :func:`iter_microbatches` — slice a batch into configurable micro-batches
-  so memory stays bounded while NumPy still amortizes per-op overhead;
 - :func:`observe_inference` — time a block on the runtime clock and emit
   ``nn.infer.items`` / ``nn.infer.latency_s``;
-- :func:`batched_forward` — the composition of all three: run a module
-  over an input batch with no autograd recording and return the raw
-  output array.
+- :func:`batched_forward` — the composition of both: run a module over
+  an input batch in one forward with no autograd recording and return
+  the raw output array.  A caller bounds a batch's size before it gets
+  here (the gateway's ``max_batch_rows``).
 
 Combined with :func:`repro.nn.fuse.fuse_for_inference` and a float32 cast
 this is the path the perf harness (``benchmarks/perf/``) measures.
@@ -53,18 +52,6 @@ def eval_mode(module: Module) -> Iterator[Module]:
                 submodule.training = training
 
 
-def iter_microbatches(data: np.ndarray,
-                      batch_size: Optional[int] = None) -> Iterator[np.ndarray]:
-    """Yield ``data`` in row-chunks of ``batch_size`` (all rows if None)."""
-    if batch_size is None:
-        yield data
-        return
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1: {batch_size}")
-    for start in range(0, data.shape[0], batch_size):
-        yield data[start:start + batch_size]
-
-
 @contextmanager
 def observe_inference(model: str, items: int) -> Iterator[None]:
     """Time a block and emit the inference metrics for ``items`` samples.
@@ -94,33 +81,19 @@ def observe_inference(model: str, items: int) -> Iterator[None]:
 
 
 def batched_forward(module: Module, x: Union[Tensor, np.ndarray],
-                    batch_size: Optional[int] = None,
                     model: Optional[str] = None) -> np.ndarray:
     """Forward ``x`` through ``module`` on the fast path; returns an array.
 
-    Eval mode, no autograd recording, micro-batched over the leading axis,
-    and metered through ``nn.infer.*``.  The per-micro-batch outputs are
-    concatenated, so callers see one array regardless of ``batch_size``.
-    Always eager: captured plans (:mod:`repro.nn.plan`) are switched on in
-    one place, :meth:`EarlyExitNetwork.enable_plans
+    Eval mode, no autograd recording, one forward of the whole batch, and
+    metered through ``nn.infer.*``.  Always eager: captured plans
+    (:mod:`repro.nn.plan`) are switched on in one place,
+    :meth:`EarlyExitNetwork.enable_plans
     <repro.nn.models.earlyexit.EarlyExitNetwork.enable_plans>`; a caller
     that wants them for a bare module runs a
     :class:`~repro.nn.plan.PlanCache` itself.
     """
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
     label = model or type(module).__name__
-    outputs = []
     with observe_inference(label, int(data.shape[0])):
         with eval_mode(module), no_grad():
-            if data.shape[0] == 0:
-                # A zero-row batch yields no micro-batches, and
-                # ``np.concatenate([])`` raises; one forward of the empty
-                # batch lets the module itself report the output shape
-                # (a gateway draining an empty coalescing window hits
-                # this path).
-                return module(Tensor(data)).data
-            for chunk in iter_microbatches(data, batch_size):
-                outputs.append(module(Tensor(chunk)).data)
-    if len(outputs) == 1:
-        return outputs[0]
-    return np.concatenate(outputs, axis=0)
+            return module(Tensor(data)).data

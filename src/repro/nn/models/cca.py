@@ -16,6 +16,10 @@ from repro.nn.dtypes import ensure_float
 from scipy import linalg
 
 
+#: ridge term added to each view's covariance
+RIDGE = 1e-6
+
+
 class CCA:
     """Linear canonical correlation analysis.
 
@@ -23,17 +27,15 @@ class CCA:
     ----------
     n_components:
         Number of canonical pairs to keep.
-    regularization:
-        Ridge term added to each view's covariance for numerical stability.
+
+    Each view's covariance carries a ridge of :data:`RIDGE` for numerical
+    stability.
     """
 
-    def __init__(self, n_components: int = 2, regularization: float = 1e-6):
+    def __init__(self, n_components: int = 2):
         if n_components < 1:
             raise ValueError(f"n_components must be >= 1: {n_components}")
-        if regularization < 0:
-            raise ValueError(f"regularization must be >= 0: {regularization}")
         self.n_components = n_components
-        self.regularization = regularization
         self.weights_x: Optional[np.ndarray] = None
         self.weights_y: Optional[np.ndarray] = None
         self.mean_x: Optional[np.ndarray] = None
@@ -53,8 +55,8 @@ class CCA:
         self.mean_y = y.mean(axis=0)
         xc = x - self.mean_x
         yc = y - self.mean_y
-        cxx = xc.T @ xc / (n - 1) + self.regularization * np.eye(p)
-        cyy = yc.T @ yc / (n - 1) + self.regularization * np.eye(q)
+        cxx = xc.T @ xc / (n - 1) + RIDGE * np.eye(p)
+        cyy = yc.T @ yc / (n - 1) + RIDGE * np.eye(q)
         cxy = xc.T @ yc / (n - 1)
         # Whitened cross-covariance SVD formulation.
         cxx_inv_sqrt = _inv_sqrt(cxx)

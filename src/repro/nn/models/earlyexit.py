@@ -19,14 +19,14 @@ Two confidence signals from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.dtypes import ensure_float
-from repro.nn.inference import eval_mode, iter_microbatches, observe_inference
+from repro.nn.inference import eval_mode, observe_inference
 from repro.nn.tensor import Tensor
 
 ConfidenceFn = Callable[[np.ndarray], np.ndarray]
@@ -87,27 +87,6 @@ class BatchExitDecisions:
         if len(self) == 0:
             return 0.0
         return float(self.local_mask.mean())
-
-    @staticmethod
-    def concatenate(chunks: "List[BatchExitDecisions]") -> "BatchExitDecisions":
-        """Stitch per-micro-batch results into one batch-wide result."""
-        if not chunks:
-            raise ValueError("cannot concatenate zero chunks")
-        if len(chunks) == 1:
-            return chunks[0]
-        offsets = np.cumsum([0] + [len(c) for c in chunks[:-1]])
-        remote_logits = [c.remote_logits for c in chunks
-                         if c.remote_logits is not None and len(c.remote_rows)]
-        return BatchExitDecisions(
-            predictions=np.concatenate([c.predictions for c in chunks]),
-            exit_index=np.concatenate([c.exit_index for c in chunks]),
-            confidence=np.concatenate([c.confidence for c in chunks]),
-            local_logits=np.concatenate([c.local_logits for c in chunks]),
-            remote_logits=(np.concatenate(remote_logits)
-                           if remote_logits else None),
-            remote_rows=np.concatenate(
-                [c.remote_rows + offset
-                 for c, offset in zip(chunks, offsets)]).astype(int))
 
 
 class EarlyExitNetwork(nn.Module):
@@ -202,9 +181,9 @@ class EarlyExitNetwork(nn.Module):
                 + (1.0 - local_weight) * F.cross_entropy(remote_logits, targets))
 
     # -- inference --------------------------------------------------------------
-    def _infer_chunk(self, chunk: np.ndarray, threshold: float,
-                     confidence: ConfidenceFn) -> BatchExitDecisions:
-        """Early-exit one micro-batch with boolean masks end to end.
+    def _infer_rows(self, rows: np.ndarray, threshold: float,
+                    confidence: ConfidenceFn) -> BatchExitDecisions:
+        """Early-exit one batch with boolean masks end to end.
 
         Under plans a stage's output lives in that plan's arena, so what
         outlives the stage's next call is kept (the logits) or gathered
@@ -212,7 +191,7 @@ class EarlyExitNetwork(nn.Module):
         batch-innermost layout).  A plan reads its input in place, so
         handing one stage's arena view to the next moves no bytes.
         """
-        feats = self._run_stage("local_stage", chunk)
+        feats = self._run_stage("local_stage", rows)
         local_logits = self._run_stage("local_head", feats, keep=True)
         conf = confidence(local_logits)
         needs_remote = conf < threshold
@@ -241,13 +220,12 @@ class EarlyExitNetwork(nn.Module):
             remote_rows=remote_rows)
 
     def infer_batch(self, x: Tensor, threshold: float,
-                    confidence: ConfidenceFn = score_confidence,
-                    batch_size: Optional[int] = None) -> BatchExitDecisions:
+                    confidence: ConfidenceFn = score_confidence
+                    ) -> BatchExitDecisions:
         """Batched early-exit inference on the fast path.
 
-        Runs in eval mode with autograd off, processes the input in
-        micro-batches of ``batch_size`` rows (all at once if None), and
-        emits ``nn.infer.*`` metrics.  Samples whose exit-1 confidence is
+        Runs the whole batch in eval mode with autograd off and emits
+        ``nn.infer.*`` metrics.  Samples whose exit-1 confidence is
         >= ``threshold`` resolve locally; the rest are refined remotely.
 
         After :meth:`enable_plans` every stage replays a captured plan
@@ -258,11 +236,4 @@ class EarlyExitNetwork(nn.Module):
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         with observe_inference(type(self).__name__, int(data.shape[0])):
             with eval_mode(self), nn.no_grad():
-                if data.shape[0] == 0:
-                    # Zero rows yield zero micro-batches; run the empty
-                    # batch through one chunk so the result still carries
-                    # correctly-shaped (0, C) columns.
-                    return self._infer_chunk(data, threshold, confidence)
-                chunks = [self._infer_chunk(chunk, threshold, confidence)
-                          for chunk in iter_microbatches(data, batch_size)]
-        return BatchExitDecisions.concatenate(chunks)
+                return self._infer_rows(data, threshold, confidence)

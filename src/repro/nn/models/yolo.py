@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.runtime import get_runtime
 from repro.runtime.rng import resolve_rng
 
 from repro import nn
@@ -101,19 +102,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
 
 
+#: the detectors' output grid: GRID x GRID cells, one box each
+GRID = 4
+
+
 class YoloDetector(nn.Module):
     """One-box-per-cell grid detector.
 
     The trunk is a stride-2 conv stack taking ``image_size`` down to
-    ``grid``; the head is a 1x1 conv producing ``5 + num_classes`` channels:
-    (tx, ty, tw, th, objectness, class logits).
+    :data:`GRID`; the head is a 1x1 conv producing ``5 + num_classes``
+    channels: (tx, ty, tw, th, objectness, class logits).  Weights draw
+    from the installed runtime's ``nn.models.yolo.detector`` stream.
     """
 
-    def __init__(self, in_channels: int, image_size: int, num_classes: int,
-                 grid: int = 4, widths: Sequence[int] = (8, 16, 16),
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, in_channels: int, image_size: int, num_classes: int):
         super().__init__()
-        rng = resolve_rng(rng, "nn.models.yolo.detector")
+        self._build(in_channels, image_size, num_classes, (8, 16, 16),
+                    get_runtime().rng.np_child("nn.models.yolo.detector"))
+
+    def _build(self, in_channels: int, image_size: int, num_classes: int,
+               widths: Sequence[int], rng: np.random.Generator) -> None:
+        grid = GRID
         stages = 0
         size = image_size
         while size > grid:
@@ -147,10 +156,10 @@ class YoloDetector(nn.Module):
         """Raw predictions, shape (N, 5 + C, S, S)."""
         return self.head(self.trunk(x))
 
-    def decode(self, raw: np.ndarray, score_threshold: float = 0.5
-               ) -> List[List[Detection]]:
-        """Raw output (N, 5+C, S, S) -> per-image NMS-filtered detections."""
-        return decode_predictions(raw, score_threshold)
+    def decode(self, raw: np.ndarray) -> List[List[Detection]]:
+        """Raw output (N, 5+C, S, S) -> per-image NMS-filtered detections
+        scoring 0.5 or more."""
+        return decode_predictions(raw)
 
     def estimate_flops(self, input_shape: Tuple[int, ...]):
         from repro.nn.flops import estimate_flops
@@ -164,8 +173,9 @@ class TinyYolo(YoloDetector):
 
     def __init__(self, in_channels: int, image_size: int, num_classes: int,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__(in_channels, image_size, num_classes,
-                         widths=(4, 8, 8), rng=rng)
+        nn.Module.__init__(self)
+        self._build(in_channels, image_size, num_classes, (4, 8, 8),
+                    resolve_rng(rng, "nn.models.yolo.detector"))
 
 
 def cell_scores(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -320,12 +330,16 @@ class EarlyExitDetector(EarlyExitNetwork):
     :meth:`detections` decodes the answering exit's grid of every row.
     """
 
+    #: channels of the stem feature map that escalated rows ship upstream
+    stem_width = 8
+
     def __init__(self, in_channels: int, image_size: int, num_classes: int,
-                 grid: int = 4, stem_width: int = 8,
+                 grid: int = 4,
                  rng: Optional[np.random.Generator] = None):
         rng = resolve_rng(rng, "nn.models.yolo.earlyexit")
         if image_size % 2:
             raise ValueError("image_size must be even")
+        stem_width = self.stem_width
         stem = nn.Sequential(
             nn.Conv2d(in_channels, stem_width, 3, stride=2, padding=1, rng=rng),
             nn.BatchNorm2d(stem_width),
@@ -345,13 +359,13 @@ class EarlyExitDetector(EarlyExitNetwork):
         self.num_classes = num_classes
         self.image_size = image_size
         self.in_channels = in_channels
-        self.stem_width = stem_width
 
-    def joint_loss(self, x: Tensor, batch_boxes, loss_fn: "YoloLoss",
-                   local_weight: float = 0.5) -> Tensor:
+    def joint_loss(self, x: Tensor, batch_boxes,
+                   loss_fn: "YoloLoss") -> Tensor:
+        """Both exits' detection losses, weighted equally."""
         local, remote = self.forward(x)
-        return (local_weight * loss_fn(local, batch_boxes)
-                + (1 - local_weight) * loss_fn(remote, batch_boxes))
+        return (0.5 * loss_fn(local, batch_boxes)
+                + 0.5 * loss_fn(remote, batch_boxes))
 
     def feature_map_bytes(self) -> int:
         """Per-image bytes of the stem feature map shipped upstream (fp32)."""

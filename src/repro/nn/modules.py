@@ -159,20 +159,17 @@ class Identity(Module):
 class Linear(Module):
     """Fully-connected layer: y = x @ W.T + b."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
+    def __init__(self, in_features: int, out_features: int,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = resolve_rng(rng, "nn.modules.linear")
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng))
-        self.bias = Parameter(init.zeros((out_features,))) if bias else None
+        self.bias = Parameter(init.zeros((out_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight.T + self.bias
 
 
 class Conv2d(Module):
@@ -201,7 +198,7 @@ class BatchNorm2d(Module):
     """Batch normalization over the channel axis of (N, C, H, W)."""
 
     #: running-statistics update rate, and the variance floor
-    momentum = 0.1
+    running_rate = 0.1
     eps = 1e-5
 
     def __init__(self, num_features: int):
@@ -219,11 +216,11 @@ class BatchNorm2d(Module):
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)
             self._buffer_running_mean = (
-                (1 - self.momentum) * self._buffer_running_mean
-                + self.momentum * mean.data.reshape(-1))
+                (1 - self.running_rate) * self._buffer_running_mean
+                + self.running_rate * mean.data.reshape(-1))
             self._buffer_running_var = (
-                (1 - self.momentum) * self._buffer_running_var
-                + self.momentum * var.data.reshape(-1))
+                (1 - self.running_rate) * self._buffer_running_var
+                + self.running_rate * var.data.reshape(-1))
         else:
             mean = Tensor(self._buffer_running_mean.reshape(view))
             var = Tensor(self._buffer_running_var.reshape(view))
@@ -263,13 +260,14 @@ class Flatten(Module):
 
 
 class MaxPool2d(Module):
-    def __init__(self, kernel_size: int = 2, stride: Optional[int] = None):
+    """Max pooling over non-overlapping ``kernel_size`` windows."""
+
+    def __init__(self, kernel_size: int = 2):
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
+        return F.max_pool2d(x, self.kernel_size)
 
 
 class GlobalAvgPool2d(Module):
@@ -332,39 +330,28 @@ class LSTMCell(Module):
 
 
 class LSTM(Module):
-    """Multi-layer LSTM over (N, T, F) sequences.
+    """One-layer LSTM over (N, T, F) sequences.
 
-    Returns the full hidden sequence of the top layer, shape (N, T, H).
-    This is the RNN module family of Sec. III-B.
+    Returns the full hidden sequence, shape (N, T, H).  This is the RNN
+    module family of Sec. III-B.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
+    def __init__(self, input_size: int, hidden_size: int,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
-        if num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1: {num_layers}")
         rng = resolve_rng(rng, "nn.modules.lstm")
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self.cells = []
-        for layer in range(num_layers):
-            cell = LSTMCell(input_size if layer == 0 else hidden_size,
-                            hidden_size, rng=rng)
-            setattr(self, f"cell{layer}", cell)
-            self.cells.append(cell)
+        self.cell0 = LSTMCell(input_size, hidden_size, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         batch, steps, _ = x.shape
-        layer_input = [x[:, t, :] for t in range(steps)]
-        for cell in self.cells:
-            h, c = cell.initial_state(batch)
-            outputs = []
-            for step_input in layer_input:
-                h, c = cell(step_input, (h, c))
-                outputs.append(h)
-            layer_input = outputs
-        return stack(layer_input, axis=1)
+        h, c = self.cell0.initial_state(batch)
+        outputs = []
+        for t in range(steps):
+            h, c = self.cell0(x[:, t, :], (h, c))
+            outputs.append(h)
+        return stack(outputs, axis=1)
 
     def last_hidden(self, x: Tensor) -> Tensor:
         """Convenience: hidden state at the final time step, shape (N, H)."""

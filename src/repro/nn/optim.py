@@ -54,33 +54,16 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
+    """Plain stochastic gradient descent: ``param -= lr * grad``."""
 
-    def __init__(self, parameters: Sequence[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
+    def __init__(self, parameters: Sequence[Tensor], lr: float = 0.01):
         super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1): {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
         self._record_step()
         for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(param)] = velocity
-                grad = velocity
-            param.data -= self.lr * grad
+            if param.grad is not None:
+                param.data -= self.lr * param.grad
 
 
 #: Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)

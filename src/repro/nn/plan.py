@@ -23,9 +23,9 @@ GEMM output, and a bias sum on every forward.  A *plan* removes both:
   result therefore *is* its output slot, nothing transposes between ops,
   and ``Flatten`` is the one op that does.
 - :class:`PlanCache` holds **one plan per (sample shape, dtype)**, the
-  largest it has been asked for.  A batch with *fewer* rows (the ragged
-  tail of ``iter_microbatches``, or the variable escalated-row count of
-  an early-exit remote stage) runs as a prefix of that plan: every slot
+  largest it has been asked for.  A batch with *fewer* rows (a gateway
+  batch that closed early, or the variable escalated-row count of an
+  early-exit remote stage) runs as a prefix of that plan: every slot
   is re-viewed over the contiguous *head* of its storage, so the run is
   the same BLAS calls and the same memory walk as a plan captured at
   exactly that row count — a ladder of smaller plans would buy nothing
@@ -170,7 +170,7 @@ class _PlanOp:
     so ``run`` does no indexing, view building or allocation (lint rule
     PERF403 enforces the no-allocation property on every ``run`` and
     ``set_input`` body in this module).  This is how a plan serves
-    *smaller* batches (ragged micro-batch tails, variable escalation
+    *smaller* batches (short gateway batches, variable escalation
     counts) while staying bit-identical to eager: each kernel executes on
     C-contiguous storage with exactly the shapes and strides the eager
     path would see, so BLAS and ufunc reduction orders match —
@@ -329,8 +329,7 @@ class _LinearOp(_PlanOp):
         weight = builder.watch_param(linear, "weight")
         dtype = np.result_type(builder.slots[in_slot].dtype, weight.dtype)
         self._w_t = weight.T
-        self._bias = (builder.watch_param(linear, "bias")
-                      if linear.bias is not None else None)
+        self._bias = builder.watch_param(linear, "bias")
         self.out_slot = builder.new_slot((in_shape[0], linear.out_features), dtype)
         self.reads = (in_slot,)
         self.writes = (self.out_slot,)
@@ -338,8 +337,7 @@ class _LinearOp(_PlanOp):
 
     def run(self):
         np.matmul(self._x, self._w_t, out=self._out)
-        if self._bias is not None:
-            self._out += self._bias
+        self._out += self._bias
 
 
 class _BatchNormOp(_PlanOp):
@@ -427,13 +425,11 @@ class _PoolOp(_PlanOp):
 
     label = "max_pool"
 
-    def __init__(self, builder: _PlanBuilder, kernel: int,
-                 stride: Optional[int], in_slot: int):
+    def __init__(self, builder: _PlanBuilder, kernel: int, in_slot: int):
         n, c, h, w = builder.slots[in_slot].shape
-        stride = kernel if stride is None else stride
-        out_h = _conv_output_size(h, kernel, stride, 0)
-        out_w = _conv_output_size(w, kernel, stride, 0)
-        self.kernel, self.stride = kernel, stride
+        out_h = _conv_output_size(h, kernel, kernel, 0)
+        out_w = _conv_output_size(w, kernel, kernel, 0)
+        self.kernel = kernel
         self.out_slot = builder.new_slot((n, c, out_h, out_w),
                                          builder.slots[in_slot].dtype)
         self.reads = (in_slot,)
@@ -441,7 +437,7 @@ class _PoolOp(_PlanOp):
         builder.flops += float(c * out_h * out_w * kernel * kernel) * n
 
     def set_input(self, x):
-        self._windows = pool_windows(x, self._out, self.kernel, self.stride)
+        self._windows = pool_windows(x, self._out, self.kernel, self.kernel)
 
     def run(self):
         pool_k_major(self._windows, self._out)
@@ -711,7 +707,7 @@ def _build_flatten(builder, module, in_slot):
 @plan_builder(M.MaxPool2d)
 def _build_pool(builder, module, in_slot):
     return _build_simple(builder, _PoolOp(
-        builder, module.kernel_size, module.stride, in_slot))
+        builder, module.kernel_size, in_slot))
 
 
 @plan_builder(M.GlobalAvgPool2d)
@@ -739,7 +735,7 @@ def _register_model_builders():
             shortcut = in_slot
             if module.stride > 1:
                 shortcut = _build_simple(builder, _PoolOp(
-                    builder, module.stride, module.stride, shortcut))
+                    builder, module.stride, shortcut))
             if module.out_channels > module.in_channels:
                 shortcut = _build_simple(builder, _PadChannelsOp(
                     builder, shortcut, module.out_channels))
@@ -897,8 +893,8 @@ class InferencePlan:
 
         ``data`` is read in place — never copied into the arena — and may
         have *fewer* rows than the plan was captured with: every op
-        re-binds to the contiguous head of its buffers, so ragged
-        micro-batches and variable escalation counts reuse the plan's
+        re-binds to the contiguous head of its buffers, so short
+        gateway batches and variable escalation counts reuse the plan's
         arena while each kernel still sees exactly the eager shapes and
         strides (which keeps prefix runs bit-identical to eager; see
         :class:`_PlanOp`).  The one input a plan cannot read in place is
@@ -942,12 +938,12 @@ class InferencePlan:
 
 
 def capture_plan(module: M.Module, example: np.ndarray, *,
-                 validate: bool = True, label: Optional[str] = None) -> InferencePlan:
+                 label: Optional[str] = None) -> InferencePlan:
     """Compile ``module``'s eval-mode forward for ``example``'s geometry.
 
-    With ``validate=True`` (default) the example batch is also run through
-    the eager fast path and compared; a mismatch beyond float tolerance
-    raises :class:`PlanError`.  Validation requires at least one row.
+    The example batch is also run through the eager fast path and
+    compared; a mismatch beyond float tolerance raises :class:`PlanError`.
+    Validation requires at least one row.
     """
     example = np.asarray(example)
     if example.ndim < 1 or example.shape[0] < 1:
@@ -962,23 +958,22 @@ def capture_plan(module: M.Module, example: np.ndarray, *,
         # arena buffer rather than the caller's own array.
         output_slot = _build_simple(builder, _CopyOp(builder, _INPUT))
     plan = InferencePlan(module, builder, output_slot, label)
-    if validate:
-        from repro.nn.inference import eval_mode
-        with eval_mode(module), no_grad():
-            expected = module(Tensor(example)).data
-        got = plan.run(example)
-        if expected.shape != got.shape or expected.dtype != got.dtype:
-            raise PlanError(
-                f"plan '{label}' disagrees with eager forward: "
-                f"{got.shape}/{got.dtype} vs {expected.shape}/{expected.dtype}")
-        tolerance = 1e-5 if plan.dtype == np.float32 else 1e-10
-        error = float(np.max(np.abs(got - expected))) if got.size else 0.0
-        if not error <= tolerance:
-            raise PlanError(
-                f"plan '{label}' numerically diverges from eager forward: "
-                f"max abs error {error:.3e} > {tolerance:.0e}")
-        plan.max_validation_error = error
-        plan.bit_exact = bool(np.array_equal(got, expected))
+    from repro.nn.inference import eval_mode
+    with eval_mode(module), no_grad():
+        expected = module(Tensor(example)).data
+    got = plan.run(example)
+    if expected.shape != got.shape or expected.dtype != got.dtype:
+        raise PlanError(
+            f"plan '{label}' disagrees with eager forward: "
+            f"{got.shape}/{got.dtype} vs {expected.shape}/{expected.dtype}")
+    tolerance = 1e-5 if plan.dtype == np.float32 else 1e-10
+    error = float(np.max(np.abs(got - expected))) if got.size else 0.0
+    if not error <= tolerance:
+        raise PlanError(
+            f"plan '{label}' numerically diverges from eager forward: "
+            f"max abs error {error:.3e} > {tolerance:.0e}")
+    plan.max_validation_error = error
+    plan.bit_exact = bool(np.array_equal(got, expected))
     return plan
 
 

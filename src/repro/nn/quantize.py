@@ -148,10 +148,7 @@ class QuantizedLinear(_QuantizedMixin, Linear):
         return q
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self._fake_quant_input(x) @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return self._fake_quant_input(x) @ self.weight.T + self.bias
 
 
 # -- plan integration --------------------------------------------------------

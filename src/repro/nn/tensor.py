@@ -42,7 +42,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
-                 name: Optional[str] = None, dtype=None):
+                 dtype=None):
         if isinstance(data, Tensor):
             data = data.data
         array = np.asarray(data)
@@ -57,7 +57,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
-        self.name = name
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -111,15 +110,14 @@ class Tensor:
         """Pickle data/grad/flags only: backward closures capture arbitrary
         context (activations, other tensors) and cannot cross a process
         boundary, so a round-trip detaches from the autograd graph while
-        preserving values, dtype, accumulated gradient and name."""
+        preserving values, dtype and accumulated gradient."""
         return {"data": self.data, "grad": self.grad,
-                "requires_grad": self.requires_grad, "name": self.name}
+                "requires_grad": self.requires_grad}
 
     def __setstate__(self, state) -> None:
         self.data = state["data"]
         self.grad = state["grad"]
         self.requires_grad = state["requires_grad"]
-        self.name = state["name"]
         self._backward = None
         self._parents = ()
 
@@ -146,15 +144,13 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+    def backward(self) -> None:
+        """Backpropagate from this scalar tensor through the recorded graph."""
         if not self.requires_grad:
             raise ValueError("called backward() on a tensor that does not require grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError(
-                    "backward() without an explicit gradient requires a scalar output")
-            grad = np.ones_like(self.data)
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar output")
+        grad = np.ones_like(self.data)
         # Topological order via iterative DFS.
         topo: List[Tensor] = []
         visited = set()

@@ -250,13 +250,13 @@ class Collection:
     # -- reads ---------------------------------------------------------------------
     def find(self, query: Optional[Dict] = None,
              limit: Optional[int] = None,
-             sort: Optional[str] = None,
-             descending: bool = False) -> List[Dict]:
+             sort: Optional[str] = None) -> List[Dict]:
+        """Copies of the matching documents, ascending on ``sort`` when it
+        is given (documents without the field last)."""
         results = [dict(document) for document in self._matching(query)]
         if sort is not None:
             results.sort(key=lambda d: (_get_path(d, sort) is None,
-                                        _get_path(d, sort)),
-                         reverse=descending)
+                                        _get_path(d, sort)))
         if limit is not None:
             results = results[:limit]
         return results
@@ -268,9 +268,10 @@ class Collection:
     def count(self, query: Optional[Dict] = None) -> int:
         return len(self._matching(query))
 
-    def distinct(self, field: str, query: Optional[Dict] = None) -> List:
+    def distinct(self, field: str) -> List:
+        """Every value of ``field`` across the collection, first seen first."""
         seen = []
-        for document in self._matching(query):
+        for document in self._matching(None):
             value = _get_path(document, field)
             if value not in seen:
                 seen.append(value)

@@ -165,8 +165,9 @@ class BoundGauge:
         series = self._gauge._series
         series[self._key] = series.get(self._key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
+    def dec(self) -> None:
+        """Lower the series by one."""
+        self.inc(-1.0)
 
     def value(self) -> float:
         return self._gauge._series.get(self._key, 0.0)
@@ -219,8 +220,9 @@ class Gauge(_LabeledInstrument):
     def inc(self, amount: float = 1.0, **labels) -> None:
         self.bind(**labels).inc(amount)
 
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
+    def dec(self, **labels) -> None:
+        """Lower the labeled series by one."""
+        self.inc(-1.0, **labels)
 
     def bind(self, **labels) -> BoundGauge:
         """A handle onto one series: labels validated and keyed once."""

@@ -127,7 +127,7 @@ class _Pending:
 
 def split_decisions(decisions: BatchExitDecisions,
                     row_counts: Sequence[int]) -> List[BatchExitDecisions]:
-    """Invert :meth:`BatchExitDecisions.concatenate` along ``row_counts``.
+    """Cut one batch-wide result into consecutive parts of ``row_counts`` rows.
 
     Remote logits follow their rows: each part gets the escalated rows
     that fall inside its slice, re-based to part-local indices.  Every
@@ -137,8 +137,8 @@ def split_decisions(decisions: BatchExitDecisions,
     if bounds[-1] != len(decisions):
         raise ValueError(f"row_counts sum to {bounds[-1]}, "
                          f"decisions hold {len(decisions)} rows")
-    # remote_rows ascends (flatnonzero per chunk, offset in chunk order),
-    # so one searchsorted places every part's escalated range.
+    # remote_rows ascends (it is a flatnonzero over the batch), so one
+    # searchsorted places every part's escalated range.
     cuts = (np.searchsorted(decisions.remote_rows, bounds).tolist()
             if decisions.remote_logits is not None else [0] * len(bounds))
     parts = []

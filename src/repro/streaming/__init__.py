@@ -8,7 +8,7 @@
   transactional batches and at-least-once delivery (the Apache Flume role).
 - :mod:`repro.streaming.broker` — the Kafka-class pub/sub backbone:
   partitioned topics, consumer groups with committed offsets and
-  rebalancing, retention/compaction, backpressure, zero-copy handoff.
+  rebalancing, size retention, backpressure, zero-copy handoff.
 """
 
 from repro.streaming.rdbms import RelationalDatabase, Table, RDBMSError

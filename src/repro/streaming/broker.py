@@ -18,11 +18,9 @@ lists:
   fetch positions to the committed offsets so in-flight uncommitted reads
   are redelivered to the new owners.  Commits from a member holding a
   stale generation are fenced with :class:`RebalanceError`.
-- **Retention and compaction.**  Per-topic limits on retained records and
-  record age (measured on the runtime sim clock when one is bound), plus
-  log compaction for keyed topics: only the latest record per key
-  survives, ``value=None`` is a deletion tombstone, and offsets are
-  preserved so committed positions stay valid over a compacted log.
+- **Size retention.**  A per-topic limit on the records each partition
+  retains; eviction trims the head, and offsets are preserved so
+  committed positions stay valid over a trimmed log.
 - **Backpressure.**  A topic may bound its partitions; ``produce`` against
   a full partition first evicts records already committed by every
   consumer group, then applies the configured policy — ``"block"`` raises
@@ -74,7 +72,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -289,12 +286,10 @@ class RecordBatch:
 
 @dataclass(frozen=True)
 class TopicConfig:
-    """Per-topic retention, compaction, backpressure and transport knobs."""
+    """Per-topic retention, backpressure and transport knobs."""
 
     partitions: int = 4
     retention_max_records: Optional[int] = None
-    retention_max_age_s: Optional[float] = None
-    compact: bool = False
     max_partition_records: Optional[int] = None
     backpressure: str = "block"
     share_ndarrays: bool = False
@@ -310,19 +305,15 @@ class TopicConfig:
             bound = getattr(self, name)
             if bound is not None and bound < 1:
                 raise BrokerError(f"{name} must be >= 1: {bound}")
-        if self.retention_max_age_s is not None \
-                and self.retention_max_age_s < 0:
-            raise BrokerError(
-                f"retention_max_age_s must be >= 0: {self.retention_max_age_s}")
 
 
 class _Partition:
     """One partition's retained log, stored as parallel columns.
 
     ``offsets``/``keys``/``values``/``timestamps`` are parallel lists
-    ordered by offset but possibly *sparse* after retention or
-    compaction; absolute offsets are preserved so group positions stay
-    meaningful.  ``end_offset`` is the next offset to assign, and
+    ordered by offset, starting past whatever retention trimmed; absolute
+    offsets are preserved so group positions stay meaningful.
+    ``end_offset`` is the next offset to assign, and
     ``base_offset`` the earliest retained offset (== ``end_offset`` when
     empty).  Columnar storage is what makes the batch fast path work:
     appends and fetches are bulk list operations, and ``index_for`` is a
@@ -356,12 +347,6 @@ class _Partition:
         del self.keys[:count]
         del self.values[:count]
         del self.timestamps[:count]
-
-    def keep_rows(self, rows: Sequence[int]) -> None:
-        self.offsets = [self.offsets[i] for i in rows]
-        self.keys = [self.keys[i] for i in rows]
-        self.values = [self.values[i] for i in rows]
-        self.timestamps = [self.timestamps[i] for i in rows]
 
 
 def _take(column: List[Any], rows: Union[slice, List[int]]) -> List[Any]:
@@ -499,13 +484,6 @@ class Broker:
         self._group_telemetry_cache: Dict[Tuple[str, str],
                                           _GroupTelemetry] = {}
 
-    # -- clock ---------------------------------------------------------------
-    def _age_now(self) -> float:
-        """The retention clock's *current* reading (no tick consumed)."""
-        if self.runtime.clock_kind == "sim":
-            return self.runtime.now()
-        return float(self._ticks)
-
     # -- bound telemetry -----------------------------------------------------
     def _group_telemetry(self, group: str, topic: str) -> _GroupTelemetry:
         key = (group, topic)
@@ -518,8 +496,6 @@ class Broker:
     # -- topics -----------------------------------------------------------------
     def create_topic(self, name: str, partitions: int = 4, *,
                      retention_max_records: Optional[int] = None,
-                     retention_max_age_s: Optional[float] = None,
-                     compact: bool = False,
                      max_partition_records: Optional[int] = None,
                      backpressure: str = "block",
                      share_ndarrays: bool = False) -> None:
@@ -528,8 +504,6 @@ class Broker:
         config = TopicConfig(
             partitions=partitions,
             retention_max_records=retention_max_records,
-            retention_max_age_s=retention_max_age_s,
-            compact=compact,
             max_partition_records=max_partition_records,
             backpressure=backpressure,
             share_ndarrays=share_ndarrays)
@@ -681,7 +655,6 @@ class Broker:
             part = t.partitions[partition]
             if len(part) + count > bound:
                 self._evict_consumed_head(t, partition)
-                self._evict_aged(t, partition)
             free[partition] = bound - len(part)
         if all(count <= free[partition] for partition, count in needed.items()):
             return None
@@ -704,9 +677,9 @@ class Broker:
                 message + "; retry after consumers commit")
         raise BackpressureError(message)
 
-    # -- retention / compaction ---------------------------------------------------
+    # -- retention -----------------------------------------------------------------
     def run_retention(self, topic: Optional[str] = None) -> int:
-        """Apply age/size retention (and compaction) now; returns evictions."""
+        """Apply size retention now; returns evictions."""
         names = [topic] if topic is not None else self.topic_names()
         evicted = 0
         for name in names:
@@ -714,20 +687,9 @@ class Broker:
             with self.runtime.tracer.span("streaming.broker.retention",
                                           topic=name):
                 before = self.topic_size(name)
-                for partition in range(len(t.partitions)):
-                    self._evict_aged(t, partition)
                 self._apply_size_retention(t)
-                if t.config.compact:
-                    self._compact(t)
                 evicted += before - self.topic_size(name)
         return evicted
-
-    def compact(self, topic: str) -> int:
-        """Force log compaction of a keyed topic; returns removed records."""
-        t = self._topic(topic)
-        with self.runtime.tracer.span("streaming.broker.compaction",
-                                      topic=topic):
-            return self._compact(t)
 
     def _apply_size_retention(self, t: _Topic) -> None:
         bound = t.config.retention_max_records
@@ -736,18 +698,6 @@ class Broker:
         for part in t.partitions:
             if len(part) > bound:
                 self._truncate_head(part, len(part) - bound)
-
-    def _evict_aged(self, t: _Topic, partition: int) -> None:
-        max_age = t.config.retention_max_age_s
-        if max_age is None:
-            return
-        part = t.partitions[partition]
-        horizon = self._age_now() - max_age
-        # Timestamps are nondecreasing within a partition, so the age cut
-        # is a bisect over the timestamp column.
-        cut = bisect_left(part.timestamps, horizon)
-        if cut:
-            self._truncate_head(part, cut)
 
     def _evict_consumed_head(self, t: _Topic, partition: int) -> None:
         """Trim records already committed by every group that consumes here."""
@@ -767,36 +717,6 @@ class Broker:
             for offset in part.offsets[:count]:
                 self._release(part, offset)
         part.truncate_head(count)
-
-    def _compact(self, t: _Topic) -> int:
-        """Keep only the latest record per key; tombstones delete the key."""
-        removed = 0
-        for part in t.partitions:
-            keys = part.keys
-            latest: Dict[str, int] = {}
-            deleted: Set[str] = set()
-            for index, key in enumerate(keys):
-                if key is None:
-                    continue
-                latest[key] = index
-                if part.values[index] is None:
-                    deleted.add(key)
-                else:
-                    deleted.discard(key)
-            survivors = [index for index, key in enumerate(keys)
-                         if key is None
-                         or (latest[key] == index and key not in deleted)]
-            dropped = len(keys) - len(survivors)
-            if not dropped:
-                continue
-            if part.shm:
-                kept = {part.offsets[index] for index in survivors}
-                for offset in list(part.shm):
-                    if offset not in kept:
-                        self._release(part, offset)
-            part.keep_rows(survivors)
-            removed += dropped
-        return removed
 
     # -- zero-copy payload transport -----------------------------------------------
     def _store_value(self, part: _Partition, offset: int,

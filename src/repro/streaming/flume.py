@@ -240,16 +240,13 @@ class FlumeAgent:
         Buffering channel; defaults to capacity 1000.
     batch_size:
         Events per sink delivery.
-    name:
-        Label under which this agent's counters appear in the registry;
-        auto-generated (``flume-agent-N``) when omitted.
 
-    Counters and spans land in the runtime installed at construction.
+    Counters and spans land in the runtime installed at construction,
+    labeled with the agent's generated name (``flume-agent-N``).
     """
 
     def __init__(self, source: FunctionSource, sink: Callable[[List[Any]], None],
-                 channel: Optional[Channel] = None, batch_size: int = 10,
-                 name: Optional[str] = None):
+                 channel: Optional[Channel] = None, batch_size: int = 10):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
         self.source = source
@@ -257,7 +254,7 @@ class FlumeAgent:
         self.channel = channel if channel is not None else Channel()
         self.batch_size = batch_size
         self.runtime = get_runtime()
-        self.name = name or self.runtime.gensym("flume-agent")
+        self.name = self.runtime.gensym("flume-agent")
         self._source_exhausted = False
         # Bound handles: this agent's label set is resolved once, and every
         # write lands in the series the labeled call would have hit.
@@ -387,10 +384,8 @@ def collection_sink(collection) -> Callable[[List[Any]], None]:
     return collection.insert_many
 
 
-def broker_sink(broker, topic: str,
-                key_fn: Optional[Callable[[Any], Optional[str]]] = None
-                ) -> Callable[[List[Any]], None]:
-    """Sink producing each batch atomically onto a broker topic.
+def broker_sink(broker, topic: str) -> Callable[[List[Any]], None]:
+    """Sink producing each batch atomically, unkeyed, onto a broker topic.
 
     The whole batch is admitted or none of it
     (:meth:`~repro.streaming.broker.Broker.produce_batch`), so a
@@ -403,7 +398,7 @@ def broker_sink(broker, topic: str,
 
     def sink(events: List[Any]) -> None:
         try:
-            broker.produce_batch(topic, events, key_fn=key_fn)
+            broker.produce_batch(topic, events)
         except BackpressureStall as stall:
             raise SinkError(f"broker backpressure on {topic}: {stall}") \
                 from stall

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dfs import DistributedFileSystem
 from repro.runtime import get_runtime
@@ -62,10 +62,8 @@ class SqoopImporter:
     imports never collide.
     """
 
-    def __init__(self, database: RelationalDatabase,
-                 dfs: Optional[DistributedFileSystem] = None):
+    def __init__(self, database: RelationalDatabase):
         self.database = database
-        self.dfs = dfs
         self.runtime = get_runtime()
         self.broker = Broker()
 
@@ -104,11 +102,9 @@ class SqoopImporter:
             consumer.close()
         return grouped
 
-    def import_table(self, table_name: str, target_dir: str,
-                     num_mappers: int = 4) -> ImportReport:
-        """Table -> DFS directory of ``part-mNNNNN`` CSV files."""
-        if self.dfs is None:
-            raise ValueError("this importer was built without a DFS")
+    def import_table(self, dfs: DistributedFileSystem, table_name: str,
+                     target_dir: str, num_mappers: int = 4) -> ImportReport:
+        """Table -> ``dfs`` directory of ``part-mNNNNN`` CSV files."""
         table = self.database.table(table_name)
         with self.runtime.tracer.span("streaming.sqoop.import", table=table_name,
                                       target="dfs"):
@@ -119,7 +115,7 @@ class SqoopImporter:
             for key in sorted(grouped):
                 split = grouped[key]
                 path = f"{target_dir}/part-{key}"
-                self.dfs.create(path, _rows_to_csv(table.columns, split))
+                dfs.create(path, _rows_to_csv(table.columns, split))
                 files.append(path)
                 rows += len(split)
         return ImportReport(table=table_name, rows=rows,

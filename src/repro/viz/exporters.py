@@ -30,21 +30,19 @@ def registry_to_json(source, path: Optional[str] = None) -> str:
     return text
 
 
-def points_to_geojson(points: Sequence[Dict],
-                      properties: Optional[Sequence[str]] = None) -> str:
+def points_to_geojson(points: Sequence[Dict]) -> str:
     """Dict records with ``lon`` / ``lat`` coordinates -> a GeoJSON
-    FeatureCollection string."""
+    FeatureCollection string; every other field becomes a property."""
     features = []
     for point in points:
         if "lon" not in point or "lat" not in point:
             raise KeyError(f"record missing lon/lat: {point}")
-        keep = properties if properties is not None else [
-            k for k in point if k not in ("lon", "lat")]
         features.append({
             "type": "Feature",
             "geometry": {"type": "Point",
                          "coordinates": [point["lon"], point["lat"]]},
-            "properties": {k: point[k] for k in keep if k in point},
+            "properties": {k: v for k, v in point.items()
+                           if k not in ("lon", "lat")},
         })
     return json.dumps({"type": "FeatureCollection", "features": features})
 

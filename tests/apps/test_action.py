@@ -6,6 +6,7 @@ import pytest
 from repro.apps.action import ActionEarlyExitModel, ActionRecognitionApp
 from repro.fog.policies import EntropyThresholdPolicy, run_policy_batched
 from repro.nosql import Collection
+from repro.nn.models.resnet import ResNetBlock
 from repro.nn.tensor import Tensor
 from repro.runtime import Runtime, using_runtime
 
@@ -31,24 +32,32 @@ class TestModelShape:
         assert remote.shape == (3, 5)
 
     def test_block1_feature_maps(self):
-        model = ActionEarlyExitModel(image_size=16, num_classes=5,
-                                     block1_channels=4)
+        model = ActionEarlyExitModel(image_size=16, num_classes=5)
+        assert model.block1_channels == 4
         clips = Tensor(np.zeros((2, 3, 1, 16, 16)))
         features = model.local_stage(clips)
         assert features.shape == (2, 3, 4, 8, 8)
 
     def test_feature_map_bytes_formula(self):
-        model = ActionEarlyExitModel(image_size=16, block1_channels=4)
+        model = ActionEarlyExitModel(image_size=16)
         assert model.feature_map_bytes(frames=6) == 6 * 4 * 8 * 8 * 4
         assert model.raw_clip_bytes(frames=6) == 6 * 16 * 16
 
     def test_shortcut_ablation_constructible(self):
+        # both arms of the Fig. 8 shortcut ablation build at block 1's
+        # geometry; the model itself takes the conv arm
+        width = ActionEarlyExitModel.block1_channels
+        frames = Tensor(np.zeros((3, 1, 16, 16)))
         for shortcut in ("conv", "maxpool"):
-            ActionEarlyExitModel(image_size=16, shortcut=shortcut)
+            block = ResNetBlock(1, width, stride=2, shortcut=shortcut)
+            assert block(frames).shape == (3, width, 8, 8)
 
     def test_conv_shortcut_has_more_parameters(self):
-        conv = ActionEarlyExitModel(image_size=16, shortcut="conv")
-        pool = ActionEarlyExitModel(image_size=16, shortcut="maxpool")
+        # block 1's projection shortcut costs parameters a max-pool
+        # shortcut would not
+        width = ActionEarlyExitModel.block1_channels
+        conv = ResNetBlock(1, width, stride=2, shortcut="conv")
+        pool = ResNetBlock(1, width, stride=2, shortcut="maxpool")
         assert conv.num_parameters() > pool.num_parameters()
 
 

@@ -73,7 +73,12 @@ class TestStakeout:
         assert ranked[1] == ("cam-b", 1)
 
     def test_top_limits_results(self):
-        assert len(searchable().cameras_to_stake_out("Ford", top=1)) == 1
+        search = searchable()
+        for camera in ("cam-d", "cam-e", "cam-f"):
+            search.index_sighting(camera, 20.0, "2014 Ford Sedan", 0.9)
+        # five cameras saw the car; the three with most sightings are kept
+        assert search.cameras_to_stake_out("Ford") == [
+            ("cam-a", 2), ("cam-b", 1), ("cam-d", 1)]
 
 
 class TestPipelineIntegration:

@@ -12,6 +12,7 @@ from repro.apps.drl import (
     random_policy,
     static_policy,
 )
+from repro.apps.drl.dqn import REPLAY_CAPACITY, TARGET_SYNC_EVERY
 from repro.apps.fusion import GunshotEventGenerator, GunshotFusionApp
 
 
@@ -28,15 +29,21 @@ class TestGunshotGenerator:
         assert labels.sum() == 10  # one class in three is a gunshot
 
     def test_confuser_structure(self):
-        generator = GunshotEventGenerator(seed=0, noise=0.0)
-        gun_audio, gun_video = generator.sample(0)
-        fw_audio, fw_video = generator.sample(1)
-        bf_audio, bf_video = generator.sample(2)
-        # fireworks share the flash, backfire shares the impulse
-        np.testing.assert_allclose(gun_video, fw_video)
-        np.testing.assert_allclose(gun_audio, bf_audio)
-        assert not np.allclose(gun_audio, fw_audio)
-        assert not np.allclose(gun_video, bf_video)
+        # Per-class means over many noisy samples recover the prototypes:
+        # fireworks share the flash, backfire shares the impulse.
+        generator = GunshotEventGenerator(seed=0)
+
+        def mean_sample(label):
+            audio, video = zip(*(generator.sample(label) for _ in range(200)))
+            return np.mean(audio, axis=0), np.mean(video, axis=0)
+
+        gun_audio, gun_video = mean_sample(0)
+        fw_audio, fw_video = mean_sample(1)
+        bf_audio, bf_video = mean_sample(2)
+        np.testing.assert_allclose(gun_video, fw_video, atol=0.12)
+        np.testing.assert_allclose(gun_audio, bf_audio, atol=0.12)
+        assert not np.allclose(gun_audio, fw_audio, atol=0.12)
+        assert not np.allclose(gun_video, bf_video, atol=0.12)
 
     def test_validates(self):
         with pytest.raises(ValueError):
@@ -118,16 +125,19 @@ class TestPTZEnv:
 
     def test_reward_favours_zoomed_visible(self):
         env = PTZCameraEnv(seed=0, incident_speed=0.0)
-        env.reset(incident_at=(0.5, 0.5))
+        env.reset()
+        env.incident = np.array([0.5, 0.5])
         env.zoom = env.MAX_ZOOM
         _, reward_zoomed, _ = env.step(6)
-        env.reset(incident_at=(0.5, 0.5))
+        env.reset()
+        env.incident = np.array([0.5, 0.5])
         _, reward_wide, _ = env.step(6)
         assert reward_zoomed > reward_wide
 
     def test_reward_penalizes_losing_incident(self):
         env = PTZCameraEnv(seed=0, incident_speed=0.0)
-        env.reset(incident_at=(0.95, 0.95))
+        env.reset()
+        env.incident = np.array([0.95, 0.95])
         env.zoom = env.MAX_ZOOM  # tiny fov at center: incident lost
         _, reward, _ = env.step(6)
         assert reward == -0.2
@@ -145,7 +155,7 @@ class TestPTZEnv:
 
 class TestReplayBuffer:
     def test_push_and_sample(self):
-        buffer = ReplayBuffer(capacity=10, seed=0)
+        buffer = ReplayBuffer(seed=0)
         for i in range(10):
             buffer.push(np.zeros(3), i % 2, float(i), np.ones(3), False)
         states, actions, rewards, next_states, dones = buffer.sample(4)
@@ -153,17 +163,17 @@ class TestReplayBuffer:
         assert len(actions) == 4
 
     def test_capacity_evicts_oldest(self):
-        buffer = ReplayBuffer(capacity=3, seed=0)
-        for i in range(5):
+        buffer = ReplayBuffer(seed=0)
+        for i in range(REPLAY_CAPACITY + 2):
             buffer.push(np.array([i]), 0, 0.0, np.array([i]), False)
-        assert len(buffer) == 3
+        assert len(buffer) == REPLAY_CAPACITY
+        states = buffer.sample(REPLAY_CAPACITY)[0]
+        assert states.min() == 2       # the two oldest went first
 
     def test_sample_validates(self):
         buffer = ReplayBuffer(seed=0)
         with pytest.raises(ValueError):
             buffer.sample(1)
-        with pytest.raises(ValueError):
-            ReplayBuffer(capacity=0)
 
 
 class TestDQN:
@@ -192,7 +202,8 @@ class TestDQN:
         assert changed
 
     def test_target_sync(self):
-        agent = DQNAgent(5, 7, target_sync_every=1, seed=0)
+        agent = DQNAgent(5, 7, seed=0)
+        agent._step = TARGET_SYNC_EVERY - 1   # the next step syncs
         buffer = ReplayBuffer(seed=0)
         rng = np.random.default_rng(0)
         for _ in range(40):
@@ -202,10 +213,6 @@ class TestDQN:
         for q_param, t_param in zip(agent.q.parameters(),
                                     agent.target.parameters()):
             np.testing.assert_allclose(q_param.data, t_param.data)
-
-    def test_validates_gamma(self):
-        with pytest.raises(ValueError):
-            DQNAgent(5, 7, gamma=1.0)
 
     def test_trained_agent_beats_baselines(self):
         env = PTZCameraEnv(episode_length=30, incident_speed=0.01, seed=0)

@@ -24,10 +24,10 @@ class TestHotspotCnn:
             HotspotCnnApp(grid=7)
 
     def test_hot_quadrant_carries_most_mass_in_easy_regime(self):
-        app = HotspotCnnApp(grid=8, seed=0, cluster_points=20,
-                            noise_points=10)
-        day = app.sample_day(0)  # quadrant 0: low x, low y
-        assert day[:4, :4].sum() > day[4:, 4:].sum()
+        # summed over days the background evens out and the cluster shows
+        app = HotspotCnnApp(grid=8, seed=0)
+        days = sum(app.sample_day(0) for _ in range(20))  # low x, low y
+        assert days[:4, :4].sum() > days[4:, 4:].sum()
 
     def test_dataset_balanced(self):
         app = HotspotCnnApp(seed=0)
@@ -83,7 +83,7 @@ class TestSeasonalSeries:
 
 class TestLSTMRegressor:
     def test_output_shape(self):
-        model = LSTMRegressor(hidden_size=6)
+        model = LSTMRegressor()
         out = model(Tensor(np.zeros((4, 7, 1))))
         assert out.shape == (4, 1)
 
@@ -112,8 +112,10 @@ class TestCrimeForecaster:
         assert report["lstm"] < report["moving_average"]
 
     def test_predictions_track_seasonality(self, fitted):
-        series = seasonal_series(60, seed=5, noise=0.0)
+        series = seasonal_series(60, seed=5)
         predictions = fitted.predict(series)
-        targets = windows(series, 7)[1]
-        corr = np.corrcoef(predictions, targets)[0, 1]
+        # the weekly component the series is built on, without its noise
+        t = np.arange(7, 60)
+        seasonal = 12.0 + 5.0 * np.sin(2 * np.pi * t / 7.0)
+        corr = np.corrcoef(predictions, seasonal)[0, 1]
         assert corr > 0.9

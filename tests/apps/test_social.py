@@ -58,11 +58,10 @@ class TestNetworkAnalysis:
 
 class TestTriangulation:
     def build_scenario(self, seed=0):
-        """A small network + tweets where exactly two associates tweeted
+        """The gang network + tweets where exactly two associates tweeted
         incident language near the incident in time and space."""
         network = SocialNetworkAnalysis(
-            GangNetworkGenerator(seed=seed).generate(
-                num_groups=4, total_members=60, mean_first_degree=6))
+            GangNetworkGenerator(seed=seed).generate())
         members = sorted(network.graph.vertices)
         anchor = members[0]
         field = sorted(network.associates(anchor, 2))
@@ -118,8 +117,7 @@ class TestTriangulation:
 
     def test_report_without_hits(self):
         network = SocialNetworkAnalysis(
-            GangNetworkGenerator(seed=9).generate(
-                num_groups=3, total_members=30, mean_first_degree=4))
+            GangNetworkGenerator(seed=9).generate())
         anchor = sorted(network.graph.vertices)[0]
         report = MultimodalTriangulation(network).investigate(
             anchor, (0.5, 0.5), 12.0, tweets=[])

@@ -22,7 +22,7 @@ class TestBasics:
         assert sorted(sc().parallelize(data).collect()) == data
 
     def test_partition_count(self):
-        rdd = sc().parallelize(range(10), num_partitions=3)
+        rdd = sc(3).parallelize(range(10))
         assert rdd.num_partitions == 3
 
     def test_default_parallelism_used(self):
@@ -31,8 +31,6 @@ class TestBasics:
     def test_validates_parallelism(self):
         with pytest.raises(ValueError):
             SparkContext(default_parallelism=0)
-        with pytest.raises(ValueError):
-            sc().parallelize([1], num_partitions=0)
 
     def test_count(self):
         assert sc().parallelize(range(23)).count() == 23
@@ -57,7 +55,7 @@ class TestNarrowTransformations:
         assert sorted(out) == ["a", "b", "c"]
 
     def test_map_partitions(self):
-        rdd = sc().parallelize(range(8), num_partitions=2)
+        rdd = sc(2).parallelize(range(8))
         out = rdd.mapPartitions(lambda it: [sum(it)]).collect()
         assert sum(out) == sum(range(8))
         assert len(out) == 2
@@ -111,7 +109,7 @@ class TestWideTransformations:
             right_operands.append(b)
             return a + b
 
-        out = sc().parallelize([("k", 1)] * 100, 4).reduceByKey(add).collect()
+        out = sc(4).parallelize([("k", 1)] * 100).reduceByKey(add).collect()
         assert out == [("k", 100)]
         assert len(right_operands) == 99
         assert [b for b in right_operands if b != 1] == [25, 25, 25]
@@ -121,16 +119,16 @@ class TestWideTransformations:
         # partition order, and keys come out in first-seen order per bucket
         items = [("a", "0"), ("b", "1"), ("a", "2"), ("a", "3"), ("b", "4"),
                  ("a", "5"), ("a", "6"), (7, "7"), (7, "8"), ("b", "9")]
-        concat = sc().parallelize(items, 2).reduceByKey(lambda a, b: a + b)
+        concat = sc(2).parallelize(items).reduceByKey(lambda a, b: a + b)
         assert concat.collect() == [("a", "02635"), ("b", "419"), (7, "87")]
-        lists = sc().parallelize([(k, [v]) for k, v in items], 3) \
+        lists = sc(3).parallelize([(k, [v]) for k, v in items]) \
             .reduceByKey(lambda a, b: a + b)
         assert lists.collect() == [("b", ["9", "1", "4"]), (7, ["7", "8"]),
                                    ("a", ["0", "3", "6", "2", "5"])]
 
     def test_reduce_by_key_counts_partitions_once(self):
-        context = sc()
-        context.parallelize([("a", 1), ("b", 1)] * 6, 3) \
+        context = sc(3)
+        context.parallelize([("a", 1), ("b", 1)] * 6) \
             .reduceByKey(lambda a, b: a + b).collect()
         assert context.shuffle_count == 1
         # the shuffle reads the three parent partitions once each, and
@@ -138,9 +136,9 @@ class TestWideTransformations:
         assert context.partitions_computed == 3 + 3
 
     def test_distinct_keeps_first_seen_keys(self):
-        mixed = sc().parallelize(["x", 3, "y", 1, 3, "x", 2.0, 1, "z", 2], 3)
+        mixed = sc(3).parallelize(["x", 3, "y", 1, 3, "x", 2.0, 1, "z", 2])
         assert mixed.distinct().collect() == [3, "y", "z", "x", 1, 2.0]
-        equal = sc().parallelize([1, True, 1.0, 2, 2.0], 2).distinct()
+        equal = sc(2).parallelize([1, True, 1.0, 2, 2.0]).distinct()
         assert equal.collect() == [2.0, 1]
 
     def test_group_by_key(self):
@@ -206,7 +204,7 @@ class TestActions:
 
     def test_take(self):
         assert len(sc().parallelize(range(100)).take(5)) == 5
-        assert sc().parallelize(range(5), 2).take(0) == []
+        assert sc(2).parallelize(range(5)).take(0) == []
 
     def test_take_more_than_available(self):
         assert sorted(sc().parallelize([1, 2]).take(10)) == [1, 2]
@@ -235,7 +233,7 @@ class TestCaching:
             calls.append(x)
             return x
 
-        rdd = context.parallelize(range(10), 2).map(traced).cache()
+        rdd = context.parallelize(range(10)).map(traced).cache()
         rdd.collect()
         first_calls = len(calls)
         rdd.collect()
@@ -248,7 +246,7 @@ class TestCaching:
             calls.append(x)
             return x
 
-        rdd = sc(2).parallelize(range(10), 2).map(traced)
+        rdd = sc(2).parallelize(range(10)).map(traced)
         rdd.collect()
         rdd.collect()
         assert len(calls) == 20

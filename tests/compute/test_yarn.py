@@ -5,8 +5,8 @@ import pytest
 from repro.compute import NodeManager, ResourceManager, ResourceRequest, YarnError
 
 
-def cluster(nodes=2, vcores=4, memory=4096, **kwargs):
-    rm = ResourceManager(**kwargs)
+def cluster(nodes=2, vcores=4, memory=4096):
+    rm = ResourceManager()
     for i in range(nodes):
         rm.register_node(NodeManager(f"nm-{i}", vcores=vcores, memory_mb=memory))
     return rm
@@ -71,6 +71,20 @@ class TestFifoScheduling:
         assert len(granted) == 1
         assert granted[0].app_id == "b"
 
+    def test_submit_returns_the_container_granted_to_that_request(self):
+        # A node joining lets the queued 4-vcore request through on the
+        # next submit; the caller must get its own 1-vcore lease back, not
+        # the earlier request's under the same app id.
+        rm = cluster(nodes=1, vcores=4)
+        rm.submit(ResourceRequest("other", vcores=2, memory_mb=10))
+        assert rm.submit(ResourceRequest("app", 4, 1024)) is None
+        rm.register_node(NodeManager("n2", 8, 8192))
+        container = rm.submit(ResourceRequest("app", 1, 256))
+        assert (container.vcores, container.memory_mb) == (1, 256)
+        assert rm.pending_count == 0
+        rm.release(container)
+        assert sorted(c.vcores for c in rm.running_containers) == [2, 4]
+
     def test_double_release_rejected(self):
         rm = cluster()
         container = rm.submit(ResourceRequest("a", 1, 10))
@@ -99,42 +113,3 @@ class TestFifoScheduling:
         rm = cluster()
         with pytest.raises(YarnError):
             rm.register_node(NodeManager("nm-0", 1, 1))
-
-
-class TestCapacityScheduling:
-    def make(self):
-        return cluster(nodes=1, vcores=10, scheduler="capacity",
-                       queue_capacity={"video": 0.7, "social": 0.3})
-
-    def test_requires_queues(self):
-        with pytest.raises(YarnError):
-            ResourceManager(scheduler="capacity")
-
-    def test_unknown_queue_rejected(self):
-        rm = self.make()
-        with pytest.raises(YarnError):
-            rm.submit(ResourceRequest("a", 1, 10, queue="ghost"))
-
-    def test_underserved_queue_prioritized(self):
-        rm = self.make()
-        # Fill with video work, then both queues contend for released space.
-        containers = [rm.submit(ResourceRequest(f"v{i}", 5, 10, queue="video"))
-                      for i in range(2)]
-        rm.submit(ResourceRequest("v-wait", 5, 10, queue="video"))
-        rm.submit(ResourceRequest("s-wait", 5, 10, queue="social"))
-        granted = rm.release(containers[0])
-        # social is at 0 of its 3-vcore guarantee; video is over its 7.
-        assert granted[0].app_id == "s-wait"
-
-    def test_no_head_of_line_blocking(self):
-        # The capacity scheduler skips unplaceable requests instead of
-        # blocking the whole queue behind them.
-        rm = self.make()
-        rm.submit(ResourceRequest("big", 8, 10, queue="video"))
-        rm.submit(ResourceRequest("huge", 8, 10, queue="video"))  # cannot fit now
-        small = rm.submit(ResourceRequest("small", 2, 10, queue="social"))
-        assert small is not None  # granted despite "huge" ahead of it
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(YarnError):
-            ResourceManager(scheduler="lottery")

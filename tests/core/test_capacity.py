@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.capacity import AnnotationProfile, CapacityPlanner
+from repro.core.capacity import (
+    ANNOTATED_FRACTION,
+    BYTES_PER_ANNOTATION,
+    CapacityPlanner,
+)
 from repro.data import Camera, CameraRegistry, build_dotd_registry
 
 
@@ -11,14 +15,6 @@ def small_registry(fps=10, cameras=4):
         Camera(f"c{i}", "X", "I-0", 0.0, 0.0, fps, 100, 100)
         for i in range(cameras)
     ])
-
-
-class TestAnnotationProfile:
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            AnnotationProfile(annotated_fraction=1.5)
-        with pytest.raises(ValueError):
-            AnnotationProfile(bytes_per_annotation=0)
 
 
 class TestRawTier:
@@ -47,10 +43,9 @@ class TestRawTier:
 
 class TestAnnotatedTier:
     def test_annotation_rate(self):
-        profile = AnnotationProfile(annotated_fraction=0.1,
-                                    bytes_per_annotation=100)
-        planner = CapacityPlanner(small_registry(), profile)
-        assert planner.annotation_bytes_per_second == 40 * 0.1 * 100
+        planner = CapacityPlanner(small_registry())
+        assert planner.annotation_bytes_per_second == pytest.approx(
+            40 * ANNOTATED_FRACTION * BYTES_PER_ANNOTATION)
 
     def test_compression_factor_is_large(self):
         planner = CapacityPlanner(small_registry())
@@ -58,15 +53,15 @@ class TestAnnotatedTier:
         assert planner.compression_factor > 1000
 
     def test_zero_annotation_rate_infinite_compression(self):
-        profile = AnnotationProfile(annotated_fraction=0.0)
-        planner = CapacityPlanner(small_registry(), profile)
+        # no cameras, no annotations: the ratio is unbounded, not 0 / 0
+        planner = CapacityPlanner(CameraRegistry([]))
         assert planner.compression_factor == float("inf")
 
 
 class TestPaperScaleReport:
     def test_dotd_sizing_story(self):
         planner = CapacityPlanner(build_dotd_registry(seed=0))
-        report = planner.report(raw_buffer_bytes=10e12, retention_days=365)
+        report = planner.report()   # a 10 TB raw buffer, 365 days kept
         assert report["cameras"] > 200
         # ~3.8 GB/s raw: a 10 TB buffer holds well under a day of video —
         # the paper's reason raw data cannot be kept long-term.

@@ -14,6 +14,7 @@ from repro.data import (
 from repro.compute.mllib import tokenize
 from repro.data.city import DISTRICT_RATES
 from repro.data.collector import TweetCollector
+from repro.data.social import MEAN_FIRST_DEGREE, NUM_GROUPS, TOTAL_MEMBERS
 
 
 class TestGangNetwork:
@@ -44,21 +45,17 @@ class TestGangNetwork:
         assert same / graph.num_edges > 0.3
 
     def test_deterministic(self):
-        a = GangNetworkGenerator(seed=5).generate(num_groups=5,
-                                                  total_members=50)
-        b = GangNetworkGenerator(seed=5).generate(num_groups=5,
-                                                  total_members=50)
+        a = GangNetworkGenerator(seed=5).generate()
+        b = GangNetworkGenerator(seed=5).generate()
         assert a.edges == b.edges
 
     def test_small_network_parameters(self):
-        graph = GangNetworkGenerator(seed=0).generate(
-            num_groups=4, total_members=40, mean_first_degree=5.0)
-        assert graph.num_vertices == 40
-        assert graph.mean_degree() == pytest.approx(5.0, rel=0.1)
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            GangNetworkGenerator().generate(num_groups=10, total_members=5)
+        graph = GangNetworkGenerator(seed=0).generate()
+        assert graph.num_vertices == TOTAL_MEMBERS
+        assert graph.mean_degree() == pytest.approx(MEAN_FIRST_DEGREE,
+                                                    rel=0.1)
+        groups = {attrs["group"] for attrs in graph.vertices.values()}
+        assert groups == set(range(NUM_GROUPS))
 
 
 class TestTweets:
@@ -189,10 +186,6 @@ class TestLawEnforcement:
         february = feed.monthly_batch(2)
         numbers = [r["report_number"] for r in january + february]
         assert len(set(numbers)) == len(numbers)
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            LawEnforcementFeed(num_persons=1)
 
 
 class TestSecureStore:

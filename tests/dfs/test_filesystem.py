@@ -161,12 +161,6 @@ class TestFailureRecovery:
 
 
 class TestDataNode:
-    def test_store_respects_capacity(self):
-        node = DataNode("n", capacity_bytes=10)
-        node.store(1, b"12345")
-        with pytest.raises(DFSError):
-            node.store(2, b"123456789")
-
     def test_dead_node_rejects_io(self):
         node = DataNode("n")
         node.store(1, b"x")

@@ -22,9 +22,9 @@ def topo():
 
 def build_pipeline(topology):
     stages = model_split_from_early_exit(
-        local_flops=2e8, remote_flops=8e9,
+        local_flops=2e8, remote_flops=8e9 + 1e6,
         feature_bytes=8_192, input_bytes=640 * 480 * 3,
-        local_exit_flops=1e6, remote_exit_flops=1e6)
+        local_exit_flops=1e6)
     return FogPipeline(place_bottom_up(topology, stages, "edge-0-0-0"))
 
 

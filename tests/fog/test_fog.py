@@ -204,20 +204,12 @@ class TestFogPipelineStream:
             exit_probabilities={1: 0.0})
         assert stats.resolved_fraction(2) == 1.0
 
-    def test_explicit_outcomes_override(self):
-        stats = self.make().simulate_stream(
-            num_items=4, arrival_interval_s=0.1,
-            exit_outcomes=[1, 1, 2, 2])
-        assert stats.resolved_per_stage == {1: 2, 2: 2}
-
     def test_outcomes_validated(self):
         pipeline = self.make()
         with pytest.raises(ValueError):
-            pipeline.simulate_stream(3, 0.1, exit_outcomes=[1, 2])
-        with pytest.raises(ValueError):
-            pipeline.simulate_stream(2, 0.1, exit_outcomes=[1, 9])
-        with pytest.raises(ValueError):
             pipeline.simulate_stream(0, 0.1)
+        with pytest.raises(ValueError):
+            pipeline.simulate_stream(2, -0.1)
 
     def test_queueing_raises_latency_under_load(self):
         pipeline = self.make()
@@ -334,7 +326,7 @@ class TestRunPolicyBatched:
         model = self.make_model()
         x = np.random.default_rng(2).normal(0, 1, (6, 1, 8, 8))
         policy = ScoreThresholdPolicy(0.5)
-        batch = run_policy_batched(model, x, policy, batch_size=2)
+        batch = run_policy_batched(model, x, policy)
         assert len(batch) == 6
         direct = model.infer_batch(x, 0.5)
         np.testing.assert_array_equal(batch.predictions, direct.predictions)

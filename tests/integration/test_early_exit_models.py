@@ -9,7 +9,7 @@ training steps, eval, serve — and checked three ways:
     row at a time, scores exit 1 with a hand-written confidence (per-cell
     decode loop, plain softmax / entropy) and selects with the rule; it
     must agree with ``infer_batch`` at every threshold that separates two
-    rows' confidences, for every micro-batch size;
+    rows' confidences, whatever batches the rows arrive in;
 (b) deploy -> ``served_model()`` -> ``serve_batched`` equals the
     monolithic ``infer_batch`` exactly;
 (c) several tenants cross ``ServingGateway.submit`` and each gets exactly
@@ -202,24 +202,32 @@ class TestIndependentOracle:
         rows = oracle_rows(case, model, x)
         thresholds = separating_thresholds([conf for conf, _, _ in rows])
         assert len(thresholds) >= 4, "rows must not share one confidence"
+        # the rows arrive as consecutive batches of ``batch_size`` (one
+        # batch when None); each batch's call answers for its own rows
+        step = batch_size or len(x)
         seen = set()
         for threshold in thresholds:
             policy = case.policy(threshold)
-            got = run_policy_batched(model, x, policy, batch_size=batch_size)
-            remote_of = dict(zip(got.remote_rows.tolist(),
-                                 range(got.remote_rows.size)))
-            for row, (conf, local, remote) in enumerate(rows):
-                exit_index = 1 if conf >= policy.threshold else 2
-                assert got.exit_index[row] == exit_index
-                assert got.confidence[row] == pytest.approx(conf, abs=1e-12)
-                np.testing.assert_allclose(got.local_logits[row], local,
-                                           rtol=0, atol=1e-12)
-                assert (row in remote_of) == (exit_index == 2)
-                if exit_index == 2:
-                    np.testing.assert_allclose(
-                        got.remote_logits[remote_of[row]], remote,
-                        rtol=0, atol=1e-12)
-            seen.add(got.remote_rows.size)
+            escalated = 0
+            for start in range(0, len(x), step):
+                got = run_policy_batched(model, x[start:start + step], policy)
+                remote_of = dict(zip(got.remote_rows.tolist(),
+                                     range(got.remote_rows.size)))
+                for row, (conf, local, remote) in enumerate(
+                        rows[start:start + step]):
+                    exit_index = 1 if conf >= policy.threshold else 2
+                    assert got.exit_index[row] == exit_index
+                    assert got.confidence[row] == pytest.approx(conf,
+                                                                abs=1e-12)
+                    np.testing.assert_allclose(got.local_logits[row], local,
+                                               rtol=0, atol=1e-12)
+                    assert (row in remote_of) == (exit_index == 2)
+                    if exit_index == 2:
+                        np.testing.assert_allclose(
+                            got.remote_logits[remote_of[row]], remote,
+                            rtol=0, atol=1e-12)
+                escalated += got.remote_rows.size
+            seen.add(escalated)
         # The sweep really moved rows between the exits, one at a time.
         assert {0, len(x)} <= seen and len(seen) >= 4
 
@@ -254,11 +262,12 @@ class TestServedPath:
         direct = run_policy_batched(model, x, policy)
         assert 0 < direct.remote_rows.size < len(x)
         assert_same_decisions(deployment.serve_batched(x, policy), direct)
-        # the composite chunks like the monolith does
-        assert_same_decisions(
-            run_policy_batched(deployment.served_model(), x, policy,
-                               batch_size=3),
-            run_policy_batched(model, x, policy, batch_size=3))
+        # and batch by batch, short last batch included
+        for start in range(0, len(x), 3):
+            rows = x[start:start + 3]
+            assert_same_decisions(
+                run_policy_batched(deployment.served_model(), rows, policy),
+                run_policy_batched(model, rows, policy))
 
     def test_fused_float32_deployment_keeps_the_decisions(self, trained):
         case, model, x = trained

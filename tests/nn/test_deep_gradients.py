@@ -12,7 +12,7 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.models.resnet import ResNetBlock
-from repro.nn.models.yolo import GroundTruthBox, YoloDetector, YoloLoss
+from repro.nn.models.yolo import GroundTruthBox, TinyYolo, YoloLoss
 from repro.nn.tensor import Tensor
 from tests.nn.gradcheck import numeric_grad
 
@@ -121,9 +121,8 @@ class TestResNetBlockGradients:
 class TestYoloLossGradients:
     def test_head_bias_gradient(self):
         rng = np.random.default_rng(6)
-        model = YoloDetector(1, 8, num_classes=2, grid=2,
-                             widths=(2, 2), rng=rng)
-        loss_fn = YoloLoss(grid=2, num_classes=2)
+        model = TinyYolo(1, 8, num_classes=2, rng=rng)
+        loss_fn = YoloLoss(grid=4, num_classes=2)
         x = rng.normal(0, 1, (2, 1, 8, 8))
         boxes = [[GroundTruthBox(0.3, 0.3, 0.4, 0.4, 0)],
                  [GroundTruthBox(0.7, 0.7, 0.3, 0.3, 1)]]

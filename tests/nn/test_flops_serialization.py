@@ -68,7 +68,6 @@ class TestFlops:
 
     def test_activation_size(self):
         assert activation_size_bytes((16, 8, 8)) == 16 * 8 * 8 * 4
-        assert activation_size_bytes((16, 8, 8), dtype_bytes=8) == 16 * 8 * 8 * 8
 
 
 class TestFlopsRegressions:

@@ -6,17 +6,13 @@ import pytest
 from repro import nn
 from repro.nn.dtypes import ensure_float
 from repro.nn.fuse import fuse_for_inference
-from repro.nn.inference import (
-    batched_forward,
-    eval_mode,
-    iter_microbatches,
-    observe_inference,
-)
+from repro.nn.inference import batched_forward, eval_mode, observe_inference
 from repro.nn.models.earlyexit import EarlyExitNetwork, score_confidence
 from repro.nn.models.resnet import SmallResNet
 from repro.nn.tensor import Tensor
 from repro.runtime import Runtime, using_runtime
 from repro.runtime.metrics import LATENCY_SAMPLES
+from repro.serving.gateway import split_decisions
 
 
 def make_early_exit(rng):
@@ -86,7 +82,7 @@ class TestGradMode:
         with nn.no_grad():
             x * 5.0
         y = x * 5.0
-        y.backward(np.ones(1))
+        y.backward()
         np.testing.assert_allclose(x.grad, [5.0])
 
 
@@ -207,6 +203,8 @@ class TestBatchedEarlyExitParity:
 
     @pytest.mark.parametrize("batch_size", [None, 1, 3, 100])
     def test_batched_matches_per_sample(self, batch_size):
+        # One call over the first ``batch_size`` rows (all when None or
+        # more than there are) matches the per-sample reference.
         rng = np.random.default_rng(6)
         model = make_early_exit(rng)
         x = rng.normal(0, 1, (10, 1, 8, 8))
@@ -214,29 +212,35 @@ class TestBatchedEarlyExitParity:
         # Pick a threshold at the median confidence so both exits are used.
         probe = model.infer_batch(x, threshold=0.0)
         threshold = float(np.median(probe.confidence))
+        assert 0 < model.infer_batch(x, threshold).local_fraction < 1
+        x = x[:batch_size]
         reference = self.reference_decisions(model, x, threshold)
-        batch = model.infer_batch(x, threshold, batch_size=batch_size)
-        assert 0 < batch.local_fraction < 1
+        batch = model.infer_batch(x, threshold)
+        assert len(batch) == len(reference)
         for row, (prediction, exit_index, conf) in enumerate(reference):
             assert batch.predictions[row] == prediction
             assert batch.exit_index[row] == exit_index
             assert batch.confidence[row] == pytest.approx(conf, abs=1e-12)
 
     def test_infer_matches_infer_batch(self):
-        # Micro-batching is invisible in every decision column.
+        # Rows are independent: each slice's own call decides exactly what
+        # the whole batch decided for those rows (the gateway's split).
         rng = np.random.default_rng(8)
         model = make_early_exit(rng)
         x = rng.normal(0, 1, (5, 1, 8, 8))
         warm_batchnorm(model, x)
         threshold = float(np.median(model.infer_batch(x, 0.0).confidence))
         whole = model.infer_batch(x, threshold)
-        chunked = model.infer_batch(x, threshold, batch_size=2)
         assert 0 < whole.remote_rows.size < 5
-        np.testing.assert_array_equal(whole.predictions, chunked.predictions)
-        np.testing.assert_array_equal(whole.exit_index, chunked.exit_index)
-        np.testing.assert_array_equal(whole.remote_rows, chunked.remote_rows)
-        np.testing.assert_allclose(whole.remote_logits, chunked.remote_logits,
-                                   atol=1e-12)
+        parts = split_decisions(whole, [2, 2, 1])
+        for start, part in zip((0, 2, 4), parts):
+            alone = model.infer_batch(x[start:start + len(part)], threshold)
+            np.testing.assert_array_equal(part.predictions, alone.predictions)
+            np.testing.assert_array_equal(part.exit_index, alone.exit_index)
+            np.testing.assert_array_equal(part.remote_rows, alone.remote_rows)
+            if part.remote_rows.size:
+                np.testing.assert_allclose(part.remote_logits,
+                                           alone.remote_logits, atol=1e-12)
 
 
 class TestInferenceHelpers:
@@ -272,17 +276,6 @@ class TestInferenceHelpers:
             model.remote_stage.eval()
         assert [m.training for m in model.modules()] == expected
 
-    def test_iter_microbatches_chunks(self):
-        data = np.arange(10).reshape(10, 1)
-        chunks = list(iter_microbatches(data, 4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        np.testing.assert_array_equal(np.concatenate(chunks), data)
-        assert len(list(iter_microbatches(data, None))) == 1
-
-    def test_iter_microbatches_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            list(iter_microbatches(np.zeros((4, 1)), 0))
-
     def test_batched_forward_matches_full(self):
         rng = np.random.default_rng(11)
         model = SmallResNet(1, num_classes=3, widths=(4,), rng=rng)
@@ -290,7 +283,7 @@ class TestInferenceHelpers:
         warm_batchnorm(model, x)
         with eval_mode(model), nn.no_grad():
             expected = model(Tensor(x)).data
-        got = batched_forward(model, x, batch_size=3)
+        got = batched_forward(model, x)
         np.testing.assert_allclose(got.data, expected, atol=1e-12)
 
     def test_latency_histogram_is_bounded_with_exact_count(self):
@@ -309,26 +302,23 @@ class TestInferenceHelpers:
 class TestZeroRowBatches:
     """A gateway draining an empty coalescing window sends zero rows."""
 
-    @pytest.mark.parametrize("batch_size", [None, 1, 4])
-    def test_batched_forward_empty_batch_returns_empty_array(self, batch_size):
+    def test_batched_forward_empty_batch_returns_empty_array(self):
         rng = np.random.default_rng(12)
         model = nn.Sequential(nn.Linear(8, 4, rng=rng), nn.ReLU(),
                               nn.Linear(4, 3, rng=rng))
-        out = batched_forward(model, np.zeros((0, 8)), batch_size=batch_size)
+        out = batched_forward(model, np.zeros((0, 8)))
         assert out.shape == (0, 3)
 
     def test_batched_forward_empty_conv_batch(self):
         rng = np.random.default_rng(13)
         model = SmallResNet(1, num_classes=3, widths=(4,), rng=rng)
-        out = batched_forward(model, np.zeros((0, 1, 8, 8)), batch_size=2)
+        out = batched_forward(model, np.zeros((0, 1, 8, 8)))
         assert out.shape == (0, 3)
 
-    @pytest.mark.parametrize("batch_size", [None, 4])
-    def test_infer_batch_empty(self, batch_size):
+    def test_infer_batch_empty(self):
         rng = np.random.default_rng(14)
         model = make_early_exit(rng)
-        decisions = model.infer_batch(
-            np.zeros((0, 1, 8, 8)), threshold=0.5, batch_size=batch_size)
+        decisions = model.infer_batch(np.zeros((0, 1, 8, 8)), threshold=0.5)
         assert len(decisions) == 0
         assert decisions.predictions.shape == (0,)
         assert decisions.local_logits.shape == (0, 3)

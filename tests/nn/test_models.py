@@ -381,5 +381,3 @@ class TestCCA:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             CCA(n_components=0)
-        with pytest.raises(ValueError):
-            CCA(regularization=-1)

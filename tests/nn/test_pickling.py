@@ -24,12 +24,11 @@ class TestTensorPickling:
     def test_values_dtype_and_flags_preserved(self):
         for dtype in (np.float32, np.float64):
             t = Tensor(np.arange(6, dtype=dtype).reshape(2, 3),
-                       requires_grad=True, name="weights")
+                       requires_grad=True)
             back = roundtrip(t)
             assert np.array_equal(back.data, t.data)
             assert back.dtype == dtype
             assert back.requires_grad is True
-            assert back.name == "weights"
 
     def test_accumulated_grad_preserved(self):
         t = Tensor([1.0, 2.0], requires_grad=True)

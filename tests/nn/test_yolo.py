@@ -60,15 +60,15 @@ class TestBoxes:
 
 class TestYoloDetector:
     def test_forward_shape(self):
-        model = YoloDetector(1, 16, num_classes=3, grid=4)
+        model = YoloDetector(1, 16, num_classes=3)
         out = model(Tensor(np.zeros((2, 1, 16, 16))))
         assert out.shape == (2, 5 + 3, 4, 4)
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
-            YoloDetector(1, 12, num_classes=3, grid=5)
+            YoloDetector(1, 12, num_classes=3)   # 12 -> 6 -> 3 skips 4
         with pytest.raises(ValueError):
-            YoloDetector(1, 4, num_classes=3, grid=4)
+            YoloDetector(1, 4, num_classes=3)    # already at the grid
 
     def test_tiny_yolo_fewer_params(self):
         tiny = TinyYolo(1, 16, num_classes=3)
@@ -76,22 +76,22 @@ class TestYoloDetector:
         assert tiny.num_parameters() < full.num_parameters()
 
     def test_flops_estimable(self):
-        model = YoloDetector(1, 16, num_classes=3, grid=4)
+        model = YoloDetector(1, 16, num_classes=3)
         flops, shape = model.estimate_flops((1, 16, 16))
         assert flops > 0
         assert shape == (8, 4, 4)
 
     def test_decode_respects_threshold(self):
-        model = YoloDetector(1, 16, num_classes=2, grid=2)
+        model = YoloDetector(1, 16, num_classes=2)
         raw = np.full((1, 7, 2, 2), -10.0)  # objectness ~0 everywhere
-        assert model.decode(raw, score_threshold=0.5) == [[]]
+        assert model.decode(raw) == [[]]
 
     def test_decode_finds_confident_cell(self):
         raw = np.full((1, 7, 2, 2), -10.0)
         raw[0, 4, 1, 0] = 10.0      # objectness ~1 in cell (row 1, col 0)
         raw[0, 5, 1, 0] = 5.0       # class 0
-        model = YoloDetector(1, 16, num_classes=2, grid=2)
-        dets = model.decode(raw, score_threshold=0.5)[0]
+        model = YoloDetector(1, 16, num_classes=2)
+        dets = model.decode(raw)[0]
         assert len(dets) == 1
         det = dets[0]
         assert det.class_id == 0
@@ -115,8 +115,8 @@ class TestYoloLoss:
         assert obj[0, 0, 3, 3] == 1.0
 
     def test_loss_is_positive_scalar(self):
-        model = YoloDetector(1, 16, num_classes=2, grid=2)
-        loss_fn = YoloLoss(grid=2, num_classes=2)
+        model = YoloDetector(1, 16, num_classes=2)
+        loss_fn = YoloLoss(grid=4, num_classes=2)
         raw = model(Tensor(np.random.default_rng(0).normal(0, 1, (2, 1, 16, 16))))
         boxes = [[GroundTruthBox(0.5, 0.5, 0.3, 0.3, 0)], []]
         loss = loss_fn(raw, boxes)
@@ -125,8 +125,8 @@ class TestYoloLoss:
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(0)
-        model = YoloDetector(1, 16, num_classes=2, grid=2, rng=rng)
-        loss_fn = YoloLoss(grid=2, num_classes=2)
+        model = TinyYolo(1, 16, num_classes=2, rng=rng)
+        loss_fn = YoloLoss(grid=4, num_classes=2)
         x = rng.normal(0, 0.1, (8, 1, 16, 16))
         boxes = []
         for i in range(8):
@@ -192,7 +192,7 @@ class TestEarlyExitDetector:
         assert remote > local
 
     def test_feature_map_smaller_than_raw_for_large_frames(self):
-        model = EarlyExitDetector(3, 32, num_classes=3, grid=4, stem_width=8)
+        model = EarlyExitDetector(3, 32, num_classes=3, grid=4)
         # 3*32*32 raw bytes vs 8*16*16*4 feature bytes
         assert model.raw_frame_bytes() == 3 * 32 * 32
         assert model.feature_map_bytes() == 8 * 16 * 16 * 4

@@ -265,9 +265,9 @@ def build_pipeline():
     topology = NetworkTopology.build_fog_hierarchy(
         edges_per_fog=2, fogs_per_server=2, servers=1)
     stages = model_split_from_early_exit(
-        local_flops=2e8, remote_flops=8e9,
+        local_flops=2e8, remote_flops=8e9 + 1e6,
         feature_bytes=8_192, input_bytes=64 * 64 * 3,
-        local_exit_flops=1e6, remote_exit_flops=1e6)
+        local_exit_flops=1e6)
     return FogPipeline(place_bottom_up(topology, stages, "edge-0-0-0"))
 
 
@@ -438,21 +438,20 @@ class BrokerAgainstReference(RuleBasedStateMachine):
                 bound=st.none() | st.integers(1, 6),
                 policy=st.sampled_from(["block", "drop", "error"]),
                 retention=st.none() | st.integers(1, 8),
-                max_age=st.none() | st.integers(0, 12),
                 auto_commit=st.booleans(),
                 share=st.booleans())
-    def create(self, partitions, bound, policy, retention, max_age,
-               auto_commit, share):
+    def create(self, partitions, bound, policy, retention, auto_commit,
+               share):
         with using_runtime(Runtime(seed=BASE_SEED)):
             self.broker = Broker(shm_min_bytes=SHM_MIN_BYTES)
         self.broker.create_topic(
             "events", partitions=partitions, max_partition_records=bound,
             backpressure=policy, retention_max_records=retention,
-            retention_max_age_s=max_age, share_ndarrays=share)
+            share_ndarrays=share)
         self.consumer = self.broker.consumer("g", ["events"],
                                              auto_commit=auto_commit)
         self.reference = ReferenceLog(partitions, bound, policy, retention,
-                                      max_age, auto_commit)
+                                      auto_commit)
         self.partitions = partitions
         self.policy = policy
         self.share = share

@@ -15,7 +15,7 @@ PAIRS = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-5, 5)),
 @settings(max_examples=30, deadline=None)
 @given(INTS, st.integers(1, 6))
 def test_rdd_collect_preserves_multiset(data, partitions):
-    rdd = SparkContext().parallelize(data, partitions)
+    rdd = SparkContext(default_parallelism=partitions).parallelize(data)
     assert sorted(rdd.collect()) == sorted(data)
     assert rdd.count() == len(data)
 
@@ -23,7 +23,7 @@ def test_rdd_collect_preserves_multiset(data, partitions):
 @settings(max_examples=30, deadline=None)
 @given(INTS, st.integers(1, 6))
 def test_rdd_map_filter_match_python(data, partitions):
-    rdd = SparkContext().parallelize(data, partitions)
+    rdd = SparkContext(default_parallelism=partitions).parallelize(data)
     out = rdd.map(lambda x: x * 3).filter(lambda x: x % 2 == 0).collect()
     expected = [x * 3 for x in data if (x * 3) % 2 == 0]
     assert sorted(out) == sorted(expected)
@@ -32,7 +32,7 @@ def test_rdd_map_filter_match_python(data, partitions):
 @settings(max_examples=30, deadline=None)
 @given(PAIRS, st.integers(1, 5))
 def test_rdd_reduce_by_key_matches_python(pairs, partitions):
-    rdd = SparkContext().parallelize(pairs, partitions)
+    rdd = SparkContext(default_parallelism=partitions).parallelize(pairs)
     result = dict(rdd.reduceByKey(lambda a, b: a + b).collect())
     expected = {}
     for key, value in pairs:
@@ -106,7 +106,7 @@ def random_graph(edge_seed, n=8, p=0.35):
 @given(st.integers(0, 10_000))
 def test_pagerank_is_distribution(seed):
     graph = random_graph(seed)
-    ranks = graph.pagerank(iterations=50)
+    ranks = graph.pagerank()
     np.testing.assert_allclose(sum(ranks.values()), 1.0, atol=1e-6)
     assert all(rank >= 0 for rank in ranks.values())
 

@@ -1,8 +1,8 @@
 """Plan-execution invariance, under hypothesis.
 
 Captured inference plans are a pure execution-strategy change: for every
-seeded workload, micro-batched early-exit serving with plans enabled must
-be indistinguishable from eager serving:
+seeded workload, early-exit serving of a batch sequence with plans
+enabled must be indistinguishable from eager serving:
 
 - :class:`BatchExitDecisions` are identical (plans on vs off);
 - the normalized registry dump (:func:`deterministic_dump`) is
@@ -42,8 +42,7 @@ from hypothesis import strategies as st
 from repro import nn
 from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn import plan as plan_mod
-from repro.nn.inference import iter_microbatches
-from repro.nn.models.earlyexit import BatchExitDecisions, EarlyExitNetwork
+from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nn.models.resnet import ResNetBlock
 from repro.nn.quantize import quantize_for_inference
 from repro.runtime import Runtime, deterministic_dump, using_runtime
@@ -71,7 +70,8 @@ def build_early_exit(rng, num_classes=4):
 
 
 def serve(seed, n, threshold, batch_size, plans):
-    """One ``run_policy_batched`` call per micro-batch, stitched back."""
+    """One ``run_policy_batched`` call per ``batch_size``-row slice of the
+    ``n`` inputs, the last one short; returns each call's decisions."""
     with using_runtime(Runtime(seed=seed)) as rt:
         rng = rt.rng.np_child("prop.plan.model")
         model = build_early_exit(rng)
@@ -79,9 +79,9 @@ def serve(seed, n, threshold, batch_size, plans):
             model.enable_plans()
         x = rt.rng.np_child("prop.plan.x").normal(0.0, 1.0, (n, 1, 8, 8))
         policy = ScoreThresholdPolicy(threshold)
-        decisions = BatchExitDecisions.concatenate(
-            [run_policy_batched(model, chunk, policy)
-             for chunk in iter_microbatches(x, batch_size)])
+        decisions = [run_policy_batched(model, x[start:start + batch_size],
+                                        policy)
+                     for start in range(0, n, batch_size)]
         return decisions, normalized_dump(rt)
 
 
@@ -95,12 +95,13 @@ def test_decisions_and_dumps_invariant_under_plans_and_workers(
     for plans in PLAN_SWEEP:
         decisions[plans], dumps[plans] = serve(seed, n, threshold,
                                                batch_size, plans)
-    first = decisions[False]
-    for key, other in decisions.items():
-        assert np.array_equal(first.predictions, other.predictions), key
-        assert np.array_equal(first.exit_index, other.exit_index), key
-        assert np.array_equal(first.confidence, other.confidence), key
-        assert np.array_equal(first.local_logits, other.local_logits), key
+    for key, batches in decisions.items():
+        for first, other in zip(decisions[False], batches):
+            assert np.array_equal(first.predictions, other.predictions), key
+            assert np.array_equal(first.exit_index, other.exit_index), key
+            assert np.array_equal(first.confidence, other.confidence), key
+            assert np.array_equal(first.local_logits,
+                                  other.local_logits), key
     assert len(set(dumps.values())) == 1
 
 
@@ -136,7 +137,7 @@ def assert_every_prefix_bitwise(model, x):
     for r in range(1, len(x) + 1):
         expected = eager(model, x[:r])
         assert np.array_equal(plan.run(x[:r]), expected), r
-        exact = nn.capture_plan(model, x[:r], validate=False)
+        exact = nn.capture_plan(model, x[:r])
         assert np.array_equal(exact.run(x[:r]), expected), r
 
 
@@ -319,7 +320,7 @@ def assert_row_sequence_bitwise(model, x, sequence):
 def layout_stack(topology, c, f, pool, dtype, rng):
     """A generated stack around one op the batch-innermost layout touches."""
     stem = nn.Conv2d(c, f, 3, padding=1, rng=rng)
-    pooling = nn.MaxPool2d(*pool)
+    pooling = nn.MaxPool2d(pool)
     if topology == "pool":
         layers = [stem, nn.ReLU(), pooling, nn.Conv2d(f, c, 3, padding=1,
                                                       rng=rng)]
@@ -350,7 +351,7 @@ TOPOLOGIES = ("pool", "pool-gap", "flatten", "identity", "conv-shortcut",
 layout_cases = dict(
     seed=seeds, c=st.integers(1, 6), f=st.integers(1, 8),
     h=st.integers(5, 10), w=st.integers(5, 10),
-    pool=st.tuples(st.sampled_from((2, 3)), st.sampled_from((1, 2, None))),
+    pool=st.sampled_from((2, 3)),
     dtype=st.sampled_from((np.float32, np.float64)),
     topology=st.sampled_from(TOPOLOGIES))
 
@@ -432,7 +433,7 @@ def test_row_sequence_check_catches_a_skipped_rezero(op_name, monkeypatch):
         model = fig5_remote_stage(rng)
         x = rng.normal(0.0, 1.0, (64, 8, 16, 16)).astype(np.float32)
     else:
-        model = layout_stack("maxpool-shortcut", 2, 4, (2, 2),
+        model = layout_stack("maxpool-shortcut", 2, 4, 2,
                              np.float32, rng)
         x = rng.normal(0.0, 1.0, (64, 2, 8, 8)).astype(np.float32)
     assert_row_sequence_bitwise(model, x, (64, 3, 40, 64, 1, 32))

@@ -124,10 +124,10 @@ def sqoop_importer(built, other):
     database.create_table("cases", ["id", "kind"]).insert_many(
         [{"id": i, "kind": "theft"} for i in range(4)])
     with using_runtime(built):
-        importer = SqoopImporter(database,
-                                 DistributedFileSystem.with_datanodes(3))
+        importer = SqoopImporter(database)
+        dfs = DistributedFileSystem.with_datanodes(3)
     with using_runtime(other):
-        importer.import_table("cases", "/import/cases")
+        importer.import_table(dfs, "cases", "/import/cases")
     return {"streaming.sqoop.import"}
 
 

@@ -12,9 +12,17 @@ class TestClock:
         assert runtime.clock_kind == "wall"
         assert runtime.now() >= 0
 
+    @staticmethod
+    def environment_at(now):
+        """An environment whose clock has run to ``now``."""
+        env = Environment()
+        env.timeout(now)
+        env.run()
+        return env
+
     def test_sim_clock_binding(self):
         runtime = Runtime()
-        env = Environment(initial_time=10.0)
+        env = self.environment_at(10.0)
         with runtime.sim_clock(env):
             assert runtime.clock_kind == "sim"
             assert runtime.now() == 10.0
@@ -22,8 +30,8 @@ class TestClock:
 
     def test_nested_bindings_innermost_wins(self):
         runtime = Runtime()
-        outer = Environment(initial_time=1.0)
-        inner = Environment(initial_time=2.0)
+        outer = self.environment_at(1.0)
+        inner = self.environment_at(2.0)
         with runtime.sim_clock(outer):
             with runtime.sim_clock(inner):
                 assert runtime.now() == 2.0

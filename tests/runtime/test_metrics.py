@@ -57,12 +57,13 @@ class TestGauge:
         gauge = Gauge("g")
         gauge.set(5)
         gauge.inc(2)
-        gauge.dec(4)
-        assert gauge.value() == 3
+        gauge.dec()
+        assert gauge.value() == 6
 
     def test_can_go_negative(self):
         gauge = Gauge("g")
-        gauge.dec(2)
+        gauge.dec()
+        gauge.dec()
         assert gauge.value() == -2
 
 
@@ -368,9 +369,9 @@ class TestBoundHandles:
         depth = gauge.bind(queue="q0")
         depth.set(10)
         depth.inc(2)
-        depth.dec(5)
-        assert gauge.value(queue="q0") == 7
-        assert depth.value() == 7
+        depth.dec()
+        assert gauge.value(queue="q0") == 11
+        assert depth.value() == 11
 
     def test_bound_histogram_matches_labeled_observations(self):
         def observe(use_bind):

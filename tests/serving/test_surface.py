@@ -32,9 +32,8 @@ SURFACE = [
      ["self", "deployment", "policy", "config"]),
     (pump_topic, ["gateway", "bus", "topic", "poll_size"]),
     (serve_camera_topic, ["deployment", "policy", "bus", "topic", "poll_size"]),
-    (run_policy_batched, ["model", "x", "policy", "batch_size"]),
-    (EarlyExitNetwork.infer_batch,
-     ["self", "x", "threshold", "confidence", "batch_size"]),
+    (run_policy_batched, ["model", "x", "policy"]),
+    (EarlyExitNetwork.infer_batch, ["self", "x", "threshold", "confidence"]),
     (Broker.__init__, ["self", "shm_min_bytes"]),
 ]
 

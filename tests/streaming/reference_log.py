@@ -6,7 +6,7 @@ model is the independent oracle: a dict of per-partition row lists and a
 per-record loop, sharing no code with ``repro.streaming.broker`` — md5
 key hashing, the round-robin cursor, per-partition offsets, logical
 ticks, the partition bound with its ``drop``/``block``/``error``
-policies, size/age retention, and one manual- or auto-commit consumer
+policies, size retention, and one manual- or auto-commit consumer
 with the broker's fair fetch rotation.  Rows are
 ``(partition, offset, key, value, timestamp)`` tuples.
 """
@@ -27,13 +27,13 @@ class Rejected(Exception):
 
 class ReferenceLog:
     def __init__(self, partitions, bound=None, policy="block",
-                 retention=None, max_age=None, auto_commit=False):
+                 retention=None, auto_commit=False):
         self.logs = {p: [] for p in range(partitions)}
         self.ends = [0] * partitions
         self.cursor = 0             # round-robin, advanced by unkeyed rows
         self.ticks = 0              # logical clock, one tick per append
         self.bound, self.policy = bound, policy
-        self.retention, self.max_age = retention, max_age
+        self.retention = retention
         self.auto_commit = auto_commit
         self.positions = {}         # partition -> next offset to fetch
         self.committed = {}         # partition -> committed offset
@@ -58,7 +58,6 @@ class ReferenceLog:
             for p, count in needed.items():
                 if len(self.logs[p]) + count > self.bound:
                     self._evict_consumed(p)
-                    self._evict_aged(p)
             if self.policy != "drop" and any(
                     len(self.logs[p]) + count > self.bound
                     for p, count in needed.items()):
@@ -82,11 +81,6 @@ class ReferenceLog:
             self.logs[p] = [row for row in self.logs[p]
                             if row[1] >= self.committed[p]]
 
-    def _evict_aged(self, p):
-        if self.max_age is not None:
-            self.logs[p] = [row for row in self.logs[p]
-                            if row[4] >= self.ticks - self.max_age]
-
     def _retain_size(self):
         if self.retention is not None:
             for p, log in self.logs.items():
@@ -94,8 +88,6 @@ class ReferenceLog:
 
     def run_retention(self):
         before = self.size()
-        for p in self.logs:
-            self._evict_aged(p)
         self._retain_size()
         return before - self.size()
 

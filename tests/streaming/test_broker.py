@@ -186,61 +186,6 @@ class TestRetention:
         assert [r.offset for r in records] == [7, 8, 9]
         assert broker.end_offset("events", 0) == 10
 
-    def test_age_retention_on_sim_clock(self):
-        clock = FakeClock(0.0)
-        with using_runtime(Runtime(seed=0)) as runtime:
-            with runtime.sim_clock(clock):
-                broker = Broker()
-                broker.create_topic("events", partitions=1,
-                                    retention_max_age_s=10.0)
-                broker.produce("events", "old")
-                clock.now = 5.0
-                broker.produce("events", "mid")
-                clock.now = 12.0
-                broker.produce("events", "new")
-                assert broker.run_retention("events") == 1  # only "old" aged out
-                values = [r.value
-                          for r in broker.consumer("g", ["events"]).drain()]
-        assert values == ["mid", "new"]
-
-    def test_compaction_keeps_latest_per_key(self):
-        broker = make_broker(partitions=1, compact=True)
-        broker.produce("events", 1, key="a")
-        broker.produce("events", 2, key="b")
-        broker.produce("events", 3, key="a")
-        removed = broker.compact("events")
-        assert removed == 1
-        records = broker.consumer("g", ["events"]).drain()
-        assert [(r.key, r.value) for r in records] == [("b", 2), ("a", 3)]
-
-    def test_tombstone_deletes_key(self):
-        broker = make_broker(partitions=1, compact=True)
-        broker.produce("events", 1, key="a")
-        broker.produce("events", 2, key="b")
-        broker.produce("events", None, key="a")  # tombstone
-        broker.compact("events")
-        records = broker.consumer("g", ["events"]).drain()
-        assert [(r.key, r.value) for r in records] == [("b", 2)]
-
-    def test_compaction_spares_unkeyed_records(self):
-        broker = make_broker(partitions=1, compact=True)
-        broker.produce("events", "unkeyed")
-        broker.produce("events", 1, key="a")
-        broker.produce("events", 2, key="a")
-        broker.compact("events")
-        values = [r.value for r in broker.consumer("g", ["events"]).drain()]
-        assert values == ["unkeyed", 2]
-
-    def test_committed_position_survives_compaction(self):
-        broker = make_broker(partitions=1, compact=True)
-        for i in range(4):
-            broker.produce("events", i, key="k")
-        consumer = broker.consumer("g", ["events"])
-        consumer.poll(4)                 # committed through offset 4
-        broker.compact("events")
-        broker.produce("events", 9, key="k")
-        assert [r.value for r in consumer.drain()] == [9]
-
     def test_run_retention_covers_all_topics(self):
         broker = Broker()
         broker.create_topic("a", partitions=1, retention_max_records=1)
@@ -256,8 +201,6 @@ class TestRetention:
         broker = Broker()
         with pytest.raises(BrokerError):
             broker.create_topic("x", retention_max_records=0)
-        with pytest.raises(BrokerError):
-            broker.create_topic("x", retention_max_age_s=-1.0)
         with pytest.raises(BrokerError):
             broker.create_topic("x", backpressure="explode")
 

@@ -190,20 +190,18 @@ class TestFlumeAgent:
         runtime = Runtime()
         with using_runtime(runtime):
             agent = FlumeAgent(FunctionSource(range(7)), lambda events: None,
-                               batch_size=3, name="probe")
-            idle = FlumeAgent(FunctionSource([]), lambda events: None,
-                              name="idle")
+                               batch_size=3)
+            idle = FlumeAgent(FunctionSource([]), lambda events: None)
+        assert agent.name != idle.name
+        probe = f"agent={agent.name}"
         agent.run()
         counters = runtime.registry.dump()["counters"]
-        assert counters["streaming.flume.events_received"] \
-            == {"agent=probe": 7.0}
-        assert counters["streaming.flume.events_delivered"] \
-            == {"agent=probe": 7.0}
-        assert counters["streaming.flume.batches_committed"] \
-            == {"agent=probe": 3.0}
+        assert counters["streaming.flume.events_received"] == {probe: 7.0}
+        assert counters["streaming.flume.events_delivered"] == {probe: 7.0}
+        assert counters["streaming.flume.batches_committed"] == {probe: 3.0}
         assert counters["streaming.flume.batches_rolled_back"] == {}
         assert runtime.registry.dump()["gauges"][
-            "streaming.flume.channel_depth"] == {"agent=probe": 0.0}
+            "streaming.flume.channel_depth"] == {probe: 0.0}
         assert idle.metrics.events_delivered == 0
 
 
@@ -237,15 +235,15 @@ class TestSinks:
         bus = Broker()
         bus.create_topic("tweets", partitions=4)
         events = [{"user": f"u{i % 2}", "text": str(i)} for i in range(8)]
-        agent = FlumeAgent(
-            FunctionSource(events),
-            topic_sink(bus, "tweets", key_fn=lambda e: e["user"]),
-            batch_size=4)
+        agent = FlumeAgent(FunctionSource(events),
+                           topic_sink(bus, "tweets"), batch_size=4)
         agent.run()
         assert bus.topic_size("tweets") == 8
-        consumer = bus.consumer("g", ["tweets"])
-        u0 = [r.value["text"] for r in consumer.drain() if r.key == "u0"]
-        assert u0 == ["0", "2", "4", "6"]  # per-key order preserved
+        # the sink produces unkeyed: round-robin over the partitions
+        records = bus.consumer("g", ["tweets"]).drain()
+        assert {r.key for r in records} == {None}
+        assert sorted(int(r.value["text"]) for r in records) == list(range(8))
+        assert bus.partition_sizes("tweets") == [2, 2, 2, 2]
 
 
 class TestTransactionSemantics:

@@ -106,8 +106,8 @@ class TestSqoopImport:
     def test_import_to_dfs_roundtrip(self):
         db = crime_db(10)
         dfs = DistributedFileSystem.with_datanodes(3, replication=2)
-        report = SqoopImporter(db, dfs).import_table(
-            "incidents", "/imports/incidents", num_mappers=3)
+        report = SqoopImporter(db).import_table(
+            dfs, "incidents", "/imports/incidents", num_mappers=3)
         assert report.rows == 10
         assert len(report.files) == 3
         recovered = []
@@ -119,8 +119,8 @@ class TestSqoopImport:
     def test_import_skips_empty_mappers(self):
         db = crime_db(2)
         dfs = DistributedFileSystem.with_datanodes(3, replication=2)
-        report = SqoopImporter(db, dfs).import_table(
-            "incidents", "/imports/small", num_mappers=8)
+        report = SqoopImporter(db).import_table(
+            dfs, "incidents", "/imports/small", num_mappers=8)
         assert report.rows == 2
         assert len(report.files) <= 2
 
@@ -134,8 +134,8 @@ class TestSqoopImport:
     def test_import_spanning_several_polls_keeps_mapper_order(self):
         db = crime_db(1300)                       # > 2 polls of 500
         dfs = DistributedFileSystem.with_datanodes(3, replication=2)
-        report = SqoopImporter(db, dfs).import_table(
-            "incidents", "/imports/big", num_mappers=3)
+        report = SqoopImporter(db).import_table(
+            dfs, "incidents", "/imports/big", num_mappers=3)
         assert report.rows == 1300
         recovered = []
         for path in report.files:
@@ -156,14 +156,10 @@ class TestSqoopImport:
         # The table rows themselves were not handed to the store.
         assert "_id" not in db.table("incidents").get(0)
 
-    def test_import_without_dfs_rejected(self):
-        with pytest.raises(ValueError):
-            SqoopImporter(crime_db()).import_table("incidents", "/x")
-
     def test_csv_preserves_types_as_strings(self):
         db = crime_db(3)
         dfs = DistributedFileSystem.with_datanodes(3, replication=2)
-        report = SqoopImporter(db, dfs).import_table(
-            "incidents", "/imports/t", num_mappers=1)
+        report = SqoopImporter(db).import_table(
+            dfs, "incidents", "/imports/t", num_mappers=1)
         rows = csv_to_rows(dfs.read(report.files[0]))
         assert rows[0]["report_id"] == "0"  # CSV is untyped text

@@ -138,7 +138,7 @@ class TestTensorMatmulCorners:
         b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
         out = a @ b
         assert out.item() == 11.0
-        out.backward(np.array(1.0))
+        out.backward()
         np.testing.assert_allclose(a.grad, [3.0, 4.0])
         np.testing.assert_allclose(b.grad, [1.0, 2.0])
 

@@ -32,10 +32,10 @@ class TestGeoJson:
             points_to_geojson([{"lat": 30.0}])
 
     def test_property_selection(self):
-        payload = points_to_geojson(
-            [{"lon": 0, "lat": 0, "a": 1, "b": 2}], properties=["a"])
+        # every field but the coordinates becomes a property
+        payload = points_to_geojson([{"lon": 0, "lat": 0, "a": 1, "b": 2}])
         props = json.loads(payload)["features"][0]["properties"]
-        assert props == {"a": 1}
+        assert props == {"a": 1, "b": 2}
 
     def test_camera_registry_export(self):
         registry = build_dotd_registry(seed=0)
