@@ -81,12 +81,29 @@ def calibrate_activation(values: np.ndarray) -> Tuple[float, float]:
 def fake_quant(values: np.ndarray, scale: float, zero_point: float) -> np.ndarray:
     """Round-trip ``values`` through the int8 grid, staying in float.
 
-    ``clip(round(x / s) + z, -128, 127)`` lands exactly on integer grid
-    points in float arithmetic, so this matches a true int8 round-trip
-    while keeping the BLAS-friendly dtype.
+    ``(clip(round(x / s) + z, -128, 127) - z) * s`` lands exactly on
+    integer grid points in float arithmetic, so this matches a true int8
+    round-trip while keeping the BLAS-friendly dtype.
     """
-    q = np.clip(np.round(values / scale) + zero_point, -128, 127)
-    return (q - zero_point) * scale
+    return _round_trip_in_place(values / scale, scale, zero_point)
+
+
+def _round_trip_in_place(q: np.ndarray, scale: float,
+                         zero_point: float) -> np.ndarray:
+    """:func:`fake_quant` of ``q = x / s``, computed in ``q`` itself.
+
+    The zero point is folded into the clip bounds: ``clip(r + z, -128,
+    127) - z`` equals ``clip(r, -128 - z, 127 - z)`` for an integral
+    ``z`` in [-128, 127], since every value the bounds let through is an
+    integer below 2**24 and so exact.  Only the sign of zero differs:
+    ``round`` gives -0.0 on [-0.5, -0.0], which ``+ z ... - z`` turned
+    into +0.0, and the ``+ 0.0`` does the same.
+    """
+    np.round(q, out=q)
+    np.clip(q, -128.0 - zero_point, 127.0 - zero_point, out=q)
+    q += 0.0
+    q *= scale
+    return q
 
 
 class _QuantizedMixin:
@@ -168,14 +185,13 @@ class _FakeQuantOp(plan_mod._PlanOp):
         builder.flops += 4.0 * builder.slots[in_slot].size
 
     def run(self):
-        # rebind/set_input: inherited single-input default.
+        # rebind/set_input: inherited single-input default.  The input
+        # may be N-major and the slot batch-innermost: one transposing
+        # copy, then every ufunc runs on the slot's contiguous storage.
         out = self._out
-        np.divide(self._x, self._scale, out=out)
-        np.round(out, out=out)
-        out += self._zero_point
-        np.clip(out, -128, 127, out=out)
-        out -= self._zero_point
-        out *= self._scale
+        np.copyto(out, self._x)
+        out /= self._scale
+        _round_trip_in_place(out, self._scale, self._zero_point)
 
 
 @plan_mod.plan_builder(QuantizedConv2d)

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
@@ -366,6 +365,27 @@ def _put(column: List[Any], rows: Union[slice, List[int]],
             column[index] = item
 
 
+def _lanes(plan: List[int]) -> List[Tuple[int, Union[slice, List[int]]]]:
+    """``(partition, rows)`` per partition ``plan`` touches, in first-use order.
+
+    The rows are the whole batch when every row lands on one partition,
+    else that partition's index list.
+    """
+    if not plan:
+        return []
+    if plan.count(plan[0]) == len(plan):
+        return [(plan[0], slice(None))]
+    rows_of: Dict[int, List[int]] = {}
+    for index, partition in enumerate(plan):
+        rows_of.setdefault(partition, []).append(index)
+    return list(rows_of.items())
+
+
+def _lane_size(rows: Union[slice, List[int]], n: int) -> int:
+    """How many of a batch's ``n`` rows one lane holds."""
+    return len(range(n)[rows]) if isinstance(rows, slice) else len(rows)
+
+
 #: keyed-partition cache bound per topic; above this many distinct keys
 #: new ones are hashed on the fly instead of cached
 _KEY_CACHE_LIMIT = 8192
@@ -581,23 +601,35 @@ class Broker:
         keys: List[Optional[str]]
         if key_fn is None:
             # Round-robin row i goes to (cursor + i) % width: one rotation
-            # of the partitions, repeated and cut to the batch.
+            # of the partitions, repeated and cut to the batch, so each
+            # partition's rows are one strided slice.
             start = t._round_robin % width
             rotation = [*range(start, width), *range(start)]
             plan = (rotation * -(-n // width))[:n]
             keys = [None] * n
             unkeyed = n
+            lanes = [(rotation[lane], slice(lane, None, width))
+                     for lane in range(min(width, n))]
         else:
             keys = list(map(key_fn, values))
-            plan = t.plan_partitions(keys)
-            unkeyed = keys.count(None)
-        kept = self._admit(t, plan)
+            key = keys[0]
+            if key is not None and keys.count(key) == n:
+                # One key (a camera's chunk): one lookup, one lane.
+                plan = [t.partition_for_key(key)] * n
+                unkeyed = 0
+                lanes = [(plan[0], slice(None))]
+            else:
+                plan = t.plan_partitions(keys)
+                unkeyed = keys.count(None)
+                lanes = _lanes(plan)
+        kept = self._admit(t, plan, lanes)
         t._round_robin += unkeyed
         if kept is not None:
             plan = [plan[index] for index in kept]
             keys = [keys[index] for index in kept]
             values = [values[index] for index in kept]
             n = len(values)
+            lanes = _lanes(plan)
         # Record timestamps: sim time when bound, else one logical tick
         # per appended record.
         if self.runtime.clock_kind == "sim":
@@ -605,19 +637,6 @@ class Broker:
         else:
             stamps = list(map(float, range(self._ticks, self._ticks + n)))
             self._ticks += n
-        if n and plan.count(plan[0]) == n:
-            lanes = [(plan[0], slice(None))]
-        elif key_fn is None and kept is None:
-            # Round-robin lays rows lane, lane + width, ... on one
-            # partition in input order: each partition's rows are one
-            # strided slice.
-            lanes = [(plan[lane], slice(lane, None, width))
-                     for lane in range(min(width, n))]
-        else:
-            rows_of: Dict[int, List[int]] = {}
-            for index, partition in enumerate(plan):
-                rows_of.setdefault(partition, []).append(index)
-            lanes = rows_of.items()
         stage = (t.config.share_ndarrays
                  and not stages_nothing(values, self.shm_min_bytes))
         offsets = [0] * n
@@ -640,26 +659,33 @@ class Broker:
         self._apply_size_retention(t)
         return RecordBatch(topic, plan, offsets, keys, values, stamps)
 
-    def _admit(self, t: _Topic, plan: Sequence[int]) -> Optional[List[int]]:
+    def _admit(self, t: _Topic, plan: Sequence[int],
+               lanes: Sequence[Tuple[int, Union[slice, List[int]]]]
+               ) -> Optional[List[int]]:
         """Rows of ``plan`` that fit, after retention; applies the policy.
 
-        ``None`` means every record is admitted — the common unbounded
-        case stays allocation-free.
+        ``lanes`` is the batch split by partition, so each touched
+        partition is counted once.  ``None`` means every record is
+        admitted — the common unbounded case stays allocation-free.
         """
         bound = t.config.max_partition_records
         if bound is None:
             return None
-        needed = Counter(plan)
-        free: Dict[int, int] = {}
-        for partition, count in needed.items():
+        n = len(plan)
+        overfull = []
+        for partition, rows in lanes:
             part = t.partitions[partition]
-            if len(part) + count > bound:
+            needed = _lane_size(rows, n)
+            if len(part.offsets) + needed > bound:
                 self._evict_consumed_head(t, partition)
-            free[partition] = bound - len(part)
-        if all(count <= free[partition] for partition, count in needed.items()):
+                if len(part.offsets) + needed > bound:
+                    overfull.append(partition)
+        if not overfull:
             return None
         policy = t.config.backpressure
         if policy == "drop":
+            free = {partition: bound - len(t.partitions[partition].offsets)
+                    for partition, _ in lanes}
             kept = []
             for index, partition in enumerate(plan):
                 if free[partition] > 0:
@@ -668,8 +694,7 @@ class Broker:
             self._dropped.inc(len(plan) - len(kept), topic=t.name,
                               reason="backpressure")
             return kept
-        overfull = sorted(p for p, count in needed.items()
-                          if count > free[p])
+        overfull.sort()
         message = (f"topic {t.name} partitions {overfull} are full "
                    f"(bound {bound})")
         if policy == "block":
@@ -700,13 +725,21 @@ class Broker:
                 self._truncate_head(part, len(part) - bound)
 
     def _evict_consumed_head(self, t: _Topic, partition: int) -> None:
-        """Trim records already committed by every group that consumes here."""
-        committed = [offset for (group, topic, p), offset
-                     in self._group_offsets.items()
-                     if topic == t.name and p == partition]
-        if not committed:
+        """Trim records already committed by every group that consumes here.
+
+        A group consumes here once it has committed on the partition or
+        while it has members subscribed to the topic; a subscribed group
+        that has not committed yet pins the head at offset 0.
+        """
+        offsets = self._group_offsets
+        groups = {group for (group, topic, p) in offsets
+                  if topic == t.name and p == partition}
+        groups.update(group.name for group in self._groups.values()
+                      if t.name in group.assignment)
+        if not groups:
             return
-        safe = min(committed)
+        safe = min(offsets.get((group, t.name, partition), 0)
+                   for group in groups)
         part = t.partitions[partition]
         cut = part.index_for(safe)
         if cut:

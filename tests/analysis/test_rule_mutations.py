@@ -68,7 +68,7 @@ CASES = [
              "value = rng.normal(0, 1, shape)",
              "rng = np.random.default_rng(0)  # seeded"),
     Mutation("DET107", "src/repro/streaming/broker.py",
-             "if n and plan.count(plan[0]) == n:", """
+             "stage = (t.config.share_ndarrays", """
              import time
              stamp = time.time()
              probe = Record(topic=topic, partition=0, offset=0, key=None,

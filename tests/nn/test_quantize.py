@@ -8,8 +8,11 @@ data, not a hoped-for tolerance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
+from repro.nn import plan as plan_mod
 from repro.nn.fuse import fuse_for_inference
 from repro.nn.inference import batched_forward
 from repro.nn.models.earlyexit import EarlyExitNetwork
@@ -19,6 +22,7 @@ from repro.nn.quantize import (
     QPARAM_OVERHEAD_BYTES,
     QuantizedConv2d,
     QuantizedLinear,
+    _FakeQuantOp,
     calibrate_activation,
     dequantize_weight,
     fake_quant,
@@ -204,3 +208,76 @@ class TestQuantizedPlans:
             expected = quantized(Tensor(x)).data
         assert np.array_equal(plan.run(x), expected)
         assert np.array_equal(plan.run(x[:2]), expected[:2])
+
+
+def six_step_fake_quant(values, scale, zero_point):
+    """The int8 round trip as first written: the byte-level reference."""
+    q = np.clip(np.round(values / scale) + zero_point, -128, 127)
+    return (q - zero_point) * scale
+
+
+def fake_quant_plan(rows, sample_shape, scale, zero_point):
+    """A captured plan holding one fake-quant op on its input."""
+    builder = plan_mod._PlanBuilder(rows, sample_shape, np.float32)
+    op = _FakeQuantOp(builder, scale, zero_point, plan_mod._INPUT)
+    builder.add_op(op)
+    return plan_mod.InferencePlan(None, builder, op.out_slot, "fake_quant")
+
+
+#: grid units: inside, on and far outside the int8 range, halves, and the
+#: small negatives that round to -0.0
+GRID_UNITS = st.one_of(
+    st.floats(-400.0, 400.0, width=32),
+    st.sampled_from([-0.5, -0.4, -0.25, -1e-6, -0.0, 0.0, 0.5, 1.5, -1.5,
+                     127.5, -128.5, 255.0, -255.0, 1e30, -1e30]))
+#: values that are not a finite multiple of the scale
+SPECIAL = st.sampled_from([np.inf, -np.inf, np.nan, -np.nan,
+                           np.float32(3e38), np.float32(-3e38),
+                           np.float32(1e-40), np.float32(-1e-40)])
+
+
+class TestFakeQuantBytes:
+    """Eager and planned fake-quant equal the six-step reference, bytewise.
+
+    ``np.array_equal`` (what plan validation uses) cannot see the sign of
+    zero or a NaN's bits, so the comparison is ``tobytes()``.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(sample_shape=st.sampled_from([(2, 3, 3), (1, 4, 4), (5,)]),
+           rows=st.integers(1, 5),
+           low=st.floats(-50.0, 0.0), high=st.floats(0.0, 50.0),
+           data=st.data())
+    def test_eager_and_op_equal_the_reference(self, sample_shape, rows, low,
+                                              high, data):
+        scale, zero_point = calibrate_activation(np.array([low, high]))
+        assert zero_point == int(zero_point) and -128 <= zero_point <= 127
+        size = rows * int(np.prod(sample_shape))
+        cells = data.draw(st.lists(
+            st.one_of(GRID_UNITS.map(lambda unit: unit * scale), SPECIAL),
+            min_size=size, max_size=size))
+        x = np.array(cells, dtype=np.float32).reshape((rows,) + sample_shape)
+        plan = fake_quant_plan(rows, sample_shape, scale, zero_point)
+        with np.errstate(all="ignore"):
+            for prefix in range(1, rows + 1):
+                head = np.ascontiguousarray(x[:prefix])
+                layouts = [head]
+                if len(sample_shape) == 3:   # the batch-innermost layout
+                    layouts.append(np.moveaxis(
+                        np.ascontiguousarray(np.moveaxis(head, 0, -1)),
+                        -1, 0))
+                expected = six_step_fake_quant(head, scale,
+                                               zero_point).tobytes()
+                for values in layouts:
+                    assert fake_quant(values, scale, zero_point).tobytes() \
+                        == expected
+                    assert plan.run(values).tobytes() == expected
+
+    def test_values_rounding_to_negative_zero_come_back_positive(self):
+        x = np.array([[-0.4, -0.0, -1e-6, 0.0]], dtype=np.float32)
+        for zero_point in (-128.0, -3.0, 0.0, 5.0, 127.0):
+            expected = six_step_fake_quant(x, 1.0, zero_point).tobytes()
+            plan = fake_quant_plan(1, (4,), 1.0, zero_point)
+            for got in (fake_quant(x, 1.0, zero_point), plan.run(x)):
+                assert got.tobytes() == expected
+                assert not np.signbit(got).any()

@@ -263,6 +263,22 @@ class TestBackpressure:
         with pytest.raises(BackpressureStall):
             broker.produce("events", 2)  # uncommitted head must survive
 
+    def test_subscribed_group_without_commits_pins_the_head(self):
+        broker = make_broker(partitions=1, max_partition_records=4)
+        reader = broker.consumer("A", ["events"])
+        idle = broker.consumer("B", ["events"], auto_commit=False)
+        broker.produce_batch("events", [0, 1, 2, 3])
+        assert [r.value for r in reader.poll(4)] == [0, 1, 2, 3]
+        # A has committed the whole log; B has read nothing, so nothing
+        # is consumed by every group and the full partition stalls
+        with pytest.raises(BackpressureStall):
+            broker.produce_batch("events", [4, 5, 6, 7])
+        assert [r.value for r in idle.poll(8)] == [0, 1, 2, 3]
+        assert broker.lag("B", "events") == 4
+        idle.commit()                    # now every group is past the head
+        broker.produce_batch("events", [4, 5, 6, 7])
+        assert [r.value for r in idle.poll(8)] == [4, 5, 6, 7]
+
 
 def keys_for_partitions(partitions):
     """One key per partition, found by probing a scratch broker (the key
