@@ -9,7 +9,7 @@ structure to find.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -35,10 +35,13 @@ class OpenCityData:
         self._rng = get_runtime().rng.np_child("data.city", seed)
         self._ids = itertools.count(1)
 
-    def _district_location(self, district: int) -> List[float]:
+    def _district_location(self, district: int) -> Tuple[float, float]:
+        """A point near the district's center, as an ``(x, y)`` tuple: every
+        record family here holds tuple points, so a shallow copy of a
+        record is a copy by value."""
         cx, cy = DISTRICT_CENTERS[district]
-        return [float(np.clip(cx + self._rng.normal(0, 0.08), 0, 1)),
-                float(np.clip(cy + self._rng.normal(0, 0.08), 0, 1))]
+        return (float(np.clip(cx + self._rng.normal(0, 0.08), 0, 1)),
+                float(np.clip(cy + self._rng.normal(0, 0.08), 0, 1)))
 
     def crime_incidents(self, days: int) -> List[Dict]:
         """Poisson per-district daily incidents over ``days`` days: three
@@ -90,7 +93,7 @@ class OpenCityData:
                     "incident_id": next(self._ids),
                     "kind": "traffic",
                     "severity": int(rng.integers(1, 5)),
-                    "location": [float(rng.random()), float(rng.random())],
+                    "location": (float(rng.random()), float(rng.random())),
                     "day": day,
                     "hour": float(rng.uniform(0, 24)),
                     "lanes_blocked": int(rng.integers(0, 3)),

@@ -106,11 +106,13 @@ class Tweet:
     time: float
 
     def as_document(self) -> Dict:
+        """The tweet as a record; its ``location`` is the tweet's own tuple,
+        so a shallow copy of the record is a copy by value."""
         return {
             "tweet_id": self.tweet_id,
             "user_id": self.user_id,
             "text": self.text,
-            "location": list(self.location),
+            "location": self.location,
             "time": self.time,
         }
 
@@ -190,7 +192,7 @@ class WazeGenerator:
             out.append({
                 "report_id": next(self._ids),
                 "type": kind,
-                "location": [float(rng.random()), float(rng.random())],
+                "location": (float(rng.random()), float(rng.random())),
                 "time": float(rng.uniform(0.0, 24.0)),
                 "severity": int(rng.integers(1, 6)),
                 "source": "system" if kind == "JAM" else "user",

@@ -10,15 +10,33 @@ implements the subset the smart-city applications need:
   both accelerated by a 2-D grid index when one exists on the field;
 - dotted field paths (``"location.district"``).
 
-Secondary hash indexes accelerate exact-match queries; the collection
-records whether the last query was served by an index so tests and
-benchmarks can verify index usage.
+Secondary hash (field) indexes accelerate exact-match queries; the
+collection records whether the last query was served by an index so tests
+and benchmarks can verify index usage.
+
+Documents are stored by value, as MongoDB stores BSON: the store shares no
+mutable data with its callers.  ``insert_many`` stores a private copy of
+every document, ``find`` / ``find_one`` / ``distinct`` return private
+copies, and ``update``'s ``$set`` stores a private copy of each value.  A
+private copy is a plain ``dict`` whose ``list`` and ``dict`` values (and
+tuples that hold one), at any depth, are themselves copied into plain
+lists, dicts and tuples; other objects (sets, arrays) are shared.  Only
+documents that hold a container pay Python-level work for that: every
+document is first copied at C level with ``dict.copy``, and only the
+copies that ``gc.is_tracked`` reports go through the recursive copy.
+CPython untracks a dict whose values are all atomic (numbers, strings,
+``None``, and tuples of those once a collection has untracked them), so
+records whose points are tuples keep the C-level path.  ``__iter__``
+alone hands out the stored documents themselves, read-only, so a scan
+that only reads fields pays for no copy.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import operator
 import re
 from collections import deque
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -37,6 +55,12 @@ _COMPARISONS = {
     "$in": lambda a, b: a in b,
     "$nin": lambda a, b: a not in b,
 }
+
+
+#: ``(buckets, key)`` per index a document is in: a hash index's value ->
+#: ids dict with the hashable field value, or a grid's cell -> ids dict
+#: with the point's cell
+_IndexKeys = List[Tuple[Dict[Any, set], Any]]
 
 
 def _get_path(document: Dict, path: str) -> Any:
@@ -89,11 +113,6 @@ class GridIndex:
     def add(self, doc_id: int, point: Sequence[float]) -> None:
         self._buckets.setdefault(self._bucket(point), set()).add(doc_id)
 
-    def remove(self, doc_id: int, point: Sequence[float]) -> None:
-        bucket = self._buckets.get(self._bucket(point))
-        if bucket:
-            bucket.discard(doc_id)
-
     def candidates_near(self, point: Sequence[float], radius: float) -> set:
         """Doc ids in all buckets intersecting the radius ball."""
         span = int(math.ceil(radius / self.cell_size))
@@ -132,8 +151,9 @@ class Collection:
         """The stored documents in insertion order, read in place.
 
         No copies: a whole-collection scan that only reads fields costs
-        no per-document ``dict`` (``find`` returns copies); callers must
-        not mutate what they get.
+        no per-document ``dict`` (``find`` returns private copies); the
+        documents are read-only, and callers must not mutate them or
+        anything they hold.
         """
         return iter(self._documents.values())
 
@@ -155,38 +175,47 @@ class Collection:
                 index.add(doc_id, point)
         self._geo_indexes[field] = index
 
-    def _index_insert(self, doc_id: int, document: Dict) -> None:
-        for field, index in self._hash_indexes.items():
-            value = _hashable(_get_path(document, field))
-            index.setdefault(value, set()).add(doc_id)
-        for field, index in self._geo_indexes.items():
+    def _index_keys(self, document: Dict) -> _IndexKeys:
+        """``(buckets, key)`` for each index the document belongs in.
+
+        A hash index keys it by its hashable field value, a geo index by
+        its point's grid cell.  Nothing is written, so a value no index
+        can key raises before a write starts.
+        """
+        keys = [(index, _hashable(_get_path(document, field)))
+                for field, index in self._hash_indexes.items()]
+        for field, grid in self._geo_indexes.items():
             point = _get_path(document, field)
             if _is_point(point):
-                index.add(doc_id, point)
+                keys.append((grid._buckets, grid._bucket(point)))
+        return keys
 
-    def _index_remove(self, doc_id: int, document: Dict) -> None:
-        for field, index in self._hash_indexes.items():
-            value = _hashable(_get_path(document, field))
-            bucket = index.get(value)
+    @staticmethod
+    def _index_insert(doc_id: int, keys: _IndexKeys) -> None:
+        for buckets, key in keys:
+            buckets.setdefault(key, set()).add(doc_id)
+
+    @staticmethod
+    def _index_remove(doc_id: int, keys: _IndexKeys) -> None:
+        for buckets, key in keys:
+            bucket = buckets.get(key)
             if bucket:
                 bucket.discard(doc_id)
-        for field, index in self._geo_indexes.items():
-            point = _get_path(document, field)
-            if _is_point(point):
-                index.remove(doc_id, point)
 
     # -- writes -------------------------------------------------------------------
     def insert(self, document: Dict) -> int:
         return self.insert_many((document,))[0]
 
     def insert_many(self, documents: Iterable[Dict]) -> List[int]:
-        """Store a copy of every document, or none of them.
+        """Store a private copy of every document, or none of them.
 
-        The whole batch is validated before the first write, so a
-        non-dict or a duplicate ``_id`` (against the collection or within
-        the batch) raises with the collection unchanged and no id drawn;
-        the first offending document in batch order names the error.
-        Only documents that carry their own ``_id`` cost Python-level work.
+        The whole batch is validated, and its index keys computed, before
+        the first write, so a non-dict, a duplicate ``_id`` (against the
+        collection or within the batch) or a value an index cannot key
+        raises with the collection unchanged; the first two draw no id,
+        and the first offending document in batch order names the error.
+        Only documents that carry their own ``_id`` or hold a container
+        cost Python-level work.
         """
         documents = list(documents)
         checked = documents  # a duplicate before a non-dict names the error
@@ -213,53 +242,52 @@ class Collection:
             drawn = itertools.islice(self._counter, missing)
             ids = [next(drawn) if doc_id is None else doc_id
                    for doc_id in ids]
-        # plain dicts whatever the input's type, like dict(document),
-        # without the type call's argument handling
-        stored = list(map(dict.copy, documents))
+        stored = _copies(documents)
         # set every copy's _id at C speed (the empty deque drains the map)
         deque(map(dict.__setitem__, stored, itertools.repeat("_id"), ids),
               maxlen=0)
+        keys = (list(map(self._index_keys, stored))
+                if self._hash_indexes or self._geo_indexes else ())
         stored_documents.update(zip(ids, stored))
-        if self._hash_indexes or self._geo_indexes:
-            for doc_id, document in zip(ids, stored):
-                self._index_insert(doc_id, document)
+        deque(map(self._index_insert, ids, keys), maxlen=0)
         return ids
 
     def update(self, query: Dict, update: Dict) -> int:
-        """Apply ``{"$set": {...}}`` to matching docs; returns count."""
+        """Apply ``{"$set": {...}}`` to matching docs; returns count.
+
+        Each match stores its own private copy of every ``$set`` value.
+        """
         if set(update) != {"$set"}:
             raise MongoError("only {'$set': {...}} updates are supported")
-        count = 0
-        for document in self.find(query):
-            doc_id = document["_id"]
-            stored = self._documents[doc_id]
-            self._index_remove(doc_id, stored)
+        matches = self._matching(query)
+        for stored in matches:
+            doc_id = stored["_id"]
+            self._index_remove(doc_id, self._index_keys(stored))
             for path, value in update["$set"].items():
-                _set_path(stored, path, value)
-            self._index_insert(doc_id, stored)
-            count += 1
-        return count
+                _set_path(stored, path, _owned(value))
+            self._index_insert(doc_id, self._index_keys(stored))
+        return len(matches)
 
     def delete(self, query: Dict) -> int:
-        victims = [doc["_id"] for doc in self.find(query)]
+        victims = [document["_id"] for document in self._matching(query)]
         for doc_id in victims:
             stored = self._documents.pop(doc_id)
-            self._index_remove(doc_id, stored)
+            self._index_remove(doc_id, self._index_keys(stored))
         return len(victims)
 
     # -- reads ---------------------------------------------------------------------
     def find(self, query: Optional[Dict] = None,
              limit: Optional[int] = None,
              sort: Optional[str] = None) -> List[Dict]:
-        """Copies of the matching documents, ascending on ``sort`` when it
-        is given (documents without the field last)."""
-        results = [dict(document) for document in self._matching(query)]
+        """Private copies of the matching documents, ascending on ``sort``
+        when it is given (documents without the field last)."""
+        matches = self._matching(query)
         if sort is not None:
-            results.sort(key=lambda d: (_get_path(d, sort) is None,
+            matches.sort(key=lambda d: (_get_path(d, sort) is None,
                                         _get_path(d, sort)))
         if limit is not None:
-            results = results[:limit]
-        return results
+            matches = matches[:limit]
+        return _copies(matches)
 
     def find_one(self, query: Optional[Dict] = None) -> Optional[Dict]:
         matches = self.find(query, limit=1)
@@ -274,7 +302,7 @@ class Collection:
         for document in self._matching(None):
             value = _get_path(document, field)
             if value not in seen:
-                seen.append(value)
+                seen.append(_owned(value))
         return seen
 
     # -- query planning -----------------------------------------------------------
@@ -375,11 +403,48 @@ def _is_point(value: Any) -> bool:
 
 
 def _hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(value)
+    """A hash-index key for ``value``: lists and tuples become tuples and
+    dicts sorted item tuples, recursively.  Raises ``TypeError`` for a
+    value with no key (a set, say) here rather than at the first write."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_hashable, value))
     if isinstance(value, dict):
-        return tuple(sorted(value.items()))
+        return tuple(sorted(zip(value, map(_hashable, value.values()))))
+    hash(value)
     return value
+
+
+def _owned(value: Any) -> Any:
+    """``value`` with every list and dict in it copied, at any depth.
+
+    A tuple is rebuilt, as a plain tuple, only when it holds one, so a
+    tuple of atoms keeps its identity and type whether or not the
+    collector has untracked it yet; an untracked tuple holds none and is
+    returned without a look inside.
+    """
+    if isinstance(value, list):
+        return list(map(_owned, value))
+    if isinstance(value, dict):
+        return dict(zip(value, map(_owned, value.values())))
+    if isinstance(value, tuple) and gc.is_tracked(value):
+        items = tuple(map(_owned, value))
+        if any(map(operator.is_not, items, value)):
+            return items
+    return value
+
+
+def _copies(documents: Iterable[Dict]) -> List[Dict]:
+    """Private plain-dict copies of ``documents`` (see the module notes).
+
+    ``dict.copy`` runs at C level over the whole batch; only the copies
+    the collector tracks, which are the only ones that can hold a list,
+    a dict or a tuple holding one, are copied again through ``_owned``.
+    """
+    copies = list(map(dict.copy, documents))
+    for i in itertools.compress(range(len(copies)),
+                                list(map(gc.is_tracked, copies))):
+        copies[i] = _owned(copies[i])
+    return copies
 
 
 def _set_path(document: Dict, path: str, value: Any) -> None:

@@ -1,5 +1,6 @@
 """Tests for the assembled cyberinfrastructure (Figs. 1 and 4)."""
 
+import gc
 import json
 from collections import Counter
 
@@ -140,6 +141,18 @@ class TestCollectionPipeline:
         assert expected_chart == bar_chart_svg(
             {str(k): float(v) for k, v in sorted(counts.items())},
             title="records by district")
+
+    def test_stored_feed_documents_leave_the_collector_alone(self):
+        # The feeds emit tuple points, so a stored document holds atoms
+        # only: once a full collection has run, the collector untracks
+        # every one and no later collection walks the store.
+        infra, _ = self.build()
+        infra.run_collection_pipeline()
+        gc.collect()
+        for name in ("crimes", "tweets", "waze"):
+            collection = infra.collection(name)
+            assert len(collection) > 0
+            assert not any(map(gc.is_tracked, collection)), name
 
     def test_pipeline_idempotent_topics(self):
         infra, _ = self.build()

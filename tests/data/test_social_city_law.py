@@ -115,7 +115,8 @@ class TestTweets:
         tweet = TweetGenerator(seed=0).chatter(1)[0]
         doc = tweet.as_document()
         assert doc["tweet_id"] == tweet.tweet_id
-        assert isinstance(doc["location"], list)
+        assert doc["location"] == tweet.location
+        assert isinstance(doc["location"], tuple)  # a copy of doc is by value
 
     def test_validates(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the MongoDB-like document store."""
 
+import gc
 import random
 
 import pytest
@@ -82,6 +83,23 @@ class TestInsertMany:
         documents[0]["a"] = 999
         assert documents[0].get("_id") is None    # input left untouched
         assert coll.find_one({})["a"] == 1
+
+    def test_nested_values_index_and_a_bad_key_stores_nothing(self):
+        coll = Collection("c")
+        coll.create_index("tags")
+        coll.create_geo_index("location", cell_size=0.1)
+        ids = coll.insert_many([{"tags": ["ok"]}, {"tags": [[1, 2]]},
+                                {"tags": {"a": [1]}}])
+        assert coll.count({"tags": [[1, 2]]}) == 1
+        assert coll.last_query_used_index
+        assert coll.find_one({"tags": {"a": [1]}})["_id"] == ids[2]
+        for bad in ({"tags": [{1, 2}]},                  # a set has no key
+                    {"location": [float("inf"), 0.0]},   # nor a cell
+                    {"location": [float("nan"), 0.0]}):
+            with pytest.raises((TypeError, ValueError, OverflowError)):
+                coll.insert_many([{"tags": ["ok"]}, bad])
+            assert len(coll) == 3
+            assert coll.count({"tags": ["ok"]}) == 1
 
     def test_accepts_a_generator(self):
         coll = Collection("c")
@@ -183,6 +201,62 @@ class TestQueries:
         doc = coll.find_one({"type": "burglary"})
         doc["type"] = "hacked"
         assert coll.count({"type": "hacked"}) == 0
+
+
+class TestByValue:
+    """The store shares no mutable data with its callers."""
+
+    def test_moving_an_inserted_point_moves_nothing(self):
+        point = [0.1, 0.1]
+        plain, indexed = Collection("plain"), Collection("indexed")
+        indexed.create_geo_index("location", cell_size=0.1)
+        for coll in (plain, indexed):
+            coll.insert({"location": point})
+        point[:] = [0.9, 0.9]
+        for centre, expected in (([0.9, 0.9], 0), ([0.1, 0.1], 1)):
+            query = {"location": {"$near": centre, "$maxDistance": 0.05}}
+            assert len(plain.find(query)) == len(indexed.find(query)) \
+                == expected
+        assert plain.find_one({})["location"] == [0.1, 0.1]
+
+    def test_mutating_a_find_result_leaves_the_store(self):
+        coll = Collection("c")
+        coll.create_index("meta.kind")
+        coll.insert({"location": [0.1, 0.1], "meta": {"kind": "crime"},
+                     "pair": ([1], 2)})
+        found = coll.find_one({})
+        found["location"][0] = 0.9
+        found["meta"]["kind"] = "tweet"
+        found["pair"][0].append(3)
+        assert coll.find_one({}) == {"_id": 1, "location": [0.1, 0.1],
+                                     "meta": {"kind": "crime"},
+                                     "pair": ([1], 2)}
+        assert coll.count({"meta.kind": "tweet"}) == 0
+        coll.distinct("location")[0][0] = 0.9
+        assert coll.find_one({})["location"] == [0.1, 0.1]
+
+    def test_an_update_value_mutated_afterwards_leaves_the_store(self):
+        coll = Collection("c")
+        coll.create_index("tags")
+        coll.insert_many([{"n": 1}, {"n": 2}])
+        tags = ["a"]
+        assert coll.update({}, {"$set": {"tags": tags}}) == 2
+        tags.append("b")
+        assert [doc["tags"] for doc in coll.find({})] == [["a"], ["a"]]
+        assert coll.count({"tags": ["a"]}) == 2
+        assert coll.count({"tags": ["a", "b"]}) == 0
+        stored = list(coll)
+        assert stored[0]["tags"] is not stored[1]["tags"]
+
+    def test_atom_only_documents_stay_untracked(self):
+        # the C-level path: a copy of an untracked record is untracked
+        record = {"kind": "crime", "location": (0.1, 0.2), "n": 1}
+        gc.collect()
+        assert not gc.is_tracked(record)
+        coll = Collection("c")
+        coll.insert_many([record])
+        assert not any(map(gc.is_tracked, coll))
+        assert not any(map(gc.is_tracked, coll.find({})))
 
 
 _NAN = float("nan")

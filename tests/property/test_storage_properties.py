@@ -1,13 +1,24 @@
-"""Property-based tests for the DFS, HBase and document-store substrates."""
+"""Property-based tests for the DFS, HBase and document-store substrates.
 
+``REPRO_CHAOS_SEED`` (set by the CI chaos sweep, default 0) shifts the
+document store's drawn mutation schedules while keeping any single
+invocation deterministic.
+"""
+
+import copy
+import math
+import os
 from collections import OrderedDict
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.dfs import DistributedFileSystem
 from repro.nosql import Collection, HTable, MongoError
+from repro.nosql.mongo import _get_path
+
+BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 FILE_CONTENT = st.binary(min_size=0, max_size=500)
 ROW_KEYS = st.text(alphabet="abcdef", min_size=1, max_size=4)
@@ -129,17 +140,69 @@ def test_mongo_range_query_matches_naive_filter(docs, cutoff):
     assert len(found) == len(expected)
 
 
+KINDS = ["crime", "traffic", "tweet"]
+NESTED_DOCS = st.lists(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(KINDS),
+        "meta": st.fixed_dictionaries({"kind": st.sampled_from(KINDS)}),
+        "tags": st.lists(st.sampled_from(KINDS), max_size=2),
+    }),
+    min_size=0, max_size=25)
+INDEXED_FIELDS = ("kind", "meta.kind", "tags")
+
+#: a caller changing data it handed to, or got from, the store: whose
+#: data ("record" = an inserted record, "found" = a ``find`` result),
+#: which document (modulo the count), which field, the new kind
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["record", "found"]), st.integers(0, 24),
+              st.sampled_from(INDEXED_FIELDS), st.sampled_from(KINDS)),
+    max_size=6)
+
+
+def mutate(document, field, kind):
+    """Change ``field`` of a caller's ``document`` in place."""
+    if field == "tags":
+        document["tags"].append(kind)
+    elif field == "meta.kind":
+        document["meta"]["kind"] = kind
+    else:
+        document["kind"] = kind
+
+
 @settings(max_examples=30, deadline=None)
-@given(DOCS, st.sampled_from(["crime", "traffic", "tweet"]))
-def test_mongo_index_equivalent_to_scan(docs, kind):
+@seed(BASE_SEED)
+@given(NESTED_DOCS, MUTATIONS)
+def test_mongo_index_equivalent_to_scan(docs, mutations):
+    """Indexed and unindexed collections, and the records as inserted,
+    answer every exact-match query alike while callers change what they
+    inserted and what ``find`` returned."""
+    inserted = copy.deepcopy(docs)
     plain = Collection("plain")
-    plain.insert_many(docs)
     indexed = Collection("indexed")
-    indexed.insert_many(docs)
-    indexed.create_index("kind")
-    scan_ids = {d["_id"] for d in plain.find({"kind": kind})}
-    index_ids = {d["_id"] for d in indexed.find({"kind": kind})}
-    assert scan_ids == index_ids
+    ids = plain.insert_many(docs)
+    for field in INDEXED_FIELDS[:2]:
+        indexed.create_index(field)          # maintained on insert
+    assert indexed.insert_many(docs) == ids
+    indexed.create_index("tags")             # built over stored documents
+    queries = [(field, kind) for field in ("kind", "meta.kind")
+               for kind in KINDS]
+    queries += [("tags", tags) for tags in
+                [[], *([kind] for kind in KINDS)]
+                + [doc["tags"] for doc in inserted]]
+    for step in range(len(mutations) + 1):
+        for field, value in queries:
+            expected = {doc_id for doc_id, doc in zip(ids, inserted)
+                        if _get_path(doc, field) == value}
+            assert {d["_id"] for d in plain.find({field: value})} \
+                == {d["_id"] for d in indexed.find({field: value})} \
+                == expected, (step, field, value)
+        if step < len(mutations) and docs:
+            whose, which, field, kind = mutations[step]
+            if whose == "record":
+                mutate(docs[which % len(docs)], field, kind)
+            else:
+                for collection in (plain, indexed):
+                    mutate(collection.find()[which % len(docs)], field, kind)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,25 +216,48 @@ def test_mongo_delete_then_count_zero(docs):
     assert len(collection) == len(docs) - removed
 
 
+UNIT = st.floats(0, 1, allow_nan=False)
+
+#: a caller moving a point it inserted ("record") or got from ``find``
+#: ("found"): whose, which document (modulo the count), where to
+MOVES = st.lists(st.tuples(st.sampled_from(["record", "found"]),
+                           st.integers(0, 29), UNIT, UNIT),
+                 max_size=6)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.floats(0, 1, allow_nan=False),
-                          st.floats(0, 1, allow_nan=False)),
-                min_size=0, max_size=30),
-       st.floats(0.05, 0.5, allow_nan=False))
-def test_mongo_geo_index_matches_scan(points, radius):
+@seed(BASE_SEED)
+@given(st.lists(st.tuples(UNIT, UNIT), min_size=0, max_size=30),
+       st.floats(0.05, 0.5, allow_nan=False), MOVES)
+def test_mongo_geo_index_matches_scan(points, radius, moves):
+    """The grid index, a scan and the points as inserted agree on
+    ``$near`` while callers move the points they inserted or found."""
     docs = [{"location": [x, y]} for x, y in points]
     plain = Collection("plain")
-    plain.insert_many(docs)
+    ids = plain.insert_many(docs)
     indexed = Collection("indexed")
     indexed.insert_many(docs)
     indexed.create_geo_index("location", cell_size=0.13)
-    query = {"location": {"$near": [0.5, 0.5], "$maxDistance": radius}}
-    assert ({d["_id"] for d in plain.find(query)}
-            == {d["_id"] for d in indexed.find(query)})
+    for step in range(len(moves) + 1):
+        for centre in ([0.5, 0.5], *(list(point) for point in points[:3])):
+            query = {"location": {"$near": centre, "$maxDistance": radius}}
+            expected = {doc_id for doc_id, point in zip(ids, points)
+                        if math.hypot(point[0] - centre[0],
+                                      point[1] - centre[1]) <= radius}
+            assert {d["_id"] for d in plain.find(query)} \
+                == {d["_id"] for d in indexed.find(query)} == expected
+        if step < len(moves) and docs:
+            whose, which, x, y = moves[step]
+            targets = ([docs[which % len(docs)]] if whose == "record" else
+                       [collection.find()[which % len(docs)]
+                        for collection in (plain, indexed)])
+            for document in targets:
+                document["location"][:] = [x, y]
 
 
 def reference_insert_many(collection, documents):
-    """One document at a time: validate all, then draw, copy and store."""
+    """One document at a time: validate all, then draw, deep-copy, key
+    and store."""
     documents = list(documents)
     stored_documents = collection._documents
     given = set()
@@ -189,11 +275,11 @@ def reference_insert_many(collection, documents):
         doc_id = document.get("_id")
         if doc_id is None:
             doc_id = next(collection._counter)
-        stored = dict.copy(document)
+        stored = copy.deepcopy(dict(document))
         stored["_id"] = doc_id
+        keys = collection._index_keys(stored)
         stored_documents[doc_id] = stored
-        if collection._hash_indexes or collection._geo_indexes:
-            collection._index_insert(doc_id, stored)
+        collection._index_insert(doc_id, keys)
         ids.append(doc_id)
     return ids
 
@@ -261,8 +347,11 @@ def test_bulk_insert_many_matches_a_per_document_reference(
     assert outcomes[0] == outcomes[1]
     assert collection_state(bulk) == collection_state(reference)
     assert next(bulk._counter) == next(reference._counter)
-    stored = {id(document) for document in bulk._documents.values()}
-    assert not any(id(document) in stored for document in batch)
+    stored = {id(value) for document in bulk._documents.values()
+              for value in (document, document["location"])}
+    assert not any(id(value) in stored for document in batch
+                   if isinstance(document, dict)
+                   for value in (document, document["location"]))
     if outcomes[0][0] == "error":
         assert collection_state(bulk) == before
 
