@@ -33,12 +33,8 @@ def train_variant(shortcut, x, y, epochs=40, seed=0):
     model = SmallResNet(1, num_classes=4, widths=(4, 8),
                         shortcut=shortcut,
                         rng=np.random.default_rng(seed))
-    optimizer = nn.Adam(model.parameters(), lr=0.01)
-    for _ in range(epochs):
-        optimizer.zero_grad()
-        loss = F.cross_entropy(model(Tensor(x)), y)
-        loss.backward()
-        optimizer.step()
+    losses = nn.fit(model, lambda rows: F.cross_entropy(
+        model(Tensor(x[rows])), y[rows]), len(y), epochs, 0.01)
     model.eval()
     x_test, y_test = make_task(n=40, seed=seed + 100)
     accuracy = F.accuracy(model(Tensor(x_test)), y_test)
@@ -47,7 +43,7 @@ def train_variant(shortcut, x, y, epochs=40, seed=0):
         "shortcut": shortcut,
         "parameters": model.num_parameters(),
         "mflops": flops / 1e6,
-        "train_loss": loss.item(),
+        "train_loss": losses[-1],
         "test_accuracy": accuracy,
     }
 

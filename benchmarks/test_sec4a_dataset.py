@@ -12,7 +12,6 @@ import numpy as np
 from benchmarks.helpers import print_table
 from repro import nn
 from repro.nn import functional as F
-from repro.apps.vehicle import VehicleDetectionApp
 from repro.data.video import SceneGenerator, VehicleCatalog
 from repro.nn.tensor import Tensor
 
@@ -56,12 +55,8 @@ def test_sec4a_subset_learnable(benchmark):
         model = nn.Sequential(
             nn.Flatten(), nn.Linear(64, 64, rng=np.random.default_rng(0)),
             nn.ReLU(), nn.Linear(64, 10, rng=np.random.default_rng(1)))
-        optimizer = nn.Adam(model.parameters(), lr=0.01)
-        for _ in range(60):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(model(Tensor(images)), labels)
-            loss.backward()
-            optimizer.step()
+        nn.fit(model, lambda rows: F.cross_entropy(
+            model(Tensor(images[rows])), labels[rows]), len(labels), 60, 0.01)
         model.eval()
         test_images, test_labels = generator.classification_dataset(
             100, patch_size=8)

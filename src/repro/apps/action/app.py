@@ -111,21 +111,11 @@ class ActionRecognitionApp:
     def train(self, clips_per_class: int = 6, epochs: int = 20,
               lr: float = 0.01, batch_size: int = 10) -> List[float]:
         data, labels = self.clips.dataset(clips_per_class)
-        optimizer = nn.Adam(self.model.parameters(), lr=lr)
-        rng = self.runtime.rng.np_child("apps.action.train.sgd", self.seed)
-        losses = []
-        for _ in range(epochs):
-            order = rng.permutation(len(labels))
-            epoch = []
-            for start in range(0, len(labels), batch_size):
-                batch = order[start:start + batch_size]
-                optimizer.zero_grad()
-                loss = self.model.joint_loss(Tensor(data[batch]), labels[batch])
-                loss.backward()
-                optimizer.step()
-                epoch.append(loss.item())
-            losses.append(float(np.mean(epoch)))
-        return losses
+        return nn.fit(
+            self.model,
+            lambda rows: self.model.joint_loss(Tensor(data[rows]), labels[rows]),
+            len(labels), epochs, lr, batch_size,
+            self.runtime.rng.np_child("apps.action.train.sgd", self.seed))
 
     def exit_accuracies(self, clips_per_class: int = 4) -> Dict[str, float]:
         """Accuracy of each exit alone on fresh clips."""

@@ -20,6 +20,7 @@ from repro.runtime.core import get_runtime
 
 from repro import nn
 from repro.nn import functional as F
+from repro.nn.inference import eval_mode
 from repro.nn.tensor import Tensor
 
 
@@ -84,23 +85,17 @@ class CrimeForecaster:
         self._std = float(targets.std()) or 1.0
         x = self._normalize(inputs)
         y = self._normalize(targets).reshape(-1, 1)
-        optimizer = nn.Adam(self.model.parameters(), lr=0.01)
-        losses = []
-        for _ in range(epochs):
-            optimizer.zero_grad()
-            prediction = self.model(Tensor(x))
-            loss = F.mse_loss(prediction, Tensor(y))
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        return losses
+        return nn.fit(
+            self.model,
+            lambda rows: F.mse_loss(self.model(Tensor(x[rows])),
+                                    Tensor(y[rows])),
+            len(y), epochs, 0.01)
 
     def predict(self, series: Sequence[float]) -> np.ndarray:
         """One-step-ahead predictions for every window in ``series``."""
         inputs, _ = windows(series, self.window)
-        self.model.eval()
-        out = self.model(Tensor(self._normalize(inputs))).data[:, 0]
-        self.model.train()
+        with eval_mode(self.model), nn.no_grad():
+            out = self.model(Tensor(self._normalize(inputs))).data[:, 0]
         return self._denormalize(out)
 
     def mae(self, series: Sequence[float]) -> float:

@@ -17,8 +17,7 @@ near-perfect separation.  This is the behaviour benchmark E11 reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -99,6 +98,19 @@ class GunshotFusionApp:
         model.fit(features, labels)
         return model.accuracy(test_features, test_labels)
 
+    def _trained_autoencoder(self, audio: np.ndarray, video: np.ndarray,
+                             epochs: int) -> MultimodalAutoencoder:
+        """A fusion autoencoder fitted full-batch to reconstruct both
+        modalities, returned in eval mode."""
+        ae = MultimodalAutoencoder(
+            self.generator.audio_dim, self.generator.video_dim,
+            encoder_dim=16, code_dim=8,
+            rng=get_runtime().rng.np_child("apps.fusion.gunshot.ae", self.seed))
+        nn.fit(ae, lambda rows: ae.reconstruction_loss(
+            Tensor(audio[rows]), Tensor(video[rows])), len(audio), epochs, 0.01)
+        ae.eval()
+        return ae
+
     def run(self, train_per_class: int = 60, test_per_class: int = 40,
             ae_epochs: int = 150) -> Dict[str, float]:
         """Accuracies of audio-only, video-only, AE fusion and CCA fusion."""
@@ -114,17 +126,7 @@ class GunshotFusionApp:
         }
 
         # Autoencoder fusion: train reconstruction, classify on shared code.
-        ae = MultimodalAutoencoder(
-            self.generator.audio_dim, self.generator.video_dim,
-            encoder_dim=16, code_dim=8,
-            rng=get_runtime().rng.np_child("apps.fusion.gunshot.ae", self.seed))
-        optimizer = nn.Adam(ae.parameters(), lr=0.01)
-        for _ in range(ae_epochs):
-            optimizer.zero_grad()
-            loss = ae.reconstruction_loss(Tensor(audio_tr), Tensor(video_tr))
-            loss.backward()
-            optimizer.step()
-        ae.eval()
+        ae = self._trained_autoencoder(audio_tr, video_tr, ae_epochs)
         code_tr = ae.fuse(Tensor(audio_tr), Tensor(video_tr)).data
         code_te = ae.fuse(Tensor(audio_te), Tensor(video_te)).data
         results["ae_fusion"] = self._fit_logistic(code_tr, y_tr, code_te, y_te)
@@ -145,17 +147,7 @@ class GunshotFusionApp:
         """AE-fusion robustness when one modality is absent at test time."""
         audio_tr, video_tr, y_tr = self.generator.dataset(train_per_class)
         audio_te, video_te, y_te = self.generator.dataset(test_per_class)
-        ae = MultimodalAutoencoder(
-            self.generator.audio_dim, self.generator.video_dim,
-            encoder_dim=16, code_dim=8,
-            rng=get_runtime().rng.np_child("apps.fusion.gunshot.ae", self.seed))
-        optimizer = nn.Adam(ae.parameters(), lr=0.01)
-        for _ in range(ae_epochs):
-            optimizer.zero_grad()
-            loss = ae.reconstruction_loss(Tensor(audio_tr), Tensor(video_tr))
-            loss.backward()
-            optimizer.step()
-        ae.eval()
+        ae = self._trained_autoencoder(audio_tr, video_tr, ae_epochs)
         code_tr = ae.fuse(Tensor(audio_tr), Tensor(video_tr)).data
         classifier = LogisticRegression(lr=0.3, iterations=400)
         classifier.fit(code_tr, y_tr)

@@ -11,7 +11,7 @@ against a pixel-count baseline that ignores spatial structure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro import nn
 from repro.compute.geospatial import GridAggregator
 from repro.compute.mllib import LogisticRegression
 from repro.nn import functional as F
+from repro.nn.inference import eval_mode
 from repro.nn.models.cnn import SimpleCNN
 from repro.nn.tensor import Tensor
 
@@ -84,22 +85,16 @@ class HotspotCnnApp:
     def train(self, days_per_quadrant: int = 20, epochs: int = 30,
               lr: float = 0.01) -> List[float]:
         images, labels = self.dataset(days_per_quadrant)
-        optimizer = nn.Adam(self.model.parameters(), lr=lr)
-        losses = []
-        for _ in range(epochs):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(self.model(Tensor(images)), labels)
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        return losses
+        return nn.fit(
+            self.model,
+            lambda rows: F.cross_entropy(self.model(Tensor(images[rows])),
+                                         labels[rows]),
+            len(labels), epochs, lr)
 
     def evaluate(self, days_per_quadrant: int = 10) -> float:
         images, labels = self.dataset(days_per_quadrant)
-        self.model.eval()
-        accuracy = F.accuracy(self.model(Tensor(images)), labels)
-        self.model.train()
-        return accuracy
+        with eval_mode(self.model), nn.no_grad():
+            return F.accuracy(self.model(Tensor(images)), labels)
 
     def quadrant_count_baseline(self, train_days: int = 20,
                                 test_days: int = 10) -> float:

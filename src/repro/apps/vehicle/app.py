@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro import nn
 from repro.cluster.machines import NetworkTopology
 from repro.data.video import SceneGenerator, VehicleCatalog
@@ -83,23 +81,12 @@ class VehicleDetectionApp:
               lr: float = 0.01, batch_size: int = 16) -> List[float]:
         """Joint training of both exits; returns per-epoch losses."""
         frames, truth = self.build_detection_dataset(num_scenes)
-        optimizer = nn.Adam(self.model.parameters(), lr=lr)
-        losses = []
-        rng = self.runtime.rng.np_child("apps.vehicle.train", self.seed)
-        for _ in range(epochs):
-            order = rng.permutation(num_scenes)
-            epoch_losses = []
-            for start in range(0, num_scenes, batch_size):
-                batch = order[start:start + batch_size]
-                optimizer.zero_grad()
-                loss = self.model.joint_loss(
-                    Tensor(frames[batch]),
-                    [truth[i] for i in batch], self.loss_fn)
-                loss.backward()
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            losses.append(float(np.mean(epoch_losses)))
-        return losses
+        return nn.fit(
+            self.model,
+            lambda rows: self.model.joint_loss(
+                Tensor(frames[rows]), [truth[i] for i in rows], self.loss_fn),
+            num_scenes, epochs, lr, batch_size,
+            self.runtime.rng.np_child("apps.vehicle.train", self.seed))
 
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, num_scenes: int = 24, threshold: float = 0.5,

@@ -6,6 +6,7 @@ Subpackages:
 - :mod:`repro.nn.modules` — layers: Linear, Conv2d, BatchNorm, LSTM, ...
 - :mod:`repro.nn.functional` — conv/pool primitives, softmax family, losses.
 - :mod:`repro.nn.optim` — SGD, Adam.
+- :mod:`repro.nn.data` — DataLoader and fit, the one training loop.
 - :mod:`repro.nn.models` — the paper's model families (CNN, ResNet with the
   Fig. 8 conv-shortcut block, LSTM classifiers, YOLO-style
   detectors with the Fig. 5 early-exit split, autoencoders, CCA).
@@ -44,7 +45,7 @@ from repro.nn.inference import (
     observe_inference,
 )
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.data import ArrayDataset, DataLoader, DataParallelTrainer
+from repro.nn.data import ArrayDataset, DataLoader, DataParallelTrainer, fit
 from repro.nn.serialization import load_state, save_state
 from repro.nn.flops import activation_size_bytes, estimate_flops
 from repro.nn.plan import InferencePlan, PlanCache, PlanError, capture_plan
@@ -68,7 +69,7 @@ __all__ = [
     "ReLU", "LeakyReLU", "Identity", "Flatten", "MaxPool2d", "GlobalAvgPool2d",
     "LSTM", "LSTMCell",
     "Optimizer", "SGD", "Adam",
-    "ArrayDataset", "DataLoader", "DataParallelTrainer",
+    "ArrayDataset", "DataLoader", "DataParallelTrainer", "fit",
     "save_state", "load_state",
     "estimate_flops", "activation_size_bytes",
     "capture_plan", "InferencePlan", "PlanCache", "PlanError",

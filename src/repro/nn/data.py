@@ -1,20 +1,24 @@
-"""Dataset/DataLoader utilities and the data-parallel trainer.
+"""Datasets, the minibatch iterator, the training loop and the
+data-parallel trainer: the training workflow the paper runs on
+TensorFlow (Sec. II-C-1).
 
-``repro.nn`` mirrors the data-parallel training workflow the paper runs on
-TensorFlow: mini-batch iteration with shuffling, plus a
-:class:`DataParallelTrainer` that simulates synchronous data-parallel SGD
-across N workers (gradient averaging), which is how the analysis servers
-train models over multiple nodes (Sec. II-C-1).
+:class:`DataLoader` batches anything sized and indexable by an integer
+index array (an :class:`ArrayDataset`, or ``np.arange(n)`` row numbers);
+a shuffled epoch's order is ``rng.shuffle(np.arange(n))``, the same draw
+as ``rng.permutation(n)``.  :func:`fit`, Adam over a ``loss(rows)``
+closure fed by a loader, is the one loop every Sec. III/IV model trains
+through.  :class:`DataParallelTrainer` simulates synchronous
+data-parallel SGD across N workers (gradient averaging).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.modules import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.tensor import Tensor
 from repro.runtime.rng import resolve_rng
 
@@ -51,34 +55,53 @@ class ArrayDataset:
 
 
 class DataLoader:
-    """Mini-batch iterator with optional shuffling."""
+    """Mini-batch iterator with optional shuffling (see the module notes)."""
 
-    def __init__(self, dataset: ArrayDataset, batch_size: int = 32,
-                 shuffle: bool = False, rng: Optional[np.random.Generator] = None,
-                 drop_last: bool = False):
+    def __init__(self, dataset, batch_size: int, shuffle: bool = False,
+                 rng: Optional[np.random.Generator] = None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self._rng = resolve_rng(rng, "nn.data.loader")
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return -(-len(self.dataset) // self.batch_size)
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def __iter__(self) -> Iterator:
         order = np.arange(len(self.dataset))
         if self.shuffle:
             self._rng.shuffle(order)
         for start in range(0, len(order), self.batch_size):
-            batch = order[start:start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                return
-            yield self.dataset.inputs[batch], self.dataset.targets[batch]
+            yield self.dataset[order[start:start + self.batch_size]]
+
+
+def fit(model: Module, loss: Callable[[np.ndarray], Tensor], num_rows: int,
+        epochs: int, lr: float, batch_size: Optional[int] = None,
+        rng: Optional[np.random.Generator] = None) -> List[float]:
+    """Train ``model`` with Adam; returns each epoch's mean batch loss.
+
+    The training rows are numbered ``0 .. num_rows - 1``; each step calls
+    ``loss(rows)`` with one batch's index array, and the closure picks
+    its own inputs and targets with it.  A batch holds ``batch_size``
+    rows (all of them when it is None), drawn in a fresh shuffled order
+    each epoch when ``rng`` is given and in row order otherwise.
+    """
+    optimizer = Adam(model.parameters(), lr=lr)
+    batches = DataLoader(np.arange(num_rows), batch_size or num_rows,
+                         shuffle=rng is not None, rng=rng)
+    losses = []
+    for _ in range(epochs):
+        epoch = []
+        for rows in batches:
+            optimizer.zero_grad()
+            value = loss(rows)
+            value.backward()
+            optimizer.step()
+            epoch.append(value.item())
+        losses.append(float(np.mean(epoch)))
+    return losses
 
 
 class DataParallelTrainer:

@@ -17,10 +17,12 @@ classic regime — an asynchronous parameter server:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.nn.grad_mode import no_grad
+from repro.nn.inference import eval_mode
 from repro.nn.modules import Module
 from repro.nn.tensor import Tensor
 from repro.runtime import get_runtime
@@ -140,7 +142,5 @@ class ParameterServerTrainer:
 
     def evaluate(self, inputs: np.ndarray, targets: np.ndarray,
                  metric: Callable[[Tensor, np.ndarray], float]) -> float:
-        self.server.model.eval()
-        score = metric(self.server.model(Tensor(inputs)), targets)
-        self.server.model.train()
-        return score
+        with eval_mode(self.server.model), no_grad():
+            return metric(self.server.model(Tensor(inputs)), targets)

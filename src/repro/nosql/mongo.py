@@ -139,7 +139,7 @@ class Collection:
     def __init__(self, name: str):
         self.name = name
         self._documents: Dict[int, Dict] = {}
-        self._counter = itertools.count(1)
+        self._next_id = 1
         self._hash_indexes: Dict[str, Dict[Any, set]] = {}
         self._geo_indexes: Dict[str, GridIndex] = {}
         self.last_query_used_index = False
@@ -212,8 +212,8 @@ class Collection:
         The whole batch is validated, and its index keys computed, before
         the first write, so a non-dict, a duplicate ``_id`` (against the
         collection or within the batch) or a value an index cannot key
-        raises with the collection unchanged; the first two draw no id,
-        and the first offending document in batch order names the error.
+        raises with the collection unchanged and no id drawn, and the
+        first offending document in batch order names the error.
         Only documents that carry their own ``_id`` or hold a container
         cost Python-level work.
         """
@@ -236,10 +236,11 @@ class Collection:
         if checked is not documents:
             raise MongoError("documents must be dicts, got "
                              f"{type(documents[len(checked)]).__name__}")
+        first = self._next_id
         if missing == len(ids):
-            ids = list(itertools.islice(self._counter, missing))
+            ids = list(range(first, first + missing))
         elif missing:
-            drawn = itertools.islice(self._counter, missing)
+            drawn = iter(range(first, first + missing))
             ids = [next(drawn) if doc_id is None else doc_id
                    for doc_id in ids]
         stored = _copies(documents)
@@ -248,6 +249,7 @@ class Collection:
               maxlen=0)
         keys = (list(map(self._index_keys, stored))
                 if self._hash_indexes or self._geo_indexes else ())
+        self._next_id = first + missing
         stored_documents.update(zip(ids, stored))
         deque(map(self._index_insert, ids, keys), maxlen=0)
         return ids
@@ -256,17 +258,23 @@ class Collection:
         """Apply ``{"$set": {...}}`` to matching docs; returns count.
 
         Each match stores its own private copy of every ``$set`` value.
+        Every new document and its index keys are built before the first
+        write, so a failing match leaves the collection unchanged.
         """
         if set(update) != {"$set"}:
             raise MongoError("only {'$set': {...}} updates are supported")
-        matches = self._matching(query)
-        for stored in matches:
-            doc_id = stored["_id"]
-            self._index_remove(doc_id, self._index_keys(stored))
+        staged = []
+        for stored in self._matching(query):
+            new = dict(stored)
             for path, value in update["$set"].items():
-                _set_path(stored, path, _owned(value))
-            self._index_insert(doc_id, self._index_keys(stored))
-        return len(matches)
+                _set_path(new, path, _owned(value))
+            staged.append((stored["_id"], self._index_keys(stored), new,
+                           self._index_keys(new)))
+        for doc_id, old_keys, new, new_keys in staged:
+            self._index_remove(doc_id, old_keys)
+            self._documents[doc_id] = new
+            self._index_insert(doc_id, new_keys)
+        return len(staged)
 
     def delete(self, query: Dict) -> int:
         victims = [document["_id"] for document in self._matching(query)]
@@ -448,10 +456,13 @@ def _copies(documents: Iterable[Dict]) -> List[Dict]:
 
 
 def _set_path(document: Dict, path: str, value: Any) -> None:
+    """Set ``path``, copying the documents on the way to it."""
     parts = path.split(".")
     current = document
     for part in parts[:-1]:
-        current = current.setdefault(part, {})
-        if not isinstance(current, dict):
+        child = current.get(part, {})
+        if not isinstance(child, dict):
             raise MongoError(f"cannot set {path}: {part} is not a document")
+        current[part] = dict(child)
+        current = current[part]
     current[parts[-1]] = value

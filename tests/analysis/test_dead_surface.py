@@ -100,7 +100,7 @@ KEEP: Dict[str, str] = {
         "ROADMAP 2(a) measures the codec with it",
     "repro.fog.policies.ExitPolicy.should_exit": ORACLE,
     "repro.fog.split.materialize_stages": "ROADMAP 3(b) feeds it",
-    "repro.nn.data.DataLoader": TF,
+    "repro.nn.data.ArrayDataset": TF,
     "repro.nn.functional.softmax": TF,
     "repro.nn.grad_mode.enable_grad": TF,
     "repro.nn.models.yolo.TinyYolo":

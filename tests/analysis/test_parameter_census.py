@@ -57,7 +57,6 @@ KEEP: Dict[str, str] = {
     "repro.compute.rdd.RDD.sortBy": NO_CALLER,
     "repro.data.collector.TweetCollector": NO_CALLER,
     "repro.fog.split.materialize_stages": NO_CALLER,
-    "repro.nn.data.DataLoader": NO_CALLER,
     "repro.nn.models.yolo.TinyYolo": NO_CALLER,
     "repro.nn.quantize.measure_quantization_drop": NO_CALLER,
     "repro.nosql.hbase.HTable.scan":
@@ -457,6 +456,6 @@ def test_a_stale_keep_entry_fails(monkeypatch):
 
 def test_a_stale_no_caller_reason_fails(monkeypatch):
     monkeypatch.delitem(test_dead_surface.KEEP,
-                        "repro.nn.data.DataLoader")
-    with pytest.raises(AssertionError, match="DataLoader"):
+                        "repro.nn.models.yolo.TinyYolo")
+    with pytest.raises(AssertionError, match="TinyYolo"):
         test_a_no_caller_reason_names_a_dead_surface_entry()

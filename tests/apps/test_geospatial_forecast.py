@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.apps.forecast import CrimeForecaster, LSTMRegressor
 from repro.apps.forecast.crime import seasonal_series, windows
 from repro.apps.geospatial import HotspotCnnApp
@@ -119,3 +120,29 @@ class TestCrimeForecaster:
         seasonal = 12.0 + 5.0 * np.sin(2 * np.pi * t / 7.0)
         corr = np.corrcoef(predictions, seasonal)[0, 1]
         assert corr > 0.9
+
+
+
+def _failing_forward(model, seen):
+    """Make ``model``'s forward record the mode it runs in, then raise."""
+    def forward(*args):
+        seen.append((model.training, nn.is_grad_enabled()))
+        raise RuntimeError("forward failed")
+    model.forward = forward
+
+
+@pytest.mark.parametrize("build, predict", [
+    (lambda: HotspotCnnApp(seed=0),
+     lambda app: app.evaluate(days_per_quadrant=1)),
+    (lambda: CrimeForecaster(window=7, seed=0),
+     lambda app: app.predict(seasonal_series(20, seed=0))),
+], ids=["hotspot_evaluate", "forecaster_predict"])
+def test_a_failing_prediction_ran_in_eval_without_grad_and_restores_training(
+        build, predict):
+    app = build()
+    seen = []
+    _failing_forward(app.model, seen)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        predict(app)
+    assert seen == [(False, False)]
+    assert app.model.training

@@ -139,3 +139,19 @@ class TestParameterServerTrainer:
         with pytest.raises(ValueError):
             ParameterServerTrainer(build_model, F.cross_entropy,
                                    pull_period=0)
+
+
+def test_a_failing_evaluation_ran_in_eval_without_grad_and_restores_training():
+    x, y = toy_data(n=8)
+    trainer = ParameterServerTrainer(build_model, F.cross_entropy)
+    model = trainer.server.model
+    seen = []
+
+    def forward(*args):
+        seen.append((model.training, nn.is_grad_enabled()))
+        raise RuntimeError("forward failed")
+    model.forward = forward
+    with pytest.raises(RuntimeError, match="forward failed"):
+        trainer.evaluate(x, y, F.accuracy)
+    assert seen == [(False, False)]
+    assert model.training

@@ -1,10 +1,11 @@
-"""Tests for optimizers, datasets, loaders and trainers."""
+"""Tests for optimizers, datasets, loaders, ``fit`` and trainers."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn import functional as F
+from repro.nn.tensor import Tensor
 
 
 def quadratic_param(start=5.0):
@@ -108,13 +109,6 @@ class TestDataLoader:
         assert sorted(seen) == list(range(10))
         assert len(loader) == 4
 
-    def test_drop_last(self):
-        ds = nn.ArrayDataset(np.arange(10).reshape(10, 1), np.arange(10))
-        loader = nn.DataLoader(ds, batch_size=3, drop_last=True)
-        assert len(loader) == 3
-        batches = list(loader)
-        assert all(len(y) == 3 for _, y in batches)
-
     def test_shuffle_changes_order(self):
         ds = nn.ArrayDataset(np.arange(100).reshape(100, 1), np.arange(100))
         loader = nn.DataLoader(ds, batch_size=100, shuffle=True,
@@ -127,6 +121,76 @@ class TestDataLoader:
         ds = nn.ArrayDataset(np.zeros((4, 1)), np.zeros(4))
         with pytest.raises(ValueError):
             nn.DataLoader(ds, batch_size=0)
+
+    def test_shuffled_epochs_draw_the_permutations_of_an_equal_seeded_rng(self):
+        # fit's byte-identity with the loops it replaced rests on this
+        loader = nn.DataLoader(np.arange(10), batch_size=10, shuffle=True,
+                               rng=np.random.default_rng(7))
+        oracle = np.random.default_rng(7)
+        for _ in range(3):
+            (order,) = list(loader)
+            np.testing.assert_array_equal(order, oracle.permutation(10))
+
+    def test_a_plain_array_is_a_dataset_of_its_rows(self):
+        batches = list(nn.DataLoader(np.arange(5) * 10, batch_size=2))
+        assert [b.tolist() for b in batches] == [[0, 10], [20, 30], [40]]
+
+
+def _fit_problem():
+    rng = np.random.default_rng(0)
+    x = rng.normal(0, 1, (10, 3))
+    y = (x.sum(axis=1) > 0).astype(int)
+    model = nn.Sequential(nn.Linear(3, 4, rng=np.random.default_rng(1)),
+                          nn.ReLU(),
+                          nn.Linear(4, 2, rng=np.random.default_rng(2)))
+    return x, y, model
+
+
+def _loss(model, x, y):
+    return lambda rows: F.cross_entropy(model(Tensor(x[rows])), y[rows])
+
+
+class TestFit:
+    """``fit`` against the hand-written loops it replaced."""
+
+    def test_shuffled_minibatches_match_the_hand_loop(self):
+        x, y, model = _fit_problem()
+        optimizer = nn.Adam(model.parameters(), lr=0.05)
+        rng = np.random.default_rng(3)
+        expected = []
+        for _ in range(4):
+            order = rng.permutation(len(y))
+            epoch = []
+            for start in range(0, len(y), 4):
+                batch = order[start:start + 4]
+                optimizer.zero_grad()
+                loss = F.cross_entropy(model(Tensor(x[batch])), y[batch])
+                loss.backward()
+                optimizer.step()
+                epoch.append(loss.item())
+            expected.append(float(np.mean(epoch)))
+        _, _, fitted = _fit_problem()
+        losses = nn.fit(fitted, _loss(fitted, x, y), len(y), 4, 0.05,
+                        batch_size=4, rng=np.random.default_rng(3))
+        assert losses == expected
+        for mine, theirs in zip(fitted.parameters(), model.parameters()):
+            assert np.array_equal(mine.data, theirs.data)
+
+    def test_one_full_batch_matches_the_hand_loop(self):
+        x, y, model = _fit_problem()
+        optimizer = nn.Adam(model.parameters(), lr=0.05)
+        expected = []
+        for _ in range(5):
+            optimizer.zero_grad()
+            loss = F.cross_entropy(model(Tensor(x)), y)
+            loss.backward()
+            optimizer.step()
+            expected.append(loss.item())
+        _, _, fitted = _fit_problem()
+        losses = nn.fit(fitted, _loss(fitted, x, y), len(y), 5, 0.05)
+        assert losses == expected
+        for mine, theirs in zip(fitted.parameters(), model.parameters()):
+            assert np.array_equal(mine.data, theirs.data)
 
 
 class TestDataParallelTrainer:

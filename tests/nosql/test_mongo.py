@@ -101,6 +101,14 @@ class TestInsertMany:
             assert len(coll) == 3
             assert coll.count({"tags": ["ok"]}) == 1
 
+    def test_a_batch_rejected_by_an_index_draws_no_id(self):
+        coll = Collection("c")
+        coll.create_index("tags")
+        assert coll.insert({"tags": ["a"]}) == 1
+        with pytest.raises(TypeError):
+            coll.insert_many([{"tags": ["b"]}, {"tags": [{1}]}])
+        assert coll.insert({"tags": ["c"]}) == 2
+
     def test_accepts_a_generator(self):
         coll = Collection("c")
         assert coll.insert_many({"a": i} for i in range(3)) == [1, 2, 3]
@@ -335,6 +343,23 @@ class TestUpdateDelete:
         coll.insert({"a": 1})
         coll.update({"a": 1}, {"$set": {"meta.status": "ok"}})
         assert coll.find_one({})["meta"]["status"] == "ok"
+
+    def test_an_unkeyable_value_updates_no_match(self):
+        coll = Collection("c")
+        coll.create_index("tags")
+        coll.insert_many([{"tags": ["a"]}, {"tags": ["a"]}])
+        with pytest.raises(TypeError):
+            coll.update({}, {"$set": {"tags": {1}}})
+        assert [doc["tags"] for doc in coll] == [["a"], ["a"]]
+        assert coll.count({"tags": ["a"]}) == 2
+        assert coll.last_query_used_index
+
+    def test_a_path_through_a_non_document_updates_no_match(self):
+        coll = Collection("c")
+        coll.insert_many([{"m": {"x": 1}}, {"m": 5}])
+        with pytest.raises(MongoError, match="m is not a document"):
+            coll.update({}, {"$set": {"m.y": 2}})
+        assert [doc["m"] for doc in coll] == [{"x": 1}, 5]
 
     def test_update_requires_set(self):
         with pytest.raises(MongoError):

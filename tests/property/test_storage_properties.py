@@ -274,7 +274,8 @@ def reference_insert_many(collection, documents):
     for document in documents:
         doc_id = document.get("_id")
         if doc_id is None:
-            doc_id = next(collection._counter)
+            doc_id = collection._next_id
+            collection._next_id += 1
         stored = copy.deepcopy(dict(document))
         stored["_id"] = doc_id
         keys = collection._index_keys(stored)
@@ -346,7 +347,7 @@ def test_bulk_insert_many_matches_a_per_document_reference(
             outcomes.append(("error", str(error)))
     assert outcomes[0] == outcomes[1]
     assert collection_state(bulk) == collection_state(reference)
-    assert next(bulk._counter) == next(reference._counter)
+    assert bulk._next_id == reference._next_id
     stored = {id(value) for document in bulk._documents.values()
               for value in (document, document["location"])}
     assert not any(id(value) in stored for document in batch
