@@ -166,7 +166,7 @@ class ServingPathRule(Rule):
     """API304: raw deployment serving calls stay behind ``repro.serving``.
 
     ``TwoTierDeployment.serve_batched`` is the bare inference surface:
-    no coalescing, no admission control, no rate limits, no shedding.
+    no coalescing, no queue bound, no shedding.
     Library code outside ``repro/serving/`` and ``repro/fog/`` that calls
     it directly silently opts the request path out of all of that, so it
     must route through the gateway

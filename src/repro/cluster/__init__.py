@@ -23,7 +23,7 @@ from repro.cluster.sim import (
     Timeout,
 )
 from repro.cluster.machines import (
-    TIER_DEFAULTS,
+    TIER_FLOPS,
     Link,
     Machine,
     NetworkTopology,
@@ -47,7 +47,7 @@ __all__ = [
     "Machine",
     "Link",
     "NetworkTopology",
-    "TIER_DEFAULTS",
+    "TIER_FLOPS",
     "failover_transfer_time",
     "transfer_time",
     "FailureInjector",

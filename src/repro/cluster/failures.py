@@ -137,10 +137,9 @@ class FailureProcess:
     mean_time_to_repair_s:
         Mean exponential downtime before a victim recovers; ``None``
         means victims stay dead.
-    max_failures / horizon_s:
-        Bounds on the schedule.  At least one must be set — an unbounded
-        schedule would keep the event queue non-empty forever and
-        ``env.run()`` could never drain.
+    max_failures:
+        How many crashes the schedule draws; the bound is what lets
+        ``env.run()`` drain.
     on_fail:
         Forwarded to the wrapped :class:`FailureInjector` (the fog fabric
         uses it to interrupt in-flight work).
@@ -149,13 +148,8 @@ class FailureProcess:
     def __init__(self, env, targets: Sequence, seed: int = 0,
                  mean_time_to_failure_s: float = 1.0,
                  mean_time_to_repair_s: Optional[float] = None,
-                 max_failures: Optional[int] = 4,
-                 horizon_s: Optional[float] = None,
+                 max_failures: int = 4,
                  on_fail: Optional[Callable] = None):
-        if max_failures is None and horizon_s is None:
-            raise ValueError(
-                "FailureProcess needs max_failures or horizon_s: an "
-                "unbounded schedule never lets env.run() drain")
         if mean_time_to_failure_s <= 0:
             raise ValueError(
                 f"mean_time_to_failure_s must be > 0: {mean_time_to_failure_s}")
@@ -170,19 +164,13 @@ class FailureProcess:
             None if mean_time_to_repair_s is None
             else float(mean_time_to_repair_s))
         self.max_failures = max_failures
-        self.horizon_s = horizon_s
         self._rng = self.runtime.rng.child("cluster.failures.process", seed)
         self.process = env.process(self._drive())
 
     def _drive(self):
-        drawn = 0
-        while self.max_failures is None or drawn < self.max_failures:
+        for _ in range(self.max_failures):
             delay = self._rng.expovariate(1.0 / self.mean_time_to_failure_s)
-            if (self.horizon_s is not None
-                    and self.env.now + delay > self.horizon_s):
-                return None
             yield self.env.timeout(delay)
-            drawn += 1
             victim = self.injector.fail_one()
             if victim is not None and self.mean_time_to_repair_s is not None:
                 downtime = self._rng.expovariate(

@@ -23,14 +23,14 @@ class Tier(enum.Enum):
     CLOUD = "cloud"        # federated public cloud / HPC
 
 
-#: Default per-tier hardware characteristics.  Values are order-of-magnitude
-#: figures for the device classes the paper names (Raspberry Pi, Jetson,
-#: GPU server, cloud instance) — the ratios between tiers are what matter.
-TIER_DEFAULTS: Dict[Tier, Dict[str, float]] = {
-    Tier.EDGE: {"flops": 5e8, "memory_bytes": 1e9, "storage_bytes": 8e9},
-    Tier.FOG: {"flops": 5e9, "memory_bytes": 8e9, "storage_bytes": 64e9},
-    Tier.SERVER: {"flops": 1e11, "memory_bytes": 128e9, "storage_bytes": 4e12},
-    Tier.CLOUD: {"flops": 1e12, "memory_bytes": 1e12, "storage_bytes": 1e15},
+#: Per-tier compute rate in FLOP/s.  Values are order-of-magnitude figures
+#: for the device classes the paper names (Raspberry Pi, Jetson, GPU
+#: server, cloud instance) — the ratios between tiers are what matter.
+TIER_FLOPS: Dict[Tier, float] = {
+    Tier.EDGE: 5e8,
+    Tier.FOG: 5e9,
+    Tier.SERVER: 1e11,
+    Tier.CLOUD: 1e12,
 }
 
 #: Default uplink characteristics from each tier towards the next tier up.
@@ -47,23 +47,15 @@ _TIER_ORDER = [Tier.EDGE, Tier.FOG, Tier.SERVER, Tier.CLOUD]
 
 @dataclass
 class Machine:
-    """A simulated machine with a compute rate and capacity budget."""
+    """A simulated machine that computes at its tier's FLOP rate."""
 
     name: str
     tier: Tier
-    flops: float = 0.0
-    memory_bytes: float = 0.0
-    storage_bytes: float = 0.0
     alive: bool = True
 
-    def __post_init__(self):
-        defaults = TIER_DEFAULTS[self.tier]
-        if self.flops <= 0:
-            self.flops = defaults["flops"]
-        if self.memory_bytes <= 0:
-            self.memory_bytes = defaults["memory_bytes"]
-        if self.storage_bytes <= 0:
-            self.storage_bytes = defaults["storage_bytes"]
+    @property
+    def flops(self) -> float:
+        return TIER_FLOPS[self.tier]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class YarnError(Exception):
@@ -25,7 +25,6 @@ class ResourceRequest:
     app_id: str
     vcores: int
     memory_mb: int
-    on_grant: Optional[Callable[["Container"], None]] = None
 
 
 @dataclass
@@ -120,8 +119,7 @@ class ResourceManager:
 
         Returns the container granted to *this* request, or None if it is
         queued.  Requests queued ahead of it may be granted by the same
-        call (a node joined since they queued); their ``on_grant`` hears
-        of it.
+        call (a node joined since they queued).
         """
         if request.vcores < 1 or request.memory_mb < 1:
             raise YarnError("requests need positive resources")
@@ -155,8 +153,6 @@ class ResourceManager:
             self._containers[container.container_id] = container
             del self._pending[0]
             granted.append((request, container))
-            if request.on_grant is not None:
-                request.on_grant(container)
         return granted
 
     def _pick_node(self, request: ResourceRequest) -> Optional[NodeManager]:

@@ -28,7 +28,6 @@ from repro.compute.yarn import NodeManager, ResourceManager
 from repro.dfs import DistributedFileSystem
 from repro.nosql import DocumentStore
 from repro.streaming import (
-    BACKPRESSURE_POLICIES,
     BackpressureStall,
     Broker,
     Channel,
@@ -37,6 +36,17 @@ from repro.streaming import (
     broker_sink,
 )
 from repro.viz.exporters import bar_chart_svg
+
+
+#: bytes per DFS block
+DFS_BLOCK_SIZE = 64 * 1024
+#: partitions per source topic and of the camera-frame topic
+BUS_PARTITIONS = 4
+#: bound per camera-frame partition (frames are large; keep it tight)
+CAMERA_PARTITION_CAPACITY = 256
+#: capacity each analysis server offers YARN
+YARN_VCORES_PER_SERVER = 8
+YARN_MEMORY_MB_PER_SERVER = 32_768
 
 
 @dataclass
@@ -48,36 +58,12 @@ class InfraConfig:
     servers: int = 2
     datanodes: int = 4
     dfs_replication: int = 2
-    dfs_block_size: int = 64 * 1024
-    bus_partitions: int = 4
-    #: bound per source-topic partition; None = unbounded (the default,
-    #: so late-joining consumer groups can always replay a full feed)
-    bus_partition_capacity: Optional[int] = None
-    #: broker policy when a bounded partition fills: block | drop | error
-    bus_backpressure: str = "block"
-    #: bound per camera-frame partition (frames are large; keep it tight)
-    camera_partition_capacity: int = 256
-    yarn_vcores_per_server: int = 8
-    yarn_memory_mb_per_server: int = 32_768
 
     def __post_init__(self):
         if self.datanodes < self.dfs_replication:
             raise ValueError(
                 f"{self.datanodes} datanodes cannot hold "
                 f"{self.dfs_replication} replicas")
-        if self.bus_backpressure not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown bus_backpressure {self.bus_backpressure!r}; "
-                f"expected one of {BACKPRESSURE_POLICIES}")
-        if self.bus_partition_capacity is not None \
-                and self.bus_partition_capacity < 1:
-            raise ValueError(
-                f"bus_partition_capacity must be >= 1: "
-                f"{self.bus_partition_capacity}")
-        if self.camera_partition_capacity < 1:
-            raise ValueError(
-                f"camera_partition_capacity must be >= 1: "
-                f"{self.camera_partition_capacity}")
 
 
 @dataclass
@@ -108,12 +94,12 @@ class CyberInfrastructure:
         self.yarn = ResourceManager()
         for server in self.topology.machines(Tier.SERVER):
             self.yarn.register_node(NodeManager(
-                server.name, vcores=cfg.yarn_vcores_per_server,
-                memory_mb=cfg.yarn_memory_mb_per_server))
+                server.name, vcores=YARN_VCORES_PER_SERVER,
+                memory_mb=YARN_MEMORY_MB_PER_SERVER))
         # Software layer: storage.
         self.dfs = DistributedFileSystem.with_datanodes(
             cfg.datanodes, replication=cfg.dfs_replication,
-            block_size=cfg.dfs_block_size)
+            block_size=DFS_BLOCK_SIZE)
         self.documents = DocumentStore("smartcity")
         # Software layer: streaming + compute.
         self.bus = Broker()
@@ -127,15 +113,17 @@ class CyberInfrastructure:
     # -- data layer registration ---------------------------------------------------
     def register_source(self, name: str,
                         records: Callable[[], Iterable[Dict]]) -> None:
-        """Register a feed; ``records`` is called at collection time."""
+        """Register a feed; ``records`` is called at collection time.
+
+        The feed's topic is created unbounded, so late-joining consumer
+        groups can always replay a full feed; a topic of that name that
+        already exists is kept as it is.
+        """
         if name in self._sources:
             raise ValueError(f"source already registered: {name}")
         self._sources[name] = records
         if name not in self.bus.topic_names():
-            self.bus.create_topic(
-                name, partitions=self.config.bus_partitions,
-                max_partition_records=self.config.bus_partition_capacity,
-                backpressure=self.config.bus_backpressure)
+            self.bus.create_topic(name, partitions=BUS_PARTITIONS)
 
     def source_names(self) -> List[str]:
         return sorted(self._sources)
@@ -235,14 +223,14 @@ class CyberInfrastructure:
         Frames of ``shm_min_bytes`` (64 KiB) or more are staged in shared
         memory (consumers get zero-copy read-only views); a 16x16 frame
         is 1 KiB and is stored as is.  Each partition is bounded at
-        ``camera_partition_capacity`` so a stalled fog tier backpressures
-        the cameras instead of buffering frames without limit.
+        :data:`CAMERA_PARTITION_CAPACITY` so a stalled fog tier
+        backpressures the cameras instead of buffering frames without
+        limit.
         """
         if self.CAMERA_TOPIC not in self.bus.topic_names():
             self.bus.create_topic(
-                self.CAMERA_TOPIC, partitions=self.config.bus_partitions,
-                max_partition_records=self.config.camera_partition_capacity,
-                backpressure=self.config.bus_backpressure,
+                self.CAMERA_TOPIC, partitions=BUS_PARTITIONS,
+                max_partition_records=CAMERA_PARTITION_CAPACITY,
                 share_ndarrays=True)
         return self.CAMERA_TOPIC
 

@@ -27,7 +27,7 @@ Failure model
 -------------
 The paper's offloading rationale (Sec. II-B-2) assumes edge and fog nodes
 die constantly, so machine failure is a first-class simulation event here:
-pass a :class:`FailureSpec` to either simulate entry point and a
+pass a :class:`FailureSpec` to :meth:`FogPipeline.simulate_stream` and a
 :class:`~repro.cluster.failures.FailureProcess` drives seeded crash and
 recovery events on the simulation clock.  Each item then walks its stages
 fault-tolerantly:
@@ -36,7 +36,7 @@ fault-tolerantly:
   the queue and the item being serviced);
 - each stage attempt may bound its queue wait with
   :attr:`FaultPolicy.stage_timeout_s`;
-- failed attempts retry up to :attr:`FaultPolicy.max_attempts` times with
+- failed attempts retry up to :data:`MAX_ATTEMPTS` times in all with
   deterministic exponential backoff, *failing over* to a live sibling
   machine of the same tier when the placed machine is dead (re-shipping
   the activation from the machine that last completed a stage);
@@ -89,42 +89,35 @@ class ItemCost:
         return self.compute_s + self.network_s
 
 
+#: attempts per stage (including the first) before an item gives up and
+#: degrades or drops
+MAX_ATTEMPTS = 3
+#: retry ``n`` (1-based) sleeps ``BACKOFF_BASE_S * 2**(n-1)`` before
+#: re-attempting — deterministic, so seeded runs replay exactly
+BACKOFF_BASE_S = 0.01
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """How an in-flight item reacts to crashes and stalls, per stage.
 
-    Parameters
-    ----------
-    stage_timeout_s:
-        Upper bound on the queue wait for a machine grant per attempt;
-        ``None`` (the default) waits indefinitely, which reproduces the
-        pre-failure-model behaviour for healthy runs — crashes still
-        interrupt the wait.
-    max_attempts:
-        Attempts per stage (including the first) before the item gives up
-        and degrades or drops.
-    backoff_base_s:
-        Retry ``n`` (1-based) sleeps ``backoff_base_s * 2**(n-1)`` before
-        re-attempting — deterministic, so seeded runs replay exactly.
+    ``stage_timeout_s`` bounds the queue wait for a machine grant per
+    attempt; ``None`` (the default) waits indefinitely, which reproduces
+    the pre-failure-model behaviour for healthy runs — crashes still
+    interrupt the wait.  An item makes at most :data:`MAX_ATTEMPTS`
+    attempts per stage, backing off between them (:meth:`backoff_s`).
     """
 
     stage_timeout_s: Optional[float] = None
-    max_attempts: int = 3
-    backoff_base_s: float = 0.01
 
     def __post_init__(self):
         if self.stage_timeout_s is not None and self.stage_timeout_s <= 0:
             raise ValueError(
                 f"stage_timeout_s must be > 0: {self.stage_timeout_s}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.backoff_base_s < 0:
-            raise ValueError(
-                f"backoff_base_s must be >= 0: {self.backoff_base_s}")
 
     def backoff_s(self, retry_index: int) -> float:
         """Backoff before retry ``retry_index`` (0-based)."""
-        return self.backoff_base_s * (2 ** retry_index)
+        return BACKOFF_BASE_S * (2 ** retry_index)
 
 
 @dataclass(frozen=True)
@@ -144,19 +137,17 @@ class FailureSpec:
     mean_time_to_failure_s / mean_time_to_repair_s:
         Exponential means; ``mean_time_to_repair_s=None`` leaves victims
         dead for the rest of the run.
-    max_failures / horizon_s:
-        Bounds on the schedule (at least one must be set, else the event
-        queue would never drain).
+    max_failures:
+        How many crashes the schedule draws.
     targets:
-        Machine names eligible to crash; ``None`` targets every placed
-        machine.
+        Names of machines of the run's topology eligible to crash;
+        ``None`` targets every placed machine.
     """
 
     seed: int = 0
     mean_time_to_failure_s: float = 0.5
     mean_time_to_repair_s: Optional[float] = None
-    max_failures: Optional[int] = 4
-    horizon_s: Optional[float] = None
+    max_failures: int = 4
     targets: Optional[Sequence[str]] = None
 
 
@@ -247,21 +238,6 @@ class _Fabric:
 
     def machine_names(self) -> List[str]:
         return sorted(self._resources)
-
-    def resolve_target(self, name: str) -> Machine:
-        """A :class:`Machine` for ``name``, from the fabric or any topology."""
-        if name in self._machines:
-            return self._machines[name]
-        seen = set()
-        for topology in self._topology_of.values():
-            if id(topology) in seen:
-                continue
-            seen.add(id(topology))
-            try:
-                return topology.machine(name)
-            except KeyError:
-                continue
-        raise KeyError(f"unknown failure target: {name}")
 
     def pick_machine(self, placed: str) -> Optional[str]:
         """``placed`` if alive, else the first live same-tier machine by name.
@@ -419,7 +395,7 @@ def _item_process(env, runtime, pipeline: "FogPipeline", fabric: _Fabric,
                     stage_flops, hop_bytes, run_id, handle, policy)
                 if done:
                     break
-                if attempts >= policy.max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     _resolve_disrupted(registry, run_id, deepest_exit)
                     return None
                 retries.inc(run=run_id, stage=index)
@@ -491,18 +467,17 @@ def _stream_stats(runtime, pipeline: "FogPipeline", run_id: str,
             registry.counter("fog.pipeline.failovers"), run_id)))
 
 
-def _start_failures(env: Environment, fabric: _Fabric,
-                    spec: FailureSpec) -> FailureProcess:
+def _start_failures(env: Environment, fabric: _Fabric, spec: FailureSpec,
+                    topology: NetworkTopology) -> FailureProcess:
     """Wire a :class:`FailureProcess` to this run's fabric."""
-    names = (list(spec.targets) if spec.targets is not None
-             else fabric.machine_names())
-    targets = [fabric.resolve_target(name) for name in names]
+    targets = ([topology.machine(name) for name in spec.targets]
+               if spec.targets is not None
+               else [fabric.machine(name) for name in fabric.machine_names()])
     return FailureProcess(
         env, targets, seed=spec.seed,
         mean_time_to_failure_s=spec.mean_time_to_failure_s,
         mean_time_to_repair_s=spec.mean_time_to_repair_s,
         max_failures=spec.max_failures,
-        horizon_s=spec.horizon_s,
         on_fail=fabric.on_machine_fail)
 
 
@@ -527,7 +502,9 @@ def _simulate(runtime, stream_states: List[dict],
                 0.0, run=state["run_id"])
 
     if failures is not None:
-        _start_failures(env, fabric, failures)
+        # only simulate_stream injects failures, and it runs one stream
+        _start_failures(env, fabric, failures,
+                        stream_states[0]["pipeline"].placement.topology)
 
     def arrival_process(env, state):
         for item, stage in enumerate(state["resolved_at"]):
@@ -646,7 +623,7 @@ class FogPipeline:
             fail over, and degrade per ``fault_policy``.
         fault_policy:
             Optional :class:`FaultPolicy`; defaults to unbounded queue
-            waits with 3 attempts per stage.
+            waits.
 
         Spans and metrics land in the installed runtime.
         """

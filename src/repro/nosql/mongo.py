@@ -133,6 +133,15 @@ class GridIndex:
         return out
 
 
+def _int_equal(doc_id: Any) -> Optional[int]:
+    """The int ``doc_id`` is equal to as a dict key, or None."""
+    try:
+        as_int = int(doc_id)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == doc_id else None
+
+
 class Collection:
     """One document collection with optional secondary indexes."""
 
@@ -226,6 +235,7 @@ class Collection:
         stored_documents = self._documents
         ids = list(map(dict.get, checked, itertools.repeat("_id")))
         missing = ids.count(None)
+        first = self._next_id
         if missing < len(ids):
             given: set = set()
             for doc_id in ids:
@@ -233,10 +243,14 @@ class Collection:
                     if doc_id in stored_documents or doc_id in given:
                         raise MongoError(f"duplicate _id: {doc_id}")
                     given.add(doc_id)
+                    # draw past a given id that equals an int (1, 1.0,
+                    # True), so no drawn id ever meets a stored one
+                    as_int = _int_equal(doc_id)
+                    if as_int is not None and as_int >= first:
+                        first = as_int + 1
         if checked is not documents:
             raise MongoError("documents must be dicts, got "
                              f"{type(documents[len(checked)]).__name__}")
-        first = self._next_id
         if missing == len(ids):
             ids = list(range(first, first + missing))
         elif missing:

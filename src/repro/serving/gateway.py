@@ -10,10 +10,10 @@ through :meth:`~repro.fog.deployment.TwoTierDeployment.serve_batched`, and
 slices the :class:`~repro.nn.models.earlyexit.BatchExitDecisions` back out
 to each caller.  Every admitted request resolves exactly once — with its
 decisions, or with the batch's exception; every refused request raises
-:class:`~repro.serving.admission.ShedError` exactly once; a request whose
-caller cancelled ``submit()`` while it waited leaves the queue
-uninferred, its rows released to admission as the cancellation lands, and
-is counted ``cancelled``.  That invariant — ``submitted ==
+:class:`ShedError` exactly once; a request whose caller cancelled
+``submit()`` while it waited leaves the queue uninferred, its rows
+released to admission as the cancellation lands, and is counted
+``cancelled``.  That invariant — ``submitted ==
 answered + shed + failed + cancelled`` — is what the chaos property
 tests pin.
 
@@ -57,15 +57,31 @@ import numpy as np
 from repro.nn.models.earlyexit import BatchExitDecisions
 from repro.runtime import get_runtime
 from repro.runtime.metrics import LATENCY_SAMPLES
-from repro.serving.admission import (
-    SHED_SHUTDOWN,
-    AdmissionController,
-    ShedError,
-)
 
 #: metric families whose *values* are wall-clock readings; determinism
 #: tests pass these to ``deterministic_dump(drop_metric_prefixes=...)``
 VOLATILE_METRIC_PREFIXES = ("serving.gateway.latency_s",)
+
+#: shed reasons, stable strings used as metric labels
+SHED_QUEUE_FULL = "queue_full"
+SHED_SHUTDOWN = "shutdown"
+
+
+class ShedError(RuntimeError):
+    """A request the gateway refused to serve (load shedding).
+
+    Carries the ``tenant`` and a ``reason`` (:data:`SHED_QUEUE_FULL` or
+    :data:`SHED_SHUTDOWN`) so callers can retry, back off, or drop
+    according to why they were refused.
+    """
+
+    def __init__(self, tenant: str, reason: str, detail: str = ""):
+        self.tenant = tenant
+        self.reason = reason
+        message = f"request from tenant {tenant!r} shed ({reason})"
+        if detail:
+            message += f": {detail}"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -76,16 +92,14 @@ class GatewayConfig:
     held while company keeps arriving (the window closes earlier, at the
     first event-loop turn that admits nothing; 0 takes exactly what is
     queued at wake time); ``max_batch_rows`` bounds how much company it
-    can get.  ``max_queue_rows`` is the admission bound (see
-    :class:`~repro.serving.admission.AdmissionController`);
-    ``tenant_rate``/``tenant_burst`` enable per-tenant token buckets.
+    can get.  ``max_queue_rows`` is the admission bound: a request that
+    would take the queue past it is shed with reason ``queue_full``, even
+    against an empty queue when it alone is larger.
     """
 
     coalesce_window_s: float = 0.002
     max_batch_rows: int = 64
     max_queue_rows: int = 1024
-    tenant_rate: Optional[float] = None
-    tenant_burst: Optional[float] = None
 
     def __post_init__(self):
         if self.coalesce_window_s < 0:
@@ -178,11 +192,6 @@ class ServingGateway:
         self.policy = policy
         self.config = config or GatewayConfig()
         self.runtime = get_runtime()
-        self.admission = AdmissionController(
-            self.config.max_queue_rows,
-            tenant_rate=self.config.tenant_rate,
-            tenant_burst=self.config.tenant_burst,
-            clock=self.runtime.now)
         self._queue: Deque[_Pending] = deque()
         self._queued_rows = 0
         self._wakeup: Optional[asyncio.Event] = None
@@ -275,9 +284,8 @@ class ServingGateway:
         telemetry.submitted.inc(1)
         if self._closed or self._wakeup is None:
             self._shed(tenant, SHED_SHUTDOWN, "gateway is not running")
-        reason = self.admission.admit(tenant, rows, self._queued_rows)
-        if reason is not None:
-            self._shed(tenant, reason,
+        if self._queued_rows + rows > self.config.max_queue_rows:
+            self._shed(tenant, SHED_QUEUE_FULL,
                        f"{rows} rows against {self._queued_rows} queued")
         pending = _Pending(tenant, data, rows,
                            asyncio.get_running_loop().create_future(),

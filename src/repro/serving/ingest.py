@@ -18,8 +18,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Tuple
 
-from repro.serving.admission import ShedError
-from repro.serving.gateway import GatewayConfig, ServingGateway
+from repro.serving.gateway import GatewayConfig, ServingGateway, ShedError
 
 #: the consumer group the fog tier drains camera topics with
 DEFAULT_GROUP = "fog-serving"

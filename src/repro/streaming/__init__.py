@@ -27,7 +27,6 @@ from repro.streaming.broker import (
 from repro.streaming.flume import (
     Channel,
     ChannelFullError,
-    ConsumerChannel,
     FlumeAgent,
     FunctionSource,
     SinkError,
@@ -45,7 +44,7 @@ __all__ = [
     "BrokerError", "BackpressureError", "BackpressureStall",
     "RebalanceError", "BACKPRESSURE_POLICIES",
     "FlumeAgent", "FunctionSource", "Channel", "ChannelFullError",
-    "ConsumerChannel", "SinkError",
+    "SinkError",
     "dfs_sink", "collection_sink", "topic_sink", "broker_sink",
     "SqoopImporter",
 ]

@@ -6,29 +6,23 @@ semantics: a taken batch is only removed on commit; a sink failure rolls the
 batch back to the head of the channel, yielding at-least-once delivery —
 the property the ingestion tests assert under injected sink failures.
 
-Two broker integrations close the loop with :mod:`repro.streaming.broker`:
-
-- :func:`broker_sink` produces each committed batch atomically onto a
-  topic; a :class:`~repro.streaming.broker.BackpressureStall` from a
-  bounded partition becomes a :class:`SinkError`, so the batch rolls back
-  into the channel, the channel fills, and ``pump_source`` stops pulling —
-  broker backpressure propagates all the way to the source.
-- :class:`ConsumerChannel` adapts a manual-commit broker consumer to the
-  channel interface, so :meth:`FlumeAgent.from_consumer` builds agents
-  whose transaction commit *is* an offset commit and whose rollback is a
-  seek-to-committed (broker-side redelivery instead of requeueing).
+:func:`broker_sink` closes the loop with :mod:`repro.streaming.broker`:
+it produces each committed batch atomically onto a topic; a
+:class:`~repro.streaming.broker.BackpressureStall` from a bounded
+partition becomes a :class:`SinkError`, so the batch rolls back into the
+channel, the channel fills, and ``pump_source`` stops pulling — broker
+backpressure propagates all the way to the source.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence
 
 from repro.runtime import get_runtime
-from repro.streaming.broker import BackpressureStall, Consumer, RebalanceError
+from repro.streaming.broker import BackpressureStall
 
 
 class ChannelFullError(Exception):
@@ -126,88 +120,6 @@ class Transaction:
         self._closed = True
 
 
-class ConsumerTransaction:
-    """A polled broker batch awaiting offset commit or redelivery.
-
-    Commit advances the consumer group's committed offsets; rollback
-    seeks back to them, so the broker redelivers the same records on the
-    next take.  A commit fenced by a rebalance
-    (:class:`~repro.streaming.broker.RebalanceError`) is swallowed: the
-    new partition owners will redeliver — at-least-once, never loss.
-    """
-
-    def __init__(self, consumer: Consumer, events: List[Any]):
-        self._consumer = consumer
-        self.events = events
-        self._closed = False
-        self.fenced = False
-
-    def commit(self) -> None:
-        if self._closed:
-            raise RuntimeError("transaction already closed")
-        self._closed = True
-        if not self.events:
-            return
-        try:
-            self._consumer.commit()
-        except RebalanceError:
-            self.fenced = True
-
-    def rollback(self) -> None:
-        if self._closed:
-            raise RuntimeError("transaction already closed")
-        self._closed = True
-        if self.events:
-            self._consumer.seek_to_committed()
-
-
-class ConsumerChannel:
-    """A broker consumer behind the channel interface.
-
-    The buffer is the broker partition itself: ``take_batch`` polls a
-    manual-commit :class:`~repro.streaming.broker.Consumer`, ``__len__``
-    reports the group's lag, and ``put`` is rejected — records enter via
-    ``produce``, not via a source pump.
-    """
-
-    def __init__(self, consumer: Consumer):
-        if consumer.auto_commit:
-            raise ValueError(
-                "ConsumerChannel needs a manual-commit consumer "
-                "(auto_commit=False); auto-commit would discard the "
-                "rollback/redelivery semantics")
-        self.consumer = consumer
-        self.capacity = 0
-
-    def __len__(self) -> int:
-        return sum(self.consumer.broker.lag(self.consumer.group, topic)
-                   for topic in self.consumer.topics)
-
-    @property
-    def room(self) -> int:
-        return sys.maxsize
-
-    @property
-    def full(self) -> bool:
-        return False
-
-    def put(self, event: Any) -> None:
-        self.put_many((event,))
-
-    def put_many(self, events: Sequence[Any]) -> None:
-        raise ChannelFullError(
-            "ConsumerChannel is fed by the broker; produce to the topic "
-            "instead of putting into the channel")
-
-    def take_batch(self, max_events: int) -> ConsumerTransaction:
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1: {max_events}")
-        # Columnar poll: the batch's value column *is* the event list —
-        # no per-record materialization between broker and sink.
-        batch = self.consumer.poll_batch(max_events)
-        return ConsumerTransaction(self.consumer, batch.values)
-
-
 @dataclass
 class AgentMetrics:
     """Point-in-time view of one agent's delivery counters.
@@ -269,21 +181,6 @@ class FlumeAgent:
             "streaming.flume.batches_rolled_back").bind(agent=self.name)
         self._depth = registry.gauge(
             "streaming.flume.channel_depth").bind(agent=self.name)
-
-    @classmethod
-    def from_consumer(cls, consumer: Consumer,
-                      sink: Callable[[List[Any]], None],
-                      batch_size: int = 10) -> "FlumeAgent":
-        """An agent whose channel *is* a broker consumer group.
-
-        Transaction commit maps to offset commit and rollback to
-        seek-to-committed, so a sink failure redelivers the batch from
-        the broker — the flume at-least-once contract, but with the
-        broker as the durable buffer.  ``consumer`` must use
-        ``auto_commit=False``.
-        """
-        return cls(FunctionSource([]), sink,
-                   channel=ConsumerChannel(consumer), batch_size=batch_size)
 
     @property
     def source_exhausted(self) -> bool:

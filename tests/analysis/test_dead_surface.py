@@ -117,7 +117,6 @@ KEEP: Dict[str, str] = {
     "repro.runtime.parallel.deterministic_dump": ORACLE,
     "repro.runtime.tracing.Tracer.children_of": ORACLE,
     "repro.runtime.tracing.Tracer.total_duration": ORACLE,
-    "repro.serving.admission.TokenBucket.available": ORACLE,
     "repro.serving.observability.ObservabilityServer":
         "ROADMAP 11 serves /trace and /budget from it",
     "repro.streaming.broker.Broker.partition_sizes": ORACLE,
@@ -125,7 +124,6 @@ KEEP: Dict[str, str] = {
         "the shared-memory leak check until ROADMAP 13(a)",
     "repro.streaming.broker.Broker.partition_assignment": ORACLE,
     "repro.streaming.broker.Consumer.position": ORACLE,
-    "repro.streaming.flume.FlumeAgent.from_consumer": INGEST,
     "repro.streaming.flume.FunctionSource.next_event": INGEST,
     "repro.streaming.flume.collection_sink": INGEST,
     "repro.streaming.flume.dfs_sink": INGEST,
@@ -135,11 +133,11 @@ KEEP: Dict[str, str] = {
 }
 
 
-def _contexts() -> Dict[str, ModuleContext]:
+def _contexts(repo: Path = REPO_ROOT) -> Dict[str, ModuleContext]:
+    """The modules under ``repo``'s caller roots, by repo-relative path."""
     contexts = {}
-    for path in collect_files([str(REPO_ROOT / root)
-                               for root in CALLER_ROOTS]):
-        rel = path.relative_to(REPO_ROOT).as_posix()
+    for path in collect_files([str(repo / root) for root in CALLER_ROOTS]):
+        rel = path.relative_to(repo).as_posix()
         contexts[rel] = ModuleContext(rel, path.read_text(encoding="utf-8"))
     return contexts
 

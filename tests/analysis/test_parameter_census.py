@@ -21,6 +21,16 @@ A pass-through, ``g(x=x)`` where ``x`` is a parameter of the enclosing
 def, sets ``g``'s ``x`` only when the enclosing ``x`` is itself required
 or set: forwarding a parameter nobody passes passes nothing.
 
+A public ``@dataclass`` is a def too: each field is a parameter of its
+generated ``__init__``, defaulted when it has a default, so a config
+object's fields are options like any def's.  A
+``field(default_factory=...)`` container is per-instance state, not an
+option, and is not counted.  Besides a call that passes it, a field is
+set by an attribute write outside tests, ``report.viz_bytes = ...``,
+resolved by name like a method.  A write through ``self`` does not count
+(an object filling in its own default chooses nothing), and neither does
+an augmented one (``x.n += 1`` starts from the value already there).
+
 ``KEEP`` lists the defs whose unset parameters stay, one reason each.
 An entry whose parameters all gain a caller, or go, must leave the list.
 A def with no caller outside tests at all is judged with its parameters
@@ -46,6 +56,10 @@ from tests.analysis.test_dead_surface import (
 NO_CALLER = ("no caller outside tests at all: the def is on "
              "test_dead_surface.KEEP, which judges it with its parameters")
 
+BACKPRESSURE = ("backpressure picks a full partition's policy, the broker "
+                "substrate's block / drop / error; Fig. 4 ingest is tested "
+                "exactly-once under each (ROADMAP 10)")
+
 #: def qualified name -> one-line reason its unset parameters stay
 KEEP: Dict[str, str] = {
     "repro.analysis.cli.main":
@@ -56,6 +70,9 @@ KEEP: Dict[str, str] = {
     "repro.compute.mllib.TfIdf": NO_CALLER,
     "repro.compute.rdd.RDD.sortBy": NO_CALLER,
     "repro.data.collector.TweetCollector": NO_CALLER,
+    "repro.fog.pipeline.FailureSpec":
+        "targets is how a failure schedule crashes a chosen tier, the only "
+        "way into failover to a sibling, degradation and tier-wide drops",
     "repro.fog.split.materialize_stages": NO_CALLER,
     "repro.nn.models.yolo.TinyYolo": NO_CALLER,
     "repro.nn.quantize.measure_quantization_drop": NO_CALLER,
@@ -69,7 +86,8 @@ KEEP: Dict[str, str] = {
     "repro.streaming.broker.Broker":
         "shm_min_bytes is the staging path's only test lever; it goes with "
         "ROADMAP 13(a)",
-    "repro.streaming.flume.FlumeAgent.from_consumer": NO_CALLER,
+    "repro.streaming.broker.Broker.create_topic": BACKPRESSURE,
+    "repro.streaming.broker.TopicConfig": BACKPRESSURE,
     "repro.streaming.flume.dfs_sink": NO_CALLER,
     "repro.streaming.sqoop.SqoopImporter.import_table": NO_CALLER,
 }
@@ -81,17 +99,58 @@ Param = Tuple[str, str]
 class _Def:
     """One def the census tracks: its positional and keyword parameters."""
 
-    def __init__(self, node: ast.AST, bound: bool):
+    def __init__(self, positional: List[str], keyword_only: List[str],
+                 defaulted: List[str]):
+        self.positional = positional
+        self.names = set(positional) | set(keyword_only)
+        self.defaulted = defaulted
+
+    @classmethod
+    def of_function(cls, node: ast.AST, bound: bool) -> "_Def":
         args = node.args
         positional = args.posonlyargs + args.args
         if bound and positional:
             positional = positional[1:]       # self / cls
-        self.positional = [a.arg for a in positional]
-        self.names = set(self.positional) | {a.arg for a in args.kwonlyargs}
         first_default = len(positional) - len(args.defaults)
-        self.defaulted = [a.arg for a in positional[first_default:]] + [
-            a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
-            if default is not None]
+        return cls([a.arg for a in positional],
+                   [a.arg for a in args.kwonlyargs],
+                   [a.arg for a in positional[first_default:]] + [
+                       a.arg for a, default in zip(args.kwonlyargs,
+                                                   args.kw_defaults)
+                       if default is not None])
+
+    @classmethod
+    def of_dataclass(cls, node: ast.ClassDef) -> "_Def":
+        """The generated ``__init__``: one parameter per annotated field."""
+        fields = [stmt for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)]
+        return cls([stmt.target.id for stmt in fields], [],
+                   [stmt.target.id for stmt in fields
+                    if _has_default(stmt.value)])
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_name_of(d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _name_of(expr: ast.AST) -> str:
+    """The name a decorator or call ends in: ``dataclass`` for
+    ``@dataclasses.dataclass(frozen=True)``."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return expr.id if isinstance(expr, ast.Name) else ""
+
+
+def _has_default(value: Optional[ast.AST]) -> bool:
+    """A field's default: a plain value or ``field(default=...)``, never a
+    ``default_factory`` container."""
+    if isinstance(value, ast.Call) and _name_of(value) == "field":
+        return any(k.arg == "default" for k in value.keywords)
+    return value is not None
 
 
 def _is_bound(node: ast.AST) -> bool:
@@ -116,6 +175,10 @@ class _Census:
         self.by_node: Dict[int, str] = {}
         #: method name -> qualnames of every method so named
         self.by_method: Dict[str, List[str]] = {}
+        #: field name -> qualnames of every dataclass with a defaulted one
+        self.by_field: Dict[str, List[str]] = {}
+        #: qualnames of the dataclasses among ``defs``
+        self.dataclasses: Set[str] = set()
         for node in graph.library_modules():
             for stmt in node.ctx.tree.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -127,11 +190,16 @@ class _Census:
         self.forwards: Dict[Param, Set[Param]] = {}
 
     def _add(self, qualname: str, node: ast.AST, bound: bool) -> None:
-        self.defs[qualname] = _Def(node, bound)
+        self.defs[qualname] = _Def.of_function(node, bound)
         self.by_node[id(node)] = qualname
 
     def _add_class(self, module: str, cls: ast.ClassDef) -> None:
         qualname = f"{module}.{cls.name}"
+        if _is_dataclass(cls):
+            self.defs[qualname] = _Def.of_dataclass(cls)
+            self.dataclasses.add(qualname)
+            for name in self.defs[qualname].defaulted:
+                self.by_field.setdefault(name, []).append(qualname)
         for method in _methods(cls):
             if method.name == "__init__":
                 self._add(qualname, method, True)
@@ -192,6 +260,8 @@ class _Census:
             item, scopes, cls = stack.pop()
             if isinstance(item, ast.Call):
                 self._call(module, item, scopes, cls)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                self._writes(item)
             if isinstance(item, ast.ClassDef):
                 cls = item
             elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -210,6 +280,18 @@ class _Census:
             callee = self.defs[qualname]
             for param, value in _bindings(callee, args, call.keywords):
                 self._setter((qualname, param), value, scopes)
+
+    def _writes(self, assign: ast.AST) -> None:
+        """``record.end = ...`` sets every dataclass field named ``end``."""
+        targets = getattr(assign, "targets", None) or [assign.target]
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Store) and not \
+                        (isinstance(node.value, ast.Name)
+                         and node.value.id == "self"):
+                    self.set.update((qualname, node.attr) for qualname
+                                    in self.by_field.get(node.attr, ()))
 
     def _setter(self, param: Param, value: Optional[ast.AST],
                 scopes: Tuple[ast.AST, ...]) -> None:
@@ -307,7 +389,15 @@ def defaulted_parameters(graph: ProjectGraph) -> int:
     """How many defaulted parameters the public ``src/`` defs declare."""
     census = _Census(graph)
     return sum(len(census.defs[q].defaulted)
-               for q, _, _ in public_surface(graph) if q in census.defs)
+               for q, _, _ in public_surface(graph)
+               if q in census.defs and q not in census.dataclasses)
+
+
+def defaulted_fields(graph: ProjectGraph) -> int:
+    """How many defaulted fields the public ``src/`` dataclasses declare."""
+    census = _Census(graph)
+    return sum(len(census.defs[q].defaulted)
+               for q, _, _ in public_surface(graph) if q in census.dataclasses)
 
 
 @functools.lru_cache(maxsize=1)
@@ -348,9 +438,13 @@ def test_a_no_caller_reason_names_a_dead_surface_entry():
 
 # -- the checker on synthetic modules -----------------------------------------
 
-#: a synthetic library module: a function, a class, a subclass and a
-#: forwarding wrapper, each with defaulted parameters
+#: a synthetic library module: a function, a class, a subclass, a
+#: forwarding wrapper and a config dataclass, each with defaulted
+#: parameters
 LIBRARY = '''
+from dataclasses import dataclass, field
+
+
 def score(x, floor=0.0, scale=1.0):
     return x * scale + floor
 
@@ -386,6 +480,19 @@ class Child(Base):
 
 class Grandchild(Child):
     pass
+
+
+@dataclass
+class Config:
+    name: str
+    size: int = 4
+    rate: float = 1.0
+    bound: int = 8
+    level: int = field(default=2)
+    seen: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.bound = max(self.bound, 1)
 '''
 
 
@@ -401,17 +508,60 @@ def test_an_unset_parameter_is_reported():
         "repro.demo.Base": ["size"],
         "repro.demo.Child": ["size"],
         "repro.demo.Child.drain": ["batch"],
+        "repro.demo.Config": ["size", "rate", "bound", "level"],
         "repro.demo.score": ["scale"],
         "repro.demo.wrapper": ["floor"]}
 
 
 def test_keyword_positional_and_method_calls_are_setters():
     found = synthetic_unset(
-        "from repro.demo import Child, score, wrapper\n"
+        "from repro.demo import Child, Config, score, wrapper\n"
         "score(1, 0.5, scale=2.0)\n"
         "wrapper(1, 0.5)\n"
-        "Child(2).drain(batch=8)\n")
+        "Child(2).drain(batch=8)\n"
+        "Config('a', 2, 0.5, level=3).bound = 16\n")
     assert found == {}
+
+
+def test_a_config_field_only_a_test_sets_is_reported(tmp_path):
+    # the census reads src/, benchmarks/ and examples/: a test's setters
+    # are never seen
+    sources = {
+        "src/repro/demo.py": LIBRARY,
+        "tests/test_demo.py": ("from repro.demo import Config\n"
+                               "config = Config('a', 2, rate=0.5)\n"
+                               "config.bound = 16\n"
+                               "Config('b', level=3)\n"),
+        "benchmarks/__init__.py": "",
+        "examples/user.py": "from repro.demo import Config\nConfig('a')\n"}
+    for rel, source in sources.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(source)
+    found = unset_parameters(ProjectGraph(_contexts(tmp_path)))
+    assert found["repro.demo.Config"] == ["size", "rate", "bound", "level"]
+
+
+@pytest.mark.parametrize("user, still_unset", [
+    ("Config('a', size=2)", ["rate", "bound", "level"]),
+    ("Config('a', 2, 0.5)", ["bound", "level"]),
+    ("config = Config('a')\nconfig.rate = 2.0", ["size", "bound", "level"]),
+    ("config = Config('a')\nconfig.bound += 1", ["size", "rate", "bound",
+                                                "level"]),
+], ids=["keyword", "position", "attribute-write", "augmented-write"])
+def test_a_config_field_is_set_by_keyword_position_or_attribute_write(
+        user, still_unset):
+    # __post_init__'s ``self.bound = ...`` never counts; an augmented
+    # write starts from the value already there
+    found = synthetic_unset("from repro.demo import Config\n" + user + "\n")
+    assert found["repro.demo.Config"] == still_unset
+
+
+def test_a_default_factory_field_is_state_not_an_option():
+    # ``seen`` has a default_factory: never reported, never counted
+    assert "seen" not in synthetic_unset("")["repro.demo.Config"]
+    graph = ProjectGraph({"src/repro/demo.py": ModuleContext(
+        "src/repro/demo.py", LIBRARY)})
+    assert defaulted_fields(graph) == 4
 
 
 def test_partial_counts_as_a_setter():

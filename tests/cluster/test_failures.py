@@ -160,20 +160,6 @@ class TestFailureProcess:
         assert all(m.alive for m in machines)
         assert len(runtime.events.records("cluster.recovery")) == 4
 
-    def test_horizon_bounds_schedule(self):
-        runtime, _, process = self._run(
-            max_failures=None, horizon_s=1.0,
-            mean_time_to_failure_s=0.05)
-        assert all(record.time <= 1.0
-                   for record in runtime.events.records("cluster.failure"))
-        assert len(process.injector.failed) > 0
-
-    def test_unbounded_schedule_rejected(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            FailureProcess(env, make_machines(), max_failures=None,
-                           horizon_s=None)
-
     def test_nonpositive_means_rejected(self):
         env = Environment()
         with pytest.raises(ValueError):

@@ -7,19 +7,14 @@ from repro.cluster import (
     Machine,
     NetworkTopology,
     Tier,
-    TIER_DEFAULTS,
+    TIER_FLOPS,
     transfer_time,
 )
 
 
 def test_tier_defaults_applied():
     machine = Machine("edge-0", Tier.EDGE)
-    assert machine.flops == TIER_DEFAULTS[Tier.EDGE]["flops"]
-
-
-def test_explicit_flops_override_defaults():
-    machine = Machine("fast-edge", Tier.EDGE, flops=1e12)
-    assert machine.flops == 1e12
+    assert machine.flops == TIER_FLOPS[Tier.EDGE]
 
 
 def test_tier_ordering():

@@ -62,15 +62,6 @@ class TestFifoScheduling:
         assert rm.pending_count == 2
         assert all(c.app_id == "big" for c in rm.running_containers)
 
-    def test_on_grant_callback(self):
-        rm = cluster(nodes=1, vcores=2)
-        granted = []
-        first = rm.submit(ResourceRequest("a", 2, 10))
-        rm.submit(ResourceRequest("b", 2, 10, on_grant=granted.append))
-        rm.release(first)
-        assert len(granted) == 1
-        assert granted[0].app_id == "b"
-
     def test_submit_returns_the_container_granted_to_that_request(self):
         # A node joining lets the queued 4-vcore request through on the
         # next submit; the caller must get its own 1-vcore lease back, not

@@ -9,6 +9,7 @@ import pytest
 
 from repro import nn
 from repro.core import CyberInfrastructure, InfraConfig
+from repro.core.infrastructure import CAMERA_PARTITION_CAPACITY
 from repro.data import OpenCityData, TweetGenerator, WazeGenerator
 from repro.fog import TwoTierDeployment
 from repro.fog.policies import ScoreThresholdPolicy
@@ -166,10 +167,15 @@ class TestBatchIngest:
 
     RECORDS = [{"record_id": i, "district": i % 6} for i in range(203)]
 
-    def infra(self, records=RECORDS, **config):
-        infra = CyberInfrastructure(InfraConfig(
-            edges_per_fog=2, fogs_per_server=2, servers=1,
-            datanodes=3, dfs_replication=2, **config))
+    def infra(self, records=RECORDS, capacity=None, policy="block"):
+        """A small deployment with ``records`` registered as ``feed``;
+        ``capacity`` bounds each of its topic's four partitions."""
+        infra = small_infra()
+        if capacity is not None:
+            # register_source keeps a topic that already exists
+            infra.bus.create_topic("feed", partitions=4,
+                                   max_partition_records=capacity,
+                                   backpressure=policy)
         infra.register_source("feed", lambda: records)
         return infra
 
@@ -197,7 +203,7 @@ class TestBatchIngest:
         assert coll.find({}) == before
 
     def test_bounded_topic_stores_every_record_exactly_once(self):
-        infra = self.infra(bus_partition_capacity=8)
+        infra = self.infra(capacity=8)
         report = infra.run_collection_pipeline()
         assert report.records_ingested["feed"] == len(self.RECORDS)
         assert report.records_stored["feed"] == len(self.RECORDS)
@@ -233,10 +239,10 @@ class TestBatchIngest:
         monkeypatch.setattr(FlumeAgent, "pump_sink", counted_pump_sink)
         monkeypatch.setattr(Consumer, "commit", counted_commit)
 
-        def run(**config):
+        def run(capacity=None):
             del inserts[:], delivered[:], commits[:]
             with using_runtime(Runtime()) as runtime:
-                report = self.infra(**config).run_collection_pipeline()
+                report = self.infra(capacity=capacity).run_collection_pipeline()
                 spans = runtime.tracer.spans("streaming.flume.deliver")
             assert report.records_stored["feed"] == len(self.RECORDS)
             # Flume's deliver span wraps a whole cycle's transaction.
@@ -248,7 +254,7 @@ class TestBatchIngest:
         assert inserts == [203]
         assert commits == ["storage"]
         # Capacity 8 on 4 partitions: 32-record transactions fit.
-        run(bus_partition_capacity=8)
+        run(capacity=8)
         assert delivered == [32] * 6 + [11]
         assert inserts == [32] * 6 + [11]
         assert commits == ["storage"] * 7
@@ -257,8 +263,7 @@ class TestBatchIngest:
     @pytest.mark.parametrize("policy", ["block", "drop", "error"])
     def test_bounded_topic_never_drops_or_raises(self, policy, capacity):
         with using_runtime(Runtime()) as runtime:
-            infra = self.infra(bus_partition_capacity=capacity,
-                               bus_backpressure=policy)
+            infra = self.infra(capacity=capacity, policy=policy)
             report = infra.run_collection_pipeline()
             dropped = runtime.registry.counter(
                 "streaming.broker.records_dropped").total()
@@ -275,7 +280,7 @@ class TestBatchIngest:
         # An audit group that committed offset 1 everywhere and left pins
         # consumed-head eviction: once each partition holds 8 records,
         # no cycle can free room, so the ingest must fail loudly.
-        infra = self.infra(bus_partition_capacity=8)
+        infra = self.infra(capacity=8)
         audit = infra.bus.consumer("audit", ["feed"], auto_commit=False)
         audit.commit({("feed", partition): 1 for partition in range(4)})
         audit.close()
@@ -323,7 +328,7 @@ class TestBatchIngest:
 
     def test_failed_insert_leaves_offsets_uncommitted(self, monkeypatch):
         # Capacity 8 on 4 partitions: 32-record cycles, so a third exists.
-        infra = self.infra(bus_partition_capacity=8)
+        infra = self.infra(capacity=8)
         stored_insert_many = Collection.insert_many
         calls = []
 
@@ -396,8 +401,7 @@ class TestCameraFogGlue:
         topic = infra.attach_camera_feed()
         config = infra.bus.topic_config(topic)
         assert config.share_ndarrays
-        assert config.max_partition_records == \
-            infra.config.camera_partition_capacity
+        assert config.max_partition_records == CAMERA_PARTITION_CAPACITY
         infra.attach_camera_feed()  # idempotent
 
     def test_publish_then_serve_decides_every_frame(self):

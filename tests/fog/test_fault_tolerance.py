@@ -43,7 +43,7 @@ def run_stream(failures=None, fault_policy=None, num_items=30, seed=0,
 
 class TestFaultPolicy:
     def test_backoff_doubles(self):
-        policy = FaultPolicy(backoff_base_s=0.01)
+        policy = FaultPolicy()
         assert policy.backoff_s(0) == pytest.approx(0.01)
         assert policy.backoff_s(1) == pytest.approx(0.02)
         assert policy.backoff_s(2) == pytest.approx(0.04)
@@ -51,10 +51,6 @@ class TestFaultPolicy:
     def test_validates(self):
         with pytest.raises(ValueError):
             FaultPolicy(stage_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            FaultPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            FaultPolicy(backoff_base_s=-1.0)
 
 
 class TestHealthyRuns:
@@ -67,10 +63,9 @@ class TestHealthyRuns:
 
     def test_failure_spec_with_no_time_to_fire_changes_nothing(self):
         healthy = run_stream(failures=None)[1]
-        # Horizon 0 draws nothing: same traffic, failure machinery armed.
+        # Zero failures draws nothing: same traffic, machinery armed.
         inert = run_stream(failures=FailureSpec(
-            max_failures=None, horizon_s=1e-9,
-            mean_time_to_failure_s=10.0))[1]
+            max_failures=0, mean_time_to_failure_s=10.0))[1]
         assert inert.completed == healthy.completed
         assert inert.mean_latency_s == pytest.approx(healthy.mean_latency_s)
         assert inert.degraded == inert.dropped == 0

@@ -42,6 +42,20 @@ class TestInsert:
         with pytest.raises(MongoError):
             coll.insert({"_id": 1})
 
+    @pytest.mark.parametrize("given", [1, 1.0, True])
+    def test_a_drawn_id_never_replaces_a_given_one(self, given):
+        coll = Collection("c")
+        coll.insert({"_id": given, "a": 1})
+        drawn = coll.insert({"a": 2})
+        assert drawn != given
+        assert len(coll) == 2
+        assert sorted(doc["a"] for doc in coll) == [1, 2]
+
+    def test_a_batch_draws_past_its_own_given_ids(self):
+        coll = Collection("c")
+        ids = coll.insert_many([{"a": 1}, {"_id": 2, "a": 2}, {"a": 3}])
+        assert len(set(ids)) == len(coll) == 3
+
     def test_non_dict_rejected(self):
         with pytest.raises(MongoError):
             Collection("c").insert(["not", "a", "doc"])
@@ -58,7 +72,7 @@ class TestInsertMany:
     def test_returns_ids_in_order(self):
         coll = Collection("c")
         ids = coll.insert_many([{"a": 1}, {"_id": 40, "a": 2}, {"a": 3}])
-        assert ids == [1, 40, 2]
+        assert ids == [41, 40, 42]                # drawn past the given 40
         assert [coll.find_one({"_id": i})["a"] for i in ids] == [1, 2, 3]
 
     @pytest.mark.parametrize("bad", [
@@ -74,7 +88,7 @@ class TestInsertMany:
             coll.insert_many(bad)
         assert len(coll) == 1
         assert coll.count({"a": 1}) == 0          # the index saw nothing
-        assert coll.insert({"a": 5}) == 1         # and no id was drawn
+        assert coll.insert({"a": 5}) == 8         # and no id was drawn
 
     def test_copies_each_document_once(self):
         coll = Collection("c")

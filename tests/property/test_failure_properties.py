@@ -54,8 +54,6 @@ failure_specs = st.builds(
 fault_policies = st.builds(
     FaultPolicy,
     stage_timeout_s=st.one_of(st.none(), st.floats(0.5, 5.0)),
-    max_attempts=st.integers(1, 4),
-    backoff_base_s=st.floats(0.0, 0.05),
 )
 
 

@@ -5,12 +5,13 @@ The invariants the serving plane must never lose:
 - **answered-or-shed exactly once** — under seeded deployment crashes
   (a :class:`~repro.fog.pipeline.FailureSpec`-driven schedule), one
   request of a sample geometry that cannot be stacked with its
-  neighbours' and that the model rejects, plus rate-limit and queue-full
-  shed pressure, every submission resolves to exactly one outcome: its
-  decisions, a :class:`ShedError`, the injected crash, or the model's
-  own error.  Nothing hangs, nothing resolves twice, and the
-  gateway's own accounting (``submitted == answered + shed + failed +
-  cancelled``) matches the caller's view.
+  neighbours' and that the model rejects, plus queue-full shed pressure
+  (a 16-row bound against up to 48 rows submitted at once), every
+  submission resolves to exactly one outcome: its decisions, a
+  :class:`ShedError`, the injected crash, or the model's own error.
+  Nothing hangs, nothing resolves twice, and the gateway's own
+  accounting (``submitted == answered + shed + failed + cancelled``)
+  matches the caller's view.
 - **lifecycle edges keep that accounting** — a caller cancelling
   ``submit()`` mid-coalesce (its rows never reach the deployment and stop
   counting against admission as the cancellation lands),
@@ -37,12 +38,12 @@ from repro.nn.models.earlyexit import BatchExitDecisions
 from repro.runtime import Runtime, using_runtime
 from repro.serving import (
     DEFAULT_GROUP,
+    SHED_SHUTDOWN,
     GatewayConfig,
     ServingGateway,
     ShedError,
     pump_topic,
 )
-from repro.serving.admission import SHED_SHUTDOWN
 from repro.streaming.broker import Broker
 
 from tests.serving.conftest import RecordingDeployment, build_model
@@ -131,8 +132,7 @@ def test_answered_or_shed_exactly_once_under_chaos(seed):
         gateway = ServingGateway(
             crashy, ScoreThresholdPolicy(0.45),
             GatewayConfig(coalesce_window_s=0.0, max_batch_rows=6,
-                          max_queue_rows=16, tenant_rate=200.0,
-                          tenant_burst=12.0))
+                          max_queue_rows=16))
         outcomes = submit_all(gateway, requests)
 
         assert len(outcomes) == len(requests)    # every submit resolved once

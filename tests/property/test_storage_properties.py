@@ -256,8 +256,8 @@ def test_mongo_geo_index_matches_scan(points, radius, moves):
 
 
 def reference_insert_many(collection, documents):
-    """One document at a time: validate all, then draw, deep-copy, key
-    and store."""
+    """One document at a time: validate all, move the counter past every
+    given id that is a whole number, then draw, deep-copy, key and store."""
     documents = list(documents)
     stored_documents = collection._documents
     given = set()
@@ -270,6 +270,10 @@ def reference_insert_many(collection, documents):
             if doc_id in stored_documents or doc_id in given:
                 raise MongoError(f"duplicate _id: {doc_id}")
             given.add(doc_id)
+    whole = [int(doc_id) for doc_id in given
+             if isinstance(doc_id, (int, float)) and doc_id % 1 == 0]
+    collection._next_id = max([collection._next_id]
+                              + [doc_id + 1 for doc_id in whole])
     ids = []
     for document in documents:
         doc_id = document.get("_id")
@@ -348,6 +352,9 @@ def test_bulk_insert_many_matches_a_per_document_reference(
     assert outcomes[0] == outcomes[1]
     assert collection_state(bulk) == collection_state(reference)
     assert bulk._next_id == reference._next_id
+    if outcomes[0][0] == "ids":
+        # every document is stored: no drawn id replaced a stored one
+        assert len(bulk) == len(before[0]) + len(batch)
     stored = {id(value) for document in bulk._documents.values()
               for value in (document, document["location"])}
     assert not any(id(value) in stored for document in batch

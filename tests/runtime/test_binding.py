@@ -139,18 +139,6 @@ def flume_agent(built, other):
     return {"streaming.flume.events_delivered", "streaming.flume.deliver"}
 
 
-def flume_agent_from_consumer(built, other):
-    with using_runtime(built):
-        bus = Broker()
-        bus.create_topic("t", partitions=1)
-        bus.produce_batch("t", [1, 2, 3])
-        consumer = bus.consumer("g", ["t"], auto_commit=False)
-        agent = FlumeAgent.from_consumer(consumer, lambda events: None)
-    with using_runtime(other):
-        agent.run()
-    return {"streaming.flume.events_delivered", "streaming.flume.deliver"}
-
-
 def htable(built, other):
     with using_runtime(built):
         table = HTable("crimes", DistributedFileSystem.with_datanodes(3),
@@ -302,7 +290,6 @@ CASES = {
     "Broker": broker,
     "SqoopImporter": sqoop_importer,
     "FlumeAgent": flume_agent,
-    "FlumeAgent.from_consumer": flume_agent_from_consumer,
     "HTable": htable,
     "DistributedFileSystem": distributed_file_system,
     "FailureInjector": failure_injector,

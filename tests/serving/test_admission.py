@@ -1,112 +1,62 @@
-"""Admission control: token buckets and queue bounds under a fake clock."""
+"""Admission control: the gateway's queue bound, driven through ``submit``."""
+
+import asyncio
 
 import pytest
 
-from repro.serving.admission import (
-    SHED_QUEUE_FULL,
-    SHED_RATE_LIMIT,
-    AdmissionController,
-    ShedError,
-    TokenBucket,
-)
+from repro.serving import SHED_QUEUE_FULL, GatewayConfig, ServingGateway, \
+    ShedError
+
+from tests.serving.conftest import camera_frames
 
 
-class FakeClock:
-    def __init__(self, start=0.0):
-        self.now = start
+def submit_all(gateway, row_counts):
+    """Submit one request per row count, all in flight together; returns
+    the outcome of each (decisions or the raised exception)."""
+    async def main():
+        async with gateway.running():
+            return await asyncio.gather(
+                *(gateway.submit(camera_frames(i, rows), tenant="a")
+                  for i, rows in enumerate(row_counts)),
+                return_exceptions=True)
+    return asyncio.run(main())
 
-    def __call__(self):
-        return self.now
 
-
-class TestTokenBucket:
-    def test_starts_full_and_drains(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, burst=5.0, clock=clock)
-        assert bucket.available() == 5.0
-        assert bucket.try_acquire(5.0)
-        assert not bucket.try_acquire(1.0)
-
-    def test_refills_at_rate_up_to_burst(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, burst=5.0, clock=clock)
-        assert bucket.try_acquire(5.0)
-        clock.now = 0.2                     # 2 tokens back
-        assert bucket.try_acquire(2.0)
-        assert not bucket.try_acquire(0.5)
-        clock.now = 100.0                   # capped at burst
-        assert bucket.available() == 5.0
-
-    def test_clock_going_backwards_does_not_refund(self):
-        clock = FakeClock(start=10.0)
-        bucket = TokenBucket(rate=1.0, burst=2.0, clock=clock)
-        assert bucket.try_acquire(2.0)
-        clock.now = 5.0
-        assert bucket.available() == 0.0
-
-    def test_validation(self):
-        clock = FakeClock()
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, burst=1.0, clock=clock)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=0.0, clock=clock)
-        bucket = TokenBucket(rate=1.0, burst=1.0, clock=clock)
-        with pytest.raises(ValueError):
-            bucket.try_acquire(-1.0)
+def bounded_gateway(deployment, policy, max_queue_rows=10):
+    return ServingGateway(deployment, policy, GatewayConfig(
+        coalesce_window_s=0.0, max_queue_rows=max_queue_rows))
 
 
 class TestAdmissionController:
-    def test_admits_within_bounds(self):
-        controller = AdmissionController(max_queue_rows=10,
-                                         clock=FakeClock())
-        assert controller.admit("a", 4, queued_rows=0) is None
-        assert controller.admit("a", 10, queued_rows=0) is None
+    def test_admits_within_bounds(self, rt, deployment, policy):
+        for rows in (4, 10):
+            [result] = submit_all(bounded_gateway(deployment, policy),
+                                  [rows])
+            assert len(result.predictions) == rows
 
-    def test_queue_full(self):
-        controller = AdmissionController(max_queue_rows=10,
-                                         clock=FakeClock())
-        assert controller.admit("a", 4, queued_rows=8) == SHED_QUEUE_FULL
+    def test_queue_full(self, rt, deployment, policy):
+        # the 8-row request is still queued when the 4-row one arrives
+        first, second = submit_all(bounded_gateway(deployment, policy),
+                                   [8, 4])
+        assert len(first.predictions) == 8
+        assert isinstance(second, ShedError)
+        assert second.reason == SHED_QUEUE_FULL
 
-    def test_oversized_request_is_never_admissible(self):
-        controller = AdmissionController(max_queue_rows=10,
-                                         clock=FakeClock())
-        assert controller.admit("a", 11, queued_rows=0) == SHED_QUEUE_FULL
-
-    def test_rate_limit_per_tenant(self):
-        controller = AdmissionController(max_queue_rows=100, tenant_rate=1.0,
-                                         tenant_burst=4.0, clock=FakeClock())
-        assert controller.admit("a", 4, queued_rows=0) is None
-        assert controller.admit("a", 1, queued_rows=0) == SHED_RATE_LIMIT
-        # an independent tenant has its own bucket
-        assert controller.admit("b", 4, queued_rows=0) is None
-
-    def test_queue_check_does_not_burn_tokens(self):
-        controller = AdmissionController(max_queue_rows=4, tenant_rate=1.0,
-                                         tenant_burst=4.0, clock=FakeClock())
-        assert controller.admit("a", 4, queued_rows=4) == SHED_QUEUE_FULL
-        # the overload shed above must not have consumed tenant tokens
-        assert controller.admit("a", 4, queued_rows=0) is None
-
-    def test_zero_row_request_skips_the_bucket(self):
-        controller = AdmissionController(max_queue_rows=4, tenant_rate=1.0,
-                                         tenant_burst=1.0, clock=FakeClock())
-        assert controller.admit("a", 1, queued_rows=0) is None
-        assert controller.admit("a", 0, queued_rows=0) is None
-
-    def test_default_burst_is_one_second_of_rate(self):
-        controller = AdmissionController(max_queue_rows=100, tenant_rate=8.0,
-                                         clock=FakeClock())
-        assert controller.bucket("a").burst == 8.0
+    def test_oversized_request_is_never_admissible(self, rt, deployment,
+                                                   policy):
+        gateway = bounded_gateway(deployment, policy)
+        [result] = submit_all(gateway, [11])
+        assert isinstance(result, ShedError)
+        assert result.reason == SHED_QUEUE_FULL
+        assert gateway.stats()["shed"] == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdmissionController(max_queue_rows=0)
-        with pytest.raises(ValueError):
-            AdmissionController(max_queue_rows=1, tenant_burst=4.0)
+            GatewayConfig(max_queue_rows=0)
 
 
 def test_shed_error_carries_tenant_and_reason():
-    error = ShedError("cam-a", SHED_RATE_LIMIT, "4 rows")
+    error = ShedError("cam-a", SHED_QUEUE_FULL, "4 rows")
     assert error.tenant == "cam-a"
-    assert error.reason == SHED_RATE_LIMIT
-    assert "cam-a" in str(error) and "rate_limit" in str(error)
+    assert error.reason == SHED_QUEUE_FULL
+    assert "cam-a" in str(error) and "queue_full" in str(error)

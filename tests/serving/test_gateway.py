@@ -9,7 +9,6 @@ import pytest
 from repro.nn.models.earlyexit import BatchExitDecisions
 from repro.serving import (
     SHED_QUEUE_FULL,
-    SHED_RATE_LIMIT,
     SHED_SHUTDOWN,
     GatewayConfig,
     ServingGateway,
@@ -232,19 +231,6 @@ class TestShedding:
         assert len(shed) + len(answered) == 5
         stats = gateway.stats()
         assert stats["submitted"] == stats["answered"] + stats["shed"]
-
-    def test_rate_limit_sheds_per_tenant(self, rt, deployment, policy):
-        gateway = ServingGateway(
-            deployment, policy,
-            GatewayConfig(coalesce_window_s=0.0, tenant_rate=1.0,
-                          tenant_burst=2.0))
-        results = drive(gateway, [("a", camera_frames(0, 2)),
-                                  ("a", camera_frames(1, 2)),
-                                  ("b", camera_frames(2, 2))])
-        assert not isinstance(results[0], BaseException)
-        assert isinstance(results[1], ShedError)
-        assert results[1].reason == SHED_RATE_LIMIT
-        assert not isinstance(results[2], BaseException)   # own bucket
 
     def test_submit_after_close_sheds_shutdown(self, rt, deployment, policy):
         gateway = ServingGateway(deployment, policy)

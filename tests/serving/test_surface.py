@@ -46,8 +46,7 @@ def test_parameters_are_exactly(fn, names):
 
 def test_gateway_config_fields_are_exactly():
     assert [field.name for field in dataclasses.fields(GatewayConfig)] == [
-        "coalesce_window_s", "max_batch_rows", "max_queue_rows",
-        "tenant_rate", "tenant_burst"]
+        "coalesce_window_s", "max_batch_rows", "max_queue_rows"]
 
 
 def test_a_deployment_has_two_entry_points():

