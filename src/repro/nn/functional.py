@@ -13,7 +13,9 @@ around* as an NCHW-shaped view of that storage, so every shape contract
 and ``[n, c, y, x]`` index reads as before while a conv unfold moves
 ``W'·N``-element runs and the GEMM result already is the next op's input.
 The conv works through the output in bands of whole output rows sized to
-:data:`CONV_BAND_BYTES`, so a large batch's column matrix never leaves L2.
+:data:`CONV_BAND_BYTES` (256 KiB), so a band's column block and result
+fit in an eighth of a 2 MiB per-core L2, beside the input windows the
+unfold reads, and a large batch's column matrix never leaves L2.
 Elementwise ops need no rule (NumPy follows operand memory order); 2-D
 matrices stay row-major.  The grad-recording forward keeps ``im2col`` +
 ``cols @ W.T`` because backward reads ``cols``.
@@ -91,8 +93,11 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], kernel: int,
 # --------------------------------------------------------------------------
 
 #: bytes a band of the inference conv touches (column block + GEMM
-#: result): half a 2 MiB per-core L2.
-CONV_BAND_BYTES = 1 << 20
+#: result): an eighth of a 2 MiB per-core L2.  Swept on camera-drain at
+#: 128 KiB-1 MiB (EXPERIMENTS.md): 1 MiB was the slowest; 128 KiB
+#: read the same as 256 KiB, but a plan's first bind then outgrows the
+#: replay allocation budget (more band views per binding).
+CONV_BAND_BYTES = 256 << 10
 
 
 def conv_bands(c: int, kernel: int, f: int, out_h: int, out_w: int,
@@ -116,9 +121,10 @@ def conv_band_views(x_t: np.ndarray, cols: np.ndarray, out: np.ndarray,
     block as (C, K, K, rows, W', N), its windows of the (padded) input
     ``x_t`` viewed (C, H, W, N), the block as the (C·K·K, rows·W'·N) GEMM
     operand, and the band's result columns.  Every block is the head of
-    the flat scratch ``cols``, so the scratch is one band, not the map.
-    Plans build the list once per row count (per run for a conv reading
-    the plan's input unpadded).
+    the flat scratch ``cols``, so the scratch is one band, not the map,
+    and bands of one height share its two views.  Plans build the list
+    once per row count (per run for a conv reading the plan's input
+    unpadded).
     """
     # the sliding-window view, by strides: sliding_window_view's checks
     # cost 11 us a call, as much as a 10-row conv's unfold
@@ -131,13 +137,15 @@ def conv_band_views(x_t: np.ndarray, cols: np.ndarray, out: np.ndarray,
                          writeable=False)
     span = out_w * rows
     views = []
+    dst = None
     for first, stop in conv_bands(c, kernel, out.shape[0], out_h, out_w,
                                   rows, out.itemsize):
         src = windows[:, :, :, first:stop]
-        block = cols[:src.size]
-        views.append((block.reshape(src.shape), src,
-                      block.reshape(c * kernel * kernel, -1),
-                      out[:, first * span:stop * span]))
+        if dst is None or dst.shape != src.shape:
+            block = cols[:src.size]
+            dst = block.reshape(src.shape)
+            operand = block.reshape(c * kernel * kernel, -1)
+        views.append((dst, src, operand, out[:, first * span:stop * span]))
     return views
 
 

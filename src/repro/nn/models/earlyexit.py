@@ -33,12 +33,15 @@ ConfidenceFn = Callable[[np.ndarray], np.ndarray]
 
 
 def score_confidence(logits: np.ndarray) -> np.ndarray:
-    """Max softmax probability per row; in [1/C, 1]."""
+    """Max softmax probability per row; in [1/C, 1].
+
+    The top logit's shifted exponent is exactly 1, so the max probability
+    is ``1 / Σ exp(l − max)``: the bits of softmax-then-max (division by
+    one sum is monotone) without the normalizing pass.
+    """
     logits = ensure_float(logits)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs.max(axis=-1)
+    return np.reciprocal(np.exp(shifted).sum(axis=-1))
 
 
 def entropy_confidence(logits: np.ndarray) -> np.ndarray:

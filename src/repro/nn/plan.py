@@ -26,7 +26,8 @@ GEMM output, and a bias sum on every forward.  A *plan* removes both:
   largest it has been asked for.  A batch with *fewer* rows (a gateway
   batch that closed early, or the variable escalated-row count of an
   early-exit remote stage) runs as a prefix of that plan: every slot
-  is re-viewed over the contiguous *head* of its storage, so the run is
+  is re-viewed over the contiguous *head* of its storage (once per row
+  count: the plan keeps the views of each count it has run), so the run is
   the same BLAS calls and the same memory walk as a plan captured at
   exactly that row count — a ladder of smaller plans would buy nothing
   per row.  A batch with *more* rows drops the plan and recaptures at
@@ -54,6 +55,7 @@ ran before, not on the seed.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -164,8 +166,9 @@ class _PlanOp:
 
     ``reads``/``writes`` list slot ids for liveness analysis.
 
-    ``rebind(views)`` runs when the row count changes: ``views`` maps each
-    slot id to its :meth:`_Slot.head_view` at the new row count (and
+    ``rebind(views)`` runs once per row count, on the plan's own copy of
+    the op for that count (:meth:`InferencePlan._bind`): ``views`` maps
+    each slot id to its :meth:`_Slot.head_view` at that row count (and
     ``_INPUT`` to the caller's array), and the op stores direct references
     so ``run`` does no indexing, view building or allocation (lint rule
     PERF403 enforces the no-allocation property on every ``run`` and
@@ -185,7 +188,13 @@ class _PlanOp:
     this is the one place views are built per run (the array is new each
     time: K·K sources of an unpadded conv or a pooling, 3-5 us).  A hot
     path like ``run``: no copies, whatever layout the caller stored.  The
-    op holds ``x`` until the next run.
+    op holds ``x`` until the plan next runs at another row count, which
+    hands it a zero-row batch instead, so every ``set_input`` accepts one.
+
+    ``rezero()`` runs on every row-count switch, after the views are bound
+    or looked up: an op with an exclusive slot rewrites that slot's zero
+    region, which moves with the row count (what was interior at 64 rows
+    is border at 3).
     """
 
     label = "op"
@@ -199,6 +208,9 @@ class _PlanOp:
 
     def set_input(self, x: np.ndarray) -> None:
         self._x = x
+
+    def rezero(self) -> None:
+        pass
 
     def run(self) -> None:
         raise NotImplementedError
@@ -246,10 +258,10 @@ class _ConvOp(_PlanOp):
     exactly the operands no-grad ``F.conv2d`` hands it, and a plan
     captured at ``r`` rows would bind: every prefix length is
     bit-identical to both by construction, at the same cost.  Re-viewing
-    moves the padded buffer's border, so ``rebind`` re-zeroes it (four
-    thin slices, 6-30 us; a strided ``[..., :r]`` prefix would keep the
-    zeros in place but doubles the interior copy and costs the unfold 4x
-    at 4 of 16 rows — on every run).
+    moves the padded buffer's border, so ``rezero`` rewrites it on every
+    row-count switch (four thin slices, 6-30 us; a strided ``[..., :r]``
+    prefix would keep the zeros in place but doubles the interior copy
+    and costs the unfold 4x at 4 of 16 rows — on every run).
     """
 
     label = "conv2d"
@@ -292,14 +304,18 @@ class _ConvOp(_PlanOp):
         if self._pad_slot is not None:
             padded = views[self._pad_slot]
             self._pad_interior = padded[:, :, p:-p, p:-p]
-            x_t = padded.transpose(1, 2, 3, 0)
+            self._pad_t = padded.transpose(1, 2, 3, 0)
+            self._bands = conv_band_views(
+                self._pad_t, self._cols, self._gemm, self.kernel, self.stride)
+        self.set_input(views[self.reads[0]])
+
+    def rezero(self):
+        if self._pad_slot is not None:
+            p, x_t = self.padding, self._pad_t
             x_t[:, :p] = 0
             x_t[:, -p:] = 0
             x_t[:, :, :p] = 0
             x_t[:, :, -p:] = 0
-            self._bands = conv_band_views(
-                x_t, self._cols, self._gemm, self.kernel, self.stride)
-        self.set_input(views[self.reads[0]])
 
     def set_input(self, x):
         if self._pad_slot is not None:
@@ -533,8 +549,8 @@ class _PadChannelsOp(_PlanOp):
 
     The output buffer is exclusive: only the live channels are copied per
     run.  They are the head of its batch-innermost storage and the zero
-    channels the tail, which moves with the row count — ``rebind``
-    re-zeroes it.
+    channels the tail, which moves with the row count — ``rezero``
+    rewrites it.
     """
 
     label = "pad_channels"
@@ -550,9 +566,12 @@ class _PadChannelsOp(_PlanOp):
 
     def rebind(self, views):
         out = views[self.out_slot]
-        out[:, self._in_channels:] = 0
+        self._zeros = out[:, self._in_channels:]
         self._out = out[:, :self._in_channels]
         self.set_input(views[self.reads[0]])
+
+    def rezero(self):
+        self._zeros[...] = 0
 
     def run(self):
         self._out[...] = self._x
@@ -766,7 +785,8 @@ class Arena:
     logical slots share storage when the earlier one's last reader has
     already run by the time the later one is written.  Exclusive slots
     (padded conv inputs, channel-padded shortcuts) opt out: their zero
-    regions are written at rebind and must survive every run.  The plan's
+    regions are written at each row-count switch and must survive every
+    run at that count.  The plan's
     input slot gets no buffer at all (it is read in place).
     """
 
@@ -845,6 +865,10 @@ class InferencePlan:
     next ``run``, so callers that keep it must copy (``order="K"``: a
     feature map is stored batch-innermost, and a default C-order copy
     would transpose it).
+
+    Each row count is bound once (:meth:`_switch`) into a table keyed by
+    row count: views only, at most ``rows + 1`` entries, dropped with the
+    plan.  Zero regions are rewritten on every switch all the same.
     """
 
     def __init__(self, module: M.Module, builder: _PlanBuilder,
@@ -858,13 +882,16 @@ class InferencePlan:
         self.num_ops = len(builder.ops)
         self.max_validation_error = 0.0
         self.bit_exact: Optional[bool] = None
-        self._ops = builder.ops
-        self._input_ops = [op for op in builder.ops if _INPUT in op.reads]
+        self._captured = builder.ops  # never bound: _bind copies them
         self._watched = builder.watched
         self.arena = Arena(builder.slots, builder.ops, output_slot)
         self._output_slot = output_slot
         self.output_shape = builder.slots[output_slot].shape
-        self._bound_rows: Optional[int] = None  # views are built on first run
+        # row count -> (ops, the ones reading the input, output view)
+        self._bindings: Dict[int, tuple] = {}
+        self._no_rows = np.empty((0,) + self.sample_shape, self.dtype)
+        self._ops, self._input_ops = builder.ops, []  # bound on first run
+        self._bound_rows: Optional[int] = None
         self._output: Optional[np.ndarray] = None
 
     @property
@@ -879,13 +906,27 @@ class InferencePlan:
                     f"{attr} was replaced after capture (retraining, astype, "
                     "or load_state_dict); clear the plan cache and recapture")
 
-    def _rebind(self, data: np.ndarray) -> None:
-        rows = data.shape[0]
-        views = self.arena.views(rows)
-        self._output = views[self._output_slot]
+    def _bind(self, data: np.ndarray):
+        """The captured ops, copied and bound to ``data``'s row count."""
+        views = self.arena.views(data.shape[0])
         views[_INPUT] = data
-        for op in self._ops:
+        ops = [copy.copy(op) for op in self._captured]
+        for op in ops:
             op.rebind(views)
+        return (ops, [op for op in ops if _INPUT in op.reads],
+                views[self._output_slot])
+
+    def _switch(self, data: np.ndarray) -> None:
+        """Bind ``data``'s row count the first time; look it up after."""
+        for op in self._input_ops:
+            op.set_input(self._no_rows)  # the table keeps no caller array
+        rows = data.shape[0]
+        binding = self._bindings.get(rows)
+        if binding is None:
+            binding = self._bindings[rows] = self._bind(data)
+        self._ops, self._input_ops, self._output = binding
+        for op in self._ops:
+            op.rezero()
         self._bound_rows = rows
 
     def run(self, data: np.ndarray) -> np.ndarray:
@@ -893,7 +934,7 @@ class InferencePlan:
 
         ``data`` is read in place — never copied into the arena — and may
         have *fewer* rows than the plan was captured with: every op
-        re-binds to the contiguous head of its buffers, so short
+        is bound to the contiguous head of its buffers, so short
         gateway batches and variable escalation counts reuse the plan's
         arena while each kernel still sees exactly the eager shapes and
         strides (which keeps prefix runs bit-identical to eager; see
@@ -916,10 +957,9 @@ class InferencePlan:
         data = self.arena.foreign(data)
         with no_grad():
             if rows != self._bound_rows:
-                self._rebind(data)
-            else:
-                for op in self._input_ops:
-                    op.set_input(data)
+                self._switch(data)
+            for op in self._input_ops:
+                op.set_input(data)
             for op in self._ops:
                 op.run()
         return self._output

@@ -273,10 +273,15 @@ class Collection:
 
         Each match stores its own private copy of every ``$set`` value.
         Every new document and its index keys are built before the first
-        write, so a failing match leaves the collection unchanged.
+        write, so a failing match leaves the collection unchanged.  ``_id``
+        is immutable, as in MongoDB: a path that is ``_id`` or under it is
+        refused.
         """
         if set(update) != {"$set"}:
             raise MongoError("only {'$set': {...}} updates are supported")
+        for path in update["$set"]:
+            if path.split(".")[0] == "_id":
+                raise MongoError(f"cannot $set {path}: _id is immutable")
         staged = []
         for stored in self._matching(query):
             new = dict(stored)

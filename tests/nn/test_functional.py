@@ -90,10 +90,10 @@ class TestConvBands:
 
     #: (C, K, F, H', W', rows, itemsize) -> band count
     GEOMETRIES = {
-        (1, 3, 8, 16, 16, 256, 4): 6,     # Fig. 5 local conv, camera-drain
-        (8, 3, 16, 8, 8, 89, 4): 2,       # Fig. 5 remote convs, 89 escalated
-        (16, 3, 16, 8, 8, 89, 4): 4,
-        (16, 3, 16, 8, 8, 16, 4): 1,      # a camera-paced batch fits one band
+        (1, 3, 8, 16, 16, 256, 4): 16,    # Fig. 5 local conv, camera-drain
+        (8, 3, 16, 8, 8, 89, 4): 8,       # Fig. 5 remote convs, 89 escalated
+        (16, 3, 16, 8, 8, 89, 4): 8,      # (one output row per band)
+        (16, 3, 16, 8, 8, 16, 4): 3,      # a camera-paced batch
         (16, 5, 16, 20, 20, 512, 8): 20,  # one output row exceeds the budget
         (3, 3, 4, 7, 7, 0, 4): 1,         # zero rows
     }

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.nn import functional as F
@@ -157,12 +159,36 @@ class TestLSTMClassifier:
         assert F.accuracy(model(Tensor(x)), y) >= 0.95
 
 
+#: logits with ties (a small pool of repeats), large magnitudes and inf/NaN
+LOGITS = st.one_of(
+    st.floats(-50, 50, allow_nan=False),
+    st.sampled_from([0.0, 1.0, -1.0, 3.5, 1e30, -1e30,
+                     np.inf, -np.inf, np.nan]))
+
+
 class TestConfidenceFunctions:
     def test_score_confidence_range(self):
         logits = np.array([[10.0, -10.0], [0.0, 0.0]])
         conf = score_confidence(logits)
         assert conf[0] > 0.99
         assert conf[1] == pytest.approx(0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(LOGITS, min_size=4, max_size=4),
+                         min_size=1, max_size=12),
+           scale=st.sampled_from([0.01, 1.0, 1e4]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_score_confidence_is_softmax_then_max_bit_for_bit(
+            self, rows, scale, dtype):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+            logits = (np.array(rows) * scale).astype(dtype)
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            probs = np.exp(shifted)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            expected = probs.max(axis=-1)
+            got = score_confidence(logits)
+        assert got.dtype == expected.dtype == dtype
+        assert np.array_equal(got, expected, equal_nan=True)
 
     def test_entropy_confidence_ordering(self):
         peaked = np.array([[10.0, -10.0]])

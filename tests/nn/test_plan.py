@@ -396,9 +396,9 @@ class TestReplayAllocation:
             nn.Conv2d(8, 16, 3, rng=rng_for(25)), nn.ReLU()), dtype=np.float32)
         x = rng_for(26).normal(size=(64, 8, 16, 16)).astype(np.float32)
         plan = capture_plan(model, x)
-        (conv,) = plan._ops
         batch = x[:rows]
         plan.run(batch)
+        (conv,) = plan._ops  # the op bound to ``rows``
         assert len(conv._bands) > 2
         peak = traced_peak_bytes(lambda: plan.run(batch))
         assert peak < self.BUDGET, peak

@@ -375,6 +375,18 @@ class TestUpdateDelete:
             coll.update({}, {"$set": {"m.y": 2}})
         assert [doc["m"] for doc in coll] == [{"x": 1}, 5]
 
+    @pytest.mark.parametrize("path", ["_id", "_id.part"])
+    def test_id_is_immutable(self, path):
+        coll = Collection("c")
+        coll.insert_many([{"a": 1}, {"a": 2}])
+        with pytest.raises(MongoError, match="_id is immutable"):
+            coll.update({"a": 1}, {"$set": {"b": 3, path: 2}})
+        assert [doc for doc in coll] == [{"a": 1, "_id": 1},
+                                         {"a": 2, "_id": 2}]
+        assert coll.find({"_id": 2}) == [{"a": 2, "_id": 2}]
+        assert coll.delete({"_id": 2}) == 1
+        assert coll.update({"a": 1}, {"$set": {"_idx": 5}}) == 1
+
     def test_update_requires_set(self):
         with pytest.raises(MongoError):
             crimes_collection().update({}, {"$inc": {"severity": 1}})

@@ -43,7 +43,7 @@ from repro import nn
 from repro.fog.policies import ScoreThresholdPolicy, run_policy_batched
 from repro.nn import plan as plan_mod
 from repro.nn.models.earlyexit import EarlyExitNetwork
-from repro.nn.models.resnet import ResNetBlock
+from repro.nn.models.resnet import ResNetBlock, SmallResNet
 from repro.nn.quantize import quantize_for_inference
 from repro.runtime import Runtime, deterministic_dump, using_runtime
 
@@ -409,25 +409,8 @@ def test_serving_sized_row_sequence_matches_eager():
     assert_row_sequence_bitwise(fig5_remote_stage(rng), x, SERVING_SEQUENCE)
 
 
-@pytest.mark.parametrize("op_name", ["_ConvOp", "_PadChannelsOp"])
-def test_row_sequence_check_catches_a_skipped_rezero(op_name, monkeypatch):
-    """Mutation check: the sequences above fail if ``rebind`` stops zeroing.
-
-    Restoring the exclusive buffer's previous bytes after the real
-    ``rebind`` is exactly "skip the re-zero" — the interior / live
-    channels are rewritten by every run anyway.
-    """
-    op_class = getattr(plan_mod, op_name)
-    real = op_class.rebind
-    slot_attr = "_pad_slot" if op_name == "_ConvOp" else "out_slot"
-
-    def rebind_without_rezero(self, views):
-        slot = getattr(self, slot_attr)
-        before = None if slot is None else views[slot].copy()
-        real(self, views)
-        if before is not None:
-            views[slot][...] = before
-
+def rezero_mutant_case(op_name):
+    """A model whose ``op_name`` owns an exclusive slot, and its input."""
     rng = np.random.default_rng(BASE_SEED)
     if op_name == "_ConvOp":
         model = fig5_remote_stage(rng)
@@ -436,10 +419,93 @@ def test_row_sequence_check_catches_a_skipped_rezero(op_name, monkeypatch):
         model = layout_stack("maxpool-shortcut", 2, 4, 2,
                              np.float32, rng)
         x = rng.normal(0.0, 1.0, (64, 2, 8, 8)).astype(np.float32)
+    return model, x
+
+
+@pytest.mark.parametrize("op_name", ["_ConvOp", "_PadChannelsOp"])
+def test_row_sequence_check_catches_a_skipped_rezero(op_name, monkeypatch):
+    """Mutation check: the sequences above fail if ``rezero`` does nothing.
+
+    The interior / live channels are rewritten by every run anyway, so a
+    no-op ``rezero`` is exactly "skip the zero region".
+    """
+    model, x = rezero_mutant_case(op_name)
     assert_row_sequence_bitwise(model, x, (64, 3, 40, 64, 1, 32))
-    monkeypatch.setattr(op_class, "rebind", rebind_without_rezero)
+    monkeypatch.setattr(getattr(plan_mod, op_name), "rezero",
+                        lambda self: None)
     with pytest.raises((AssertionError, nn.PlanError)):
         assert_row_sequence_bitwise(model, x, (64, 3, 40, 64, 1, 32))
+
+
+# -- row-count switches: each count bound once, zeros rewritten every switch --
+
+SWITCH_CAPTURE = 24
+
+
+def switch_model(kind, seed):
+    """A padded-conv stack, or the max-pool-shortcut ``SmallResNet``
+    (its widened shortcut is a ``pad_channels``), and a capture batch."""
+    rng = np.random.default_rng(seed)
+    if kind == "padded-conv":
+        model = nn.Sequential(
+            nn.Conv2d(2, 4, 3, padding=1, rng=rng), nn.BatchNorm2d(4),
+            nn.ReLU(), nn.Conv2d(4, 6, 5, stride=2, padding=2, rng=rng),
+            nn.ReLU(), nn.Conv2d(6, 3, 3, padding=1, rng=rng))
+        channels = 2
+    else:
+        model = SmallResNet(1, num_classes=4, widths=(4, 8),
+                            shortcut="maxpool", rng=rng)
+        channels = 1
+    randomize(model, rng)
+    model = nn.fuse_for_inference(model, dtype=np.float32)
+    x = rng.normal(0.0, 1.0, (SWITCH_CAPTURE, channels, 10, 10))
+    return model, x.astype(np.float32)
+
+
+def assert_switches_bitwise(model, x, sequence):
+    """Eager at every step, and one bind per row count the capture did not
+    bind already."""
+    plan = nn.capture_plan(model, x)
+    bind, binds = plan._bind, []
+    plan._bind = lambda data: binds.append(len(data)) or bind(data)
+    for r in sequence:
+        assert np.array_equal(plan.run(x[:r]), eager(model, x[:r])), \
+            (r, sequence)
+    assert sorted(binds) == sorted(set(sequence) - {len(x)}), sequence
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(("padded-conv", "resnet")),
+       drawn=st.lists(st.integers(1, SWITCH_CAPTURE - 1), min_size=1,
+                      max_size=6))
+def test_row_count_switches_match_eager_and_bind_each_count_once(
+        seed, kind, drawn):
+    # 1, the drawn counts, the capture size, then the drawn counts again:
+    # every count repeats, and the capture size is followed by a smaller one
+    model, x = switch_model(kind, seed)
+    assert_switches_bitwise(model, x, [1, *drawn, SWITCH_CAPTURE, *drawn])
+
+
+@pytest.mark.parametrize("op_name", ["_ConvOp", "_PadChannelsOp"])
+def test_row_count_switch_check_catches_a_rezero_skipped_on_reuse(
+        op_name, monkeypatch):
+    """Mutation check: zeroing only when a row count is first bound fails.
+
+    At 3 rows after 40, the 3-row zero region holds 40-row interior."""
+    model, x = rezero_mutant_case(op_name)
+    sequence = (3, 40, 3, 64, 40)
+    assert_switches_bitwise(model, x, sequence)
+    op_class = getattr(plan_mod, op_name)
+    real = op_class.rezero
+
+    def rezero_on_first_bind_only(self):
+        if not hasattr(self, "zeroed_once"):
+            real(self)
+            self.zeroed_once = True
+
+    monkeypatch.setattr(op_class, "rezero", rezero_on_first_bind_only)
+    with pytest.raises(AssertionError):
+        assert_switches_bitwise(model, x, sequence)
 
 
 # -- PlanCache: one plan per geometry, replaced when a batch outgrows it ------
