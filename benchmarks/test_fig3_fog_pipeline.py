@@ -204,7 +204,7 @@ def test_fig3_unified_registry_dump(benchmark, tmp_path):
         Broker,
         FlumeAgent,
         FunctionSource,
-        topic_sink,
+        broker_sink,
     )
     from repro.viz import registry_to_json
 
@@ -214,7 +214,7 @@ def test_fig3_unified_registry_dump(benchmark, tmp_path):
             bus = Broker()
             bus.create_topic("frames", partitions=2)
             FlumeAgent(FunctionSource(range(32)),
-                       topic_sink(bus, "frames"), batch_size=8).run()
+                       broker_sink(bus, "frames"), batch_size=8).run()
             frames = [r.value for r in
                       bus.consumer("fog", ["frames"]).drain()]
 

@@ -19,7 +19,6 @@ from repro.cluster.sim import (
     Request,
     Resource,
     SimulationError,
-    Store,
     Timeout,
 )
 from repro.cluster.machines import (
@@ -41,7 +40,6 @@ __all__ = [
     "Request",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "Tier",
     "Machine",

@@ -1,9 +1,9 @@
 """A small simpy-style discrete-event simulation kernel.
 
-The kernel supports generator-based processes, timeouts, generic events,
-``Resource`` (counted capacity with a FIFO queue) and ``Store`` (item buffer)
-primitives — enough to model the paper's four-tier fog pipeline, network
-transfers, and failure injection without any external dependency.
+The kernel supports generator-based processes, timeouts, generic events
+and ``Resource`` (counted capacity with a FIFO queue) — enough to model
+the paper's four-tier fog pipeline, network transfers, and failure
+injection without any external dependency.
 
 Example
 -------
@@ -441,43 +441,3 @@ class Resource:
             pass
         return True
 
-
-class Store:
-    """An unbounded-or-bounded buffer of items with blocking get/put."""
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.items: List[Any] = []
-        self._getters: List[Event] = []
-        self._putters: List = []  # (event, item)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.env)
-        if self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        if self.items:
-            event.succeed(self.items.pop(0))
-            if self._putters:
-                putter, item = self._putters.pop(0)
-                self.items.append(item)
-                putter.succeed()
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self.items)

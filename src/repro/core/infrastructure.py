@@ -28,7 +28,7 @@ from repro.compute.yarn import NodeManager, ResourceManager
 from repro.dfs import DistributedFileSystem
 from repro.nosql import DocumentStore
 from repro.streaming import (
-    BackpressureStall,
+    BackpressureError,
     Broker,
     Channel,
     FlumeAgent,
@@ -180,10 +180,10 @@ class CyberInfrastructure:
         bound of the topic, and the poll takes the same size:
         round-robin puts at most ``ceil(k / partitions)`` of k rows on a
         partition, so it fits once the committed head is evicted and never
-        stalls, drops, raises or prunes an unstored record.  A cycle that
+        stalls or prunes an unstored record.  A cycle that
         moves nothing while the channel holds records would repeat forever
         (another group's commits pin the head), so it raises
-        :class:`BackpressureStall`.
+        :class:`BackpressureError`.
         """
         config = self.bus.topic_config(name)
         bounds = (config.max_partition_records, config.retention_max_records)
@@ -206,7 +206,7 @@ class CyberInfrastructure:
                     if len(agent.channel):
                         undelivered = (len(records)
                                        - agent.metrics.events_delivered)
-                        raise BackpressureStall(
+                        raise BackpressureError(
                             f"topic {name}: {undelivered} records "
                             f"undelivered and no room will free up")
                     break

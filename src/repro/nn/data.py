@@ -1,80 +1,23 @@
-"""Datasets, the minibatch iterator, the training loop and the
-data-parallel trainer: the training workflow the paper runs on
-TensorFlow (Sec. II-C-1).
+"""The training loop and the data-parallel trainer: the training
+workflow the paper runs on TensorFlow (Sec. II-C-1).
 
-:class:`DataLoader` batches anything sized and indexable by an integer
-index array (an :class:`ArrayDataset`, or ``np.arange(n)`` row numbers);
-a shuffled epoch's order is ``rng.shuffle(np.arange(n))``, the same draw
-as ``rng.permutation(n)``.  :func:`fit`, Adam over a ``loss(rows)``
-closure fed by a loader, is the one loop every Sec. III/IV model trains
-through.  :class:`DataParallelTrainer` simulates synchronous
-data-parallel SGD across N workers (gradient averaging).
+:func:`fit`, Adam over a ``loss(rows)`` closure that picks its own
+inputs and targets by row number, is the one loop every Sec. III/IV
+model trains through; a shuffled epoch's order is
+``rng.permutation(n)``, drawn afresh each epoch.
+:class:`DataParallelTrainer` simulates synchronous data-parallel SGD
+across N workers (gradient averaging).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.nn.modules import Module
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.tensor import Tensor
-from repro.runtime.rng import resolve_rng
-
-
-class ArrayDataset:
-    """Paired (inputs, targets) arrays with len/indexing."""
-
-    def __init__(self, inputs: np.ndarray, targets: np.ndarray):
-        inputs = np.asarray(inputs)
-        targets = np.asarray(targets)
-        if len(inputs) != len(targets):
-            raise ValueError(
-                f"inputs and targets disagree on length: {len(inputs)} vs {len(targets)}")
-        self.inputs = inputs
-        self.targets = targets
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-    def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
-        return self.inputs[index], self.targets[index]
-
-    def split(self, fraction: float, rng: Optional[np.random.Generator] = None
-              ) -> Tuple["ArrayDataset", "ArrayDataset"]:
-        """Shuffled train/test split; ``fraction`` goes to the first part."""
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"fraction must be in (0, 1): {fraction}")
-        rng = resolve_rng(rng, "nn.data.split")
-        order = rng.permutation(len(self))
-        cut = int(len(self) * fraction)
-        head, tail = order[:cut], order[cut:]
-        return (ArrayDataset(self.inputs[head], self.targets[head]),
-                ArrayDataset(self.inputs[tail], self.targets[tail]))
-
-
-class DataLoader:
-    """Mini-batch iterator with optional shuffling (see the module notes)."""
-
-    def __init__(self, dataset, batch_size: int, shuffle: bool = False,
-                 rng: Optional[np.random.Generator] = None):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {batch_size}")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self._rng = resolve_rng(rng, "nn.data.loader")
-
-    def __len__(self) -> int:
-        return -(-len(self.dataset) // self.batch_size)
-
-    def __iter__(self) -> Iterator:
-        order = np.arange(len(self.dataset))
-        if self.shuffle:
-            self._rng.shuffle(order)
-        for start in range(0, len(order), self.batch_size):
-            yield self.dataset[order[start:start + self.batch_size]]
 
 
 def fit(model: Module, loss: Callable[[np.ndarray], Tensor], num_rows: int,
@@ -88,13 +31,20 @@ def fit(model: Module, loss: Callable[[np.ndarray], Tensor], num_rows: int,
     rows (all of them when it is None), drawn in a fresh shuffled order
     each epoch when ``rng`` is given and in row order otherwise.
     """
+    if num_rows < 1:
+        raise ValueError(f"num_rows must be >= 1: {num_rows}")
+    if batch_size is None:
+        batch_size = num_rows
+    elif batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1: {batch_size}")
     optimizer = Adam(model.parameters(), lr=lr)
-    batches = DataLoader(np.arange(num_rows), batch_size or num_rows,
-                         shuffle=rng is not None, rng=rng)
     losses = []
     for _ in range(epochs):
+        order = (np.arange(num_rows) if rng is None
+                 else rng.permutation(num_rows))
         epoch = []
-        for rows in batches:
+        for start in range(0, num_rows, batch_size):
+            rows = order[start:start + batch_size]
             optimizer.zero_grad()
             value = loss(rows)
             value.backward()

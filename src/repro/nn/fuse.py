@@ -98,10 +98,6 @@ def patch_list_references(root: Module, replaced: Dict[int, Module]) -> None:
                         value[index] = replaced[id(item)]
 
 
-#: backwards-compatible private alias (pre-quantization callers).
-_patch_list_references = patch_list_references
-
-
 def fuse_for_inference(module: Module, dtype=None) -> Module:
     """Return a deployment copy of ``module`` with BatchNorm folded away.
 

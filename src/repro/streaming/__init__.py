@@ -8,14 +8,13 @@
   transactional batches and at-least-once delivery (the Apache Flume role).
 - :mod:`repro.streaming.broker` — the Kafka-class pub/sub backbone:
   partitioned topics, consumer groups with committed offsets and
-  rebalancing, size retention, backpressure, zero-copy handoff.
+  rebalancing, size retention, one backpressure rule (a full partition
+  refuses the batch until consumers commit), zero-copy handoff.
 """
 
 from repro.streaming.rdbms import RelationalDatabase, Table, RDBMSError
 from repro.streaming.broker import (
-    BACKPRESSURE_POLICIES,
     BackpressureError,
-    BackpressureStall,
     Broker,
     BrokerError,
     Consumer,
@@ -33,7 +32,6 @@ from repro.streaming.flume import (
     broker_sink,
     collection_sink,
     dfs_sink,
-    topic_sink,
 )
 from repro.streaming.sqoop import SqoopImporter
 
@@ -41,10 +39,9 @@ __all__ = [
     "RelationalDatabase", "Table", "RDBMSError",
     "Broker", "Consumer", "Record", "RecordBatch",
     "TopicConfig",
-    "BrokerError", "BackpressureError", "BackpressureStall",
-    "RebalanceError", "BACKPRESSURE_POLICIES",
+    "BrokerError", "BackpressureError", "RebalanceError",
     "FlumeAgent", "FunctionSource", "Channel", "ChannelFullError",
     "SinkError",
-    "dfs_sink", "collection_sink", "topic_sink", "broker_sink",
+    "dfs_sink", "collection_sink", "broker_sink",
     "SqoopImporter",
 ]

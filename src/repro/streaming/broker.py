@@ -23,11 +23,9 @@ lists:
   committed positions stay valid over a trimmed log.
 - **Backpressure.**  A topic may bound its partitions; ``produce`` against
   a full partition first evicts records already committed by every
-  consumer group, then applies the configured policy — ``"block"`` raises
-  the retryable :class:`BackpressureStall` (Flume agents translate it into
-  a transaction rollback so the channel, and ultimately the source, slows
-  down), ``"drop"`` discards the new records, ``"error"`` raises
-  :class:`BackpressureError`.
+  consumer group, then raises the retryable :class:`BackpressureError`
+  with nothing appended (Flume agents translate it into a transaction
+  rollback so the channel, and ultimately the source, slows down).
 - **Zero-copy payload handoff.**  Topics created with
   ``share_ndarrays=True`` stage ndarrays of ``shm_min_bytes`` (64 KiB) or
   more into ``multiprocessing.shared_memory`` once, via
@@ -48,9 +46,8 @@ lists:
   indexing) — the payload objects themselves are never copied.
 
 Telemetry lives under ``streaming.broker.*``: the per-group consumer
-lag gauge, the produce-to-consume delay histogram, and the records the
-``"drop"`` policy discards.  Delivery *attempts* legitimately vary with
-group membership, so
+lag gauge and the produce-to-consume delay histogram.  Delivery
+*attempts* legitimately vary with group membership, so
 :data:`VOLATILE_METRIC_PREFIXES` / :data:`VOLATILE_SPAN_PREFIXES` name
 what invariance tests should drop via
 :func:`repro.runtime.parallel.deterministic_dump`.
@@ -91,11 +88,7 @@ class BrokerError(Exception):
 
 
 class BackpressureError(BrokerError):
-    """A bounded partition is full and the topic policy is ``"error"``."""
-
-
-class BackpressureStall(BackpressureError):
-    """A bounded partition is full under the ``"block"`` policy.
+    """A bounded partition is full; nothing of the batch was appended.
 
     Retryable: the producer should hold its batch (Flume agents roll the
     transaction back into the channel) and retry after consumers commit.
@@ -105,9 +98,6 @@ class BackpressureStall(BackpressureError):
 class RebalanceError(BrokerError):
     """A commit from a member fenced by a newer group generation."""
 
-
-#: allowed values for TopicConfig.backpressure
-BACKPRESSURE_POLICIES = ("block", "drop", "error")
 
 #: broker metric/span families that vary with delivery attempts and group
 #: membership; invariance tests drop them via deterministic_dump(...)
@@ -285,21 +275,16 @@ class RecordBatch:
 
 @dataclass(frozen=True)
 class TopicConfig:
-    """Per-topic retention, backpressure and transport knobs."""
+    """Per-topic retention, partition bound and transport knobs."""
 
     partitions: int = 4
     retention_max_records: Optional[int] = None
     max_partition_records: Optional[int] = None
-    backpressure: str = "block"
     share_ndarrays: bool = False
 
     def __post_init__(self):
         if self.partitions < 1:
             raise BrokerError(f"partitions must be >= 1: {self.partitions}")
-        if self.backpressure not in BACKPRESSURE_POLICIES:
-            raise BrokerError(
-                f"unknown backpressure policy {self.backpressure!r}; "
-                f"expected one of {BACKPRESSURE_POLICIES}")
         for name in ("retention_max_records", "max_partition_records"):
             bound = getattr(self, name)
             if bound is not None and bound < 1:
@@ -491,9 +476,6 @@ class Broker:
         self.shm_min_bytes = int(shm_min_bytes)
         self.runtime = get_runtime()
         registry = self.runtime.registry
-        self._dropped = registry.counter(
-            "streaming.broker.records_dropped",
-            "records discarded by the drop backpressure policy")
         self._lag = registry.gauge(
             "streaming.broker.lag",
             "records between a group's committed offsets and the log end")
@@ -517,7 +499,6 @@ class Broker:
     def create_topic(self, name: str, partitions: int = 4, *,
                      retention_max_records: Optional[int] = None,
                      max_partition_records: Optional[int] = None,
-                     backpressure: str = "block",
                      share_ndarrays: bool = False) -> None:
         if name in self._topics:
             raise BrokerError(f"topic already exists: {name}")
@@ -525,7 +506,6 @@ class Broker:
             partitions=partitions,
             retention_max_records=retention_max_records,
             max_partition_records=max_partition_records,
-            backpressure=backpressure,
             share_ndarrays=share_ndarrays)
         self._topics[name] = _Topic(name, config)
 
@@ -562,15 +542,15 @@ class Broker:
 
     # -- produce -----------------------------------------------------------------
     def produce(self, topic: str, value: Any,
-                key: Optional[str] = None) -> Optional[Record]:
-        """Append one record; returns it, or None when dropped.
+                key: Optional[str] = None) -> Record:
+        """Append one record and return it.
 
         The one-record view of :meth:`produce_batch`: partition choice,
         admission, staging and the column append all live there.
         """
         batch = self.produce_batch(
             topic, (value,), key_fn=None if key is None else lambda _: key)
-        return batch.record(0) if batch else None
+        return batch.record(0)
 
     def produce_batch(self, topic: str, values: Sequence[Any],
                       key_fn: Optional[Callable[[Any], Optional[str]]] = None
@@ -578,11 +558,9 @@ class Broker:
         """Append a batch atomically with respect to backpressure.
 
         Capacity is checked for the *whole* batch up front (after evicting
-        whatever retention allows), so a ``"block"``-policy stall raises
-        :class:`BackpressureStall` before any record is appended — a
-        retried batch can never duplicate a delivered prefix.  Under the
-        ``"drop"`` policy only the records that fit are appended and the
-        overflow is counted in ``streaming.broker.records_dropped``.
+        whatever retention allows), so a full partition raises
+        :class:`BackpressureError` before any record is appended — a
+        retried batch can never duplicate a delivered prefix.
 
         Returns the appended rows as a :class:`RecordBatch` in input
         order (``len()`` and indexing behave like the old record list;
@@ -622,14 +600,8 @@ class Broker:
                 plan = t.plan_partitions(keys)
                 unkeyed = keys.count(None)
                 lanes = _lanes(plan)
-        kept = self._admit(t, plan, lanes)
+        self._admit(t, lanes, n)
         t._round_robin += unkeyed
-        if kept is not None:
-            plan = [plan[index] for index in kept]
-            keys = [keys[index] for index in kept]
-            values = [values[index] for index in kept]
-            n = len(values)
-            lanes = _lanes(plan)
         # Record timestamps: sim time when bound, else one logical tick
         # per appended record.
         if self.runtime.clock_kind == "sim":
@@ -659,19 +631,19 @@ class Broker:
         self._apply_size_retention(t)
         return RecordBatch(topic, plan, offsets, keys, values, stamps)
 
-    def _admit(self, t: _Topic, plan: Sequence[int],
-               lanes: Sequence[Tuple[int, Union[slice, List[int]]]]
-               ) -> Optional[List[int]]:
-        """Rows of ``plan`` that fit, after retention; applies the policy.
+    def _admit(self, t: _Topic,
+               lanes: Sequence[Tuple[int, Union[slice, List[int]]]],
+               n: int) -> None:
+        """Raise :class:`BackpressureError` unless an ``n``-row batch fits.
 
         ``lanes`` is the batch split by partition, so each touched
-        partition is counted once.  ``None`` means every record is
-        admitted — the common unbounded case stays allocation-free.
+        partition is counted once; a partition the lane overfills first
+        evicts its consumed head.  The common unbounded case returns at
+        once.
         """
         bound = t.config.max_partition_records
         if bound is None:
-            return None
-        n = len(plan)
+            return
         overfull = []
         for partition, rows in lanes:
             part = t.partitions[partition]
@@ -680,27 +652,10 @@ class Broker:
                 self._evict_consumed_head(t, partition)
                 if len(part.offsets) + needed > bound:
                     overfull.append(partition)
-        if not overfull:
-            return None
-        policy = t.config.backpressure
-        if policy == "drop":
-            free = {partition: bound - len(t.partitions[partition].offsets)
-                    for partition, _ in lanes}
-            kept = []
-            for index, partition in enumerate(plan):
-                if free[partition] > 0:
-                    free[partition] -= 1
-                    kept.append(index)
-            self._dropped.inc(len(plan) - len(kept), topic=t.name,
-                              reason="backpressure")
-            return kept
-        overfull.sort()
-        message = (f"topic {t.name} partitions {overfull} are full "
-                   f"(bound {bound})")
-        if policy == "block":
-            raise BackpressureStall(
-                message + "; retry after consumers commit")
-        raise BackpressureError(message)
+        if overfull:
+            raise BackpressureError(
+                f"topic {t.name} partitions {sorted(overfull)} are full "
+                f"(bound {bound}); retry after consumers commit")
 
     # -- retention -----------------------------------------------------------------
     def run_retention(self, topic: Optional[str] = None) -> int:

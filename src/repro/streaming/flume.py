@@ -8,7 +8,7 @@ the property the ingestion tests assert under injected sink failures.
 
 :func:`broker_sink` closes the loop with :mod:`repro.streaming.broker`:
 it produces each committed batch atomically onto a topic; a
-:class:`~repro.streaming.broker.BackpressureStall` from a bounded
+:class:`~repro.streaming.broker.BackpressureError` from a bounded
 partition becomes a :class:`SinkError`, so the batch rolls back into the
 channel, the channel fills, and ``pump_source`` stops pulling — broker
 backpressure propagates all the way to the source.
@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence
 
 from repro.runtime import get_runtime
-from repro.streaming.broker import BackpressureStall
+from repro.streaming.broker import BackpressureError
 
 
 class ChannelFullError(Exception):
@@ -296,12 +296,8 @@ def broker_sink(broker, topic: str) -> Callable[[List[Any]], None]:
     def sink(events: List[Any]) -> None:
         try:
             broker.produce_batch(topic, events)
-        except BackpressureStall as stall:
+        except BackpressureError as stall:
             raise SinkError(f"broker backpressure on {topic}: {stall}") \
                 from stall
 
     return sink
-
-
-#: historical name — the bus grew into the broker, the sink came along
-topic_sink = broker_sink

@@ -55,7 +55,6 @@ KEEP: Dict[str, str] = {
     "repro.cluster.sim.Environment.all_of": DES,
     "repro.cluster.sim.Resource.in_use": DES,
     "repro.cluster.sim.Resource.queue_length": DES,
-    "repro.cluster.sim.Store": DES,
     "repro.compute.dstream.DStream.foreach_batch": SPARK,
     "repro.compute.dstream.DStream.count_by_window": SPARK,
     "repro.compute.graphx.Graph.neighbors": SPARK,
@@ -100,7 +99,6 @@ KEEP: Dict[str, str] = {
         "ROADMAP 2(a) measures the codec with it",
     "repro.fog.policies.ExitPolicy.should_exit": ORACLE,
     "repro.fog.split.materialize_stages": "ROADMAP 3(b) feeds it",
-    "repro.nn.data.ArrayDataset": TF,
     "repro.nn.functional.softmax": TF,
     "repro.nn.grad_mode.enable_grad": TF,
     "repro.nn.models.yolo.TinyYolo":

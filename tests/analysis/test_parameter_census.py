@@ -13,7 +13,7 @@ by name (``x.drain(batch_size=...)`` sets every ``drain``'s
 ``cls(...)`` in a class body calls that class, a class without an
 ``__init__`` calls its first base's,
 ``super().__init__(...)`` calls the first base's ``__init__``, and a
-module-level alias (``topic_sink = broker_sink``) calls what it names.  A
+module-level alias (``alias = f``) calls what it names.  A
 ``*args`` argument sets every positional parameter from its place on,
 and ``**kwargs`` sets them all.
 
@@ -56,17 +56,12 @@ from tests.analysis.test_dead_surface import (
 NO_CALLER = ("no caller outside tests at all: the def is on "
              "test_dead_surface.KEEP, which judges it with its parameters")
 
-BACKPRESSURE = ("backpressure picks a full partition's policy, the broker "
-                "substrate's block / drop / error; Fig. 4 ingest is tested "
-                "exactly-once under each (ROADMAP 10)")
-
 #: def qualified name -> one-line reason its unset parameters stay
 KEEP: Dict[str, str] = {
     "repro.analysis.cli.main":
         "the CLI entry point: argv=None reads sys.argv",
     "repro.analysis.engine.analyze_source":
         "the rule-fixture entry point: tests name a snippet's path",
-    "repro.cluster.sim.Store": NO_CALLER,
     "repro.compute.mllib.TfIdf": NO_CALLER,
     "repro.compute.rdd.RDD.sortBy": NO_CALLER,
     "repro.data.collector.TweetCollector": NO_CALLER,
@@ -86,8 +81,6 @@ KEEP: Dict[str, str] = {
     "repro.streaming.broker.Broker":
         "shm_min_bytes is the staging path's only test lever; it goes with "
         "ROADMAP 13(a)",
-    "repro.streaming.broker.Broker.create_topic": BACKPRESSURE,
-    "repro.streaming.broker.TopicConfig": BACKPRESSURE,
     "repro.streaming.flume.dfs_sink": NO_CALLER,
     "repro.streaming.sqoop.SqoopImporter.import_table": NO_CALLER,
 }
@@ -319,7 +312,7 @@ class _Census:
 
 
 def _aliased(graph: ProjectGraph, symbol: SymbolDef) -> Optional[SymbolDef]:
-    """The def a module-level ``alias = f`` names (``topic_sink``)."""
+    """The def a module-level ``alias = f`` names."""
     value = symbol.node.value
     return graph.resolve(symbol.module, value.id) \
         if isinstance(value, ast.Name) else None

@@ -7,7 +7,6 @@ from repro.cluster import (
     Interrupt,
     Resource,
     SimulationError,
-    Store,
 )
 
 
@@ -254,88 +253,6 @@ class TestResource:
         env = Environment()
         with pytest.raises(SimulationError):
             Resource(env, capacity=0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def producer(env):
-            yield store.put("item")
-
-        def consumer(env):
-            item = yield store.get()
-            got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == ["item"]
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get()
-            got.append((env.now, item))
-
-        def producer(env):
-            yield env.timeout(3.0)
-            yield store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [(3.0, "late")]
-
-    def test_bounded_put_blocks(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env):
-            yield store.put(1)
-            log.append(("put1", env.now))
-            yield store.put(2)
-            log.append(("put2", env.now))
-
-        def consumer(env):
-            yield env.timeout(5.0)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert ("put2", 5.0) in log
-
-    def test_fifo_ordering(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def producer(env):
-            for i in range(3):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == [0, 1, 2]
-
-    def test_len(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-        assert len(store) == 1
 
 
 def test_any_of_empty_list_rejected():

@@ -16,7 +16,7 @@ from repro.fog.policies import ScoreThresholdPolicy
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nosql import Collection, HTable, MongoError
 from repro.runtime import Runtime, using_runtime
-from repro.streaming import BackpressureStall, Consumer, FlumeAgent
+from repro.streaming import BackpressureError, Consumer, FlumeAgent
 from repro.viz.exporters import bar_chart_svg
 
 
@@ -167,15 +167,14 @@ class TestBatchIngest:
 
     RECORDS = [{"record_id": i, "district": i % 6} for i in range(203)]
 
-    def infra(self, records=RECORDS, capacity=None, policy="block"):
+    def infra(self, records=RECORDS, capacity=None):
         """A small deployment with ``records`` registered as ``feed``;
         ``capacity`` bounds each of its topic's four partitions."""
         infra = small_infra()
         if capacity is not None:
             # register_source keeps a topic that already exists
             infra.bus.create_topic("feed", partitions=4,
-                                   max_partition_records=capacity,
-                                   backpressure=policy)
+                                   max_partition_records=capacity)
         infra.register_source("feed", lambda: records)
         return infra
 
@@ -260,14 +259,9 @@ class TestBatchIngest:
         assert commits == ["storage"] * 7
 
     @pytest.mark.parametrize("capacity", [1, 6, 8, 32])
-    @pytest.mark.parametrize("policy", ["block", "drop", "error"])
-    def test_bounded_topic_never_drops_or_raises(self, policy, capacity):
-        with using_runtime(Runtime()) as runtime:
-            infra = self.infra(capacity=capacity, policy=policy)
-            report = infra.run_collection_pipeline()
-            dropped = runtime.registry.counter(
-                "streaming.broker.records_dropped").total()
-        assert dropped == 0
+    def test_bounded_topic_never_drops_or_raises(self, capacity):
+        infra = self.infra(capacity=capacity)
+        report = infra.run_collection_pipeline()
         assert report.records_ingested["feed"] == len(self.RECORDS)
         assert report.records_stored["feed"] == len(self.RECORDS)
         stored = infra.collection("feed").find({})
@@ -284,7 +278,7 @@ class TestBatchIngest:
         audit = infra.bus.consumer("audit", ["feed"], auto_commit=False)
         audit.commit({("feed", partition): 1 for partition in range(4)})
         audit.close()
-        with pytest.raises(BackpressureStall,
+        with pytest.raises(BackpressureError,
                            match=r"topic feed: 171 records undelivered"):
             infra.run_collection_pipeline()
         assert len(infra.collection("feed")) == 32

@@ -74,68 +74,6 @@ class TestGradClipping:
         np.testing.assert_allclose(p.grad, grad_before)
 
 
-class TestArrayDataset:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            nn.ArrayDataset(np.zeros((3, 2)), np.zeros(4))
-
-    def test_indexing(self):
-        ds = nn.ArrayDataset(np.arange(6).reshape(3, 2), np.arange(3))
-        x, y = ds[1]
-        np.testing.assert_array_equal(x, [2, 3])
-        assert y == 1
-
-    def test_split_partitions_everything(self):
-        ds = nn.ArrayDataset(np.arange(10).reshape(10, 1), np.arange(10))
-        train, test = ds.split(0.7)
-        assert len(train) == 7
-        assert len(test) == 3
-        combined = sorted(train.targets.tolist() + test.targets.tolist())
-        assert combined == list(range(10))
-
-    def test_split_validates_fraction(self):
-        ds = nn.ArrayDataset(np.zeros((4, 1)), np.zeros(4))
-        with pytest.raises(ValueError):
-            ds.split(1.0)
-
-
-class TestDataLoader:
-    def test_batches_cover_dataset(self):
-        ds = nn.ArrayDataset(np.arange(10).reshape(10, 1), np.arange(10))
-        loader = nn.DataLoader(ds, batch_size=3)
-        seen = []
-        for x, y in loader:
-            seen.extend(y.tolist())
-        assert sorted(seen) == list(range(10))
-        assert len(loader) == 4
-
-    def test_shuffle_changes_order(self):
-        ds = nn.ArrayDataset(np.arange(100).reshape(100, 1), np.arange(100))
-        loader = nn.DataLoader(ds, batch_size=100, shuffle=True,
-                               rng=np.random.default_rng(0))
-        (_, y), = list(loader)
-        assert y.tolist() != list(range(100))
-        assert sorted(y.tolist()) == list(range(100))
-
-    def test_invalid_batch_size(self):
-        ds = nn.ArrayDataset(np.zeros((4, 1)), np.zeros(4))
-        with pytest.raises(ValueError):
-            nn.DataLoader(ds, batch_size=0)
-
-    def test_shuffled_epochs_draw_the_permutations_of_an_equal_seeded_rng(self):
-        # fit's byte-identity with the loops it replaced rests on this
-        loader = nn.DataLoader(np.arange(10), batch_size=10, shuffle=True,
-                               rng=np.random.default_rng(7))
-        oracle = np.random.default_rng(7)
-        for _ in range(3):
-            (order,) = list(loader)
-            np.testing.assert_array_equal(order, oracle.permutation(10))
-
-    def test_a_plain_array_is_a_dataset_of_its_rows(self):
-        batches = list(nn.DataLoader(np.arange(5) * 10, batch_size=2))
-        assert [b.tolist() for b in batches] == [[0, 10], [20, 30], [40]]
-
-
 def _fit_problem():
     rng = np.random.default_rng(0)
     x = rng.normal(0, 1, (10, 3))
@@ -150,8 +88,60 @@ def _loss(model, x, y):
     return lambda rows: F.cross_entropy(model(Tensor(x[rows])), y[rows])
 
 
+def _rows_seen(num_rows, epochs, batch_size=None, rng=None):
+    """The row array each ``loss(rows)`` call of one ``fit`` receives."""
+    model = nn.Linear(1, 1)
+    x = np.zeros((num_rows, 1))
+    seen = []
+
+    def loss(rows):
+        seen.append(rows.tolist())
+        return F.mse_loss(model(Tensor(x[rows])), Tensor(x[rows]))
+
+    nn.fit(model, loss, num_rows, epochs, 0.01, batch_size=batch_size,
+           rng=rng)
+    return seen
+
+
 class TestFit:
-    """``fit`` against the hand-written loops it replaced."""
+    """``fit`` against the hand-written loops it replaced, and the rows
+    its ``loss(rows)`` closure is handed."""
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_every_row_is_seen_once_per_epoch(self, shuffled):
+        rng = np.random.default_rng(0) if shuffled else None
+        seen = _rows_seen(10, 2, batch_size=3, rng=rng)
+        assert [len(rows) for rows in seen] == [3, 3, 3, 1] * 2
+        for epoch in (seen[:4], seen[4:]):
+            assert sorted(sum(epoch, [])) == list(range(10))
+
+    def test_unshuffled_batches_take_rows_in_order(self):
+        assert _rows_seen(5, 2, batch_size=2) \
+            == [[0, 1], [2, 3], [4]] * 2
+
+    def test_shuffle_changes_order(self):
+        (rows,) = _rows_seen(100, 1, rng=np.random.default_rng(0))
+        assert rows != list(range(100))
+        assert sorted(rows) == list(range(100))
+
+    def test_shuffled_epochs_draw_the_permutations_of_an_equal_seeded_rng(
+            self):
+        # fit's byte-identity with the loops it replaced rests on this:
+        # each epoch is a fresh draw, never a re-shuffle of the last one
+        seen = _rows_seen(10, 3, rng=np.random.default_rng(7))
+        oracle = np.random.default_rng(7)
+        assert seen == [oracle.permutation(10).tolist() for _ in range(3)]
+
+    @pytest.mark.parametrize("num_rows, batch_size, bad", [
+        (4, 0, "batch_size must be >= 1: 0"),
+        (4, -2, "batch_size must be >= 1: -2"),
+        (0, None, "num_rows must be >= 1: 0"),
+        (0, 2, "num_rows must be >= 1: 0"),
+    ], ids=["no-batch", "negative-batch", "no-rows", "no-rows-batched"])
+    def test_invalid_arguments_name_the_bad_one(self, num_rows, batch_size,
+                                                bad):
+        with pytest.raises(ValueError, match=bad):
+            _rows_seen(num_rows, 1, batch_size=batch_size)
 
     def test_shuffled_minibatches_match_the_hand_loop(self):
         x, y, model = _fit_problem()

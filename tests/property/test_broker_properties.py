@@ -20,7 +20,10 @@ Five guarantees, each asserted under hypothesis-drawn schedules:
   produce / produce_batch (keyed, unkeyed, mixed) / poll_batch / commit /
   seek_to_committed / run_retention against the plain dict-of-lists
   model in :mod:`tests.streaming.reference_log` — the independent
-  oracle for the one append path and the one fetch path.
+  oracle for the one append path and the one fetch path.  Two broker
+  mutants (admission that never refuses a full partition, and admission
+  that refuses without evicting the consumed head) must fail it, so its
+  bounded topics keep reaching the backpressure rule.
 
 ``REPRO_CHAOS_SEED`` (set by the CI chaos sweep, default 0) shifts the
 drawn schedules while keeping any single invocation deterministic.
@@ -31,13 +34,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.cluster import NetworkTopology
@@ -55,7 +59,6 @@ from repro.streaming.broker import (
     VOLATILE_METRIC_PREFIXES,
     VOLATILE_SPAN_PREFIXES,
     BackpressureError,
-    BackpressureStall,
     RebalanceError,
 )
 
@@ -436,24 +439,21 @@ class BrokerAgainstReference(RuleBasedStateMachine):
 
     @initialize(partitions=st.integers(1, 4),
                 bound=st.none() | st.integers(1, 6),
-                policy=st.sampled_from(["block", "drop", "error"]),
                 retention=st.none() | st.integers(1, 8),
                 auto_commit=st.booleans(),
                 share=st.booleans())
-    def create(self, partitions, bound, policy, retention, auto_commit,
-               share):
+    def create(self, partitions, bound, retention, auto_commit, share):
         with using_runtime(Runtime(seed=BASE_SEED)):
             self.broker = Broker(shm_min_bytes=SHM_MIN_BYTES)
         self.broker.create_topic(
             "events", partitions=partitions, max_partition_records=bound,
-            backpressure=policy, retention_max_records=retention,
+            retention_max_records=retention,
             share_ndarrays=share)
         self.consumer = self.broker.consumer("g", ["events"],
                                              auto_commit=auto_commit)
-        self.reference = ReferenceLog(partitions, bound, policy, retention,
+        self.reference = ReferenceLog(partitions, bound, retention,
                                       auto_commit)
         self.partitions = partitions
-        self.policy = policy
         self.share = share
         self.next_value = 0
 
@@ -476,10 +476,8 @@ class BrokerAgainstReference(RuleBasedStateMachine):
         try:
             expected = self.reference.produce(rows)
         except Rejected:
-            with pytest.raises(BackpressureError) as refused:
+            with pytest.raises(BackpressureError):
                 call()
-            assert isinstance(refused.value, BackpressureStall) \
-                == (self.policy == "block")
             return None
         return expected, call()
 
@@ -492,8 +490,7 @@ class BrokerAgainstReference(RuleBasedStateMachine):
             lambda: self.broker.produce("events", value, key=key))
         if outcome is not None:
             expected, record = outcome
-            assert comparable(as_rows([record] if record is not None
-                                      else [])) == comparable(expected)
+            assert comparable(as_rows([record])) == comparable(expected)
 
     @rule(count=st.integers(1, 12), keying=st.sampled_from(sorted(KEY_FNS)),
           sizes=st.lists(st.sampled_from(VALUE_SIZES), min_size=1,
@@ -575,3 +572,37 @@ class BrokerAgainstReference(RuleBasedStateMachine):
 BrokerAgainstReference.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None)
 TestBrokerAgainstReference = BrokerAgainstReference.TestCase
+
+
+def _never_refuses(admit):
+    def mutant(self, *args):
+        try:
+            admit(self, *args)
+        except BackpressureError:
+            pass                    # the full partition takes the batch
+    return mutant
+
+
+def _keeps_the_consumed_head(evict):
+    return lambda self, *args: None
+
+
+#: ``Broker`` attribute -> the mutant that replaces it: ``_admit`` with
+#: its refusal removed, and ``_admit``'s consumed-head eviction skipped
+ADMIT_MUTANTS = {
+    "never-refuses": ("_admit", _never_refuses),
+    "no-head-eviction": ("_evict_consumed_head", _keeps_the_consumed_head),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(ADMIT_MUTANTS))
+def test_reference_state_machine_catches_admission_mutant(monkeypatch,
+                                                         mutant):
+    name, make = ADMIT_MUTANTS[mutant]
+    monkeypatch.setattr(Broker, name, make(getattr(Broker, name)))
+    quick = settings(BrokerAgainstReference.TestCase.settings,
+                     database=None, phases=[Phase.generate],
+                     report_multiple_bugs=False)
+    with pytest.raises((AssertionError, BackpressureError,
+                        pytest.fail.Exception)):
+        run_state_machine_as_test(BrokerAgainstReference, settings=quick)

@@ -16,7 +16,7 @@ from repro.compute import SparkContext
 from repro.fog import FogPipeline, model_split_from_early_exit, place_bottom_up
 from repro.nn.tensor import Tensor
 from repro.runtime import Runtime, using_runtime
-from repro.streaming import Broker, FlumeAgent, FunctionSource, topic_sink
+from repro.streaming import Broker, FlumeAgent, FunctionSource, broker_sink
 from repro.viz import registry_to_json
 
 
@@ -25,7 +25,7 @@ def run_multilayer_experiment():
     # streaming: flume agent feeding a bus topic, then consumed
     bus = Broker()
     bus.create_topic("frames", partitions=2)
-    agent = FlumeAgent(FunctionSource(range(16)), topic_sink(bus, "frames"),
+    agent = FlumeAgent(FunctionSource(range(16)), broker_sink(bus, "frames"),
                        batch_size=4)
     agent.run()
     bus.consumer("analytics", ["frames"]).drain()

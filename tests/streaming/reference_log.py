@@ -5,8 +5,9 @@ view of it), so comparing the two with each other proves nothing.  This
 model is the independent oracle: a dict of per-partition row lists and a
 per-record loop, sharing no code with ``repro.streaming.broker`` — md5
 key hashing, the round-robin cursor, per-partition offsets, logical
-ticks, the partition bound with its ``drop``/``block``/``error``
-policies, size retention, and one manual- or auto-commit consumer
+ticks, the partition bound (a batch that does not fit after
+consumed-head eviction is refused whole), size retention, and one
+manual- or auto-commit consumer
 with the broker's fair fetch rotation.  Rows are
 ``(partition, offset, key, value, timestamp)`` tuples.
 """
@@ -22,17 +23,17 @@ def as_rows(records):
 
 
 class Rejected(Exception):
-    """The batch did not fit and the policy is ``block`` or ``error``."""
+    """The batch did not fit: nothing appended, the cursor kept."""
 
 
 class ReferenceLog:
-    def __init__(self, partitions, bound=None, policy="block",
-                 retention=None, auto_commit=False):
+    def __init__(self, partitions, bound=None, retention=None,
+                 auto_commit=False):
         self.logs = {p: [] for p in range(partitions)}
         self.ends = [0] * partitions
         self.cursor = 0             # round-robin, advanced by unkeyed rows
         self.ticks = 0              # logical clock, one tick per append
-        self.bound, self.policy = bound, policy
+        self.bound = bound
         self.retention = retention
         self.auto_commit = auto_commit
         self.positions = {}         # partition -> next offset to fetch
@@ -58,15 +59,12 @@ class ReferenceLog:
             for p, count in needed.items():
                 if len(self.logs[p]) + count > self.bound:
                     self._evict_consumed(p)
-            if self.policy != "drop" and any(
-                    len(self.logs[p]) + count > self.bound
-                    for p, count in needed.items()):
-                raise Rejected(self.policy)     # nothing appended, cursor kept
+            if any(len(self.logs[p]) + count > self.bound
+                   for p, count in needed.items()):
+                raise Rejected()
         self.cursor = cursor
         appended = []
         for (key, value), p in zip(rows, plan):
-            if self.bound is not None and len(self.logs[p]) >= self.bound:
-                continue                        # dropped: no offset, no tick
             row = (p, self.ends[p], key, value, float(self.ticks))
             self.ends[p] += 1
             self.ticks += 1

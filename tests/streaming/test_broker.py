@@ -12,7 +12,6 @@ import pytest
 from repro.runtime import Runtime, using_runtime
 from repro.streaming import (
     BackpressureError,
-    BackpressureStall,
     Broker,
     BrokerError,
     RebalanceError,
@@ -201,8 +200,6 @@ class TestRetention:
         broker = Broker()
         with pytest.raises(BrokerError):
             broker.create_topic("x", retention_max_records=0)
-        with pytest.raises(BrokerError):
-            broker.create_topic("x", backpressure="explode")
 
 
 class TestBackpressure:
@@ -210,15 +207,16 @@ class TestBackpressure:
         broker = make_broker(partitions=1, max_partition_records=2)
         broker.produce("events", 0)
         broker.produce("events", 1)
-        with pytest.raises(BackpressureStall):
+        # a stall is retryable: nothing landed, and the message says when
+        with pytest.raises(BackpressureError,
+                           match="retry after consumers commit"):
             broker.produce("events", 2)
-        # a stall is retryable backpressure, not a hard error class of its own
-        assert issubclass(BackpressureStall, BackpressureError)
+        assert broker.topic_size("events") == 2
 
     def test_stalled_batch_is_all_or_nothing(self):
         broker = make_broker(partitions=1, max_partition_records=3)
         broker.produce("events", 0)
-        with pytest.raises(BackpressureStall):
+        with pytest.raises(BackpressureError):
             broker.produce_batch("events", [1, 2, 3])
         # nothing from the failed batch landed, and a later fitting batch
         # is not disturbed by the earlier attempt
@@ -237,30 +235,13 @@ class TestBackpressure:
         assert broker.topic_size("events") <= 2
         assert [r.value for r in consumer.drain()] == [2]
 
-    def test_drop_policy_discards_overflow(self):
-        broker = make_broker(partitions=1, max_partition_records=2,
-                             backpressure="drop")
-        produced = broker.produce_batch("events", [0, 1, 2, 3])
-        assert len(produced) == 2
-        assert broker.produce("events", 9) is None
-        values = [r.value for r in broker.consumer("g", ["events"]).drain()]
-        assert values == [0, 1]
-
-    def test_error_policy_raises_hard(self):
-        broker = make_broker(partitions=1, max_partition_records=1,
-                             backpressure="error")
-        broker.produce("events", 0)
-        with pytest.raises(BackpressureError) as err:
-            broker.produce("events", 1)
-        assert not isinstance(err.value, BackpressureStall)
-
     def test_unconsumed_records_are_never_evicted_by_capacity(self):
         broker = make_broker(partitions=1, max_partition_records=2)
         broker.produce("events", 0)
         broker.produce("events", 1)
         consumer = broker.consumer("g", ["events"], auto_commit=False)
         consumer.poll(2)                 # read but NOT committed
-        with pytest.raises(BackpressureStall):
+        with pytest.raises(BackpressureError):
             broker.produce("events", 2)  # uncommitted head must survive
 
     def test_subscribed_group_without_commits_pins_the_head(self):
@@ -271,7 +252,7 @@ class TestBackpressure:
         assert [r.value for r in reader.poll(4)] == [0, 1, 2, 3]
         # A has committed the whole log; B has read nothing, so nothing
         # is consumed by every group and the full partition stalls
-        with pytest.raises(BackpressureStall):
+        with pytest.raises(BackpressureError):
             broker.produce_batch("events", [4, 5, 6, 7])
         assert [r.value for r in idle.poll(8)] == [0, 1, 2, 3]
         assert broker.lag("B", "events") == 4

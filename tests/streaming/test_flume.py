@@ -14,9 +14,9 @@ from repro.streaming import (
     FlumeAgent,
     FunctionSource,
     SinkError,
+    broker_sink,
     collection_sink,
     dfs_sink,
-    topic_sink,
 )
 
 
@@ -231,12 +231,12 @@ class TestSinks:
         agent.run()
         assert collection.count({}) == 7
 
-    def test_topic_sink_produces_keyed(self):
+    def test_broker_sink_produces_unkeyed(self):
         bus = Broker()
         bus.create_topic("tweets", partitions=4)
         events = [{"user": f"u{i % 2}", "text": str(i)} for i in range(8)]
         agent = FlumeAgent(FunctionSource(events),
-                           topic_sink(bus, "tweets"), batch_size=4)
+                           broker_sink(bus, "tweets"), batch_size=4)
         agent.run()
         assert bus.topic_size("tweets") == 8
         # the sink produces unkeyed: round-robin over the partitions

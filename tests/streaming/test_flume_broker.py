@@ -6,7 +6,7 @@ lost or duplicated while it waits.
 import pytest
 
 from repro.streaming import (
-    BackpressureStall,
+    BackpressureError,
     Broker,
     FlumeAgent,
     FunctionSource,

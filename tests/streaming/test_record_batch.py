@@ -24,7 +24,6 @@ from repro.runtime import Runtime, using_runtime
 from repro.runtime.parallel import deterministic_dump
 from repro.streaming import (
     BackpressureError,
-    BackpressureStall,
     Broker,
     BrokerError,
     RecordBatch,
@@ -213,21 +212,11 @@ class TestTimestampTicks:
         assert produced.timestamps == [1.0, 2.0]
         assert last.timestamp == 3.0
 
-    def test_dropped_records_consume_no_ticks(self):
-        broker = make_broker(partitions=1, max_partition_records=2,
-                             backpressure="drop")
-        produced = broker.produce_batch("events", [0, 1, 2, 3])
-        assert produced.timestamps == [0.0, 1.0]
-        assert broker.produce("events", 9) is None        # still full
-        record = broker.consumer("g", ["events"]).poll(2)[0]
-        assert record.timestamp == 0.0
-
 
 def reference_for(partitions=4, **topic_kwargs):
     """The independent model of ``make_broker(partitions, **topic_kwargs)``."""
     return ReferenceLog(partitions,
-                        bound=topic_kwargs.get("max_partition_records"),
-                        policy=topic_kwargs.get("backpressure", "block"))
+                        bound=topic_kwargs.get("max_partition_records"))
 
 
 class TestSingleProduceParity:
@@ -245,38 +234,6 @@ class TestSingleProduceParity:
         singles = [single.produce("events", v) for v in range(9)]
         assert list(produced.partitions) + list(second.partitions) == expected
         assert [r.partition for r in singles] == expected
-
-    def test_drop_policy_advances_rotation(self):
-        # a dropped unkeyed record still consumes its round-robin slot
-        broker = make_broker(partitions=2, max_partition_records=1,
-                             backpressure="drop")
-        reference = reference_for(partitions=2, max_partition_records=1,
-                                  backpressure="drop")
-        for value in range(3):
-            reference.produce([(None, value)])
-        assert broker.produce("events", 0).partition == 0
-        assert broker.produce("events", 1).partition == 1
-        assert broker.produce("events", 2) is None        # slot 0, dropped
-        assert reference.rows() == [(0, 0, None, 0, 0.0), (1, 0, None, 1, 1.0)]
-        consumer = broker.consumer("g", ["events"])
-        consumer.drain()                                  # frees both heads
-        reference.poll(10)
-        reference.commit()
-        assert broker.produce("events", 3).partition == 1  # rotation moved
-        assert reference.produce([(None, 3)]) == [(1, 1, None, 3, 2.0)]
-
-    def test_stall_and_error_policies_raise(self):
-        broker = make_broker(partitions=1, max_partition_records=1)
-        broker.produce("events", 0)
-        with pytest.raises(BackpressureStall):
-            broker.produce("events", 1)
-        hard = Broker()
-        hard.create_topic("events", partitions=1, max_partition_records=1,
-                          backpressure="error")
-        hard.produce("events", 0)
-        with pytest.raises(BackpressureError) as err:
-            hard.produce("events", 1)
-        assert not isinstance(err.value, BackpressureStall)
 
     def test_keyed_produce_matches_batch_partitioning(self):
         keys = [f"k{i}" for i in range(8)]
@@ -359,23 +316,10 @@ class TestStridedRoundRobin:
         assert log_state(broker, self.WIDTH) == reference_state(reference)
         assert log_state(single, self.WIDTH) == reference_state(reference)
 
-    def test_bounded_drop_takes_the_per_row_branch(self):
-        # after drops the surviving rows are no longer a stride: each
-        # partition takes an index list instead of a slice
-        broker, reference = self.pair(max_partition_records=2,
-                                      backpressure="drop")
-        values = list(range(11))           # 8 fit, 3 overflow lanes 0..2
-        produced = broker.produce_batch("events", values)
-        kept = [row for value in values
-                for row in reference.produce([(None, value)])]
-        assert produced.values == list(range(8))
-        assert as_rows(produced) == kept
-        assert log_state(broker, self.WIDTH) == reference_state(reference)
-
     def test_bounded_block_appends_nothing_and_keeps_the_cursor(self):
         broker = make_broker(self.WIDTH, max_partition_records=2)
         broker.produce_batch("events", list(range(5)))   # cursor at lane 1
-        with pytest.raises(BackpressureStall):
+        with pytest.raises(BackpressureError):
             broker.produce_batch("events", list(range(6)))
         assert broker.partition_sizes("events") == [2, 1, 1, 1]
         admitted = broker.produce_batch("events", ["a", "b", "c"])

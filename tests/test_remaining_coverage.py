@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.cluster import Environment, SimulationError, Store
+from repro.cluster import Environment, SimulationError
 from repro.nn import init
 from repro.nn.tensor import Tensor
 
@@ -88,26 +88,6 @@ class TestSimKernelCorners:
         env.process(proc(env))
         env.run(until=1.0)
         assert values == [(0.0, "quick")]
-
-    def test_store_multiple_waiting_getters_fifo(self):
-        env = Environment()
-        store = Store(env)
-        order = []
-
-        def getter(env, name):
-            item = yield store.get()
-            order.append((name, item))
-
-        def putter(env):
-            yield env.timeout(1.0)
-            yield store.put("a")
-            yield store.put("b")
-
-        env.process(getter(env, "first"))
-        env.process(getter(env, "second"))
-        env.process(putter(env))
-        env.run()
-        assert order == [("first", "a"), ("second", "b")]
 
     def test_fail_requires_exception_instance(self):
         env = Environment()
