@@ -1,11 +1,13 @@
 """Streaming-broker benchmark: BENCH_streaming.json.
 
 The ingestion backbone under load: events ride ``produce_batch`` into a
-bounded, retention-pruned topic and come back out through a manual-commit
+topic with bounded partitions and come back out through a manual-commit
 consumer group, exactly the way the Flume agents and the fog tier consume
 in production.  Each scenario runs rounds of *produce a chunk → poll it
 back → commit*, so the measurement covers the full produce→consume loop,
-offset bookkeeping included, while retention keeps the resident log small
+offset bookkeeping included.  Every round commits everything it polled,
+so the next produce evicts the consumed head and the resident log stays
+within ``RETAIN`` records a partition (checked after every round), small
 enough for CI hosts.
 
 Every scenario rides the columnar path end to end: ``produce_batch``
@@ -52,7 +54,7 @@ OUTPUT = "BENCH_streaming.json"
 GATED_SCENARIO = "unkeyed"
 
 CHUNK = 1_000          # records per produce_batch / poll
-RETAIN = 8 * CHUNK     # resident log bound between retention sweeps
+RETAIN = 8 * CHUNK     # records a partition may hold (its bound)
 KEYS = 64              # distinct keys in the keyed scenario
 
 
@@ -66,7 +68,7 @@ def run_scenario(name: str, events: int, partitions: int, members: int,
                  keyed: bool) -> Dict:
     broker = Broker()
     broker.create_topic("bench", partitions=partitions,
-                        retention_max_records=RETAIN)
+                        max_partition_records=RETAIN)
     consumers = [broker.consumer("bench", ["bench"], auto_commit=False)
                  for _ in range(members)]
     key_fn = (lambda stamp: f"k{int(stamp * 1e6) % KEYS}") if keyed else None
@@ -92,7 +94,8 @@ def run_scenario(name: str, events: int, partitions: int, members: int,
             latencies.extend(now - value for value in batch.values)
             consumed += len(batch)
         consume_s += time.perf_counter() - t0
-        broker.run_retention("bench")
+        resident = max(broker.partition_sizes("bench"))
+        assert resident <= RETAIN, f"{name}: a partition holds {resident}"
     total_s = time.perf_counter() - start
 
     assert consumed == events, f"{name}: consumed {consumed} != {events}"
@@ -131,7 +134,7 @@ def run(gated_events: int, side_events: int, partitions: int) -> Dict:
         "workload": {
             "gated_events": gated_events, "side_events": side_events,
             "partitions": partitions, "chunk": CHUNK,
-            "retention_max_records": RETAIN, "keys": KEYS,
+            "max_partition_records": RETAIN, "keys": KEYS,
         },
         "cpu_count": os.cpu_count(),
         "blas_threads": blas_threads(),

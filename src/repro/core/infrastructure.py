@@ -176,20 +176,20 @@ class CyberInfrastructure:
         and rollback), then makes one storage ``poll_batch``, one
         all-or-nothing ``insert_many`` and one offset commit, so offsets
         commit only after the insert lands.  A transaction is the whole
-        channel (the feed), capped at ``bound * partitions`` for each size
-        bound of the topic, and the poll takes the same size:
+        channel (the feed), capped at ``max_partition_records *
+        partitions`` on a bounded topic, and the poll takes the same size:
         round-robin puts at most ``ceil(k / partitions)`` of k rows on a
         partition, so it fits once the committed head is evicted and never
-        stalls or prunes an unstored record.  A cycle that
+        stalls.  A cycle that
         moves nothing while the channel holds records would repeat forever
         (another group's commits pin the head), so it raises
         :class:`BackpressureError`.
         """
         config = self.bus.topic_config(name)
-        bounds = (config.max_partition_records, config.retention_max_records)
+        bound = config.max_partition_records
         channel = Channel(capacity=max(len(records), 1))
-        size = min([channel.capacity] + [bound * config.partitions
-                                         for bound in bounds if bound])
+        size = channel.capacity if bound is None else min(
+            channel.capacity, bound * config.partitions)
         agent = FlumeAgent(FunctionSource(records),
                            broker_sink(self.bus, name),
                            channel=channel, batch_size=size)

@@ -90,9 +90,6 @@ class DataNode:
     def drop(self, block_id: int) -> None:
         self._blocks.pop(block_id, None)
 
-    def has_block(self, block_id: int) -> bool:
-        return block_id in self._blocks
-
 
 class NameNode:
     """Namespace plus block-location map; picks replication targets."""

@@ -65,8 +65,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.cluster.failures import FailureProcess
 from repro.cluster.machines import Machine, NetworkTopology, failover_transfer_time
 from repro.cluster.sim import Environment, Interrupt, Process, Resource
@@ -427,8 +425,8 @@ def _stream_stats(runtime, pipeline: "FogPipeline", run_id: str,
                   busy_id: str) -> StreamStats:
     """Assemble a :class:`StreamStats` view from this run's registry series."""
     registry = runtime.registry
-    latencies = registry.histogram("fog.pipeline.item_latency_s").values(run=run_id)
-    latency_array = np.array(latencies) if latencies else np.zeros(0)
+    latency = registry.histogram("fog.pipeline.item_latency_s").summary(
+        run=run_id)
 
     resolved_counter: Dict[int, int] = {}
     resolved = registry.counter("fog.pipeline.resolved")
@@ -449,11 +447,10 @@ def _stream_stats(runtime, pipeline: "FogPipeline", run_id: str,
                     for name in machines}
 
     return StreamStats(
-        completed=len(latencies),
-        mean_latency_s=float(latency_array.mean()) if latencies else 0.0,
-        p95_latency_s=(float(np.percentile(latency_array, 95))
-                       if latencies else 0.0),
-        max_latency_s=float(latency_array.max()) if latencies else 0.0,
+        completed=latency["count"],
+        mean_latency_s=latency["mean"] or 0.0,
+        p95_latency_s=latency["p95"] or 0.0,
+        max_latency_s=latency["max"] or 0.0,
         resolved_per_stage=resolved_counter,
         bytes_per_hop=bytes_per_hop,
         machine_busy_s=machine_busy,

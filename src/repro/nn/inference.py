@@ -26,7 +26,6 @@ from repro.nn.grad_mode import no_grad
 from repro.nn.modules import Module
 from repro.nn.tensor import Tensor
 from repro.runtime import get_runtime
-from repro.runtime.metrics import LATENCY_SAMPLES
 
 
 @contextmanager
@@ -76,8 +75,8 @@ def observe_inference(model: str, items: int) -> Iterator[None]:
                 items, model=model)
         registry.histogram(
             "nn.infer.latency_s",
-            help="wall/sim seconds per inference call",
-            max_samples=LATENCY_SAMPLES).observe(elapsed, model=model)
+            help="wall/sim seconds per inference call").observe(
+                elapsed, model=model)
 
 
 def batched_forward(module: Module, x: Union[Tensor, np.ndarray],

@@ -6,8 +6,8 @@
 - :mod:`repro.nn.models.lstm` — LSTM sequence classifiers (Sec. III-B).
 - :mod:`repro.nn.models.earlyexit` — two-exit networks with score/entropy
   confidence, the core of Figs. 5 and 7.
-- :mod:`repro.nn.models.yolo` — YOLO-style single-shot grid detectors with
-  a tiny/full split sharing a stem (Fig. 5).
+- :mod:`repro.nn.models.yolo` — the YOLO-style single-shot grid detector
+  of Fig. 5: a tiny local branch and a deep server branch sharing a stem.
 - :mod:`repro.nn.models.autoencoder` — deep autoencoders and multimodal
   fusion autoencoders (Sec. III-C).
 - :mod:`repro.nn.models.cca` — canonical correlation analysis (Sec. III-C).
@@ -21,8 +21,6 @@ from repro.nn.models.yolo import (
     Detection,
     EarlyExitDetector,
     GroundTruthBox,
-    TinyYolo,
-    YoloDetector,
     YoloLoss,
     box_iou,
     detection_confidence,
@@ -37,7 +35,7 @@ __all__ = [
     "ResNetBlock", "SmallResNet",
     "LSTMClassifier",
     "EarlyExitNetwork", "entropy_confidence", "score_confidence",
-    "YoloDetector", "TinyYolo", "EarlyExitDetector", "YoloLoss",
+    "EarlyExitDetector", "YoloLoss",
     "Detection", "GroundTruthBox", "box_iou", "non_max_suppression",
     "detection_confidence", "evaluate_detections",
     "Autoencoder", "MultimodalAutoencoder",

@@ -1,12 +1,10 @@
-"""YOLO-style single-shot grid detectors (Sec. IV-A-1, Figs. 5-6).
+"""The YOLO-style single-shot grid detector of Fig. 5 (Sec. IV-A-1, Figs. 5-6).
 
 The paper's vehicle pipeline runs Tiny YOLO on the local device and, when
 the classification score is below a threshold, ships the pre-branch feature
 map to the server where the remaining YOLOv2 layers produce the final boxes.
-This module implements that family at laptop scale:
+This module implements that split at laptop scale:
 
-- :class:`YoloDetector` — a generic one-box-per-cell grid detector;
-- :class:`TinyYolo` — a thin trunk variant;
 - :class:`EarlyExitDetector` — shared stem + tiny local branch + deep server
   branch, the exact Fig. 5 topology, as an
   :class:`~repro.nn.models.earlyexit.EarlyExitNetwork`;
@@ -24,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime import get_runtime
 from repro.runtime.rng import resolve_rng
 
 from repro import nn
@@ -100,82 +97,6 @@ def non_max_suppression(detections: Sequence[Detection],
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
-
-
-#: the detectors' output grid: GRID x GRID cells, one box each
-GRID = 4
-
-
-class YoloDetector(nn.Module):
-    """One-box-per-cell grid detector.
-
-    The trunk is a stride-2 conv stack taking ``image_size`` down to
-    :data:`GRID`; the head is a 1x1 conv producing ``5 + num_classes``
-    channels: (tx, ty, tw, th, objectness, class logits).  Weights draw
-    from the installed runtime's ``nn.models.yolo.detector`` stream.
-    """
-
-    def __init__(self, in_channels: int, image_size: int, num_classes: int):
-        super().__init__()
-        self._build(in_channels, image_size, num_classes, (8, 16, 16),
-                    get_runtime().rng.np_child("nn.models.yolo.detector"))
-
-    def _build(self, in_channels: int, image_size: int, num_classes: int,
-               widths: Sequence[int], rng: np.random.Generator) -> None:
-        grid = GRID
-        stages = 0
-        size = image_size
-        while size > grid:
-            if size % 2:
-                raise ValueError(
-                    f"image_size {image_size} cannot reach grid {grid} by halving")
-            size //= 2
-            stages += 1
-        if stages == 0 or size != grid:
-            raise ValueError(
-                f"image_size {image_size} cannot reach grid {grid} by halving")
-        if len(widths) < stages:
-            widths = list(widths) + [widths[-1]] * (stages - len(widths))
-        layers = []
-        current = in_channels
-        for stage in range(stages):
-            layers += [
-                nn.Conv2d(current, widths[stage], 3, stride=2, padding=1, rng=rng),
-                nn.BatchNorm2d(widths[stage]),
-                nn.LeakyReLU(0.1),
-            ]
-            current = widths[stage]
-        self.trunk = nn.Sequential(*layers)
-        self.head = nn.Conv2d(current, 5 + num_classes, 1, rng=rng)
-        self.grid = grid
-        self.num_classes = num_classes
-        self.image_size = image_size
-        self.in_channels = in_channels
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Raw predictions, shape (N, 5 + C, S, S)."""
-        return self.head(self.trunk(x))
-
-    def decode(self, raw: np.ndarray) -> List[List[Detection]]:
-        """Raw output (N, 5+C, S, S) -> per-image NMS-filtered detections
-        scoring 0.5 or more."""
-        return decode_predictions(raw)
-
-    def estimate_flops(self, input_shape: Tuple[int, ...]):
-        from repro.nn.flops import estimate_flops
-        flops, shape = estimate_flops(self.trunk, input_shape)
-        head, shape = estimate_flops(self.head, shape)
-        return flops + head, shape
-
-
-class TinyYolo(YoloDetector):
-    """A thin-trunk detector — the local-device half of the Fig. 5 pipeline."""
-
-    def __init__(self, in_channels: int, image_size: int, num_classes: int,
-                 rng: Optional[np.random.Generator] = None):
-        nn.Module.__init__(self)
-        self._build(in_channels, image_size, num_classes, (4, 8, 8),
-                    resolve_rng(rng, "nn.models.yolo.detector"))
 
 
 def cell_scores(raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

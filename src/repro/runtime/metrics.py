@@ -7,8 +7,9 @@ labeled *series*:
   busy-seconds);
 - :class:`Gauge` — a value that goes up and down (queue depth,
   consumer lag);
-- :class:`Histogram` — raw observations summarized at dump time
-  (latencies, delays).
+- :class:`Histogram` — observations summarized at dump time
+  (latencies, delays): exact count/sum/min/max, percentiles over a
+  reservoir of at most :data:`LATENCY_SAMPLES` per series.
 
 A series is addressed by keyword labels (``counter.inc(topic="tweets")``)
 and rendered in dumps as a deterministic ``"k1=v1,k2=v2"`` key, so two
@@ -255,21 +256,21 @@ def _percentile(ordered: List[float], q: float) -> float:
 #: consumers of the metrics endpoint index them without existence checks
 SUMMARY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p95", "p99")
 
-#: ``max_samples`` of the per-call latency histograms (broker produce and
-#: fetch, gateway answer, inference call), which would otherwise grow with
-#: the uptime
+#: observations each histogram series keeps for its percentiles; the
+#: rest only update the exact aggregates, so a long-lived process holds a
+#: constant number of floats per series
 LATENCY_SAMPLES = 1024
 
 
 class _SeriesStats:
-    """Exact streaming aggregates for one histogram series.
+    """One histogram series: exact streaming aggregates and a reservoir.
 
-    ``count``/``sum``/``min``/``max`` are exact regardless of sampling;
-    the LCG state drives deterministic reservoir eviction (Vitter's
-    algorithm R) when the series is bounded.
+    ``count``/``sum``/``min``/``max`` are exact however many observations
+    arrive; ``samples`` keeps at most :data:`LATENCY_SAMPLES` of them,
+    chosen by Vitter's algorithm R over the series' LCG.
     """
 
-    __slots__ = ("count", "sum", "min", "max", "lcg")
+    __slots__ = ("count", "sum", "min", "max", "lcg", "samples")
 
     def __init__(self, seed: int):
         self.count = 0
@@ -277,12 +278,22 @@ class _SeriesStats:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.lcg = seed & 0xFFFFFFFFFFFFFFFF
+        self.samples: List[float] = []
 
-    def update(self, value: float) -> None:
+    def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
+        samples = self.samples
+        if len(samples) < LATENCY_SAMPLES:
+            samples.append(value)
+        else:
+            # Algorithm R: observation i replaces a reservoir slot with
+            # probability LATENCY_SAMPLES / i, keeping a uniform sample.
+            slot = self.next_random(self.count)
+            if slot < LATENCY_SAMPLES:
+                samples[slot] = value
 
     def next_random(self, bound: int) -> int:
         """Deterministic integer in ``[0, bound)`` (64-bit LCG step).
@@ -300,79 +311,54 @@ class _SeriesStats:
 class BoundHistogram:
     """One histogram series with its key pre-resolved.
 
-    ``observe`` is the histogram's one write path — streaming aggregates
-    plus the Algorithm R reservoir over the series' LCG — working against
-    lazily cached references to the series' stats and sample list, which
-    every handle onto the series shares; :meth:`Histogram.observe`
-    delegates here, so interleaving labeled and bound observations is
-    indistinguishable from using either alone.
+    ``observe`` is the histogram's one write path, working against a
+    lazily cached reference to the series' stats, which every handle onto
+    the series shares; :meth:`Histogram.observe` delegates here, so
+    interleaving labeled and bound observations is indistinguishable from
+    using either alone.
     """
 
-    __slots__ = ("_histogram", "_key", "_stats", "_samples")
+    __slots__ = ("_histogram", "_key", "_stats")
 
     def __init__(self, histogram: "Histogram", key: str):
         self._histogram = histogram
         self._key = key
-        self._stats = None
-        self._samples: Optional[List[float]] = None
+        self._stats: Optional[_SeriesStats] = None
 
     @property
     def labels(self) -> Dict[str, str]:
         return self._histogram.labels_for(self._key)
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        histogram = self._histogram
         stats = self._stats
         if stats is None:
-            stats = self._stats = histogram._stats_for(self._key)
-            self._samples = histogram._series.setdefault(self._key, [])
-        stats.update(value)
-        samples = self._samples
-        max_samples = histogram.max_samples
-        if max_samples is None or len(samples) < max_samples:
-            samples.append(value)
-        else:
-            # Algorithm R: observation i replaces a reservoir slot with
-            # probability max_samples / i, keeping a uniform sample.
-            slot = stats.next_random(stats.count)
-            if slot < max_samples:
-                samples[slot] = value
+            stats = self._stats = self._histogram._stats_for(self._key)
+        stats.observe(float(value))
 
     def count(self) -> int:
-        stats = self._histogram._stats.get(self._key)
+        stats = self._histogram._series.get(self._key)
         return stats.count if stats is not None else 0
 
 
 class Histogram(_LabeledInstrument):
     """Observation histogram; summaries are computed at read time.
 
-    With ``max_samples=None`` (the default) every observation is retained
-    and summaries are exact.  With a bound, each series keeps a
-    deterministic reservoir of at most ``max_samples`` observations
-    (algorithm R, per-series LCG seeded from the metric and series names)
-    while ``count``/``sum``/``min``/``max``/``mean`` stay *exact* via
-    streaming aggregates — only the percentiles become reservoir
+    Each series keeps a deterministic reservoir of at most
+    :data:`LATENCY_SAMPLES` observations (algorithm R, per-series LCG
+    seeded from the metric and series names) while
+    ``count``/``sum``/``min``/``max``/``mean`` stay *exact* via streaming
+    aggregates — only the percentiles of a longer series are reservoir
     estimates.  A million-request serving run then holds a constant
     number of floats per series instead of a million.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "",
-                 max_samples: Optional[int] = None):
-        super().__init__(name, help)
-        if max_samples is not None and max_samples < 1:
-            raise MetricsError(
-                f"histogram {name} max_samples must be >= 1: {max_samples}")
-        self.max_samples = max_samples
-        self._stats: Dict[str, _SeriesStats] = {}
-
     def _stats_for(self, key: str) -> _SeriesStats:
-        stats = self._stats.get(key)
+        stats = self._series.get(key)
         if stats is None:
             stats = _SeriesStats(zlib.crc32(f"{self.name}|{key}".encode()))
-            self._stats[key] = stats
+            self._series[key] = stats
         return stats
 
     def observe(self, value: float, **labels) -> None:
@@ -388,13 +374,13 @@ class Histogram(_LabeledInstrument):
         return BoundHistogram(self, self._key(labels))
 
     def values(self, **labels) -> List[float]:
-        """Retained observations (every observation when unbounded)."""
-        return list(self._series.get(series_key(labels), []))
+        """Retained observations (all of them up to the reservoir size)."""
+        stats = self._series.get(series_key(labels))
+        return list(stats.samples) if stats is not None else []
 
     def count(self, **labels) -> int:
         """Exact number of observations, evicted ones included."""
-        key = series_key(labels)
-        stats = self._stats.get(key)
+        stats = self._series.get(series_key(labels))
         return stats.count if stats is not None else 0
 
     def summary(self, **labels) -> Dict[str, Optional[float]]:
@@ -407,11 +393,11 @@ class Histogram(_LabeledInstrument):
         ``null``) rather than absent, so metric consumers never KeyError
         on a series that exists but has no observations yet.
         """
-        stats = self._stats.get(key)
+        stats = self._series.get(key)
         if stats is None or stats.count == 0:
             return {"count": 0, "sum": 0.0, "min": None, "max": None,
                     "mean": None, "p50": None, "p95": None, "p99": None}
-        ordered = sorted(self._series.get(key, []))
+        ordered = sorted(stats.samples)
         return {
             "count": stats.count,
             "sum": stats.sum,
@@ -424,11 +410,12 @@ class Histogram(_LabeledInstrument):
         }
 
     def series(self) -> Dict[str, List[float]]:
-        return {key: list(values) for key, values in self._series.items()}
+        return {key: list(stats.samples)
+                for key, stats in self._series.items()}
 
     def labeled_series(self) -> List[Tuple[Dict[str, str], List[float]]]:
-        return [(labels, list(values))
-                for labels, values in super().labeled_series()]
+        return [(labels, list(stats.samples))
+                for labels, stats in super().labeled_series()]
 
     def dump(self) -> Dict[str, Dict[str, Optional[float]]]:
         return {key: self._summary_for(key) for key in sorted(self._series)}
@@ -465,30 +452,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create("gauge", name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  max_samples: Optional[int] = None) -> Histogram:
-        """Get or create a histogram; ``max_samples`` bounds each series.
-
-        The bound is fixed at creation: a later call may omit
-        ``max_samples`` (inherits the existing bound) or repeat the same
-        value, but asking for a *different* bound on an existing
-        histogram is an error — silently resizing a reservoir would
-        corrupt its sampling guarantees.
-        """
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = Histogram(name, help, max_samples=max_samples)
-            self._metrics[name] = metric
-            return metric
-        if metric.kind != "histogram":
-            raise MetricsError(
-                f"metric {name!r} already registered as {metric.kind}, "
-                "requested histogram")
-        if max_samples is not None and metric.max_samples != max_samples:
-            raise MetricsError(
-                f"histogram {name!r} already registered with "
-                f"max_samples={metric.max_samples}, requested {max_samples}")
-        return metric
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create("histogram", name, help)
 
     def get(self, name: str):
         try:

@@ -56,7 +56,6 @@ import numpy as np
 
 from repro.nn.models.earlyexit import BatchExitDecisions
 from repro.runtime import get_runtime
-from repro.runtime.metrics import LATENCY_SAMPLES
 
 #: metric families whose *values* are wall-clock readings; determinism
 #: tests pass these to ``deterministic_dump(drop_metric_prefixes=...)``
@@ -223,8 +222,7 @@ class ServingGateway:
             help="frame rows served through coalesced batches")
         self._m_latency = registry.histogram(
             "serving.gateway.latency_s",
-            help="wall seconds from admission to answer",
-            max_samples=LATENCY_SAMPLES)
+            help="wall seconds from admission to answer")
         self._tenants: Dict[str, _TenantTelemetry] = {}
         self._g_queue_rows = registry.gauge(
             "serving.gateway.queue_rows",

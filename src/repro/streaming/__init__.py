@@ -8,8 +8,9 @@
   transactional batches and at-least-once delivery (the Apache Flume role).
 - :mod:`repro.streaming.broker` — the Kafka-class pub/sub backbone:
   partitioned topics, consumer groups with committed offsets and
-  rebalancing, size retention, one backpressure rule (a full partition
-  refuses the batch until consumers commit), zero-copy handoff.
+  rebalancing, one backpressure rule (a full partition evicts its
+  consumed head, else refuses the batch until consumers commit),
+  zero-copy handoff.
 """
 
 from repro.streaming.rdbms import RelationalDatabase, Table, RDBMSError

@@ -18,14 +18,16 @@ lists:
   fetch positions to the committed offsets so in-flight uncommitted reads
   are redelivered to the new owners.  Commits from a member holding a
   stale generation are fenced with :class:`RebalanceError`.
-- **Size retention.**  A per-topic limit on the records each partition
-  retains; eviction trims the head, and offsets are preserved so
-  committed positions stay valid over a trimmed log.
-- **Backpressure.**  A topic may bound its partitions; ``produce`` against
-  a full partition first evicts records already committed by every
-  consumer group, then raises the retryable :class:`BackpressureError`
-  with nothing appended (Flume agents translate it into a transaction
-  rollback so the channel, and ultimately the source, slows down).
+- **Bounded partitions and backpressure.**  A topic may bound its
+  partitions; ``produce`` against a full partition first evicts records
+  already committed by every consumer group (the only way a head is
+  trimmed, so no uncommitted record is ever dropped; offsets are
+  preserved so committed positions stay valid over a trimmed log), then
+  raises the retryable :class:`BackpressureError` with nothing appended
+  (Flume agents translate it into a transaction rollback so the channel,
+  and ultimately the source, slows down).  A batch with more rows for
+  one partition than the bound could never fit and raises plain
+  :class:`BrokerError` instead.
 - **Zero-copy payload handoff.**  Topics created with
   ``share_ndarrays=True`` stage ndarrays of ``shm_min_bytes`` (64 KiB) or
   more into ``multiprocessing.shared_memory`` once, via
@@ -275,27 +277,25 @@ class RecordBatch:
 
 @dataclass(frozen=True)
 class TopicConfig:
-    """Per-topic retention, partition bound and transport knobs."""
+    """Per-topic partition count, partition bound and transport knobs."""
 
     partitions: int = 4
-    retention_max_records: Optional[int] = None
     max_partition_records: Optional[int] = None
     share_ndarrays: bool = False
 
     def __post_init__(self):
         if self.partitions < 1:
             raise BrokerError(f"partitions must be >= 1: {self.partitions}")
-        for name in ("retention_max_records", "max_partition_records"):
-            bound = getattr(self, name)
-            if bound is not None and bound < 1:
-                raise BrokerError(f"{name} must be >= 1: {bound}")
+        bound = self.max_partition_records
+        if bound is not None and bound < 1:
+            raise BrokerError(f"max_partition_records must be >= 1: {bound}")
 
 
 class _Partition:
     """One partition's retained log, stored as parallel columns.
 
     ``offsets``/``keys``/``values``/``timestamps`` are parallel lists
-    ordered by offset, starting past whatever retention trimmed; absolute
+    ordered by offset, starting past whatever eviction trimmed; absolute
     offsets are preserved so group positions stay meaningful.
     ``end_offset`` is the next offset to assign, and
     ``base_offset`` the earliest retained offset (== ``end_offset`` when
@@ -455,7 +455,7 @@ class _GroupTelemetry:
 
 
 class Broker:
-    """Topics, producers, consumer groups, retention and backpressure.
+    """Topics, producers, consumer groups and backpressure.
 
     The public surface is everything tests and other layers need;
     ``_topics`` / ``_groups`` / ``_group_offsets`` / ``_positions`` are
@@ -497,14 +497,12 @@ class Broker:
 
     # -- topics -----------------------------------------------------------------
     def create_topic(self, name: str, partitions: int = 4, *,
-                     retention_max_records: Optional[int] = None,
                      max_partition_records: Optional[int] = None,
                      share_ndarrays: bool = False) -> None:
         if name in self._topics:
             raise BrokerError(f"topic already exists: {name}")
         config = TopicConfig(
             partitions=partitions,
-            retention_max_records=retention_max_records,
             max_partition_records=max_partition_records,
             share_ndarrays=share_ndarrays)
         self._topics[name] = _Topic(name, config)
@@ -558,7 +556,7 @@ class Broker:
         """Append a batch atomically with respect to backpressure.
 
         Capacity is checked for the *whole* batch up front (after evicting
-        whatever retention allows), so a full partition raises
+        the consumed head), so a full partition raises
         :class:`BackpressureError` before any record is appended — a
         retried batch can never duplicate a delivered prefix.
 
@@ -628,7 +626,6 @@ class Broker:
             part.values.extend(lane_values)
             part.timestamps.extend(_take(stamps, rows))
             part.end_offset = lane_offsets.stop
-        self._apply_size_retention(t)
         return RecordBatch(topic, plan, offsets, keys, values, stamps)
 
     def _admit(self, t: _Topic,
@@ -638,16 +635,24 @@ class Broker:
 
         ``lanes`` is the batch split by partition, so each touched
         partition is counted once; a partition the lane overfills first
-        evicts its consumed head.  The common unbounded case returns at
+        evicts its consumed head.  A lane larger than the bound can never
+        fit, so it raises plain :class:`BrokerError` (not retryable)
+        before anything is evicted.  The common unbounded case returns at
         once.
         """
         bound = t.config.max_partition_records
         if bound is None:
             return
+        needs = [(partition, _lane_size(rows, n)) for partition, rows in lanes]
+        for partition, needed in needs:
+            if needed > bound:
+                raise BrokerError(
+                    f"topic {t.name} partition {partition} gets {needed} "
+                    f"rows of one batch, more than its bound {bound}; "
+                    f"split the batch")
         overfull = []
-        for partition, rows in lanes:
+        for partition, needed in needs:
             part = t.partitions[partition]
-            needed = _lane_size(rows, n)
             if len(part.offsets) + needed > bound:
                 self._evict_consumed_head(t, partition)
                 if len(part.offsets) + needed > bound:
@@ -656,28 +661,6 @@ class Broker:
             raise BackpressureError(
                 f"topic {t.name} partitions {sorted(overfull)} are full "
                 f"(bound {bound}); retry after consumers commit")
-
-    # -- retention -----------------------------------------------------------------
-    def run_retention(self, topic: Optional[str] = None) -> int:
-        """Apply size retention now; returns evictions."""
-        names = [topic] if topic is not None else self.topic_names()
-        evicted = 0
-        for name in names:
-            t = self._topic(name)
-            with self.runtime.tracer.span("streaming.broker.retention",
-                                          topic=name):
-                before = self.topic_size(name)
-                self._apply_size_retention(t)
-                evicted += before - self.topic_size(name)
-        return evicted
-
-    def _apply_size_retention(self, t: _Topic) -> None:
-        bound = t.config.retention_max_records
-        if bound is None:
-            return
-        for part in t.partitions:
-            if len(part) > bound:
-                self._truncate_head(part, len(part) - bound)
 
     def _evict_consumed_head(self, t: _Topic, partition: int) -> None:
         """Trim records already committed by every group that consumes here.

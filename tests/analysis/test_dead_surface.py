@@ -93,7 +93,6 @@ KEEP: Dict[str, str] = {
     "repro.data.lawenforcement.SecureStore.upload_ids": ORACLE,
     "repro.dfs.filesystem.BlockReport.lost": STORES,
     "repro.dfs.filesystem.DataNode.block_count": STORES,
-    "repro.dfs.filesystem.DataNode.has_block": STORES,
     "repro.dfs.filesystem.DistributedFileSystem.recover_datanode": STORES,
     "repro.fog.codec.AutoencoderCodec.fidelity":
         "ROADMAP 2(a) measures the codec with it",
@@ -101,8 +100,6 @@ KEEP: Dict[str, str] = {
     "repro.fog.split.materialize_stages": "ROADMAP 3(b) feeds it",
     "repro.nn.functional.softmax": TF,
     "repro.nn.grad_mode.enable_grad": TF,
-    "repro.nn.models.yolo.TinyYolo":
-        "paper-named substrate: Fig. 5's tiny YOLO",
     "repro.nn.quantize.measure_quantization_drop":
         "ROADMAP 10(b) bounds int8 agreement with it",
     "repro.nn.serialization.load_state": TF,
@@ -117,7 +114,6 @@ KEEP: Dict[str, str] = {
     "repro.runtime.tracing.Tracer.total_duration": ORACLE,
     "repro.serving.observability.ObservabilityServer":
         "ROADMAP 11 serves /trace and /budget from it",
-    "repro.streaming.broker.Broker.partition_sizes": ORACLE,
     "repro.streaming.broker.Broker.tracked_segments":
         "the shared-memory leak check until ROADMAP 13(a)",
     "repro.streaming.broker.Broker.partition_assignment": ORACLE,

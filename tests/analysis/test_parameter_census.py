@@ -69,7 +69,6 @@ KEEP: Dict[str, str] = {
         "targets is how a failure schedule crashes a chosen tier, the only "
         "way into failover to a sibling, degradation and tier-wide drops",
     "repro.fog.split.materialize_stages": NO_CALLER,
-    "repro.nn.models.yolo.TinyYolo": NO_CALLER,
     "repro.nn.quantize.measure_quantization_drop": NO_CALLER,
     "repro.nosql.hbase.HTable.scan":
         "PAPER.md's HBase row/column scans: the row range is the scan",
@@ -599,6 +598,6 @@ def test_a_stale_keep_entry_fails(monkeypatch):
 
 def test_a_stale_no_caller_reason_fails(monkeypatch):
     monkeypatch.delitem(test_dead_surface.KEEP,
-                        "repro.nn.models.yolo.TinyYolo")
-    with pytest.raises(AssertionError, match="TinyYolo"):
+                        "repro.fog.split.materialize_stages")
+    with pytest.raises(AssertionError, match="materialize_stages"):
         test_a_no_caller_reason_names_a_dead_surface_entry()

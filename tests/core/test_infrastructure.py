@@ -284,33 +284,6 @@ class TestBatchIngest:
         assert len(infra.collection("feed")) == 32
         assert infra.bus.lag("storage", "feed") == 0
 
-    def test_size_retention_never_prunes_unstored_records(self):
-        # Retention drops a partition's head whether or not the storage
-        # group read it, so a cycle may not pump past it.
-        infra = small_infra()
-        infra.bus.create_topic("feed", partitions=4, retention_max_records=10)
-        infra.register_source("feed", lambda: self.RECORDS)
-        report = infra.run_collection_pipeline()
-        assert report.records_stored["feed"] == len(self.RECORDS)
-        stored = infra.collection("feed").find({})
-        assert sorted(doc["record_id"] for doc in stored) \
-            == list(range(len(self.RECORDS)))
-
-    def test_small_size_retention_never_prunes_unstored_records(self):
-        # A one-record bound per partition: each transaction puts at most
-        # one row on a partition, so retention only prunes stored records.
-        infra = small_infra()
-        infra.bus.create_topic("feed", partitions=4, retention_max_records=1)
-        infra.register_source("feed", lambda: self.RECORDS)
-        report = infra.run_collection_pipeline()
-        assert report.records_ingested["feed"] == len(self.RECORDS)
-        assert report.records_stored["feed"] == len(self.RECORDS)
-        stored = infra.collection("feed").find({})
-        assert sorted(doc["record_id"] for doc in stored) \
-            == list(range(len(self.RECORDS)))
-        assert max(infra.bus.partition_sizes("feed")) <= 1
-        assert infra.bus.lag("storage", "feed") == 0
-
     def test_unkeyed_feed_rides_the_round_robin_branch(self):
         infra = self.infra()
         infra.run_collection_pipeline()

@@ -16,6 +16,7 @@ from repro.fog import (
     place_bottom_up,
 )
 from repro.fog.split import bottleneck_latency
+from repro.runtime.metrics import LATENCY_SAMPLES
 
 
 def topo():
@@ -189,6 +190,19 @@ class TestFogPipelineStream:
             num_items=20, arrival_interval_s=0.5,
             exit_probabilities={1: 0.5}, seed=0)
         assert stats.completed == 20
+
+    def test_stats_stay_exact_past_the_latency_reservoir(self):
+        # The latency histogram keeps LATENCY_SAMPLES values; the stream's
+        # counts must come from its exact aggregates, not from the samples.
+        items = LATENCY_SAMPLES + 1
+        stats = self.make().simulate_stream(
+            num_items=items, arrival_interval_s=0.5,
+            exit_probabilities={1: 0.5}, seed=0)
+        assert stats.completed == items
+        assert stats.accounted == items
+        assert sum(stats.resolved_per_stage.values()) == items
+        assert 0 < stats.mean_latency_s <= stats.max_latency_s
+        assert 0 < stats.p95_latency_s <= stats.max_latency_s
 
     def test_exit_probability_one_resolves_all_locally(self):
         stats = self.make().simulate_stream(

@@ -12,7 +12,7 @@ import pytest
 from repro import nn
 from repro.nn import functional as F
 from repro.nn.models.resnet import ResNetBlock
-from repro.nn.models.yolo import GroundTruthBox, TinyYolo, YoloLoss
+from repro.nn.models.yolo import EarlyExitDetector, GroundTruthBox, YoloLoss
 from repro.nn.tensor import Tensor
 from tests.nn.gradcheck import numeric_grad
 
@@ -121,7 +121,7 @@ class TestResNetBlockGradients:
 class TestYoloLossGradients:
     def test_head_bias_gradient(self):
         rng = np.random.default_rng(6)
-        model = TinyYolo(1, 8, num_classes=2, rng=rng)
+        model = EarlyExitDetector(1, 8, num_classes=2, grid=4, rng=rng)
         loss_fn = YoloLoss(grid=4, num_classes=2)
         x = rng.normal(0, 1, (2, 1, 8, 8))
         boxes = [[GroundTruthBox(0.3, 0.3, 0.4, 0.4, 0)],
@@ -134,9 +134,9 @@ class TestYoloLossGradients:
                     module._buffer_running_mean = np.zeros(
                         module.num_features)
                     module._buffer_running_var = np.ones(module.num_features)
-            return loss_fn(model(Tensor(x)), boxes)
+            return loss_fn(model(Tensor(x))[1], boxes)
 
-        check_parameter_gradient(build_loss, model.head.bias,
+        check_parameter_gradient(build_loss, model.remote_head.bias,
                                  atol=1e-5, rtol=1e-3)
 
     def test_loss_gradient_wrt_raw_predictions(self):

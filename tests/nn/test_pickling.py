@@ -11,7 +11,7 @@ from repro.nn.models.cnn import SimpleCNN
 from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nn.models.lstm import LSTMClassifier
 from repro.nn.models.resnet import SmallResNet
-from repro.nn.models.yolo import TinyYolo
+from repro.nn.models.yolo import EarlyExitDetector
 from repro.nn.tensor import Tensor
 from repro.runtime import Runtime, using_runtime
 
@@ -63,7 +63,7 @@ def zoo(rng):
         "resnet": SmallResNet(1, num_classes=3, widths=(4, 8), rng=rng),
         "lstm": LSTMClassifier(5, 7, 3, rng=rng),
         "autoencoder": Autoencoder(10, (6,), 4, rng=rng),
-        "yolo": TinyYolo(3, 16, num_classes=3, rng=rng),
+        "yolo": EarlyExitDetector(3, 16, num_classes=3, rng=rng),
     }
 
 

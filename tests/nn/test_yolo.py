@@ -1,4 +1,4 @@
-"""Tests for the YOLO-style detectors and the Fig. 5 early-exit split."""
+"""Tests for the Fig. 5 YOLO-style early-exit detector, its loss and decoding."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.nn.models import (
     Detection,
     EarlyExitDetector,
     GroundTruthBox,
-    TinyYolo,
-    YoloDetector,
     YoloLoss,
     box_iou,
     evaluate_detections,
@@ -58,40 +56,16 @@ class TestBoxes:
         assert len(non_max_suppression(detections)) == 2
 
 
-class TestYoloDetector:
-    def test_forward_shape(self):
-        model = YoloDetector(1, 16, num_classes=3)
-        out = model(Tensor(np.zeros((2, 1, 16, 16))))
-        assert out.shape == (2, 5 + 3, 4, 4)
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            YoloDetector(1, 12, num_classes=3)   # 12 -> 6 -> 3 skips 4
-        with pytest.raises(ValueError):
-            YoloDetector(1, 4, num_classes=3)    # already at the grid
-
-    def test_tiny_yolo_fewer_params(self):
-        tiny = TinyYolo(1, 16, num_classes=3)
-        full = YoloDetector(1, 16, num_classes=3)
-        assert tiny.num_parameters() < full.num_parameters()
-
-    def test_flops_estimable(self):
-        model = YoloDetector(1, 16, num_classes=3)
-        flops, shape = model.estimate_flops((1, 16, 16))
-        assert flops > 0
-        assert shape == (8, 4, 4)
-
+class TestDecodePredictions:
     def test_decode_respects_threshold(self):
-        model = YoloDetector(1, 16, num_classes=2)
         raw = np.full((1, 7, 2, 2), -10.0)  # objectness ~0 everywhere
-        assert model.decode(raw) == [[]]
+        assert decode_predictions(raw) == [[]]
 
     def test_decode_finds_confident_cell(self):
         raw = np.full((1, 7, 2, 2), -10.0)
         raw[0, 4, 1, 0] = 10.0      # objectness ~1 in cell (row 1, col 0)
         raw[0, 5, 1, 0] = 5.0       # class 0
-        model = YoloDetector(1, 16, num_classes=2)
-        dets = model.decode(raw)[0]
+        dets = decode_predictions(raw)[0]
         assert len(dets) == 1
         det = dets[0]
         assert det.class_id == 0
@@ -115,9 +89,10 @@ class TestYoloLoss:
         assert obj[0, 0, 3, 3] == 1.0
 
     def test_loss_is_positive_scalar(self):
-        model = YoloDetector(1, 16, num_classes=2)
+        model = EarlyExitDetector(1, 16, num_classes=2, grid=4)
         loss_fn = YoloLoss(grid=4, num_classes=2)
-        raw = model(Tensor(np.random.default_rng(0).normal(0, 1, (2, 1, 16, 16))))
+        _, raw = model(Tensor(
+            np.random.default_rng(0).normal(0, 1, (2, 1, 16, 16))))
         boxes = [[GroundTruthBox(0.5, 0.5, 0.3, 0.3, 0)], []]
         loss = loss_fn(raw, boxes)
         assert loss.data.size == 1
@@ -125,7 +100,7 @@ class TestYoloLoss:
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(0)
-        model = TinyYolo(1, 16, num_classes=2, rng=rng)
+        model = EarlyExitDetector(1, 16, num_classes=2, grid=4, rng=rng)
         loss_fn = YoloLoss(grid=4, num_classes=2)
         x = rng.normal(0, 0.1, (8, 1, 16, 16))
         boxes = []
@@ -135,10 +110,10 @@ class TestYoloLoss:
               int(cx * 16) - 3:int(cx * 16) + 3] = 1.0
             boxes.append([GroundTruthBox(cx, cy, 0.4, 0.4, i % 2)])
         opt = nn.Adam(model.parameters(), lr=0.01)
-        first = loss_fn(model(Tensor(x)), boxes).item()
+        first = loss_fn(model(Tensor(x))[0], boxes).item()
         for _ in range(30):
             opt.zero_grad()
-            loss = loss_fn(model(Tensor(x)), boxes)
+            loss = loss_fn(model(Tensor(x))[0], boxes)
             loss.backward()
             opt.step()
         assert loss.item() < 0.5 * first
@@ -183,6 +158,14 @@ class TestEarlyExitDetector:
         local, remote = model(Tensor(np.zeros((2, 1, 16, 16))))
         assert local.shape == (2, 8, 4, 4)
         assert remote.shape == (2, 8, 4, 4)
+
+    def test_invalid_geometry(self):
+        with pytest.raises(ValueError):
+            EarlyExitDetector(1, 12, num_classes=3, grid=4)  # 6 -> 3 skips 4
+        with pytest.raises(ValueError):
+            EarlyExitDetector(1, 4, num_classes=3, grid=4)   # stem below grid
+        with pytest.raises(ValueError):
+            EarlyExitDetector(1, 15, num_classes=3, grid=4)  # odd frame
 
     def test_remote_branch_heavier(self):
         from repro.nn.flops import estimate_flops

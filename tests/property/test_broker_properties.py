@@ -18,9 +18,10 @@ Five guarantees, each asserted under hypothesis-drawn schedules:
   identical rows, fetch positions and committed offsets;
 - *the broker is the reference log*: a rule-based state machine drives
   produce / produce_batch (keyed, unkeyed, mixed) / poll_batch / commit /
-  seek_to_committed / run_retention against the plain dict-of-lists
-  model in :mod:`tests.streaming.reference_log` — the independent
-  oracle for the one append path and the one fetch path.  Two broker
+  seek_to_committed against the plain dict-of-lists model in
+  :mod:`tests.streaming.reference_log` — the independent oracle for the
+  one append path and the one fetch path, oversized batches included
+  (refused outright with a plain ``BrokerError``).  Two broker
   mutants (admission that never refuses a full partition, and admission
   that refuses without evicting the consumed head) must fail it, so its
   bounded topics keep reaching the backpressure rule.
@@ -59,10 +60,16 @@ from repro.streaming.broker import (
     VOLATILE_METRIC_PREFIXES,
     VOLATILE_SPAN_PREFIXES,
     BackpressureError,
+    BrokerError,
     RebalanceError,
 )
 
-from tests.streaming.reference_log import ReferenceLog, Rejected, as_rows
+from tests.streaming.reference_log import (
+    Oversized,
+    ReferenceLog,
+    Rejected,
+    as_rows,
+)
 
 BASE_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -439,20 +446,17 @@ class BrokerAgainstReference(RuleBasedStateMachine):
 
     @initialize(partitions=st.integers(1, 4),
                 bound=st.none() | st.integers(1, 6),
-                retention=st.none() | st.integers(1, 8),
                 auto_commit=st.booleans(),
                 share=st.booleans())
-    def create(self, partitions, bound, retention, auto_commit, share):
+    def create(self, partitions, bound, auto_commit, share):
         with using_runtime(Runtime(seed=BASE_SEED)):
             self.broker = Broker(shm_min_bytes=SHM_MIN_BYTES)
         self.broker.create_topic(
             "events", partitions=partitions, max_partition_records=bound,
-            retention_max_records=retention,
             share_ndarrays=share)
         self.consumer = self.broker.consumer("g", ["events"],
                                              auto_commit=auto_commit)
-        self.reference = ReferenceLog(partitions, bound, retention,
-                                      auto_commit)
+        self.reference = ReferenceLog(partitions, bound, auto_commit)
         self.partitions = partitions
         self.share = share
         self.next_value = 0
@@ -479,6 +483,11 @@ class BrokerAgainstReference(RuleBasedStateMachine):
             with pytest.raises(BackpressureError):
                 call()
             return None
+        except Oversized:
+            with pytest.raises(BrokerError) as refused:
+                call()
+            assert not isinstance(refused.value, BackpressureError)
+            return None
         return expected, call()
 
     @rule(key=st.none() | st.sampled_from(["k0", "k1", "k2", "k3", "k4"]),
@@ -492,7 +501,10 @@ class BrokerAgainstReference(RuleBasedStateMachine):
             expected, record = outcome
             assert comparable(as_rows([record])) == comparable(expected)
 
-    @rule(count=st.integers(1, 12), keying=st.sampled_from(sorted(KEY_FNS)),
+    # Half the draws are small: a batch wider than the bound is refused
+    # before eviction, so only batches that fit reach the eviction rule.
+    @rule(count=st.integers(1, 3) | st.integers(1, 12),
+          keying=st.sampled_from(sorted(KEY_FNS)),
           sizes=st.lists(st.sampled_from(VALUE_SIZES), min_size=1,
                          max_size=2))
     def produce_batch(self, count, keying, sizes):
@@ -543,11 +555,6 @@ class BrokerAgainstReference(RuleBasedStateMachine):
     def seek_to_committed(self):
         self.consumer.seek_to_committed()
         self.reference.seek_to_committed()
-
-    @rule()
-    def run_retention(self):
-        assert self.broker.run_retention("events") \
-            == self.reference.run_retention()
 
     @invariant()
     def same_state(self):

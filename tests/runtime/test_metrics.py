@@ -10,6 +10,7 @@ from repro.runtime import (
     MetricsRegistry,
     series_key,
 )
+from repro.runtime.metrics import LATENCY_SAMPLES
 
 
 class TestSeriesKey:
@@ -118,33 +119,42 @@ class TestHistogram:
 
 
 class TestHistogramReservoir:
-    def test_unbounded_by_default(self):
+    def test_keeps_every_observation_up_to_the_reservoir(self):
         hist = Histogram("h")
-        for i in range(1000):
+        for i in range(LATENCY_SAMPLES):
             hist.observe(float(i))
-        assert len(hist.values()) == 1000
+        assert hist.values() == [float(i) for i in range(LATENCY_SAMPLES)]
 
     def test_bounded_series_holds_at_most_max_samples(self):
-        hist = Histogram("h", max_samples=64)
+        hist = Histogram("h")
         for i in range(10_000):
             hist.observe(float(i))
-        assert len(hist.values()) == 64
+        assert len(hist.values()) == LATENCY_SAMPLES
         assert hist.count() == 10_000
 
+    def test_registry_histogram_is_bounded_by_default(self):
+        hist = MetricsRegistry().histogram("x", "a histogram")
+        for i in range(LATENCY_SAMPLES + 500):
+            hist.observe(float(i), run="r")
+        assert len(hist.values(run="r")) == LATENCY_SAMPLES
+        assert hist.count(run="r") == LATENCY_SAMPLES + 500
+        assert hist.summary(run="r")["max"] == LATENCY_SAMPLES + 499.0
+
     def test_aggregates_exact_under_eviction(self):
-        hist = Histogram("h", max_samples=8)
-        values = [float(i) for i in range(500)]
+        hist = Histogram("h")
+        count = 2 * LATENCY_SAMPLES
+        values = [float(i) for i in range(count)]
         for value in values:
             hist.observe(value)
         summary = hist.summary()
-        assert summary["count"] == 500
+        assert summary["count"] == count
         assert summary["sum"] == sum(values)
         assert summary["min"] == 0.0
-        assert summary["max"] == 499.0
-        assert summary["mean"] == sum(values) / 500
+        assert summary["max"] == count - 1.0
+        assert summary["mean"] == sum(values) / count
 
     def test_reservoir_percentiles_are_estimates_in_range(self):
-        hist = Histogram("h", max_samples=128)
+        hist = Histogram("h")
         for i in range(20_000):
             hist.observe(float(i))
         summary = hist.summary()
@@ -154,7 +164,7 @@ class TestHistogramReservoir:
 
     def test_eviction_deterministic_across_instances(self):
         def build():
-            hist = Histogram("same-name", max_samples=32)
+            hist = Histogram("same-name")
             for i in range(5_000):
                 hist.observe(float(i), run="r")
             return hist.values(run="r")
@@ -162,31 +172,19 @@ class TestHistogramReservoir:
         assert build() == build()
 
     def test_per_series_independent_reservoirs(self):
-        hist = Histogram("h", max_samples=4)
-        for i in range(100):
+        hist = Histogram("h")
+        for i in range(LATENCY_SAMPLES + 100):
             hist.observe(float(i), run="a")
         hist.observe(1.0, run="b")
-        assert len(hist.values(run="a")) == 4
+        assert len(hist.values(run="a")) == LATENCY_SAMPLES
         assert hist.values(run="b") == [1.0]
-        assert hist.count(run="a") == 100
-
-    def test_max_samples_validated(self):
-        with pytest.raises(MetricsError):
-            Histogram("h", max_samples=0)
-
-    def test_registry_bound_is_sticky(self):
-        registry = MetricsRegistry()
-        bounded = registry.histogram("x", max_samples=16)
-        assert registry.histogram("x") is bounded             # inherit
-        assert registry.histogram("x", max_samples=16) is bounded
-        with pytest.raises(MetricsError):
-            registry.histogram("x", max_samples=32)
+        assert hist.count(run="a") == LATENCY_SAMPLES + 100
 
     def test_registry_kind_conflict_still_raises(self):
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(MetricsError):
-            registry.histogram("x", max_samples=4)
+            registry.histogram("x")
 
 
 class TestRegistry:
@@ -391,7 +389,7 @@ class TestBoundHandles:
         # Algorithm R evictions must land on the same samples whichever
         # write path fed the series — the dump-parity contract.
         def observe(use_bind):
-            hist = Histogram("h", max_samples=16)
+            hist = Histogram("h")
             handle = hist.bind(op="fetch") if use_bind else None
             for i in range(2_000):
                 if use_bind:
@@ -411,13 +409,13 @@ class TestBoundHandles:
         assert handle.count() == 2
 
     def test_interleaved_bound_and_labeled_reservoir(self):
-        hist = Histogram("h", max_samples=8)
+        hist = Histogram("h")
         handle = hist.bind(op="x")
-        for i in range(100):
+        for i in range(LATENCY_SAMPLES + 100):
             (handle.observe if i % 2 else
              lambda v: hist.observe(v, op="x"))(float(i))
-        assert hist.count(op="x") == 100
-        assert len(hist.values(op="x")) == 8
+        assert hist.count(op="x") == LATENCY_SAMPLES + 100
+        assert len(hist.values(op="x")) == LATENCY_SAMPLES
 
     @pytest.mark.parametrize("make, write", [
         (lambda: Counter("m"),
@@ -426,18 +424,18 @@ class TestBoundHandles:
          lambda target, value, **labels: target.set(value, **labels)),
         (lambda: Gauge("m"),
          lambda target, value, **labels: target.inc(value, **labels)),
-        (lambda: Histogram("m", max_samples=8),
+        (lambda: Histogram("m"),
          lambda target, value, **labels: target.observe(value, **labels)),
     ], ids=["counter-inc", "gauge-set", "gauge-inc", "bounded-histogram"])
     def test_interleaved_writes_dump_like_an_all_bound_run(self, make, write):
-        # labeled, bound, labeled, ... on one series — 100 writes, so the
-        # bounded histogram is far past max_samples — must leave the dump
+        # labeled, bound, labeled, ... on one series — enough writes that
+        # the histogram is far past its reservoir — must leave the dump
         # an all-bound run leaves: the contract the parallel engine's
         # snapshot-diff merge relies on.
         def run(interleave):
             metric = make()
             handle = metric.bind(op="x", tier="edge")
-            for i in range(100):
+            for i in range(2 * LATENCY_SAMPLES):
                 if interleave and i % 3 != 1:
                     write(metric, float(i), op="x", tier="edge")
                 else:

@@ -5,8 +5,9 @@ view of it), so comparing the two with each other proves nothing.  This
 model is the independent oracle: a dict of per-partition row lists and a
 per-record loop, sharing no code with ``repro.streaming.broker`` — md5
 key hashing, the round-robin cursor, per-partition offsets, logical
-ticks, the partition bound (a batch that does not fit after
-consumed-head eviction is refused whole), size retention, and one
+ticks, the partition bound (a batch with more rows for one partition
+than the bound is refused outright, before any eviction; one that does
+not fit after consumed-head eviction is refused whole), and one
 manual- or auto-commit consumer
 with the broker's fair fetch rotation.  Rows are
 ``(partition, offset, key, value, timestamp)`` tuples.
@@ -26,15 +27,21 @@ class Rejected(Exception):
     """The batch did not fit: nothing appended, the cursor kept."""
 
 
+class Oversized(Exception):
+    """One partition's share of the batch exceeds the bound: it never fits.
+
+    Nothing appended and nothing evicted; unlike :class:`Rejected` it is
+    not retryable.
+    """
+
+
 class ReferenceLog:
-    def __init__(self, partitions, bound=None, retention=None,
-                 auto_commit=False):
+    def __init__(self, partitions, bound=None, auto_commit=False):
         self.logs = {p: [] for p in range(partitions)}
         self.ends = [0] * partitions
         self.cursor = 0             # round-robin, advanced by unkeyed rows
         self.ticks = 0              # logical clock, one tick per append
         self.bound = bound
-        self.retention = retention
         self.auto_commit = auto_commit
         self.positions = {}         # partition -> next offset to fetch
         self.committed = {}         # partition -> committed offset
@@ -56,6 +63,8 @@ class ReferenceLog:
                 plan.append(self.partition_of(key))
         if self.bound is not None:
             needed = Counter(plan)
+            if any(count > self.bound for count in needed.values()):
+                raise Oversized()
             for p, count in needed.items():
                 if len(self.logs[p]) + count > self.bound:
                     self._evict_consumed(p)
@@ -70,24 +79,12 @@ class ReferenceLog:
             self.ticks += 1
             self.logs[p].append(row)
             appended.append(row)
-        self._retain_size()
         return appended
 
-    # -- retention -------------------------------------------------------------
     def _evict_consumed(self, p):
         if p in self.committed:
             self.logs[p] = [row for row in self.logs[p]
                             if row[1] >= self.committed[p]]
-
-    def _retain_size(self):
-        if self.retention is not None:
-            for p, log in self.logs.items():
-                self.logs[p] = log[max(0, len(log) - self.retention):]
-
-    def run_retention(self):
-        before = self.size()
-        self._retain_size()
-        return before - self.size()
 
     # -- one consumer ----------------------------------------------------------
     def poll(self, budget):

@@ -1,4 +1,4 @@
-"""Broker semantics: committed offsets, rebalancing, retention, backpressure.
+"""Broker semantics: committed offsets, rebalancing, backpressure, zero copy.
 
 The basic surface (topics, produce/consume, round-robin, lag) is covered
 by ``test_bus.py``; this file exercises what makes the broker a broker.
@@ -172,37 +172,27 @@ class TestRebalance:
         assert {p for _, p in a.assignment()} == {0, 1}
 
 
-class TestRetention:
-    def test_size_retention_keeps_tail(self):
-        broker = make_broker(partitions=1, retention_max_records=3)
-        for i in range(10):
-            broker.produce("events", i)
-        assert broker.topic_size("events") == 3
-        consumer = broker.consumer("g", ["events"])
-        records = consumer.drain()
-        assert [r.value for r in records] == [7, 8, 9]
-        # absolute offsets are preserved across eviction
-        assert [r.offset for r in records] == [7, 8, 9]
-        assert broker.end_offset("events", 0) == 10
-
-    def test_run_retention_covers_all_topics(self):
-        broker = Broker()
-        broker.create_topic("a", partitions=1, retention_max_records=1)
-        broker.create_topic("b", partitions=1)
-        for i in range(5):
-            broker.produce("a", i)
-            broker.produce("b", i)
-        broker.run_retention()
-        assert broker.topic_size("a") == 1
-        assert broker.topic_size("b") == 5
-
+class TestBackpressure:
     def test_invalid_configs_rejected(self):
         broker = Broker()
         with pytest.raises(BrokerError):
-            broker.create_topic("x", retention_max_records=0)
+            broker.create_topic("x", max_partition_records=0)
+        with pytest.raises(BrokerError):
+            broker.create_topic("y", partitions=0)
 
+    def test_oversized_batch_is_not_retryable(self):
+        broker = make_broker(partitions=1, max_partition_records=2)
+        broker.produce_batch("events", [0, 1])
+        broker.consumer("g", ["events"]).poll(2)     # commits the head
+        with pytest.raises(BrokerError) as refused:
+            broker.produce_batch("events", [2, 3, 4])
+        # no commit can ever make room for it, so it is not a stall
+        assert not isinstance(refused.value, BackpressureError)
+        assert "partition 0 gets 3 rows" in str(refused.value)
+        assert "bound 2" in str(refused.value)
+        # refused before the evictable consumed head went: nothing changed
+        assert broker.partition_sizes("events") == [2]
 
-class TestBackpressure:
     def test_block_policy_raises_retryable_stall(self):
         broker = make_broker(partitions=1, max_partition_records=2)
         broker.produce("events", 0)
@@ -391,10 +381,12 @@ class TestZeroCopy:
     def test_eviction_unlinks_segments(self):
         broker = Broker()
         broker.create_topic("frames", partitions=1, share_ndarrays=True,
-                            retention_max_records=1)
+                            max_partition_records=1)
+        consumer = broker.consumer("g", ["frames"])
         for _ in range(3):
             broker.produce("frames", np.zeros(64 * 1024, dtype=np.float32))
-        # only the retained record's segment is still tracked
+            consumer.poll(1)             # commits, so the next produce evicts
+        # consumed-head eviction released every segment but the newest
         assert broker.tracked_segments() == 1
         broker.close()
         assert broker.tracked_segments() == 0

@@ -8,6 +8,7 @@ import pytest
 from repro.streaming import (
     BackpressureError,
     Broker,
+    BrokerError,
     FlumeAgent,
     FunctionSource,
     SinkError,
@@ -38,6 +39,17 @@ class TestBrokerSink:
         sink(["fits-b"])
         with pytest.raises(SinkError):
             sink(["overflow"])
+
+    def test_oversized_batch_fails_the_agent_at_once(self):
+        # a transaction larger than the partition bound can never be
+        # admitted, so the agent must not roll it back and retry forever
+        broker = Broker()
+        broker.create_topic("t", partitions=1, max_partition_records=2)
+        agent = FlumeAgent(FunctionSource(list(range(5))),
+                           broker_sink(broker, "t"), batch_size=5)
+        with pytest.raises(BrokerError, match="more than its bound 2"):
+            agent.run()
+        assert agent.metrics.events_delivered == 0
 
     def test_backpressure_propagates_to_channel_and_source(self):
         """A full topic rolls batches back into the channel; when the
