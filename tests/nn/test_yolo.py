@@ -159,6 +159,14 @@ class TestEarlyExitDetector:
         assert local.shape == (2, 8, 4, 4)
         assert remote.shape == (2, 8, 4, 4)
 
+    def test_grid_output_shape(self):
+        # Each exit predicts 5 box terms + one score per class in every
+        # grid cell, whatever the frame size it reached the grid from.
+        model = EarlyExitDetector(1, 32, num_classes=2, grid=4)
+        local, remote = model(Tensor(np.zeros((3, 1, 32, 32))))
+        assert local.shape == (3, 5 + 2, 4, 4)
+        assert remote.shape == (3, 5 + 2, 4, 4)
+
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             EarlyExitDetector(1, 12, num_classes=3, grid=4)  # 6 -> 3 skips 4
