@@ -69,7 +69,7 @@ def run_scenario(name: str, events: int, partitions: int, members: int,
     broker = Broker()
     broker.create_topic("bench", partitions=partitions,
                         max_partition_records=RETAIN)
-    consumers = [broker.consumer("bench", ["bench"], auto_commit=False)
+    consumers = [broker.consumer("bench", "bench", auto_commit=False)
                  for _ in range(members)]
     key_fn = (lambda stamp: f"k{int(stamp * 1e6) % KEYS}") if keyed else None
 

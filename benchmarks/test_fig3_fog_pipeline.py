@@ -216,7 +216,7 @@ def test_fig3_unified_registry_dump(benchmark, tmp_path):
             FlumeAgent(FunctionSource(range(32)),
                        broker_sink(bus, "frames"), batch_size=8).run()
             frames = [r.value for r in
-                      bus.consumer("fog", ["frames"]).drain()]
+                      bus.consumer("fog", "frames").drain()]
 
             # batch layer: summarize the consumed frames
             context = SparkContext(default_parallelism=2)

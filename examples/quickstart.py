@@ -52,7 +52,7 @@ def main() -> None:
     print(f"  sample district-4 incidents: "
           f"{[(d['offense'], round(d['hour'], 1)) for d in hot]}")
 
-    consumer = infra.bus.consumer("dashboard", ["waze"])
+    consumer = infra.bus.consumer("dashboard", "waze")
     jams = [r for r in consumer.drain() if r.value["type"] == "JAM"]
     print(f"  live Waze jams on the bus: {len(jams)}")
 

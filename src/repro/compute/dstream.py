@@ -31,20 +31,28 @@ class StreamingContext:
                 f"batch_max_records must be >= 1: {batch_max_records}")
         self.bus = bus
         self.batch_max_records = batch_max_records
-        self._streams: List["DStream"] = []
+        #: topic -> its one source stream
+        self._streams: Dict[str, "DStream"] = {}
         self.batches_run = 0
 
     def stream(self, topic: str) -> "DStream":
-        """A source DStream reading ``topic`` as consumer group
-        ``streaming``."""
-        consumer = self.bus.consumer("streaming", [topic], auto_commit=False)
+        """The source DStream reading ``topic`` as consumer group
+        ``streaming``.
+
+        One per topic: a repeat call returns the same stream, so every
+        chain built on it sees every record (a second group member would
+        split the topic's partitions with the first).
+        """
+        if topic in self._streams:
+            return self._streams[topic]
+        consumer = self.bus.consumer("streaming", topic, auto_commit=False)
         # Columnar poll: the batch's value column is already the
         # micro-batch list, with no Record objects in between.
         stream = DStream(
             self,
             source=lambda: consumer.poll_batch(self.batch_max_records).values,
             consumer=consumer)
-        self._streams.append(stream)
+        self._streams[topic] = stream
         return stream
 
     def run_batch(self) -> int:
@@ -53,7 +61,7 @@ class StreamingContext:
         Returns the total number of source records consumed.
         """
         total = 0
-        for stream in self._streams:
+        for stream in self._streams.values():
             total += stream._tick()
         self.batches_run += 1
         return total

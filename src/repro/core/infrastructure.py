@@ -13,7 +13,7 @@ into the architecture the paper describes:
 - **application layer** — deploy hooks for the Sec. IV applications.
 
 ``run_collection_pipeline`` executes the Fig. 4 flow for a batch of feeds:
-sources -> transactional ingestion -> NoSQL -> a Spark aggregation -> a
+sources -> at-least-once ingestion -> NoSQL -> a Spark aggregation -> a
 visualization payload, returning per-stage record counts.
 """
 
@@ -134,14 +134,14 @@ class CyberInfrastructure:
                                 ) -> PipelineRunReport:
         """Collect every registered source, store, analyze, visualize.
 
-        Each source flows through a transactional Flume agent *onto its
-        broker topic*; a manual-commit ``storage`` consumer group drains
-        the topic into the document collection, committing offsets only
-        after the inserts land: each cycle one Flume transaction, sized
-        from the topic's bounds, goes onto the topic and one poll, insert
-        and commit drain it.  A Spark job then aggregates all stored
-        records by ``analysis_field``, read from the stored documents in
-        place, and renders a bar-chart SVG (the web layer's input).
+        Each source flows through a Flume agent *onto its broker topic*; a
+        manual-commit ``storage`` consumer group drains the topic into the
+        document collection, committing offsets only after the inserts
+        land: each cycle one Flume batch, sized from the topic's bounds,
+        goes onto the topic and one poll, insert and commit drain it.  A
+        Spark job then aggregates all stored records by
+        ``analysis_field``, read from the stored documents in place, and
+        renders a bar-chart SVG (the web layer's input).
         """
         if not self._sources:
             raise RuntimeError("no sources registered")
@@ -172,12 +172,14 @@ class CyberInfrastructure:
         """Source -> Flume -> broker topic -> storage group -> collection.
 
         Returns the number of events the agent delivered to the broker.
-        Each cycle moves one Flume transaction (the unit of atomic delivery
-        and rollback), then makes one storage ``poll_batch``, one
-        all-or-nothing ``insert_many`` and one offset commit, so offsets
-        commit only after the insert lands.  A transaction is the whole
-        channel (the feed), capped at ``max_partition_records *
-        partitions`` on a bounded topic, and the poll takes the same size:
+        Each cycle delivers one Flume batch (the unit of atomic delivery:
+        it leaves the channel only once the broker has it), then makes one
+        storage ``poll_batch``, one all-or-nothing ``insert_many`` and one
+        offset commit, so offsets commit only after the insert lands.  The
+        ``storage`` group reads each feed's topic through its own member,
+        one feed after another.  A batch is the whole channel (the feed),
+        capped at ``max_partition_records * partitions`` on a bounded
+        topic, and the poll takes the same size:
         round-robin puts at most ``ceil(k / partitions)`` of k rows on a
         partition, so it fits once the committed head is evicted and never
         stalls.  A cycle that
@@ -193,7 +195,7 @@ class CyberInfrastructure:
         agent = FlumeAgent(FunctionSource(records),
                            broker_sink(self.bus, name),
                            channel=channel, batch_size=size)
-        storage = self.bus.consumer("storage", [name], auto_commit=False)
+        storage = self.bus.consumer("storage", name, auto_commit=False)
         try:
             while True:
                 agent.pump_source(size)

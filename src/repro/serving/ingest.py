@@ -46,7 +46,7 @@ async def pump_topic(gateway: ServingGateway, bus, topic: str,
     taken right after its own poll — never the prefetched positions — so
     a failed batch (and everything polled after it) is redelivered.
     """
-    consumer = bus.consumer(DEFAULT_GROUP, [topic], auto_commit=False)
+    consumer = bus.consumer(DEFAULT_GROUP, topic, auto_commit=False)
     served: Dict[str, List] = {}
     shed: Dict[str, int] = {}
     poll_span = gateway.runtime.tracer.sampler("serving.ingest.poll",

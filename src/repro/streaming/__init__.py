@@ -4,8 +4,9 @@
   in for the "legacy database systems" the paper imports from.
 - :mod:`repro.streaming.sqoop` — bulk RDBMS -> DFS/document-store import
   with parallel mappers (the Apache Sqoop role).
-- :mod:`repro.streaming.flume` — source -> channel -> sink agents with
-  transactional batches and at-least-once delivery (the Apache Flume role).
+- :mod:`repro.streaming.flume` — source -> channel -> sink agents whose
+  channel drops a batch only once the sink has it: at-least-once delivery
+  (the Apache Flume role).
 - :mod:`repro.streaming.broker` — the Kafka-class pub/sub backbone:
   partitioned topics, consumer groups with committed offsets and
   rebalancing, one backpressure rule (a full partition evicts its
@@ -31,7 +32,6 @@ from repro.streaming.flume import (
     FunctionSource,
     SinkError,
     broker_sink,
-    collection_sink,
     dfs_sink,
 )
 from repro.streaming.sqoop import SqoopImporter
@@ -43,6 +43,6 @@ __all__ = [
     "BrokerError", "BackpressureError", "RebalanceError",
     "FlumeAgent", "FunctionSource", "Channel", "ChannelFullError",
     "SinkError",
-    "dfs_sink", "collection_sink", "broker_sink",
+    "dfs_sink", "broker_sink",
     "SqoopImporter",
 ]

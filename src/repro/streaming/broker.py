@@ -12,8 +12,9 @@ lists:
   at-least-once delivery instead of an eager fetch that silently loses
   records on a consumer crash.  ``auto_commit=True`` (the default) commits
   atomically inside ``poll``.
-- **Partition assignment and rebalancing.**  Partitions of each topic are
-  distributed round-robin over the members subscribed to it.  Joins and
+- **Partition assignment and rebalancing.**  A member reads one topic;
+  partitions of each topic are distributed round-robin over the group's
+  members reading it.  Joins and
   leaves bump the group *generation*, recompute the assignment, and reset
   fetch positions to the committed offsets so in-flight uncommitted reads
   are redelivered to the new owners.  Commits from a member holding a
@@ -24,8 +25,8 @@ lists:
   trimmed, so no uncommitted record is ever dropped; offsets are
   preserved so committed positions stay valid over a trimmed log), then
   raises the retryable :class:`BackpressureError` with nothing appended
-  (Flume agents translate it into a transaction rollback so the channel,
-  and ultimately the source, slows down).  A batch with more rows for
+  (Flume agents keep the batch in their channel so the channel, and
+  ultimately the source, slows down).  A batch with more rows for
   one partition than the bound could never fit and raises plain
   :class:`BrokerError` instead.
 - **Zero-copy payload handoff.**  Topics created with
@@ -92,8 +93,8 @@ class BrokerError(Exception):
 class BackpressureError(BrokerError):
     """A bounded partition is full; nothing of the batch was appended.
 
-    Retryable: the producer should hold its batch (Flume agents roll the
-    transaction back into the channel) and retry after consumers commit.
+    Retryable: the producer should hold its batch (a Flume agent keeps it
+    in its channel) and retry after consumers commit.
     """
 
 
@@ -140,18 +141,17 @@ class RecordBatch:
     copied — row views (:meth:`record`, iteration, indexing,
     :meth:`select`) only re-reference them.
 
-    ``topics`` is the topic name itself for a homogeneous batch (the
-    common case) or a per-row list for a multi-topic concat; use
-    :meth:`topic_at` for row-level access either way.
+    Every row of a batch belongs to the one ``topic`` it was produced
+    to or fetched from: a consumer reads one topic.
     """
 
-    __slots__ = ("topics", "partitions", "offsets", "keys", "values",
+    __slots__ = ("topic", "partitions", "offsets", "keys", "values",
                  "timestamps", "_stacked")
 
-    def __init__(self, topics: Union[str, List[str]], partitions: List[int],
+    def __init__(self, topic: str, partitions: List[int],
                  offsets: List[int], keys: List[Optional[str]],
                  values: List[Any], timestamps: List[float]):
-        self.topics = topics
+        self.topic = topic
         self.partitions = partitions
         self.offsets = offsets
         self.keys = keys
@@ -160,37 +160,8 @@ class RecordBatch:
         self._stacked = None
 
     @classmethod
-    def empty(cls, topic: str = "") -> "RecordBatch":
+    def empty(cls, topic: str) -> "RecordBatch":
         return cls(topic, [], [], [], [], [])
-
-    @classmethod
-    def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
-        """One batch spanning ``batches`` in order (payloads shared)."""
-        batches = [batch for batch in batches if batch.offsets]
-        if not batches:
-            return cls.empty()
-        if len(batches) == 1:
-            return batches[0]
-        names = {batch.topics for batch in batches
-                 if isinstance(batch.topics, str)}
-        if len(names) == 1 and all(isinstance(batch.topics, str)
-                                   for batch in batches):
-            topics: Union[str, List[str]] = names.pop()
-        else:
-            topics = []
-            for batch in batches:
-                if isinstance(batch.topics, str):
-                    topics.extend([batch.topics] * len(batch.offsets))
-                else:
-                    topics.extend(batch.topics)
-        out = cls(topics, [], [], [], [], [])
-        for batch in batches:
-            out.partitions.extend(batch.partitions)
-            out.offsets.extend(batch.offsets)
-            out.keys.extend(batch.keys)
-            out.values.extend(batch.values)
-            out.timestamps.extend(batch.timestamps)
-        return out
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -198,17 +169,13 @@ class RecordBatch:
     def __bool__(self) -> bool:
         return bool(self.offsets)
 
-    def topic_at(self, index: int) -> str:
-        topics = self.topics
-        return topics if isinstance(topics, str) else topics[index]
-
     def record(self, index: int) -> Record:
         """Materialize one row as a :class:`Record` (lazy, on demand)."""
         if index < 0:
             index += len(self.offsets)
         if not 0 <= index < len(self.offsets):
             raise IndexError(f"batch has {len(self.offsets)} rows: {index}")
-        return Record(topic=self.topic_at(index),
+        return Record(topic=self.topic,
                       partition=self.partitions[index],
                       offset=self.offsets[index],
                       key=self.keys[index],
@@ -234,10 +201,7 @@ class RecordBatch:
         # itemgetter gathers in C, but hands back a bare item for one row
         take = (itemgetter(*rows) if len(rows) > 1
                 else lambda column: [column[index] for index in rows])
-        topics = self.topics
-        if not isinstance(topics, str):
-            topics = list(take(topics))
-        return RecordBatch(topics,
+        return RecordBatch(self.topic,
                            list(take(self.partitions)),
                            list(take(self.offsets)),
                            list(take(self.keys)),
@@ -433,7 +397,8 @@ class _Group:
 
     name: str
     generation: int = 0
-    members: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: member_id -> the one topic that member reads
+    members: Dict[str, str] = field(default_factory=dict)
     #: topic -> {partition -> member_id}
     assignment: Dict[str, Dict[int, str]] = field(default_factory=dict)
     #: topic -> fair-fetch rotation cursor (next partition to scan first)
@@ -746,15 +711,16 @@ class Broker:
             pass
 
     # -- consumer groups -----------------------------------------------------------
-    def consumer(self, group: str, topics: Sequence[str], *,
+    def consumer(self, group: str, topic: str, *,
                  auto_commit: bool = True) -> "Consumer":
-        """Join ``group`` as a new member subscribed to ``topics``.
+        """Join ``group`` as a new member reading ``topic``.
 
         Joining rebalances the group: partitions are redistributed over
-        the members subscribed to each topic and fetch positions reset to
-        the committed offsets.
+        the members reading each topic and fetch positions reset to the
+        committed offsets.  A group spans several topics only through
+        different members.
         """
-        return Consumer(self, group, topics, auto_commit=auto_commit)
+        return Consumer(self, group, topic, auto_commit=auto_commit)
 
     def _group(self, name: str) -> _Group:
         if name not in self._groups:
@@ -781,10 +747,9 @@ class Broker:
         key = (group, topic, partition)
         return self._positions.get(key, self._group_offsets.get(key, 0))
 
-    def _join(self, group_name: str, member_id: str,
-              topics: Sequence[str]) -> None:
+    def _join(self, group_name: str, member_id: str, topic: str) -> None:
         group = self._group(group_name)
-        group.members[member_id] = tuple(topics)
+        group.members[member_id] = topic
         self._rebalance(group, reason="join")
 
     def _leave(self, group_name: str, member_id: str) -> None:
@@ -795,9 +760,7 @@ class Broker:
 
     def _rebalance(self, group: _Group, reason: str) -> None:
         group.generation += 1
-        affected = sorted(set(group.assignment)
-                          | {topic for topics in group.members.values()
-                             for topic in topics})
+        affected = sorted(set(group.assignment) | set(group.members.values()))
         with self.runtime.tracer.span("streaming.broker.rebalance",
                                       group=group.name, reason=reason,
                                       generation=group.generation):
@@ -805,8 +768,8 @@ class Broker:
             for topic in affected:
                 t = self._topic(topic)
                 subscribers = sorted(
-                    member for member, topics in group.members.items()
-                    if topic in topics)
+                    member for member, subscribed in group.members.items()
+                    if subscribed == topic)
                 if subscribers:
                     assignment[topic] = {
                         p: subscribers[p % len(subscribers)]
@@ -818,7 +781,7 @@ class Broker:
             group.assignment = assignment
 
     # -- fetch --------------------------------------------------------------------
-    def _fetch_batch(self, consumer: "Consumer", topic: str,
+    def _fetch_batch(self, consumer: "Consumer",
                      max_records: int) -> RecordBatch:
         """Columnar fetch from the member's partitions, fairly rotated.
 
@@ -829,6 +792,7 @@ class Broker:
         column *slice* — no per-record objects; shared-memory payloads
         resolve to read-only views row by row only where staged.
         """
+        topic = consumer.topic
         t = self._topic(topic)
         group = self._group(consumer.group)
         assigned = group.partitions_of(consumer.member_id, topic)
@@ -903,27 +867,26 @@ class Broker:
                 f"member {consumer.member_id} of group {group.name} holds "
                 f"generation {consumer.generation}, group is at "
                 f"{group.generation}; re-poll before committing")
+        topic = consumer.topic
         committed: Dict[Tuple[str, int], int] = {}
-        for topic in consumer.topics:
-            for partition in group.partitions_of(consumer.member_id, topic):
-                key = (group.name, topic, partition)
-                if positions is None:
-                    position = self._positions.get(key)
-                else:
-                    position = positions.get((topic, partition))
-                if position is None:
-                    continue
-                if position > self._group_offsets.get(key, 0):
-                    self._group_offsets[key] = position
-                    committed[(topic, partition)] = position
-            self._update_lag(group.name, topic)
+        for partition in group.partitions_of(consumer.member_id, topic):
+            key = (group.name, topic, partition)
+            if positions is None:
+                position = self._positions.get(key)
+            else:
+                position = positions.get((topic, partition))
+            if position is None:
+                continue
+            if position > self._group_offsets.get(key, 0):
+                self._group_offsets[key] = position
+                committed[(topic, partition)] = position
+        self._update_lag(group.name, topic)
         return committed
 
     def _seek_to_committed(self, consumer: "Consumer") -> None:
-        group = self._group(consumer.group)
-        for topic in consumer.topics:
-            for partition in group.partitions_of(consumer.member_id, topic):
-                self._positions.pop((group.name, topic, partition), None)
+        group, topic = self._group(consumer.group), consumer.topic
+        for partition in group.partitions_of(consumer.member_id, topic):
+            self._positions.pop((group.name, topic, partition), None)
 
     # -- group-level views ---------------------------------------------------------
     def lag(self, group: str, topic: str) -> int:
@@ -947,19 +910,16 @@ class Consumer:
     redelivery.
     """
 
-    def __init__(self, broker: Broker, group: str, topics: Sequence[str],
+    def __init__(self, broker: Broker, group: str, topic: str,
                  auto_commit: bool = True):
-        if not topics:
-            raise BrokerError("consumer needs at least one topic")
-        for topic in topics:
-            broker._topic(topic)  # validate
+        broker._topic(topic)  # validate
         self.broker = broker
         self.group = group
-        self.topics = list(topics)
+        self.topic = topic
         self.auto_commit = auto_commit
         self.member_id = broker.runtime.gensym(f"{group}-member")
         self._closed = False
-        broker._join(group, self.member_id, self.topics)
+        broker._join(group, self.member_id, topic)
         self.generation = broker.group_generation(group)
 
     # -- membership -----------------------------------------------------------
@@ -968,8 +928,9 @@ class Consumer:
         self._ensure_open()
         self._sync()
         group = self.broker._group(self.group)
-        return [(topic, partition) for topic in self.topics
-                for partition in group.partitions_of(self.member_id, topic)]
+        return [(self.topic, partition)
+                for partition in group.partitions_of(self.member_id,
+                                                     self.topic)]
 
     def close(self) -> None:
         """Leave the group (triggers a rebalance); idempotent."""
@@ -1000,31 +961,16 @@ class Consumer:
 
         The one fetch path: offsets, positions, auto-commit, fairness and
         rebalance semantics live here, and :meth:`poll` is a row view of
-        the result.  The batch spans this member's topics in
-        subscription order; ``batch.groups()`` yields per-key sub-batches
-        (a camera's frames together, ready to stack for the gateway).
+        the result.  ``batch.groups()`` yields per-key sub-batches (a
+        camera's frames together, ready to stack for the gateway).
         """
         self._ensure_open()
         if max_records < 1:
             raise BrokerError(f"max_records must be >= 1: {max_records}")
         self._sync()
-        broker = self.broker
-        if len(self.topics) == 1:
-            out = broker._fetch_batch(self, self.topics[0], max_records)
-        else:
-            batches = []
-            remaining = max_records
-            for topic in self.topics:
-                if remaining <= 0:
-                    break
-                batch = broker._fetch_batch(self, topic, remaining)
-                if batch:
-                    batches.append(batch)
-                    remaining -= len(batch)
-            out = RecordBatch.concat(batches) if batches \
-                else RecordBatch.empty(self.topics[0])
+        out = self.broker._fetch_batch(self, max_records)
         if self.auto_commit and out:
-            broker._commit(self)
+            self.broker._commit(self)
         return out
 
     def drain(self) -> List[Record]:
@@ -1050,12 +996,11 @@ class Consumer:
         broker = self.broker
         group = broker._group(self.group)
         snapshot: Dict[Tuple[str, int], int] = {}
-        for topic in self.topics:
-            for partition in group.partitions_of(self.member_id, topic):
-                position = broker._positions.get(
-                    (self.group, topic, partition))
-                if position is not None:
-                    snapshot[(topic, partition)] = position
+        for partition in group.partitions_of(self.member_id, self.topic):
+            position = broker._positions.get(
+                (self.group, self.topic, partition))
+            if position is not None:
+                snapshot[(self.topic, partition)] = position
         return snapshot
 
     def commit(self, positions: Optional[Dict[Tuple[str, int], int]] = None

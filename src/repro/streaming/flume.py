@@ -1,15 +1,16 @@
 """Flume-style ingestion agents: source -> channel -> sink.
 
 An agent pumps events from a :class:`FunctionSource` through a bounded
-:class:`Channel` into a sink.  The channel gives *transactional batch*
-semantics: a taken batch is only removed on commit; a sink failure rolls the
-batch back to the head of the channel, yielding at-least-once delivery —
-the property the ingestion tests assert under injected sink failures.
+:class:`Channel` into a sink.  The agent hands the sink the head of the
+channel in place and drops it only after the sink returns, so a failed
+delivery of any kind leaves every event in the channel, in order:
+at-least-once delivery, the property the ingestion tests assert under
+injected sink failures.
 
 :func:`broker_sink` closes the loop with :mod:`repro.streaming.broker`:
-it produces each committed batch atomically onto a topic; a
+it produces each delivered batch atomically onto a topic; a
 :class:`~repro.streaming.broker.BackpressureError` from a bounded
-partition becomes a :class:`SinkError`, so the batch rolls back into the
+partition becomes a :class:`SinkError`, so the batch stays in the
 channel, the channel fills, and ``pump_source`` stops pulling — broker
 backpressure propagates all the way to the source.
 """
@@ -49,14 +50,9 @@ class FunctionSource:
         self.emitted += len(events)
         return events
 
-    def next_event(self) -> Optional[Any]:
-        """The next event, or None when exhausted."""
-        events = self.next_events(1)
-        return events[0] if events else None
-
 
 class Channel:
-    """A bounded FIFO with transactional batch take."""
+    """A bounded FIFO; the agent drops its head once the sink has it."""
 
     def __init__(self, capacity: int = 1000):
         if capacity < 1:
@@ -86,39 +82,6 @@ class Channel:
                 f"channel at capacity ({self.capacity})")
         self._queue.extend(events)
 
-    def take_batch(self, max_events: int) -> "Transaction":
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1: {max_events}")
-        queue = self._queue
-        if max_events >= len(queue):
-            events = list(queue)
-            queue.clear()
-        else:
-            take = queue.popleft
-            events = [take() for _ in range(max_events)]
-        return Transaction(self, events)
-
-
-class Transaction:
-    """A taken batch awaiting commit or rollback."""
-
-    def __init__(self, channel: Channel, events: List[Any]):
-        self._channel = channel
-        self.events = events
-        self._closed = False
-
-    def commit(self) -> None:
-        if self._closed:
-            raise RuntimeError("transaction already closed")
-        self._closed = True
-
-    def rollback(self) -> None:
-        """Return the batch to the head of the channel, preserving order."""
-        if self._closed:
-            raise RuntimeError("transaction already closed")
-        self._channel._queue.extendleft(reversed(self.events))
-        self._closed = True
-
 
 @dataclass
 class AgentMetrics:
@@ -138,7 +101,7 @@ class AgentMetrics:
 
 
 class FlumeAgent:
-    """Pump events source -> channel -> sink with batch transactions.
+    """Pump events source -> channel -> sink, one batch per delivery.
 
     Parameters
     ----------
@@ -146,8 +109,9 @@ class FlumeAgent:
         A :class:`FunctionSource` (or anything with ``next_events``).
     sink:
         Callable taking a list of events; raise :class:`SinkError` to signal
-        a transient failure (the batch is rolled back and retried on the
-        next pump).
+        a transient failure (the batch stays in the channel and is retried
+        on the next pump).  Any other exception propagates, with the
+        batch likewise still in the channel.
     channel:
         Buffering channel; defaults to capacity 1000.
     batch_size:
@@ -221,24 +185,28 @@ class FlumeAgent:
         """Deliver one batch from the channel to the sink.
 
         Returns the number of events delivered (0 on failure or empty
-        channel); a failed batch is rolled back for retry.
+        channel).  The sink gets the channel's first ``batch_size``
+        events, which leave the channel only once the sink returns; a
+        failed batch stays at the head for retry.
         """
-        transaction = self.channel.take_batch(self.batch_size)
-        events = transaction.events
+        queue = self.channel._queue
+        events = list(islice(queue, self.batch_size))
         if not events:
-            transaction.commit()
             return 0
         with self.runtime.tracer.span("streaming.flume.deliver",
                                       agent=self.name) as span:
             try:
-                self.sink(list(events))
+                self.sink(events)
             except SinkError:
-                transaction.rollback()
                 self._rolled_back.inc()
                 span.annotate(outcome="rolled_back")
                 self._depth.set(len(self.channel))
                 return 0
-            transaction.commit()
+            if len(events) == len(queue):
+                queue.clear()
+            else:
+                for _ in events:
+                    queue.popleft()
             span.annotate(outcome="committed")
         self._committed.inc()
         self._delivered.inc(len(events))
@@ -276,21 +244,16 @@ def dfs_sink(dfs, path_prefix: str,
     return sink
 
 
-def collection_sink(collection) -> Callable[[List[Any]], None]:
-    """Sink inserting each batch of dict events, all of it or none."""
-    return collection.insert_many
-
-
 def broker_sink(broker, topic: str) -> Callable[[List[Any]], None]:
     """Sink producing each batch atomically, unkeyed, onto a broker topic.
 
     The whole batch is admitted or none of it
     (:meth:`~repro.streaming.broker.Broker.produce_batch`), so a
-    backpressure stall rolls the *entire* flume transaction back with no
-    delivered prefix — a retry cannot duplicate records.  The stall is
+    backpressure stall keeps the *entire* flume batch in the channel with
+    no delivered prefix — a retry cannot duplicate records.  The stall is
     surfaced as :class:`SinkError`, which is exactly the flume retry
-    signal: the batch returns to the channel head, the channel fills,
-    and the source stops being pumped until consumers commit.
+    signal: the batch stays at the channel head, the channel fills, and
+    the source stops being pumped until consumers commit.
     """
 
     def sink(events: List[Any]) -> None:

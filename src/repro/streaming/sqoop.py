@@ -88,7 +88,7 @@ class SqoopImporter:
                          table_name: str) -> Dict[str, List[dict]]:
         """Consume the job topic back, grouped and ordered by mapper key."""
         consumer = self.broker.consumer(
-            f"sqoop-writer-{table_name}", [topic], auto_commit=False)
+            f"sqoop-writer-{table_name}", topic, auto_commit=False)
         grouped: Dict[str, List[dict]] = {}
         try:
             while True:
@@ -129,7 +129,7 @@ class SqoopImporter:
                                       target="collection"):
             topic = self._produce_splits(table, table_name, num_mappers)
             consumer = self.broker.consumer(
-                f"sqoop-writer-{table_name}", [topic], auto_commit=False)
+                f"sqoop-writer-{table_name}", topic, auto_commit=False)
             rows = 0
             try:
                 while True:

@@ -118,8 +118,6 @@ KEEP: Dict[str, str] = {
         "the shared-memory leak check until ROADMAP 13(a)",
     "repro.streaming.broker.Broker.partition_assignment": ORACLE,
     "repro.streaming.broker.Consumer.position": ORACLE,
-    "repro.streaming.flume.FunctionSource.next_event": INGEST,
-    "repro.streaming.flume.collection_sink": INGEST,
     "repro.streaming.flume.dfs_sink": INGEST,
     "repro.streaming.rdbms.RelationalDatabase.table_names": INGEST,
     "repro.streaming.sqoop.SqoopImporter.import_table": INGEST,

@@ -70,6 +70,15 @@ class TestDStreamTransformations:
         assert sorted(evens) == [0, 2, 4]
         assert sorted(odds) == [1, 3, 5]
 
+    def test_two_source_chains_on_one_topic_each_see_all_of_it(self):
+        bus = bus_with("events", range(40), partitions=4)
+        context = StreamingContext(bus, batch_max_records=100)
+        first, second = [], []
+        context.stream("events").foreach_batch(first.extend)
+        context.stream("events").foreach_batch(second.extend)
+        assert context.run_until_idle() == 40
+        assert sorted(first) == sorted(second) == list(range(40))
+
     def test_non_source_cannot_tick(self):
         bus = bus_with("events", [])
         context = StreamingContext(bus)

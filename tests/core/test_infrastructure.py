@@ -109,7 +109,7 @@ class TestCollectionPipeline:
     def test_bus_carries_copies(self):
         infra, crime_records = self.build()
         infra.run_collection_pipeline()
-        consumer = infra.bus.consumer("analytics", ["crimes"])
+        consumer = infra.bus.consumer("analytics", "crimes")
         assert len(consumer.drain()) == len(crime_records)
 
     def test_analysis_aggregates_districts(self):
@@ -275,7 +275,7 @@ class TestBatchIngest:
         # consumed-head eviction: once each partition holds 8 records,
         # no cycle can free room, so the ingest must fail loudly.
         infra = self.infra(capacity=8)
-        audit = infra.bus.consumer("audit", ["feed"], auto_commit=False)
+        audit = infra.bus.consumer("audit", "feed", auto_commit=False)
         audit.commit({("feed", partition): 1 for partition in range(4)})
         audit.close()
         with pytest.raises(BackpressureError,
@@ -290,7 +290,7 @@ class TestBatchIngest:
         sizes = infra.bus.partition_sizes("feed")
         assert sum(sizes) == len(self.RECORDS)
         assert max(sizes) - min(sizes) <= 1
-        replay = infra.bus.consumer("audit", ["feed"]).drain()
+        replay = infra.bus.consumer("audit", "feed").drain()
         assert all(record.key is None for record in replay)
 
     def test_failed_insert_leaves_offsets_uncommitted(self, monkeypatch):
@@ -314,7 +314,7 @@ class TestBatchIngest:
         assert sum(self.committed(infra)) == sum(calls[:2])
         assert infra.bus.group_members("storage") == []
         # The uncommitted batch is redelivered to the next group member.
-        member = infra.bus.consumer("storage", ["feed"], auto_commit=False)
+        member = infra.bus.consumer("storage", "feed", auto_commit=False)
         redelivered = member.poll_batch(100)
         assert len(redelivered) == calls[2]
         infra.collection("feed").insert_many(redelivered.values)

@@ -94,7 +94,7 @@ class TestCollection:
         collector = TweetCollector(bus=bus, topic="watch")
         collector.add_keywords("guns", ["shots"])
         collector.collect([tweet("shots", user="u7")])
-        records = bus.consumer("g", ["watch"]).drain()
+        records = bus.consumer("g", "watch").drain()
         assert len(records) == 1
         assert records[0].key == "u7"
         assert records[0].value["matched"] == ["guns"]

@@ -74,7 +74,7 @@ def test_bus_preserves_per_key_order(messages, partitions):
     bus.create_topic("t", partitions=partitions)
     for key, value in messages:
         bus.produce("t", value, key=key)
-    consumed = bus.consumer("g", ["t"]).drain()
+    consumed = bus.consumer("g", "t").drain()
     for key in "xyz":
         got = [r.value for r in consumed if r.key == key]
         expected = [v for k, v in messages if k == key]
@@ -90,7 +90,7 @@ def test_bus_every_group_sees_every_record(values, partitions, groups):
     for value in values:
         bus.produce("t", value)
     for group in range(groups):
-        consumed = bus.consumer(f"g{group}", ["t"]).drain()
+        consumed = bus.consumer(f"g{group}", "t").drain()
         assert sorted(r.value for r in consumed) == sorted(values)
 
 

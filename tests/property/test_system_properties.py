@@ -40,33 +40,47 @@ def test_channel_transactions_never_lose_events(values, batch):
     for value in values:
         channel.put(value)
     drained = []
-    while True:
-        txn = channel.take_batch(batch)
-        if not txn.events:
-            txn.commit()
-            break
-        txn.rollback()
-        txn2 = channel.take_batch(batch)
-        drained.extend(txn2.events)
-        txn2.commit()
+    attempts = []
+
+    def sink(events):
+        attempts.append(list(events))
+        if len(attempts) % 2:
+            raise SinkError("retry")   # every first attempt fails
+        drained.extend(events)
+
+    agent = FlumeAgent(FunctionSource([]), sink, channel=channel,
+                       batch_size=batch)
+    while len(channel):
+        queued = list(channel._queue)
+        if agent.pump_sink() == 0:
+            assert list(channel._queue) == queued
+        else:
+            assert list(channel._queue) == queued[len(attempts[-1]):]
     assert drained == values
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(), min_size=0, max_size=60),
-       st.integers(0, 5), st.integers(1, 10))
-def test_flume_at_least_once_any_failure_pattern(events, failures, batch):
+       st.integers(0, 5), st.integers(1, 10),
+       st.sampled_from([SinkError, RuntimeError]))
+def test_flume_at_least_once_any_failure_pattern(events, failures, batch,
+                                                 failure):
     received = []
     remaining = {"n": failures}
 
     def sink(batch_events):
         if remaining["n"] > 0:
             remaining["n"] -= 1
-            raise SinkError("transient")
+            raise failure("transient")
         received.extend(batch_events)
 
     agent = FlumeAgent(FunctionSource(list(events)), sink, batch_size=batch)
-    metrics = agent.run()
+    for _ in range(failures + 1):
+        try:
+            metrics = agent.run()
+            break
+        except RuntimeError:
+            pass    # a sink that raises anything else: run the agent again
     assert received == list(events)
     assert metrics.events_delivered == len(events)
 

@@ -115,7 +115,7 @@ def broker(built, other):
     with using_runtime(other):
         bus.create_topic("t", partitions=1)
         bus.produce("t", 1)
-        bus.consumer("g", ["t"]).poll(10)
+        bus.consumer("g", "t").poll(10)
     return {"streaming.broker.rebalance", "streaming.broker.lag"}
 
 

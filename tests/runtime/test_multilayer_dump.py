@@ -28,7 +28,7 @@ def run_multilayer_experiment():
     agent = FlumeAgent(FunctionSource(range(16)), broker_sink(bus, "frames"),
                        batch_size=4)
     agent.run()
-    bus.consumer("analytics", ["frames"]).drain()
+    bus.consumer("analytics", "frames").drain()
 
     # compute: a shuffle through the Spark-style layer
     context = SparkContext(default_parallelism=2)

@@ -36,7 +36,7 @@ class TestCommitReplay:
         broker = make_broker(partitions=1)
         for i in range(6):
             broker.produce("events", i)
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
+        consumer = broker.consumer("g", "events", auto_commit=False)
         assert [r.value for r in consumer.poll(3)] == [0, 1, 2]
         # nothing committed yet: the committed offset is still 0
         assert broker.committed_offset("g", "events", 0) == 0
@@ -47,7 +47,7 @@ class TestCommitReplay:
         with using_runtime(Runtime()) as runtime:
             broker = make_broker(partitions=2)
             broker.produce_batch("events", list(range(10)))
-            consumer = broker.consumer("g", ["events"], auto_commit=False)
+            consumer = broker.consumer("g", "events", auto_commit=False)
             gauge = runtime.registry.gauge("streaming.broker.lag")
             assert gauge.series() == {}           # binding creates no series
             consumer.poll_batch(4)
@@ -60,7 +60,7 @@ class TestCommitReplay:
         broker = make_broker(partitions=1)
         for i in range(5):
             broker.produce("events", i)
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
+        consumer = broker.consumer("g", "events", auto_commit=False)
         first = consumer.poll(3)
         consumer.seek_to_committed()     # the "crash": drop the in-flight read
         replay = consumer.poll(5)
@@ -74,31 +74,31 @@ class TestCommitReplay:
         broker = make_broker(partitions=1)
         for i in range(4):
             broker.produce("events", i)
-        doomed = broker.consumer("g", ["events"], auto_commit=False)
+        doomed = broker.consumer("g", "events", auto_commit=False)
         assert len(doomed.poll(4)) == 4
         doomed.close()                   # left without committing
-        survivor = broker.consumer("g", ["events"], auto_commit=False)
+        survivor = broker.consumer("g", "events", auto_commit=False)
         assert [r.value for r in survivor.poll(10)] == [0, 1, 2, 3]
 
     def test_auto_commit_preserves_old_semantics(self):
         broker = make_broker(partitions=1)
         for i in range(4):
             broker.produce("events", i)
-        consumer = broker.consumer("g", ["events"])  # auto_commit default
+        consumer = broker.consumer("g", "events")  # auto_commit default
         consumer.poll(2)
         assert broker.committed_offset("g", "events", 0) == 2
 
     def test_commit_reports_advanced_offsets(self):
         broker = make_broker(partitions=1)
         broker.produce("events", "a")
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
+        consumer = broker.consumer("g", "events", auto_commit=False)
         consumer.poll(1)
         assert consumer.commit() == {("events", 0): 1}
         assert consumer.commit() == {}   # idempotent: nothing new
 
     def test_closed_consumer_rejected(self):
         broker = make_broker()
-        consumer = broker.consumer("g", ["events"])
+        consumer = broker.consumer("g", "events")
         consumer.close()
         with pytest.raises(BrokerError):
             consumer.poll()
@@ -108,13 +108,13 @@ class TestCommitReplay:
 class TestRebalance:
     def test_single_member_owns_everything(self):
         broker = make_broker(partitions=4)
-        consumer = broker.consumer("g", ["events"])
+        consumer = broker.consumer("g", "events")
         assert consumer.assignment() == [("events", p) for p in range(4)]
 
     def test_join_redistributes_partitions(self):
         broker = make_broker(partitions=4)
-        a = broker.consumer("g", ["events"])
-        b = broker.consumer("g", ["events"])
+        a = broker.consumer("g", "events")
+        b = broker.consumer("g", "events")
         owned_a = {p for _, p in a.assignment()}
         owned_b = {p for _, p in b.assignment()}
         assert owned_a | owned_b == {0, 1, 2, 3}
@@ -122,9 +122,9 @@ class TestRebalance:
 
     def test_generation_bumps_on_membership_change(self):
         broker = make_broker()
-        a = broker.consumer("g", ["events"])
+        a = broker.consumer("g", "events")
         assert broker.group_generation("g") == 1
-        b = broker.consumer("g", ["events"])
+        b = broker.consumer("g", "events")
         assert broker.group_generation("g") == 2
         b.close()
         assert broker.group_generation("g") == 3
@@ -134,9 +134,9 @@ class TestRebalance:
         broker = make_broker(partitions=2)
         for i in range(4):
             broker.produce("events", i)
-        a = broker.consumer("g", ["events"], auto_commit=False)
+        a = broker.consumer("g", "events", auto_commit=False)
         a.poll(4)
-        broker.consumer("g", ["events"], auto_commit=False)  # rebalance
+        broker.consumer("g", "events", auto_commit=False)  # rebalance
         with pytest.raises(RebalanceError):
             a.commit()
 
@@ -144,9 +144,9 @@ class TestRebalance:
         broker = make_broker(partitions=2)
         for i in range(6):
             broker.produce("events", i)
-        a = broker.consumer("g", ["events"], auto_commit=False)
+        a = broker.consumer("g", "events", auto_commit=False)
         a.poll(6)                        # read everything, commit nothing
-        b = broker.consumer("g", ["events"], auto_commit=False)
+        b = broker.consumer("g", "events", auto_commit=False)
         with pytest.raises(RebalanceError):
             a.commit()
         # between the two members every record is redelivered
@@ -158,16 +158,16 @@ class TestRebalance:
         broker = make_broker(partitions=4)
         for i in range(20):
             broker.produce("events", i)
-        a = broker.consumer("g", ["events"])
-        b = broker.consumer("g", ["events"])
+        a = broker.consumer("g", "events")
+        b = broker.consumer("g", "events")
         got_a = [r.value for r in a.drain()]
         got_b = [r.value for r in b.drain()]
         assert sorted(got_a + got_b) == list(range(20))
 
     def test_member_leave_hands_partitions_over(self):
         broker = make_broker(partitions=2)
-        a = broker.consumer("g", ["events"])
-        b = broker.consumer("g", ["events"])
+        a = broker.consumer("g", "events")
+        b = broker.consumer("g", "events")
         b.close()
         assert {p for _, p in a.assignment()} == {0, 1}
 
@@ -183,7 +183,7 @@ class TestBackpressure:
     def test_oversized_batch_is_not_retryable(self):
         broker = make_broker(partitions=1, max_partition_records=2)
         broker.produce_batch("events", [0, 1])
-        broker.consumer("g", ["events"]).poll(2)     # commits the head
+        broker.consumer("g", "events").poll(2)     # commits the head
         with pytest.raises(BrokerError) as refused:
             broker.produce_batch("events", [2, 3, 4])
         # no commit can ever make room for it, so it is not a stall
@@ -212,14 +212,14 @@ class TestBackpressure:
         # is not disturbed by the earlier attempt
         assert broker.topic_size("events") == 1
         broker.produce_batch("events", [1, 2])
-        values = [r.value for r in broker.consumer("g", ["events"]).drain()]
+        values = [r.value for r in broker.consumer("g", "events").drain()]
         assert values == [0, 1, 2]
 
     def test_produce_unblocks_after_consumers_commit(self):
         broker = make_broker(partitions=1, max_partition_records=2)
         broker.produce("events", 0)
         broker.produce("events", 1)
-        consumer = broker.consumer("g", ["events"])
+        consumer = broker.consumer("g", "events")
         consumer.poll(2)                 # auto-commits both records
         broker.produce("events", 2)      # head is consumed-evictable now
         assert broker.topic_size("events") <= 2
@@ -229,15 +229,15 @@ class TestBackpressure:
         broker = make_broker(partitions=1, max_partition_records=2)
         broker.produce("events", 0)
         broker.produce("events", 1)
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
+        consumer = broker.consumer("g", "events", auto_commit=False)
         consumer.poll(2)                 # read but NOT committed
         with pytest.raises(BackpressureError):
             broker.produce("events", 2)  # uncommitted head must survive
 
     def test_subscribed_group_without_commits_pins_the_head(self):
         broker = make_broker(partitions=1, max_partition_records=4)
-        reader = broker.consumer("A", ["events"])
-        idle = broker.consumer("B", ["events"], auto_commit=False)
+        reader = broker.consumer("A", "events")
+        idle = broker.consumer("B", "events", auto_commit=False)
         broker.produce_batch("events", [0, 1, 2, 3])
         assert [r.value for r in reader.poll(4)] == [0, 1, 2, 3]
         # A has committed the whole log; B has read nothing, so nothing
@@ -271,7 +271,7 @@ class TestFairFetch:
         bounded poll against a hot partition 0 starved 1..N forever."""
         keys = keys_for_partitions(2)
         broker = make_broker(partitions=2)
-        consumer = broker.consumer("g", ["events"])
+        consumer = broker.consumer("g", "events")
         broker.produce("events", "cold", key=keys[1])
         seen = []
         for round_no in range(10):
@@ -285,7 +285,7 @@ class TestFairFetch:
         broker = make_broker(partitions=4)
         for i in range(40):
             broker.produce("events", i)   # round-robin: 10 per partition
-        consumer = broker.consumer("g", ["events"])
+        consumer = broker.consumer("g", "events")
         first = consumer.poll(10)
         second = consumer.poll(10)
         # capped polls move on to the next partition instead of re-pinning
@@ -296,7 +296,7 @@ class TestFairFetch:
         broker = make_broker(partitions=4)
         for i in range(37):
             broker.produce("events", i)
-        consumer = broker.consumer("g", ["events"])
+        consumer = broker.consumer("g", "events")
         out = []
         while True:
             batch = consumer.poll(5)
@@ -312,7 +312,7 @@ class TestZeroCopy:
         broker.create_topic("frames", partitions=1, share_ndarrays=True)
         frame = np.arange(64 * 1024, dtype=np.float32)  # 256 KiB
         broker.produce("frames", frame)
-        record = broker.consumer("g", ["frames"]).poll(1)[0]
+        record = broker.consumer("g", "frames").poll(1)[0]
         np.testing.assert_array_equal(record.value, frame)
         assert not record.value.flags.writeable     # zero-copy view
         assert broker.shm_bytes_staged() >= frame.nbytes
@@ -322,8 +322,8 @@ class TestZeroCopy:
         broker.create_topic("frames", partitions=1, share_ndarrays=True)
         frame = np.ones((512, 512), dtype=np.float64)
         broker.produce("frames", frame)
-        a = broker.consumer("ga", ["frames"]).poll(1)[0]
-        b = broker.consumer("gb", ["frames"]).poll(1)[0]
+        a = broker.consumer("ga", "frames").poll(1)[0]
+        b = broker.consumer("gb", "frames").poll(1)[0]
         # both groups read the same shared segment, staged exactly once
         assert a.value.base is not None and b.value.base is not None
         assert broker.shm_bytes_staged() == frame.nbytes
@@ -333,7 +333,7 @@ class TestZeroCopy:
         broker.create_topic("frames", partitions=1, share_ndarrays=True)
         small = np.arange(8)
         broker.produce("frames", small)
-        record = broker.consumer("g", ["frames"]).poll(1)[0]
+        record = broker.consumer("g", "frames").poll(1)[0]
         np.testing.assert_array_equal(record.value, small)
         assert broker.shm_bytes_staged() == 0
 
@@ -347,7 +347,7 @@ class TestZeroCopy:
         batch = broker.produce_batch("frames", values)
         assert all(got is sent for got, sent in zip(batch.values, values))
         assert broker.tracked_segments() == 3
-        polled = broker.consumer("g", ["frames"]).poll_batch(10).values
+        polled = broker.consumer("g", "frames").poll_batch(10).values
         assert sorted(float(value.sum()) for value in polled) \
             == sorted(float(value.sum()) for value in [large, *values])
         assert not any(value.flags.writeable for value in polled
@@ -382,7 +382,7 @@ class TestZeroCopy:
         broker = Broker()
         broker.create_topic("frames", partitions=1, share_ndarrays=True,
                             max_partition_records=1)
-        consumer = broker.consumer("g", ["frames"])
+        consumer = broker.consumer("g", "frames")
         for _ in range(3):
             broker.produce("frames", np.zeros(64 * 1024, dtype=np.float32))
             consumer.poll(1)             # commits, so the next produce evicts

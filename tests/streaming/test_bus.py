@@ -72,7 +72,7 @@ class TestConsume:
         bus = make_bus()
         for i in range(5):
             bus.produce("tweets", f"msg-{i}")
-        consumer = bus.consumer("analytics", ["tweets"])
+        consumer = bus.consumer("analytics", "tweets")
         values = {r.value for r in consumer.drain()}
         assert values == {f"msg-{i}" for i in range(5)}
 
@@ -80,7 +80,7 @@ class TestConsume:
         bus = make_bus(partitions=1)
         for i in range(5):
             bus.produce("tweets", i)
-        consumer = bus.consumer("g", ["tweets"])
+        consumer = bus.consumer("g", "tweets")
         first = consumer.poll(3)
         second = consumer.poll(3)
         assert [r.value for r in first] == [0, 1, 2]
@@ -90,7 +90,7 @@ class TestConsume:
         bus = make_bus()
         for i in range(20):
             bus.produce("tweets", i, key="cam-7")
-        consumer = bus.consumer("g", ["tweets"])
+        consumer = bus.consumer("g", "tweets")
         values = [r.value for r in consumer.drain()]
         assert values == list(range(20))
 
@@ -98,8 +98,8 @@ class TestConsume:
         bus = make_bus()
         for i in range(10):
             bus.produce("tweets", i)
-        a = bus.consumer("group-a", ["tweets"]).drain()
-        b = bus.consumer("group-b", ["tweets"]).drain()
+        a = bus.consumer("group-a", "tweets").drain()
+        b = bus.consumer("group-b", "tweets").drain()
         assert len(a) == len(b) == 10
 
     def test_lag_tracks_unconsumed(self):
@@ -107,28 +107,18 @@ class TestConsume:
         for i in range(10):
             bus.produce("tweets", i)
         assert bus.lag("g", "tweets") == 10
-        consumer = bus.consumer("g", ["tweets"])
+        consumer = bus.consumer("g", "tweets")
         consumer.poll(4)
         assert bus.lag("g", "tweets") == 6
         consumer.drain()
         assert bus.lag("g", "tweets") == 0
 
-    def test_multi_topic_consumer(self):
-        bus = make_bus()
-        bus.create_topic("waze")
-        bus.produce("tweets", "t")
-        bus.produce("waze", "w")
-        consumer = bus.consumer("g", ["tweets", "waze"])
-        assert {r.value for r in consumer.drain()} == {"t", "w"}
-
     def test_consumer_validates(self):
         bus = make_bus()
         with pytest.raises(BrokerError):
-            bus.consumer("g", [])
+            bus.consumer("g", "ghost")
         with pytest.raises(BrokerError):
-            bus.consumer("g", ["ghost"])
-        with pytest.raises(BrokerError):
-            bus.consumer("g", ["tweets"]).poll(0)
+            bus.consumer("g", "tweets").poll(0)
 
     def test_records_carry_metadata(self):
         bus = make_bus()

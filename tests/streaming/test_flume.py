@@ -1,4 +1,4 @@
-"""Tests for Flume-style agents: transactional channels, retry delivery."""
+"""Tests for Flume-style agents: bounded channels, retry delivery."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,20 +15,27 @@ from repro.streaming import (
     FunctionSource,
     SinkError,
     broker_sink,
-    collection_sink,
     dfs_sink,
 )
+
+
+def deliver(channel, batch_size, sink):
+    """One ``pump_sink`` of an agent over ``channel``."""
+    agent = FlumeAgent(FunctionSource([]), sink, channel=channel,
+                       batch_size=batch_size)
+    return agent.pump_sink()
 
 
 class TestFunctionSource:
     def test_iterable_source(self):
         source = FunctionSource([1, 2, 3])
-        assert [source.next_event() for _ in range(4)] == [1, 2, 3, None]
+        assert [source.next_events(1) for _ in range(4)] == \
+            [[1], [2], [3], []]
         assert source.emitted == 3
 
     def test_callable_source(self):
         source = FunctionSource(lambda: iter("ab"))
-        assert source.next_event() == "a"
+        assert source.next_events(1) == ["a"]
 
     def test_bulk_read_is_short_only_when_dry(self):
         source = FunctionSource(range(5))
@@ -43,10 +50,10 @@ class TestChannel:
         channel = Channel()
         for i in range(5):
             channel.put(i)
-        txn = channel.take_batch(3)
-        assert txn.events == [0, 1, 2]
-        txn.commit()
-        assert len(channel) == 2
+        received = []
+        assert deliver(channel, 3, received.extend) == 3
+        assert received == [0, 1, 2]
+        assert list(channel._queue) == [3, 4]
 
     def test_capacity_enforced(self):
         channel = Channel(capacity=2)
@@ -65,55 +72,63 @@ class TestChannel:
         assert len(channel) == 3
         channel.put_many([4])
         assert channel.full and channel.room == 0
-        assert channel.take_batch(10).events == [1, 2, 3, 4]
+        received = []
+        assert deliver(channel, 10, received.extend) == 4
+        assert received == [1, 2, 3, 4] and len(channel) == 0
 
     def test_rollback_restores_order(self):
         channel = Channel()
         for i in range(5):
             channel.put(i)
-        txn = channel.take_batch(3)
-        txn.rollback()
-        txn2 = channel.take_batch(5)
-        assert txn2.events == [0, 1, 2, 3, 4]
+
+        def failing_sink(events):
+            raise SinkError("down")
+
+        assert deliver(channel, 3, failing_sink) == 0
+        assert list(channel._queue) == [0, 1, 2, 3, 4]
+        received = []
+        assert deliver(channel, 5, received.extend) == 5
+        assert received == [0, 1, 2, 3, 4]
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(), max_size=20), st.integers(-3, 3),
-           st.booleans(), st.lists(st.integers(), max_size=4))
+           st.sampled_from([None, SinkError, RuntimeError]),
+           st.lists(st.integers(), max_size=4))
     def test_take_commits_a_prefix_and_rollback_restores_the_queue(
-            self, events, offset, commit, later):
-        # max_events below, equal to and above the queue length
+            self, events, offset, failure, later):
+        # max_events below, equal to and above the queue length; the sink
+        # returns (None) or raises the drawn failure
         channel = Channel(capacity=len(events) + len(later) + 1)
         channel.put_many(events)
         max_events = max(1, len(events) + offset)
-        txn = channel.take_batch(max_events)
         taken = events[:max_events]
-        assert txn.events == taken
-        assert list(channel._queue) == events[len(taken):]
-        channel.put_many(later)  # arrivals while the batch is out
-        assert txn.events == taken
-        if commit:
-            txn.commit()
+        handed = []
+
+        def sink(batch):
+            handed.append(list(batch))
+            channel.put_many(later)  # arrivals while the batch is out
+            if failure is not None:
+                raise failure("down")
+
+        if failure is RuntimeError and events:
+            with pytest.raises(RuntimeError):
+                deliver(channel, max_events, sink)
+        else:
+            delivered = deliver(channel, max_events, sink)
+            assert delivered == (len(taken) if failure is None else 0)
+        if not events:
+            assert handed == [] and len(channel) == 0
+            return
+        assert handed == [taken]
+        if failure is None:
             assert list(channel._queue) == events[len(taken):] + later
         else:
-            txn.rollback()
             assert list(channel._queue) == events + later
         assert channel.room == channel.capacity - len(channel)
-
-    def test_double_commit_rejected(self):
-        channel = Channel()
-        channel.put(1)
-        txn = channel.take_batch(1)
-        txn.commit()
-        with pytest.raises(RuntimeError):
-            txn.commit()
-        with pytest.raises(RuntimeError):
-            txn.rollback()
 
     def test_validates(self):
         with pytest.raises(ValueError):
             Channel(capacity=0)
-        with pytest.raises(ValueError):
-            Channel().take_batch(0)
 
 
 class TestFlumeAgent:
@@ -227,7 +242,7 @@ class TestSinks:
         collection = Collection("tweets")
         events = [{"text": f"tweet {i}"} for i in range(7)]
         agent = FlumeAgent(FunctionSource(events),
-                           collection_sink(collection), batch_size=3)
+                           collection.insert_many, batch_size=3)
         agent.run()
         assert collection.count({}) == 7
 
@@ -240,7 +255,7 @@ class TestSinks:
         agent.run()
         assert bus.topic_size("tweets") == 8
         # the sink produces unkeyed: round-robin over the partitions
-        records = bus.consumer("g", ["tweets"]).drain()
+        records = bus.consumer("g", "tweets").drain()
         assert {r.key for r in records} == {None}
         assert sorted(int(r.value["text"]) for r in records) == list(range(8))
         assert bus.partition_sizes("tweets") == [2, 2, 2, 2]

@@ -29,7 +29,7 @@ class TestBrokerSink:
                            broker_sink(broker, "events"), batch_size=6)
         metrics = agent.run()
         assert metrics.events_delivered == 20
-        values = [r.value for r in broker.consumer("g", ["events"]).drain()]
+        values = [r.value for r in broker.consumer("g", "events").drain()]
         assert sorted(values) == list(range(20))
 
     def test_backpressure_stall_becomes_sink_error(self):
@@ -70,7 +70,7 @@ class TestBrokerSink:
         broker = make_broker(max_partition_records=3)
         agent = FlumeAgent(FunctionSource(range(24)),
                            broker_sink(broker, "events"), batch_size=3)
-        consumer = broker.consumer("g", ["events"])   # auto-commit
+        consumer = broker.consumer("g", "events")   # auto-commit
         received = []
         for _ in range(40):
             agent.pump_source(agent.batch_size)

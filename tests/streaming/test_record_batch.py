@@ -112,7 +112,7 @@ class TestRecordBatchShape:
 
     def test_stacked_values_rejects_empty(self):
         with pytest.raises(BrokerError):
-            RecordBatch.empty().stacked_values()
+            RecordBatch.empty("t").stacked_values()
 
     def test_stacked_values_of_ragged_rows_raises(self):
         batch = RecordBatch("t", [0, 0], [0, 1], ["a", "a"],
@@ -125,25 +125,6 @@ class TestRecordBatchShape:
                             [np.zeros(3), np.ones(3)], [0.0, 1.0])
         assert batch.groups() == [("a", batch)]
 
-    def test_concat_same_topic_keeps_scalar(self):
-        merged = RecordBatch.concat([sample_batch(), sample_batch()])
-        assert merged.topics == "events"
-        assert len(merged) == 6
-        assert merged.topic_at(5) == "events"
-
-    def test_concat_mixed_topics_expands_per_row(self):
-        one = RecordBatch("a", [0], [0], [None], [1], [0.0])
-        two = RecordBatch("b", [0], [0], [None], [2], [1.0])
-        merged = RecordBatch.concat([one, two])
-        assert merged.topics == ["a", "b"]
-        assert merged.record(0).topic == "a"
-        assert merged.record(1).topic == "b"
-
-    def test_concat_drops_empties_and_passes_single_through(self):
-        batch = sample_batch()
-        assert RecordBatch.concat([RecordBatch.empty(), batch]) is batch
-        assert len(RecordBatch.concat([])) == 0
-
 
 class TestRoundTrip:
     def test_poll_batch_matches_per_record_poll(self):
@@ -151,7 +132,7 @@ class TestRoundTrip:
             broker = make_broker()
             broker.produce_batch("events", list(range(20)),
                                  key_fn=lambda v: f"k{v % 3}")
-            consumer = broker.consumer("g", ["events"], auto_commit=False)
+            consumer = broker.consumer("g", "events", auto_commit=False)
             rows = []
             while True:
                 if batch_path:
@@ -170,28 +151,16 @@ class TestRoundTrip:
         broker = make_broker(partitions=2)
         produced = broker.produce_batch("events", [5, 6, 7])
         assert isinstance(produced, RecordBatch)
-        assert produced.topics == "events"
+        assert produced.topic == "events"
         assert produced.values == [5, 6, 7]
         assert len(produced) == 3
-
-    def test_multi_topic_poll_batch_concats(self):
-        broker = Broker()
-        broker.create_topic("a", partitions=1)
-        broker.create_topic("b", partitions=1)
-        broker.produce("a", 1)
-        broker.produce("b", 2)
-        consumer = broker.consumer("g", ["a", "b"], auto_commit=False)
-        batch = consumer.poll_batch(10)
-        assert sorted(batch.values) == [1, 2]
-        assert sorted(batch.topic_at(i) for i in range(len(batch))) == \
-            ["a", "b"]
 
     def test_zero_copy_values_resolve_in_batch(self):
         broker = Broker()
         broker.create_topic("frames", partitions=1, share_ndarrays=True)
         frame = np.arange(64 * 1024, dtype=np.float32)   # 256 KiB
         broker.produce_batch("frames", [frame])
-        batch = broker.consumer("g", ["frames"]).poll_batch(1)
+        batch = broker.consumer("g", "frames").poll_batch(1)
         np.testing.assert_array_equal(batch.values[0], frame)
         assert not batch.values[0].flags.writeable        # shared view
         assert broker.shm_bytes_staged() >= frame.nbytes
@@ -249,7 +218,7 @@ class TestSingleProduceParity:
 
 def log_state(broker, partitions):
     """Everything a produce leaves behind, per partition, plus the cursor."""
-    consumer = broker.consumer("probe", ["events"])
+    consumer = broker.consumer("probe", "events")
     rows = sorted(as_rows(consumer.drain()))
     consumer.close()
     ends = [broker.end_offset("events", p) for p in range(partitions)]
@@ -339,7 +308,7 @@ class TestPositionSnapshot:
     def test_commit_capped_at_snapshot(self):
         broker = make_broker(partitions=1)
         broker.produce_batch("events", list(range(6)))
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
+        consumer = broker.consumer("g", "events", auto_commit=False)
         consumer.poll_batch(3)
         snapshot = consumer.position_snapshot()
         consumer.poll_batch(3)            # read ahead past the snapshot
@@ -350,7 +319,7 @@ class TestPositionSnapshot:
     def test_snapshot_only_covers_assignment(self):
         broker = make_broker(partitions=2)
         broker.produce_batch("events", list(range(4)))
-        consumer = broker.consumer("g", ["events"], auto_commit=False)
+        consumer = broker.consumer("g", "events", auto_commit=False)
         consumer.poll_batch(4)
         snapshot = consumer.position_snapshot()
         assert set(snapshot) == {("events", 0), ("events", 1)}
@@ -371,7 +340,7 @@ class TestDumpParity:
             else:
                 for value in values:
                     broker.produce("events", value)
-            consumer = broker.consumer("g", ["events"], auto_commit=False)
+            consumer = broker.consumer("g", "events", auto_commit=False)
             out = []
             while True:
                 if batch_path:
@@ -415,7 +384,7 @@ def camera_batch(broker):
     broker.create_topic("frames", partitions=2)
     broker.produce_batch("frames", list(frames),
                          key_fn=lambda f: f"cam-{int(f[0, 0, 0] > 0)}")
-    return broker.consumer("fog", ["frames"]).poll_batch(9)
+    return broker.consumer("fog", "frames").poll_batch(9)
 
 
 def camera_streams(batch):
