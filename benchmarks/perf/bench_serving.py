@@ -2,11 +2,11 @@
 
 The serving plane under load, measured in two stages:
 
-- **pipeline** — camera frames from the scene generator ride the
-  bounded, shared-memory ``camera.frames`` topic and drain through the
-  gateway into a deployed two-tier model
+- **pipeline** — camera frames from the scene generator ride a
+  shared-memory ``camera.frames`` topic this harness builds and drain
+  through the gateway into a deployed two-tier model
   (:func:`repro.serving.serve_camera_topic` — the
-  ``attach_camera_feed -> gateway -> fog`` path).  The gated number:
+  ``topic -> pump_topic -> gateway -> fog`` path).  The gated number:
   ``--min-rows-per-s`` applies to this end-to-end drain throughput.
 - **sweep** — paced asyncio clients submit frame batches straight to a
   gateway at a ladder of offered loads (fractions and multiples of a

@@ -30,7 +30,7 @@ from repro.cluster.machines import (
     failover_transfer_time,
     transfer_time,
 )
-from repro.cluster.failures import FailureInjector, FailureProcess
+from repro.cluster.failures import FailureProcess
 
 __all__ = [
     "Environment",
@@ -48,6 +48,5 @@ __all__ = [
     "TIER_FLOPS",
     "failover_transfer_time",
     "transfer_time",
-    "FailureInjector",
     "FailureProcess",
 ]

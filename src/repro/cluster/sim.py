@@ -104,39 +104,6 @@ class Timeout(Event):
         env._schedule(self, delay=delay)
 
 
-class AllOf(Event):
-    """Fires when every child event has succeeded.
-
-    An empty event list legitimately succeeds immediately (the conjunction
-    of nothing is true) — unlike :class:`AnyOf`, where an empty list could
-    never trigger and is therefore rejected.
-    """
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._pending = 0
-        events = list(events)
-        for event in events:
-            if event.triggered:
-                continue
-            self._pending += 1
-            event.callbacks.append(self._on_child)
-        if self._pending == 0:
-            self.succeed([e.value for e in events])
-        else:
-            self._events = events
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([e.value for e in self._events])
-
-
 class AnyOf(Event):
     """Fires when the first child event succeeds.
 
@@ -275,17 +242,11 @@ class Environment:
         return self._now
 
     # -- event factories ---------------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float) -> Timeout:
         return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -378,14 +339,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: List[Request] = []
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def request(self) -> Request:
         request = Request(self.env, self)

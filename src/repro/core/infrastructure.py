@@ -11,6 +11,9 @@ into the architecture the paper describes:
   agents and the message bus for ingestion, the Spark-like engine for
   mining, ``repro.nn`` for deep learning, and the viz exporters;
 - **application layer** — deploy hooks for the Sec. IV applications.
+  Camera frames reach a fog deployment through
+  :func:`repro.serving.pump_topic` over a topic the caller builds, not
+  through this class.
 
 ``run_collection_pipeline`` executes the Fig. 4 flow for a batch of feeds:
 sources -> at-least-once ingestion -> NoSQL -> a Spark aggregation -> a
@@ -40,10 +43,8 @@ from repro.viz.exporters import bar_chart_svg
 
 #: bytes per DFS block
 DFS_BLOCK_SIZE = 64 * 1024
-#: partitions per source topic and of the camera-frame topic
+#: partitions per source topic
 BUS_PARTITIONS = 4
-#: bound per camera-frame partition (frames are large; keep it tight)
-CAMERA_PARTITION_CAPACITY = 256
 #: capacity each analysis server offers YARN
 YARN_VCORES_PER_SERVER = 8
 YARN_MEMORY_MB_PER_SERVER = 32_768
@@ -215,50 +216,6 @@ class CyberInfrastructure:
         finally:
             storage.close()
         return agent.metrics.events_delivered
-
-    # -- camera -> fog glue ---------------------------------------------------------
-    CAMERA_TOPIC = "camera.frames"
-
-    def attach_camera_feed(self) -> str:
-        """Ensure the bounded, shared-memory camera-frame topic exists.
-
-        Frames of ``shm_min_bytes`` (64 KiB) or more are staged in shared
-        memory (consumers get zero-copy read-only views); a 16x16 frame
-        is 1 KiB and is stored as is.  Each partition is bounded at
-        :data:`CAMERA_PARTITION_CAPACITY` so a stalled fog tier
-        backpressures the cameras instead of buffering frames without
-        limit.
-        """
-        if self.CAMERA_TOPIC not in self.bus.topic_names():
-            self.bus.create_topic(
-                self.CAMERA_TOPIC, partitions=BUS_PARTITIONS,
-                max_partition_records=CAMERA_PARTITION_CAPACITY,
-                share_ndarrays=True)
-        return self.CAMERA_TOPIC
-
-    def publish_camera_frames(self, camera_id: str, frames) -> int:
-        """Produce a camera's frames, keyed by camera (per-camera order)."""
-        topic = self.attach_camera_feed()
-        produced = self.bus.produce_batch(
-            topic, list(frames), key_fn=lambda frame: camera_id)
-        return len(produced)
-
-    def serve_camera_streams(self, deployment, policy) -> Dict[str, List]:
-        """Drain camera frames through a two-tier fog deployment.
-
-        Routes ``camera.frames`` through the serving gateway
-        (:func:`repro.serving.serve_camera_topic`): each poll is
-        regrouped per camera (sorted, so results are deterministic),
-        submitted per camera with the camera id as the tenant, coalesced
-        into micro-batches, and served; offsets commit only after every
-        camera in the poll resolved.  Returns
-        {camera_id: [BatchExitDecisions, ...]}.  The gateway is sized to
-        the poll, so the drain never sheds.
-        """
-        from repro.serving import serve_camera_topic
-
-        topic = self.attach_camera_feed()
-        return serve_camera_topic(deployment, policy, self.bus, topic)
 
     @property
     def last_visualization(self) -> str:

@@ -9,7 +9,7 @@ server runs the *decoder* and feeds the reconstruction to the remote
 stage.  :class:`AutoencoderCodec` models that round trip in-process and
 meters the payload delta as ``fog.deploy.offload_bytes_saved``.
 
-A codec is anything with ``transfer(features) -> features`` — the hook
+``AutoencoderCodec.transfer(features) -> features`` is the hook
 :class:`repro.nn.models.earlyexit.EarlyExitNetwork` calls on escalated
 rows (and :class:`repro.fog.deployment.TwoTierDeployment` wires up via
 ``activation_codec=``).  Transfers are lossy by construction; the
@@ -47,23 +47,15 @@ def _run_dense(stack: Sequential, x: np.ndarray) -> np.ndarray:
     return x
 
 
-class ActivationCodec:
-    """Protocol for cross-tier activation transfer simulation.
+class AutoencoderCodec:
+    """Ship activations through a trained autoencoder's bottleneck.
 
-    ``transfer`` receives the escalated rows' feature array (any float
-    dtype, batch-leading) and returns the array the *server side* sees.
-    Implementations must return a fresh array of the same shape and dtype
-    and must be deterministic — exit decisions downstream of a transfer
+    :meth:`transfer` receives the escalated rows' feature array (any
+    float dtype, batch-leading) and returns the array the *server side*
+    sees: a fresh array of the same shape and dtype, computed
+    deterministically, because exit decisions downstream of a transfer
     feed the reproducibility invariants (identical decisions across
     identically-seeded runs).
-    """
-
-    def transfer(self, features: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class AutoencoderCodec(ActivationCodec):
-    """Ship activations through a trained autoencoder's bottleneck.
 
     The device-side encoder maps each flattened feature map to a
     ``code_dim`` vector; optionally the code itself is int8-quantized for

@@ -79,7 +79,7 @@ class TwoTierDeployment:
       ~4x; the server half stays float.  Edge byte savings land in
       ``fog.deploy.edge_int8_bytes_saved`` and ``edge_quantization``.
     - ``activation_codec`` — escalated feature maps round-trip through a
-      :class:`repro.fog.codec.ActivationCodec` before the remote stage,
+      :class:`repro.fog.codec.AutoencoderCodec` before the remote stage,
       modelling compressed cross-tier activation shipping
       (``fog.deploy.offload_bytes_saved``).
     """

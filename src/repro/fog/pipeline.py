@@ -260,7 +260,7 @@ class _Fabric:
         self._inflight.get(name, {}).pop(process, None)
 
     def on_machine_fail(self, machine: Machine) -> None:
-        """FailureInjector hook: interrupt everything in flight there."""
+        """``FailureProcess.on_fail`` hook: interrupt everything in flight there."""
         for process in list(self._inflight.get(machine.name, {})):
             if process.is_alive:
                 process.interrupt(("machine-crash", machine.name))

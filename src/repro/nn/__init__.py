@@ -46,7 +46,6 @@ from repro.nn.inference import (
 )
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.data import DataParallelTrainer, fit
-from repro.nn.serialization import load_state, save_state
 from repro.nn.flops import activation_size_bytes, estimate_flops
 from repro.nn.plan import InferencePlan, PlanCache, PlanError, capture_plan
 from repro.nn.quantize import (
@@ -70,7 +69,6 @@ __all__ = [
     "LSTM", "LSTMCell",
     "Optimizer", "SGD", "Adam",
     "DataParallelTrainer", "fit",
-    "save_state", "load_state",
     "estimate_flops", "activation_size_bytes",
     "capture_plan", "InferencePlan", "PlanCache", "PlanError",
     "QuantizedConv2d", "QuantizedLinear", "quantize_for_inference",

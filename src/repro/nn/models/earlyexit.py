@@ -120,7 +120,7 @@ class EarlyExitNetwork(nn.Module):
         self.remote_stage = remote_stage
         self.remote_head = remote_head
         self._plan_caches = {}
-        #: optional :class:`repro.fog.codec.ActivationCodec`: escalated
+        #: optional :class:`repro.fog.codec.AutoencoderCodec`: escalated
         #: feature maps round-trip through it before the remote stage,
         #: modelling compressed cross-tier activation shipping.  Plain
         #: attribute on purpose — a codec wraps a Module but is not child

@@ -117,16 +117,25 @@ class GridIndex:
         """Doc ids in all buckets intersecting the radius ball."""
         span = int(math.ceil(radius / self.cell_size))
         cx, cy = self._bucket(point)
-        out: set = set()
-        for dx in range(-span, span + 1):
-            for dy in range(-span, span + 1):
-                out |= self._buckets.get((cx + dx, cy + dy), set())
-        return out
+        return self._in_cells(cx - span, cy - span, cx + span, cy + span)
 
     def candidates_in_box(self, low: Sequence[float], high: Sequence[float]) -> set:
-        bx0, by0 = self._bucket(low)
-        bx1, by1 = self._bucket(high)
+        return self._in_cells(*self._bucket(low), *self._bucket(high))
+
+    def _in_cells(self, bx0: int, by0: int, bx1: int, by1: int) -> set:
+        """Doc ids in the buckets of cells ``[bx0, bx1] x [by0, by1]``.
+
+        Looks each cell up, unless the rectangle holds more cells than
+        the index has buckets: then it walks the buckets and keeps those
+        inside, so a query never costs more than the data it covers.
+        """
         out: set = set()
+        cells = (bx1 - bx0 + 1) * (by1 - by0 + 1)
+        if cells > len(self._buckets):
+            for (bx, by), ids in self._buckets.items():
+                if bx0 <= bx <= bx1 and by0 <= by <= by1:
+                    out |= ids
+            return out
         for bx in range(bx0, bx1 + 1):
             for by in range(by0, by1 + 1):
                 out |= self._buckets.get((bx, by), set())

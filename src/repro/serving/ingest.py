@@ -1,8 +1,9 @@
 """Broker → gateway ingress: drain camera topics through the fog tier.
 
-The camera glue (``camera.frames`` topic, shared-memory frames, manual
-commits) already exists in the streaming layer; this module is the
-sanctioned path from that topic into a deployment.  Each poll is
+This module is the one path from a camera topic into a deployment: the
+caller builds the topic (partitions, bounds, shared-memory frames) on
+its broker, and :func:`pump_topic` drains it through a
+:class:`~repro.serving.gateway.ServingGateway`.  Each poll is
 regrouped per camera (sorted, so results are deterministic), every
 camera's frames become one gateway submission with the camera id as the
 tenant, and offsets commit only after the whole poll resolved —
@@ -86,7 +87,7 @@ def serve_camera_topic(deployment, policy, bus, topic: str,
                        poll_size: int = 256) -> Dict[str, List]:
     """Synchronous one-shot drain: build a gateway, pump, tear down.
 
-    The convenience entrypoint the infrastructure facade calls.  The
+    :func:`pump_topic` through a gateway built for one drain.  The
     gateway coalesces with a zero window (deterministic batching) and
     sizes the batch and queue bounds to the poll, so a drain never sheds.
     """

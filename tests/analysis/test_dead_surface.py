@@ -41,20 +41,12 @@ SPARK = "paper-named substrate: Spark RDD / Streaming / MLlib / GraphX API"
 STORES = "paper-named substrate: HDFS / HBase / MongoDB / YARN API"
 INGEST = "paper-named substrate: Flume / Sqoop / RDBMS source"
 FEEDS = "paper-named substrate: the PAPER.md data-feed generators"
-DES = "paper-named substrate: the repro.cluster DES machines"
 TF = "paper-named substrate: TensorFlow-role layer / op"
 ORACLE = "test oracle or fixture entry point"
 
 #: qualified name -> one-line reason it stays without a non-test caller
 KEEP: Dict[str, str] = {
     "repro.analysis.engine.analyze_source": ORACLE,
-    "repro.cluster.failures.FailureInjector.fail_fraction": DES,
-    "repro.cluster.failures.FailureInjector.recover_all": DES,
-    "repro.cluster.failures.FailureInjector.live_count": DES,
-    "repro.cluster.sim.Environment.event": DES,
-    "repro.cluster.sim.Environment.all_of": DES,
-    "repro.cluster.sim.Resource.in_use": DES,
-    "repro.cluster.sim.Resource.queue_length": DES,
     "repro.compute.dstream.DStream.foreach_batch": SPARK,
     "repro.compute.dstream.DStream.count_by_window": SPARK,
     "repro.compute.graphx.Graph.neighbors": SPARK,
@@ -81,10 +73,6 @@ KEEP: Dict[str, str] = {
     "repro.compute.yarn.ResourceManager.nodes": STORES,
     "repro.compute.yarn.ResourceManager.running_containers": STORES,
     "repro.compute.yarn.ResourceManager.utilization": STORES,
-    "repro.core.infrastructure.CyberInfrastructure.publish_camera_frames":
-        "ROADMAP 4(a) / 13(a) decide the camera feed pair",
-    "repro.core.infrastructure.CyberInfrastructure.serve_camera_streams":
-        "ROADMAP 4(a) / 13(a) decide the camera feed pair",
     "repro.data.city.OpenCityData.traffic_incidents": FEEDS,
     "repro.data.collector.TweetCollector": FEEDS,
     "repro.data.collector.TweetCollector.add_keywords": FEEDS,
@@ -102,8 +90,6 @@ KEEP: Dict[str, str] = {
     "repro.nn.grad_mode.enable_grad": TF,
     "repro.nn.quantize.measure_quantization_drop":
         "ROADMAP 10(b) bounds int8 agreement with it",
-    "repro.nn.serialization.load_state": TF,
-    "repro.nn.serialization.save_state": TF,
     "repro.nosql.hbase.HTable.row_count": STORES,
     "repro.nosql.hbase.HTable.memstore_size": STORES,
     "repro.nosql.mongo.Collection.find_one": STORES,

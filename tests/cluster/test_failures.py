@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import (
     Environment,
-    FailureInjector,
     FailureProcess,
     Machine,
     Tier,
@@ -16,124 +15,70 @@ def make_machines(count=5):
     return [Machine(f"m{i}", Tier.FOG) for i in range(count)]
 
 
+def crash(machines, seed=0, **kwargs):
+    """Run a crash schedule to completion; return its process."""
+    runtime = Runtime(seed=0)
+    env = Environment(runtime=runtime)
+    kwargs.setdefault("max_failures", 1)
+    with using_runtime(runtime):
+        process = FailureProcess(env, machines, seed=seed, **kwargs)
+    env.run()
+    return process
+
+
 def test_fail_one_marks_dead():
     machines = make_machines()
-    injector = FailureInjector(machines, seed=1)
-    victim = injector.fail_one()
-    assert victim is not None
+    [victim] = crash(machines, seed=1).failed
     assert not victim.alive
-    assert injector.live_count == 4
+    assert sum(1 for m in machines if m.alive) == 4
 
 
 def test_deterministic_given_seed():
-    first = FailureInjector(make_machines(), seed=7)
-    second = FailureInjector(make_machines(), seed=7)
-    assert first.fail_one().name == second.fail_one().name
+    first = crash(make_machines(), seed=7).failed
+    second = crash(make_machines(), seed=7).failed
+    assert [m.name for m in first] == [m.name for m in second]
 
 
 def test_different_seeds_can_differ():
-    names = {
-        FailureInjector(make_machines(20), seed=s).fail_one().name
-        for s in range(10)
-    }
+    names = {crash(make_machines(20), seed=s).failed[0].name
+             for s in range(10)}
     assert len(names) > 1
-
-
-def test_fail_fraction():
-    machines = make_machines(10)
-    injector = FailureInjector(machines, seed=0)
-    victims = injector.fail_fraction(0.3)
-    assert len(victims) == 3
-    assert injector.live_count == 7
-
-
-def test_fail_fraction_validates():
-    injector = FailureInjector(make_machines(), seed=0)
-    with pytest.raises(ValueError):
-        injector.fail_fraction(1.5)
 
 
 def test_fail_all_then_none_left():
     machines = make_machines(2)
-    injector = FailureInjector(machines, seed=0)
-    injector.fail_one()
-    injector.fail_one()
-    assert injector.fail_one() is None
-
-
-def test_recover_restores_fifo():
-    machines = make_machines()
-    injector = FailureInjector(machines, seed=3)
-    first = injector.fail_one()
-    injector.fail_one()
-    recovered = injector.recover_one()
-    assert recovered is first
-    assert recovered.alive
-
-
-def test_recover_all():
-    machines = make_machines(6)
-    injector = FailureInjector(machines, seed=2)
-    injector.fail_fraction(0.5)
-    assert injector.recover_all() == 3
-    assert injector.live_count == 6
+    process = crash(machines, max_failures=3)
+    assert len(process.failed) == 2
+    assert not any(m.alive for m in machines)
+    # the third draw found no live target and crashed nothing
+    assert len(process.runtime.events.records("cluster.failure")) == 2
 
 
 def test_callbacks_invoked():
-    machines = make_machines()
-    failed = []
-    injector = FailureInjector(machines, seed=0, on_fail=failed.append)
-    victim = injector.fail_one()
-    assert failed == [victim]
-    assert injector.recover_one() is victim
-    assert failed == [victim]       # a recovery is not a failure
+    victims = []
+    process = crash(make_machines(), on_fail=victims.append,
+                    mean_time_to_repair_s=0.1)
+    [victim] = victims            # a recovery is not a failure
+    assert victim.alive and process.failed == []
 
 
 def test_requires_targets():
     with pytest.raises(ValueError):
-        FailureInjector([], seed=0)
-
-
-def test_event_history_recorded():
-    injector = FailureInjector(make_machines(), seed=0)
-    victim = injector.fail_one()
-    injector.recover_one()
-    assert injector.events == [("fail", victim), ("recover", victim)]
-
-
-class TestRecoverSpecificTarget:
-    def test_recover_specific_target(self):
-        machines = make_machines()
-        injector = FailureInjector(machines, seed=0)
-        first = injector.fail_one()
-        second = injector.fail_one()
-        assert injector.recover(second) is second
-        assert second.alive
-        assert injector.failed == [first]
-
-    def test_recover_live_target_raises(self):
-        machines = make_machines()
-        injector = FailureInjector(machines, seed=0)
-        with pytest.raises(ValueError):
-            injector.recover(machines[0])
+        FailureProcess(Environment(), [], seed=0)
 
 
 class TestFailureProcess:
     """Crash/recover scheduling as first-class simulation events."""
 
     def _run(self, seed=0, **kwargs):
-        runtime = Runtime(seed=0)
-        env = Environment(runtime=runtime)
         machines = make_machines()
         kwargs.setdefault("mean_time_to_failure_s", 0.2)
-        with using_runtime(runtime):
-            process = FailureProcess(env, machines, seed=seed, **kwargs)
-        env.run()
-        return runtime, machines, process
+        process = crash(machines, seed=seed, **kwargs)
+        return process.runtime, machines, process
 
     def test_injects_up_to_max_failures(self):
         runtime, machines, process = self._run(max_failures=3)
-        assert len(process.injector.failed) == 3
+        assert len(process.failed) == 3
         assert sum(1 for m in machines if not m.alive) == 3
 
     def test_events_carry_sim_timestamps(self):
@@ -156,7 +101,7 @@ class TestFailureProcess:
         runtime, machines, process = self._run(
             max_failures=4, mean_time_to_repair_s=0.1)
         # env.run() drains everything, including all repair processes.
-        assert process.injector.failed == []
+        assert process.failed == []
         assert all(m.alive for m in machines)
         assert len(runtime.events.records("cluster.recovery")) == 4
 
@@ -183,10 +128,10 @@ class TestFailureProcess:
 
         env.process(stopper(env))
         env.run()
-        killed = len(process.injector.failed)
+        killed = len(process.failed)
         assert killed < 50  # the stop cut the schedule short
 
     def test_on_fail_callback_sees_each_victim(self):
         victims = []
         runtime, _, process = self._run(max_failures=3, on_fail=victims.append)
-        assert victims == process.injector.failed
+        assert victims == process.failed

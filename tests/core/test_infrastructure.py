@@ -4,16 +4,10 @@ import gc
 import json
 from collections import Counter
 
-import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import CyberInfrastructure, InfraConfig
-from repro.core.infrastructure import CAMERA_PARTITION_CAPACITY
 from repro.data import OpenCityData, TweetGenerator, WazeGenerator
-from repro.fog import TwoTierDeployment
-from repro.fog.policies import ScoreThresholdPolicy
-from repro.nn.models.earlyexit import EarlyExitNetwork
 from repro.nosql import Collection, HTable, MongoError
 from repro.runtime import Runtime, using_runtime
 from repro.streaming import BackpressureError, Consumer, FlumeAgent
@@ -332,73 +326,3 @@ class TestBatchIngest:
         assert len(infra.collection("feed")) == 1
         assert sum(self.committed(infra)) == 0
 
-
-def camera_network(seed):
-    rng = np.random.default_rng(seed)
-    return EarlyExitNetwork(
-        local_stage=nn.Sequential(
-            nn.Conv2d(1, 4, 3, padding=1, rng=rng), nn.ReLU()),
-        local_head=nn.Sequential(
-            nn.GlobalAvgPool2d(), nn.Linear(4, 3, rng=rng)),
-        remote_stage=nn.Sequential(
-            nn.Conv2d(4, 8, 3, padding=1, rng=rng), nn.ReLU()),
-        remote_head=nn.Sequential(
-            nn.GlobalAvgPool2d(), nn.Linear(8, 3, rng=rng)))
-
-
-def camera_deployment():
-    deployment = TwoTierDeployment(
-        lambda: camera_network(seed=99),
-        local_modules=["local_stage", "local_head"],
-        remote_modules=["remote_stage", "remote_head"])
-    deployment.deploy(camera_network(seed=1))
-    return deployment
-
-
-def camera_frames(seed, n):
-    rng = np.random.default_rng(seed)
-    return [rng.normal(0.0, 1.0, (1, 8, 8)) for _ in range(n)]
-
-
-class TestCameraFogGlue:
-    """Camera frames ride the broker into the two-tier fog deployment."""
-
-    def test_frames_topic_is_bounded_and_shared(self):
-        infra = small_infra()
-        topic = infra.attach_camera_feed()
-        config = infra.bus.topic_config(topic)
-        assert config.share_ndarrays
-        assert config.max_partition_records == CAMERA_PARTITION_CAPACITY
-        infra.attach_camera_feed()  # idempotent
-
-    def test_publish_then_serve_decides_every_frame(self):
-        infra = small_infra()
-        assert infra.publish_camera_frames("cam-a", camera_frames(0, 6)) == 6
-        assert infra.publish_camera_frames("cam-b", camera_frames(1, 4)) == 4
-        served = infra.serve_camera_streams(
-            camera_deployment(), ScoreThresholdPolicy(0.45))
-        assert sorted(served) == ["cam-a", "cam-b"]
-        assert sum(len(d.predictions) for d in served["cam-a"]) == 6
-        assert sum(len(d.predictions) for d in served["cam-b"]) == 4
-        assert infra.bus.lag("fog-serving", infra.CAMERA_TOPIC) == 0
-
-    def test_offsets_commit_so_second_serve_is_empty(self):
-        infra = small_infra()
-        infra.publish_camera_frames("cam-a", camera_frames(2, 3))
-        deployment = camera_deployment()
-        policy = ScoreThresholdPolicy(0.45)
-        assert infra.serve_camera_streams(deployment, policy)
-        assert infra.serve_camera_streams(deployment, policy) == {}
-
-    def test_serving_matches_direct_deployment_call(self):
-        infra = small_infra()
-        frames = camera_frames(3, 5)
-        infra.publish_camera_frames("cam-a", frames)
-        deployment = camera_deployment()
-        policy = ScoreThresholdPolicy(0.45)
-        direct = deployment.serve_batched(np.stack(frames), policy)
-        served = infra.serve_camera_streams(deployment, policy)
-        assert np.array_equal(served["cam-a"][0].predictions,
-                              direct.predictions)
-        assert np.array_equal(served["cam-a"][0].exit_index,
-                              direct.exit_index)

@@ -11,7 +11,7 @@ import pytest
 from repro.apps.action import ActionRecognitionApp
 from repro.apps.social import SocialNetworkAnalysis
 from repro.apps.vehicle import VehicleDetectionApp
-from repro.cluster import FailureInjector, NetworkTopology, Tier
+from repro.cluster import NetworkTopology, Tier
 from repro.compute import SparkContext, StreamingContext
 from repro.core import CyberInfrastructure, InfraConfig
 from repro.data import LawEnforcementFeed, OpenCityData, SecureStore, WazeGenerator
@@ -55,7 +55,7 @@ class TestVideoPathEndToEnd:
 
 
 class TestStorageUnderFailures:
-    """DFS + HBase + failure injector: data survives datanode churn."""
+    """DFS + HBase under datanode churn: data survives."""
 
     def test_htable_reads_survive_datanode_failures(self):
         dfs = DistributedFileSystem.with_datanodes(5, replication=3)
@@ -65,9 +65,8 @@ class TestStorageUnderFailures:
             table.put(f"row-{index:03d}", "d", "v", str(index).encode())
         table.flush()
         table._hfile_cache.clear()  # force DFS reads
-        injector = FailureInjector(dfs.datanodes, seed=0)
-        injector.fail_one()
-        injector.fail_one()
+        dfs.fail_datanode("datanode-1")
+        dfs.fail_datanode("datanode-3")
         for index in range(0, 60, 7):
             assert (table.get_value(f"row-{index:03d}", "d", "v")
                     == str(index).encode())
@@ -75,15 +74,14 @@ class TestStorageUnderFailures:
     def test_re_replication_then_more_failures(self):
         dfs = DistributedFileSystem.with_datanodes(6, replication=2)
         payload = bytes(range(256)) * 10
-        dfs.create("/survivor", payload)
-        injector = FailureInjector(
-            dfs.datanodes, seed=1,
-            on_fail=lambda node: dfs.re_replicate())
-        # Repeated single failures with healing in between: data persists.
+        [block] = dfs.create("/survivor", payload).block_ids
+        # Each round kills a node holding the block, then heals: without
+        # the re-replication the second round would take the last copy.
         for _ in range(3):
-            injector.fail_one()
+            dfs.fail_datanode(min(node.name for node in
+                                  dfs.namenode.live_replicas(block)))
             assert dfs.read("/survivor") == payload
-            injector.recover_all()
+            assert dfs.re_replicate() == 1
 
 
 class TestSqoopToSpark:

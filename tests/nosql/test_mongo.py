@@ -485,6 +485,38 @@ class TestGeoQueries:
         coll.insert({"location": "not-a-point"})
         assert coll.count({"location": {"$near": [0, 0]}}) == 0
 
+    @pytest.mark.parametrize("condition", [
+        {"$geoWithin": {"low": [-0.5, -0.5], "high": [0.5, 0.5]}},
+        {"$near": [0.0, 0.0], "$maxDistance": 0.5},
+    ], ids=["box", "near"])
+    def test_query_cost_follows_the_data_not_the_area(self, condition):
+        """A query over ~10^6 cells and 3 occupied buckets looks up at
+        most as many buckets as the index holds."""
+
+        class CountedBuckets(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                CountedBuckets.lookups += 1
+                if CountedBuckets.lookups > 3:
+                    raise AssertionError("query walked empty cells")
+                return super().get(key, default)
+
+        docs = [{"location": [0.2, 0.3]}, {"location": [-0.4, 0.1]},
+                {"location": [0.9, 0.9]}]
+        plain = Collection("plain")
+        plain.insert_many(docs)
+        indexed = Collection("indexed")
+        indexed.insert_many(docs)
+        indexed.create_geo_index("location", cell_size=0.001)
+        grid = indexed._geo_indexes["location"]
+        grid._buckets = CountedBuckets(grid._buckets)
+        query = {"location": condition}
+        found = indexed.find(query)
+        assert indexed.last_query_used_index
+        assert ({d["_id"] for d in found}
+                == {d["_id"] for d in plain.find(query)} == {1, 2})
+
 
 class TestDocumentStore:
     def test_collections_created_on_demand(self):

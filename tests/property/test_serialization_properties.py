@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
+from repro.fog.deployment import _bytes_to_dict, _dict_to_bytes
 from repro.nn.tensor import Tensor
 
 
@@ -21,12 +22,11 @@ def build_mlp(widths, seed):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=4),
        st.integers(0, 1000))
-def test_state_bytes_roundtrip_random_mlps(tmp_path_factory, widths, seed):
+def test_state_bytes_roundtrip_random_mlps(widths, seed):
+    """Through the npz payload a deployment ships to each tier."""
     source = build_mlp(widths, seed)
     target = build_mlp(widths, seed + 1)
-    path = tmp_path_factory.mktemp("state") / "mlp.npz"
-    nn.save_state(source, path)
-    nn.load_state(target, path)
+    target.load_state_dict(_bytes_to_dict(_dict_to_bytes(source.state_dict())))
     x = Tensor(np.random.default_rng(seed).normal(0, 1, (3, widths[0])))
     np.testing.assert_allclose(source(x).data, target(x).data)
 
@@ -45,10 +45,8 @@ def test_state_dict_is_complete(widths, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 100))
-def test_mismatched_architecture_rejected(tmp_path_factory, a, b, seed):
+def test_mismatched_architecture_rejected(a, b, seed):
     source = nn.Linear(a, b, rng=np.random.default_rng(seed))
     target = nn.Linear(a + 1, b, rng=np.random.default_rng(seed))
-    path = tmp_path_factory.mktemp("state") / "linear.npz"
-    nn.save_state(source, path)
     with pytest.raises(ValueError):
-        nn.load_state(target, path)
+        target.load_state_dict(source.state_dict())

@@ -225,19 +225,29 @@ MOVES = st.lists(st.tuples(st.sampled_from(["record", "found"]),
                  max_size=6)
 
 
+#: radii from inside the unit square to far past the data
+REACH = st.one_of(st.floats(0.05, 0.5, allow_nan=False),
+                  st.floats(1.0, 100.0, allow_nan=False))
+#: box corners inside the unit square or far outside it
+CORNER = st.tuples(*[st.one_of(UNIT, st.floats(-50, 50, allow_nan=False))] * 2)
+
+
 @settings(max_examples=25, deadline=None)
 @seed(BASE_SEED)
 @given(st.lists(st.tuples(UNIT, UNIT), min_size=0, max_size=30),
-       st.floats(0.05, 0.5, allow_nan=False), MOVES)
-def test_mongo_geo_index_matches_scan(points, radius, moves):
+       REACH, st.tuples(CORNER, CORNER), MOVES)
+def test_mongo_geo_index_matches_scan(points, radius, corners, moves):
     """The grid index, a scan and the points as inserted agree on
-    ``$near`` while callers move the points they inserted or found."""
+    ``$near`` and ``$geoWithin`` while callers move the points they
+    inserted or found."""
     docs = [{"location": [x, y]} for x, y in points]
     plain = Collection("plain")
     ids = plain.insert_many(docs)
     indexed = Collection("indexed")
     indexed.insert_many(docs)
     indexed.create_geo_index("location", cell_size=0.13)
+    low, high = [list(map(f, *corners)) for f in (min, max)]
+    box_query = {"location": {"$geoWithin": {"low": low, "high": high}}}
     for step in range(len(moves) + 1):
         for centre in ([0.5, 0.5], *(list(point) for point in points[:3])):
             query = {"location": {"$near": centre, "$maxDistance": radius}}
@@ -246,6 +256,12 @@ def test_mongo_geo_index_matches_scan(points, radius, moves):
                                       point[1] - centre[1]) <= radius}
             assert {d["_id"] for d in plain.find(query)} \
                 == {d["_id"] for d in indexed.find(query)} == expected
+        expected = {doc_id for doc_id, point in zip(ids, points)
+                    if low[0] <= point[0] <= high[0]
+                    and low[1] <= point[1] <= high[1]}
+        assert {d["_id"] for d in plain.find(box_query)} \
+            == {d["_id"] for d in indexed.find(box_query)} == expected
+        assert indexed.last_query_used_index
         if step < len(moves) and docs:
             whose, which, x, y = moves[step]
             targets = ([docs[which % len(docs)]] if whose == "record" else

@@ -20,7 +20,7 @@ from repro import nn
 from repro.apps.action.app import ActionRecognitionApp
 from repro.apps.vehicle.app import VehicleDetectionApp
 from repro.cluster import NetworkTopology
-from repro.cluster.failures import FailureInjector, FailureProcess
+from repro.cluster.failures import FailureProcess
 from repro.cluster.sim import Environment
 from repro.compute import SparkContext
 from repro.dfs.filesystem import DistributedFileSystem
@@ -157,14 +157,6 @@ def distributed_file_system(built, other):
     return {"dfs.datanode_failed"}
 
 
-def failure_injector(built, other):
-    with using_runtime(built):
-        injector = FailureInjector([Target("m0")], seed=0)
-    with using_runtime(other):
-        injector.fail_one()
-    return {"cluster.failure"}
-
-
 def failure_process(built, other):
     env = Environment()
     with using_runtime(built):
@@ -292,7 +284,6 @@ CASES = {
     "FlumeAgent": flume_agent,
     "HTable": htable,
     "DistributedFileSystem": distributed_file_system,
-    "FailureInjector": failure_injector,
     "FailureProcess": failure_process,
     "AutoencoderCodec": autoencoder_codec,
     "TwoTierDeployment": two_tier_deployment,

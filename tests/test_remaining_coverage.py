@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.cluster import Environment, SimulationError
+from repro.cluster import Environment, Event, SimulationError
 from repro.nn import init
 from repro.nn.tensor import Tensor
 
@@ -41,43 +41,9 @@ class TestInitializers:
 
 
 class TestSimKernelCorners:
-    def test_all_of_propagates_failure(self):
-        env = Environment()
-        bad = env.event()
-        caught = []
-
-        def proc(env):
-            try:
-                yield env.all_of([env.timeout(10.0), bad])
-            except RuntimeError as exc:
-                caught.append((env.now, str(exc)))
-
-        def failer(env):
-            yield env.timeout(1.0)
-            bad.fail(RuntimeError("dead sensor"))
-
-        env.process(proc(env))
-        env.process(failer(env))
-        env.run()
-        assert caught == [(1.0, "dead sensor")]
-
-    def test_all_of_with_pretriggered_events(self):
-        env = Environment()
-        done = env.event()
-        done.succeed("x")
-        values = []
-
-        def proc(env):
-            result = yield env.all_of([done])
-            values.append(result)
-
-        env.process(proc(env))
-        env.run()
-        assert values == [["x"]]
-
     def test_any_of_with_pretriggered_event(self):
         env = Environment()
-        done = env.event()
+        done = Event(env)
         done.succeed("quick")
         values = []
 
@@ -92,7 +58,7 @@ class TestSimKernelCorners:
     def test_fail_requires_exception_instance(self):
         env = Environment()
         with pytest.raises(SimulationError):
-            env.event().fail("not an exception")
+            Event(env).fail("not an exception")
 
     def test_process_target_must_be_generator(self):
         env = Environment()
